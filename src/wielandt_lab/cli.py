@@ -6,7 +6,8 @@ error, 3 the conjecture probe crossed its discovery threshold (a witness dump
 is written for replay).  Reports are deterministic given the seed; wall-clock
 fields live only in the manifest so diffing reports stays meaningful.  The
 environment variable WIELANDT_LAB_THREADS caps worker processes (default:
-available parallelism); results never depend on the worker count.
+the CPUs in this process's affinity mask); results never depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def worker_count() -> int:
         if value < 1:
             raise UsageError("WIELANDT_LAB_THREADS must be >= 1")
         return value
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def parse_p_list(text: str) -> list[float]:
@@ -379,6 +383,7 @@ def cmd_search(args) -> int:
         "passes": record.trials_done,
         "failures": 0,
         "worst_margin": None,
+        "skipped": record.skipped,
     }
     payload = record.to_json()
     payload_out = {

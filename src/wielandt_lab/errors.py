@@ -13,10 +13,6 @@ class DimensionMismatch(WielandtLabError):
 DimensionError = DimensionMismatch
 
 
-class NonConvergence(WielandtLabError):
-    """The Jacobi eigensolver failed to reduce off-diagonal mass in time."""
-
-
 class NotPSD(WielandtLabError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 

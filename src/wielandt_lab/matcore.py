@@ -3,9 +3,9 @@ operator norm, and Loewner-order tests.
 
 Everything operates on plain ``complex128`` numpy arrays.  Hermitian inputs
 are symmetrized ``(H + H*)/2`` on entry so accumulated arithmetic drift cannot
-leak into spectral computations.  The eigensolver is a cyclic Jacobi sweep
-with complex 2x2 rotations; at the target dimensions (<= ~64) it is simple,
-deterministic, and accurate to near machine precision.
+leak into spectral computations.  The eigensolver is LAPACK's Hermitian
+``eigh`` (via numpy), with a scalar closed form for the 2x2 case, which is
+the common one in searches and several times cheaper than a LAPACK call.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidExponent,
-    NonConvergence,
     NotPSD,
     Singular,
 )
@@ -27,9 +26,6 @@ from .errors import (
 PSD_TOL = 1e-10
 # Relative positive-definiteness threshold for inversion.
 PD_TOL = 1e-12
-# Jacobi convergence: off-diagonal Frobenius mass below this times ||H||_F.
-JACOBI_TOL = 1e-13
-MAX_SWEEPS = 100
 # Accepted anti-Hermitian drift, relative to ||H||_F, on Hermitian inputs.
 HERM_DRIFT_TOL = 1e-13
 
@@ -71,48 +67,8 @@ class EigDecomp(NamedTuple):
     vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
 
-def _off_mass(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries: subtracting the diagonal
-    # mass from the total cancels catastrophically near convergence.
-    sq = (a.real * a.real + a.imag * a.imag).copy()
-    np.fill_diagonal(sq, 0.0)
-    return math.sqrt(float(sq.sum()))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing a[p, q] (and a[q, p]) in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    theta = 0.5 * math.atan2(2.0 * r, a[p, p].real - a[q, q].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    sph = s * phase
-    sphc = s * phase.conjugate()
-
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp + sphc * cq
-    a[:, q] = -sph * cp + c * cq
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp + sph * rq
-    a[q, :] = -sphc * rp + c * rq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp + sphc * vq
-    v[:, q] = -sph * vp + c * vq
-
-
 def _herm_eig2(m: np.ndarray) -> EigDecomp:
-    """Dimension-2 Jacobi specialization: one complex rotation diagonalizes
+    """Dimension-2 closed form: one complex Jacobi rotation diagonalizes
     exactly, so it is computed with scalar arithmetic."""
     h00 = complex(m[0, 0])
     h01 = complex(m[0, 1])
@@ -157,56 +113,18 @@ def _herm_eig2(m: np.ndarray) -> EigDecomp:
     return EigDecomp(np.array([lam_q, lam_p]), v)
 
 
-def herm_eig(h, max_sweeps: int = MAX_SWEEPS) -> EigDecomp:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def herm_eig(h) -> EigDecomp:
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order with matching eigenvector columns.
-    Raises NonConvergence if the off-diagonal mass is not reduced below
-    ``JACOBI_TOL * ||H||_F`` within ``max_sweeps`` sweeps.
+    2x2 inputs use the scalar closed form; every other shape is checked by
+    ``as_herm`` and solved by LAPACK (``numpy.linalg.eigh``).
     """
     m = np.asarray(h, dtype=np.complex128)
     if m.shape == (2, 2):
         return _herm_eig2(m)
-    a = as_herm(m)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return EigDecomp(np.array([a[0, 0].real]), v)
-    target = JACOBI_TOL * frob(a)
-    # Entries already below target/n cannot push the total mass over target.
-    skip = target / n
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_mass(a) <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _rotate(a, v, p, q)
-    else:
-        converged = _off_mass(a) <= target
-    if not converged:
-        raise NonConvergence(
-            f"Jacobi sweep limit {max_sweeps} reached with off-diagonal mass "
-            f"{_off_mass(a):g} > {target:g}"
-        )
-    # One polish sweep without the skip threshold: the convergence criterion
-    # tolerates residual mass up to target, which would perturb small
-    # eigenvalues by that absolute amount; zeroing every remaining entry once
-    # drives the residual to machine level at negligible cost.
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            if a[p, q] != 0.0:
-                _rotate(a, v, p, q)
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigDecomp(w[order], v[:, order])
-
-
-def eig_reconstruct(d: EigDecomp) -> np.ndarray:
-    """V diag(w) V* for a decomposition."""
-    return (d.vectors * d.eigenvalues) @ d.vectors.conj().T
+    w, v = np.linalg.eigh(as_herm(m))
+    return EigDecomp(w, v)
 
 
 def _eig_scale(w: np.ndarray) -> float:

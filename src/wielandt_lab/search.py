@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -142,6 +142,7 @@ class SearchRecord:
     trials_done: int
     trace: list  # [(phase, index, value)] with non-decreasing value
     config: SearchConfig
+    skipped: int = 0  # sampled trials dropped because an operator was singular
 
     def to_json(self) -> dict:
         return {
@@ -171,24 +172,27 @@ def _trial_instance(cfg: SearchConfig, index: int) -> Instance:
 
 
 def _eval_range(cfg: SearchConfig, start: int, stop: int) -> tuple:
-    """Evaluate trials [start, stop); returns the chunk best and the chunk's
-    running-max improvements for trace merging."""
+    """Evaluate trials [start, stop); returns the chunk best, the chunk's
+    running-max improvements for trace merging, and the number of trials
+    skipped as singular."""
     best_value = -math.inf
     best_index = -1
     best_json = None
     improvements = []
+    skipped = 0
     for index in range(start, stop):
         inst = _trial_instance(cfg, index)
         try:
             value = objective_value(cfg, inst)
         except Singular:
+            skipped += 1
             continue
         if value > best_value:
             best_value = value
             best_index = index
             best_json = instance_to_json(inst)
             improvements.append((index, value))
-    return best_value, best_index, best_json, improvements
+    return best_value, best_index, best_json, improvements, skipped
 
 
 def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
@@ -215,7 +219,7 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     best_value = -math.inf
     best_index = -1
     best_json = None
-    for value, index, inst_json, _ in chunks:
+    for value, index, inst_json, _, _ in chunks:
         if inst_json is None:
             continue
         if value > best_value or (value == best_value and index < best_index):
@@ -227,7 +231,7 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     # Rebuild a monotone trace from the concatenated chunk improvements.
     merged = []
     running = -math.inf
-    for _, _, _, improvements in chunks:
+    for _, _, _, improvements, _ in chunks:
         for idx, val in improvements:
             if val > running:
                 running = val
@@ -240,6 +244,7 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
         trials_done=trials,
         trace=merged,
         config=cfg,
+        skipped=sum(chunk[4] for chunk in chunks),
     )
 
 
@@ -365,26 +370,13 @@ def run_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     record = random_search(cfg, workers=workers)
     if cfg.refine_steps > 0:
         refined = refine(record.best_instance, cfg)
+        record = replace(record, trials_done=record.trials_done + refined.trials_done)
         if refined.best_value > record.best_value:
-            trace = record.trace + [
-                entry for entry in refined.trace if entry[2] > record.best_value
-            ]
-            return SearchRecord(
-                objective=cfg.objective,
+            record = replace(
+                record,
                 best_value=refined.best_value,
                 best_instance=refined.best_instance,
-                best_index=record.best_index,
-                trials_done=record.trials_done + refined.trials_done,
-                trace=trace,
-                config=cfg,
+                trace=record.trace
+                + [entry for entry in refined.trace if entry[2] > record.best_value],
             )
-        record = SearchRecord(
-            objective=cfg.objective,
-            best_value=record.best_value,
-            best_instance=record.best_instance,
-            best_index=record.best_index,
-            trials_done=record.trials_done + refined.trials_done,
-            trace=record.trace,
-            config=cfg,
-        )
     return record

@@ -5,6 +5,8 @@ import re
 import pytest
 
 from wielandt_lab import cli, instances, search
+from wielandt_lab.errors import Singular
+from wielandt_lab.sampling import mix_seed
 from wielandt_lab.search import SearchRecord
 
 
@@ -61,6 +63,18 @@ class TestWorkerCount:
     def test_default_is_positive(self, monkeypatch):
         monkeypatch.delenv("WIELANDT_LAB_THREADS", raising=False)
         assert cli.worker_count() >= 1
+
+    def test_default_follows_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("WIELANDT_LAB_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert cli.worker_count() == 3
+
+    def test_default_without_affinity_call(self, monkeypatch):
+        monkeypatch.delenv("WIELANDT_LAB_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        assert cli.worker_count() == 6
 
     @pytest.mark.parametrize("raw", ["0", "-2", "many"])
     def test_invalid_env(self, monkeypatch, raw):
@@ -168,6 +182,17 @@ class TestVerify:
         b = json.loads((tmp_chdir / "par.json").read_text())
         assert json.dumps(stripped(a)) == json.dumps(stripped(b))
 
+    def test_worker_independence_general_eigensolves(self):
+        # Rank 3 makes every compressed-product eigensolve a LAPACK call,
+        # run inside forked pool workers at workers=2.
+        params = cli.VerifyParams(
+            trials=16, ambient=6, rank=3, out_dim=3, ancilla=2, m=1.0, M=10.0,
+            p_values=(0.5, 1.0, 2.0), tol=1e-9, seed=4,
+        )
+        serial = cli.run_verify(params, workers=1)
+        parallel = cli.run_verify(params, workers=2)
+        assert json.dumps(stripped(serial)) == json.dumps(stripped(parallel))
+
     def test_usage_errors(self, capsys):
         assert run_cli(["verify", "--m", "2", "--M", "1"]) == 2
         assert run_cli(["verify", "--trials", "0"]) == 2
@@ -249,6 +274,25 @@ class TestSearchCommand:
         assert "DISCOVERY" in capsys.readouterr().out
         # witness is replayable
         assert instances.instance_from_json(result["best_instance"]).m == 1.0
+
+    def test_singular_trials_counted_in_manifest(self, tmp_chdir, capsys, monkeypatch):
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        bad_seeds = {mix_seed(0, i) for i in (3, 7, 11)}
+        real = search.objective_value
+
+        def flaky(cfg, inst):
+            if inst.seed in bad_seeds:
+                raise Singular("forced")
+            return real(cfg, inst)
+
+        monkeypatch.setattr(search, "objective_value", flaky)
+        code = run_cli([
+            "search", "--objective", "conjecture", "--trials", "20",
+            "--seed", "0", "--out", "k.json",
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_chdir / "k.json").read_text())["manifest"]
+        assert manifest["counters"]["skipped"] == 3
 
     def test_usage_errors(self, capsys):
         assert run_cli(["search", "--objective", "conjecture", "--trials", "0"]) == 2

@@ -166,6 +166,17 @@ class TestReplayability:
         again = search.conjecture_ratio(inst)
         assert again == pytest.approx(rec.best_value, abs=1e-12)
 
+    def test_worker_count_independent_with_general_eigensolves(self):
+        # Rank 4 at M/m = 100: every sampled eigensolve is a LAPACK call,
+        # run inside forked pool workers at workers=2, then refined.
+        cfg = search.SearchConfig(
+            objective="conjecture", ambient=8, rank=4, out_dim=4, ancilla=2,
+            m=1.0, M=100.0, trials=24, refine_steps=30, seed=3,
+        )
+        serial = search.run_search(cfg, workers=1)
+        parallel = search.run_search(cfg, workers=2)
+        assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
+
     def test_run_search_with_refinement_keeps_monotone_trace(self):
         cfg = search.SearchConfig(
             objective="tightness_thm1", p=1.0, trials=50, refine_steps=40, seed=6
