@@ -17,11 +17,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -43,7 +40,7 @@ from .bounds import (
 from .errors import InvalidBounds, WielandtLabError
 from .instances import degenerate_instance, extremal_instance, gen_instance
 from .matcore import op_norm
-from .sampling import mix_seed
+from .sampling import fan_out, mix_seed
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
@@ -230,19 +227,7 @@ def _merge_chunks(chunks: list) -> tuple[dict, list]:
 def run_verify(params: VerifyParams, workers: int = 1) -> dict:
     """Full verification sweep; returns the JSON-ready report."""
     started = _now()
-    workers = max(1, int(workers))
-    if workers == 1 or params.trials < 4 * workers:
-        chunks = [_verify_chunk(params, 0, params.trials)]
-    else:
-        edges = np.linspace(0, params.trials, workers + 1, dtype=int)
-        ranges = [
-            (int(edges[i]), int(edges[i + 1]))
-            for i in range(workers)
-            if edges[i] < edges[i + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_verify_chunk, params, a, b) for a, b in ranges]
-            chunks = [f.result() for f in futures]
+    chunks = fan_out(_verify_chunk, (params,), params.trials, workers)
     checks, failures = _merge_chunks(chunks)
     checks_run = sum(c["run"] for c in checks.values())
     n_failures = sum(c["fail"] for c in checks.values())
@@ -380,10 +365,11 @@ def cmd_search(args) -> int:
     )
     counters = {
         "checks_run": record.trials_done,
-        "passes": record.trials_done,
+        "passes": record.trials_done - record.skipped - record.refine_errors,
         "failures": 0,
         "worst_margin": None,
         "skipped": record.skipped,
+        "refine_errors": record.refine_errors,
     }
     payload = record.to_json()
     payload_out = {

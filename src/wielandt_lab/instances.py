@@ -24,9 +24,10 @@ from .sampling import haar_unitary, mix_seed, rng_from
 
 ISOMETRY_TOL = 1e-12
 
-_TAG_OPERATOR = "operator"
-_TAG_ISOMETRIES = "isometries"
-_TAG_MAP = "map"
+# gen_instance's sub-seed tags, one generator per component.
+TAG_OPERATOR = "operator"
+TAG_ISOMETRIES = "isometries"
+TAG_MAP = "map"
 
 
 def check_isometry(x, tol: float = ISOMETRY_TOL) -> np.ndarray:
@@ -147,14 +148,14 @@ def gen_instance(
     m, M = _check_bounds(m, M)
     if N < 2 * n:
         raise DimensionError(f"need N >= 2n, got N={N}, n={n}")
-    a = gen_operator(mix_seed(seed, _TAG_OPERATOR), N, m, M, force_endpoints)
-    x, y = gen_isometry_pair(mix_seed(seed, _TAG_ISOMETRIES), N, n)
+    a = gen_operator(mix_seed(seed, TAG_OPERATOR), N, m, M, force_endpoints)
+    x, y = gen_isometry_pair(mix_seed(seed, TAG_ISOMETRIES), N, n)
     if identity_phi:
         if d != n:
             raise DimensionError("identity map needs d == n")
         phi: PositiveMap = IdentityMap(n)
     else:
-        phi = random_unital_cp(mix_seed(seed, _TAG_MAP), n, d, k)
+        phi = random_unital_cp(mix_seed(seed, TAG_MAP), n, d, k)
     return Instance(a, m, M, x, y, phi, seed=seed)
 
 

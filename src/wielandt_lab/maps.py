@@ -38,6 +38,16 @@ def _check_isometry_columns(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} does not have orthonormal columns (defect {err:g})")
 
 
+def tensor_identity(t: np.ndarray, k: int) -> np.ndarray:
+    """T (x) I_k, filled block-diagonally; stacks (..., n, n) act per matrix.
+    Entry (i*k + a, j*k + a) is T[i, j]; every other entry is zero."""
+    *lead, n, _ = t.shape
+    big = np.zeros((*lead, n, k, n, k), dtype=np.complex128)
+    for a in range(k):
+        big[..., :, a, :, a] = t
+    return big.reshape(*lead, n * k, n * k)
+
+
 class PositiveMap:
     """Base class; concrete representations implement ``apply``."""
 
@@ -163,8 +173,7 @@ class StinespringMap(PositiveMap):
 
     def apply(self, t) -> np.ndarray:
         m = self._check_input(t)
-        big = np.kron(m, np.eye(self.ancilla, dtype=np.complex128))
-        return self.w.conj().T @ big @ self.w
+        return self.w.conj().T @ tensor_identity(m, self.ancilla) @ self.w
 
     def kraus_ops(self) -> list[np.ndarray]:
         """Ancilla slices of W; sum K_a* K_a = W*W = I."""

@@ -43,8 +43,8 @@ def as_cmatrix(a, square: bool = False) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2 without any validation."""
-    return (a + a.conj().T) / 2.0
+    """(A + A*)/2 without any validation; stacks (..., n, n) act per matrix."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def frob(a: np.ndarray) -> float:
@@ -124,6 +124,33 @@ def herm_eig(h) -> EigDecomp:
     if m.shape == (2, 2):
         return _herm_eig2(m)
     w, v = np.linalg.eigh(as_herm(m))
+    return EigDecomp(w, v)
+
+
+def herm_eig_stack(h: np.ndarray) -> EigDecomp:
+    """Eigendecomposition of a stack (..., n, n) of Hermitian matrices, with
+    no validation: the 2x2 closed form of ``herm_eig`` vectorized, LAPACK
+    ``eigh`` for every other shape.  Callers screen bad lanes themselves."""
+    if h.shape[-2:] != (2, 2):
+        w, v = np.linalg.eigh(h)
+        return EigDecomp(w, v)
+    a = h[..., 0, 0].real
+    c = h[..., 1, 1].real
+    b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2.0
+    r = np.abs(b)
+    pc = np.divide(b, r, out=np.ones_like(b), where=r != 0.0).conj()
+    theta = 0.5 * np.arctan2(2.0 * r, a - c)
+    ct = np.cos(theta)
+    st = np.sin(theta)
+    lam_p = ct * ct * a + 2.0 * ct * st * r + st * st * c
+    lam_q = st * st * a - 2.0 * ct * st * r + ct * ct * c
+    swap = lam_p > lam_q
+    w = np.stack([np.where(swap, lam_q, lam_p), np.where(swap, lam_p, lam_q)], axis=-1)
+    v = np.empty(h.shape, dtype=np.complex128)
+    v[..., 0, 0] = np.where(swap, -st, ct)
+    v[..., 1, 0] = pc * np.where(swap, ct, st)
+    v[..., 0, 1] = np.where(swap, ct, -st)
+    v[..., 1, 1] = pc * np.where(swap, st, ct)
     return EigDecomp(w, v)
 
 

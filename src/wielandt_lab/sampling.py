@@ -2,10 +2,14 @@
 
 Sub-seeds are derived with a fixed 64-bit mixing function (splitmix64 over an
 FNV-1a tag hash), so component streams are order-independent and batch runs
-parallelize without changing results.
+parallelize without changing results; ``fan_out`` runs such index ranges on
+worker processes.
 """
 
 from __future__ import annotations
+
+import functools
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,10 +36,15 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
+@functools.lru_cache(maxsize=64)
+def _text_key(tag: str) -> int:
+    return _splitmix64(_fnv1a(tag))
+
+
 def mix_seed(seed: int, tag: int | str) -> int:
     """Derive an independent 64-bit sub-seed from ``(seed, tag)``."""
-    t = _fnv1a(tag) if isinstance(tag, str) else tag & MASK64
-    return _splitmix64((seed & MASK64) ^ _splitmix64(t))
+    key = _text_key(tag) if isinstance(tag, str) else _splitmix64(tag & MASK64)
+    return _splitmix64((seed & MASK64) ^ key)
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -52,12 +61,13 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def qr_positive(a: np.ndarray) -> np.ndarray:
     """Q factor of a thin QR with column phases fixed so R has a positive real
-    diagonal.  With a Gaussian input this yields Haar-distributed frames."""
+    diagonal.  With a Gaussian input this yields Haar-distributed frames.
+    Stacks ``(..., rows, cols)`` are factored matrix by matrix."""
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d = np.where(np.abs(d) == 0.0, 1.0, d)
     phases = d / np.abs(d)
-    return q * phases[np.newaxis, :]
+    return q * phases[..., np.newaxis, :]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -75,3 +85,17 @@ def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def orthonormalize(a: np.ndarray) -> np.ndarray:
     """Re-project a numerically drifted frame back onto orthonormal columns."""
     return qr_positive(a)
+
+
+def fan_out(fn, head: tuple, trials: int, workers: int) -> list:
+    """Results of ``fn(*head, start, stop)`` over contiguous trial ranges that
+    cover [0, trials), in range order: one range per worker process, or a
+    single in-process call when workers == 1 or trials < 4 * workers."""
+    workers = max(1, int(workers))
+    if workers == 1 or trials < 4 * workers:
+        return [fn(*head, 0, trials)]
+    edges = np.linspace(0, trials, workers + 1, dtype=int).tolist()
+    ranges = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *head, a, b) for a, b in ranges]
+        return [f.result() for f in futures]

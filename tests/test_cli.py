@@ -1,11 +1,12 @@
 import copy
+import itertools
 import json
 import re
 
 import pytest
 
 from wielandt_lab import cli, instances, search
-from wielandt_lab.errors import Singular
+from wielandt_lab.errors import NotPSD, Singular
 from wielandt_lab.sampling import mix_seed
 from wielandt_lab.search import SearchRecord
 
@@ -277,15 +278,26 @@ class TestSearchCommand:
 
     def test_singular_trials_counted_in_manifest(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
-        bad_seeds = {mix_seed(0, i) for i in (3, 7, 11)}
+        bad_trials = (3, 7, 11)
+        bad_seeds = {mix_seed(0, i) for i in bad_trials}
         real = search.objective_value
+        real_block = search._block_values
 
         def flaky(cfg, inst):
             if inst.seed in bad_seeds:
                 raise Singular("forced")
             return real(cfg, inst)
 
+        def flagged_block(cfg, indices):
+            # NaN lanes bypass the stacked screen and reach objective_value.
+            values = real_block(cfg, indices)
+            for i, index in enumerate(indices):
+                if index in bad_trials:
+                    values[i] = float("nan")
+            return values
+
         monkeypatch.setattr(search, "objective_value", flaky)
+        monkeypatch.setattr(search, "_block_values", flagged_block)
         code = run_cli([
             "search", "--objective", "conjecture", "--trials", "20",
             "--seed", "0", "--out", "k.json",
@@ -293,6 +305,38 @@ class TestSearchCommand:
         assert code == 0
         manifest = json.loads((tmp_chdir / "k.json").read_text())["manifest"]
         assert manifest["counters"]["skipped"] == 3
+
+    def test_refine_errors_counted_in_manifest(self, tmp_chdir, capsys, monkeypatch):
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        real_refine = search.refine
+        real_objective = search.objective_value
+
+        def refine_with_errors(start, cfg):
+            calls = itertools.count()
+
+            def flaky(cfg_, inst):
+                if next(calls) in (2, 4, 5):  # call 0 scores the start instance
+                    raise NotPSD("forced")
+                return real_objective(cfg_, inst)
+
+            monkeypatch.setattr(search, "objective_value", flaky)
+            try:
+                return real_refine(start, cfg)
+            finally:
+                monkeypatch.setattr(search, "objective_value", real_objective)
+
+        monkeypatch.setattr(search, "refine", refine_with_errors)
+        code = run_cli([
+            "search", "--objective", "conjecture", "--trials", "20",
+            "--refine-steps", "10", "--seed", "0", "--out", "e.json",
+        ])
+        assert code == 0
+        result = json.loads((tmp_chdir / "e.json").read_text())
+        counters = result["manifest"]["counters"]
+        assert counters["refine_errors"] == 3
+        assert counters["skipped"] == 0
+        assert counters["checks_run"] == result["trials"] == 30
+        assert counters["passes"] == 30 - 3
 
     def test_usage_errors(self, capsys):
         assert run_cli(["search", "--objective", "conjecture", "--trials", "0"]) == 2

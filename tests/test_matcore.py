@@ -12,6 +12,7 @@ from wielandt_lab.errors import (
     NotPSD,
     Singular,
 )
+from wielandt_lab.sampling import qr_positive
 
 from conftest import rand_complex, rand_herm, rand_psd
 
@@ -60,6 +61,40 @@ class TestHermEig:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             mc.herm_eig([[np.nan, 0], [0, 1]])
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_herm_eig_stack_matches_herm_eig(self, dim):
+        stack = np.stack([rand_herm(dim * 100 + i, dim) for i in range(20)])
+        stack[0] = np.diag(np.arange(dim, 0, -1.0))  # diagonal, descending
+        stack[1] = np.diag(np.arange(1.0, dim + 1))  # diagonal, ascending
+        stack[2] = np.eye(dim)
+        w, v = mc.herm_eig_stack(stack)
+        for i in range(len(stack)):
+            ws, _ = mc.herm_eig(stack[i])
+            scale = max(1.0, float(np.max(np.abs(ws))))
+            assert np.max(np.abs(w[i] - ws)) <= 1e-14 * scale
+            assert np.all(np.diff(w[i]) >= 0.0)
+            assert np.allclose((v[i] * w[i]) @ v[i].conj().T, stack[i], atol=1e-14 * scale)
+            assert np.allclose(v[i].conj().T @ v[i], np.eye(dim), atol=1e-14)
+
+    def test_hermitian_part_stack_bits(self):
+        a = rand_complex(3, 4, 4)
+        assert np.array_equal(mc.hermitian_part(a), (a + a.conj().T) / 2.0)
+        stack = np.stack([rand_complex(10 + i, 3, 3) for i in range(4)])
+        out = mc.hermitian_part(stack)
+        for i in range(4):
+            assert np.array_equal(out[i], mc.hermitian_part(stack[i]))
+
+    def test_qr_positive_stack_matches_per_matrix(self):
+        stack = np.stack([rand_complex(20 + i, 5, 3) for i in range(6)])
+        q = qr_positive(stack)
+        for i in range(6):
+            single = qr_positive(stack[i])
+            assert np.allclose(q[i], single, atol=1e-15, rtol=0.0)
+            r = single.conj().T @ stack[i]
+            assert np.all(np.diagonal(r).real > 0.0)
 
 
 class TestHermEigAccuracy:

@@ -1,10 +1,12 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from wielandt_lab import instances, search
-from wielandt_lab.errors import DegenerateBounds, InvalidBounds
+from wielandt_lab.errors import DegenerateBounds, InvalidBounds, PreconditionViolated, Singular
 
 from test_bounds import loose_scalar_instance
 
@@ -186,3 +188,125 @@ class TestReplayability:
         assert values == sorted(values)
         inst = instances.instance_from_json(rec.to_json()["best_instance"])
         assert search.objective_value(cfg, inst) == pytest.approx(rec.best_value, abs=1e-12)
+
+
+def _scalar_eval_range(cfg, start, stop):
+    """Reference: every trial scored by the scalar objective, one by one."""
+    best_value = -math.inf
+    best_index = -1
+    best_json = None
+    improvements = []
+    skipped = 0
+    for index in range(start, stop):
+        inst = search._trial_instance(cfg, index)
+        try:
+            value = search.objective_value(cfg, inst)
+        except Singular:
+            skipped += 1
+            continue
+        if value > best_value:
+            best_value = value
+            best_index = index
+            best_json = instances.instance_to_json(inst)
+            improvements.append((index, value))
+    return best_value, best_index, best_json, improvements, skipped
+
+
+def _cfg(objective, dims=(4, 2, 2, 2), p=None, **kw):
+    n_amb, n, d, k = dims
+    return search.SearchConfig(
+        objective=objective, ambient=n_amb, rank=n, out_dim=d, ancilla=k, p=p, **kw
+    )
+
+
+ALL_OBJECTIVES = [
+    ("conjecture", None),
+    ("tightness_thm1", 0.5),
+    ("tightness_thm1", 2.0),
+    ("tightness_thm2", 0.5),
+    ("tightness_thm2", 2.0),
+    ("tightness_thm3", 0.5),
+    ("tightness_thm3", 2.0),
+]
+
+
+class TestStackedScreen:
+    @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (8, 4, 4, 2), (6, 3, 2, 3)])
+    @pytest.mark.parametrize("M", [2.0, 100.0])
+    @pytest.mark.parametrize("objective,p", ALL_OBJECTIVES)
+    def test_stacked_values_match_scalar(self, dims, M, objective, p):
+        cfg = _cfg(objective, dims, p, m=1.0, M=M, seed=8)
+        indices = range(1, 31)
+        stacked = search._block_values(cfg, indices)
+        for index, value in zip(indices, stacked):
+            try:
+                scalar = search.objective_value(cfg, search._trial_instance(cfg, index))
+            except Singular:
+                assert np.isnan(value)
+                continue
+            assert not np.isnan(value)
+            assert abs(value - scalar) <= 1e-13 * max(1.0, abs(scalar))
+
+    @pytest.mark.parametrize("objective,p", [("conjecture", None), ("tightness_thm2", 2.0)])
+    @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (8, 4, 4, 2)])
+    def test_singular_lanes_are_flagged(self, objective, p, dims):
+        # At spectral scale 1e-12 the compressed operators fall under the
+        # relative singularity threshold on some trials.
+        cfg = _cfg(objective, dims, p, m=1e-13, M=1e-11, seed=2)
+        indices = range(1, 61)
+        stacked = search._block_values(cfg, indices)
+        singular = set()
+        for index in indices:
+            try:
+                search.objective_value(cfg, search._trial_instance(cfg, index))
+            except Singular:
+                singular.add(index)
+        flagged = {i for i, v in zip(indices, stacked) if np.isnan(v)}
+        assert singular and singular <= flagged
+
+    @pytest.mark.parametrize("objective,p", ALL_OBJECTIVES)
+    def test_random_search_matches_scalar_walk(self, objective, p, monkeypatch):
+        cfgs = [
+            _cfg(objective, (4, 2, 2, 2), p, m=1.0, M=100.0, trials=300, seed=5),
+            _cfg(objective, (8, 4, 4, 2), p, m=1.0, M=2.0, trials=150, seed=77),
+            _cfg(objective, (4, 2, 2, 2), p, m=1e-13, M=1e-11, trials=150, seed=2),
+        ]
+        stacked = [search.random_search(cfg) for cfg in cfgs]
+        monkeypatch.setattr(search, "_eval_range", _scalar_eval_range)
+        scalar = [search.random_search(cfg) for cfg in cfgs]
+        for a, b in zip(stacked, scalar):
+            assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+            assert a.skipped == b.skipped
+        assert scalar[2].skipped > 0
+
+    def test_block_size_and_workers_do_not_change_result(self, monkeypatch):
+        cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
+        reports = set()
+        for block in (1, 7, 64):
+            monkeypatch.setattr(search, "BLOCK_SIZE", block)
+            for workers in (1, 2, 3):
+                rec = search.random_search(cfg, workers=workers)
+                reports.add(json.dumps(rec.to_json()))
+        assert len(reports) == 1
+        assert len(json.loads(reports.pop())["trace"]) > 1
+
+
+class TestRefineErrors:
+    def test_failed_proposals_are_counted(self, monkeypatch):
+        start = instances.gen_instance(4, 4, 2, 2, 2, 1.0, 2.0)
+        cfg = search.SearchConfig(objective="conjecture", trials=1, refine_steps=10, seed=1)
+        clean = search.refine(start, cfg)
+        assert clean.refine_errors == 0
+        real = search.objective_value
+        calls = itertools.count()
+
+        def flaky(cfg_, inst):
+            if next(calls) in (2, 4, 5):  # call 0 scores the start instance
+                raise PreconditionViolated("forced")
+            return real(cfg_, inst)
+
+        monkeypatch.setattr(search, "objective_value", flaky)
+        rec = search.refine(start, cfg)
+        assert rec.refine_errors == 3
+        assert rec.trials_done == 10
+        assert all(entry[1] not in (2, 4, 5) for entry in rec.trace)
