@@ -12,6 +12,13 @@ norm verdict, and a signed margin.
 Margin conventions: Loewner-style checks report the minimum eigenvalue of
 (bound side - lhs side); scalar checks report (bound - lhs).  A check passes
 when its margin is >= -tol * max(1, |lhs|, |bound|).
+
+``run_instance_checks`` and ``run_lemma_trial`` build report objects for one
+trial.  Their stacked counterparts, ``instance_checks_stack`` and
+``lemma_checks_stack``, evaluate the same checks on blocks of trials and
+return only per-lane margins plus the lanes that passed every check with
+``GUARD_BAND`` to spare and raised no precondition flag; any other lane is
+left to the scalar drivers.
 """
 
 from __future__ import annotations
@@ -25,18 +32,30 @@ import numpy as np
 from .errors import InvalidBounds, NotPSD, PreconditionViolated
 from .instances import Instance, gen_operator
 from .matcore import (
+    PSD_TOL,
     EigDecomp,
     as_cmatrix,
     as_herm,
     eig_pow_pd,
     eig_pow_psd,
     herm_eig,
+    herm_eig_stack,
     herm_norm,
     hermitian_part,
     mat_pow,
     op_norm,
 )
-from .sampling import complex_gaussian, haar_unitary, mix_seed, rng_from
+from .sampling import complex_gaussian, haar_unitary, mix_seed, qr_positive, rng_from
+from .stacked import (
+    adj,
+    clamp_psd,
+    complex_draws,
+    draw_operator,
+    operator_stack,
+    stack_pow,
+    stack_scale,
+    top_abs,
+)
 
 DEFAULT_TOL = 1e-9
 ORDERING_TOL = 1e-12
@@ -364,16 +383,21 @@ def _bound_fn(which: int):
         raise ValueError(f"which must be 1, 2, or 3, got {which!r}") from None
 
 
-def check_bhatia_davis(inst: Instance, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Loewner check of S <= ((M-m)/(M+m))^2 T (the operator Wielandt
-    inequality); the extremal instance sits on the equality boundary."""
-    s, t = compressed_products(inst)
-    factor = wielandt_factor(inst.m, inst.M)
-    rhs = factor * t
-    w, v = herm_eig(rhs - s)
+def _bhatia_davis_report(
+    s: np.ndarray,
+    t: np.ndarray,
+    s_eig: EigDecomp,
+    t_eig: EigDecomp,
+    m: float,
+    M: float,
+    tol: float,
+    context: dict,
+) -> CheckReport:
+    factor = wielandt_factor(m, M)
+    w, v = herm_eig(factor * t - s)
     lam_min = float(w[0])
-    s_norm = herm_norm(s)
-    rhs_norm = herm_norm(rhs)
+    s_norm = float(np.max(np.abs(s_eig.eigenvalues)))
+    rhs_norm = factor * float(np.max(np.abs(t_eig.eigenvalues)))
     thr = _threshold(tol, s_norm, rhs_norm)
     return CheckReport(
         check="bhatia_davis",
@@ -384,8 +408,16 @@ def check_bhatia_davis(inst: Instance, tol: float = DEFAULT_TOL) -> CheckReport:
         norm_pass=s_norm <= rhs_norm + thr,
         tol=tol,
         witness=Witness(lam_min, v[:, 0].copy()),
-        context={"seed": inst.seed, "m": inst.m, "M": inst.M},
+        context=context,
     )
+
+
+def check_bhatia_davis(inst: Instance, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Loewner check of S <= ((M-m)/(M+m))^2 T (the operator Wielandt
+    inequality); the extremal instance sits on the equality boundary."""
+    s, t = compressed_products(inst)
+    context = {"seed": inst.seed, "m": inst.m, "M": inst.M}
+    return _bhatia_davis_report(s, t, herm_eig(s), herm_eig(t), inst.m, inst.M, tol, context)
 
 
 def _theorem_reports_from_eigs(
@@ -811,29 +843,9 @@ def run_instance_checks(inst: Instance, p_values, tol: float = DEFAULT_TOL) -> l
     reports: list = []
     base_ctx = {"seed": inst.seed, "m": inst.m, "M": inst.M}
     s, t = compressed_products(inst)
-
-    factor = wielandt_factor(inst.m, inst.M)
-    rhs = factor * t
-    w_bd, v_bd = herm_eig(rhs - s)
     s_eig = herm_eig(s)
     t_eig = herm_eig(t)
-    s_norm = float(np.max(np.abs(s_eig.eigenvalues)))
-    rhs_norm = factor * float(np.max(np.abs(t_eig.eigenvalues)))
-    lam_min = float(w_bd[0])
-    thr = _threshold(tol, s_norm, rhs_norm)
-    reports.append(
-        CheckReport(
-            check="bhatia_davis",
-            lhs=s_norm,
-            bound=rhs_norm,
-            margin=lam_min,
-            loewner_pass=lam_min >= -thr,
-            norm_pass=s_norm <= rhs_norm + thr,
-            tol=tol,
-            witness=Witness(lam_min, v_bd[:, 0].copy()),
-            context=base_ctx,
-        )
-    )
+    reports.append(_bhatia_davis_report(s, t, s_eig, t_eig, inst.m, inst.M, tol, base_ctx))
 
     for p in p_values:
         p = _check_p(p)
@@ -864,6 +876,16 @@ def run_instance_checks(inst: Instance, p_values, tol: float = DEFAULT_TOL) -> l
     return reports
 
 
+# run_lemma_trial's sub-seed tags, one generator per sampled input.
+TAG_LEMMA_BLOCK = "lemma_block"
+TAG_SQUARE = "square"
+TAG_SQUARE_B = "square_b"
+TAG_SQUARE_P = "square_p"
+TAG_PSD_PAIR = "psd_pair"
+TAG_WIELANDT_A = "wielandt_a"
+TAG_WIELANDT_XY = "wielandt_xy"
+
+
 def gen_square_order_pair(
     seed: int, dim: int, m: float, M: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -871,8 +893,8 @@ def gen_square_order_pair(
     random bounded operator and A = B - sP for a random PSD P scaled to keep
     A PSD."""
     m, M = _check_mM(m, M)
-    b = gen_operator(mix_seed(seed, "square_b"), dim, m, M)
-    rng = rng_from(mix_seed(seed, "square_p"))
+    b = gen_operator(mix_seed(seed, TAG_SQUARE_B), dim, m, M)
+    rng = rng_from(mix_seed(seed, TAG_SQUARE_P))
     gmat = complex_gaussian(rng, dim, dim)
     psd = hermitian_part(gmat @ gmat.conj().T)
     top = float(herm_eig(psd).eigenvalues[-1])
@@ -920,16 +942,242 @@ def run_lemma_trial(
     reports: list = []
     if variant is None:
         variant = mix_seed(seed, "variant") % 4
-    x, t = lemma_block_case(mix_seed(seed, "lemma_block"), dim, variant)
+    x, t = lemma_block_case(mix_seed(seed, TAG_LEMMA_BLOCK), dim, variant)
     reports.append(check_lemma_block_equivalence(x, t, tol))
 
-    a, b = gen_square_order_pair(mix_seed(seed, "square"), dim, m, M)
+    a, b = gen_square_order_pair(mix_seed(seed, TAG_SQUARE), dim, m, M)
     reports.append(check_lemma_square_order(a, b, m, M, tol))
 
-    p1, p2 = gen_psd_pair(mix_seed(seed, "psd_pair"), dim)
+    p1, p2 = gen_psd_pair(mix_seed(seed, TAG_PSD_PAIR), dim)
     reports.append(check_fact_norm_anticommutator(p1, p2, tol))
 
-    op = gen_operator(mix_seed(seed, "wielandt_a"), ambient, m, M)
-    uni = haar_unitary(rng_from(mix_seed(seed, "wielandt_xy")), ambient)
+    op = gen_operator(mix_seed(seed, TAG_WIELANDT_A), ambient, m, M)
+    uni = haar_unitary(rng_from(mix_seed(seed, TAG_WIELANDT_XY)), ambient)
     reports.append(check_scalar_wielandt(uni[:, 0], uni[:, 1], op, m, M, tol))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# Stacked drivers: run_instance_checks and run_lemma_trial on trial blocks
+# ---------------------------------------------------------------------------
+
+# A stacked lane counts as passed only when every pass/fail decision clears
+# its threshold by this much, relative to the threshold's own scale
+# max(1, |lhs|, |bound|); stacked and scalar values agree to ~1e-15 of it.
+GUARD_BAND = 1e-10
+
+
+class LaneChecks:
+    """Per-lane margins of every report a scalar driver would emit, and the
+    lanes on which all of them pass with the guard band to spare."""
+
+    def __init__(self, ok: np.ndarray):
+        self.ok = ok
+        self.margins: dict[str, list] = {}
+
+    def report(self, name: str, margin: Optional[np.ndarray]) -> None:
+        self.margins.setdefault(name, []).append(margin)
+
+    def passes(self, q: np.ndarray, scale: np.ndarray) -> None:
+        """Require the pass condition q >= 0 with the guard band to spare."""
+        self.ok &= q > GUARD_BAND * scale
+
+    def decided(self, q: np.ndarray, scale: np.ndarray) -> None:
+        """Require q to lie outside the guard band around 0, on either side."""
+        self.ok &= np.abs(q) > GUARD_BAND * scale
+
+
+def _scale(*magnitudes) -> np.ndarray:
+    """Per-lane max(1, |magnitudes|), the scale of _threshold."""
+    out = 1.0
+    for value in magnitudes:
+        out = np.maximum(out, np.abs(value))
+    return out
+
+
+def instance_checks_stack(
+    s: np.ndarray,
+    t: np.ndarray,
+    t_eig: EigDecomp,
+    bad: np.ndarray,
+    m: float,
+    M: float,
+    p_values,
+    tol: float = DEFAULT_TOL,
+) -> LaneChecks:
+    """run_instance_checks on stacks of compressed products (see
+    ``stacked.compressed_products_stack``); lanes in `bad` are never passed."""
+    t_w, t_v = t_eig
+    s_w, s_v = herm_eig_stack(s)
+    # gamma_from_products' spectrum window and eig_pow_psd's PSD check
+    spread = 0.5e-8 * max(1.0, M)
+    bad = bad | ~((t_w[:, 0] >= m - spread) & (t_w[:, -1] <= M + spread))
+    bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(s_w))
+    lanes = LaneChecks(~bad)
+
+    factor = wielandt_factor(m, M)
+    lam_min = herm_eig_stack(factor * t - s).eigenvalues[:, 0]
+    s_norm = top_abs(s_w)
+    rhs_norm = factor * top_abs(t_w)
+    sc = _scale(s_norm, rhs_norm)
+    lanes.passes(lam_min + tol * sc, sc)
+    lanes.passes(rhs_norm + tol * sc - s_norm, sc)
+    lanes.report("bhatia_davis", lam_min)
+
+    s_psd = clamp_psd(s_w)
+    s_top = np.maximum(s_w[:, -1], 0.0)
+    t_lo = np.where(bad, 1.0, t_w[:, 0])
+    t_hi = np.where(bad, 1.0, t_w[:, -1])
+    for p in p_values:
+        p = _check_p(p)
+        sp = stack_pow(s_psd, s_v, p, bad)
+        g = sp @ stack_pow(t_w, t_v, -p, bad)
+        half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
+        abs_norm = top_abs(half_sym)
+        gram_top = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues[:, -1]
+        gnorm = np.sqrt(np.maximum(gram_top, 0.0))
+        for which in (1, 2, 3):
+            bound = _bound_fn(which)(m, M, p)
+            sc = _scale(abs_norm, bound)
+            lanes.passes(bound + tol * sc - abs_norm, sc)
+            lanes.passes(bound + tol * sc - half_sym[:, -1], sc)
+            lanes.report(f"thm{which}_abs", bound - abs_norm)
+            lanes.report(f"thm{which}_sym", bound - half_sym[:, -1])
+        lanes.report("abs_implies_sym", None)
+
+        sc = _scale(abs_norm, gnorm)
+        lanes.passes(gnorm + tol * sc - abs_norm, sc)
+        lanes.report("sym_norm_le_gamma", gnorm - abs_norm)
+        bound = bound_thm2(m, M, p)
+        sc = _scale(gnorm, bound)
+        lanes.passes(bound + tol * sc - gnorm, sc)
+        lanes.report("gamma_norm_le_thm2", bound - gnorm)
+
+        # chain_report, link by link
+        mixed = stack_pow(s_psd, s_v, 2.0 * p, bad) + stack_pow(t_w, t_v, -2.0 * p, bad)
+        split = (s_top ** (2.0 * p) + (1.0 / t_lo) ** (2.0 * p)) / 2.0
+        links = (abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split,
+                 bound_thm1(m, M, p))
+        gaps = [(hi - lo, _scale(lo, hi)) for lo, hi in zip(links, links[1:])]
+        for gap, sc in gaps:
+            lanes.passes(gap + tol * sc, sc)
+        lanes.report("thm1_chain", np.minimum.reduce([gap for gap, _ in gaps]))
+
+        if p <= 1.0 + 1e-12:  # power_monotone_report
+            factor_p = factor**p
+            lam_min = herm_eig_stack(factor_p * stack_pow(t_w, t_v, p, bad) - sp).eigenvalues[:, 0]
+            lhs_norm = s_top**p
+            bound_norm = factor_p * t_hi**p
+            sc = _scale(lhs_norm, bound_norm)
+            lanes.passes(lam_min + tol * sc, sc)
+            lanes.passes(bound_norm + tol * sc - lhs_norm, sc)
+            lanes.report("power_monotone", lam_min)
+    return lanes
+
+
+def lemma_checks_stack(
+    seeds, variants: np.ndarray, dim: int, ambient: int, m: float, M: float,
+    tol: float = DEFAULT_TOL,
+) -> LaneChecks:
+    """run_lemma_trial(seed, dim, ambient, m, M, tol, variant) for every
+    (seed, variant) pair, on stacks drawn from the same generators."""
+    b = len(seeds)
+    g_x = np.empty((b, 2, dim, dim))
+    g_b, lam_b = np.empty((b, 2, dim, dim)), np.empty((b, dim))
+    g_p, frac = np.empty((b, 2, dim, dim)), np.empty(b)
+    g_pair = np.empty((b, 2, 2, dim, dim))
+    g_a, lam_a = np.empty((b, 2, ambient, ambient)), np.empty((b, ambient))
+    g_u = np.empty((b, 2, ambient, ambient))
+    for i, seed in enumerate(seeds):
+        rng_from(mix_seed(seed, TAG_LEMMA_BLOCK)).standard_normal(out=g_x[i])
+        square = mix_seed(seed, TAG_SQUARE)
+        draw_operator(rng_from(mix_seed(square, TAG_SQUARE_B)), g_b[i], lam_b[i], m, M)
+        rng = rng_from(mix_seed(square, TAG_SQUARE_P))
+        rng.standard_normal(out=g_p[i])
+        frac[i] = rng.uniform(0.0, 1.0)
+        rng_from(mix_seed(seed, TAG_PSD_PAIR)).standard_normal(out=g_pair[i])
+        draw_operator(rng_from(mix_seed(seed, TAG_WIELANDT_A)), g_a[i], lam_a[i], m, M)
+        rng_from(mix_seed(seed, TAG_WIELANDT_XY)).standard_normal(out=g_u[i])
+    lanes = LaneChecks(np.ones(b, dtype=bool))
+
+    # lemma_block_case + check_lemma_block_equivalence
+    x = complex_draws(g_x) / math.sqrt(dim)
+    gram_w, gram_v = herm_eig_stack(hermitian_part(adj(x) @ x))
+    x_norm = np.sqrt(np.maximum(gram_w[:, -1], 0.0))
+    t = np.choose(variants % 4, [x_norm + 1e-6, np.maximum(x_norm - 1e-6, 0.0),
+                                 0.5 * x_norm, 1.5 * x_norm])
+    lanes.ok &= gram_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(gram_w)
+    abs_x = stack_pow(clamp_psd(gram_w), gram_v, 0.5, ~lanes.ok)
+    abs_top = herm_eig_stack(abs_x).eigenvalues[:, -1]
+    block = np.zeros((b, 2 * dim, 2 * dim), dtype=np.complex128)
+    block[:, :dim, dim:] = x
+    block[:, dim:, :dim] = adj(x)
+    diag = np.arange(2 * dim)
+    block[:, diag, diag] = t[:, np.newaxis]
+    block_min = herm_eig_stack(block).eigenvalues[:, 0]
+    sc = _scale(t, x_norm)
+    thr = tol * sc
+    verdicts = (abs_top <= t + thr, x_norm <= t + thr, block_min >= -thr)
+    lanes.ok &= (verdicts[0] == verdicts[1]) & (verdicts[1] == verdicts[2])
+    for q in (t + thr - abs_top, t + thr - x_norm, block_min + thr):
+        lanes.decided(q, sc)
+    lanes.report("block_norm_equivalence", np.abs(t - x_norm))
+
+    # gen_square_order_pair + check_lemma_square_order
+    b_op = operator_stack(g_b, lam_b, m, M)
+    g = complex_draws(g_p)
+    psd = hermitian_part(g @ adj(g))
+    top = herm_eig_stack(psd).eigenvalues[:, -1]
+    wb = herm_eig_stack(b_op).eigenvalues
+    lanes.ok &= top > 0.0
+    shrink = frac * wb[:, 0] / np.where(lanes.ok, top, 1.0)
+    a_op = hermitian_part(b_op - shrink[:, np.newaxis, np.newaxis] * psd)
+    wa = herm_eig_stack(a_op).eigenvalues
+    gap = herm_eig_stack(b_op - a_op).eigenvalues[:, 0]
+    sc = _scale(top_abs(wa), top_abs(wb))
+    for q in (wa[:, 0], gap, wb[:, 0] - m, M - wb[:, -1]):
+        lanes.passes(q + tol * sc, sc)
+    factor = (M + m) ** 2 / (4.0 * M * m)
+    lhs_sq = hermitian_part(a_op @ a_op)
+    rhs_sq = factor * hermitian_part(b_op @ b_op)
+    lam_min = herm_eig_stack(rhs_sq - lhs_sq).eigenvalues[:, 0]
+    lhs_norm = top_abs(herm_eig_stack(lhs_sq).eigenvalues)
+    rhs_norm = top_abs(herm_eig_stack(rhs_sq).eigenvalues)
+    sc = _scale(lhs_norm, rhs_norm)
+    lanes.passes(lam_min + tol * sc, sc)
+    lanes.passes(rhs_norm + tol * sc - lhs_norm, sc)
+    lanes.report("square_order", lam_min)
+
+    # gen_psd_pair + check_fact_norm_anticommutator
+    g1, g2 = complex_draws(g_pair[:, 0]), complex_draws(g_pair[:, 1])
+    p1, p2 = hermitian_part(g1 @ adj(g1)), hermitian_part(g2 @ adj(g2))
+    for mat in (p1, p2):
+        w = herm_eig_stack(mat).eigenvalues
+        sc = _scale(top_abs(w))
+        lanes.passes(w[:, 0] + tol * sc, sc)
+    lhs = top_abs(herm_eig_stack(hermitian_part(p1 @ p2 + p2 @ p1)).eigenvalues)
+    rhs = top_abs(herm_eig_stack(hermitian_part(p1 @ p1 + p2 @ p2)).eigenvalues)
+    sc = _scale(lhs, rhs)
+    lanes.passes(rhs + tol * sc - lhs, sc)
+    lanes.report("anticommutator_norm", rhs - lhs)
+
+    # check_scalar_wielandt on the first two columns of a Haar unitary
+    op = operator_stack(g_a, lam_a, m, M)
+    uni = qr_positive(complex_draws(g_u))
+    xv, yv = uni[:, :, 0], uni[:, :, 1]
+    sc = _scale(np.linalg.norm(xv, axis=-1) * np.linalg.norm(yv, axis=-1))
+    lanes.passes(tol * sc - np.abs(np.sum(xv.conj() * yv, axis=-1)), sc)
+    w = herm_eig_stack(op).eigenvalues
+    sc = _scale(top_abs(w))
+    lanes.passes(w[:, 0] - m + tol * sc, sc)
+    lanes.passes(M - w[:, -1] + tol * sc, sc)
+
+    def form(u, v):  # <u, op v> per lane
+        return np.sum(u.conj() * (op @ v[:, :, np.newaxis])[:, :, 0], axis=-1)
+
+    lhs = np.abs(form(xv, yv)) ** 2
+    rhs = wielandt_factor(m, M) * form(xv, xv).real * form(yv, yv).real
+    sc = _scale(lhs, rhs)
+    lanes.passes(rhs + tol * sc - lhs, sc)
+    lanes.report("scalar_wielandt", rhs - lhs)
+    return lanes

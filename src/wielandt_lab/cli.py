@@ -8,6 +8,17 @@ fields live only in the manifest so diffing reports stays meaningful.  The
 environment variable WIELANDT_LAB_THREADS caps worker processes (default:
 the CPUs in this process's affinity mask); results never depend on the worker
 count.
+
+``verify`` walks each worker's trial range in blocks of ``BLOCK_SIZE`` and
+evaluates every check on stacked arrays (``bounds.instance_checks_stack`` and
+``bounds.lemma_checks_stack``).  A trial that fails a check, lands within the
+guard band of a threshold or raises a flag is rebuilt and run through the
+scalar ``run_instance_checks`` and ``run_lemma_trial``, which alone set its
+verdicts, failure entries and ``trial_error``.  So counts, verdicts and
+failures are those of a trial-by-trial scalar walk; a worst margin taken from
+a stacked lane stays within 1e-13 * max(1, |margin|, values compared) of the
+scalar one.  Each check reports the trial of its worst margin
+(``worst_trial``, lowest index on ties) so near misses can be replayed.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
     ALL_CHECK_NAMES,
@@ -31,6 +44,8 @@ from .bounds import (
     compressed_products,
     crossover_threshold,
     gamma_from_products,
+    instance_checks_stack,
+    lemma_checks_stack,
     lhs_values,
     run_instance_checks,
     run_lemma_trial,
@@ -42,6 +57,7 @@ from .instances import degenerate_instance, extremal_instance, gen_instance
 from .matcore import op_norm
 from .sampling import fan_out, mix_seed
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
+from .stacked import BLOCK_SIZE, compressed_products_stack
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
 
@@ -151,53 +167,115 @@ class VerifyParams:
         }
 
 
-def _verify_chunk(params: VerifyParams, start: int, stop: int) -> tuple:
-    """Run all checks for trials [start, stop); returns per-check statistics
-    and the JSON of every failing report, in trial order."""
-    stats: dict[str, list] = {}
-    failures: list[dict] = []
-    for trial in range(start, stop):
-        trial_seed = mix_seed(params.seed, trial)
-        reports = []
-        try:
-            inst = gen_instance(
+def _stackable(params: VerifyParams) -> bool:
+    """Whether trials of this shape can run on stacks; for every other shape
+    the scalar generators raise on each trial."""
+    n, d, k = params.rank, params.out_dim, params.ancilla
+    return (
+        0.0 < params.m <= params.M < math.inf
+        and n >= 2
+        and 1 <= d <= n * k
+        and params.ambient >= 2 * n
+        and all(0.0 < p < math.inf for p in params.p_values)
+    )
+
+
+def _tally(stats: dict, name: str, run: int, fail: int, margin, trial) -> None:
+    """Add counts to a check's [run, fail, worst_margin, worst_trial] entry;
+    the worst margin is the smallest (margin, trial) pair."""
+    entry = stats.setdefault(name, [0, 0, None, None])
+    entry[0] += run
+    entry[1] += fail
+    if margin is not None and (entry[2] is None or (margin, trial) < (entry[2], entry[3])):
+        entry[2], entry[3] = margin, trial
+
+
+def _scalar_trial(params: VerifyParams, trial: int, stats: dict, failures: list) -> None:
+    """Run every check of one trial on the scalar path and record it."""
+    trial_seed = mix_seed(params.seed, trial)
+    try:
+        inst = gen_instance(
+            trial_seed,
+            params.ambient,
+            params.rank,
+            params.out_dim,
+            params.ancilla,
+            params.m,
+            params.M,
+        )
+        reports = run_instance_checks(inst, params.p_values, params.tol)
+        reports.extend(
+            run_lemma_trial(
                 trial_seed,
-                params.ambient,
                 params.rank,
-                params.out_dim,
-                params.ancilla,
+                params.ambient,
                 params.m,
                 params.M,
+                params.tol,
+                variant=trial % 4,
             )
-            reports.extend(run_instance_checks(inst, params.p_values, params.tol))
-            reports.extend(
-                run_lemma_trial(
-                    trial_seed,
-                    params.rank,
-                    params.ambient,
-                    params.m,
-                    params.M,
-                    params.tol,
-                    variant=trial % 4,
-                )
-            )
-        except WielandtLabError as exc:
-            entry = stats.setdefault("trial_error", [0, 0, None])
-            entry[0] += 1
-            entry[1] += 1
-            failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
-            continue
-        for report in reports:
-            entry = stats.setdefault(report.name, [0, 0, None])
-            entry[0] += 1
-            margin = getattr(report, "margin", None)
-            if margin is not None:
-                entry[2] = margin if entry[2] is None else min(entry[2], margin)
-            if not report.passed:
-                entry[1] += 1
-                detail = report.to_json()
-                detail["trial"] = trial
-                failures.append(detail)
+        )
+    except WielandtLabError as exc:
+        _tally(stats, "trial_error", 1, 1, None, None)
+        failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
+        return
+    for report in reports:
+        passed = report.passed
+        _tally(stats, report.name, 1, 0 if passed else 1, getattr(report, "margin", None), trial)
+        if not passed:
+            detail = report.to_json()
+            detail["trial"] = trial
+            failures.append(detail)
+
+
+def _stacked_lanes(params: VerifyParams, trials: range) -> tuple[dict, np.ndarray]:
+    """Per-check lane margins of trials `trials` and the lanes that passed
+    every check on stacks; see bounds.instance_checks_stack."""
+    seeds = [mix_seed(params.seed, trial) for trial in trials]
+    s, t, t_eig, bad = compressed_products_stack(
+        seeds, params.ambient, params.rank, params.out_dim, params.ancilla, params.m, params.M
+    )
+    checks = instance_checks_stack(
+        s, t, t_eig, bad, params.m, params.M, params.p_values, params.tol
+    )
+    lemmas = lemma_checks_stack(
+        seeds, np.arange(trials.start, trials.stop) % 4, params.rank, params.ambient,
+        params.m, params.M, params.tol,
+    )
+    return {**checks.margins, **lemmas.margins}, checks.ok & lemmas.ok
+
+
+def _tally_clean(stats: dict, margins: dict, trials: range, lanes: np.ndarray) -> None:
+    """Record the lanes `lanes` of `trials`, which passed every check on
+    stacks: their run counts and their worst margins."""
+    if not lanes.size:
+        return
+    for name, entries in margins.items():
+        worst = trial = None
+        if entries[0] is not None:
+            lane_worst = np.minimum.reduce(entries)[lanes]
+            j = int(np.argmin(lane_worst))  # the lowest trial on ties
+            worst, trial = float(lane_worst[j]), trials[lanes[j]]
+        _tally(stats, name, len(entries) * lanes.size, 0, worst, trial)
+
+
+def _verify_chunk(params: VerifyParams, start: int, stop: int) -> tuple:
+    """Run all checks for trials [start, stop); returns per-check statistics
+    and the JSON of every failing report, in trial order.  Trials run in
+    blocks of BLOCK_SIZE on stacks; a lane that fails a check, comes within
+    the guard band of a threshold or raises a flag is rerun on the scalar
+    path, which alone decides its verdicts and failure entries."""
+    stats: dict[str, list] = {}
+    failures: list[dict] = []
+    stackable = _stackable(params)
+    for lo in range(start, stop, BLOCK_SIZE):
+        trials = range(lo, min(lo + BLOCK_SIZE, stop))
+        clean = np.zeros(len(trials), dtype=bool)
+        if stackable:
+            margins, clean = _stacked_lanes(params, trials)
+            _tally_clean(stats, margins, trials, np.flatnonzero(clean))
+        for lane in np.flatnonzero(~clean):
+            _scalar_trial(params, trials[lane], stats, failures)
     return stats, failures
 
 
@@ -205,22 +283,15 @@ def _merge_chunks(chunks: list) -> tuple[dict, list]:
     stats: dict[str, list] = {}
     failures: list[dict] = []
     for chunk_stats, chunk_failures in chunks:
-        for name, (run, fail, worst) in chunk_stats.items():
-            entry = stats.setdefault(name, [0, 0, None])
-            entry[0] += run
-            entry[1] += fail
-            if worst is not None:
-                entry[2] = worst if entry[2] is None else min(entry[2], worst)
+        for name, (run, fail, worst, trial) in chunk_stats.items():
+            _tally(stats, name, run, fail, worst, trial)
         failures.extend(chunk_failures)
+    names = [name for name in ALL_CHECK_NAMES if name in stats]
+    names += [name for name in stats if name not in ALL_CHECK_NAMES]  # defensively
     ordered = {}
-    for name in ALL_CHECK_NAMES:
-        if name in stats:
-            run, fail, worst = stats[name]
-            ordered[name] = {"run": run, "fail": fail, "worst_margin": worst}
-    for name in stats:  # any names outside the canonical order, defensively
-        if name not in ordered:
-            run, fail, worst = stats[name]
-            ordered[name] = {"run": run, "fail": fail, "worst_margin": worst}
+    for name in names:
+        run, fail, worst, trial = stats[name]
+        ordered[name] = {"run": run, "fail": fail, "worst_margin": worst, "worst_trial": trial}
     return ordered, failures
 
 

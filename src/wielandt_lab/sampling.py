@@ -89,13 +89,14 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
 
 def fan_out(fn, head: tuple, trials: int, workers: int) -> list:
     """Results of ``fn(*head, start, stop)`` over contiguous trial ranges that
-    cover [0, trials), in range order: one range per worker process, or a
-    single in-process call when workers == 1 or trials < 4 * workers."""
+    cover [0, trials), in range order: one range per worker, the first run in
+    the calling process and the rest on a pool of ``workers - 1`` processes,
+    or a single in-process call when workers == 1 or trials < 4 * workers."""
     workers = max(1, int(workers))
     if workers == 1 or trials < 4 * workers:
         return [fn(*head, 0, trials)]
     edges = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    ranges = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *head, a, b) for a, b in ranges]
-        return [f.result() for f in futures]
+    (first, *rest) = zip(edges[:-1], edges[1:])
+    with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+        futures = [pool.submit(fn, *head, a, b) for a, b in rest]
+        return [fn(*head, *first)] + [f.result() for f in futures]

@@ -11,7 +11,8 @@ preserved by construction.
 
 The sampled phase walks its trial range in blocks of ``BLOCK_SIZE`` indices.
 Each block draws every trial from the same per-trial generators as
-``gen_instance`` and evaluates the objective on stacked ``(B, n, n)`` arrays.
+``gen_instance`` and evaluates the objective on stacked ``(B, n, n)`` arrays
+(the kernels of ``stacked``, shared with ``verify``).
 A stacked value only screens out trials that cannot improve on the running
 best; every other trial (the first of each range, each candidate improvement
 and every lane whose stacked checks raised a flag) is rebuilt and scored by
@@ -28,6 +29,7 @@ import numpy as np
 
 from .bounds import (
     DEFAULT_TOL,
+    _half_sym_eig,
     bound_thm1,
     bound_thm2,
     bound_thm3,
@@ -37,18 +39,14 @@ from .bounds import (
 )
 from .errors import DegenerateBounds, InvalidBounds, Singular, WielandtLabError
 from .instances import (
-    TAG_ISOMETRIES,
-    TAG_MAP,
-    TAG_OPERATOR,
     Instance,
     extremal_instance,
     gen_instance,
     instance_from_json,
     instance_to_json,
 )
-from .maps import ISOMETRY_TOL, StinespringMap, tensor_identity
+from .maps import StinespringMap
 from .matcore import (
-    PD_TOL,
     PSD_TOL,
     eig_pow_pd,
     herm_eig,
@@ -56,13 +54,14 @@ from .matcore import (
     hermitian_part,
     op_norm,
 )
-from .sampling import (
-    complex_gaussian,
-    fan_out,
-    mix_seed,
-    orthonormalize,
-    qr_positive,
-    rng_from,
+from .sampling import complex_gaussian, fan_out, mix_seed, orthonormalize, rng_from
+from .stacked import (
+    BLOCK_SIZE,
+    adj,
+    clamp_psd,
+    compressed_products_stack,
+    stack_pow,
+    stack_scale,
 )
 
 OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3")
@@ -71,8 +70,6 @@ _INITIAL_STEP = 0.1
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-6
 
-# Trial indices evaluated together as one stack in the sampled phase.
-BLOCK_SIZE = 64
 # A stacked value screens its trial out only when it lies below the running
 # best by this much, relative to max(1, |best|).  Stacked and scalar values
 # agree to about 1e-15 relative.
@@ -159,8 +156,7 @@ def objective_value(cfg: SearchConfig, inst: Instance) -> float:
         return conjecture_ratio(inst)
     s, t = compressed_products(inst)
     g = gamma_from_products(s, t, cfg.p, inst.m, inst.M)
-    half_sym = (g.gamma + g.gamma.conj().T) / 2.0
-    w, _ = herm_eig(half_sym)
+    _, (w, _) = _half_sym_eig(g)
     lhs = float(np.max(np.abs(w))) if w.size else 0.0
     return lhs / _BOUND_FNS[cfg.objective](inst.m, inst.M, cfg.p)
 
@@ -204,96 +200,26 @@ def _trial_instance(cfg: SearchConfig, index: int) -> Instance:
     )
 
 
-# Stacked kernels of the sampled phase.  Each precondition test below uses
-# a guard band (twice or half the scalar threshold) far wider than the ~1e-15
-# stacked-vs-scalar drift, so every lane the scalar path could reject is
-# flagged and handed to it.
-
-
-def _adj(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
-
-
-def _stack_scale(w: np.ndarray) -> np.ndarray:
-    """Per-lane max(1, max |eigenvalue|), the scale of matcore's thresholds."""
-    return np.maximum(1.0, np.abs(w).max(axis=-1))
-
-
-def _stack_pow(w: np.ndarray, v: np.ndarray, p: float, bad: np.ndarray) -> np.ndarray:
-    """(v diag(w^p) v*) per lane; lanes in `bad` get eigenvalues 1 first, so
-    nothing divides by zero (their values are discarded)."""
-    w = np.where(bad[:, np.newaxis], 1.0, w)
-    return hermitian_part((v * w[:, np.newaxis, :] ** p) @ _adj(v))
-
-
-def _not_pd(w: np.ndarray) -> np.ndarray:
-    """Lanes that eig_pow_pd could reject as singular; NaN lanes included."""
-    return ~(w[:, 0] > 2.0 * PD_TOL * _stack_scale(w))
-
-
-def _block_draws(cfg: SearchConfig, indices: range) -> tuple:
-    """Complex Gaussians and operator eigenvalues of trials `indices`, from
-    the same per-trial generators, in the same order, as gen_instance."""
-    n_amb, rows, cols = cfg.ambient, cfg.rank * cfg.ancilla, cfg.out_dim
-    b = len(indices)
-    g_a = np.empty((b, 2, n_amb, n_amb))  # real block, then imaginary block
-    lam = np.empty((b, n_amb))
-    g_xy = np.empty((b, 2, n_amb, n_amb))
-    g_w = np.empty((b, 2, rows, cols))
-    for i, index in enumerate(indices):
-        seed = mix_seed(cfg.seed, index)
-        rng = rng_from(mix_seed(seed, TAG_OPERATOR))
-        rng.standard_normal(out=g_a[i])
-        lam[i] = rng.uniform(cfg.m, cfg.M, size=n_amb)
-        rng_from(mix_seed(seed, TAG_ISOMETRIES)).standard_normal(out=g_xy[i])
-        rng_from(mix_seed(seed, TAG_MAP)).standard_normal(out=g_w[i])
-    gaussians = [(g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0) for g in (g_a, g_xy, g_w)]
-    return gaussians, lam
-
-
 def _block_values(cfg: SearchConfig, indices: range) -> np.ndarray:
     """Objective values of random trials `indices` (all > 0) on stacks.  NaN
     marks a lane the scalar path must decide: an operator may be singular, a
     spectrum precondition may fail, or the isometry check failed."""
-    n, k = cfg.rank, cfg.ancilla
-    (g_a, g_xy, g_w), lam = _block_draws(cfg, indices)
-    u = qr_positive(g_a)
-    lam.sort(axis=-1)
-    lam[:, 0] = cfg.m
-    lam[:, -1] = cfg.M
-    a = hermitian_part((u * lam[:, np.newaxis, :]) @ _adj(u))
-    xy = qr_positive(g_xy)
-    x, y = xy[..., :n], xy[..., n : 2 * n]
-    w = qr_positive(g_w)
-    gram = _adj(w) @ w
-    defect = np.linalg.norm(gram - np.eye(cfg.out_dim), axis=(-2, -1))
-    bad = ~(defect <= 0.5 * ISOMETRY_TOL * np.maximum(1.0, np.linalg.norm(gram, axis=(-2, -1))))
-
-    def phi(t):
-        return _adj(w) @ tensor_identity(t, k) @ w
-
-    # compressed_products, lane by lane
-    xh, yh = _adj(x), _adj(y)
-    bxy = phi(xh @ a @ y)
-    byx = phi(yh @ a @ x)
-    c_w, c_v = herm_eig_stack(hermitian_part(phi(yh @ a @ y)))
-    t_w, t_v = herm_eig_stack(hermitian_part(phi(xh @ a @ x)))
-    c_bad = _not_pd(c_w)
-    s = hermitian_part(bxy @ _stack_pow(c_w, c_v, -1.0, c_bad) @ byx)
-    bad |= c_bad | _not_pd(t_w)
-
+    seeds = [mix_seed(cfg.seed, index) for index in indices]
+    s, _, (t_w, t_v), bad = compressed_products_stack(
+        seeds, cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
+    )
     if cfg.objective == "conjecture":
-        g = s @ _stack_pow(t_w, t_v, -1.0, bad)
-        top = herm_eig_stack(hermitian_part(_adj(g) @ g)).eigenvalues[:, -1]
+        g = s @ stack_pow(t_w, t_v, -1.0, bad)
+        top = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues[:, -1]
         values = np.sqrt(np.maximum(top, 0.0)) / wielandt_factor(cfg.m, cfg.M)
     else:
         # gamma_from_products' spectrum window and eig_pow_psd's PSD check
         s_w, s_v = herm_eig_stack(s)
         spread = 0.5e-8 * max(1.0, cfg.M)
         bad |= ~((t_w[:, 0] >= cfg.m - spread) & (t_w[:, -1] <= cfg.M + spread))
-        bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * _stack_scale(s_w))
-        g = _stack_pow(np.maximum(s_w, 0.0), s_v, cfg.p, bad)
-        g = g @ _stack_pow(t_w, t_v, -cfg.p, bad)
+        bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(s_w))
+        g = stack_pow(clamp_psd(s_w), s_v, cfg.p, bad)
+        g = g @ stack_pow(t_w, t_v, -cfg.p, bad)
         half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
         values = np.abs(half_sym).max(axis=-1) / _BOUND_FNS[cfg.objective](cfg.m, cfg.M, cfg.p)
     values[bad] = np.nan

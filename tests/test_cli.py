@@ -1,13 +1,14 @@
 import copy
 import itertools
 import json
+import os
 import re
 
 import pytest
 
-from wielandt_lab import cli, instances, search
-from wielandt_lab.errors import NotPSD, Singular
-from wielandt_lab.sampling import mix_seed
+from wielandt_lab import bounds, cli, instances, search
+from wielandt_lab.errors import NotPSD, Singular, WielandtLabError
+from wielandt_lab.sampling import fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
 
@@ -359,3 +360,238 @@ class TestManifest:
         assert manifest["version"]
         assert manifest["config"]["trials"] == 10
         assert manifest["started_at"] <= manifest["finished_at"]
+
+
+def _range_pid(start, stop):
+    return os.getpid(), start, stop
+
+
+class TestFanOut:
+    def test_first_range_runs_in_the_caller(self):
+        results = fan_out(_range_pid, (), 40, 3)
+        assert [(a, b) for _, a, b in results] == [(0, 13), (13, 26), (26, 40)]
+        pids = [pid for pid, _, _ in results]
+        assert pids[0] == os.getpid()
+        assert os.getpid() not in pids[1:]
+
+    def test_small_runs_stay_serial(self):
+        assert fan_out(_range_pid, (), 11, 3) == [(os.getpid(), 0, 11)]
+
+
+# Stacked worst margins may drift from the scalar ones by this much, relative
+# to max(1, |margin|, the magnitudes the check compares): a margin that is a
+# difference of large values (thm1_chain at M/m = 100, p >= 2) carries their
+# rounding, on either path.
+DRIFT = 1e-13
+
+
+def _check_scale(reports, name):
+    """max(1, |values compared|) over the reports of check `name`."""
+    values = [1.0]
+    for r in reports:
+        if r.name == name:
+            values += getattr(r, "links", ())
+            values += [getattr(r, k) for k in ("lhs", "bound", "t", "x_norm") if hasattr(r, k)]
+    return max(abs(v) for v in values)
+
+
+SHAPES = [
+    dict(ambient=4, rank=2, out_dim=2, ancilla=2),  # 2x2 closed form throughout
+    dict(ambient=7, rank=3, out_dim=2, ancilla=3),  # LAPACK lemma solves, d != n
+    dict(ambient=4, rank=2, out_dim=3, ancilla=2),  # LAPACK instance solves, d != n
+]
+
+
+def _params(shape, m=1.0, M=2.0, p_values=(0.5, 2.0), trials=60, seed=0, tol=1e-9):
+    return cli.VerifyParams(
+        trials=trials, m=m, M=M, p_values=tuple(p_values), tol=tol, seed=seed, **shape
+    )
+
+
+def _scalar_reports(params, trial):
+    seed = mix_seed(params.seed, trial)
+    inst = instances.gen_instance(
+        seed, params.ambient, params.rank, params.out_dim, params.ancilla, params.m, params.M
+    )
+    reports = bounds.run_instance_checks(inst, params.p_values, params.tol)
+    return reports + bounds.run_lemma_trial(
+        seed, params.rank, params.ambient, params.m, params.M, params.tol, variant=trial % 4
+    )
+
+
+def _scalar_verify_chunk(params, start, stop):
+    """Reference: every trial on the scalar path, one by one."""
+    stats, failures = {}, []
+    for trial in range(start, stop):
+        try:
+            reports = _scalar_reports(params, trial)
+        except WielandtLabError as exc:
+            entry = stats.setdefault("trial_error", [0, 0, None, None])
+            entry[0] += 1
+            entry[1] += 1
+            failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
+            continue
+        for report in reports:
+            entry = stats.setdefault(report.name, [0, 0, None, None])
+            entry[0] += 1
+            margin = getattr(report, "margin", None)
+            if margin is not None and (entry[2] is None or margin < entry[2]):
+                entry[2], entry[3] = margin, trial
+            if not report.passed:
+                entry[1] += 1
+                detail = report.to_json()
+                detail["trial"] = trial
+                failures.append(detail)
+    return stats, failures
+
+
+def _scalar_verify(params, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_verify_chunk", _scalar_verify_chunk)
+        return cli.run_verify(params)
+
+
+def assert_matches_scalar(stacked, scalar, params):
+    """Everything equal but worst margins (within DRIFT) and worst trials."""
+    a, b = stripped(stacked), stripped(scalar)
+    for report in (a, b):
+        report["manifest"]["counters"].pop("worst_margin")
+    worst = {}
+    for name in a["checks"]:
+        x, y = a["checks"][name], b["checks"].get(name, {})
+        worst[name] = [x.pop("worst_margin"), x.pop("worst_trial")]
+        worst[name] += [y.pop("worst_margin", None), y.pop("worst_trial", None)]
+    assert a == b
+    for name, (x, x_trial, y, y_trial) in worst.items():
+        assert (x is None) == (y is None)
+        if x is not None:
+            scale = max(
+                _check_scale(_scalar_reports(params, trial), name) for trial in (x_trial, y_trial)
+            )
+            assert abs(x - y) <= DRIFT * max(abs(y), scale), (name, x, y)
+
+
+class TestStackedVerify:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize(
+        "M,p_values", [(2.0, (0.25, 1.0, 3.0)), (50.0, (0.5, 1.5)), (100.0, (0.75, 2.0, 3.0))]
+    )
+    def test_matches_scalar_walk(self, shape, M, p_values, monkeypatch):
+        params = _params(shape, M=M, p_values=p_values, trials=100, seed=11)
+        stacked = cli.run_verify(params)
+        assert stacked["pass"]
+        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_lane_margins_match_scalar_reports(self, shape):
+        for m, M in ((1.0, 100.0), (1e-14, 3e-12)):
+            params = _params(shape, m=m, M=M, p_values=(0.5, 1.0, 2.5), trials=64, seed=3)
+            trials = range(params.trials)
+            margins, clean = cli._stacked_lanes(params, trials)
+            raised = set()
+            for lane, trial in enumerate(trials):
+                try:
+                    reports = _scalar_reports(params, trial)
+                except WielandtLabError:
+                    raised.add(trial)
+                    assert not clean[lane]
+                    continue
+                if not clean[lane]:
+                    continue
+                assert all(r.passed for r in reports)
+                scalar = {}
+                for r in reports:
+                    scalar.setdefault(r.name, []).append(getattr(r, "margin", None))
+                assert {k: len(v) for k, v in scalar.items()} == {
+                    k: len(v) for k, v in margins.items()
+                }
+                for name, entries in margins.items():
+                    if entries[0] is None:
+                        continue
+                    want = min(scalar[name])
+                    got = min(float(e[lane]) for e in entries)
+                    scale = _check_scale(reports, name)
+                    assert abs(got - want) <= DRIFT * max(abs(want), scale), (trial, name)
+            if m == 1.0:
+                assert clean.all()
+            else:
+                assert raised  # singular compressed operators near scale 1e-12
+
+    def test_block_size_and_workers_do_not_change_report(self, monkeypatch):
+        params = _params(SHAPES[0], M=100.0, p_values=(0.5, 1.0, 2.0), trials=90, seed=4)
+        reports = set()
+        for block in (1, 7, 64):
+            monkeypatch.setattr(cli, "BLOCK_SIZE", block)
+            for workers in (1, 2, 3):
+                reports.add(json.dumps(stripped(cli.run_verify(params, workers=workers))))
+        assert len(reports) == 1
+
+    def test_forced_failures_match_scalar_walk(self, monkeypatch):
+        real = bounds.bound_thm2
+        monkeypatch.setattr(bounds, "bound_thm2", lambda m, M, p: 0.6 * real(m, M, p))
+        params = _params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=80, seed=6)
+        stacked = cli.run_verify(params)
+        assert not stacked["pass"]
+        assert {f["check"] for f in stacked["failures"]} >= {"thm2_abs", "gamma_norm_le_thm2"}
+        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+
+    def test_trial_errors_match_scalar_walk(self, monkeypatch):
+        # At spectral scale 1e-12 some compressed operators are numerically
+        # singular, and those trials are reported as trial_error.
+        params = _params(SHAPES[0], m=1e-13, M=1e-11, p_values=(0.5, 2.0), trials=80, seed=2)
+        stacked = cli.run_verify(params)
+        assert stacked["checks"]["trial_error"]["fail"] > 0
+        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(ambient=2, rank=1, out_dim=1, ancilla=1),  # lemma inputs need dim >= 2
+            dict(ambient=4, rank=2, out_dim=5, ancilla=2),  # no isometry with d > n*k
+        ],
+    )
+    def test_unstackable_shapes_match_scalar_walk(self, shape, monkeypatch):
+        params = _params(shape, trials=10, seed=1)
+        stacked = cli.run_verify(params)
+        assert stacked["checks"]["trial_error"]["fail"] == 10
+        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+
+    def test_lane_inside_guard_band_goes_to_scalar_path(self, monkeypatch):
+        params = _params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=30, seed=8)
+        target = 5
+        lhs = next(
+            r.lhs for r in _scalar_reports(params, target)
+            if r.name == "thm3_abs" and r.context["p"] == 2.0
+        )
+        # thm3_abs at p = 2 now passes on the target trial by 1e-11 of its
+        # scale: far beyond the stacked drift, but inside the guard band
+        bound = lhs - (params.tol - 1e-11) * max(1.0, lhs)
+        real = bounds.bound_thm3
+        monkeypatch.setattr(
+            bounds, "bound_thm3", lambda m, M, p: bound if p == 2.0 else real(m, M, p)
+        )
+        assert all(r.passed for r in _scalar_reports(params, target))
+        routed = []
+        scalar_trial = cli._scalar_trial
+
+        def spy(params_, trial, stats, failures):
+            routed.append(trial)
+            scalar_trial(params_, trial, stats, failures)
+
+        monkeypatch.setattr(cli, "_scalar_trial", spy)
+        stacked = cli.run_verify(params)
+        assert target in routed
+        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+
+    @pytest.mark.parametrize("shape,M", [(SHAPES[1], 50.0), (SHAPES[0], 100.0)])
+    def test_worst_trial_reproduces_worst_margin(self, shape, M):
+        params = _params(shape, M=M, p_values=(0.5, 3.0), trials=60, seed=5)
+        report = cli.run_verify(params)
+        for name, entry in report["checks"].items():
+            if entry["worst_margin"] is None:
+                assert entry["worst_trial"] is None
+                continue
+            reports = _scalar_reports(params, entry["worst_trial"])
+            margin = min(r.margin for r in reports if r.name == name)
+            scale = _check_scale(reports, name)
+            assert abs(margin - entry["worst_margin"]) <= DRIFT * max(abs(margin), scale)
