@@ -6,15 +6,18 @@ For an instance (A, m, M, X, Y, Phi) and exponent p > 0 the central object is
 
 built strictly by spectral calculus on its two Hermitian factors S and T.
 Three scalar bound families (``bound_thm1/2/3``) dominate both (Gamma+Gamma*)/2
-and its spectral absolute value; every check here reports a Loewner verdict, a
-norm verdict, and a signed margin.
+and its spectral absolute value.
 
-Margin conventions: Loewner-style checks report the minimum eigenvalue of
-(bound side - lhs side); scalar checks report (bound - lhs).  A check passes
-when its margin is >= -tol * max(1, |lhs|, |bound|).
+Every check yields one ``Report`` record: the check's name, its verdict, a
+signed margin (None for the boolean meta-check ``abs_implies_sym``) and the
+rest of its JSON form.  Margin conventions: Loewner-style checks report the
+minimum eigenvalue of (bound side - lhs side); scalar checks report
+(bound - lhs).  A check passes when its margin is >= -tol * max(1, |lhs|,
+|bound|).
 
-``run_instance_checks`` and ``run_lemma_trial`` build report objects for one
-trial.  Their stacked counterparts, ``instance_checks_stack`` and
+``run_instance_checks`` and ``run_lemma_trial`` build the reports of one
+trial; the CLI's ``verify`` runs nothing else on the scalar path.  Their
+stacked counterparts, ``instance_checks_stack`` and
 ``lemma_checks_stack``, evaluate the same checks on blocks of trials and
 return only per-lane margins plus the lanes that passed every check with
 ``GUARD_BAND`` to spare and raised no precondition flag; any other lane is
@@ -24,18 +27,19 @@ left to the scalar drivers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvalidBounds, NotPSD, PreconditionViolated
-from .instances import Instance, gen_operator
+from .instances import Instance, check_bounds, gen_operator
 from .matcore import (
     PSD_TOL,
     EigDecomp,
     as_cmatrix,
     as_herm,
+    check_exponent,
     eig_pow_pd,
     eig_pow_psd,
     herm_eig,
@@ -51,6 +55,7 @@ from .stacked import (
     clamp_psd,
     complex_draws,
     draw_operator,
+    gamma_stack,
     operator_stack,
     stack_pow,
     stack_scale,
@@ -82,31 +87,24 @@ ALL_CHECK_NAMES = (
 )
 
 
-def _check_mM(m: float, M: float) -> tuple[float, float]:
-    m = float(m)
-    M = float(M)
-    if not (math.isfinite(m) and math.isfinite(M)) or m <= 0.0 or M < m:
-        raise InvalidBounds(f"need 0 < m <= M, got m={m!r}, M={M!r}")
-    return m, M
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0:
-        raise InvalidBounds(f"need p > 0, got {p!r}")
-    return p
+def check_tol(tol: float) -> float:
+    """tol as a float; raises ValueError unless it is finite and >= 0."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
+    return tol
 
 
 def wielandt_factor(m: float, M: float) -> float:
     """((M - m)/(M + m))^2, the square of the spectral contrast."""
-    m, M = _check_mM(m, M)
+    m, M = check_bounds(m, M)
     return ((M - m) / (M + m)) ** 2
 
 
 def ceil_exponent(p: float) -> int:
     """Ceiling of p with exponents within 1e-12 of an integer snapped first,
     so float parsing cannot flip the discontinuity."""
-    p = _check_p(p)
+    p = check_exponent(p)
     nearest = round(p)
     if abs(p - nearest) <= 1e-12 and nearest >= 1:
         return int(nearest)
@@ -115,8 +113,8 @@ def ceil_exponent(p: float) -> int:
 
 def bound_thm1(m: float, M: float, p: float) -> float:
     """Arithmetic-mean bound: (((M-m)/(M+m))^{4p} M^{2p} + m^{-2p}) / 2."""
-    m, M = _check_mM(m, M)
-    p = _check_p(p)
+    m, M = check_bounds(m, M)
+    p = check_exponent(p)
     ratio = (M - m) / (M + m)
     return (ratio ** (4.0 * p) * M ** (2.0 * p) + m ** (-2.0 * p)) / 2.0
 
@@ -124,8 +122,8 @@ def bound_thm1(m: float, M: float, p: float) -> float:
 def bound_thm2(m: float, M: float, p: float) -> float:
     """Two-branch bound: ((M-m)/(M+m))^{2p} for 0 < p <= 1/2, times (M/m)^p
     beyond; the left branch is closed at p = 1/2."""
-    m, M = _check_mM(m, M)
-    p = _check_p(p)
+    m, M = check_bounds(m, M)
+    p = check_exponent(p)
     base = ((M - m) / (M + m)) ** (2.0 * p)
     if p <= 0.5:
         return base
@@ -135,8 +133,8 @@ def bound_thm2(m: float, M: float, p: float) -> float:
 def bound_thm3(m: float, M: float, p: float) -> float:
     """Ceiling-exponent bound:
     ((M-m)/(M+m))^{2p} * (((M/m)^{p/2} + (m/M)^{p/2}) / 2)^{ceil(p)}."""
-    m, M = _check_mM(m, M)
-    p = _check_p(p)
+    m, M = check_bounds(m, M)
+    p = check_exponent(p)
     base = ((M - m) / (M + m)) ** (2.0 * p)
     mean = ((M / m) ** (p / 2.0) + (m / M) ** (p / 2.0)) / 2.0
     return base * mean ** ceil_exponent(p)
@@ -145,138 +143,60 @@ def bound_thm3(m: float, M: float, p: float) -> float:
 def crossover_threshold(m: float, M: float) -> float:
     """2 + 2 log 2 / log(M/m): beyond this exponent the two-branch bound is
     tighter again than the ceiling-exponent bound."""
-    m, M = _check_mM(m, M)
+    m, M = check_bounds(m, M)
     if M == m:
         raise InvalidBounds("crossover undefined for m == M")
     return 2.0 + 2.0 * math.log(2.0) / math.log(M / m)
 
 
-class Witness(NamedTuple):
-    eigenvalue: float
-    vector: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalue": self.eigenvalue,
-            "re": self.vector.real.tolist(),
-            "im": self.vector.imag.tolist(),
-        }
-
-
 @dataclass
-class CheckReport:
-    """Outcome of one inequality check (Loewner and/or norm form)."""
+class Report:
+    """Outcome of one check on one trial.  `payload` holds the rest of the
+    check's JSON form, in emission order; every verdict is a Python bool."""
 
     check: str
-    lhs: float
-    bound: float
-    margin: float
-    loewner_pass: Optional[bool]
-    norm_pass: Optional[bool]
-    tol: float
-    witness: Optional[Witness] = None
-    context: dict = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.check
-
-    @property
-    def passed(self) -> bool:
-        flags = [f for f in (self.loewner_pass, self.norm_pass) if f is not None]
-        return bool(flags) and all(flags)
-
-    def to_json(self) -> dict:
-        out = {
-            "check": self.check,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "margin": self.margin,
-            "loewner_pass": self.loewner_pass,
-            "norm_pass": self.norm_pass,
-            "tol": self.tol,
-        }
-        for key in ("seed", "dims", "m", "M", "p"):
-            out[key] = self.context.get(key)
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
-
-
-@dataclass
-class FlagReport:
-    """A pure boolean meta-check (no numeric bound of its own)."""
-
-    name: str
     passed: bool
-    detail: str = ""
+    margin: Optional[float]
+    payload: dict
 
     def to_json(self) -> dict:
-        return {"check": self.name, "passed": self.passed, "detail": self.detail}
+        return {"check": self.check, **self.payload}
 
 
-@dataclass
-class ChainReport:
-    """Link-by-link certification of the norm chain behind the
-    arithmetic-mean bound: ||Gamma+Gamma*||/2 <= ||S^{2p}+T^{-2p}||/2
-    <= (||S||^{2p} + ||T^{-1}||^{2p})/2 <= bound_thm1."""
-
-    name: str
-    links: tuple  # the four chain values, weakest bound last
-    link_margins: tuple  # successive differences, one per inequality
-    passed: bool
-    tol: float
-    context: dict = field(default_factory=dict)
-
-    @property
-    def margin(self) -> float:
-        return min(self.link_margins)
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.name,
-            "links": list(self.links),
-            "link_margins": list(self.link_margins),
-            "passed": self.passed,
-            "tol": self.tol,
-            **{k: self.context.get(k) for k in ("seed", "m", "M", "p")},
+def _inequality(
+    check: str,
+    lhs: float,
+    bound: float,
+    margin: float,
+    loewner_pass: Optional[bool],
+    norm_pass: bool,
+    tol: float,
+    context: dict,
+    witness: Optional[tuple] = None,
+) -> Report:
+    """Report of an inequality check in Loewner and/or norm form; `witness`
+    is (eigenvalue, eigenvector) at the margin."""
+    loewner_pass = None if loewner_pass is None else bool(loewner_pass)
+    norm_pass = bool(norm_pass)
+    payload = {
+        "lhs": lhs,
+        "bound": bound,
+        "margin": margin,
+        "loewner_pass": loewner_pass,
+        "norm_pass": norm_pass,
+        "tol": tol,
+    }
+    for key in ("seed", "dims", "m", "M", "p"):
+        payload[key] = context.get(key)
+    if witness is not None:
+        value, vector = witness
+        payload["witness"] = {
+            "eigenvalue": value,
+            "re": vector.real.tolist(),
+            "im": vector.imag.tolist(),
         }
-
-
-@dataclass
-class LemmaBlockReport:
-    """Three-way equivalence of |X| <= tI, ||X|| <= t, and PSD-ness of
-    [[tI, X], [X*, tI]]; passes when all three verdicts agree."""
-
-    name: str
-    t: float
-    x_norm: float
-    abs_ok: bool
-    norm_ok: bool
-    block_ok: bool
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.abs_ok == self.norm_ok == self.block_ok
-
-    @property
-    def margin(self) -> float:
-        # Distance from the decision boundary t = ||X||, where the three
-        # verdicts could legitimately split.
-        return abs(self.t - self.x_norm)
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.name,
-            "t": self.t,
-            "x_norm": self.x_norm,
-            "abs_ok": self.abs_ok,
-            "norm_ok": self.norm_ok,
-            "block_ok": self.block_ok,
-            "agree": self.passed,
-            "tol": self.tol,
-        }
+    # passes when every verdict the check has (the Loewner one is optional) passes
+    return Report(check, norm_pass and loewner_pass is not False, margin, payload)
 
 
 def _threshold(tol: float, *magnitudes: float) -> float:
@@ -327,8 +247,8 @@ def gamma_from_products(
     s_eig: Optional[EigDecomp] = None,
     t_eig: Optional[EigDecomp] = None,
 ) -> GammaParts:
-    p = _check_p(p)
-    m, M = _check_mM(m, M)
+    p = check_exponent(p)
+    m, M = check_bounds(m, M)
     if s_eig is None:
         s_eig = herm_eig(s)
     if t_eig is None:
@@ -377,163 +297,21 @@ def lhs_values(g: GammaParts) -> LhsValues:
 
 
 def _bound_fn(which: int):
-    try:
-        return {1: bound_thm1, 2: bound_thm2, 3: bound_thm3}[which]
-    except KeyError:
-        raise ValueError(f"which must be 1, 2, or 3, got {which!r}") from None
-
-
-def _bhatia_davis_report(
-    s: np.ndarray,
-    t: np.ndarray,
-    s_eig: EigDecomp,
-    t_eig: EigDecomp,
-    m: float,
-    M: float,
-    tol: float,
-    context: dict,
-) -> CheckReport:
-    factor = wielandt_factor(m, M)
-    w, v = herm_eig(factor * t - s)
-    lam_min = float(w[0])
-    s_norm = float(np.max(np.abs(s_eig.eigenvalues)))
-    rhs_norm = factor * float(np.max(np.abs(t_eig.eigenvalues)))
-    thr = _threshold(tol, s_norm, rhs_norm)
-    return CheckReport(
-        check="bhatia_davis",
-        lhs=s_norm,
-        bound=rhs_norm,
-        margin=lam_min,
-        loewner_pass=lam_min >= -thr,
-        norm_pass=s_norm <= rhs_norm + thr,
-        tol=tol,
-        witness=Witness(lam_min, v[:, 0].copy()),
-        context=context,
-    )
-
-
-def check_bhatia_davis(inst: Instance, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Loewner check of S <= ((M-m)/(M+m))^2 T (the operator Wielandt
-    inequality); the extremal instance sits on the equality boundary."""
-    s, t = compressed_products(inst)
-    context = {"seed": inst.seed, "m": inst.m, "M": inst.M}
-    return _bhatia_davis_report(s, t, herm_eig(s), herm_eig(t), inst.m, inst.M, tol, context)
-
-
-def _theorem_reports_from_eigs(
-    w: np.ndarray,
-    v: np.ndarray,
-    bound: float,
-    which: int,
-    tol: float,
-    context: dict,
-) -> tuple[CheckReport, CheckReport]:
-    abs_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    lam_max = float(w[-1]) if w.size else 0.0
-    idx_abs = int(np.argmax(np.abs(w)))
-    thr = _threshold(tol, abs_norm, bound)
-    report_abs = CheckReport(
-        check=f"thm{which}_abs",
-        lhs=abs_norm,
-        bound=bound,
-        margin=bound - abs_norm,
-        loewner_pass=abs_norm <= bound + thr,
-        norm_pass=abs_norm <= bound + thr,
-        tol=tol,
-        witness=Witness(abs_norm, v[:, idx_abs].copy()),
-        context=context,
-    )
-    report_sym = CheckReport(
-        check=f"thm{which}_sym",
-        lhs=abs_norm,
-        bound=bound,
-        margin=bound - lam_max,
-        loewner_pass=lam_max <= bound + thr,
-        norm_pass=abs_norm <= bound + thr,
-        tol=tol,
-        witness=Witness(lam_max, v[:, -1].copy()),
-        context=context,
-    )
-    return report_abs, report_sym
-
-
-def check_theorem(
-    inst: Instance, p: float, which: int, tol: float = DEFAULT_TOL
-) -> tuple[CheckReport, CheckReport]:
-    """Check |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I for
-    bound family `which`; returns (absolute-value form, symmetric form)."""
-    g = gamma(inst, p)
-    _, (w, v) = _half_sym_eig(g)
-    bound = _bound_fn(which)(inst.m, inst.M, p)
-    context = {"seed": inst.seed, "m": inst.m, "M": inst.M, "p": p}
-    return _theorem_reports_from_eigs(w, v, bound, which, tol, context)
-
-
-def gamma_norm(inst: Instance, p: float) -> float:
-    """||Gamma||; its companion report `sym_gamma_norm_report` certifies that
-    the symmetrized half-sum never beats it."""
-    return op_norm(gamma(inst, p).gamma)
-
-
-def _sym_norm_report(
-    sym_norm: float, gnorm: float, tol: float, context: Optional[dict]
-) -> CheckReport:
-    thr = _threshold(tol, sym_norm, gnorm)
-    return CheckReport(
-        check="sym_norm_le_gamma",
-        lhs=sym_norm,
-        bound=gnorm,
-        margin=gnorm - sym_norm,
-        loewner_pass=None,
-        norm_pass=sym_norm <= gnorm + thr,
-        tol=tol,
-        context=context or {},
-    )
-
-
-def sym_gamma_norm_report(
-    g: GammaParts, tol: float = DEFAULT_TOL, context: Optional[dict] = None
-) -> CheckReport:
-    """||(Gamma+Gamma*)/2|| <= ||Gamma|| (triangle inequality, checked)."""
-    _, (w, _) = _half_sym_eig(g)
-    sym_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return _sym_norm_report(sym_norm, op_norm(g.gamma), tol, context)
-
-
-def _gamma_bound_report(
-    gnorm: float, m: float, M: float, p: float, tol: float, context: Optional[dict]
-) -> CheckReport:
-    bound = bound_thm2(m, M, p)
-    thr = _threshold(tol, gnorm, bound)
-    return CheckReport(
-        check="gamma_norm_le_thm2",
-        lhs=gnorm,
-        bound=bound,
-        margin=bound - gnorm,
-        loewner_pass=None,
-        norm_pass=gnorm <= bound + thr,
-        tol=tol,
-        context=context or {},
-    )
-
-
-def gamma_norm_bound_report(
-    g: GammaParts, tol: float = DEFAULT_TOL, context: Optional[dict] = None
-) -> CheckReport:
-    """||Gamma|| <= bound_thm2(m, M, p) (both exponent branches)."""
-    return _gamma_bound_report(op_norm(g.gamma), g.m, g.M, g.p, tol, context)
+    return (bound_thm1, bound_thm2, bound_thm3)[which - 1]
 
 
 def chain_report(
     g: GammaParts,
+    half_sum_norm: float,
     tol: float = DEFAULT_TOL,
     context: Optional[dict] = None,
-    half_sum_norm: Optional[float] = None,
-) -> ChainReport:
-    """The three-link norm chain leading to the arithmetic-mean bound."""
+) -> Report:
+    """Link-by-link certification of the norm chain behind the
+    arithmetic-mean bound: ||Gamma+Gamma*||/2 <= ||S^{2p}+T^{-2p}||/2
+    <= (||S||^{2p} + ||T^{-1}||^{2p})/2 <= bound_thm1, where
+    `half_sum_norm` = ||Gamma+Gamma*||/2 (lhs_values' half_abs_norm)."""
     p = g.p
-    if half_sum_norm is None:
-        half_sum_norm = op_norm(g.gamma + g.gamma.conj().T) / 2.0
+    context = context or {}
     s2p = eig_pow_psd(g.s_eig, 2.0 * p)
     t2pinv = eig_pow_pd(g.t_eig, -2.0 * p)
     mixed_norm = herm_norm(s2p + t2pinv) / 2.0
@@ -547,20 +325,15 @@ def chain_report(
         for i in range(3)
     )
     passed = all(mg >= 0.0 for mg in margins)
-    raw_margins = tuple(links[i + 1] - links[i] for i in range(3))
-    return ChainReport(
-        name="thm1_chain",
-        links=links,
-        link_margins=raw_margins,
-        passed=passed,
-        tol=tol,
-        context=context or {},
-    )
+    raw_margins = [links[i + 1] - links[i] for i in range(3)]
+    payload = {"links": list(links), "link_margins": raw_margins, "passed": passed, "tol": tol}
+    payload.update((key, context.get(key)) for key in ("seed", "m", "M", "p"))
+    return Report("thm1_chain", passed, min(raw_margins), payload)
 
 
 def power_monotone_report(
     g: GammaParts, tol: float = DEFAULT_TOL, context: Optional[dict] = None
-) -> Optional[CheckReport]:
+) -> Optional[Report]:
     """Loewner power inequality S^p <= ((M-m)/(M+m))^{2p} T^p, valid for
     0 < p <= 1 (operator monotonicity of fractional powers); None otherwise."""
     if g.p > 1.0 + 1e-12:
@@ -573,16 +346,9 @@ def power_monotone_report(
     lhs_norm = max(float(g.s_eig.eigenvalues[-1]), 0.0) ** g.p
     bound_norm = factor * float(g.t_eig.eigenvalues[-1]) ** g.p
     thr = _threshold(tol, lhs_norm, bound_norm)
-    return CheckReport(
-        check="power_monotone",
-        lhs=lhs_norm,
-        bound=bound_norm,
-        margin=lam_min,
-        loewner_pass=lam_min >= -thr,
-        norm_pass=lhs_norm <= bound_norm + thr,
-        tol=tol,
-        witness=Witness(lam_min, v[:, 0].copy()),
-        context=context or {},
+    return _inequality(
+        "power_monotone", lhs_norm, bound_norm, lam_min, lam_min >= -thr,
+        lhs_norm <= bound_norm + thr, tol, context or {}, (lam_min, v[:, 0]),
     )
 
 
@@ -591,11 +357,10 @@ def power_monotone_report(
 # ---------------------------------------------------------------------------
 
 
-def check_lemma_block_equivalence(
-    x, t: float, tol: float = DEFAULT_TOL
-) -> LemmaBlockReport:
+def check_lemma_block_equivalence(x, t: float, tol: float = DEFAULT_TOL) -> Report:
     """Evaluate |X| <= tI, ||X|| <= t, and [[tI, X], [X*, tI]] >= 0 by three
-    separate routes and assert they agree."""
+    separate routes; passes when all three verdicts agree.  The margin is the
+    distance |t - ||X||| from the boundary where they could split."""
     xm = as_cmatrix(x, square=True)
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
@@ -614,23 +379,23 @@ def check_lemma_block_equivalence(
     w, _ = herm_eig(block)
     block_ok = float(w[0]) >= -thr
 
-    return LemmaBlockReport(
-        name="block_norm_equivalence",
-        t=t,
-        x_norm=x_norm,
-        abs_ok=abs_ok,
-        norm_ok=norm_ok,
-        block_ok=block_ok,
-        tol=tol,
-    )
+    agree = abs_ok == norm_ok == block_ok
+    payload = {
+        "t": t,
+        "x_norm": x_norm,
+        "abs_ok": abs_ok,
+        "norm_ok": norm_ok,
+        "block_ok": block_ok,
+        "agree": agree,
+        "tol": tol,
+    }
+    return Report("block_norm_equivalence", agree, abs(t - x_norm), payload)
 
 
-def check_lemma_square_order(
-    a, b, m: float, M: float, tol: float = DEFAULT_TOL
-) -> CheckReport:
+def check_lemma_square_order(a, b, m: float, M: float, tol: float = DEFAULT_TOL) -> Report:
     """Given 0 <= A <= B with spectrum(B) inside [m, M], certify the
     Kantorovich-type squared comparison A^2 <= ((M+m)^2 / 4Mm) B^2."""
-    m, M = _check_mM(m, M)
+    m, M = check_bounds(m, M)
     am = as_herm(a)
     bm = as_herm(b)
     wa, _ = herm_eig(am)
@@ -653,20 +418,13 @@ def check_lemma_square_order(
     lhs_norm = herm_norm(lhs_sq)
     rhs_norm = herm_norm(rhs_sq)
     thr = _threshold(tol, lhs_norm, rhs_norm)
-    return CheckReport(
-        check="square_order",
-        lhs=lhs_norm,
-        bound=rhs_norm,
-        margin=lam_min,
-        loewner_pass=lam_min >= -thr,
-        norm_pass=lhs_norm <= rhs_norm + thr,
-        tol=tol,
-        witness=Witness(lam_min, v[:, 0].copy()),
-        context={"m": m, "M": M},
+    return _inequality(
+        "square_order", lhs_norm, rhs_norm, lam_min, lam_min >= -thr,
+        lhs_norm <= rhs_norm + thr, tol, {"m": m, "M": M}, (lam_min, v[:, 0]),
     )
 
 
-def check_fact_norm_anticommutator(a, b, tol: float = DEFAULT_TOL) -> CheckReport:
+def check_fact_norm_anticommutator(a, b, tol: float = DEFAULT_TOL) -> Report:
     """||AB + BA|| <= ||A^2 + B^2|| for PSD A, B."""
     am = as_herm(a)
     bm = as_herm(b)
@@ -677,23 +435,13 @@ def check_fact_norm_anticommutator(a, b, tol: float = DEFAULT_TOL) -> CheckRepor
     lhs = herm_norm(hermitian_part(am @ bm + bm @ am))
     rhs = herm_norm(hermitian_part(am @ am + bm @ bm))
     thr = _threshold(tol, lhs, rhs)
-    return CheckReport(
-        check="anticommutator_norm",
-        lhs=lhs,
-        bound=rhs,
-        margin=rhs - lhs,
-        loewner_pass=None,
-        norm_pass=lhs <= rhs + thr,
-        tol=tol,
-    )
+    return _inequality("anticommutator_norm", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol, {})
 
 
-def check_scalar_wielandt(
-    x, y, a, m: float, M: float, tol: float = DEFAULT_TOL
-) -> CheckReport:
+def check_scalar_wielandt(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL) -> Report:
     """Classical scalar Wielandt inequality for orthogonal vectors x, y:
     |<x, Ay>|^2 <= ((M-m)/(M+m))^2 <x, Ax> <y, Ay>."""
-    m, M = _check_mM(m, M)
+    m, M = check_bounds(m, M)
     xv = np.asarray(x, dtype=np.complex128).reshape(-1)
     yv = np.asarray(y, dtype=np.complex128).reshape(-1)
     am = as_herm(a)
@@ -716,16 +464,9 @@ def check_scalar_wielandt(
         * float(np.vdot(yv, am @ yv).real)
     )
     thr = _threshold(tol, lhs, rhs)
-    ok = lhs <= rhs + thr
-    return CheckReport(
-        check="scalar_wielandt",
-        lhs=float(lhs),
-        bound=float(rhs),
-        margin=float(rhs - lhs),
-        loewner_pass=None,
-        norm_pass=ok,
-        tol=tol,
-        context={"m": m, "M": M},
+    return _inequality(
+        "scalar_wielandt", float(lhs), float(rhs), float(rhs - lhs), None, lhs <= rhs + thr,
+        tol, {"m": m, "M": M},
     )
 
 
@@ -766,8 +507,8 @@ def compare_bounds(m: float, M: float, p: float, tol: float = ORDERING_TOL) -> B
     """All three bounds plus the expected-region orderings: the arithmetic-mean
     bound never beats the two-branch bound; the ceiling-exponent bound loses
     for p <= 1/2, wins for 1/2 < p <= 2, and loses again past the crossover."""
-    m, M = _check_mM(m, M)
-    p = _check_p(p)
+    m, M = check_bounds(m, M)
+    p = check_exponent(p)
     b1 = bound_thm1(m, M, p)
     b2 = bound_thm2(m, M, p)
     b3 = bound_thm3(m, M, p)
@@ -799,11 +540,11 @@ def thm2_tail_note(m: float, M: float, p_values) -> dict:
     """Flagged note: the tail comparison bound_thm2 >= ((M-m)/(M+m))^p with a
     single exponent fails whenever M < (1 + sqrt 2) m, while the doubled
     exponent ((M-m)/(M+m))^{2p} is dominated for every p."""
-    m, M = _check_mM(m, M)
+    m, M = check_bounds(m, M)
     ratio = (M - m) / (M + m)
     cases = []
     for p in p_values:
-        p = _check_p(p)
+        p = check_exponent(p)
         b2 = bound_thm2(m, M, p)
         single = ratio**p
         double = ratio ** (2.0 * p)
@@ -838,38 +579,70 @@ def thm2_tail_note(m: float, M: float, p_values) -> dict:
 
 def run_instance_checks(inst: Instance, p_values, tol: float = DEFAULT_TOL) -> list:
     """Every per-instance check for each exponent, sharing one set of spectral
-    decompositions.  Returns report objects (see module docstring for margin
+    decompositions; returns Reports (see the module docstring for margin
     conventions)."""
-    reports: list = []
-    base_ctx = {"seed": inst.seed, "m": inst.m, "M": inst.M}
+    m, M = inst.m, inst.M
+    base_ctx = {"seed": inst.seed, "m": m, "M": M}
     s, t = compressed_products(inst)
     s_eig = herm_eig(s)
     t_eig = herm_eig(t)
-    reports.append(_bhatia_davis_report(s, t, s_eig, t_eig, inst.m, inst.M, tol, base_ctx))
+
+    # the operator Wielandt inequality S <= ((M-m)/(M+m))^2 T
+    factor = wielandt_factor(m, M)
+    w, v = herm_eig(factor * t - s)
+    lam_min = float(w[0])
+    s_norm = float(np.max(np.abs(s_eig.eigenvalues)))
+    rhs_norm = factor * float(np.max(np.abs(t_eig.eigenvalues)))
+    thr = _threshold(tol, s_norm, rhs_norm)
+    reports = [
+        _inequality(
+            "bhatia_davis", s_norm, rhs_norm, lam_min, lam_min >= -thr,
+            s_norm <= rhs_norm + thr, tol, base_ctx, (lam_min, v[:, 0]),
+        )
+    ]
 
     for p in p_values:
-        p = _check_p(p)
+        p = check_exponent(p)
         ctx = dict(base_ctx, p=p)
-        g = gamma_from_products(s, t, p, inst.m, inst.M, s_eig=s_eig, t_eig=t_eig)
+        g = gamma_from_products(s, t, p, m, M, s_eig=s_eig, t_eig=t_eig)
         _, (w, v) = _half_sym_eig(g)
         abs_norm = float(np.max(np.abs(w))) if w.size else 0.0
-        gnorm = op_norm(g.gamma)
+        lam_max = float(w[-1]) if w.size else 0.0
+        idx_abs = int(np.argmax(np.abs(w)))
         implied = []
         for which in (1, 2, 3):
-            bound = _bound_fn(which)(inst.m, inst.M, p)
-            rep_abs, rep_sym = _theorem_reports_from_eigs(w, v, bound, which, tol, ctx)
-            reports.extend((rep_abs, rep_sym))
-            implied.append((not rep_abs.passed) or rep_sym.passed)
-        reports.append(
-            FlagReport(
-                name="abs_implies_sym",
-                passed=all(implied),
-                detail=f"p={p}",
+            # |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I
+            bound = _bound_fn(which)(m, M, p)
+            thr = _threshold(tol, abs_norm, bound)
+            ok = abs_norm <= bound + thr
+            rep_abs = _inequality(
+                f"thm{which}_abs", abs_norm, bound, bound - abs_norm, ok, ok, tol, ctx,
+                (abs_norm, v[:, idx_abs]),
             )
+            rep_sym = _inequality(
+                f"thm{which}_sym", abs_norm, bound, bound - lam_max, lam_max <= bound + thr, ok,
+                tol, ctx, (lam_max, v[:, -1]),
+            )
+            reports += (rep_abs, rep_sym)
+            implied.append((not rep_abs.passed) or rep_sym.passed)
+        passed = all(implied)
+        payload = {"passed": passed, "detail": f"p={p}"}
+        reports.append(Report("abs_implies_sym", passed, None, payload))
+
+        # ||(Gamma+Gamma*)/2|| <= ||Gamma|| <= bound_thm2(m, M, p)
+        gnorm = op_norm(g.gamma)
+        thr = _threshold(tol, abs_norm, gnorm)
+        reports.append(
+            _inequality("sym_norm_le_gamma", abs_norm, gnorm, gnorm - abs_norm, None,
+                        abs_norm <= gnorm + thr, tol, ctx)
         )
-        reports.append(_sym_norm_report(abs_norm, gnorm, tol, ctx))
-        reports.append(_gamma_bound_report(gnorm, inst.m, inst.M, p, tol, ctx))
-        reports.append(chain_report(g, tol, ctx, half_sum_norm=abs_norm))
+        bound = bound_thm2(m, M, p)
+        thr = _threshold(tol, gnorm, bound)
+        reports.append(
+            _inequality("gamma_norm_le_thm2", gnorm, bound, bound - gnorm, None,
+                        gnorm <= bound + thr, tol, ctx)
+        )
+        reports.append(chain_report(g, abs_norm, tol, ctx))
         monotone = power_monotone_report(g, tol, ctx)
         if monotone is not None:
             reports.append(monotone)
@@ -892,7 +665,7 @@ def gen_square_order_pair(
     """Construct (A, B) with 0 <= A <= B and spectrum(B) in [m, M]: B is a
     random bounded operator and A = B - sP for a random PSD P scaled to keep
     A PSD."""
-    m, M = _check_mM(m, M)
+    m, M = check_bounds(m, M)
     b = gen_operator(mix_seed(seed, TAG_SQUARE_B), dim, m, M)
     rng = rng_from(mix_seed(seed, TAG_SQUARE_P))
     gmat = complex_gaussian(rng, dim, dim)
@@ -936,12 +709,12 @@ def run_lemma_trial(
     m: float,
     M: float,
     tol: float = DEFAULT_TOL,
-    variant: Optional[int] = None,
+    *,
+    variant: int,
 ) -> list:
-    """One round of the lemma/fact/scalar checks on freshly sampled inputs."""
+    """One round of the lemma/fact/scalar checks on freshly sampled inputs;
+    `variant` picks the side of the block-norm boundary (see lemma_block_case)."""
     reports: list = []
-    if variant is None:
-        variant = mix_seed(seed, "variant") % 4
     x, t = lemma_block_case(mix_seed(seed, TAG_LEMMA_BLOCK), dim, variant)
     reports.append(check_lemma_block_equivalence(x, t, tol))
 
@@ -1008,11 +781,8 @@ def instance_checks_stack(
     """run_instance_checks on stacks of compressed products (see
     ``stacked.compressed_products_stack``); lanes in `bad` are never passed."""
     t_w, t_v = t_eig
-    s_w, s_v = herm_eig_stack(s)
-    # gamma_from_products' spectrum window and eig_pow_psd's PSD check
-    spread = 0.5e-8 * max(1.0, M)
-    bad = bad | ~((t_w[:, 0] >= m - spread) & (t_w[:, -1] <= M + spread))
-    bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(s_w))
+    p_values = [check_exponent(p) for p in p_values]
+    (s_w, s_v), bad, powers = gamma_stack(s, t_eig, bad, m, M, p_values)
     lanes = LaneChecks(~bad)
 
     factor = wielandt_factor(m, M)
@@ -1028,10 +798,7 @@ def instance_checks_stack(
     s_top = np.maximum(s_w[:, -1], 0.0)
     t_lo = np.where(bad, 1.0, t_w[:, 0])
     t_hi = np.where(bad, 1.0, t_w[:, -1])
-    for p in p_values:
-        p = _check_p(p)
-        sp = stack_pow(s_psd, s_v, p, bad)
-        g = sp @ stack_pow(t_w, t_v, -p, bad)
+    for p, (sp, g) in zip(p_values, powers):
         half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
         abs_norm = top_abs(half_sym)
         gram_top = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues[:, -1]

@@ -40,6 +40,7 @@ from .bounds import (
     bound_thm1,
     bound_thm2,
     bound_thm3,
+    check_tol,
     compare_bounds,
     compressed_products,
     crossover_threshold,
@@ -52,9 +53,9 @@ from .bounds import (
     thm2_tail_note,
     wielandt_factor,
 )
-from .errors import InvalidBounds, WielandtLabError
-from .instances import degenerate_instance, extremal_instance, gen_instance
-from .matcore import op_norm
+from .errors import InvalidBounds, InvalidExponent, WielandtLabError
+from .instances import check_bounds, degenerate_instance, extremal_instance, gen_instance
+from .matcore import check_exponent, op_norm
 from .sampling import fan_out, mix_seed
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
 from .stacked import BLOCK_SIZE, compressed_products_stack
@@ -109,11 +110,11 @@ def parse_p_list(text: str) -> list[float]:
             raise UsageError("empty p list")
     out = []
     for v in values:
+        if not math.isfinite(v) or v <= 0.0:
+            raise UsageError(f"p values must be finite and > 0, got {v!r}")
         nearest = round(v)
         if abs(v - nearest) <= 1e-12:
             v = float(nearest)
-        if not math.isfinite(v) or v <= 0.0:
-            raise UsageError(f"p values must be finite and > 0, got {v!r}")
         out.append(v)
     return out
 
@@ -221,7 +222,7 @@ def _scalar_trial(params: VerifyParams, trial: int, stats: dict, failures: list)
         return
     for report in reports:
         passed = report.passed
-        _tally(stats, report.name, 1, 0 if passed else 1, getattr(report, "margin", None), trial)
+        _tally(stats, report.check, 1, 0 if passed else 1, report.margin, trial)
         if not passed:
             detail = report.to_json()
             detail["trial"] = trial
@@ -286,12 +287,11 @@ def _merge_chunks(chunks: list) -> tuple[dict, list]:
         for name, (run, fail, worst, trial) in chunk_stats.items():
             _tally(stats, name, run, fail, worst, trial)
         failures.extend(chunk_failures)
-    names = [name for name in ALL_CHECK_NAMES if name in stats]
-    names += [name for name in stats if name not in ALL_CHECK_NAMES]  # defensively
     ordered = {}
-    for name in names:
-        run, fail, worst, trial = stats[name]
-        ordered[name] = {"run": run, "fail": fail, "worst_margin": worst, "worst_trial": trial}
+    for name in ALL_CHECK_NAMES:
+        if name in stats:
+            run, fail, worst, trial = stats[name]
+            ordered[name] = {"run": run, "fail": fail, "worst_margin": worst, "worst_trial": trial}
     return ordered, failures
 
 
@@ -302,12 +302,10 @@ def run_verify(params: VerifyParams, workers: int = 1) -> dict:
     checks, failures = _merge_chunks(chunks)
     checks_run = sum(c["run"] for c in checks.values())
     n_failures = sum(c["fail"] for c in checks.values())
-    margins = [c["worst_margin"] for c in checks.values() if c["worst_margin"] is not None]
     counters = {
         "checks_run": checks_run,
         "passes": checks_run - n_failures,
         "failures": n_failures,
-        "worst_margin": min(margins) if margins else None,
     }
     return {
         "schema": 1,
@@ -320,12 +318,15 @@ def run_verify(params: VerifyParams, workers: int = 1) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.M < args.m:
-        raise UsageError("M must be >= m")
-    if args.m <= 0:
-        raise UsageError("m must be > 0")
+    m, M = check_bounds(args.m, args.M)
+    try:
+        tol = check_tol(args.tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if min(args.n, args.d, args.k) < 1 or args.d > args.n * args.k:
+        raise UsageError("need n, d, k >= 1 and d <= n*k for a Stinespring isometry")
     ambient = args.N if args.N is not None else 2 * args.n
     if ambient < 2 * args.n:
         raise UsageError("N must be >= 2n")
@@ -335,10 +336,10 @@ def cmd_verify(args) -> int:
         rank=args.n,
         out_dim=args.d,
         ancilla=args.k,
-        m=float(args.m),
-        M=float(args.M),
+        m=m,
+        M=M,
         p_values=tuple(parse_p_list(args.p)),
-        tol=float(args.tol),
+        tol=tol,
         seed=args.seed,
     )
     report = run_verify(params, workers=worker_count())
@@ -346,16 +347,12 @@ def cmd_verify(args) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     counters = report["manifest"]["counters"]
-    worst = counters["worst_margin"]
     print(
         f"verify: {params.trials} trials, p={list(params.p_values)}, "
         f"N={params.ambient}, n={params.rank}, d={params.out_dim}, "
         f"k={params.ancilla}, m={params.m:g}, M={params.M:g}, tol={params.tol:g}"
     )
-    print(
-        f"checks run: {counters['checks_run']}, failures: {counters['failures']}, "
-        f"worst margin: {worst if worst is None else repr(worst)}"
-    )
+    print(f"checks run: {counters['checks_run']}, failures: {counters['failures']}")
     print(f"report: {args.out}")
     return 0 if report["pass"] else 1
 
@@ -383,10 +380,8 @@ def bounds_table(m: float, M: float, p_values) -> str:
 
 
 def cmd_bounds(args) -> int:
-    if args.m <= 0 or args.M < args.m:
-        raise UsageError("need 0 < m <= M")
-    p_values = parse_p_list(args.p_grid)
-    table = bounds_table(float(args.m), float(args.M), p_values)
+    m, M = check_bounds(args.m, args.M)
+    table = bounds_table(m, M, parse_p_list(args.p_grid))
     if args.csv == "-":
         sys.stdout.write(table)
     else:
@@ -426,7 +421,7 @@ def cmd_search(args) -> int:
     )
     try:
         cfg.validate()
-    except (ValueError, InvalidBounds) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     started = _now()
     record = run_search(cfg, workers=worker_count())
@@ -437,8 +432,6 @@ def cmd_search(args) -> int:
     counters = {
         "checks_run": record.trials_done,
         "passes": record.trials_done - record.skipped - record.refine_errors,
-        "failures": 0,
-        "worst_margin": None,
         "skipped": record.skipped,
         "refine_errors": record.refine_errors,
     }
@@ -477,11 +470,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_extremal(args) -> int:
-    if args.m <= 0 or args.M < args.m:
-        raise UsageError("need 0 < m <= M")
-    m, M, p = float(args.m), float(args.M), float(args.p)
-    if not (math.isfinite(p) and p > 0):
-        raise UsageError("need p > 0")
+    m, M = check_bounds(args.m, args.M)
+    p = check_exponent(args.p)
     degenerate = M == m
     inst = degenerate_instance(m) if degenerate else extremal_instance(m, M)
     s, t = compressed_products(inst)
@@ -583,10 +573,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidBounds as exc:
+    except (UsageError, InvalidBounds, InvalidExponent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WielandtLabError as exc:

@@ -9,10 +9,6 @@ class DimensionMismatch(WielandtLabError):
     """Operands have incompatible shapes."""
 
 
-# Generator-facing alias (raised when an ambient space is too small).
-DimensionError = DimensionMismatch
-
-
 class NotPSD(WielandtLabError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
@@ -26,7 +22,7 @@ class InvalidExponent(WielandtLabError):
 
 
 class InvalidBounds(WielandtLabError):
-    """Spectral bounds must satisfy 0 < m <= M (strict where noted)."""
+    """Spectral bounds must be finite with 0 < m <= M (strict where noted)."""
 
 
 class PreconditionViolated(WielandtLabError):

@@ -5,14 +5,21 @@ combined bundle used by every inequality check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidBounds
-from .maps import IdentityMap, PositiveMap, map_from_json, map_to_json
+from .errors import DimensionMismatch, InvalidBounds
+from .maps import (
+    ISOMETRY_TOL,
+    IdentityMap,
+    PositiveMap,
+    check_isometry,
+    map_from_json,
+    map_to_json,
+)
 from .matcore import (
-    as_cmatrix,
     as_herm,
     frob,
     herm_eig,
@@ -22,22 +29,10 @@ from .matcore import (
 )
 from .sampling import haar_unitary, mix_seed, rng_from
 
-ISOMETRY_TOL = 1e-12
-
 # gen_instance's sub-seed tags, one generator per component.
 TAG_OPERATOR = "operator"
 TAG_ISOMETRIES = "isometries"
 TAG_MAP = "map"
-
-
-def check_isometry(x, tol: float = ISOMETRY_TOL) -> np.ndarray:
-    """Validate orthonormal columns (X*X = I) and return the array."""
-    m = as_cmatrix(x)
-    gram = m.conj().T @ m
-    err = frob(gram - np.eye(m.shape[1]))
-    if err > tol * max(1.0, frob(gram)):
-        raise ValueError(f"columns are not orthonormal (defect {err:g})")
-    return m
 
 
 @dataclass(eq=False)
@@ -66,31 +61,30 @@ class Instance:
         return self.phi.out_dim
 
 
-def _check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float]:
+def check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float]:
+    """(m, M) as floats; raises InvalidBounds unless both are finite and
+    0 < m <= M (m < M when `strict`)."""
     m = float(m)
     M = float(M)
-    if not (np.isfinite(m) and np.isfinite(M)) or m <= 0.0 or M < m:
-        raise InvalidBounds(f"need 0 < m <= M, got m={m!r}, M={M!r}")
+    if not (math.isfinite(m) and math.isfinite(M)) or m <= 0.0 or M < m:
+        raise InvalidBounds(f"need finite 0 < m <= M, got m={m!r}, M={M!r}")
     if strict and M == m:
         raise InvalidBounds(f"need m < M strictly, got m = M = {m!r}")
     return m, M
 
 
-def gen_operator(
-    seed: int, n_dim: int, m: float, M: float, force_endpoints: bool = True
-) -> np.ndarray:
+def gen_operator(seed: int, n_dim: int, m: float, M: float) -> np.ndarray:
     """Random Hermitian A = U diag(lam) U* with Haar U and lam uniform in
-    [m, M]; with force_endpoints the extreme eigenvalues are pinned to m and M
-    exactly so the bounds are attained."""
-    m, M = _check_bounds(m, M)
+    [m, M]; the extreme eigenvalues are pinned to m and M exactly so the
+    bounds are attained."""
+    m, M = check_bounds(m, M)
     if n_dim < 2:
-        raise DimensionError("need dimension >= 2")
+        raise DimensionMismatch("need dimension >= 2")
     rng = rng_from(seed)
     u = haar_unitary(rng, n_dim)
     lam = np.sort(rng.uniform(m, M, size=n_dim))
-    if force_endpoints:
-        lam[0] = m
-        lam[-1] = M
+    lam[0] = m
+    lam[-1] = M
     return hermitian_part((u * lam) @ u.conj().T)
 
 
@@ -98,7 +92,7 @@ def gen_isometry_pair(seed: int, n_dim: int, rank: int) -> tuple[np.ndarray, np.
     """(X, Y) = first and next `rank` columns of a Haar unitary on C^n_dim;
     X*X = Y*Y = I and X*Y = 0 by construction."""
     if rank < 1 or n_dim < 2 * rank:
-        raise DimensionError(f"need ambient >= 2*rank >= 2, got {n_dim} < {2 * rank}")
+        raise DimensionMismatch(f"need ambient >= 2*rank >= 2, got {n_dim} < {2 * rank}")
     u = haar_unitary(rng_from(seed), n_dim)
     return u[:, :rank].copy(), u[:, rank : 2 * rank].copy()
 
@@ -113,7 +107,7 @@ def extremal_instance(m: float, M: float) -> Instance:
     """The 2x2 equality case: A with eigenvalues {m, M} and eigenvectors at 45
     degrees to X = e1, Y = e2, identity map.  It attains equality in the
     operator Wielandt inequality, with both sides ((M-m)/(M+m))^2 (M+m)/2."""
-    m, M = _check_bounds(m, M, strict=True)
+    m, M = check_bounds(m, M, strict=True)
     x = np.array([[1.0], [0.0]], dtype=np.complex128)
     y = np.array([[0.0], [1.0]], dtype=np.complex128)
     return Instance(_extremal_operator(m, M), m, M, x, y, IdentityMap(1), seed=0)
@@ -122,9 +116,7 @@ def extremal_instance(m: float, M: float) -> Instance:
 def degenerate_instance(m: float) -> Instance:
     """Collapsed-spectrum companion of the extremal case (A = m I, so the
     off-diagonal compression vanishes identically)."""
-    m = float(m)
-    if not np.isfinite(m) or m <= 0.0:
-        raise InvalidBounds(f"need m > 0, got {m!r}")
+    m, _ = check_bounds(m, m)
     x = np.array([[1.0], [0.0]], dtype=np.complex128)
     y = np.array([[0.0], [1.0]], dtype=np.complex128)
     return Instance(_extremal_operator(m, m), m, m, x, y, IdentityMap(1), seed=0)
@@ -139,30 +131,30 @@ def gen_instance(
     m: float,
     M: float,
     identity_phi: bool = False,
-    force_endpoints: bool = True,
 ) -> Instance:
     """Combine the generators with fixed sub-seed mixing so the bundle is
     deterministic in `seed` and component streams stay independent."""
     from .maps import random_unital_cp  # local import keeps module load light
 
-    m, M = _check_bounds(m, M)
+    m, M = check_bounds(m, M)
     if N < 2 * n:
-        raise DimensionError(f"need N >= 2n, got N={N}, n={n}")
-    a = gen_operator(mix_seed(seed, TAG_OPERATOR), N, m, M, force_endpoints)
+        raise DimensionMismatch(f"need N >= 2n, got N={N}, n={n}")
+    a = gen_operator(mix_seed(seed, TAG_OPERATOR), N, m, M)
     x, y = gen_isometry_pair(mix_seed(seed, TAG_ISOMETRIES), N, n)
     if identity_phi:
         if d != n:
-            raise DimensionError("identity map needs d == n")
+            raise DimensionMismatch("identity map needs d == n")
         phi: PositiveMap = IdentityMap(n)
     else:
         phi = random_unital_cp(mix_seed(seed, TAG_MAP), n, d, k)
     return Instance(a, m, M, x, y, phi, seed=seed)
 
 
-def validate_instance(
-    inst: Instance, tol: float = 1e-10, exact_endpoints: bool = True
-) -> list[str]:
-    """Return a list of invariant violations (empty when the bundle is sound)."""
+def validate_instance(inst: Instance, tol: float = 1e-10) -> list[str]:
+    """Return a list of invariant violations (empty when the bundle is sound):
+    shapes, orthonormal and mutually orthogonal frames, the spectrum of A
+    inside [m, M] with its endpoints pinned to m and M, and the map's input
+    dimension."""
     problems: list[str] = []
     a = as_herm(inst.a)
     n_amb = inst.ambient
@@ -173,8 +165,8 @@ def validate_instance(
     if n_amb < 2 * rank:
         problems.append(f"ambient {n_amb} smaller than 2*rank {2 * rank}")
     try:
-        check_isometry(inst.x)
-        check_isometry(inst.y)
+        check_isometry(inst.x, "X")
+        check_isometry(inst.y, "Y")
     except ValueError as exc:
         problems.append(str(exc))
     cross = frob(inst.x.conj().T @ inst.y)
@@ -185,12 +177,10 @@ def validate_instance(
     scale = max(1.0, abs(inst.m), abs(inst.M))
     if lo < inst.m - tol * scale or hi > inst.M + tol * scale:
         problems.append(f"spectrum [{lo:g}, {hi:g}] escapes [{inst.m:g}, {inst.M:g}]")
-    if exact_endpoints:
-        if abs(lo - inst.m) > 1e-12 * scale or abs(hi - inst.M) > 1e-12 * scale:
-            problems.append(
-                f"spectral endpoints [{lo:g}, {hi:g}] not pinned to "
-                f"[{inst.m:g}, {inst.M:g}]"
-            )
+    if abs(lo - inst.m) > 1e-12 * scale or abs(hi - inst.M) > 1e-12 * scale:
+        problems.append(
+            f"spectral endpoints [{lo:g}, {hi:g}] not pinned to [{inst.m:g}, {inst.M:g}]"
+        )
     if inst.phi.in_dim != rank:
         problems.append(
             f"map input dimension {inst.phi.in_dim} differs from rank {rank}"

@@ -1,12 +1,18 @@
 """Unital positive linear maps: representations, application, Choi matrices,
 complete-positivity certificates, and a sampling probe for 2-positivity.
 
-All shipped representations act in the "compression" convention: a map with
-input dimension n and output dimension d sends an n x n matrix T to a d x d
-matrix, e.g. V*TV for an isometry-column matrix V.  Complete positivity is
-certified through the Choi matrix; a CP certificate is sufficient for the
-2-positivity assumed by the inequality checks, while arbitrary user maps can
-only be probed by sampling (a necessary condition, not a certificate).
+Maps act in the "compression" convention: a map with input dimension n and
+output dimension d sends an n x n matrix T to a d x d matrix.  Three
+representations cover every map the laboratory uses: the identity, a
+Stinespring isometry W with T -> W*(T (x) I_k)W, and an arbitrary linear
+action on vec(T).  A compression V*TV is a Stinespring map with k = 1; Kraus
+operators K_1..K_k stack on the ancilla (row i*k + a of W is row i of K_a);
+a convex mix of CP maps scales each part's Kraus operators by the square root
+of its weight; a mix with non-CP parts is a linear action.  Complete
+positivity is certified through the Choi matrix; a CP certificate is
+sufficient for the 2-positivity assumed by the inequality checks, while
+arbitrary user maps can only be probed by sampling (a necessary condition,
+not a certificate).
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .sampling import complex_gaussian, haar_isometry, rng_from
 ISOMETRY_TOL = 1e-12
 
 
-def _check_isometry_columns(v: np.ndarray, what: str) -> None:
+def check_isometry(v: np.ndarray, what: str) -> None:
+    """Raise ValueError unless V*V = I within ISOMETRY_TOL * max(1, ||V*V||_F)."""
     gram = v.conj().T @ v
     err = frob(gram - np.eye(v.shape[1]))
     if err > ISOMETRY_TOL * max(1.0, frob(gram)):
@@ -87,67 +94,6 @@ class IdentityMap(PositiveMap):
 
 
 @dataclass(frozen=True, eq=False)
-class CompressionMap(PositiveMap):
-    """T -> V*TV for an n x d matrix V with orthonormal columns."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = as_cmatrix(self.v)
-        if v.shape[0] < v.shape[1]:
-            raise DimensionMismatch("compression frame must be tall (n >= d)")
-        _check_isometry_columns(v, "compression frame")
-        object.__setattr__(self, "v", v)
-
-    @property
-    def in_dim(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.v.shape[1]
-
-    def apply(self, t) -> np.ndarray:
-        m = self._check_input(t)
-        return self.v.conj().T @ m @ self.v
-
-
-@dataclass(frozen=True, eq=False)
-class KrausMap(PositiveMap):
-    """T -> sum_i K_i* T K_i with n x d operators satisfying sum K_i*K_i = I_d."""
-
-    ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(as_cmatrix(k) for k in self.ops)
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise DimensionMismatch("Kraus operators must share one shape")
-        total = sum(k.conj().T @ k for k in ops)
-        err = frob(total - np.eye(shape[1]))
-        if err > ISOMETRY_TOL * max(1.0, frob(total)):
-            raise ValueError(f"Kraus family is not unital (defect {err:g})")
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def in_dim(self) -> int:
-        return self.ops[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.ops[0].shape[1]
-
-    def apply(self, t) -> np.ndarray:
-        m = self._check_input(t)
-        out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
-        for k in self.ops:
-            out += k.conj().T @ m @ k
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class StinespringMap(PositiveMap):
     """T -> W*(T (x) I_k)W for an (n*k) x d isometry W with ancilla size k."""
 
@@ -160,7 +106,7 @@ class StinespringMap(PositiveMap):
             raise DimensionMismatch(
                 f"rows {w.shape[0]} not divisible by ancilla {self.ancilla}"
             )
-        _check_isometry_columns(w, "Stinespring isometry")
+        check_isometry(w, "Stinespring isometry")
         object.__setattr__(self, "w", w)
 
     @property
@@ -174,48 +120,6 @@ class StinespringMap(PositiveMap):
     def apply(self, t) -> np.ndarray:
         m = self._check_input(t)
         return self.w.conj().T @ tensor_identity(m, self.ancilla) @ self.w
-
-    def kraus_ops(self) -> list[np.ndarray]:
-        """Ancilla slices of W; sum K_a* K_a = W*W = I."""
-        n, k, d = self.in_dim, self.ancilla, self.out_dim
-        cube = self.w.reshape(n, k, d)
-        return [cube[:, a, :].copy() for a in range(k)]
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexMap(PositiveMap):
-    weights: tuple
-    parts: tuple
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        parts = tuple(self.parts)
-        if len(weights) != len(parts) or not parts:
-            raise ValueError("weights and parts must be nonempty and match")
-        if any(w < -1e-15 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
-        dims = {(p.in_dim, p.out_dim) for p in parts}
-        if len(dims) != 1:
-            raise DimensionMismatch("component maps must share dimensions")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def in_dim(self) -> int:
-        return self.parts[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.parts[0].out_dim
-
-    def apply(self, t) -> np.ndarray:
-        m = self._check_input(t)
-        out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
-        for w, part in zip(self.weights, self.parts):
-            out += w * part.apply(m)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,11 +153,6 @@ class LinearActionMap(PositiveMap):
         m = self._check_input(t)
         vec = m.reshape(-1)
         return (self.matrix @ vec).reshape(self.out_dim, self.out_dim)
-
-
-def apply(phi: PositiveMap, t) -> np.ndarray:
-    """Apply a map to an in_dim x in_dim matrix."""
-    return phi.apply(t)
 
 
 def is_unital(phi: PositiveMap, tol: float = 1e-12) -> bool:
@@ -388,23 +287,11 @@ def map_to_json(phi: PositiveMap) -> dict:
     """Tagged-union JSON form mirroring the representation."""
     if isinstance(phi, IdentityMap):
         return {"type": "identity", "dim": phi.dim}
-    if isinstance(phi, CompressionMap):
-        return {"type": "compression", "v": matrix_to_json(phi.v)}
-    if isinstance(phi, KrausMap):
-        return {"type": "kraus", "ops": [matrix_to_json(k) for k in phi.ops]}
     if isinstance(phi, StinespringMap):
         return {
             "type": "stinespring",
             "w": matrix_to_json(phi.w),
             "ancilla": phi.ancilla,
-        }
-    if isinstance(phi, ConvexMap):
-        return {
-            "type": "convex",
-            "terms": [
-                {"weight": w, "map": map_to_json(p)}
-                for w, p in zip(phi.weights, phi.parts)
-            ],
         }
     if isinstance(phi, LinearActionMap):
         return {
@@ -420,18 +307,8 @@ def map_from_json(obj: dict) -> PositiveMap:
     kind = obj["type"]
     if kind == "identity":
         return IdentityMap(int(obj["dim"]))
-    if kind == "compression":
-        return CompressionMap(matrix_from_json(obj["v"]))
-    if kind == "kraus":
-        return KrausMap(tuple(matrix_from_json(k) for k in obj["ops"]))
     if kind == "stinespring":
         return StinespringMap(matrix_from_json(obj["w"]), int(obj["ancilla"]))
-    if kind == "convex":
-        terms = obj["terms"]
-        return ConvexMap(
-            tuple(t["weight"] for t in terms),
-            tuple(map_from_json(t["map"]) for t in terms),
-        )
     if kind == "linear":
         return LinearActionMap(
             matrix_from_json(obj["matrix"]), int(obj["in_dim"]), int(obj["out_dim"])

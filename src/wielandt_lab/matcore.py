@@ -1,5 +1,5 @@
-"""Dense complex matrix core: Hermitian eigendecomposition, spectral calculus,
-operator norm, and Loewner-order tests.
+"""Dense complex matrix core: Hermitian eigendecomposition (single matrices
+and stacks), spectral powers, operator norm, and the JSON matrix form.
 
 Everything operates on plain ``complex128`` numpy arrays.  Hermitian inputs
 are symmetrized ``(H + H*)/2`` on entry so accumulated arithmetic drift cannot
@@ -158,49 +158,37 @@ def _eig_scale(w: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
 
 
-def eig_pow_psd(d: EigDecomp, p: float, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """S^p from a decomposition of PSD S; eigenvalues in [-psd_tol*scale, 0)
+def eig_pow_psd(d: EigDecomp, p: float) -> np.ndarray:
+    """S^p from a decomposition of PSD S; eigenvalues in [-PSD_TOL*scale, 0)
     are clamped to zero (convention 0^p = 0)."""
     w, v = d
     scale = _eig_scale(w)
-    if float(w[0]) < -psd_tol * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:g} below -{psd_tol:g}*{scale:g}")
+    if float(w[0]) < -PSD_TOL * scale:
+        raise NotPSD(f"minimum eigenvalue {w[0]:g} below -{PSD_TOL:g}*{scale:g}")
     wc = np.where(w < 0.0, 0.0, w)
     return hermitian_part((v * wc**p) @ v.conj().T)
 
 
-def eig_pow_pd(d: EigDecomp, p: float, pd_tol: float = PD_TOL) -> np.ndarray:
+def eig_pow_pd(d: EigDecomp, p: float) -> np.ndarray:
     """T^p (any real p, including negative) from a decomposition of PD T."""
     w, v = d
     scale = _eig_scale(w)
-    if float(w[0]) <= pd_tol * scale:
-        raise Singular(f"minimum eigenvalue {w[0]:g} below {pd_tol:g}*{scale:g}")
+    if float(w[0]) <= PD_TOL * scale:
+        raise Singular(f"minimum eigenvalue {w[0]:g} below {PD_TOL:g}*{scale:g}")
     return hermitian_part((v * w**p) @ v.conj().T)
 
 
-def _check_exponent(p: float) -> float:
+def check_exponent(p: float) -> float:
+    """The exponent as a float; raises InvalidExponent unless finite and > 0."""
     p = float(p)
     if not math.isfinite(p) or p <= 0.0:
-        raise InvalidExponent(f"exponent must be finite and > 0, got {p!r}")
+        raise InvalidExponent(f"need a finite exponent p > 0, got {p!r}")
     return p
 
 
-def mat_pow(s, p: float, psd_tol: float = PSD_TOL) -> np.ndarray:
+def mat_pow(s, p: float) -> np.ndarray:
     """S^p for PSD Hermitian S and p > 0, via spectral calculus."""
-    p = _check_exponent(p)
-    return eig_pow_psd(herm_eig(s), p, psd_tol=psd_tol)
-
-
-def mat_inv_pow(t, p: float, pd_tol: float = PD_TOL) -> np.ndarray:
-    """T^{-p} for PD Hermitian T and p > 0."""
-    p = _check_exponent(p)
-    return eig_pow_pd(herm_eig(t), -p, pd_tol=pd_tol)
-
-
-def abs_op(h) -> np.ndarray:
-    """Spectral absolute value of a Hermitian matrix (flips negative eigenvalues)."""
-    w, v = herm_eig(h)
-    return hermitian_part((v * np.abs(w)) @ v.conj().T)
+    return eig_pow_psd(herm_eig(s), check_exponent(p))
 
 
 def op_norm(x) -> float:
@@ -219,31 +207,6 @@ def herm_norm(h) -> float:
     """Operator norm of a Hermitian matrix (max |eigenvalue|)."""
     w, _ = herm_eig(h)
     return float(np.max(np.abs(w))) if w.size else 0.0
-
-
-class LoewnerResult(NamedTuple):
-    ok: bool
-    min_eigenvalue: float  # of B - A; >= -threshold when ok
-    witness: np.ndarray  # unit vector attaining the minimum eigenvalue
-    threshold: float
-
-
-def loewner_leq(a, b, tol: float = 1e-9) -> LoewnerResult:
-    """Test A <= B in the Loewner order within a relative tolerance.
-
-    Passes iff the minimum eigenvalue of B - A is >= -tol * max(1, ||A||, ||B||);
-    the witness is that eigenvalue's eigenvector.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    am = as_herm(a)
-    bm = as_herm(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatch(f"shape mismatch {am.shape} vs {bm.shape}")
-    w, v = herm_eig(bm - am)
-    threshold = tol * max(1.0, herm_norm(am), herm_norm(bm))
-    lam = float(w[0])
-    return LoewnerResult(lam >= -threshold, lam, v[:, 0].copy(), threshold)
 
 
 def matrix_to_json(a) -> dict:

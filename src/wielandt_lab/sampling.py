@@ -82,11 +82,6 @@ def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return qr_positive(complex_gaussian(rng, rows, cols))
 
 
-def orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Re-project a numerically drifted frame back onto orthonormal columns."""
-    return qr_positive(a)
-
-
 def fan_out(fn, head: tuple, trials: int, workers: int) -> list:
     """Results of ``fn(*head, start, stop)`` over contiguous trial ranges that
     cover [0, trials), in range order: one range per worker, the first run in

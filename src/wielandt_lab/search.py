@@ -33,13 +33,15 @@ from .bounds import (
     bound_thm1,
     bound_thm2,
     bound_thm3,
+    check_tol,
     compressed_products,
     gamma_from_products,
     wielandt_factor,
 )
-from .errors import DegenerateBounds, InvalidBounds, Singular, WielandtLabError
+from .errors import DegenerateBounds, Singular, WielandtLabError
 from .instances import (
     Instance,
+    check_bounds,
     extremal_instance,
     gen_instance,
     instance_from_json,
@@ -47,22 +49,15 @@ from .instances import (
 )
 from .maps import StinespringMap
 from .matcore import (
-    PSD_TOL,
+    check_exponent,
     eig_pow_pd,
     herm_eig,
     herm_eig_stack,
     hermitian_part,
     op_norm,
 )
-from .sampling import complex_gaussian, fan_out, mix_seed, orthonormalize, rng_from
-from .stacked import (
-    BLOCK_SIZE,
-    adj,
-    clamp_psd,
-    compressed_products_stack,
-    stack_pow,
-    stack_scale,
-)
+from .sampling import complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
+from .stacked import BLOCK_SIZE, adj, compressed_products_stack, gamma_stack, stack_pow
 
 OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3")
 
@@ -84,22 +79,6 @@ def conjecture_ratio(inst: Instance) -> float:
     s, t = compressed_products(inst)
     t_inv = eig_pow_pd(herm_eig(t), -1.0)
     return op_norm(s @ t_inv) / wielandt_factor(inst.m, inst.M)
-
-
-def corollary_ratios(inst: Instance) -> tuple[float, float]:
-    """Normalized probes of the two consequences of the conjecture, using the
-    inverse-ordered product G = S T^{-1}: r2 compares |||G+G*|/2|| and r3 the
-    top eigenvalue of (G+G*)/2 against ((M-m)/(M+m))^2."""
-    if inst.M == inst.m:
-        raise DegenerateBounds("ratio undefined for m == M")
-    s, t = compressed_products(inst)
-    t_inv = eig_pow_pd(herm_eig(t), -1.0)
-    g = s @ t_inv
-    w, _ = herm_eig((g + g.conj().T) / 2.0)
-    factor = wielandt_factor(inst.m, inst.M)
-    r2 = float(np.max(np.abs(w))) / factor if w.size else 0.0
-    r3 = float(w[-1]) / factor if w.size else 0.0
-    return r2, r3
 
 
 @dataclass
@@ -124,20 +103,15 @@ class SearchConfig:
             raise ValueError("trials must be >= 1")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
-        if not (0.0 < self.m < self.M):
-            raise InvalidBounds(
-                f"search needs 0 < m < M strictly, got m={self.m!r}, M={self.M!r}"
-            )
-        if self.ambient < 2 * self.rank or min(self.rank, self.out_dim, self.ancilla) < 1:
-            raise ValueError(
-                f"invalid dims N={self.ambient}, n={self.rank}, "
-                f"d={self.out_dim}, k={self.ancilla}"
-            )
+        check_bounds(self.m, self.M, strict=True)
+        check_tol(self.tol)
+        n, d, k = self.rank, self.out_dim, self.ancilla
+        if self.ambient < 2 * n or min(n, d, k) < 1 or d > n * k:  # no Stinespring isometry
+            raise ValueError(f"invalid dims N={self.ambient}, n={n}, d={d}, k={k}")
         if self.objective != "conjecture":
             if self.p is None:
                 raise ValueError(f"objective {self.objective} requires p")
-            if not (math.isfinite(self.p) and self.p > 0.0):
-                raise ValueError(f"need p > 0, got {self.p!r}")
+            check_exponent(self.p)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -205,21 +179,15 @@ def _block_values(cfg: SearchConfig, indices: range) -> np.ndarray:
     marks a lane the scalar path must decide: an operator may be singular, a
     spectrum precondition may fail, or the isometry check failed."""
     seeds = [mix_seed(cfg.seed, index) for index in indices]
-    s, _, (t_w, t_v), bad = compressed_products_stack(
+    s, _, t_eig, bad = compressed_products_stack(
         seeds, cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
     )
     if cfg.objective == "conjecture":
-        g = s @ stack_pow(t_w, t_v, -1.0, bad)
+        g = s @ stack_pow(*t_eig, -1.0, bad)
         top = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues[:, -1]
         values = np.sqrt(np.maximum(top, 0.0)) / wielandt_factor(cfg.m, cfg.M)
     else:
-        # gamma_from_products' spectrum window and eig_pow_psd's PSD check
-        s_w, s_v = herm_eig_stack(s)
-        spread = 0.5e-8 * max(1.0, cfg.M)
-        bad |= ~((t_w[:, 0] >= cfg.m - spread) & (t_w[:, -1] <= cfg.M + spread))
-        bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(s_w))
-        g = stack_pow(clamp_psd(s_w), s_v, cfg.p, bad)
-        g = g @ stack_pow(t_w, t_v, -cfg.p, bad)
+        _, bad, [(_, g)] = gamma_stack(s, t_eig, bad, cfg.m, cfg.M, (cfg.p,))
         half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
         values = np.abs(half_sym).max(axis=-1) / _BOUND_FNS[cfg.objective](cfg.m, cfg.M, cfg.p)
     values[bad] = np.nan
@@ -355,11 +323,11 @@ class _RefineState:
                 self.m,
                 self.M,
             )
-        basis_a = orthonormalize(self.basis_a @ _small_unitary(rng, self.lam.size, step))
-        basis_xy = orthonormalize(self.basis_xy @ _small_unitary(rng, self.lam.size, step))
+        basis_a = qr_positive(self.basis_a @ _small_unitary(rng, self.lam.size, step))
+        basis_xy = qr_positive(self.basis_xy @ _small_unitary(rng, self.lam.size, step))
         if self.w_iso is not None:
             rows = self.w_iso.shape[0]
-            w_iso = orthonormalize(_small_unitary(rng, rows, step) @ self.w_iso)
+            w_iso = qr_positive(_small_unitary(rng, rows, step) @ self.w_iso)
         else:
             w_iso = None
         return _RefineState(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .instances import TAG_ISOMETRIES, TAG_MAP, TAG_OPERATOR
 from .maps import ISOMETRY_TOL, tensor_identity
-from .matcore import PD_TOL, EigDecomp, herm_eig_stack, hermitian_part
+from .matcore import PD_TOL, PSD_TOL, EigDecomp, herm_eig_stack, hermitian_part
 from .sampling import mix_seed, qr_positive, rng_from
 
 # Trial indices evaluated together as one stack.
@@ -112,3 +112,23 @@ def compressed_products_stack(
     s = hermitian_part(bxy @ stack_pow(c_w, c_v, -1.0, c_bad) @ byx)
     bad |= c_bad | not_pd(t_w)
     return s, t, EigDecomp(t_w, t_v), bad
+
+
+def gamma_stack(
+    s: np.ndarray, t_eig: EigDecomp, bad: np.ndarray, m: float, M: float, p_values
+) -> tuple:
+    """gamma_from_products on stacks.  Returns (s_eig, bad, powers): S's
+    eigendecomposition; `bad` widened by the lanes on which the spectrum
+    window of T or the PSD check of S could fail (at half the scalar
+    thresholds); and (S^p, Gamma = S^p T^{-p}) for each exponent."""
+    s_w, s_v = herm_eig_stack(s)
+    t_w, t_v = t_eig
+    spread = 0.5e-8 * max(1.0, M)
+    bad = bad | ~((t_w[:, 0] >= m - spread) & (t_w[:, -1] <= M + spread))
+    bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(s_w))
+    s_psd = clamp_psd(s_w)
+    powers = []
+    for p in p_values:
+        sp = stack_pow(s_psd, s_v, p, bad)
+        powers.append((sp, sp @ stack_pow(t_w, t_v, -p, bad)))
+    return EigDecomp(s_w, s_v), bad, powers

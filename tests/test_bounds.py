@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from wielandt_lab import bounds, instances, maps
-from wielandt_lab.errors import InvalidBounds, NotPSD, PreconditionViolated
-from wielandt_lab.matcore import EigDecomp
+from wielandt_lab.errors import InvalidBounds, InvalidExponent, NotPSD, PreconditionViolated
+from wielandt_lab.matcore import EigDecomp, herm_eig, herm_norm
+from wielandt_lab.sampling import mix_seed
 
 from conftest import rand_psd
 
@@ -38,6 +40,11 @@ def loose_scalar_instance():
     )
 
 
+def instance_reports(inst, p=1.0):
+    """run_instance_checks(inst, [p]), the code verify runs, by check name."""
+    return {r.check: r for r in bounds.run_instance_checks(inst, [p])}
+
+
 class TestBoundFormulas:
     @pytest.mark.parametrize(("name", "p"), sorted(FROZEN, key=str))
     def test_frozen_values(self, name, p):
@@ -66,6 +73,8 @@ class TestBoundFormulas:
         with pytest.raises(InvalidBounds):
             fn(2.0, 1.0, 1.0)
         with pytest.raises(InvalidBounds):
+            fn(1.0, math.inf, 1.0)
+        with pytest.raises(InvalidExponent):
             fn(1.0, 2.0, 0.0)
 
     def test_ceil_exponent(self):
@@ -155,100 +164,96 @@ class TestLhsValues:
         assert vals.half_abs_norm == pytest.approx(0.5, abs=1e-13)
 
     def test_sym_below_abs_in_loewner_order(self):
-        from wielandt_lab.matcore import loewner_leq
-
         for seed in range(5):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
             vals = bounds.lhs_values(bounds.gamma(inst, 1.5))
-            assert loewner_leq(vals.half_sym, vals.half_abs, 1e-11).ok
+            gap = herm_eig(vals.half_abs - vals.half_sym).eigenvalues[0]
+            scale = max(1.0, herm_norm(vals.half_abs), herm_norm(vals.half_sym))
+            assert gap >= -1e-11 * scale
 
 
 class TestBhatiaDavis:
     def test_extremal_equality_margin(self):
-        rep = bounds.check_bhatia_davis(instances.extremal_instance(1.0, 2.0))
+        rep = instance_reports(instances.extremal_instance(1.0, 2.0))["bhatia_davis"]
         assert rep.passed
         assert abs(rep.margin) <= 1e-12
 
     def test_scalar_matrix_passes(self):
-        rep = bounds.check_bhatia_davis(loose_scalar_instance())
-        assert rep.passed
+        assert instance_reports(loose_scalar_instance())["bhatia_davis"].passed
 
     def test_random_batch(self):
         for seed in range(300):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            rep = bounds.check_bhatia_davis(inst)
+            rep = instance_reports(inst)["bhatia_davis"]
             assert rep.passed, (seed, rep.margin)
 
     def test_report_serialization_fields(self):
-        rep = bounds.check_bhatia_davis(instances.extremal_instance(1.0, 2.0))
+        rep = instance_reports(instances.extremal_instance(1.0, 2.0))["bhatia_davis"]
         blob = rep.to_json()
-        for key in ("check", "lhs", "bound", "margin", "loewner_pass", "norm_pass",
-                    "tol", "seed", "dims", "m", "M", "p"):
-            assert key in blob
-        assert blob["witness"]["eigenvalue"] == rep.witness.eigenvalue
+        assert list(blob) == [
+            "check", "lhs", "bound", "margin", "loewner_pass", "norm_pass",
+            "tol", "seed", "dims", "m", "M", "p", "witness",
+        ]
+        assert blob["witness"]["eigenvalue"] == rep.margin
 
 
 class TestTheoremChecks:
     def test_extremal_thm2_p1(self):
-        inst = instances.extremal_instance(1.0, 2.0)
-        rep_abs, rep_sym = bounds.check_theorem(inst, 1.0, 2)
+        reps = instance_reports(instances.extremal_instance(1.0, 2.0))
+        rep_abs, rep_sym = reps["thm2_abs"], reps["thm2_sym"]
         assert rep_abs.passed and rep_sym.passed
-        assert rep_abs.lhs == pytest.approx(1 / 9, abs=1e-13)
-        assert rep_abs.bound == pytest.approx(2 / 9, rel=1e-14)
+        assert rep_abs.payload["lhs"] == pytest.approx(1 / 9, abs=1e-13)
+        assert rep_abs.payload["bound"] == pytest.approx(2 / 9, rel=1e-14)
 
     def test_extremal_thm3_p1_margin(self):
-        inst = instances.extremal_instance(1.0, 2.0)
-        rep_abs, _ = bounds.check_theorem(inst, 1.0, 3)
+        rep_abs = instance_reports(instances.extremal_instance(1.0, 2.0))["thm3_abs"]
         assert rep_abs.passed
         expected_margin = bounds.bound_thm3(1, 2, 1) - 1 / 9
         assert rep_abs.margin == pytest.approx(expected_margin, rel=1e-10)
         assert expected_margin == pytest.approx(0.0067400190866468, rel=1e-10)
 
     def test_degenerate_instance_trivially_passes(self):
-        inst = instances.degenerate_instance(1.0)
+        reps = instance_reports(instances.degenerate_instance(1.0))
+        assert all(rep.passed for rep in reps.values())
         for which in (1, 2, 3):
-            rep_abs, rep_sym = bounds.check_theorem(inst, 1.0, which)
-            assert rep_abs.passed and rep_sym.passed
-            assert rep_abs.lhs <= 1e-14
-
-    def test_invalid_which(self):
-        with pytest.raises(ValueError):
-            bounds.check_theorem(instances.extremal_instance(1, 2), 1.0, 4)
+            assert reps[f"thm{which}_abs"].payload["lhs"] <= 1e-14
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0])
     def test_random_batch_all_theorems(self, p):
         for seed in range(60):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
+            reps = instance_reports(inst, p)
             for which in (1, 2, 3):
-                rep_abs, rep_sym = bounds.check_theorem(inst, p, which)
+                rep_abs, rep_sym = reps[f"thm{which}_abs"], reps[f"thm{which}_sym"]
                 assert rep_abs.passed and rep_sym.passed, (seed, p, which)
                 # the absolute-value form dominates the symmetric form
                 assert rep_sym.margin >= rep_abs.margin - 1e-12
 
 
 class TestGammaNorm:
+    """gamma_norm_le_thm2 reports ||Gamma|| as its lhs."""
+
     def test_extremal_half_p_equality(self):
-        assert bounds.gamma_norm(instances.extremal_instance(1.0, 2.0), 0.5) == pytest.approx(
-            1 / 3, abs=1e-14
-        )
+        rep = instance_reports(instances.extremal_instance(1.0, 2.0), 0.5)["gamma_norm_le_thm2"]
+        assert rep.payload["lhs"] == pytest.approx(1 / 3, abs=1e-14)
 
     def test_zero_gamma(self):
-        assert bounds.gamma_norm(loose_scalar_instance(), 1.0) <= 1e-14
+        rep = instance_reports(loose_scalar_instance())["gamma_norm_le_thm2"]
+        assert rep.payload["lhs"] <= 1e-14
 
     def test_norm_bounded_by_thm2_batch(self):
         for seed in range(60):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
             for p in (0.25, 0.5, 1.0, 3.0):
-                val = bounds.gamma_norm(inst, p)
+                val = instance_reports(inst, p)["gamma_norm_le_thm2"].payload["lhs"]
                 assert val <= bounds.bound_thm2(1.0, 2.0, p) * (1 + 1e-9), (seed, p)
 
     def test_sym_norm_dominated_by_gamma_norm(self):
         for seed in range(40):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            g = bounds.gamma(inst, 1.5)
-            rep = bounds.sym_gamma_norm_report(g)
+            rep = instance_reports(inst, 1.5)["sym_norm_le_gamma"]
             assert rep.passed
-            assert rep.lhs <= rep.bound + 1e-12
+            assert rep.payload["lhs"] <= rep.payload["bound"] + 1e-12
 
 
 class TestChainAndMonotone:
@@ -256,12 +261,15 @@ class TestChainAndMonotone:
         for seed in range(40):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
             for p in (0.25, 1.0, 2.5):
-                rep = bounds.chain_report(bounds.gamma(inst, p))
-                assert rep.passed, (seed, p, rep.links)
-                assert rep.links[3] == pytest.approx(bounds.bound_thm1(1, 2, p), rel=1e-14)
+                g = bounds.gamma(inst, p)
+                rep = bounds.chain_report(g, bounds.lhs_values(g).half_abs_norm)
+                links = rep.payload["links"]
+                assert rep.passed, (seed, p, links)
+                assert links[3] == pytest.approx(bounds.bound_thm1(1, 2, p), rel=1e-14)
 
     def test_chain_report_json(self):
-        rep = bounds.chain_report(bounds.gamma(instances.extremal_instance(1, 2), 1.0))
+        g = bounds.gamma(instances.extremal_instance(1, 2), 1.0)
+        rep = bounds.chain_report(g, bounds.lhs_values(g).half_abs_norm)
         blob = rep.to_json()
         assert blob["check"] == "thm1_chain"
         assert len(blob["links"]) == 4 and len(blob["link_margins"]) == 3
@@ -281,18 +289,21 @@ class TestChainAndMonotone:
 class TestLemmaBlockEquivalence:
     def test_boundary_identity(self):
         rep = bounds.check_lemma_block_equivalence(np.eye(2), 1.0)
-        assert rep.abs_ok and rep.norm_ok and rep.block_ok and rep.passed
+        blob = rep.payload
+        assert blob["abs_ok"] and blob["norm_ok"] and blob["block_ok"] and rep.passed
 
     def test_all_false_below_norm(self):
         x = np.array([[0.0, 2.0], [0.0, 0.0]])
         rep = bounds.check_lemma_block_equivalence(x, 1.0)
-        assert not rep.abs_ok and not rep.norm_ok and not rep.block_ok
+        blob = rep.payload
+        assert not blob["abs_ok"] and not blob["norm_ok"] and not blob["block_ok"]
         assert rep.passed  # three-way agreement
-        assert rep.x_norm == pytest.approx(2.0, abs=1e-12)
+        assert blob["x_norm"] == pytest.approx(2.0, abs=1e-12)
 
     def test_all_true_at_norm(self):
-        rep = bounds.check_lemma_block_equivalence(np.array([[0.0, 2.0], [0.0, 0.0]]), 2.0)
-        assert rep.abs_ok and rep.norm_ok and rep.block_ok
+        x = np.array([[0.0, 2.0], [0.0, 0.0]])
+        blob = bounds.check_lemma_block_equivalence(x, 2.0).payload
+        assert blob["abs_ok"] and blob["norm_ok"] and blob["block_ok"]
 
     def test_random_cases_agree(self):
         for seed in range(200):
@@ -348,8 +359,8 @@ class TestFactAnticommutator:
     def test_orthogonal_supports(self):
         rep = bounds.check_fact_norm_anticommutator(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert rep.passed
-        assert rep.lhs == pytest.approx(0.0, abs=1e-14)
-        assert rep.bound == pytest.approx(1.0, abs=1e-14)
+        assert rep.payload["lhs"] == pytest.approx(0.0, abs=1e-14)
+        assert rep.payload["bound"] == pytest.approx(1.0, abs=1e-14)
 
     def test_random_batch(self):
         for seed in range(200):
@@ -371,7 +382,7 @@ class TestScalarWielandt:
     def test_scalar_matrix(self):
         rep = bounds.check_scalar_wielandt([1, 0], [0, 1], 1.5 * np.eye(2), 1.0, 2.0)
         assert rep.passed
-        assert rep.lhs == pytest.approx(0.0, abs=1e-14)
+        assert rep.payload["lhs"] == pytest.approx(0.0, abs=1e-14)
 
     def test_random_batch(self):
         from wielandt_lab.sampling import haar_unitary, rng_from
@@ -462,7 +473,7 @@ class TestBatchDrivers:
     def test_run_instance_checks_names_and_passes(self):
         inst = instances.gen_instance(5, 4, 2, 2, 2, 1.0, 2.0)
         reports = bounds.run_instance_checks(inst, (0.5, 1.0, 2.0))
-        names = {r.name for r in reports}
+        names = {r.check for r in reports}
         expected = {
             "bhatia_davis", "thm1_abs", "thm1_sym", "thm2_abs", "thm2_sym",
             "thm3_abs", "thm3_sym", "abs_implies_sym", "sym_norm_le_gamma",
@@ -470,13 +481,49 @@ class TestBatchDrivers:
         }
         assert names == expected
         assert all(r.passed for r in reports)
-        assert all(r.name in bounds.ALL_CHECK_NAMES for r in reports)
+        assert all(r.check in bounds.ALL_CHECK_NAMES for r in reports)
 
     def test_run_lemma_trial_all_variants(self):
         for variant in range(4):
             reports = bounds.run_lemma_trial(17, 2, 4, 1.0, 2.0, variant=variant)
-            assert [r.name for r in reports] == [
+            assert [r.check for r in reports] == [
                 "block_norm_equivalence", "square_order",
                 "anticommutator_norm", "scalar_wielandt",
             ]
             assert all(r.passed for r in reports)
+
+
+# JSON keys of each kind of report, in emission order.
+REPORT_KEYS = {
+    "thm2_abs": ["check", "lhs", "bound", "margin", "loewner_pass", "norm_pass", "tol",
+                 "seed", "dims", "m", "M", "p", "witness"],
+    "abs_implies_sym": ["check", "passed", "detail"],
+    "thm1_chain": ["check", "links", "link_margins", "passed", "tol", "seed", "m", "M", "p"],
+    "block_norm_equivalence": ["check", "t", "x_norm", "abs_ok", "norm_ok", "block_ok",
+                               "agree", "tol"],
+    "scalar_wielandt": ["check", "lhs", "bound", "margin", "loewner_pass", "norm_pass", "tol",
+                        "seed", "dims", "m", "M", "p"],
+}
+VERDICT_KEYS = ("loewner_pass", "norm_pass", "passed", "abs_ok", "norm_ok", "block_ok", "agree")
+
+
+class TestReportRecord:
+    # tol = nan fails every inequality verdict without tripping a precondition
+    @pytest.mark.parametrize("tol", [1e-9, math.nan])
+    def test_json_of_every_kind(self, tol):
+        seed = mix_seed(3, 1)
+        inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
+        reports = bounds.run_instance_checks(inst, [0.5], tol)
+        reports += bounds.run_lemma_trial(seed, 2, 4, 1.0, 2.0, tol, variant=1)
+        by_name = {r.check: r for r in reports}
+        for name, keys in REPORT_KEYS.items():
+            rep = by_name[name]
+            blob = rep.to_json()
+            assert list(blob) == keys, name
+            verdicts = [rep.passed] + [blob[k] for k in VERDICT_KEYS if blob.get(k) is not None]
+            assert all(type(v) is bool for v in verdicts), name
+            json.dumps(blob)
+            # three-way agreement and the implication hold even when all verdicts fail
+            if math.isnan(tol) and name not in ("abs_implies_sym", "block_norm_equivalence"):
+                assert not rep.passed, name
+        assert by_name["abs_implies_sym"].margin is None

@@ -207,12 +207,7 @@ class TestVerify:
                 "schema": 1,
                 "manifest": {
                     "subcommand": "verify",
-                    "counters": {
-                        "checks_run": 5,
-                        "passes": 4,
-                        "failures": 1,
-                        "worst_margin": -0.25,
-                    },
+                    "counters": {"checks_run": 5, "passes": 4, "failures": 1},
                 },
                 "pass": False,
                 "flagged_notes": [],
@@ -350,16 +345,53 @@ class TestSearchCommand:
         assert run_cli(["search", "--objective", "nonsense"]) == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--p", "1e400"],
+            ["verify", "--p", "nan"],
+            ["verify", "--tol", "nan"],
+            ["verify", "--tol", "-1"],
+            ["verify", "--M", "inf"],
+            ["verify", "--k", "0"],
+            ["verify", "--d", "5"],
+            ["bounds", "--p-grid", "1e400"],
+            ["bounds", "--M", "inf"],
+            ["search", "--objective", "conjecture", "--M", "inf"],
+            ["search", "--objective", "conjecture", "--tol", "nan"],
+            ["search", "--objective", "conjecture", "--dims", "4,2,5,2"],
+            ["extremal", "--p", "inf"],
+        ],
+    )
+    def test_exits_2_without_output(self, args, tmp_chdir, capsys, monkeypatch):
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        run = ["--trials", "3", "--out", "o"]
+        out = {"verify": run, "search": run, "bounds": ["--csv", "o"], "extremal": []}[args[0]]
+        assert run_cli(args + out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not (tmp_chdir / "o").exists()
+
+
 class TestManifest:
     def test_counters_consistent(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
         run_cli(["verify", "--trials", "10", "--out", "m.json"])
         manifest = json.loads((tmp_chdir / "m.json").read_text())["manifest"]
         c = manifest["counters"]
+        assert list(c) == ["checks_run", "passes", "failures"]
         assert c["passes"] + c["failures"] == c["checks_run"]
         assert manifest["version"]
         assert manifest["config"]["trials"] == 10
         assert manifest["started_at"] <= manifest["finished_at"]
+        assert "worst margin" not in capsys.readouterr().out
+
+    def test_search_counters(self, tmp_chdir, capsys, monkeypatch):
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        run_cli(["search", "--objective", "conjecture", "--trials", "10", "--out", "s.json"])
+        counters = json.loads((tmp_chdir / "s.json").read_text())["manifest"]["counters"]
+        assert counters == {"checks_run": 10, "passes": 10, "skipped": 0, "refine_errors": 0}
 
 
 def _range_pid(start, stop):
@@ -389,9 +421,9 @@ def _check_scale(reports, name):
     """max(1, |values compared|) over the reports of check `name`."""
     values = [1.0]
     for r in reports:
-        if r.name == name:
-            values += getattr(r, "links", ())
-            values += [getattr(r, k) for k in ("lhs", "bound", "t", "x_norm") if hasattr(r, k)]
+        if r.check == name:
+            values += r.payload.get("links", [])
+            values += [r.payload[k] for k in ("lhs", "bound", "t", "x_norm") if k in r.payload]
     return max(abs(v) for v in values)
 
 
@@ -432,9 +464,9 @@ def _scalar_verify_chunk(params, start, stop):
             failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
             continue
         for report in reports:
-            entry = stats.setdefault(report.name, [0, 0, None, None])
+            entry = stats.setdefault(report.check, [0, 0, None, None])
             entry[0] += 1
-            margin = getattr(report, "margin", None)
+            margin = report.margin
             if margin is not None and (entry[2] is None or margin < entry[2]):
                 entry[2], entry[3] = margin, trial
             if not report.passed:
@@ -454,8 +486,6 @@ def _scalar_verify(params, monkeypatch):
 def assert_matches_scalar(stacked, scalar, params):
     """Everything equal but worst margins (within DRIFT) and worst trials."""
     a, b = stripped(stacked), stripped(scalar)
-    for report in (a, b):
-        report["manifest"]["counters"].pop("worst_margin")
     worst = {}
     for name in a["checks"]:
         x, y = a["checks"][name], b["checks"].get(name, {})
@@ -501,7 +531,7 @@ class TestStackedVerify:
                 assert all(r.passed for r in reports)
                 scalar = {}
                 for r in reports:
-                    scalar.setdefault(r.name, []).append(getattr(r, "margin", None))
+                    scalar.setdefault(r.check, []).append(r.margin)
                 assert {k: len(v) for k, v in scalar.items()} == {
                     k: len(v) for k, v in margins.items()
                 }
@@ -560,8 +590,8 @@ class TestStackedVerify:
         params = _params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=30, seed=8)
         target = 5
         lhs = next(
-            r.lhs for r in _scalar_reports(params, target)
-            if r.name == "thm3_abs" and r.context["p"] == 2.0
+            r.payload["lhs"] for r in _scalar_reports(params, target)
+            if r.check == "thm3_abs" and r.payload["p"] == 2.0
         )
         # thm3_abs at p = 2 now passes on the target trial by 1e-11 of its
         # scale: far beyond the stacked drift, but inside the guard band
@@ -592,6 +622,6 @@ class TestStackedVerify:
                 assert entry["worst_trial"] is None
                 continue
             reports = _scalar_reports(params, entry["worst_trial"])
-            margin = min(r.margin for r in reports if r.name == name)
+            margin = min(r.margin for r in reports if r.check == name)
             scale = _check_scale(reports, name)
             assert abs(margin - entry["worst_margin"]) <= DRIFT * max(abs(margin), scale)

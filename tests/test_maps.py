@@ -10,16 +10,33 @@ from wielandt_lab.matcore import herm_eig, hermitian_part
 from conftest import rand_complex, rand_herm, rand_psd
 
 
+def kraus_ops(phi):
+    """Ancilla slices of a Stinespring isometry: K_a[i, :] = W[i*k + a, :]."""
+    n, k, d = phi.in_dim, phi.ancilla, phi.out_dim
+    return [phi.w.reshape(n, k, d)[:, a, :] for a in range(k)]
+
+
+def stacked_kraus(ops):
+    """The Stinespring map of Kraus operators K_a (n x d): they stack on the ancilla."""
+    return maps.StinespringMap(np.stack(ops, axis=1).reshape(-1, ops[0].shape[1]), len(ops))
+
+
+def convex_cp(weights, parts):
+    """A convex mix of CP maps: each part's Kraus operators scaled by sqrt(weight)."""
+    return stacked_kraus([np.sqrt(w) * k for w, p in zip(weights, parts) for k in kraus_ops(p)])
+
+
 def _sample_maps():
-    """One map per representation, all with input dimension 2."""
+    """One map of each kind, all with input dimension 2."""
     ident = maps.IdentityMap(2)
     stine = maps.random_unital_cp(5, 2, 2, 2)
     v = np.array([[1.0], [0.0]], dtype=complex)
-    comp = maps.CompressionMap(v)
-    kraus = maps.KrausMap(tuple(stine.kraus_ops()))
-    convex = maps.ConvexMap((0.25, 0.75), (ident, maps.random_unital_cp(6, 2, 2, 1)))
+    comp = maps.StinespringMap(v, 1)
+    kraus = stacked_kraus(kraus_ops(stine))
+    convex = convex_cp((0.25, 0.75), (maps.StinespringMap(np.eye(2), 1),
+                                     maps.random_unital_cp(6, 2, 2, 1)))
     return {"identity": ident, "stinespring": stine, "compression": comp,
-            "kraus": kraus, "convex": convex}
+            "kraus": kraus, "convex": convex, "linear": maps.transpose_map(2)}
 
 
 class TestApply:
@@ -30,7 +47,7 @@ class TestApply:
     def test_corner_compression(self):
         t = rand_complex(1, 2, 2)
         v = np.array([[1.0], [0.0]], dtype=complex)
-        out = maps.CompressionMap(v).apply(t)
+        out = maps.StinespringMap(v, 1).apply(t)
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(t[0, 0])
 
@@ -38,14 +55,14 @@ class TestApply:
         rng = np.random.default_rng(3)
         u1, _ = np.linalg.qr(rand_complex(3, 2, 2))
         u2, _ = np.linalg.qr(rand_complex(4, 2, 2))
-        phi = maps.KrausMap((u1 / np.sqrt(2), u2 / np.sqrt(2)))
+        phi = stacked_kraus([u1 / np.sqrt(2), u2 / np.sqrt(2)])
         assert np.allclose(phi.apply(np.eye(2)), np.eye(2), atol=1e-12)
 
     def test_stinespring_matches_kraus_expansion(self):
         phi = maps.random_unital_cp(11, 3, 2, 2)
         t = rand_complex(7, 3, 3)
         direct = phi.apply(t)
-        expanded = sum(k.conj().T @ t @ k for k in phi.kraus_ops())
+        expanded = sum(k.conj().T @ t @ k for k in kraus_ops(phi))
         assert np.allclose(direct, expanded, atol=1e-12)
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 3)])
@@ -69,7 +86,9 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             maps.IdentityMap(2).apply(np.eye(3))
 
-    @pytest.mark.parametrize("name", ["identity", "stinespring", "compression", "kraus", "convex"])
+    @pytest.mark.parametrize(
+        "name", ["identity", "stinespring", "compression", "kraus", "convex", "linear"]
+    )
     def test_linearity_and_adjoints(self, name):
         phi = _sample_maps()[name]
         t1 = rand_complex(21, 2, 2)
@@ -108,7 +127,7 @@ class TestChoi:
 
     def test_compression_choi_psd(self):
         v = np.array([[1.0], [0.0]], dtype=complex)
-        w = np.linalg.eigvalsh(maps.choi(maps.CompressionMap(v)))
+        w = np.linalg.eigvalsh(maps.choi(maps.StinespringMap(v, 1)))
         assert w[0] >= -1e-12
 
     def test_transpose_choi_is_swap(self):
@@ -119,10 +138,13 @@ class TestChoi:
     def test_choi_convexity(self):
         p1 = maps.random_unital_cp(1, 2, 2, 2)
         p2 = maps.random_unital_cp(2, 2, 2, 1)
-        mix = maps.ConvexMap((0.3, 0.7), (p1, p2))
-        direct = maps.choi(mix)
+        direct = maps.choi(convex_cp((0.3, 0.7), (p1, p2)))
         combo = 0.3 * maps.choi(p1) + 0.7 * maps.choi(p2)
         assert np.linalg.norm(direct - combo) <= 1e-12
+        # a mix with a non-CP part is a linear action
+        mix = maps.LinearActionMap(0.3 * maps.transpose_map(2).matrix + 0.7 * np.eye(4))
+        combo = 0.3 * maps.choi(maps.transpose_map(2)) + 0.7 * maps.choi(maps.IdentityMap(2))
+        assert np.linalg.norm(maps.choi(mix) - combo) <= 1e-12
 
 
 class TestIsCp:
@@ -133,11 +155,11 @@ class TestIsCp:
         assert not maps.is_cp(maps.transpose_map(2))
 
     def test_convex_of_cp_is_cp(self):
-        mix = maps.ConvexMap(
+        mix = convex_cp(
             (0.5, 0.5),
             (maps.random_unital_cp(1, 2, 2, 2), maps.random_unital_cp(2, 2, 2, 2)),
         )
-        assert maps.is_cp(mix)
+        assert maps.is_unital(mix) and maps.is_cp(mix)
 
 
 class TestTwoPositivityProbe:
@@ -159,7 +181,7 @@ class TestTwoPositivityProbe:
 
     def test_compression_clean(self):
         v = np.array([[1.0], [0.0]], dtype=complex)
-        report = maps.two_positivity_probe(maps.CompressionMap(v), trials=25, seed=3)
+        report = maps.two_positivity_probe(maps.StinespringMap(v, 1), trials=25, seed=3)
         assert not report.violated
 
     def test_cp_maps_never_flagged(self):
@@ -182,8 +204,8 @@ class TestRandomUnitalCp:
         assert np.allclose(phi.apply(t), phi.w.conj().T @ t @ phi.w, atol=1e-13)
 
     def test_deterministic_kraus(self):
-        k1 = maps.random_unital_cp(42, 2, 2, 3).kraus_ops()
-        k2 = maps.random_unital_cp(42, 2, 2, 3).kraus_ops()
+        k1 = kraus_ops(maps.random_unital_cp(42, 2, 2, 3))
+        k2 = kraus_ops(maps.random_unital_cp(42, 2, 2, 3))
         assert len(k1) == len(k2) == 3
         assert all(np.array_equal(a, b) for a, b in zip(k1, k2))
 
@@ -206,7 +228,9 @@ class TestClassify:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("name", ["identity", "stinespring", "compression", "kraus", "convex"])
+    @pytest.mark.parametrize(
+        "name", ["identity", "stinespring", "compression", "kraus", "convex", "linear"]
+    )
     def test_roundtrip(self, name):
         phi = _sample_maps()[name]
         blob = json.dumps(maps.map_to_json(phi))
@@ -222,22 +246,25 @@ class TestSerialization:
         assert np.array_equal(back.apply(t), t.T)
 
     def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            maps.map_from_json({"type": "nonsense"})
+        # the compression, Kraus and convex forms are Stinespring maps
+        for tag in ("nonsense", "compression", "kraus", "convex"):
+            with pytest.raises(ValueError):
+                maps.map_from_json({"type": tag})
 
 
 class TestValidation:
     def test_bad_compression_frame(self):
         with pytest.raises(ValueError):
-            maps.CompressionMap(np.array([[1.0], [1.0]], dtype=complex))
+            maps.StinespringMap(np.array([[1.0], [1.0]], dtype=complex), 1)
 
     def test_non_unital_kraus(self):
         with pytest.raises(ValueError):
-            maps.KrausMap((np.eye(2, dtype=complex),) * 2)
+            stacked_kraus([np.eye(2, dtype=complex)] * 2)
 
     def test_convex_weights_must_sum_to_one(self):
+        ident = maps.StinespringMap(np.eye(2), 1)
         with pytest.raises(ValueError):
-            maps.ConvexMap((0.5, 0.2), (maps.IdentityMap(2), maps.IdentityMap(2)))
+            convex_cp((0.5, 0.2), (ident, ident))
 
     def test_probe_requires_trials(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from wielandt_lab import instances, search
-from wielandt_lab.errors import DegenerateBounds, InvalidBounds, PreconditionViolated, Singular
+from wielandt_lab.matcore import herm_eig_stack
+from wielandt_lab.stacked import gamma_stack
+from wielandt_lab.errors import (
+    DegenerateBounds,
+    InvalidBounds,
+    InvalidExponent,
+    PreconditionViolated,
+    Singular,
+)
 
 from test_bounds import loose_scalar_instance
 
@@ -33,35 +41,6 @@ class TestConjectureRatio:
         assert worst <= 1.0 + 1e-9
 
 
-class TestCorollaryRatios:
-    def test_extremal(self):
-        r2, r3 = search.corollary_ratios(instances.extremal_instance(1.0, 2.0))
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-        assert r3 == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_case(self):
-        r2, r3 = search.corollary_ratios(loose_scalar_instance())
-        assert abs(r2) <= 1e-13 and abs(r3) <= 1e-13
-
-    def test_r3_never_exceeds_r2(self):
-        for seed in range(100):
-            inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            r2, r3 = search.corollary_ratios(inst)
-            assert r3 <= r2 + 1e-13
-
-    def test_batch_maximum_reported(self):
-        # empirical finding, reported rather than asserted as a theorem
-        best_r2 = best_r3 = 0.0
-        for seed in range(500):
-            inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            r2, r3 = search.corollary_ratios(inst)
-            best_r2 = max(best_r2, r2)
-            best_r3 = max(best_r3, r3)
-        print(f"corollary ratio batch maxima over 500 seeds: r2={best_r2}, r3={best_r3}")
-        assert np.isfinite(best_r2) and np.isfinite(best_r3)
-        assert best_r3 <= best_r2 + 1e-13
-
-
 class TestObjectiveValue:
     def test_tightness_thm3_extremal(self):
         cfg = search.SearchConfig(objective="tightness_thm3", p=1.0, trials=1)
@@ -84,6 +63,13 @@ class TestSearchConfig:
             search.SearchConfig(m=2.0, M=1.0).validate()
         with pytest.raises(InvalidBounds):
             search.SearchConfig(m=1.0, M=1.0).validate()
+        with pytest.raises(InvalidBounds):
+            search.SearchConfig(m=1.0, M=math.inf).validate()
+        with pytest.raises(InvalidExponent):
+            search.SearchConfig(objective="tightness_thm1", p=math.inf).validate()
+        for tol in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError):
+                search.SearchConfig(tol=tol).validate()
         with pytest.raises(ValueError):
             search.SearchConfig(objective="tightness_thm1").validate()  # needs p
         with pytest.raises(ValueError):
@@ -310,3 +296,18 @@ class TestRefineErrors:
         assert rec.refine_errors == 3
         assert rec.trials_done == 10
         assert all(entry[1] not in (2, 4, 5) for entry in rec.trace)
+
+
+class TestGammaStack:
+    def test_flags_and_values(self):
+        # lane 0 is clean, lane 1 has S below the PSD window, lane 2 has T
+        # outside the spectrum window [m, M] = [1, 2]
+        s = np.stack([np.diag([0.1, 0.2]), np.diag([-1e-3, 0.2]), np.diag([0.1, 0.2])])
+        t = np.stack([np.diag([1.5, 1.5]), np.diag([1.5, 1.5]), np.diag([0.5, 1.5])])
+        t_eig = herm_eig_stack(t.astype(complex))
+        bad = np.zeros(3, dtype=bool)
+        _, flagged, [(sp, g)] = gamma_stack(s.astype(complex), t_eig, bad, 1.0, 2.0, (2.0,))
+        assert flagged.tolist() == [False, True, True]
+        assert not bad.any()  # the caller's mask is left alone
+        assert np.allclose(sp[0], np.diag([0.01, 0.04]), atol=1e-15)
+        assert np.allclose(g[0], np.diag([0.01, 0.04]) / 2.25, atol=1e-15)
