@@ -49,7 +49,9 @@ from .matcore import (
     mat_pow,
     op_norm,
 )
-from .sampling import complex_gaussian, haar_unitary, mix_seed, qr_positive, rng_from
+from .sampling import (
+    complex_gaussian, haar_unitary, mix_seed, mix_seeds, qr_positive, rng_from, rngs_from,
+)
 from .stacked import (
     adj,
     clamp_psd,
@@ -262,13 +264,6 @@ def gamma_from_products(
         )
     g = eig_pow_psd(s_eig, p) @ eig_pow_pd(t_eig, -p)
     return GammaParts(s=s, t=t, p=p, gamma=g, m=m, M=M, s_eig=s_eig, t_eig=t_eig)
-
-
-def gamma(inst: Instance, p: float) -> GammaParts:
-    """Assemble Gamma for an instance; raises Singular when either compressed
-    operator is numerically singular."""
-    s, t = compressed_products(inst)
-    return gamma_from_products(s, t, p, inst.m, inst.M)
 
 
 class LhsValues(NamedTuple):
@@ -843,28 +838,31 @@ def instance_checks_stack(
 
 
 def lemma_checks_stack(
-    seeds, variants: np.ndarray, dim: int, ambient: int, m: float, M: float,
+    seed: int, trials, variants: np.ndarray, dim: int, ambient: int, m: float, M: float,
     tol: float = DEFAULT_TOL,
 ) -> LaneChecks:
-    """run_lemma_trial(seed, dim, ambient, m, M, tol, variant) for every
-    (seed, variant) pair, on stacks drawn from the same generators."""
-    b = len(seeds)
+    """run_lemma_trial(mix_seed(seed, trial), dim, ambient, m, M, tol, variant)
+    for every (trial, variant) pair, on stacks drawn from the same generators."""
+    b = len(trials)
     g_x = np.empty((b, 2, dim, dim))
     g_b, lam_b = np.empty((b, 2, dim, dim)), np.empty((b, dim))
     g_p, frac = np.empty((b, 2, dim, dim)), np.empty(b)
     g_pair = np.empty((b, 2, 2, dim, dim))
     g_a, lam_a = np.empty((b, 2, ambient, ambient)), np.empty((b, ambient))
     g_u = np.empty((b, 2, ambient, ambient))
-    for i, seed in enumerate(seeds):
-        rng_from(mix_seed(seed, TAG_LEMMA_BLOCK)).standard_normal(out=g_x[i])
-        square = mix_seed(seed, TAG_SQUARE)
-        draw_operator(rng_from(mix_seed(square, TAG_SQUARE_B)), g_b[i], lam_b[i], m, M)
-        rng = rng_from(mix_seed(square, TAG_SQUARE_P))
+    tagged = mix_seeds(mix_seeds(seed, trials)[:, np.newaxis], (
+        TAG_LEMMA_BLOCK, TAG_SQUARE, TAG_PSD_PAIR, TAG_WIELANDT_A, TAG_WIELANDT_XY))
+    square = mix_seeds(tagged[:, 1:2], (TAG_SQUARE_B, TAG_SQUARE_P))
+    rngs = rngs_from(np.hstack([tagged[:, :1], square, tagged[:, 2:]]))
+    for i in range(b):
+        next(rngs).standard_normal(out=g_x[i])
+        draw_operator(next(rngs), g_b[i], lam_b[i], m, M)
+        rng = next(rngs)
         rng.standard_normal(out=g_p[i])
         frac[i] = rng.uniform(0.0, 1.0)
-        rng_from(mix_seed(seed, TAG_PSD_PAIR)).standard_normal(out=g_pair[i])
-        draw_operator(rng_from(mix_seed(seed, TAG_WIELANDT_A)), g_a[i], lam_a[i], m, M)
-        rng_from(mix_seed(seed, TAG_WIELANDT_XY)).standard_normal(out=g_u[i])
+        next(rngs).standard_normal(out=g_pair[i])
+        draw_operator(next(rngs), g_a[i], lam_a[i], m, M)
+        next(rngs).standard_normal(out=g_u[i])
     lanes = LaneChecks(np.ones(b, dtype=bool))
 
     # lemma_block_case + check_lemma_block_equivalence

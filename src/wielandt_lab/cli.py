@@ -56,9 +56,9 @@ from .bounds import (
 from .errors import InvalidBounds, InvalidExponent, WielandtLabError
 from .instances import check_bounds, degenerate_instance, extremal_instance, gen_instance
 from .matcore import check_exponent, op_norm
-from .sampling import fan_out, mix_seed
+from .sampling import BLOCK_SIZE, fan_out, mix_seed
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
-from .stacked import BLOCK_SIZE, compressed_products_stack
+from .stacked import compressed_products_stack
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
 
@@ -153,6 +153,10 @@ class VerifyParams:
     tol: float
     seed: int
 
+    @property
+    def lemma_dim(self) -> int:  # the lemma generators need dimension >= 2
+        return max(self.rank, 2)
+
     def config(self) -> dict:
         return {
             "trials": self.trials,
@@ -174,7 +178,7 @@ def _stackable(params: VerifyParams) -> bool:
     n, d, k = params.rank, params.out_dim, params.ancilla
     return (
         0.0 < params.m <= params.M < math.inf
-        and n >= 2
+        and n >= 1
         and 1 <= d <= n * k
         and params.ambient >= 2 * n
         and all(0.0 < p < math.inf for p in params.p_values)
@@ -208,7 +212,7 @@ def _scalar_trial(params: VerifyParams, trial: int, stats: dict, failures: list)
         reports.extend(
             run_lemma_trial(
                 trial_seed,
-                params.rank,
+                params.lemma_dim,
                 params.ambient,
                 params.m,
                 params.M,
@@ -232,16 +236,16 @@ def _scalar_trial(params: VerifyParams, trial: int, stats: dict, failures: list)
 def _stacked_lanes(params: VerifyParams, trials: range) -> tuple[dict, np.ndarray]:
     """Per-check lane margins of trials `trials` and the lanes that passed
     every check on stacks; see bounds.instance_checks_stack."""
-    seeds = [mix_seed(params.seed, trial) for trial in trials]
     s, t, t_eig, bad = compressed_products_stack(
-        seeds, params.ambient, params.rank, params.out_dim, params.ancilla, params.m, params.M
+        params.seed, trials, params.ambient, params.rank, params.out_dim, params.ancilla,
+        params.m, params.M,
     )
     checks = instance_checks_stack(
         s, t, t_eig, bad, params.m, params.M, params.p_values, params.tol
     )
     lemmas = lemma_checks_stack(
-        seeds, np.arange(trials.start, trials.stop) % 4, params.rank, params.ambient,
-        params.m, params.M, params.tol,
+        params.seed, trials, np.arange(trials.start, trials.stop) % 4, params.lemma_dim,
+        params.ambient, params.m, params.M, params.tol,
     )
     return {**checks.margins, **lemmas.margins}, checks.ok & lemmas.ok
 

@@ -4,11 +4,19 @@ Sub-seeds are derived with a fixed 64-bit mixing function (splitmix64 over an
 FNV-1a tag hash), so component streams are order-independent and batch runs
 parallelize without changing results; ``fan_out`` runs such index ranges on
 worker processes.
+
+Each sampled component draws from ``default_rng(sub_seed)``.  A stacked block
+of ``BLOCK_SIZE`` trials hashes its sub-seeds with ``mix_seeds``, and
+``rngs_from`` runs numpy's SeedSequence and PCG64 seeding on uint64 arrays and
+sets one reused Generator to each lane's state: the state ``default_rng``
+gives, checked against it on the first lane of every call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -16,6 +24,9 @@ import numpy as np
 from .errors import DimensionMismatch
 
 MASK64 = (1 << 64) - 1
+
+# Trial indices evaluated together as one stack.
+BLOCK_SIZE = 64
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -52,6 +63,70 @@ def rng_from(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed & MASK64)
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    # Wrapping arithmetic on uint64 arrays; on numpy scalars it would warn.
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def mix_seeds(seeds, tags) -> np.ndarray:
+    """mix_seed lane for lane, as a uint64 array: ``seeds`` (an int or a
+    uint64 array) against ``tags`` (strings or integers), broadcast like
+    numpy arrays."""
+    tags = np.atleast_1d(tags)
+    if tags.dtype.kind == "U":
+        keys = np.array([_text_key(tag) for tag in tags.tolist()], dtype=np.uint64)
+    else:
+        keys = _splitmix64_array(tags.astype(np.uint64))
+    return _splitmix64_array(np.asarray(seeds & MASK64, dtype=np.uint64) ^ keys)
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _hashmix(value: np.ndarray, const: list, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix; advances its running constant const[0]."""
+    before, const[0] = const[0], const[0] * mult & 0xFFFFFFFF
+    value = (value ^ np.uint64(before)) * np.uint64(const[0]) & _MASK32
+    return value ^ (value >> np.uint64(16))
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple:
+    """(state, inc) of PCG64(SeedSequence(seed)) for each uint64 seed, as
+    object arrays of Python ints, computed step for step as numpy does."""
+    const, zero = [0x43B0D7E5], np.zeros_like(seeds)
+    words = (seeds & _MASK32, seeds >> np.uint64(32), zero, zero)
+    pool = [_hashmix(word, const, 0x931E8875) for word in words]
+    for src, dst in itertools.permutations(range(4), 2):  # src-major, src != dst
+        hashed = _hashmix(pool[src], const, 0x931E8875)
+        mixed = np.uint64(0xCA01F9DD) * pool[dst] - np.uint64(0x4973F715) * hashed & _MASK32
+        pool[dst] = mixed ^ (mixed >> np.uint64(16))
+    const = [0x8B51F9DD]
+    out = [_hashmix(pool[i % 4], const, 0x58F38DED) for i in range(8)]
+    s0, s1, s2, s3 = ((out[j] | out[j + 1] << np.uint64(32)).astype(object) for j in (0, 2, 4, 6))
+    inc = ((s2 << 64 | s3) << 1 | 1) % (1 << 128)
+    state = ((inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % (1 << 128)
+    return state, inc
+
+
+def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """rng_from(seed) for each seed of a uint64 array, in C order: one reused
+    Generator set to each seed's state in turn, so draw before advancing.
+    Raises RuntimeError if the first seed's state is not default_rng's."""
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    states, incs = _pcg64_states(seeds)
+    rng = np.random.default_rng(int(seeds[0]))
+    pcg = rng.bit_generator.state
+    if pcg["state"] != {"state": states[0], "inc": incs[0]}:
+        raise RuntimeError("vectorized seeding no longer matches numpy's default_rng")
+    for state, inc in zip(states.tolist(), incs.tolist()):
+        pcg["state"] = {"state": state, "inc": inc}
+        rng.bit_generator.state = pcg
+        yield rng
+
+
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Matrix with i.i.d. standard complex Gaussian entries."""
     re = rng.standard_normal((rows, cols))
@@ -86,9 +161,10 @@ def fan_out(fn, head: tuple, trials: int, workers: int) -> list:
     """Results of ``fn(*head, start, stop)`` over contiguous trial ranges that
     cover [0, trials), in range order: one range per worker, the first run in
     the calling process and the rest on a pool of ``workers - 1`` processes,
-    or a single in-process call when workers == 1 or trials < 4 * workers."""
+    or a single in-process call unless every worker gets at least one full
+    block: a pool's start-up costs more than a block of stacked work."""
     workers = max(1, int(workers))
-    if workers == 1 or trials < 4 * workers:
+    if workers == 1 or trials < BLOCK_SIZE * workers:
         return [fn(*head, 0, trials)]
     edges = np.linspace(0, trials, workers + 1, dtype=int).tolist()
     (first, *rest) = zip(edges[:-1], edges[1:])

@@ -56,8 +56,8 @@ from .matcore import (
     hermitian_part,
     op_norm,
 )
-from .sampling import complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
-from .stacked import BLOCK_SIZE, adj, compressed_products_stack, gamma_stack, stack_pow
+from .sampling import BLOCK_SIZE, complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
+from .stacked import adj, compressed_products_stack, gamma_stack, stack_pow
 
 OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3")
 
@@ -178,9 +178,8 @@ def _block_values(cfg: SearchConfig, indices: range) -> np.ndarray:
     """Objective values of random trials `indices` (all > 0) on stacks.  NaN
     marks a lane the scalar path must decide: an operator may be singular, a
     spectrum precondition may fail, or the isometry check failed."""
-    seeds = [mix_seed(cfg.seed, index) for index in indices]
     s, _, t_eig, bad = compressed_products_stack(
-        seeds, cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
+        cfg.seed, indices, cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
     )
     if cfg.objective == "conjecture":
         g = s @ stack_pow(*t_eig, -1.0, bad)

@@ -3,11 +3,14 @@ at once on ``(B, n, n)`` arrays.
 
 Draws come from the same per-trial generators, in the same order, as the
 scalar generators (``gen_instance``, ``gen_operator``), so the instance stream
-does not depend on how trials are grouped.  Nothing here validates its input
-or raises: every test the scalar path could fail is evaluated per lane with a
-guard band (twice or half the scalar threshold) far wider than the ~1e-15
-stacked-vs-scalar drift, and the flagged lanes are handed back to the scalar
-path by the caller.
+does not depend on how trials are grouped: a block hashes its sub-seeds with
+``mix_seeds`` and seeds their generators in one vectorized pass
+(``sampling.rngs_from``), each in the state ``default_rng`` gives.
+
+Nothing here validates its input or raises: every test the scalar path could
+fail is evaluated per lane with a guard band (twice or half the scalar
+threshold) far wider than the ~1e-15 stacked-vs-scalar drift, and the flagged
+lanes are handed back to the scalar path by the caller.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ import numpy as np
 from .instances import TAG_ISOMETRIES, TAG_MAP, TAG_OPERATOR
 from .maps import ISOMETRY_TOL, tensor_identity
 from .matcore import PD_TOL, PSD_TOL, EigDecomp, herm_eig_stack, hermitian_part
-from .sampling import mix_seed, qr_positive, rng_from
-
-# Trial indices evaluated together as one stack.
-BLOCK_SIZE = 64
+from .sampling import mix_seeds, qr_positive, rngs_from
 
 
 def adj(a: np.ndarray) -> np.ndarray:
@@ -76,21 +76,24 @@ def operator_stack(g: np.ndarray, lam: np.ndarray, m: float, M: float) -> np.nda
 
 
 def compressed_products_stack(
-    seeds, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
+    seed: int, trials, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
 ) -> tuple:
-    """compressed_products of gen_instance(seed, ...) for every trial seed.
+    """compressed_products of gen_instance(mix_seed(seed, trial), ...) for
+    every trial index of `trials`.
 
     Returns (s, t, t_eig, bad): ``bad`` flags lanes whose Stinespring isometry
     check could fail or whose Phi(Y*AY) or Phi(X*AX) could be singular."""
-    b, n, k = len(seeds), rank, ancilla
+    b, n, k = len(trials), rank, ancilla
     g_a = np.empty((b, 2, ambient, ambient))
     lam = np.empty((b, ambient))
     g_xy = np.empty((b, 2, ambient, ambient))
     g_w = np.empty((b, 2, rank * ancilla, out_dim))
-    for i, seed in enumerate(seeds):
-        draw_operator(rng_from(mix_seed(seed, TAG_OPERATOR)), g_a[i], lam[i], m, M)
-        rng_from(mix_seed(seed, TAG_ISOMETRIES)).standard_normal(out=g_xy[i])
-        rng_from(mix_seed(seed, TAG_MAP)).standard_normal(out=g_w[i])
+    seeds = mix_seeds(seed, trials)[:, np.newaxis]
+    rngs = rngs_from(mix_seeds(seeds, (TAG_OPERATOR, TAG_ISOMETRIES, TAG_MAP)))
+    for i in range(b):
+        draw_operator(next(rngs), g_a[i], lam[i], m, M)
+        next(rngs).standard_normal(out=g_xy[i])
+        next(rngs).standard_normal(out=g_w[i])
     a = operator_stack(g_a, lam, m, M)
     xy = qr_positive(complex_draws(g_xy))
     x, y = xy[..., :n], xy[..., n : 2 * n]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wielandt_lab import sampling
+
 
 def rand_complex(seed: int, rows: int, cols: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -22,3 +24,19 @@ def rand_psd(seed: int, dim: int) -> np.ndarray:
 def tmp_chdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+@pytest.fixture
+def pool_ranges(monkeypatch):
+    """Lower fan_out's serial threshold to 4 trials per worker, so small runs
+    still fan out, and record every trial range handed to a pool process."""
+    ranges = []
+
+    class RecordingPool(sampling.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            ranges.append(args[-2:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 4)
+    return ranges

@@ -26,6 +26,11 @@ FROZEN = {
 }
 
 
+def gamma_of(inst, p):
+    """Gamma of an instance, assembled from its compressed products."""
+    return bounds.gamma_from_products(*bounds.compressed_products(inst), p, inst.m, inst.M)
+
+
 def loose_scalar_instance():
     """A = 2I with loose bounds [1, 4]: the cross-compression vanishes."""
     x, y = instances.gen_isometry_pair(3, 4, 2)
@@ -103,13 +108,13 @@ class TestBoundFormulas:
 class TestGamma:
     def test_extremal_scalar_values(self):
         inst = instances.extremal_instance(1.0, 2.0)
-        g1 = bounds.gamma(inst, 1.0)
+        g1 = gamma_of(inst, 1.0)
         assert g1.gamma[0, 0].real == pytest.approx(1 / 9, abs=1e-14)
-        g2 = bounds.gamma(inst, 2.0)
+        g2 = gamma_of(inst, 2.0)
         assert g2.gamma[0, 0].real == pytest.approx(1 / 81, abs=1e-14)
 
     def test_scalar_matrix_gives_zero(self):
-        g = bounds.gamma(loose_scalar_instance(), 1.0)
+        g = gamma_of(loose_scalar_instance(), 1.0)
         assert np.linalg.norm(g.s) <= 1e-14
         assert np.linalg.norm(g.gamma) <= 1e-14
 
@@ -120,14 +125,14 @@ class TestGamma:
         x = np.array([[1.0], [0.0]], dtype=complex)
         y = np.array([[0.0], [1.0]], dtype=complex)
         inst = instances.Instance(a, 1.0, 3.0, x, y, maps.IdentityMap(1), seed=0)
-        g = bounds.gamma(inst, 1.0)
+        g = gamma_of(inst, 1.0)
         expected = abs(a[0, 1]) ** 2 / (a[0, 0].real * a[1, 1].real)
         assert g.gamma[0, 0].real == pytest.approx(expected, rel=1e-12)
 
     def test_s_psd_and_t_bounded(self):
         for seed in range(10):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            g = bounds.gamma(inst, 0.7)
+            g = gamma_of(inst, 0.7)
             assert g.s_eig.eigenvalues[0] >= -1e-10 * max(1.0, g.s_eig.eigenvalues[-1])
             assert g.t_eig.eigenvalues[0] >= 1.0 - 1e-8
             assert g.t_eig.eigenvalues[-1] <= 2.0 + 1e-8
@@ -136,13 +141,13 @@ class TestGamma:
 class TestLhsValues:
     def test_scalar_case(self):
         inst = instances.extremal_instance(1.0, 2.0)
-        vals = bounds.lhs_values(bounds.gamma(inst, 1.0))
+        vals = bounds.lhs_values(gamma_of(inst, 1.0))
         assert vals.half_abs[0, 0].real == pytest.approx(1 / 9, abs=1e-14)
         assert vals.half_sym[0, 0].real == pytest.approx(1 / 9, abs=1e-14)
         assert vals.half_abs_norm == pytest.approx(1 / 9, abs=1e-14)
 
     def test_zero_case(self):
-        vals = bounds.lhs_values(bounds.gamma(loose_scalar_instance(), 1.0))
+        vals = bounds.lhs_values(gamma_of(loose_scalar_instance(), 1.0))
         assert np.linalg.norm(vals.half_abs) <= 1e-14
         assert np.linalg.norm(vals.half_sym) <= 1e-14
 
@@ -166,7 +171,7 @@ class TestLhsValues:
     def test_sym_below_abs_in_loewner_order(self):
         for seed in range(5):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            vals = bounds.lhs_values(bounds.gamma(inst, 1.5))
+            vals = bounds.lhs_values(gamma_of(inst, 1.5))
             gap = herm_eig(vals.half_abs - vals.half_sym).eigenvalues[0]
             scale = max(1.0, herm_norm(vals.half_abs), herm_norm(vals.half_sym))
             assert gap >= -1e-11 * scale
@@ -261,28 +266,28 @@ class TestChainAndMonotone:
         for seed in range(40):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
             for p in (0.25, 1.0, 2.5):
-                g = bounds.gamma(inst, p)
+                g = gamma_of(inst, p)
                 rep = bounds.chain_report(g, bounds.lhs_values(g).half_abs_norm)
                 links = rep.payload["links"]
                 assert rep.passed, (seed, p, links)
                 assert links[3] == pytest.approx(bounds.bound_thm1(1, 2, p), rel=1e-14)
 
     def test_chain_report_json(self):
-        g = bounds.gamma(instances.extremal_instance(1, 2), 1.0)
+        g = gamma_of(instances.extremal_instance(1, 2), 1.0)
         rep = bounds.chain_report(g, bounds.lhs_values(g).half_abs_norm)
         blob = rep.to_json()
         assert blob["check"] == "thm1_chain"
         assert len(blob["links"]) == 4 and len(blob["link_margins"]) == 3
 
     def test_monotone_only_for_small_p(self):
-        g = bounds.gamma(instances.extremal_instance(1, 2), 2.0)
+        g = gamma_of(instances.extremal_instance(1, 2), 2.0)
         assert bounds.power_monotone_report(g) is None
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
     def test_monotone_batch(self, p):
         for seed in range(40):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            rep = bounds.power_monotone_report(bounds.gamma(inst, p))
+            rep = bounds.power_monotone_report(gamma_of(inst, p))
             assert rep is not None and rep.passed, (seed, p)
 
 

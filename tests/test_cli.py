@@ -8,7 +8,7 @@ import pytest
 
 from wielandt_lab import bounds, cli, instances, search
 from wielandt_lab.errors import NotPSD, Singular, WielandtLabError
-from wielandt_lab.sampling import fan_out, mix_seed
+from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
 
@@ -175,16 +175,17 @@ class TestVerify:
         b = json.loads((tmp_chdir / "b.json").read_text())
         assert json.dumps(stripped(a)) == json.dumps(stripped(b))
 
-    def test_worker_independence(self, tmp_chdir, monkeypatch, capsys):
+    def test_worker_independence(self, tmp_chdir, monkeypatch, capsys, pool_ranges):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
         run_cli(["verify", "--trials", "24", "--seed", "1", "--out", "serial.json"])
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "2")
         run_cli(["verify", "--trials", "24", "--seed", "1", "--out", "par.json"])
+        assert pool_ranges == [(12, 24)]
         a = json.loads((tmp_chdir / "serial.json").read_text())
         b = json.loads((tmp_chdir / "par.json").read_text())
         assert json.dumps(stripped(a)) == json.dumps(stripped(b))
 
-    def test_worker_independence_general_eigensolves(self):
+    def test_worker_independence_general_eigensolves(self, pool_ranges):
         # Rank 3 makes every compressed-product eigensolve a LAPACK call,
         # run inside forked pool workers at workers=2.
         params = cli.VerifyParams(
@@ -193,7 +194,18 @@ class TestVerify:
         )
         serial = cli.run_verify(params, workers=1)
         parallel = cli.run_verify(params, workers=2)
+        assert pool_ranges == [(8, 16)]
         assert json.dumps(stripped(serial)) == json.dumps(stripped(parallel))
+
+    def test_rank_one_runs(self, tmp_chdir, monkeypatch, capsys):
+        # The lemma inputs are drawn at dimension 2 when the isometry rank is 1.
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        for extra in ([], ["--d", "1", "--k", "1"], ["--N", "5", "--M", "30"]):
+            code = run_cli(["verify", "--trials", "40", "--n", "1", "--out", "r.json"] + extra)
+            report = json.loads((tmp_chdir / "r.json").read_text())
+            assert code == 0
+            assert "trial_error" not in report["checks"]
+            assert report["failures"] == []
 
     def test_usage_errors(self, capsys):
         assert run_cli(["verify", "--m", "2", "--M", "1"]) == 2
@@ -400,14 +412,22 @@ def _range_pid(start, stop):
 
 class TestFanOut:
     def test_first_range_runs_in_the_caller(self):
-        results = fan_out(_range_pid, (), 40, 3)
-        assert [(a, b) for _, a, b in results] == [(0, 13), (13, 26), (26, 40)]
+        results = fan_out(_range_pid, (), 3 * BLOCK_SIZE, 3)
+        edges = [0, BLOCK_SIZE, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE]
+        assert [(a, b) for _, a, b in results] == list(zip(edges[:-1], edges[1:]))
         pids = [pid for pid, _, _ in results]
         assert pids[0] == os.getpid()
         assert os.getpid() not in pids[1:]
 
     def test_small_runs_stay_serial(self):
         assert fan_out(_range_pid, (), 11, 3) == [(os.getpid(), 0, 11)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_needs_a_full_block_per_worker(self, workers):
+        trials = BLOCK_SIZE * workers
+        assert fan_out(_range_pid, (), trials - 1, workers) == [(os.getpid(), 0, trials - 1)]
+        pids = [pid for pid, _, _ in fan_out(_range_pid, (), trials, workers)]
+        assert len(pids) == workers and os.getpid() not in pids[1:]
 
 
 # Stacked worst margins may drift from the scalar ones by this much, relative
@@ -447,7 +467,8 @@ def _scalar_reports(params, trial):
     )
     reports = bounds.run_instance_checks(inst, params.p_values, params.tol)
     return reports + bounds.run_lemma_trial(
-        seed, params.rank, params.ambient, params.m, params.M, params.tol, variant=trial % 4
+        seed, params.lemma_dim, params.ambient, params.m, params.M, params.tol,
+        variant=trial % 4,
     )
 
 
@@ -547,13 +568,14 @@ class TestStackedVerify:
             else:
                 assert raised  # singular compressed operators near scale 1e-12
 
-    def test_block_size_and_workers_do_not_change_report(self, monkeypatch):
+    def test_block_size_and_workers_do_not_change_report(self, monkeypatch, pool_ranges):
         params = _params(SHAPES[0], M=100.0, p_values=(0.5, 1.0, 2.0), trials=90, seed=4)
         reports = set()
         for block in (1, 7, 64):
             monkeypatch.setattr(cli, "BLOCK_SIZE", block)
             for workers in (1, 2, 3):
                 reports.add(json.dumps(stripped(cli.run_verify(params, workers=workers))))
+        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3
         assert len(reports) == 1
 
     def test_forced_failures_match_scalar_walk(self, monkeypatch):
@@ -574,9 +596,20 @@ class TestStackedVerify:
         assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
 
     @pytest.mark.parametrize(
+        "shape,M",
+        [(dict(ambient=2, rank=1, out_dim=1, ancilla=1), 2.0),
+         (dict(ambient=5, rank=1, out_dim=2, ancilla=2), 30.0)],
+    )
+    def test_rank_one_matches_scalar_walk(self, shape, M, monkeypatch):
+        params = _params(shape, M=M, p_values=(0.5, 1.0, 2.0), trials=100, seed=2)
+        stacked = cli.run_verify(params)
+        assert stacked["pass"] and "trial_error" not in stacked["checks"]
+        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+
+    @pytest.mark.parametrize(
         "shape",
         [
-            dict(ambient=2, rank=1, out_dim=1, ancilla=1),  # lemma inputs need dim >= 2
+            dict(ambient=3, rank=2, out_dim=2, ancilla=2),  # no isometry pair with N < 2n
             dict(ambient=4, rank=2, out_dim=5, ancilla=2),  # no isometry with d > n*k
         ],
     )

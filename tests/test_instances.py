@@ -78,7 +78,7 @@ class TestExtremalInstance:
     def test_degenerate_limit(self):
         eps = 1e-6
         inst = instances.extremal_instance(2.0 - eps, 2.0)
-        g = bounds.gamma(inst, 1.0)
+        g = bounds.gamma_from_products(*bounds.compressed_products(inst), 1.0, inst.m, inst.M)
         assert abs(g.gamma[0, 0]) < 1e-10
 
     @pytest.mark.parametrize("m,M", [(1.0, 1.0), (2.0, 1.0), (0.0, 1.0)])

@@ -103,10 +103,11 @@ class TestRandomSearch:
         assert values == sorted(values)
         assert rec.best_value == values[-1]
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, pool_ranges):
         cfg = search.SearchConfig(objective="conjecture", trials=64, seed=9)
         serial = search.random_search(cfg, workers=1)
         parallel = search.random_search(cfg, workers=2)
+        assert pool_ranges == [(32, 64)]
         assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
 
 
@@ -154,7 +155,7 @@ class TestReplayability:
         again = search.conjecture_ratio(inst)
         assert again == pytest.approx(rec.best_value, abs=1e-12)
 
-    def test_worker_count_independent_with_general_eigensolves(self):
+    def test_worker_count_independent_with_general_eigensolves(self, pool_ranges):
         # Rank 4 at M/m = 100: every sampled eigensolve is a LAPACK call,
         # run inside forked pool workers at workers=2, then refined.
         cfg = search.SearchConfig(
@@ -163,6 +164,7 @@ class TestReplayability:
         )
         serial = search.run_search(cfg, workers=1)
         parallel = search.run_search(cfg, workers=2)
+        assert pool_ranges == [(12, 24)]
         assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
 
     def test_run_search_with_refinement_keeps_monotone_trace(self):
@@ -265,7 +267,7 @@ class TestStackedScreen:
             assert a.skipped == b.skipped
         assert scalar[2].skipped > 0
 
-    def test_block_size_and_workers_do_not_change_result(self, monkeypatch):
+    def test_block_size_and_workers_do_not_change_result(self, monkeypatch, pool_ranges):
         cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
         reports = set()
         for block in (1, 7, 64):
@@ -273,6 +275,7 @@ class TestStackedScreen:
             for workers in (1, 2, 3):
                 rec = search.random_search(cfg, workers=workers)
                 reports.add(json.dumps(rec.to_json()))
+        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3
         assert len(reports) == 1
         assert len(json.loads(reports.pop())["trace"]) > 1
 
