@@ -151,6 +151,43 @@ def crossover_threshold(m: float, M: float) -> float:
     return 2.0 + 2.0 * math.log(2.0) / math.log(M / m)
 
 
+def square_order_factor(m: float, M: float) -> float:
+    """(M+m)^2 / (4Mm), the constant of the square-order lemma A^2 <= c B^2."""
+    return (M + m) ** 2 / (4.0 * M * m)
+
+
+def _evaluate(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+def check_in_range(
+    m: float, M: float, p_values=(), bounds=(bound_thm1, bound_thm2, bound_thm3),
+    square_order: bool = False,
+) -> None:
+    """Raise InvalidBounds unless every constant a command evaluates at (m, M)
+    is a finite double > 0: each of `bounds` at each p and, with
+    `square_order`, the top eigenvalue scale c M^2 of the square-order
+    lemma's c B^2.  At m == M bound_thm2 and bound_thm3 are exactly 0; the
+    contrast factor ((M-m)/(M+m))^2 is a normal double whenever m < M."""
+    terms = {
+        f"{fn.__name__} at p={p!r}": _evaluate(fn, m, M, p)
+        for p in p_values
+        for fn in bounds
+        if M > m or fn is bound_thm1
+    }
+    if square_order:
+        terms["(M+m)^2/(4Mm) * M^2"] = _evaluate(lambda: square_order_factor(m, M) * M**2)
+    for name, value in terms.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidBounds(
+                f"{name} leaves the double range for m={m!r}, M={M!r}"
+                " (it must be finite and > 0)"
+            )
+
+
 @dataclass
 class Report:
     """Outcome of one check on one trial.  `payload` holds the rest of the
@@ -405,7 +442,7 @@ def check_lemma_square_order(a, b, m: float, M: float, tol: float = DEFAULT_TOL)
         raise PreconditionViolated(
             f"spectrum of B [{wb[0]:g}, {wb[-1]:g}] escapes [{m:g}, {M:g}]"
         )
-    factor = (M + m) ** 2 / (4.0 * M * m)
+    factor = square_order_factor(m, M)
     lhs_sq = hermitian_part(am @ am)
     rhs_sq = factor * hermitian_part(bm @ bm)
     w, v = herm_eig(rhs_sq - lhs_sq)
@@ -902,7 +939,7 @@ def lemma_checks_stack(
     sc = _scale(top_abs(wa), top_abs(wb))
     for q in (wa[:, 0], gap, wb[:, 0] - m, M - wb[:, -1]):
         lanes.passes(q + tol * sc, sc)
-    factor = (M + m) ** 2 / (4.0 * M * m)
+    factor = square_order_factor(m, M)
     lhs_sq = hermitian_part(a_op @ a_op)
     rhs_sq = factor * hermitian_part(b_op @ b_op)
     lam_min = herm_eig_stack(rhs_sq - lhs_sq).eigenvalues[:, 0]

@@ -40,6 +40,7 @@ from .bounds import (
     bound_thm1,
     bound_thm2,
     bound_thm3,
+    check_in_range,
     check_tol,
     compare_bounds,
     compressed_products,
@@ -346,6 +347,7 @@ def cmd_verify(args) -> int:
         tol=tol,
         seed=args.seed,
     )
+    check_in_range(m, M, params.p_values, square_order=True)
     report = run_verify(params, workers=worker_count())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -385,7 +387,9 @@ def bounds_table(m: float, M: float, p_values) -> str:
 
 def cmd_bounds(args) -> int:
     m, M = check_bounds(args.m, args.M)
-    table = bounds_table(m, M, parse_p_list(args.p_grid))
+    p_values = parse_p_list(args.p_grid)
+    check_in_range(m, M, p_values)
+    table = bounds_table(m, M, p_values)
     if args.csv == "-":
         sys.stdout.write(table)
     else:
@@ -476,6 +480,7 @@ def _fmt(value: float) -> str:
 def cmd_extremal(args) -> int:
     m, M = check_bounds(args.m, args.M)
     p = check_exponent(args.p)
+    check_in_range(m, M, [p])
     degenerate = M == m
     inst = degenerate_instance(m) if degenerate else extremal_instance(m, M)
     s, t = compressed_products(inst)

@@ -33,6 +33,7 @@ from .bounds import (
     bound_thm1,
     bound_thm2,
     bound_thm3,
+    check_in_range,
     check_tol,
     compressed_products,
     gamma_from_products,
@@ -112,6 +113,7 @@ class SearchConfig:
             if self.p is None:
                 raise ValueError(f"objective {self.objective} requires p")
             check_exponent(self.p)
+            check_in_range(self.m, self.M, [self.p], bounds=(_BOUND_FNS[self.objective],))
 
     def to_json(self) -> dict:
         return asdict(self)

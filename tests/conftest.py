@@ -28,8 +28,8 @@ def tmp_chdir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def pool_ranges(monkeypatch):
-    """Lower fan_out's serial threshold to 4 trials per worker, so small runs
-    still fan out, and record every trial range handed to a pool process."""
+    """Lower fan_out's block to 4 trials, so small runs still fan out, and
+    record every trial range handed to a pool process."""
     ranges = []
 
     class RecordingPool(sampling.ProcessPoolExecutor):

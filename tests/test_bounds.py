@@ -71,6 +71,19 @@ class TestBoundFormulas:
         assert bounds.bound_thm2(1, 2, 0.5) == pytest.approx((1 / 3) ** 1.0, rel=1e-15)
         assert bounds.bound_thm2(1, 2, 0.5 + 1e-9) > bounds.bound_thm2(1, 2, 0.5)
 
+    def test_range_check(self):
+        bounds.check_in_range(1.7, 1.7, (0.25, 3.0), square_order=True)  # exact zeros
+        bounds.check_in_range(1.0, 100.0, (0.1, 6.0), square_order=True)
+        with pytest.raises(InvalidBounds, match="bound_thm3 at p=400.0"):
+            bounds.check_in_range(1.0, 2.0, (400.0,), bounds=(bounds.bound_thm3,))
+        with pytest.raises(InvalidBounds, match="bound_thm2 at p=400.0"):  # underflows to 0
+            bounds.check_in_range(1.0, 2.0, (400.0,), bounds=(bounds.bound_thm2,))
+        with pytest.raises(InvalidBounds, match=r"\(M\+m\)\^2/\(4Mm\)"):  # 4Mm underflows
+            bounds.check_in_range(1e-200, 1e-190, square_order=True)
+        bounds.check_in_range(1.0, 8.9e102, square_order=True)
+        with pytest.raises(InvalidBounds):  # c M^2 overflows though c does not
+            bounds.check_in_range(1.0, 9e102, square_order=True)
+
     @pytest.mark.parametrize("fn", [bounds.bound_thm1, bounds.bound_thm2, bounds.bound_thm3])
     def test_invalid_inputs(self, fn):
         with pytest.raises(InvalidBounds):

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -374,6 +375,17 @@ class TestBadInput:
             ["search", "--objective", "conjecture", "--tol", "nan"],
             ["search", "--objective", "conjecture", "--dims", "4,2,5,2"],
             ["extremal", "--p", "inf"],
+            # Bounds and factors that overflow a double or underflow to 0.
+            ["verify", "--p", "400"],
+            ["bounds", "--p-grid", "399:401:1"],
+            ["extremal", "--p", "400"],
+            ["verify", "--M", "100", "--p", "200"],
+            ["bounds", "--M", "1e300", "--p-grid", "1:3:1"],
+            ["search", "--objective", "tightness_thm1", "--M", "1e300", "--p", "2"],
+            ["verify", "--m", "1e-13", "--M", "1e-11", "--p", "30"],
+            ["verify", "--M", "1e300", "--p", "0.01"],
+            ["search", "--objective", "tightness_thm2", "--p", "400"],
+            ["verify", "--M", "1e150", "--p", "0.01"],
         ],
     )
     def test_exits_2_without_output(self, args, tmp_chdir, capsys, monkeypatch):
@@ -424,10 +436,15 @@ class TestFanOut:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_needs_a_full_block_per_worker(self, workers):
-        trials = BLOCK_SIZE * workers
-        assert fan_out(_range_pid, (), trials - 1, workers) == [(os.getpid(), 0, trials - 1)]
-        pids = [pid for pid, _, _ in fan_out(_range_pid, (), trials, workers)]
-        assert len(pids) == workers and os.getpid() not in pids[1:]
+        # Fewer than two full blocks stay in the caller; past that, each full
+        # block adds a process, up to `workers`.
+        for blocks in range(2, workers + 2):
+            for trials in (BLOCK_SIZE * blocks - 1, BLOCK_SIZE * blocks):
+                results = fan_out(_range_pid, (), trials, workers)
+                pids = [pid for pid, _, _ in results]
+                assert len(pids) == max(1, min(workers, trials // BLOCK_SIZE))
+                assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
+                assert results[-1][2] == trials
 
 
 # Stacked worst margins may drift from the scalar ones by this much, relative
@@ -571,12 +588,27 @@ class TestStackedVerify:
     def test_block_size_and_workers_do_not_change_report(self, monkeypatch, pool_ranges):
         params = _params(SHAPES[0], M=100.0, p_values=(0.5, 1.0, 2.0), trials=90, seed=4)
         reports = set()
-        for block in (1, 7, 64):
+        for block in (1, 7, 64, BLOCK_SIZE):
             monkeypatch.setattr(cli, "BLOCK_SIZE", block)
             for workers in (1, 2, 3):
                 reports.add(json.dumps(stripped(cli.run_verify(params, workers=workers))))
-        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3
+        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 4
         assert len(reports) == 1
+
+    def test_full_block_memory(self):
+        # One full block at N = 16 peaks near 18.5 MiB of traced allocations;
+        # a kernel whose working set doubles, or grows faster than linearly
+        # in the block size, passes 32 MiB.
+        shape = dict(ambient=16, rank=4, out_dim=4, ancilla=2)
+        params = _params(shape, p_values=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0), trials=BLOCK_SIZE)
+        cli._verify_chunk(params, 0, 2)  # first-call caches stay out of the trace
+        tracemalloc.start()
+        try:
+            cli._verify_chunk(params, 0, BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_forced_failures_match_scalar_walk(self, monkeypatch):
         real = bounds.bound_thm2

@@ -76,8 +76,16 @@ class TestStreamPin:
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "300", "--seed", "3"],
              "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
+            # Runs past one 512-trial block, pinned to digests taken with
+            # 64-trial blocks.
+            (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
+              "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
+             "a5ba7a3b61f3af0715a45abc32c2ab61e6d8edc37f62772d0fc4dee5a9c672c7"),
+            (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
+              "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
+             "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
         ],
-        ids=["verify", "search"],
+        ids=["verify", "search", "verify-two-blocks", "search-three-blocks"],
     )
     def test_report_digest(self, args, digest, tmp_chdir, monkeypatch, capsys):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")

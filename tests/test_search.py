@@ -7,6 +7,7 @@ import pytest
 
 from wielandt_lab import instances, search
 from wielandt_lab.matcore import herm_eig_stack
+from wielandt_lab.sampling import BLOCK_SIZE
 from wielandt_lab.stacked import gamma_stack
 from wielandt_lab.errors import (
     DegenerateBounds,
@@ -270,12 +271,12 @@ class TestStackedScreen:
     def test_block_size_and_workers_do_not_change_result(self, monkeypatch, pool_ranges):
         cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
         reports = set()
-        for block in (1, 7, 64):
+        for block in (1, 7, 64, BLOCK_SIZE):
             monkeypatch.setattr(search, "BLOCK_SIZE", block)
             for workers in (1, 2, 3):
                 rec = search.random_search(cfg, workers=workers)
                 reports.add(json.dumps(rec.to_json()))
-        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3
+        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 4
         assert len(reports) == 1
         assert len(json.loads(reports.pop())["trace"]) > 1
 
