@@ -27,6 +27,7 @@ left to the scalar drivers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -168,23 +169,27 @@ def check_in_range(
     square_order: bool = False,
 ) -> None:
     """Raise InvalidBounds unless every constant a command evaluates at (m, M)
-    is a finite double > 0: each of `bounds` at each p and, with
-    `square_order`, the top eigenvalue scale c M^2 of the square-order
-    lemma's c B^2.  At m == M bound_thm2 and bound_thm3 are exactly 0; the
-    contrast factor ((M-m)/(M+m))^2 is a normal double whenever m < M."""
-    terms = {
-        f"{fn.__name__} at p={p!r}": _evaluate(fn, m, M, p)
-        for p in p_values
-        for fn in bounds
-        if M > m or fn is bound_thm1
-    }
+    is a finite, normal double > 0: each of `bounds` at each p, the contrast
+    power ((M-m)/(M+m))^(2p) that bound_thm2 and bound_thm3 scale (when it is
+    subnormal the bound keeps few significant bits, though it looks normal)
+    and, with `square_order`, the top eigenvalue scale c M^2 of the
+    square-order lemma's c B^2.  At m == M bound_thm2 and bound_thm3 are
+    exactly 0 and are not checked."""
+    scaled = M > m and (bound_thm2 in bounds or bound_thm3 in bounds)
+    terms = {}
+    for p in p_values:
+        for fn in bounds:
+            if M > m or fn is bound_thm1:
+                terms[f"{fn.__name__} at p={p!r}"] = _evaluate(fn, m, M, p)
+        if scaled:
+            terms[f"((M-m)/(M+m))^(2p) at p={p!r}"] = ((M - m) / (M + m)) ** (2.0 * p)
     if square_order:
         terms["(M+m)^2/(4Mm) * M^2"] = _evaluate(lambda: square_order_factor(m, M) * M**2)
     for name, value in terms.items():
-        if not (math.isfinite(value) and value > 0.0):
+        if not (math.isfinite(value) and value >= sys.float_info.min):
             raise InvalidBounds(
                 f"{name} leaves the double range for m={m!r}, M={M!r}"
-                " (it must be finite and > 0)"
+                " (it must be a finite, normal double > 0)"
             )
 
 

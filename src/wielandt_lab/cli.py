@@ -9,7 +9,7 @@ environment variable WIELANDT_LAB_THREADS caps worker processes (default:
 the CPUs in this process's affinity mask); results never depend on the worker
 count.
 
-``verify`` walks each worker's trial range in blocks of ``BLOCK_SIZE`` and
+``verify`` walks each worker's trial range in blocks of ``block_size(N)`` and
 evaluates every check on stacked arrays (``bounds.instance_checks_stack`` and
 ``bounds.lemma_checks_stack``).  A trial that fails a check, lands within the
 guard band of a threshold or raises a flag is rebuilt and run through the
@@ -57,7 +57,7 @@ from .bounds import (
 from .errors import InvalidBounds, InvalidExponent, WielandtLabError
 from .instances import check_bounds, degenerate_instance, extremal_instance, gen_instance
 from .matcore import check_exponent, op_norm
-from .sampling import BLOCK_SIZE, fan_out, mix_seed
+from .sampling import block_size, fan_out, mix_seed
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
 from .stacked import compressed_products_stack
 
@@ -268,14 +268,15 @@ def _tally_clean(stats: dict, margins: dict, trials: range, lanes: np.ndarray) -
 def _verify_chunk(params: VerifyParams, start: int, stop: int) -> tuple:
     """Run all checks for trials [start, stop); returns per-check statistics
     and the JSON of every failing report, in trial order.  Trials run in
-    blocks of BLOCK_SIZE on stacks; a lane that fails a check, comes within
+    blocks of block_size(N) on stacks; a lane that fails a check, comes within
     the guard band of a threshold or raises a flag is rerun on the scalar
     path, which alone decides its verdicts and failure entries."""
     stats: dict[str, list] = {}
     failures: list[dict] = []
     stackable = _stackable(params)
-    for lo in range(start, stop, BLOCK_SIZE):
-        trials = range(lo, min(lo + BLOCK_SIZE, stop))
+    block = block_size(params.ambient)
+    for lo in range(start, stop, block):
+        trials = range(lo, min(lo + block, stop))
         clean = np.zeros(len(trials), dtype=bool)
         if stackable:
             margins, clean = _stacked_lanes(params, trials)
@@ -303,7 +304,9 @@ def _merge_chunks(chunks: list) -> tuple[dict, list]:
 def run_verify(params: VerifyParams, workers: int = 1) -> dict:
     """Full verification sweep; returns the JSON-ready report."""
     started = _now()
-    chunks = fan_out(_verify_chunk, (params,), params.trials, workers)
+    chunks = fan_out(
+        _verify_chunk, (params,), params.trials, workers, block_size(params.ambient)
+    )
     checks, failures = _merge_chunks(chunks)
     checks_run = sum(c["run"] for c in checks.values())
     n_failures = sum(c["fail"] for c in checks.values())

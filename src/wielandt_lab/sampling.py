@@ -6,7 +6,7 @@ parallelize without changing results; ``fan_out`` runs such index ranges on
 worker processes.
 
 Each sampled component draws from ``default_rng(sub_seed)``.  A stacked block
-of ``BLOCK_SIZE`` trials hashes its sub-seeds with ``mix_seeds``, and
+of ``block_size(ambient)`` trials hashes its sub-seeds with ``mix_seeds``, and
 ``rngs_from`` runs numpy's SeedSequence and PCG64 seeding on uint64 arrays and
 sets one reused Generator to each lane's state: the state ``default_rng``
 gives, checked against it on the first lane of every call.
@@ -25,14 +25,21 @@ from .errors import DimensionMismatch
 
 MASK64 = (1 << 64) - 1
 
-# Trial indices evaluated together as one stack.  A stacked block pays a
-# fixed numpy call cost (about 0.5 ms for a search block, 3 ms for a verify
-# block on one x86_64 core) against about 21 and 71 us per lane, so 512 lanes
-# keep that cost near a tenth of the block or less.  Memory grows linearly:
-# one full six-exponent verify block peaks at about 2.7 MiB of arrays at
-# (N, n) = (4, 2), 18.5 MiB at (16, 4), 69 MiB at (32, 8) and 238 MiB at
-# (64, 8), per worker.
+# Trial indices evaluated together as one stack, by ambient dimension N (see
+# block_size).  A stacked block pays a fixed numpy call cost (about 0.5 ms for
+# a search block, 3 ms for a verify block on one x86_64 core) against about 21
+# and 71 us per lane at N = 4, so 512 lanes keep that cost near a tenth of
+# the block or less.  A lane's work grows faster than that fixed cost, so
+# larger N gains little from more lanes (128 lanes time as 512 at N = 16, 64
+# lanes are about 5% slower than 512 at N = 32 and 6-12% faster at N = 64),
+# while a lane's arrays grow as N^2: one full six-exponent verify block of
+# 512 lanes peaks at 18.5 MiB of arrays at (N, n) = (16, 4) and 238 MiB at
+# (64, 8), per worker.  So a block holds at most LANE_BUDGET / N^2 lanes,
+# between MIN_BLOCK and BLOCK_SIZE, which keeps that peak under about 8 MiB
+# up to N = 22 and at 64 lanes beyond.
 BLOCK_SIZE = 512
+MIN_BLOCK = 64
+LANE_BUDGET = BLOCK_SIZE * 8**2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -163,17 +170,23 @@ def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return qr_positive(complex_gaussian(rng, rows, cols))
 
 
-def fan_out(fn, head: tuple, trials: int, workers: int) -> list:
+def block_size(ambient: int) -> int:
+    """Trials per stacked block at ambient dimension ``ambient``: BLOCK_SIZE
+    up to N = 8, then LANE_BUDGET / N^2, and MIN_BLOCK from N = 23."""
+    return max(MIN_BLOCK, min(BLOCK_SIZE, LANE_BUDGET // ambient**2))
+
+
+def fan_out(fn, head: tuple, trials: int, workers: int, block: int) -> list:
     """Results of ``fn(*head, start, stop)`` over contiguous trial ranges that
-    cover [0, trials), in range order.  Runs one range per full block of
-    trials, up to ``workers`` ranges: the first in the calling process and
-    the rest on a pool, or a single in-process call when that leaves fewer
-    than two ranges, because a pool's start-up costs more than a block of
+    cover [0, trials), in range order: one range per worker, the first run in
+    the calling process and the rest on a pool of ``workers - 1`` processes,
+    or a single in-process call unless every worker gets at least one full
+    block of ``block`` trials: a pool's start-up costs more than a block of
     stacked work."""
-    procs = min(max(1, int(workers)), trials // BLOCK_SIZE)
-    if procs < 2:
+    workers = max(1, int(workers))
+    if workers == 1 or trials < block * workers:
         return [fn(*head, 0, trials)]
-    edges = np.linspace(0, trials, procs + 1, dtype=int).tolist()
+    edges = np.linspace(0, trials, workers + 1, dtype=int).tolist()
     (first, *rest) = zip(edges[:-1], edges[1:])
     with ProcessPoolExecutor(max_workers=len(rest)) as pool:
         futures = [pool.submit(fn, *head, a, b) for a, b in rest]

@@ -9,7 +9,7 @@ workers by trial index; refinement is a sequential step-shrinking local ascent
 that perturbs unitary factors multiplicatively so instance invariants are
 preserved by construction.
 
-The sampled phase walks its trial range in blocks of ``BLOCK_SIZE`` indices.
+The sampled phase walks its trial range in blocks of ``block_size(N)`` indices.
 Each block draws every trial from the same per-trial generators as
 ``gen_instance`` and evaluates the objective on stacked ``(B, n, n)`` arrays
 (the kernels of ``stacked``, shared with ``verify``).
@@ -57,7 +57,7 @@ from .matcore import (
     hermitian_part,
     op_norm,
 )
-from .sampling import BLOCK_SIZE, complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
+from .sampling import block_size, complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
 from .stacked import adj, compressed_products_stack, gamma_stack, stack_pow
 
 OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3")
@@ -206,8 +206,9 @@ def _eval_range(cfg: SearchConfig, start: int, stop: int) -> tuple:
     improvements = []
     skipped = 0
     screen = -math.inf  # stacked values below this cannot beat best_value
-    for lo in range(start, stop, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, stop)
+    block = block_size(cfg.ambient)
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
         first = max(lo, 1)  # trial 0 is the extremal template, never stacked
         stacked = _block_values(cfg, range(first, hi)).tolist() if first < hi else []
         for index in range(lo, hi):
@@ -234,7 +235,7 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     worker count: chunks merge in index order, ties prefer the lowest index."""
     cfg.validate()
     trials = cfg.trials
-    chunks = fan_out(_eval_range, (cfg,), trials, workers)
+    chunks = fan_out(_eval_range, (cfg,), trials, workers, block_size(cfg.ambient))
 
     # Merge chunk bests in index order; ties go to the lowest trial index.
     best_value = -math.inf

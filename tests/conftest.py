@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wielandt_lab import sampling
+from wielandt_lab import cli, sampling, search
 
 
 def rand_complex(seed: int, rows: int, cols: int) -> np.ndarray:
@@ -28,8 +28,10 @@ def tmp_chdir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def pool_ranges(monkeypatch):
-    """Lower fan_out's block to 4 trials, so small runs still fan out, and
-    record every trial range handed to a pool process."""
+    """Lower the serial threshold of verify's and search's fan_out to 4
+    trials per worker, so small runs still fan out (the block walks keep
+    their own block size), and record every trial range handed to a pool
+    process."""
     ranges = []
 
     class RecordingPool(sampling.ProcessPoolExecutor):
@@ -38,5 +40,10 @@ def pool_ranges(monkeypatch):
             return super().submit(fn, *args)
 
     monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sampling, "BLOCK_SIZE", 4)
+
+    def fan_out_in_blocks_of_4(fn, head, trials, workers, block):
+        return sampling.fan_out(fn, head, trials, workers, 4)
+
+    monkeypatch.setattr(cli, "fan_out", fan_out_in_blocks_of_4)
+    monkeypatch.setattr(search, "fan_out", fan_out_in_blocks_of_4)
     return ranges

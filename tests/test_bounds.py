@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ class TestBoundFormulas:
             bounds.check_in_range(1.0, 2.0, (400.0,), bounds=(bounds.bound_thm3,))
         with pytest.raises(InvalidBounds, match="bound_thm2 at p=400.0"):  # underflows to 0
             bounds.check_in_range(1.0, 2.0, (400.0,), bounds=(bounds.bound_thm2,))
+        # At p = 330 bound_thm2 is about 2e-216, a normal double, but its
+        # contrast power 3^-660 is subnormal, so the bound has lost most bits.
+        assert bounds.bound_thm2(1.0, 2.0, 330.0) > sys.float_info.min
+        with pytest.raises(InvalidBounds, match=r"\(\(M-m\)/\(M\+m\)\)\^\(2p\) at p=330.0"):
+            bounds.check_in_range(1.0, 2.0, (330.0,), bounds=(bounds.bound_thm2,))
+        bounds.check_in_range(1.0, 2.0, (320.0,), bounds=(bounds.bound_thm1, bounds.bound_thm2))
+        bounds.check_in_range(1.0, 2.0, (330.0,), bounds=(bounds.bound_thm1,))
         with pytest.raises(InvalidBounds, match=r"\(M\+m\)\^2/\(4Mm\)"):  # 4Mm underflows
             bounds.check_in_range(1e-200, 1e-190, square_order=True)
         bounds.check_in_range(1.0, 8.9e102, square_order=True)

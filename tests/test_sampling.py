@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wielandt_lab import cli, sampling
+from wielandt_lab import cli, sampling, search
 from wielandt_lab.sampling import MASK64, mix_seed, mix_seeds, rngs_from
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -12,6 +12,27 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 def _random_seeds(count):
     return np.random.default_rng(2024).integers(0, 2**64, size=count, dtype=np.uint64)
+
+
+class TestBlockSize:
+    def test_lane_budget(self):
+        sizes = [sampling.block_size(n) for n in (2, 4, 8, 9, 16, 22, 23, 64)]
+        assert sizes == [512, 512, 512, 404, 128, 67, 64, 64]
+
+    def test_fan_out_uses_the_shape_block(self, monkeypatch):
+        # A heavier shape has smaller blocks, so its runs reach a pool sooner.
+        blocks = []
+
+        def recording(fn, head, trials, workers, block):
+            blocks.append(block)
+            return sampling.fan_out(fn, head, trials, workers, block)
+
+        monkeypatch.setattr(cli, "fan_out", recording)
+        monkeypatch.setattr(search, "fan_out", recording)
+        shape = dict(rank=2, out_dim=2, ancilla=2, m=1.0, M=2.0, seed=0)
+        cli.run_verify(cli.VerifyParams(trials=2, ambient=32, p_values=(1.0,), tol=1e-9, **shape))
+        search.random_search(search.SearchConfig(trials=2, ambient=16, **shape))
+        assert blocks == [64, 128]
 
 
 class TestRngsFrom:

@@ -272,7 +272,7 @@ class TestStackedScreen:
         cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
         reports = set()
         for block in (1, 7, 64, BLOCK_SIZE):
-            monkeypatch.setattr(search, "BLOCK_SIZE", block)
+            monkeypatch.setattr(search, "block_size", lambda ambient: block)
             for workers in (1, 2, 3):
                 rec = search.random_search(cfg, workers=workers)
                 reports.add(json.dumps(rec.to_json()))
