@@ -11,13 +11,10 @@ count.
 
 ``verify`` walks each worker's trial range in blocks of ``block_size(N)`` and
 evaluates every check on stacked arrays (``bounds.instance_checks_stack`` and
-``bounds.lemma_checks_stack``).  A trial that fails a check, lands within the
-guard band of a threshold or raises a flag is rebuilt and run through the
-scalar ``run_instance_checks`` and ``run_lemma_trial``, which alone set its
-verdicts, failure entries and ``trial_error``.  So counts, verdicts and
-failures are those of a trial-by-trial scalar walk; a worst margin taken from
-a stacked lane stays within 1e-13 * max(1, |margin|, values compared) of the
-scalar one.  Each check reports the trial of its worst margin
+``bounds.lemma_checks_stack``), the only implementation of each check.  A
+failing check of a trial becomes a failure entry holding that trial's report;
+a trial that fails a hypothesis becomes one ``trial_error`` entry with the
+exception's message.  Each check reports the trial of its worst margin
 (``worst_trial``, lowest index on ties) so near misses can be replayed.
 """
 
@@ -37,31 +34,29 @@ from . import __version__
 from .bounds import (
     ALL_CHECK_NAMES,
     DEFAULT_TOL,
-    bound_thm1,
-    bound_thm2,
-    bound_thm3,
+    LaneChecks,
     check_in_range,
     check_tol,
     compare_bounds,
-    compressed_products,
     crossover_threshold,
-    gamma_from_products,
     instance_checks_stack,
     lemma_checks_stack,
-    lhs_values,
-    run_instance_checks,
-    run_lemma_trial,
     thm2_tail_note,
     wielandt_factor,
 )
 from .errors import InvalidBounds, InvalidExponent, WielandtLabError
-from .instances import check_bounds, degenerate_instance, extremal_instance, gen_instance
-from .matcore import check_exponent, op_norm
-from .sampling import block_size, fan_out, mix_seed
+from .instances import check_bounds, degenerate_instance, extremal_instance
+from .matcore import check_exponent
+from .sampling import block_size, fan_out, mix_seeds
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
-from .stacked import compressed_products_stack
+from .stacked import compressed_products_stack, gamma_stack, instance_products
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
+# Most points a p grid may have.  The count is known before any point is
+# built, so "1:1e9:1" exits 2 instead of allocating a billion floats; a
+# verify run costs a block of stacked work per exponent, and the bound
+# table's 60-point default is far below this.
+MAX_GRID_POINTS = 10_000
 
 
 class UsageError(Exception):
@@ -99,7 +94,10 @@ def parse_p_list(text: str) -> list[float]:
             raise UsageError(f"non-numeric grid {text!r}") from exc
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise UsageError(f"invalid grid {text!r}")
-        n_steps = int(math.floor((stop - start) / step + 1e-6))
+        steps = (stop - start) / step + 1e-6
+        if not steps < MAX_GRID_POINTS:  # floor(steps) + 1 points; also catches inf
+            raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        n_steps = int(math.floor(steps))
         values = [start + i * step for i in range(n_steps + 1)]
         values = [v for v in values if v <= stop + step * 1e-6]
     else:
@@ -158,6 +156,20 @@ class VerifyParams:
     def lemma_dim(self) -> int:  # the lemma generators need dimension >= 2
         return max(self.rank, 2)
 
+    def validate(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        check_bounds(self.m, self.M)
+        check_tol(self.tol)
+        n, d, k = self.rank, self.out_dim, self.ancilla
+        if min(n, d, k) < 1 or d > n * k:
+            raise ValueError("need n, d, k >= 1 and d <= n*k for a Stinespring isometry")
+        if self.ambient < 2 * n:
+            raise ValueError("N must be >= 2n")
+        for p in self.p_values:
+            check_exponent(p)
+        check_in_range(self.m, self.M, self.p_values, square_order=True)
+
     def config(self) -> dict:
         return {
             "trials": self.trials,
@@ -173,19 +185,6 @@ class VerifyParams:
         }
 
 
-def _stackable(params: VerifyParams) -> bool:
-    """Whether trials of this shape can run on stacks; for every other shape
-    the scalar generators raise on each trial."""
-    n, d, k = params.rank, params.out_dim, params.ancilla
-    return (
-        0.0 < params.m <= params.M < math.inf
-        and n >= 1
-        and 1 <= d <= n * k
-        and params.ambient >= 2 * n
-        and all(0.0 < p < math.inf for p in params.p_values)
-    )
-
-
 def _tally(stats: dict, name: str, run: int, fail: int, margin, trial) -> None:
     """Add counts to a check's [run, fail, worst_margin, worst_trial] entry;
     the worst margin is the smallest (margin, trial) pair."""
@@ -196,93 +195,62 @@ def _tally(stats: dict, name: str, run: int, fail: int, margin, trial) -> None:
         entry[2], entry[3] = margin, trial
 
 
-def _scalar_trial(params: VerifyParams, trial: int, stats: dict, failures: list) -> None:
-    """Run every check of one trial on the scalar path and record it."""
-    trial_seed = mix_seed(params.seed, trial)
-    try:
-        inst = gen_instance(
-            trial_seed,
-            params.ambient,
-            params.rank,
-            params.out_dim,
-            params.ancilla,
-            params.m,
-            params.M,
-        )
-        reports = run_instance_checks(inst, params.p_values, params.tol)
-        reports.extend(
-            run_lemma_trial(
-                trial_seed,
-                params.lemma_dim,
-                params.ambient,
-                params.m,
-                params.M,
-                params.tol,
-                variant=trial % 4,
-            )
-        )
-    except WielandtLabError as exc:
-        _tally(stats, "trial_error", 1, 1, None, None)
-        failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
-        return
-    for report in reports:
-        passed = report.passed
-        _tally(stats, report.check, 1, 0 if passed else 1, report.margin, trial)
-        if not passed:
-            detail = report.to_json()
-            detail["trial"] = trial
-            failures.append(detail)
-
-
-def _stacked_lanes(params: VerifyParams, trials: range) -> tuple[dict, np.ndarray]:
-    """Per-check lane margins of trials `trials` and the lanes that passed
-    every check on stacks; see bounds.instance_checks_stack."""
-    s, t, t_eig, bad = compressed_products_stack(
+def _stacked_lanes(params: VerifyParams, trials: range) -> LaneChecks:
+    """Every check of trials `trials`, one lane per trial."""
+    s, t, t_eig, errors = compressed_products_stack(
         params.seed, trials, params.ambient, params.rank, params.out_dim, params.ancilla,
         params.m, params.M,
     )
-    checks = instance_checks_stack(
-        s, t, t_eig, bad, params.m, params.M, params.p_values, params.tol
+    seeds = mix_seeds(params.seed, trials)
+    lanes = instance_checks_stack(
+        s, t, t_eig, errors, seeds, params.m, params.M, params.p_values, params.tol
     )
-    lemmas = lemma_checks_stack(
-        params.seed, trials, np.arange(trials.start, trials.stop) % 4, params.lemma_dim,
-        params.ambient, params.m, params.M, params.tol,
-    )
-    return {**checks.margins, **lemmas.margins}, checks.ok & lemmas.ok
+    lanes.extend(lemma_checks_stack(
+        seeds, np.arange(trials.start, trials.stop) % 4, params.lemma_dim, params.ambient,
+        params.m, params.M, params.tol,
+    ))
+    return lanes
 
 
-def _tally_clean(stats: dict, margins: dict, trials: range, lanes: np.ndarray) -> None:
-    """Record the lanes `lanes` of `trials`, which passed every check on
-    stacks: their run counts and their worst margins."""
-    if not lanes.size:
-        return
-    for name, entries in margins.items():
+def _tally_lanes(stats: dict, failures: list, lanes: LaneChecks, trials: range) -> None:
+    """Record the lanes of `trials`: run and fail counts and worst margins
+    of the lanes without a trial error, then the failure entries, in trial
+    order."""
+    bad = lanes.errors.bad
+    clean = np.flatnonzero(~bad)
+    by_name: dict[str, list] = {}
+    for name, passed, margin, _ in lanes.checks:
+        by_name.setdefault(name, []).append((passed, margin))
+        bad = bad | ~passed
+    for name, entries in by_name.items() if clean.size else ():  # no empty entries
+        fail = sum(int(np.count_nonzero(~passed[clean])) for passed, _ in entries)
         worst = trial = None
-        if entries[0] is not None:
-            lane_worst = np.minimum.reduce(entries)[lanes]
+        if entries[0][1] is not None:
+            lane_worst = np.minimum.reduce([margin for _, margin in entries])[clean]
             j = int(np.argmin(lane_worst))  # the lowest trial on ties
-            worst, trial = float(lane_worst[j]), trials[lanes[j]]
-        _tally(stats, name, len(entries) * lanes.size, 0, worst, trial)
+            worst, trial = float(lane_worst[j]), trials[clean[j]]
+        _tally(stats, name, len(entries) * clean.size, fail, worst, trial)
+    for lane in np.flatnonzero(bad).tolist():
+        trial = trials[lane]
+        try:
+            reports = lanes.reports(lane)
+        except WielandtLabError as exc:
+            _tally(stats, "trial_error", 1, 1, None, None)
+            failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
+            continue
+        failures.extend(dict(r.to_json(), trial=trial) for r in reports if not r.passed)
 
 
 def _verify_chunk(params: VerifyParams, start: int, stop: int) -> tuple:
     """Run all checks for trials [start, stop); returns per-check statistics
     and the JSON of every failing report, in trial order.  Trials run in
-    blocks of block_size(N) on stacks; a lane that fails a check, comes within
-    the guard band of a threshold or raises a flag is rerun on the scalar
-    path, which alone decides its verdicts and failure entries."""
+    blocks of block_size(N) on stacks."""
     stats: dict[str, list] = {}
     failures: list[dict] = []
-    stackable = _stackable(params)
     block = block_size(params.ambient)
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
-        clean = np.zeros(len(trials), dtype=bool)
-        if stackable:
-            margins, clean = _stacked_lanes(params, trials)
-            _tally_clean(stats, margins, trials, np.flatnonzero(clean))
-        for lane in np.flatnonzero(~clean):
-            _scalar_trial(params, trials[lane], stats, failures)
+        _tally_lanes(stats, failures, _stacked_lanes(params, trials), trials)
     return stats, failures
 
 
@@ -303,6 +271,7 @@ def _merge_chunks(chunks: list) -> tuple[dict, list]:
 
 def run_verify(params: VerifyParams, workers: int = 1) -> dict:
     """Full verification sweep; returns the JSON-ready report."""
+    params.validate()
     started = _now()
     chunks = fan_out(
         _verify_chunk, (params,), params.trials, workers, block_size(params.ambient)
@@ -326,31 +295,22 @@ def run_verify(params: VerifyParams, workers: int = 1) -> dict:
 
 
 def cmd_verify(args) -> int:
-    m, M = check_bounds(args.m, args.M)
-    try:
-        tol = check_tol(args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if min(args.n, args.d, args.k) < 1 or args.d > args.n * args.k:
-        raise UsageError("need n, d, k >= 1 and d <= n*k for a Stinespring isometry")
-    ambient = args.N if args.N is not None else 2 * args.n
-    if ambient < 2 * args.n:
-        raise UsageError("N must be >= 2n")
     params = VerifyParams(
         trials=args.trials,
-        ambient=ambient,
+        ambient=args.N if args.N is not None else 2 * args.n,
         rank=args.n,
         out_dim=args.d,
         ancilla=args.k,
-        m=m,
-        M=M,
+        m=args.m,
+        M=args.M,
         p_values=tuple(parse_p_list(args.p)),
-        tol=tol,
+        tol=args.tol,
         seed=args.seed,
     )
-    check_in_range(m, M, params.p_values, square_order=True)
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = run_verify(params, workers=worker_count())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -422,13 +382,13 @@ def cmd_search(args) -> int:
         rank=dims[1],
         out_dim=dims[2],
         ancilla=dims[3],
-        m=float(args.m),
-        M=float(args.M),
+        m=args.m,
+        M=args.M,
         p=args.p,
         trials=args.trials,
         refine_steps=args.refine_steps,
         seed=args.seed,
-        tol=float(args.tol),
+        tol=args.tol,
     )
     try:
         cfg.validate()
@@ -486,10 +446,13 @@ def cmd_extremal(args) -> int:
     check_in_range(m, M, [p])
     degenerate = M == m
     inst = degenerate_instance(m) if degenerate else extremal_instance(m, M)
-    s, t = compressed_products(inst)
+    s, t, t_eig, errors = instance_products(inst)
+    _, [(_, g)] = gamma_stack(s, t_eig, errors, m, M, [p])
+    lanes = instance_checks_stack(s, t, t_eig, errors, [inst.seed], m, M, [p])
+    reports = {r.check: r for r in lanes.reports(0)}
     factor = wielandt_factor(m, M)
-    lhs = float(s[0, 0].real)
-    rhs = factor * float(t[0, 0].real)
+    lhs = float(s[0, 0, 0].real)
+    rhs = factor * float(t[0, 0, 0].real)
     print(f"equality-case instance (m={m:g}, M={M:g}, p={p:g})")
     if degenerate:
         print("degenerate bounds: m == M, the off-diagonal compression vanishes")
@@ -500,21 +463,16 @@ def cmd_extremal(args) -> int:
     print(f"wielandt_lhs = {_fmt(lhs)}")
     print(f"wielandt_rhs = {_fmt(rhs)}")
     print(f"equality_gap = {_fmt(abs(lhs - rhs))}")
-    g = gamma_from_products(s, t, p, m, M)
-    vals = lhs_values(g)
-    gnorm = op_norm(g.gamma)
-    print(f"gamma = {_fmt(g.gamma[0, 0].real)}")
-    print(f"half_abs_norm = {_fmt(vals.half_abs_norm)}")
-    print(f"gamma_norm = {_fmt(gnorm)}")
+    print(f"gamma = {_fmt(g[0, 0, 0].real)}")
+    print(f"half_abs_norm = {_fmt(reports['thm1_abs'].payload['lhs'])}")
+    print(f"gamma_norm = {_fmt(reports['gamma_norm_le_thm2'].payload['lhs'])}")
     if degenerate:
         print("conjecture_ratio = n/a (m == M)")
     else:
         print(f"conjecture_ratio = {_fmt(conjecture_ratio(inst))}")
-    for name, fn in (("thm1", bound_thm1), ("thm2", bound_thm2), ("thm3", bound_thm3)):
-        bound = fn(m, M, p)
-        print(
-            f"bound_{name} = {_fmt(bound)}   margin = {_fmt(bound - vals.half_abs_norm)}"
-        )
+    for name in ("thm1", "thm2", "thm3"):
+        report = reports[f"{name}_abs"]
+        print(f"bound_{name} = {_fmt(report.payload['bound'])}   margin = {_fmt(report.margin)}")
     return 0
 
 

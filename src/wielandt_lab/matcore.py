@@ -4,8 +4,8 @@ and stacks), spectral powers, operator norm, and the JSON matrix form.
 Everything operates on plain ``complex128`` numpy arrays.  Hermitian inputs
 are symmetrized ``(H + H*)/2`` on entry so accumulated arithmetic drift cannot
 leak into spectral computations.  The eigensolver is LAPACK's Hermitian
-``eigh`` (via numpy), with a scalar closed form for the 2x2 case, which is
-the common one in searches and several times cheaper than a LAPACK call.
+``eigh`` (via numpy), with a vectorized closed form for stacks of 2x2
+matrices, the common case in searches and several times cheaper than LAPACK.
 """
 
 from __future__ import annotations
@@ -67,70 +67,21 @@ class EigDecomp(NamedTuple):
     vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
 
-def _herm_eig2(m: np.ndarray) -> EigDecomp:
-    """Dimension-2 closed form: one complex Jacobi rotation diagonalizes
-    exactly, so it is computed with scalar arithmetic."""
-    h00 = complex(m[0, 0])
-    h01 = complex(m[0, 1])
-    h10 = complex(m[1, 0])
-    h11 = complex(m[1, 1])
-    for z in (h00, h01, h10, h11):
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("matrix has non-finite entries")
-    a = h00.real
-    c = h11.real
-    b = (h01 + h10.conjugate()) / 2.0
-    drift = math.sqrt(
-        h00.imag**2 + h11.imag**2 + 2.0 * abs((h01 - h10.conjugate()) / 2.0) ** 2
-    )
-    total = math.sqrt(abs(h00) ** 2 + abs(h01) ** 2 + abs(h10) ** 2 + abs(h11) ** 2)
-    if drift > HERM_DRIFT_TOL * max(1.0, total):
-        raise ValueError(f"matrix is not Hermitian within tolerance (drift={drift:g})")
-    r = abs(b)
-    if r == 0.0:
-        v = np.eye(2, dtype=np.complex128)
-        if a <= c:
-            return EigDecomp(np.array([a, c]), v)
-        return EigDecomp(np.array([c, a]), v[:, ::-1].copy())
-    phase = b / r
-    theta = 0.5 * math.atan2(2.0 * r, a - c)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    lam_p = ct * ct * a + 2.0 * ct * st * r + st * st * c
-    lam_q = st * st * a - 2.0 * ct * st * r + ct * ct * c
-    pc = phase.conjugate()
-    v = np.empty((2, 2), dtype=np.complex128)
-    if lam_p <= lam_q:
-        v[0, 0] = ct
-        v[1, 0] = pc * st
-        v[0, 1] = -st
-        v[1, 1] = pc * ct
-        return EigDecomp(np.array([lam_p, lam_q]), v)
-    v[0, 0] = -st
-    v[1, 0] = pc * ct
-    v[0, 1] = ct
-    v[1, 1] = pc * st
-    return EigDecomp(np.array([lam_q, lam_p]), v)
-
-
 def herm_eig(h) -> EigDecomp:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, checked by ``as_herm``:
+    ``herm_eig_stack`` on a stack of one.
 
     Returns eigenvalues in ascending order with matching eigenvector columns.
-    2x2 inputs use the scalar closed form; every other shape is checked by
-    ``as_herm`` and solved by LAPACK (``numpy.linalg.eigh``).
     """
-    m = np.asarray(h, dtype=np.complex128)
-    if m.shape == (2, 2):
-        return _herm_eig2(m)
-    w, v = np.linalg.eigh(as_herm(m))
-    return EigDecomp(w, v)
+    w, v = herm_eig_stack(as_herm(h)[np.newaxis])
+    return EigDecomp(w[0], v[0])
 
 
 def herm_eig_stack(h: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a stack (..., n, n) of Hermitian matrices, with
-    no validation: the 2x2 closed form of ``herm_eig`` vectorized, LAPACK
-    ``eigh`` for every other shape.  Callers screen bad lanes themselves."""
+    no validation: for 2x2 matrices one complex Jacobi rotation, which
+    diagonalizes exactly, in vectorized closed form; LAPACK ``eigh`` for
+    every other shape.  Each matrix gets the same bits at any stack length."""
     if h.shape[-2:] != (2, 2):
         w, v = np.linalg.eigh(h)
         return EigDecomp(w, v)

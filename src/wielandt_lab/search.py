@@ -9,14 +9,13 @@ workers by trial index; refinement is a sequential step-shrinking local ascent
 that perturbs unitary factors multiplicatively so instance invariants are
 preserved by construction.
 
-The sampled phase walks its trial range in blocks of ``block_size(N)`` indices.
-Each block draws every trial from the same per-trial generators as
-``gen_instance`` and evaluates the objective on stacked ``(B, n, n)`` arrays
-(the kernels of ``stacked``, shared with ``verify``).
-A stacked value only screens out trials that cannot improve on the running
-best; every other trial (the first of each range, each candidate improvement
-and every lane whose stacked checks raised a flag) is rebuilt and scored by
-the scalar ``objective_value``, so reports are exactly those of a scalar walk.
+Every objective value comes from one stacked kernel (``_objective_stack``).
+The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
+and scores each block on stacked ``(B, n, n)`` arrays drawn from the same
+per-trial generators as ``gen_instance``; trial 0 (the closed-form equality
+template) and refinement proposals are stacks of one (``objective_value``).
+Only the best trial of each worker's range is rebuilt as an ``Instance``, for
+the witness.
 """
 
 from __future__ import annotations
@@ -29,14 +28,11 @@ import numpy as np
 
 from .bounds import (
     DEFAULT_TOL,
-    _half_sym_eig,
     bound_thm1,
     bound_thm2,
     bound_thm3,
     check_in_range,
     check_tol,
-    compressed_products,
-    gamma_from_products,
     wielandt_factor,
 )
 from .errors import DegenerateBounds, Singular, WielandtLabError
@@ -49,16 +45,18 @@ from .instances import (
     instance_to_json,
 )
 from .maps import StinespringMap
-from .matcore import (
-    check_exponent,
-    eig_pow_pd,
-    herm_eig,
-    herm_eig_stack,
-    hermitian_part,
-    op_norm,
-)
+from .matcore import check_exponent, herm_eig, herm_eig_stack, hermitian_part
 from .sampling import block_size, complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
-from .stacked import adj, compressed_products_stack, gamma_stack, stack_pow
+from .stacked import (
+    adj,
+    compressed_products_stack,
+    flag_pd,
+    gamma_stack,
+    instance_products,
+    sqrt_top,
+    stack_pow,
+    top_abs,
+)
 
 OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3")
 
@@ -66,10 +64,27 @@ _INITIAL_STEP = 0.1
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-6
 
-# A stacked value screens its trial out only when it lies below the running
-# best by this much, relative to max(1, |best|).  Stacked and scalar values
-# agree to about 1e-15 relative.
-_SCREEN_MARGIN = 1e-12
+
+def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) -> np.ndarray:
+    """`objective` on every lane of stacked compressed products (see
+    ``stacked.products_stack``); flags the lanes whose one-instance
+    evaluation raises."""
+    if objective == "conjecture":
+        flag_pd(errors, t_eig.eigenvalues)
+        g = s @ stack_pow(*t_eig, -1.0, errors.bad)
+        gram = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues
+        return sqrt_top(gram) / wielandt_factor(m, M)
+    _, [(_, g)] = gamma_stack(s, t_eig, errors, m, M, (check_exponent(p),))
+    half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
+    return top_abs(half_sym) / _BOUND_FNS[objective](m, M, p)
+
+
+def _instance_value(objective: str, p, inst: Instance) -> float:
+    s, _, t_eig, errors = instance_products(inst)
+    value = _objective_stack(objective, p, inst.m, inst.M, s, t_eig, errors)[0]
+    if errors:
+        raise errors[0]
+    return float(value)
 
 
 def conjecture_ratio(inst: Instance) -> float:
@@ -77,9 +92,7 @@ def conjecture_ratio(inst: Instance) -> float:
     values above 1 + tol would contradict the conjectured norm bound."""
     if inst.M == inst.m:
         raise DegenerateBounds("ratio undefined for m == M")
-    s, t = compressed_products(inst)
-    t_inv = eig_pow_pd(herm_eig(t), -1.0)
-    return op_norm(s @ t_inv) / wielandt_factor(inst.m, inst.M)
+    return _instance_value("conjecture", None, inst)
 
 
 @dataclass
@@ -130,11 +143,7 @@ def objective_value(cfg: SearchConfig, inst: Instance) -> float:
     """Evaluate the configured objective on one instance."""
     if cfg.objective == "conjecture":
         return conjecture_ratio(inst)
-    s, t = compressed_products(inst)
-    g = gamma_from_products(s, t, cfg.p, inst.m, inst.M)
-    _, (w, _) = _half_sym_eig(g)
-    lhs = float(np.max(np.abs(w))) if w.size else 0.0
-    return lhs / _BOUND_FNS[cfg.objective](inst.m, inst.M, cfg.p)
+    return _instance_value(cfg.objective, cfg.p, inst)
 
 
 @dataclass
@@ -176,56 +185,48 @@ def _trial_instance(cfg: SearchConfig, index: int) -> Instance:
     )
 
 
-def _block_values(cfg: SearchConfig, indices: range) -> np.ndarray:
-    """Objective values of random trials `indices` (all > 0) on stacks.  NaN
-    marks a lane the scalar path must decide: an operator may be singular, a
-    spectrum precondition may fail, or the isometry check failed."""
-    s, _, t_eig, bad = compressed_products_stack(
+def _block_values(cfg: SearchConfig, indices: range) -> tuple:
+    """Objective values of random trials `indices` (all > 0) on stacks, and
+    the exceptions of the lanes whose one-instance evaluation raises."""
+    s, _, t_eig, errors = compressed_products_stack(
         cfg.seed, indices, cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
     )
-    if cfg.objective == "conjecture":
-        g = s @ stack_pow(*t_eig, -1.0, bad)
-        top = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues[:, -1]
-        values = np.sqrt(np.maximum(top, 0.0)) / wielandt_factor(cfg.m, cfg.M)
-    else:
-        _, bad, [(_, g)] = gamma_stack(s, t_eig, bad, cfg.m, cfg.M, (cfg.p,))
-        half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
-        values = np.abs(half_sym).max(axis=-1) / _BOUND_FNS[cfg.objective](cfg.m, cfg.M, cfg.p)
-    values[bad] = np.nan
-    return values
+    return _objective_stack(cfg.objective, cfg.p, cfg.m, cfg.M, s, t_eig, errors), errors
 
 
 def _eval_range(cfg: SearchConfig, start: int, stop: int) -> tuple:
-    """Evaluate trials [start, stop); returns the chunk best, the chunk's
-    running-max improvements for trace merging, and the number of trials
-    skipped as singular.  Trials are screened block by block on stacks and
-    confirmed by the scalar objective, which alone decides every result."""
+    """Evaluate trials [start, stop); returns the chunk best, its witness
+    JSON, the chunk's running-max improvements for trace merging, and the
+    number of trials skipped as singular.  Any other failing trial raises its
+    exception, the first in index order."""
     best_value = -math.inf
     best_index = -1
-    best_json = None
     improvements = []
     skipped = 0
-    screen = -math.inf  # stacked values below this cannot beat best_value
+
+    def score(index, value):
+        nonlocal best_value, best_index
+        if value > best_value:  # strictly: the lowest index wins ties
+            best_value, best_index = value, index
+            improvements.append((index, value))
+
+    if start == 0:
+        try:
+            score(0, objective_value(cfg, _trial_instance(cfg, 0)))
+        except Singular:
+            skipped += 1
     block = block_size(cfg.ambient)
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        first = max(lo, 1)  # trial 0 is the extremal template, never stacked
-        stacked = _block_values(cfg, range(first, hi)).tolist() if first < hi else []
-        for index in range(lo, hi):
-            if index >= first and stacked[index - first] < screen:
-                continue
-            inst = _trial_instance(cfg, index)
-            try:
-                value = objective_value(cfg, inst)
-            except Singular:
-                skipped += 1
-                continue
-            if value > best_value:
-                best_value = value
-                best_index = index
-                best_json = instance_to_json(inst)
-                improvements.append((index, value))
-                screen = value - _SCREEN_MARGIN * max(1.0, abs(value))
+    for lo in range(max(start, 1), stop, block):
+        indices = range(lo, min(lo + block, stop))
+        values, errors = _block_values(cfg, indices)
+        for lane in sorted(errors):
+            if not isinstance(errors[lane], Singular):
+                raise errors[lane]
+        skipped += len(errors)
+        values[errors.bad] = np.nan  # never scores
+        for index, value in zip(indices, values.tolist()):
+            score(index, value)
+    best_json = instance_to_json(_trial_instance(cfg, best_index)) if best_index >= 0 else None
     return best_value, best_index, best_json, improvements, skipped
 
 

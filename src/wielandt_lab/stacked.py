@@ -1,5 +1,7 @@
 """Stacked kernels shared by ``search`` and ``verify``: many trials evaluated
-at once on ``(B, n, n)`` arrays.
+at once on ``(B, n, n)`` arrays.  They are the only implementation of the
+compressed products, Gamma and the checks built on them; a single instance is
+a stack of one (``instance_products``).
 
 Draws come from the same per-trial generators, in the same order, as the
 scalar generators (``gen_instance``, ``gen_operator``), so the instance stream
@@ -7,20 +9,43 @@ does not depend on how trials are grouped: a block hashes its sub-seeds with
 ``mix_seeds`` and seeds their generators in one vectorized pass
 (``sampling.rngs_from``), each in the state ``default_rng`` gives.
 
-Nothing here validates its input or raises: every test the scalar path could
-fail is evaluated per lane with a guard band (twice or half the scalar
-threshold) far wider than the ~1e-15 stacked-vs-scalar drift, and the flagged
-lanes are handed back to the scalar path by the caller.
+Nothing here raises for one lane: every hypothesis a lane can fail is tested
+at its scalar threshold, and the lane's exception (the class and message a
+one-matrix computation raises first) is recorded in a ``LaneErrors``.  The
+values of a flagged lane are meaningless; its eigenvalues are replaced by 1
+before any power, so nothing divides by zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .instances import TAG_ISOMETRIES, TAG_MAP, TAG_OPERATOR
-from .maps import ISOMETRY_TOL, tensor_identity
-from .matcore import PD_TOL, PSD_TOL, EigDecomp, herm_eig_stack, hermitian_part
+from .errors import NotPSD, PreconditionViolated, Singular
+from .instances import TAG_ISOMETRIES, TAG_MAP, TAG_OPERATOR, Instance
+from .maps import ISOMETRY_TOL, IdentityMap, StinespringMap, tensor_identity
+from .matcore import PD_TOL, PSD_TOL, EigDecomp, as_cmatrix, herm_eig_stack, hermitian_part
 from .sampling import mix_seeds, qr_positive, rngs_from
+
+
+class LaneErrors(dict):
+    """lane -> the exception the lane's computation raises first.  Flags
+    must be added in the order the checks run: a lane keeps its first."""
+
+    def __init__(self, lanes: int):
+        super().__init__()
+        self.lanes = lanes
+
+    def flag(self, mask: np.ndarray, make) -> None:
+        """Give every lane of `mask` that has no exception yet `make(lane)`."""
+        for lane in np.flatnonzero(mask).tolist():
+            if lane not in self:
+                self[lane] = make(lane)
+
+    @property
+    def bad(self) -> np.ndarray:
+        mask = np.zeros(self.lanes, dtype=bool)
+        mask[list(self)] = True
+        return mask
 
 
 def adj(a: np.ndarray) -> np.ndarray:
@@ -44,14 +69,29 @@ def clamp_psd(w: np.ndarray) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
-def not_pd(w: np.ndarray) -> np.ndarray:
-    """Lanes that eig_pow_pd could reject as singular; NaN lanes included."""
-    return ~(w[:, 0] > 2.0 * PD_TOL * stack_scale(w))
-
-
 def top_abs(w: np.ndarray) -> np.ndarray:
     """Per-lane max |eigenvalue|, i.e. herm_norm of each matrix."""
     return np.abs(w).max(axis=-1)
+
+
+def sqrt_top(w: np.ndarray) -> np.ndarray:
+    """op_norm from the eigenvalues of X*X: sqrt of the top one, 0 unless > 0."""
+    top = w[..., -1]
+    return np.sqrt(np.where(top > 0.0, top, 0.0))
+
+
+def flag_psd(errors: LaneErrors, w: np.ndarray) -> None:
+    """eig_pow_psd's NotPSD: a minimum eigenvalue below -PSD_TOL * scale."""
+    scale = stack_scale(w)
+    errors.flag(w[:, 0] < -PSD_TOL * scale, lambda i: NotPSD(
+        f"minimum eigenvalue {w[i, 0]:g} below -{PSD_TOL:g}*{scale[i]:g}"))
+
+
+def flag_pd(errors: LaneErrors, w: np.ndarray) -> None:
+    """eig_pow_pd's Singular: a minimum eigenvalue at most PD_TOL * scale."""
+    scale = stack_scale(w)
+    errors.flag(w[:, 0] <= PD_TOL * scale, lambda i: Singular(
+        f"minimum eigenvalue {w[i, 0]:g} below {PD_TOL:g}*{scale[i]:g}"))
 
 
 def complex_draws(g: np.ndarray) -> np.ndarray:
@@ -75,15 +115,13 @@ def operator_stack(g: np.ndarray, lam: np.ndarray, m: float, M: float) -> np.nda
     return hermitian_part((u * lam[:, np.newaxis, :]) @ adj(u))
 
 
-def compressed_products_stack(
+def draw_instances(
     seed: int, trials, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
 ) -> tuple:
-    """compressed_products of gen_instance(mix_seed(seed, trial), ...) for
-    every trial index of `trials`.
-
-    Returns (s, t, t_eig, bad): ``bad`` flags lanes whose Stinespring isometry
-    check could fail or whose Phi(Y*AY) or Phi(X*AX) could be singular."""
-    b, n, k = len(trials), rank, ancilla
+    """(A, X, Y, W) of gen_instance(mix_seed(seed, trial), ...) for every
+    trial index of `trials`, with the lanes whose Stinespring isometry W
+    fails gen_instance's isometry check."""
+    b, n = len(trials), rank
     g_a = np.empty((b, 2, ambient, ambient))
     lam = np.empty((b, ambient))
     g_xy = np.empty((b, 2, ambient, ambient))
@@ -96,42 +134,83 @@ def compressed_products_stack(
         next(rngs).standard_normal(out=g_w[i])
     a = operator_stack(g_a, lam, m, M)
     xy = qr_positive(complex_draws(g_xy))
-    x, y = xy[..., :n], xy[..., n : 2 * n]
     w = qr_positive(complex_draws(g_w))
+    errors = LaneErrors(b)
     gram = adj(w) @ w
     defect = np.linalg.norm(gram - np.eye(out_dim), axis=(-2, -1))
-    bad = ~(defect <= 0.5 * ISOMETRY_TOL * np.maximum(1.0, np.linalg.norm(gram, axis=(-2, -1))))
+    errors.flag(defect > ISOMETRY_TOL * np.maximum(1.0, np.linalg.norm(gram, axis=(-2, -1))),
+                lambda i: ValueError(
+                    f"Stinespring isometry does not have orthonormal columns (defect {defect[i]:g})"))
+    return a, xy[..., :n], xy[..., n : 2 * n], w, errors
 
-    def phi(t):
-        return adj(w) @ tensor_identity(t, k) @ w
 
+def stinespring_stack(w: np.ndarray, k: int):
+    """The map T -> W*(T (x) I_k)W on stacks of T."""
+    return lambda t: adj(w) @ tensor_identity(t, k) @ w
+
+
+def products_stack(a, x, y, phi, errors: LaneErrors) -> tuple:
+    """compressed_products per lane: S = Phi(X*AY) Phi(Y*AY)^{-1} Phi(Y*AX)
+    and T = Phi(X*AX), both symmetrized, with `phi` acting on stacks.
+    Returns (S, T, T's eigendecomposition); flags lanes whose Phi(Y*AY) is
+    singular."""
     xh, yh = adj(x), adj(y)
     bxy = phi(xh @ a @ y)
     byx = phi(yh @ a @ x)
     c_w, c_v = herm_eig_stack(hermitian_part(phi(yh @ a @ y)))
     t = hermitian_part(phi(xh @ a @ x))
-    t_w, t_v = herm_eig_stack(t)
-    c_bad = not_pd(c_w)
-    s = hermitian_part(bxy @ stack_pow(c_w, c_v, -1.0, c_bad) @ byx)
-    bad |= c_bad | not_pd(t_w)
-    return s, t, EigDecomp(t_w, t_v), bad
+    t_eig = herm_eig_stack(t)
+    flag_pd(errors, c_w)
+    s = hermitian_part(bxy @ stack_pow(c_w, c_v, -1.0, errors.bad) @ byx)
+    return s, t, t_eig
+
+
+def compressed_products_stack(
+    seed: int, trials, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
+) -> tuple:
+    """products_stack of gen_instance(mix_seed(seed, trial), ...) for every
+    trial index of `trials`; returns (S, T, T's eigendecomposition, errors)."""
+    a, x, y, w, errors = draw_instances(seed, trials, ambient, rank, out_dim, ancilla, m, M)
+    return (*products_stack(a, x, y, stinespring_stack(w, ancilla), errors), errors)
+
+
+def instance_products(inst: Instance) -> tuple:
+    """products_stack of one instance, as a stack of one: identity and
+    Stinespring maps act through their isometry, any other map through its
+    own ``apply``.  Returns (S, T, T's eigendecomposition, errors)."""
+    a = hermitian_part(as_cmatrix(inst.a, square=True))
+    phi = inst.phi
+    if isinstance(phi, IdentityMap):
+        fn = stinespring_stack(np.eye(phi.dim, dtype=np.complex128), 1)
+    elif isinstance(phi, StinespringMap):
+        fn = stinespring_stack(phi.w, phi.ancilla)
+    else:
+        def fn(t):
+            return phi.apply(t[0])[np.newaxis]
+    errors = LaneErrors(1)
+    return (*products_stack(a[np.newaxis], inst.x[np.newaxis], inst.y[np.newaxis], fn, errors),
+            errors)
 
 
 def gamma_stack(
-    s: np.ndarray, t_eig: EigDecomp, bad: np.ndarray, m: float, M: float, p_values
+    s: np.ndarray, t_eig: EigDecomp, errors: LaneErrors, m: float, M: float, p_values
 ) -> tuple:
-    """gamma_from_products on stacks.  Returns (s_eig, bad, powers): S's
-    eigendecomposition; `bad` widened by the lanes on which the spectrum
-    window of T or the PSD check of S could fail (at half the scalar
-    thresholds); and (S^p, Gamma = S^p T^{-p}) for each exponent."""
+    """Gamma = S^p T^{-p} on stacks.  Flags, in this order, the lanes on which
+    T's spectrum escapes [m, M] by more than 1e-8 max(1, M), S is not PSD or
+    T is singular.  Returns (S's eigendecomposition, [(S^p, Gamma)] for each
+    exponent)."""
     s_w, s_v = herm_eig_stack(s)
     t_w, t_v = t_eig
-    spread = 0.5e-8 * max(1.0, M)
-    bad = bad | ~((t_w[:, 0] >= m - spread) & (t_w[:, -1] <= M + spread))
-    bad |= ~(s_w[:, 0] >= -0.5 * PSD_TOL * stack_scale(s_w))
+    spread = 1e-8 * max(1.0, M)
+    t_lo, t_hi = t_w[:, 0], t_w[:, -1]
+    errors.flag((t_lo < m - spread) | (t_hi > M + spread), lambda i: PreconditionViolated(
+        f"compressed operator spectrum [{t_lo[i]:g}, {t_hi[i]:g}] escapes [{m:g}, {M:g}]"))
+    flag_psd(errors, s_w)
+    flag_pd(errors, t_w)
+    bad = errors.bad
     s_psd = clamp_psd(s_w)
     powers = []
     for p in p_values:
         sp = stack_pow(s_psd, s_v, p, bad)
         powers.append((sp, sp @ stack_pow(t_w, t_v, -p, bad)))
-    return EigDecomp(s_w, s_v), bad, powers
+    return EigDecomp(s_w, s_v), powers

@@ -1,13 +1,14 @@
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, instances, maps
+from wielandt_lab import bounds, instances, maps, stacked
 from wielandt_lab.errors import InvalidBounds, InvalidExponent, NotPSD, PreconditionViolated
-from wielandt_lab.matcore import EigDecomp, herm_eig, herm_norm
+from wielandt_lab.matcore import EigDecomp, herm_eig, herm_eig_stack, herm_norm, hermitian_part
 from wielandt_lab.sampling import mix_seed
 
 from conftest import rand_psd
@@ -28,8 +29,27 @@ FROZEN = {
 
 
 def gamma_of(inst, p):
-    """Gamma of an instance, assembled from its compressed products."""
-    return bounds.gamma_from_products(*bounds.compressed_products(inst), p, inst.m, inst.M)
+    """S, T and Gamma = S^p T^{-p} of one instance, with the eigen-
+    decompositions of S and T, from the stacked kernels on a stack of one."""
+    s, t, t_eig, errors = stacked.instance_products(inst)
+    s_eig, [(_, g)] = stacked.gamma_stack(s, t_eig, errors, inst.m, inst.M, [p])
+    assert not errors
+    return SimpleNamespace(
+        s=s[0], t=t[0], gamma=g[0],
+        s_eig=EigDecomp(s_eig.eigenvalues[0], s_eig.vectors[0]),
+        t_eig=EigDecomp(t_eig.eigenvalues[0], t_eig.vectors[0]),
+    )
+
+
+def lhs_values(gamma):
+    """(Gamma+Gamma*)/2, its absolute value, and the norm the thm*_abs checks
+    report, formed the way instance_checks_stack forms them."""
+    half_sym = hermitian_part(gamma)
+    w, v = herm_eig_stack(half_sym[np.newaxis])
+    half_abs = (v[0] * np.abs(w[0])) @ v[0].conj().T
+    return SimpleNamespace(
+        half_abs=half_abs, half_sym=half_sym, half_abs_norm=float(stacked.top_abs(w)[0])
+    )
 
 
 def loose_scalar_instance():
@@ -162,29 +182,20 @@ class TestGamma:
 class TestLhsValues:
     def test_scalar_case(self):
         inst = instances.extremal_instance(1.0, 2.0)
-        vals = bounds.lhs_values(gamma_of(inst, 1.0))
+        vals = lhs_values(gamma_of(inst, 1.0).gamma)
         assert vals.half_abs[0, 0].real == pytest.approx(1 / 9, abs=1e-14)
         assert vals.half_sym[0, 0].real == pytest.approx(1 / 9, abs=1e-14)
         assert vals.half_abs_norm == pytest.approx(1 / 9, abs=1e-14)
+        assert instance_reports(inst)["thm1_abs"].payload["lhs"] == vals.half_abs_norm
 
     def test_zero_case(self):
-        vals = bounds.lhs_values(gamma_of(loose_scalar_instance(), 1.0))
+        vals = lhs_values(gamma_of(loose_scalar_instance(), 1.0).gamma)
         assert np.linalg.norm(vals.half_abs) <= 1e-14
         assert np.linalg.norm(vals.half_sym) <= 1e-14
 
     def test_nilpotent_gamma(self):
         # assembled by hand: gamma = [[0, 1], [0, 0]]
-        fake = bounds.GammaParts(
-            s=np.eye(2, dtype=complex),
-            t=np.eye(2, dtype=complex),
-            p=1.0,
-            gamma=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            m=1.0,
-            M=2.0,
-            s_eig=EigDecomp(np.ones(2), np.eye(2, dtype=complex)),
-            t_eig=EigDecomp(np.ones(2), np.eye(2, dtype=complex)),
-        )
-        vals = bounds.lhs_values(fake)
+        vals = lhs_values(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         assert np.allclose(vals.half_sym, [[0, 0.5], [0.5, 0]], atol=1e-14)
         assert np.allclose(vals.half_abs, 0.5 * np.eye(2), atol=1e-12)
         assert vals.half_abs_norm == pytest.approx(0.5, abs=1e-13)
@@ -192,7 +203,7 @@ class TestLhsValues:
     def test_sym_below_abs_in_loewner_order(self):
         for seed in range(5):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            vals = bounds.lhs_values(gamma_of(inst, 1.5))
+            vals = lhs_values(gamma_of(inst, 1.5).gamma)
             gap = herm_eig(vals.half_abs - vals.half_sym).eigenvalues[0]
             scale = max(1.0, herm_norm(vals.half_abs), herm_norm(vals.half_sym))
             assert gap >= -1e-11 * scale
@@ -287,28 +298,26 @@ class TestChainAndMonotone:
         for seed in range(40):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
             for p in (0.25, 1.0, 2.5):
-                g = gamma_of(inst, p)
-                rep = bounds.chain_report(g, bounds.lhs_values(g).half_abs_norm)
+                rep = instance_reports(inst, p)["thm1_chain"]
                 links = rep.payload["links"]
                 assert rep.passed, (seed, p, links)
+                assert links[0] == lhs_values(gamma_of(inst, p).gamma).half_abs_norm
                 assert links[3] == pytest.approx(bounds.bound_thm1(1, 2, p), rel=1e-14)
 
     def test_chain_report_json(self):
-        g = gamma_of(instances.extremal_instance(1, 2), 1.0)
-        rep = bounds.chain_report(g, bounds.lhs_values(g).half_abs_norm)
+        rep = instance_reports(instances.extremal_instance(1, 2), 1.0)["thm1_chain"]
         blob = rep.to_json()
         assert blob["check"] == "thm1_chain"
         assert len(blob["links"]) == 4 and len(blob["link_margins"]) == 3
 
     def test_monotone_only_for_small_p(self):
-        g = gamma_of(instances.extremal_instance(1, 2), 2.0)
-        assert bounds.power_monotone_report(g) is None
+        assert "power_monotone" not in instance_reports(instances.extremal_instance(1, 2), 2.0)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
     def test_monotone_batch(self, p):
         for seed in range(40):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            rep = bounds.power_monotone_report(gamma_of(inst, p))
+            rep = instance_reports(inst, p).get("power_monotone")
             assert rep is not None and rep.passed, (seed, p)
 
 

@@ -4,11 +4,12 @@ import json
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from wielandt_lab import bounds, cli, instances, search
-from wielandt_lab.errors import NotPSD, Singular, WielandtLabError
+from wielandt_lab.errors import NotPSD, Singular
 from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
@@ -288,24 +289,15 @@ class TestSearchCommand:
     def test_singular_trials_counted_in_manifest(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
         bad_trials = (3, 7, 11)
-        bad_seeds = {mix_seed(0, i) for i in bad_trials}
-        real = search.objective_value
         real_block = search._block_values
 
-        def flaky(cfg, inst):
-            if inst.seed in bad_seeds:
-                raise Singular("forced")
-            return real(cfg, inst)
-
         def flagged_block(cfg, indices):
-            # NaN lanes bypass the stacked screen and reach objective_value.
-            values = real_block(cfg, indices)
-            for i, index in enumerate(indices):
+            values, errors = real_block(cfg, indices)
+            for lane, index in enumerate(indices):
                 if index in bad_trials:
-                    values[i] = float("nan")
-            return values
+                    errors[lane] = Singular("forced")
+            return values, errors
 
-        monkeypatch.setattr(search, "objective_value", flaky)
         monkeypatch.setattr(search, "_block_values", flagged_block)
         code = run_cli([
             "search", "--objective", "conjecture", "--trials", "20",
@@ -387,6 +379,9 @@ class TestBadInput:
             ["search", "--objective", "tightness_thm2", "--p", "400"],
             ["search", "--objective", "tightness_thm2", "--p", "330"],
             ["verify", "--M", "1e150", "--p", "0.01"],
+            # A grid whose points would not fit in memory.
+            ["bounds", "--p-grid", "1:1e9:1"],
+            ["verify", "--p", "1:1e9:1"],
         ],
     )
     def test_exits_2_without_output(self, args, tmp_chdir, capsys, monkeypatch):
@@ -444,11 +439,17 @@ class TestFanOut:
         assert len(pids) == workers and os.getpid() not in pids[1:]
 
 
-# Stacked worst margins may drift from the scalar ones by this much, relative
-# to max(1, |margin|, the magnitudes the check compares): a margin that is a
-# difference of large values (thm1_chain at M/m = 100, p >= 2) carries their
-# rounding, on either path.
+# Reports may drift from those of the one-trial implementation by this much,
+# relative to max(1, |value|); a worst margin, relative to max(1, |margin|,
+# the magnitudes the check compares): a margin that is a difference of large
+# values (thm1_chain at M/m = 100, p >= 2) carries their rounding.
 DRIFT = 1e-13
+
+# Timestamp-stripped verify reports of the one-trial implementation that
+# preceded the stacked kernels (git c4569bc, the last release with both), for
+# the configurations of TestStackedVerify.
+DATA = Path(__file__).parent / "data"
+FROZEN = json.loads((DATA / "verify_reports.json").read_text())
 
 
 def _check_scale(reports, name):
@@ -468,6 +469,10 @@ SHAPES = [
 ]
 
 
+def _shape_key(shape):
+    return "{ambient},{rank},{out_dim},{ancilla}".format(**shape)
+
+
 def _params(shape, m=1.0, M=2.0, p_values=(0.5, 2.0), trials=60, seed=0, tol=1e-9):
     return cli.VerifyParams(
         trials=trials, m=m, M=M, p_values=tuple(p_values), tol=tol, seed=seed, **shape
@@ -475,6 +480,7 @@ def _params(shape, m=1.0, M=2.0, p_values=(0.5, 2.0), trials=60, seed=0, tol=1e-
 
 
 def _scalar_reports(params, trial):
+    """The Reports of one trial, through the one-trial entry points."""
     seed = mix_seed(params.seed, trial)
     inst = instances.gen_instance(
         seed, params.ambient, params.rank, params.out_dim, params.ancilla, params.m, params.M
@@ -486,47 +492,32 @@ def _scalar_reports(params, trial):
     )
 
 
-def _scalar_verify_chunk(params, start, stop):
-    """Reference: every trial on the scalar path, one by one."""
-    stats, failures = {}, []
-    for trial in range(start, stop):
-        try:
-            reports = _scalar_reports(params, trial)
-        except WielandtLabError as exc:
-            entry = stats.setdefault("trial_error", [0, 0, None, None])
-            entry[0] += 1
-            entry[1] += 1
-            failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
-            continue
-        for report in reports:
-            entry = stats.setdefault(report.check, [0, 0, None, None])
-            entry[0] += 1
-            margin = report.margin
-            if margin is not None and (entry[2] is None or margin < entry[2]):
-                entry[2], entry[3] = margin, trial
-            if not report.passed:
-                entry[1] += 1
-                detail = report.to_json()
-                detail["trial"] = trial
-                failures.append(detail)
-    return stats, failures
-
-
-def _scalar_verify(params, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_verify_chunk", _scalar_verify_chunk)
-        return cli.run_verify(params)
+def assert_close(got, want, path="report"):
+    """Equal structure, keys, strings, integers, booleans and None; floats
+    within DRIFT relative to max(1, |value|)."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (x, y) in enumerate(zip(got, want)):
+            assert_close(x, y, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert abs(got - want) <= DRIFT * max(1.0, abs(want)), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
 
 
 def assert_matches_scalar(stacked, scalar, params):
-    """Everything equal but worst margins (within DRIFT) and worst trials."""
-    a, b = stripped(stacked), stripped(scalar)
+    """Everything equal but floats (within DRIFT) and worst trials."""
+    a, b = stripped(stacked), copy.deepcopy(scalar)
     worst = {}
     for name in a["checks"]:
         x, y = a["checks"][name], b["checks"].get(name, {})
         worst[name] = [x.pop("worst_margin"), x.pop("worst_trial")]
         worst[name] += [y.pop("worst_margin", None), y.pop("worst_trial", None)]
-    assert a == b
+    assert_close(a, b)
     for name, (x, x_trial, y, y_trial) in worst.items():
         assert (x is None) == (y is None)
         if x is not None:
@@ -541,28 +532,29 @@ class TestStackedVerify:
     @pytest.mark.parametrize(
         "M,p_values", [(2.0, (0.25, 1.0, 3.0)), (50.0, (0.5, 1.5)), (100.0, (0.75, 2.0, 3.0))]
     )
-    def test_matches_scalar_walk(self, shape, M, p_values, monkeypatch):
+    def test_matches_scalar_walk(self, shape, M, p_values):
         params = _params(shape, M=M, p_values=p_values, trials=100, seed=11)
         stacked = cli.run_verify(params)
         assert stacked["pass"]
-        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+        assert_matches_scalar(stacked, FROZEN[f"walk {_shape_key(shape)} M={M!r}"], params)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_lane_margins_match_scalar_reports(self, shape):
         for m, M in ((1.0, 100.0), (1e-14, 3e-12)):
             params = _params(shape, m=m, M=M, p_values=(0.5, 1.0, 2.5), trials=64, seed=3)
             trials = range(params.trials)
-            margins, clean = cli._stacked_lanes(params, trials)
-            raised = set()
+            frozen = FROZEN[f"lanes {_shape_key(shape)} m={m!r} M={M!r}"]
+            assert_matches_scalar(cli.run_verify(params), frozen, params)
+            raised = {f["trial"] for f in frozen["failures"] if f["check"] == "trial_error"}
+            lanes = cli._stacked_lanes(params, trials)
+            assert set(lanes.errors) == raised
+            margins = {}
+            for name, _, margin, _ in lanes.checks:
+                margins.setdefault(name, []).append(margin)
             for lane, trial in enumerate(trials):
-                try:
-                    reports = _scalar_reports(params, trial)
-                except WielandtLabError:
-                    raised.add(trial)
-                    assert not clean[lane]
+                if trial in raised:
                     continue
-                if not clean[lane]:
-                    continue
+                reports = _scalar_reports(params, trial)
                 assert all(r.passed for r in reports)
                 scalar = {}
                 for r in reports:
@@ -578,7 +570,7 @@ class TestStackedVerify:
                     scale = _check_scale(reports, name)
                     assert abs(got - want) <= DRIFT * max(abs(want), scale), (trial, name)
             if m == 1.0:
-                assert clean.all()
+                assert not raised
             else:
                 assert raised  # singular compressed operators near scale 1e-12
 
@@ -616,66 +608,40 @@ class TestStackedVerify:
         stacked = cli.run_verify(params)
         assert not stacked["pass"]
         assert {f["check"] for f in stacked["failures"]} >= {"thm2_abs", "gamma_norm_le_thm2"}
-        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+        frozen = json.loads((DATA / "forced_failures.json").read_text())
+        assert_matches_scalar(stacked, frozen, params)
 
-    def test_trial_errors_match_scalar_walk(self, monkeypatch):
+    def test_trial_errors_match_scalar_walk(self):
         # At spectral scale 1e-12 some compressed operators are numerically
         # singular, and those trials are reported as trial_error.
         params = _params(SHAPES[0], m=1e-13, M=1e-11, p_values=(0.5, 2.0), trials=80, seed=2)
         stacked = cli.run_verify(params)
         assert stacked["checks"]["trial_error"]["fail"] > 0
-        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+        assert_matches_scalar(stacked, FROZEN["trial-errors"], params)
 
     @pytest.mark.parametrize(
         "shape,M",
         [(dict(ambient=2, rank=1, out_dim=1, ancilla=1), 2.0),
          (dict(ambient=5, rank=1, out_dim=2, ancilla=2), 30.0)],
     )
-    def test_rank_one_matches_scalar_walk(self, shape, M, monkeypatch):
+    def test_rank_one_matches_scalar_walk(self, shape, M):
         params = _params(shape, M=M, p_values=(0.5, 1.0, 2.0), trials=100, seed=2)
         stacked = cli.run_verify(params)
         assert stacked["pass"] and "trial_error" not in stacked["checks"]
-        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+        assert_matches_scalar(stacked, FROZEN[f"rank-one {_shape_key(shape)} M={M!r}"], params)
 
     @pytest.mark.parametrize(
-        "shape",
+        "shape,message",
         [
-            dict(ambient=3, rank=2, out_dim=2, ancilla=2),  # no isometry pair with N < 2n
-            dict(ambient=4, rank=2, out_dim=5, ancilla=2),  # no isometry with d > n*k
+            (dict(ambient=3, rank=2, out_dim=2, ancilla=2), "N must be >= 2n"),
+            (dict(ambient=4, rank=2, out_dim=5, ancilla=2), "d <= n\\*k"),
         ],
+        ids=["shape0", "shape1"],
     )
-    def test_unstackable_shapes_match_scalar_walk(self, shape, monkeypatch):
-        params = _params(shape, trials=10, seed=1)
-        stacked = cli.run_verify(params)
-        assert stacked["checks"]["trial_error"]["fail"] == 10
-        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
-
-    def test_lane_inside_guard_band_goes_to_scalar_path(self, monkeypatch):
-        params = _params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=30, seed=8)
-        target = 5
-        lhs = next(
-            r.payload["lhs"] for r in _scalar_reports(params, target)
-            if r.check == "thm3_abs" and r.payload["p"] == 2.0
-        )
-        # thm3_abs at p = 2 now passes on the target trial by 1e-11 of its
-        # scale: far beyond the stacked drift, but inside the guard band
-        bound = lhs - (params.tol - 1e-11) * max(1.0, lhs)
-        real = bounds.bound_thm3
-        monkeypatch.setattr(
-            bounds, "bound_thm3", lambda m, M, p: bound if p == 2.0 else real(m, M, p)
-        )
-        assert all(r.passed for r in _scalar_reports(params, target))
-        routed = []
-        scalar_trial = cli._scalar_trial
-
-        def spy(params_, trial, stats, failures):
-            routed.append(trial)
-            scalar_trial(params_, trial, stats, failures)
-
-        monkeypatch.setattr(cli, "_scalar_trial", spy)
-        stacked = cli.run_verify(params)
-        assert target in routed
-        assert_matches_scalar(stacked, _scalar_verify(params, monkeypatch), params)
+    def test_unstackable_shapes_are_rejected(self, shape, message):
+        # No isometry pair exists with N < 2n, no isometry with d > n*k.
+        with pytest.raises(ValueError, match=message):
+            cli.run_verify(_params(shape, trials=10, seed=1))
 
     @pytest.mark.parametrize("shape,M", [(SHAPES[1], 50.0), (SHAPES[0], 100.0)])
     def test_worst_trial_reproduces_worst_margin(self, shape, M):

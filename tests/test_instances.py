@@ -8,6 +8,8 @@ from wielandt_lab.errors import DimensionMismatch, InvalidBounds
 from wielandt_lab.maps import IdentityMap
 from wielandt_lab.matcore import herm_eig
 
+from test_bounds import gamma_of
+
 
 class TestGenOperator:
     def test_collapsed_spectrum_gives_scalar_matrix(self):
@@ -78,8 +80,7 @@ class TestExtremalInstance:
     def test_degenerate_limit(self):
         eps = 1e-6
         inst = instances.extremal_instance(2.0 - eps, 2.0)
-        g = bounds.gamma_from_products(*bounds.compressed_products(inst), 1.0, inst.m, inst.M)
-        assert abs(g.gamma[0, 0]) < 1e-10
+        assert abs(gamma_of(inst, 1.0).gamma[0, 0]) < 1e-10
 
     @pytest.mark.parametrize("m,M", [(1.0, 1.0), (2.0, 1.0), (0.0, 1.0)])
     def test_requires_strict_bounds(self, m, M):

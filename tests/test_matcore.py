@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wielandt_lab import bounds
 from wielandt_lab import matcore as mc
 from wielandt_lab.errors import (
     DimensionMismatch,
@@ -16,6 +15,7 @@ from wielandt_lab.errors import (
 from wielandt_lab.sampling import qr_positive
 
 from conftest import rand_complex, rand_herm, rand_psd
+from test_bounds import lhs_values
 
 
 class TestHermEig:
@@ -79,6 +79,19 @@ class TestStacks:
             assert np.all(np.diff(w[i]) >= 0.0)
             assert np.allclose((v[i] * w[i]) @ v[i].conj().T, stack[i], atol=1e-14 * scale)
             assert np.allclose(v[i].conj().T @ v[i], np.eye(dim), atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 4])  # closed form, LAPACK
+    @pytest.mark.parametrize("length", [1, 7, 512])
+    def test_lane_bits_independent_of_stack_length(self, dim, length):
+        # Block-size independence of every stacked kernel rests on this.
+        stack = np.stack([rand_herm(dim * 1000 + i, dim) for i in range(length)])
+        stack[0] = np.diag(np.arange(dim, 0, -1.0))  # diagonal, descending
+        w, v = mc.herm_eig_stack(stack)
+        for i in range(length):
+            w1, v1 = mc.herm_eig_stack(stack[i : i + 1])
+            assert np.array_equal(w[i], w1[0]) and np.array_equal(v[i], v1[0])
+        w0, v0 = mc.herm_eig(stack[-1])
+        assert np.array_equal(w0, w[-1]) and np.array_equal(v0, v[-1])
 
     def test_hermitian_part_stack_bits(self):
         a = rand_complex(3, 4, 4)
@@ -219,14 +232,11 @@ class TestMatInvPow:
 
 
 class TestAbsOp:
-    """|H|, which bounds.lhs_values computes as half_abs for Hermitian Gamma."""
+    """|H|, the absolute value of (Gamma+Gamma*)/2 for Hermitian Gamma = H."""
 
     @staticmethod
     def abs_op(h):
-        h = np.asarray(h, dtype=complex)
-        eye = mc.EigDecomp(np.ones(h.shape[0]), np.eye(h.shape[0], dtype=complex))
-        parts = bounds.GammaParts(s=h, t=h, p=1.0, gamma=h, m=1.0, M=2.0, s_eig=eye, t_eig=eye)
-        return bounds.lhs_values(parts).half_abs
+        return lhs_values(np.asarray(h, dtype=complex)).half_abs
 
     def test_sign_flip(self):
         assert np.allclose(self.abs_op(np.diag([-3.0, 2.0])), np.diag([3.0, 2.0]), atol=1e-13)

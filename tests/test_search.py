@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from wielandt_lab import instances, search
 from wielandt_lab.matcore import herm_eig_stack
 from wielandt_lab.sampling import BLOCK_SIZE
-from wielandt_lab.stacked import gamma_stack
+from wielandt_lab.stacked import LaneErrors, gamma_stack
 from wielandt_lab.errors import (
     DegenerateBounds,
     InvalidBounds,
     InvalidExponent,
+    NotPSD,
     PreconditionViolated,
     Singular,
 )
@@ -179,26 +182,19 @@ class TestReplayability:
         assert search.objective_value(cfg, inst) == pytest.approx(rec.best_value, abs=1e-12)
 
 
-def _scalar_eval_range(cfg, start, stop):
-    """Reference: every trial scored by the scalar objective, one by one."""
-    best_value = -math.inf
-    best_index = -1
-    best_json = None
-    improvements = []
-    skipped = 0
-    for index in range(start, stop):
-        inst = search._trial_instance(cfg, index)
-        try:
-            value = search.objective_value(cfg, inst)
-        except Singular:
-            skipped += 1
-            continue
-        if value > best_value:
-            best_value = value
-            best_index = index
-            best_json = instances.instance_to_json(inst)
-            improvements.append((index, value))
-    return best_value, best_index, best_json, improvements, skipped
+# Values, singular trials and search records of the one-trial objective that
+# preceded the stacked kernels (git c4569bc, the last release with both), for
+# the configurations below.  A record's best_instance is kept as the sha256
+# of its JSON.
+REFERENCE = json.loads((Path(__file__).parent / "data" / "search_reference.json").read_text())
+
+# Stacked values may drift from the one-trial ones by this much, relative to
+# max(1, |value|).
+DRIFT = 1e-13
+
+
+def _dims_key(dims):
+    return ",".join(map(str, dims))
 
 
 def _cfg(objective, dims=(4, 2, 2, 2), p=None, **kw):
@@ -220,21 +216,22 @@ ALL_OBJECTIVES = [
 
 
 class TestStackedScreen:
+    """Stacked search values against the frozen one-trial reference."""
+
     @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (8, 4, 4, 2), (6, 3, 2, 3)])
     @pytest.mark.parametrize("M", [2.0, 100.0])
     @pytest.mark.parametrize("objective,p", ALL_OBJECTIVES)
     def test_stacked_values_match_scalar(self, dims, M, objective, p):
         cfg = _cfg(objective, dims, p, m=1.0, M=M, seed=8)
         indices = range(1, 31)
-        stacked = search._block_values(cfg, indices)
-        for index, value in zip(indices, stacked):
-            try:
-                scalar = search.objective_value(cfg, search._trial_instance(cfg, index))
-            except Singular:
-                assert np.isnan(value)
+        stacked, errors = search._block_values(cfg, indices)
+        want = REFERENCE["values"][f"{objective} p={p!r} {_dims_key(dims)} M={M!r}"]
+        for lane, (value, scalar) in enumerate(zip(stacked, want)):
+            if scalar is None:  # the one-trial objective raised Singular
+                assert isinstance(errors.get(lane), Singular)
                 continue
-            assert not np.isnan(value)
-            assert abs(value - scalar) <= 1e-13 * max(1.0, abs(scalar))
+            assert lane not in errors
+            assert abs(value - scalar) <= DRIFT * max(1.0, abs(scalar))
 
     @pytest.mark.parametrize("objective,p", [("conjecture", None), ("tightness_thm2", 2.0)])
     @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (8, 4, 4, 2)])
@@ -243,30 +240,38 @@ class TestStackedScreen:
         # relative singularity threshold on some trials.
         cfg = _cfg(objective, dims, p, m=1e-13, M=1e-11, seed=2)
         indices = range(1, 61)
-        stacked = search._block_values(cfg, indices)
-        singular = set()
-        for index in indices:
-            try:
-                search.objective_value(cfg, search._trial_instance(cfg, index))
-            except Singular:
-                singular.add(index)
-        flagged = {i for i, v in zip(indices, stacked) if np.isnan(v)}
-        assert singular and singular <= flagged
+        _, errors = search._block_values(cfg, indices)
+        singular = set(REFERENCE["singular"][f"{objective} p={p!r} {_dims_key(dims)}"])
+        flagged = {indices[lane] for lane in errors}
+        assert singular and singular == flagged
+        assert all(isinstance(exc, Singular) for exc in errors.values())
+        with pytest.raises(Singular, match=r"minimum eigenvalue \S+ below 1e-12\*1$"):
+            search.objective_value(cfg, search._trial_instance(cfg, min(singular)))
 
     @pytest.mark.parametrize("objective,p", ALL_OBJECTIVES)
-    def test_random_search_matches_scalar_walk(self, objective, p, monkeypatch):
+    def test_random_search_matches_scalar_walk(self, objective, p):
         cfgs = [
             _cfg(objective, (4, 2, 2, 2), p, m=1.0, M=100.0, trials=300, seed=5),
             _cfg(objective, (8, 4, 4, 2), p, m=1.0, M=2.0, trials=150, seed=77),
             _cfg(objective, (4, 2, 2, 2), p, m=1e-13, M=1e-11, trials=150, seed=2),
         ]
-        stacked = [search.random_search(cfg) for cfg in cfgs]
-        monkeypatch.setattr(search, "_eval_range", _scalar_eval_range)
-        scalar = [search.random_search(cfg) for cfg in cfgs]
-        for a, b in zip(stacked, scalar):
-            assert json.dumps(a.to_json()) == json.dumps(b.to_json())
-            assert a.skipped == b.skipped
-        assert scalar[2].skipped > 0
+        for cfg in cfgs:
+            dims = (cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla)
+            want = REFERENCE["records"][
+                f"{objective} p={p!r} {_dims_key(dims)} m={cfg.m!r} M={cfg.M!r} seed={cfg.seed}"
+            ]
+            rec = search.random_search(cfg)
+            got = json.loads(json.dumps(rec.to_json()))
+            got["best_instance"] = hashlib.sha256(
+                json.dumps(rec.to_json()["best_instance"]).encode()
+            ).hexdigest()
+            got["skipped"] = rec.skipped
+            for blob in (got, want):
+                blob["values"] = [blob.pop("best_value")] + [entry.pop() for entry in blob["trace"]]
+            values = zip(got.pop("values"), want.pop("values"))
+            assert got == want
+            assert all(abs(x - y) <= DRIFT * max(1.0, abs(y)) for x, y in values)
+        assert want["skipped"] > 0
 
     def test_block_size_and_workers_do_not_change_result(self, monkeypatch, pool_ranges):
         cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
@@ -309,9 +314,12 @@ class TestGammaStack:
         s = np.stack([np.diag([0.1, 0.2]), np.diag([-1e-3, 0.2]), np.diag([0.1, 0.2])])
         t = np.stack([np.diag([1.5, 1.5]), np.diag([1.5, 1.5]), np.diag([0.5, 1.5])])
         t_eig = herm_eig_stack(t.astype(complex))
-        bad = np.zeros(3, dtype=bool)
-        _, flagged, [(sp, g)] = gamma_stack(s.astype(complex), t_eig, bad, 1.0, 2.0, (2.0,))
-        assert flagged.tolist() == [False, True, True]
-        assert not bad.any()  # the caller's mask is left alone
+        errors = LaneErrors(3)
+        _, [(sp, g)] = gamma_stack(s.astype(complex), t_eig, errors, 1.0, 2.0, (2.0,))
+        assert sorted(errors) == [1, 2]
+        assert isinstance(errors[1], NotPSD)
+        assert str(errors[1]) == "minimum eigenvalue -0.001 below -1e-10*1"
+        assert isinstance(errors[2], PreconditionViolated)
+        assert str(errors[2]) == "compressed operator spectrum [0.5, 1.5] escapes [1, 2]"
         assert np.allclose(sp[0], np.diag([0.01, 0.04]), atol=1e-15)
         assert np.allclose(g[0], np.diag([0.01, 0.04]) / 2.25, atol=1e-15)
