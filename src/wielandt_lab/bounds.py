@@ -13,7 +13,8 @@ signed margin (None for the boolean meta-check ``abs_implies_sym``) and the
 rest of its JSON form.  Margin conventions: Loewner-style checks report the
 minimum eigenvalue of (bound side - lhs side); scalar checks report
 (bound - lhs).  A check passes when its margin is >= -tol * max(1, |lhs|,
-|bound|).
+|bound|).  ``thm1_chain`` passes when every link gap (hi - lo) is >= -tol *
+max(1, |lo|, |hi|); its margin is the smallest gap divided by that scale.
 
 Every check is implemented once, as a stacked kernel over a block of trials
 (``instance_checks_stack``, ``lemma_checks_stack`` and the four lemma
@@ -377,20 +378,22 @@ def instance_checks_stack(
         split = (s_top ** (2.0 * p) + (1.0 / t_lo) ** (2.0 * p)) / 2.0
         links = (abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split,
                  bound_thm1(m, M, p))
-        pairs = list(zip(links, links[1:]))
-        gaps = [hi - lo for lo, hi in pairs]
-        chained = np.logical_and.reduce(
-            [gap + tol * _scale(lo, hi) >= 0.0 for gap, (lo, hi) in zip(gaps, pairs)])
+        gaps = [hi - lo for lo, hi in zip(links, links[1:])]
+        scales = [_scale(lo, hi) for lo, hi in zip(links, links[1:])]
+        chained = np.logical_and.reduce([gap + tol * sc >= 0.0 for gap, sc in zip(gaps, scales)])
+        # the margin is the smallest gap relative to its link scale: the raw
+        # gaps of links near 1e23 are rounding noise
+        relative = np.minimum.reduce([gap / sc for gap, sc in zip(gaps, scales)])
 
-        def chain(i, links=links, gaps=gaps, chained=chained, ctx=ctx):
+        def chain(i, links=links, gaps=gaps, chained=chained, relative=relative, ctx=ctx):
             passed = bool(chained[i])
             payload = {"links": [_at(x, i) for x in links],
                        "link_margins": [float(gap[i]) for gap in gaps], "passed": passed,
                        "tol": tol}
             payload.update((key, ctx(i).get(key)) for key in ("seed", "m", "M", "p"))
-            return Report("thm1_chain", passed, min(payload["link_margins"]), payload)
+            return Report("thm1_chain", passed, float(relative[i]), payload)
 
-        lanes.add("thm1_chain", chained, np.minimum.reduce(gaps), chain)
+        lanes.add("thm1_chain", chained, relative, chain)
 
         if p <= 1.0 + 1e-12:
             # S^p <= ((M-m)/(M+m))^{2p} T^p, valid for 0 < p <= 1 (operator
