@@ -345,6 +345,7 @@ def instance_checks_stack(
         h_w, h_v = herm_eig_stack(hermitian_part(g))
         abs_norm = top_abs(h_w)
         lam_max = h_w[:, -1]
+        top = np.argmax(np.abs(h_w), axis=-1)
         implied = np.ones(len(s), dtype=bool)
         for which in (1, 2, 3):
             # |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I
@@ -353,7 +354,7 @@ def instance_checks_stack(
             ok = abs_norm <= bound + thr
             sym_ok = lam_max <= bound + thr
             lanes.inequality(f"thm{which}_abs", abs_norm, bound, bound - abs_norm, ok, ok, tol,
-                             ctx, (abs_norm, h_v, np.argmax(np.abs(h_w), axis=-1)))
+                             ctx, (abs_norm, h_v, top))
             lanes.inequality(f"thm{which}_sym", abs_norm, bound, bound - lam_max, sym_ok, ok, tol,
                              ctx, (lam_max, h_v, -1))
             implied &= ~ok | sym_ok

@@ -218,19 +218,19 @@ def _tally_lanes(stats: dict, failures: list, lanes: LaneChecks, trials: range) 
     order."""
     bad = lanes.errors.bad
     clean = np.flatnonzero(~bad)
+    passed = np.array([verdicts for _, verdicts, _, _ in lanes.checks])  # (check, lane)
+    fails = np.count_nonzero(~passed[:, clean], axis=1).tolist()
     by_name: dict[str, list] = {}
-    for name, passed, margin, _ in lanes.checks:
-        by_name.setdefault(name, []).append((passed, margin))
-        bad = bad | ~passed
+    for (name, _, margin, _), fail in zip(lanes.checks, fails):
+        by_name.setdefault(name, []).append((fail, margin))
     for name, entries in by_name.items() if clean.size else ():  # no empty entries
-        fail = sum(int(np.count_nonzero(~passed[clean])) for passed, _ in entries)
         worst = trial = None
         if entries[0][1] is not None:
             lane_worst = np.minimum.reduce([margin for _, margin in entries])[clean]
             j = int(np.argmin(lane_worst))  # the lowest trial on ties
             worst, trial = float(lane_worst[j]), trials[clean[j]]
-        _tally(stats, name, len(entries) * clean.size, fail, worst, trial)
-    for lane in np.flatnonzero(bad).tolist():
+        _tally(stats, name, len(entries) * clean.size, sum(f for f, _ in entries), worst, trial)
+    for lane in np.flatnonzero(bad | ~passed.all(axis=0)).tolist():
         trial = trials[lane]
         try:
             reports = lanes.reports(lane)

@@ -93,14 +93,18 @@ def herm_eig_stack(h: np.ndarray) -> EigDecomp:
     theta = 0.5 * np.arctan2(2.0 * r, a - c)
     ct = np.cos(theta)
     st = np.sin(theta)
-    lam_p = ct * ct * a + 2.0 * ct * st * r + st * st * c
-    lam_q = st * st * a - 2.0 * ct * st * r + ct * ct * c
+    cc, ss, cs = ct * ct, st * st, 2.0 * ct * st * r
+    lam_p = cc * a + cs + ss * c
+    lam_q = ss * a - cs + cc * c
     swap = lam_p > lam_q
-    w = np.stack([np.where(swap, lam_q, lam_p), np.where(swap, lam_p, lam_q)], axis=-1)
+    w = np.empty(h.shape[:-1])
+    w[..., 0] = np.where(swap, lam_q, lam_p)
+    w[..., 1] = np.where(swap, lam_p, lam_q)
+    neg = -st
     v = np.empty(h.shape, dtype=np.complex128)
-    v[..., 0, 0] = np.where(swap, -st, ct)
+    v[..., 0, 0] = np.where(swap, neg, ct)
     v[..., 1, 0] = pc * np.where(swap, ct, st)
-    v[..., 0, 1] = np.where(swap, ct, -st)
+    v[..., 0, 1] = np.where(swap, ct, neg)
     v[..., 1, 1] = pc * np.where(swap, st, ct)
     return EigDecomp(w, v)
 
