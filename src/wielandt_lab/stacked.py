@@ -10,10 +10,11 @@ does not depend on how trials are grouped: a block hashes its sub-seeds with
 (``sampling.rngs_from``), each in the state ``default_rng`` gives.
 
 Nothing here raises for one lane: every hypothesis a lane can fail is tested
-at its scalar threshold, and the lane's exception (the class and message a
-one-matrix computation raises first) is recorded in a ``LaneErrors``.  The
-values of a flagged lane are meaningless; its eigenvalues are replaced by 1
-before any power, so nothing divides by zero.
+at the threshold of the one-matrix code (``eig_pow_pd``, ``eig_pow_psd``,
+``check_isometry``), and the lane's exception (the class and message that
+code raises first) is recorded in a ``LaneErrors``.  The values of a flagged
+lane are meaningless; its eigenvalues are replaced by 1 before any power, so
+nothing divides by zero.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ def operator_stack(g: np.ndarray, lam: np.ndarray, m: float, M: float) -> np.nda
 def draw_instances(
     seed: int, trials, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
 ) -> tuple:
-    """(A, X, Y, W) of gen_instance(mix_seed(seed, trial), ...) for every
-    trial index of `trials`, with the lanes whose Stinespring isometry W
-    fails gen_instance's isometry check."""
+    """(A, X, Y, W, errors) of gen_instance(mix_seed(seed, trial), ...) for
+    every trial index of `trials`: `errors` holds the ValueError of each lane
+    whose Stinespring isometry W fails gen_instance's isometry check."""
     b, n = len(trials), rank
     g_a = np.empty((b, 2, ambient, ambient))
     lam = np.empty((b, ambient))
