@@ -344,7 +344,7 @@ def _small_unitary(rng: np.random.Generator, dim: int, step: float) -> np.ndarra
     norm = float(np.linalg.norm(g))
     if norm > 0.0:
         g = g / norm
-    w, v = herm_eig(g)
+    w, v = np.linalg.eigh(g)  # for one matrix LAPACK is cheaper than the 2x2 closed form
     return (v * np.exp(1j * step * w)) @ v.conj().T
 
 
