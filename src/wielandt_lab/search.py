@@ -13,9 +13,11 @@ Every objective value comes from one stacked kernel (``_objective_stack``).
 The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
 and scores each block on stacked ``(B, n, n)`` arrays drawn from the same
 per-trial generators as ``gen_instance``; trial 0 (the closed-form equality
-template) and refinement proposals are stacks of one (``objective_value``).
+template) and the refinement's start are stacks of one (``objective_value``).
 Only the best trial of each worker's range is rebuilt as an ``Instance``, for
-the witness.
+the witness.  Refinement scores its proposals as rejection ladders: the
+proposals it would make if it rejected each one in turn, built and scored as
+one stack, then walked in order as the sequential ascent would.
 """
 
 from __future__ import annotations
@@ -46,15 +48,21 @@ from .instances import (
 )
 from .maps import StinespringMap
 from .matcore import check_exponent, herm_eig, herm_eig_stack, hermitian_part
-from .sampling import block_size, complex_gaussian, fan_out, mix_seed, qr_positive, rng_from
+from .sampling import block_size, fan_out, mix_seed, qr_positive, rng_from
 from .stacked import (
+    LaneErrors,
     adj,
+    complex_draws,
     compressed_products_stack,
+    flag_isometry,
     flag_pd,
     gamma_stack,
     instance_products,
+    map_stack,
+    products_stack,
     sqrt_top,
     stack_pow,
+    stinespring_stack,
     top_abs,
 )
 
@@ -63,6 +71,10 @@ OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3"
 _INITIAL_STEP = 0.1
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-6
+# Lanes scored together after an accept, doubled while every one is
+# rejected: an ascent often accepts again at once, and each lane scored past
+# an accept costs its share of the stack (about 0.1 ms at N = 8).
+_AFTER_ACCEPT = 4
 
 
 def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) -> np.ndarray:
@@ -318,40 +330,118 @@ class _RefineState:
             phi = self.phi_static
         return Instance(a, self.m, self.M, x, y, phi, seed=self.seed)
 
-    def perturbed(self, rng: np.random.Generator, step: float) -> "_RefineState":
-        lam = self.lam.copy()
-        if lam.size > 2:
-            lam[1:-1] = np.clip(
-                lam[1:-1] + step * (self.M - self.m) * rng.standard_normal(lam.size - 2),
-                self.m,
-                self.M,
-            )
-        basis_a = qr_positive(self.basis_a @ _small_unitary(rng, self.lam.size, step))
-        basis_xy = qr_positive(self.basis_xy @ _small_unitary(rng, self.lam.size, step))
+    def draws(self, rng: np.random.Generator, lanes: int) -> np.ndarray:
+        """The standard normals of `lanes` proposals, one row per proposal, in
+        the order a proposal consumes them: interior eigenvalues (N > 2), then
+        the real and imaginary Gaussians of A's generator, the X/Y generator
+        and, for a Stinespring map, W's generator.  None depends on the state
+        or the step, so one call draws what `lanes` proposals in a row draw."""
+        n = self.lam.size
+        rows = self.w_iso.shape[0] if self.w_iso is not None else 0
+        return rng.standard_normal((lanes, max(n - 2, 0) + 4 * n * n + 2 * rows * rows))
+
+    def ladder(self, first: int, draws: np.ndarray, steps: np.ndarray) -> "_Ladder":
+        """Proposals `first`, `first` + 1, ... from this state, one per row
+        of `draws`, lane i perturbed with steps[i]: interior eigenvalues move
+        by step (M - m) times a normal, clipped to [m, M]; A's eigenbasis and
+        the X/Y basis turn by a small unitary on the right, W by one on the
+        left."""
+        lanes, n = len(steps), self.lam.size
+        inner = max(n - 2, 0)
+        lam = np.repeat(self.lam[np.newaxis], lanes, axis=0)
+        if inner:
+            move = (steps * (self.M - self.m))[:, np.newaxis] * draws[:, :inner]
+            lam[:, 1:-1] = np.clip(self.lam[1:-1] + move, self.m, self.M)
+        # A's and the X/Y generators as one stack: every A lane, then every X/Y lane
+        g = draws[:, inner : inner + 4 * n * n].reshape(lanes, 2, 2, n, n).swapaxes(0, 1)
+        turns = _small_unitaries(g.reshape(2 * lanes, 2, n, n), np.tile(steps, 2))
+        bases = np.stack([self.basis_a, self.basis_xy])[:, np.newaxis]
+        basis_a, basis_xy = qr_positive(bases @ turns.reshape(2, lanes, n, n))
+        errors = LaneErrors(lanes)
+        w_iso = None
         if self.w_iso is not None:
             rows = self.w_iso.shape[0]
-            w_iso = qr_positive(_small_unitary(rng, rows, step) @ self.w_iso)
-        else:
-            w_iso = None
-        return _RefineState(
-            lam, basis_a, basis_xy, self.rank, w_iso, self.phi_static, self.m, self.M, self.seed
-        )
+            g_w = draws[:, inner + 4 * n * n :].reshape(lanes, 2, rows, rows)
+            w_iso = qr_positive(_small_unitaries(g_w, steps) @ self.w_iso)
+            flag_isometry(errors, w_iso)
+        return _Ladder(first, self, lam, basis_a, basis_xy, w_iso, errors)
 
 
-def _small_unitary(rng: np.random.Generator, dim: int, step: float) -> np.ndarray:
-    """exp(i * step * G) for a random Hermitian generator G with unit scale."""
-    g = hermitian_part(complex_gaussian(rng, dim, dim))
-    norm = float(np.linalg.norm(g))
-    if norm > 0.0:
-        g = g / norm
-    w, v = np.linalg.eigh(g)  # for one matrix LAPACK is cheaper than the 2x2 closed form
-    return (v * np.exp(1j * step * w)) @ v.conj().T
+def _small_unitaries(draws: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """exp(i * step * G / ||G||_F) per lane, G the Hermitian part of the
+    lane's complex Gaussian from `draws` (L, 2, d, d): real then imaginary
+    block, as complex_gaussian draws them."""
+    g = hermitian_part(complex_draws(draws))
+    # ||G||_F as np.linalg.norm takes it on one matrix: BLAS dot products of
+    # the strided real and imaginary parts (a norm over axes sums otherwise)
+    flat = g.reshape(len(g), 1, -1)
+    sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    norms = np.sqrt(sq[:, 0, 0])
+    g = g / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
+    w, v = np.linalg.eigh(g)  # LAPACK at every size: the 2x2 closed form has other bits
+    return (v * np.exp(1j * steps[:, np.newaxis] * w)[:, np.newaxis, :]) @ adj(v)
+
+
+@dataclass
+class _Ladder:
+    """Stacked proposals from one state, lane 0 being proposal `first` of
+    the refinement; `errors` holds per lane the W isometry check's
+    ValueError, then the objective's exceptions."""
+
+    first: int
+    origin: _RefineState
+    lam: np.ndarray
+    basis_a: np.ndarray
+    basis_xy: np.ndarray
+    w_iso: Optional[np.ndarray]
+    errors: LaneErrors
+
+    def state(self, lane: int) -> _RefineState:
+        o = self.origin
+        w_iso = self.w_iso[lane] if self.w_iso is not None else None
+        return _RefineState(self.lam[lane], self.basis_a[lane], self.basis_xy[lane], o.rank,
+                            w_iso, o.phi_static, o.m, o.M, o.seed)
+
+
+def _ladder_values(cfg: SearchConfig, ladder: _Ladder) -> np.ndarray:
+    """The objective on every lane of `ladder`, flagging in `ladder.errors`
+    the lanes whose one-instance evaluation raises."""
+    o, rank = ladder.origin, ladder.origin.rank
+    a = hermitian_part((ladder.basis_a * ladder.lam[:, np.newaxis, :]) @ adj(ladder.basis_a))
+    x = np.ascontiguousarray(ladder.basis_xy[..., :rank])
+    y = np.ascontiguousarray(ladder.basis_xy[..., rank : 2 * rank])
+    if ladder.w_iso is not None:
+        phi = stinespring_stack(ladder.w_iso, ladder.w_iso.shape[-2] // rank)
+    else:
+        phi = map_stack(o.phi_static)
+    s, _, t_eig = products_stack(a, x, y, phi, ladder.errors)
+    return _objective_stack(cfg.objective, cfg.p, o.m, o.M, s, t_eig, ladder.errors)
+
+
+def _ladder_steps(step: float, budget: int) -> np.ndarray:
+    """The steps of the proposals refine makes from `step` if it rejects
+    every one: halving until below _MIN_STEP, at most `budget` of them."""
+    steps = []
+    while step >= _MIN_STEP and len(steps) < budget:
+        steps.append(step)
+        step *= _STEP_SHRINK
+    return np.array(steps)
 
 
 def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     """Step-shrinking local ascent from `start`: propose a multiplicative
     perturbation, accept if it improves the objective, otherwise halve the
-    step; stops below step 1e-6 or when the budget runs out."""
+    step; stops below step 1e-6 or when the budget runs out.  A proposal
+    whose evaluation raises a WielandtLabError scores -inf and counts in
+    refine_errors.
+
+    Proposals are scored as rejection ladders: a proposal's draws depend on
+    neither the state nor the step, so the proposals that follow if each is
+    rejected are built and scored as one stack (`_RefineState.ladder`), then
+    walked in order; the lanes after an accepted one keep their draws for
+    the next ladder.  The record is the proposal-by-proposal ascent's, bit
+    for bit.  A start's first ladder is scored whole; after an accept,
+    _AFTER_ACCEPT lanes, doubling while all are rejected."""
     cfg.validate()
     rng = rng_from(mix_seed(cfg.seed, "refine"))
     state = _RefineState.from_instance(start)
@@ -361,24 +451,32 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     step = _INITIAL_STEP
     done = 0
     errors = 0
-    for i in range(cfg.refine_steps):
-        if step < _MIN_STEP:
-            break
-        candidate_state = state.perturbed(rng, step)
-        candidate = candidate_state.instance()
-        try:
-            value = objective_value(cfg, candidate)
-        except WielandtLabError:
-            value = -math.inf
-            errors += 1
-        done += 1
-        if value > best_value:
-            best_value = value
-            best_instance = candidate
-            state = candidate_state
-            trace.append(("refine", i + 1, value))
-        else:
+    queue = state.draws(rng, 0)  # drawn, not yet proposed
+    width = cfg.refine_steps  # a start is often stationary: score its whole ladder
+    while done < cfg.refine_steps and step >= _MIN_STEP:
+        steps = _ladder_steps(step, min(width, cfg.refine_steps - done))
+        queue = np.concatenate([queue, state.draws(rng, max(len(steps) - len(queue), 0))])
+        ladder = state.ladder(done + 1, queue[: len(steps)], steps)
+        values = _ladder_values(cfg, ladder)
+        for lane, value in enumerate(values.tolist()):
+            done += 1
+            error = ladder.errors.get(lane)
+            if error is not None:
+                if not isinstance(error, WielandtLabError):
+                    raise error
+                value = -math.inf
+                errors += 1
+            if value > best_value:
+                best_value = value
+                state = ladder.state(lane)
+                best_instance = state.instance()
+                trace.append(("refine", done, value))
+                width = _AFTER_ACCEPT
+                break
             step *= _STEP_SHRINK
+        else:
+            width *= 2
+        queue = queue[lane + 1 :]
     return SearchRecord(
         objective=cfg.objective,
         best_value=best_value,

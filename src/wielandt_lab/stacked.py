@@ -137,12 +137,18 @@ def draw_instances(
     xy = qr_positive(complex_draws(g_xy))
     w = qr_positive(complex_draws(g_w))
     errors = LaneErrors(b)
+    flag_isometry(errors, w)
+    return a, xy[..., :n], xy[..., n : 2 * n], w, errors
+
+
+def flag_isometry(errors: LaneErrors, w: np.ndarray) -> None:
+    """check_isometry's ValueError on the lanes whose Stinespring isometry W
+    does not have orthonormal columns."""
     gram = adj(w) @ w
-    defect = np.linalg.norm(gram - np.eye(out_dim), axis=(-2, -1))
+    defect = np.linalg.norm(gram - np.eye(w.shape[-1]), axis=(-2, -1))
     errors.flag(defect > ISOMETRY_TOL * np.maximum(1.0, np.linalg.norm(gram, axis=(-2, -1))),
                 lambda i: ValueError(
                     f"Stinespring isometry does not have orthonormal columns (defect {defect[i]:g})"))
-    return a, xy[..., :n], xy[..., n : 2 * n], w, errors
 
 
 def stinespring_stack(w: np.ndarray, k: int):
@@ -175,22 +181,23 @@ def compressed_products_stack(
     return (*products_stack(a, x, y, stinespring_stack(w, ancilla), errors), errors)
 
 
-def instance_products(inst: Instance) -> tuple:
-    """products_stack of one instance, as a stack of one: identity and
-    Stinespring maps act through their isometry, any other map through its
-    own ``apply``.  Returns (S, T, T's eigendecomposition, errors)."""
-    a = hermitian_part(as_cmatrix(inst.a, square=True))
-    phi = inst.phi
+def map_stack(phi):
+    """`phi` acting on stacks: identity and Stinespring maps through their
+    isometry, any other map through its own ``apply``, lane by lane."""
     if isinstance(phi, IdentityMap):
-        fn = stinespring_stack(np.eye(phi.dim, dtype=np.complex128), 1)
-    elif isinstance(phi, StinespringMap):
-        fn = stinespring_stack(phi.w, phi.ancilla)
-    else:
-        def fn(t):
-            return phi.apply(t[0])[np.newaxis]
+        return stinespring_stack(np.eye(phi.dim, dtype=np.complex128), 1)
+    if isinstance(phi, StinespringMap):
+        return stinespring_stack(phi.w, phi.ancilla)
+    return lambda t: np.stack([phi.apply(lane) for lane in t])
+
+
+def instance_products(inst: Instance) -> tuple:
+    """products_stack of one instance, as a stack of one.  Returns (S, T,
+    T's eigendecomposition, errors)."""
+    a = hermitian_part(as_cmatrix(inst.a, square=True))
     errors = LaneErrors(1)
-    return (*products_stack(a[np.newaxis], inst.x[np.newaxis], inst.y[np.newaxis], fn, errors),
-            errors)
+    return (*products_stack(a[np.newaxis], inst.x[np.newaxis], inst.y[np.newaxis],
+                            map_stack(inst.phi), errors), errors)
 
 
 def gamma_stack(

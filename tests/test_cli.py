@@ -1,5 +1,4 @@
 import copy
-import itertools
 import json
 import os
 import re
@@ -320,24 +319,16 @@ class TestSearchCommand:
 
     def test_refine_errors_counted_in_manifest(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
-        real_refine = search.refine
-        real_objective = search.objective_value
+        real_values = search._ladder_values
 
-        def refine_with_errors(start, cfg):
-            calls = itertools.count()
+        def flaky(cfg_, ladder):
+            values = real_values(cfg_, ladder)
+            for lane in range(len(values)):
+                if ladder.first + lane in (2, 4, 5):  # proposals count from 1
+                    ladder.errors[lane] = NotPSD("forced")
+            return values
 
-            def flaky(cfg_, inst):
-                if next(calls) in (2, 4, 5):  # call 0 scores the start instance
-                    raise NotPSD("forced")
-                return real_objective(cfg_, inst)
-
-            monkeypatch.setattr(search, "objective_value", flaky)
-            try:
-                return real_refine(start, cfg)
-            finally:
-                monkeypatch.setattr(search, "objective_value", real_objective)
-
-        monkeypatch.setattr(search, "refine", refine_with_errors)
+        monkeypatch.setattr(search, "_ladder_values", flaky)
         code = run_cli([
             "search", "--objective", "conjecture", "--trials", "20",
             "--refine-steps", "10", "--seed", "0", "--out", "e.json",

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 from pathlib import Path
@@ -7,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wielandt_lab import instances, search
-from wielandt_lab.matcore import herm_eig_stack
-from wielandt_lab.sampling import BLOCK_SIZE
+from wielandt_lab import instances, maps, search
+from wielandt_lab.matcore import herm_eig_stack, hermitian_part
+from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
 from wielandt_lab.stacked import LaneErrors, gamma_stack
 from wielandt_lab.errors import (
     DegenerateBounds,
@@ -18,6 +17,7 @@ from wielandt_lab.errors import (
     NotPSD,
     PreconditionViolated,
     Singular,
+    WielandtLabError,
 )
 
 from test_bounds import loose_scalar_instance
@@ -292,19 +292,116 @@ class TestRefineErrors:
         cfg = search.SearchConfig(objective="conjecture", trials=1, refine_steps=10, seed=1)
         clean = search.refine(start, cfg)
         assert clean.refine_errors == 0
-        real = search.objective_value
-        calls = itertools.count()
+        real = search._ladder_values
 
-        def flaky(cfg_, inst):
-            if next(calls) in (2, 4, 5):  # call 0 scores the start instance
-                raise PreconditionViolated("forced")
-            return real(cfg_, inst)
+        def flaky(cfg_, ladder):
+            values = real(cfg_, ladder)
+            for lane in range(len(values)):
+                if ladder.first + lane in (2, 4, 5):  # proposals count from 1
+                    ladder.errors[lane] = PreconditionViolated("forced")
+            return values
 
-        monkeypatch.setattr(search, "objective_value", flaky)
+        monkeypatch.setattr(search, "_ladder_values", flaky)
         rec = search.refine(start, cfg)
         assert rec.refine_errors == 3
         assert rec.trials_done == 10
         assert all(entry[1] not in (2, 4, 5) for entry in rec.trace)
+
+
+def _small_unitary(rng, dim, step):
+    """exp(i * step * G) for a random Hermitian generator G with unit scale,
+    one matrix at a time."""
+    g = hermitian_part(complex_gaussian(rng, dim, dim))
+    norm = float(np.linalg.norm(g))
+    if norm > 0.0:
+        g = g / norm
+    w, v = np.linalg.eigh(g)
+    return (v * np.exp(1j * step * w)) @ v.conj().T
+
+
+def _perturbed(state, rng, step):
+    lam = state.lam.copy()
+    if lam.size > 2:
+        lam[1:-1] = np.clip(
+            lam[1:-1] + step * (state.M - state.m) * rng.standard_normal(lam.size - 2),
+            state.m,
+            state.M,
+        )
+    basis_a = qr_positive(state.basis_a @ _small_unitary(rng, state.lam.size, step))
+    basis_xy = qr_positive(state.basis_xy @ _small_unitary(rng, state.lam.size, step))
+    w_iso = None
+    if state.w_iso is not None:
+        w_iso = qr_positive(_small_unitary(rng, state.w_iso.shape[0], step) @ state.w_iso)
+    return search._RefineState(lam, basis_a, basis_xy, state.rank, w_iso, state.phi_static,
+                               state.m, state.M, state.seed)
+
+
+def sequential_refine(start, cfg):
+    """Reference: the step-halving ascent scored one proposal at a time."""
+    rng = rng_from(mix_seed(cfg.seed, "refine"))
+    state = search._RefineState.from_instance(start)
+    best_value = search.objective_value(cfg, start)
+    best_instance = start
+    trace = [("refine", 0, best_value)]
+    step, done, errors = 0.1, 0, 0
+    for i in range(cfg.refine_steps):
+        if step < 1e-6:
+            break
+        candidate_state = _perturbed(state, rng, step)
+        candidate = candidate_state.instance()
+        try:
+            value = search.objective_value(cfg, candidate)
+        except WielandtLabError:
+            value = -math.inf
+            errors += 1
+        done += 1
+        if value > best_value:
+            best_value, best_instance, state = value, candidate, candidate_state
+            trace.append(("refine", i + 1, value))
+        else:
+            step *= 0.5
+    return search.SearchRecord(cfg.objective, best_value, best_instance, -1, done, trace, cfg,
+                               refine_errors=errors)
+
+
+def _transpose_start():
+    a = instances.gen_operator(3, 4, 1.0, 100.0)
+    x, y = instances.gen_isometry_pair(4, 4, 2)
+    return instances.Instance(a, 1.0, 100.0, x, y, maps.transpose_map(2), seed=0)
+
+
+class TestRefineLadder:
+    @pytest.mark.parametrize("start, cfg, min_accepts", [
+        (instances.gen_instance(8, 8, 4, 4, 2, 1.0, 100.0),
+         search.SearchConfig(ambient=8, rank=4, out_dim=4, M=100.0, trials=1, refine_steps=400,
+                             seed=2), 5),
+        (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
+         search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=4), 5),
+        (instances.extremal_instance(1.0, 100.0),
+         search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=1), 0),
+        (instances.gen_instance(21, 4, 2, 2, 2, 1.0, 2.0),
+         search.SearchConfig(objective="tightness_thm2", p=1.0, trials=1, refine_steps=400,
+                             seed=3), 5),
+        (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
+         search.SearchConfig(M=100.0, trials=1, refine_steps=5, seed=4), 1),
+        (_transpose_start(), search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=6), 1),
+    ], ids=["stinespring-8442", "accept-heavy-4222", "extremal", "thm2-p1", "budget-5",
+            "transpose-map"])
+    def test_matches_sequential_ascent(self, start, cfg, min_accepts):
+        rec, ref = search.refine(start, cfg), sequential_refine(start, cfg)
+        assert json.dumps(rec.to_json()) == json.dumps(ref.to_json())
+        assert (rec.trials_done, rec.refine_errors) == (ref.trials_done, ref.refine_errors)
+        assert len(ref.trace) - 1 >= min_accepts
+
+    @pytest.mark.parametrize("lanes", [1, 7, 17])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_small_unitaries_match_one_matrix_bits(self, lanes, dim):
+        steps = search._ladder_steps(0.1, lanes)
+        draws = rng_from(9).standard_normal((lanes, 2, dim, dim))
+        stacked = search._small_unitaries(draws, steps)
+        rng = rng_from(9)
+        for lane, step in enumerate(steps.tolist()):
+            assert stacked[lane].tobytes() == _small_unitary(rng, dim, step).tobytes()
 
 
 class TestGammaStack:
