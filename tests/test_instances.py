@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, instances
+from wielandt_lab import bounds, instances, maps
 from wielandt_lab.errors import DimensionMismatch, InvalidBounds
 from wielandt_lab.maps import IdentityMap
 from wielandt_lab.matcore import herm_eig
@@ -142,6 +143,47 @@ class TestGenInstance:
         inst = instances.gen_instance(5, 6, 2, 2, 2, 1.0, 2.0)
         assert inst.ambient == 6
         assert instances.validate_instance(inst) == []
+
+
+def _sampler_outputs(name, seed, shape):
+    N, n, d, k = shape
+    if name == "gen_operator":
+        return [instances.gen_operator(seed, N, 1.0, 3.0)]
+    if name == "gen_isometry_pair":
+        return list(instances.gen_isometry_pair(seed, N, n))
+    if name == "random_unital_cp":
+        return [maps.random_unital_cp(seed, n, d, k).w]
+    inst = instances.gen_instance(seed, N, n, d, k, 1.0, 3.0)
+    return [inst.a, inst.x, inst.y, inst.phi.w]
+
+
+class TestSamplerPin:
+    """sha256 of the one-seed samplers' outputs over four seeds and four
+    (N, n, d, k) shapes.  Any change to seeding, draw order or the Haar
+    construction changes them; like TestStreamPin, the bits also depend on
+    the LAPACK build that factors the Gaussians."""
+
+    SEEDS = (0, 1, 12345, 2**64 - 1)
+    SHAPES = ((2, 1, 1, 1), (4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2))
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("gen_operator", "2629f0ba9efeb532da0c5c1b328364e7cc6983528383ae02b2fe329f8673e375"),
+            ("gen_isometry_pair",
+             "5ae818a7a371d0f2dc1d9f5b539e223692e4c1ecf443c703af8d21c7e7fbaf86"),
+            ("random_unital_cp",
+             "978d180c67e11b829769e69eb73dfe94e0db27f1730a4144ec9c3ed18a2b15b6"),
+            ("gen_instance", "339cb6bb2f6d6d106b9b4011e24656f06bb0e0b2730a0522dd194489b8fd9ab8"),
+        ],
+    )
+    def test_output_digest(self, name, digest):
+        h = hashlib.sha256()
+        for shape in self.SHAPES:
+            for seed in self.SEEDS:
+                for a in _sampler_outputs(name, seed, shape):
+                    h.update(np.ascontiguousarray(a, dtype=np.complex128).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestSerialization:
