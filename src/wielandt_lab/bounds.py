@@ -36,23 +36,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidBounds, NotPSD, PreconditionViolated
-from .instances import Instance, check_bounds
-from .matcore import EigDecomp, as_cmatrix, as_herm, check_exponent, herm_eig_stack, hermitian_part
-from .sampling import MASK64, mix_seeds, qr_positive, rngs_from
-from .stacked import (
+from .instances import Instance, check_bounds, operator_stack
+from .matcore import (
+    EigDecomp,
     LaneErrors,
     adj,
+    as_cmatrix,
+    as_herm,
+    check_exponent,
     clamp_psd,
-    complex_draws,
-    draw_operator,
     flag_psd,
-    gamma_stack,
-    instance_products,
-    operator_stack,
-    sqrt_top,
+    herm_eig_stack,
+    hermitian_part,
     stack_pow,
-    top_abs,
 )
+from .sampling import MASK64, complex_draws, haar_frames, mix_seeds, normal_draws, rngs_from
+from .stacked import gamma_stack, instance_products, sqrt_top, top_abs
 
 DEFAULT_TOL = 1e-9
 ORDERING_TOL = 1e-12
@@ -452,10 +451,7 @@ def lemma_block_draws(rngs, lanes: int, dim: int, variants: np.ndarray) -> tuple
     """lemma_block_case for `lanes` generators of `rngs`: a random matrix
     X per lane plus a threshold chosen to exercise both sides of the
     boundary, including t = ||X|| +/- 1e-6.  Returns (X, t, gram_eig(X))."""
-    g = np.empty((lanes, 2, dim, dim))
-    for i in range(lanes):
-        next(rngs).standard_normal(out=g[i])
-    x = complex_draws(g) / math.sqrt(dim)
+    x = complex_draws(normal_draws(rngs, lanes, (2, dim, dim))) / math.sqrt(dim)
     gram = gram_eig(x)
     x_norm = sqrt_top(gram.eigenvalues)
     t = np.choose(np.asarray(variants) % 4, [x_norm + 1e-6, np.maximum(x_norm - 1e-6, 0.0),
@@ -504,15 +500,12 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     0 <= A <= B and spectrum(B) in [m, M], where B is a random bounded
     operator and A = B - sP for a random PSD P scaled to keep A PSD.
     Returns (A, B, B's eigenvalues)."""
-    g_b, lam_b = np.empty((lanes, 2, dim, dim)), np.empty((lanes, dim))
+    b = operator_stack(rngs, lanes, dim, m, M)
     g_p, frac = np.empty((lanes, 2, dim, dim)), np.empty(lanes)
-    for i in range(lanes):
-        draw_operator(next(rngs), g_b[i], lam_b[i], m, M)
     for i in range(lanes):
         rng = next(rngs)
         rng.standard_normal(out=g_p[i])
         frac[i] = rng.uniform(0.0, 1.0)
-    b = operator_stack(g_b, lam_b, m, M)
     g = complex_draws(g_p)
     psd = hermitian_part(g @ adj(g))
     top = herm_eig_stack(psd).eigenvalues[:, -1]
@@ -553,11 +546,9 @@ def square_order_stack(
 def psd_pair_draws(rngs, lanes: int, dim: int) -> tuple:
     """gen_psd_pair for `lanes` generators of `rngs`: two Gram matrices of
     complex Gaussians per lane."""
-    g = np.empty((lanes, 2, 2, dim, dim))
-    for i in range(lanes):
-        next(rngs).standard_normal(out=g[i])
-    g1, g2 = complex_draws(g[:, 0]), complex_draws(g[:, 1])
-    return hermitian_part(g1 @ adj(g1)), hermitian_part(g2 @ adj(g2))
+    g = complex_draws(normal_draws(rngs, lanes, (2, 2, dim, dim)))
+    psd = hermitian_part(g @ adj(g))
+    return psd[:, 0], psd[:, 1]
 
 
 def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
@@ -580,14 +571,9 @@ def wielandt_draws(rngs, lanes: int, ambient: int, m: float, M: float) -> tuple:
     """For 2 * `lanes` generators of `rngs` (every lane's operator generator,
     then every lane's unitary generator): the first two columns x, y of a
     Haar unitary and gen_operator's A."""
-    g_a, lam = np.empty((lanes, 2, ambient, ambient)), np.empty((lanes, ambient))
-    g_u = np.empty((lanes, 2, ambient, ambient))
-    for i in range(lanes):
-        draw_operator(next(rngs), g_a[i], lam[i], m, M)
-    for i in range(lanes):
-        next(rngs).standard_normal(out=g_u[i])
-    uni = qr_positive(complex_draws(g_u))
-    return uni[:, :, 0], uni[:, :, 1], operator_stack(g_a, lam, m, M)
+    a = operator_stack(rngs, lanes, ambient, m, M)
+    uni = haar_frames(normal_draws(rngs, lanes, (2, ambient, ambient)))
+    return uni[:, :, 0], uni[:, :, 1], a
 
 
 def scalar_wielandt_stack(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL) -> LaneChecks:
@@ -721,20 +707,6 @@ class BoundComparison:
     p_star: Optional[float]
     orderings: dict
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "M": self.M,
-            "p": self.p,
-            "thm1": self.thm1,
-            "thm2": self.thm2,
-            "thm3": self.thm3,
-            "tightest": self.tightest,
-            "p_star": self.p_star,
-            "orderings": dict(self.orderings),
-            "ok": self.ok,
-        }
 
 
 def compare_bounds(m: float, M: float, p: float, tol: float = ORDERING_TOL) -> BoundComparison:

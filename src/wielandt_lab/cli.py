@@ -45,7 +45,7 @@ from .bounds import (
     wielandt_factor,
 )
 from .errors import InvalidBounds, InvalidExponent, WielandtLabError
-from .instances import check_bounds, degenerate_instance, extremal_instance
+from .instances import check_bounds, check_dims, degenerate_instance, extremal_instance
 from .matcore import check_exponent
 from .sampling import block_size, fan_out, mix_seeds
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
@@ -161,11 +161,7 @@ class VerifyParams:
             raise ValueError("trials must be >= 1")
         check_bounds(self.m, self.M)
         check_tol(self.tol)
-        n, d, k = self.rank, self.out_dim, self.ancilla
-        if min(n, d, k) < 1 or d > n * k:
-            raise ValueError("need n, d, k >= 1 and d <= n*k for a Stinespring isometry")
-        if self.ambient < 2 * n:
-            raise ValueError("N must be >= 2n")
+        check_dims(self.ambient, self.rank, self.out_dim, self.ancilla)
         for p in self.p_values:
             check_exponent(p)
         check_in_range(self.m, self.M, self.p_values, square_order=True)
@@ -368,8 +364,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     try:
         dims = [int(x) for x in args.dims.split(",")]
     except ValueError as exc:

@@ -1,6 +1,13 @@
 """Test-instance construction: operators with prescribed spectral bounds,
 isometry pairs with orthogonal ranges, the closed-form equality case, and the
 combined bundle used by every inequality check.
+
+Sampled instances are drawn once, for stacks: ``operator_stack`` draws
+operators and ``draw_instances`` whole bundles, one generator per lane and
+component, the form the stacked trial blocks of ``verify`` and ``search``
+use.  The one-seed samplers (``gen_operator``, ``gen_isometry_pair``,
+``gen_instance``) are stacks of one fed by ``rng_from`` generators, so a
+lane of a block and the one-seed sampler at its seed give the same bits.
 """
 
 from __future__ import annotations
@@ -15,11 +22,14 @@ from .maps import (
     ISOMETRY_TOL,
     IdentityMap,
     PositiveMap,
+    StinespringMap,
     check_isometry,
+    check_map_dims,
     map_from_json,
     map_to_json,
 )
 from .matcore import (
+    adj,
     as_herm,
     frob,
     herm_eig,
@@ -27,12 +37,13 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
 )
-from .sampling import haar_unitary, mix_seed, rng_from
+from .sampling import haar_frames, mix_seed, normal_draws, rng_from
 
-# gen_instance's sub-seed tags, one generator per component.
+# gen_instance's sub-seed tags, one generator per component, in draw order.
 TAG_OPERATOR = "operator"
 TAG_ISOMETRIES = "isometries"
 TAG_MAP = "map"
+INSTANCE_TAGS = (TAG_OPERATOR, TAG_ISOMETRIES, TAG_MAP)
 
 
 @dataclass(eq=False)
@@ -56,10 +67,6 @@ class Instance:
     def rank(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.phi.out_dim
-
 
 def check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float]:
     """(m, M) as floats; raises InvalidBounds unless both are finite and
@@ -73,6 +80,48 @@ def check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float
     return m, M
 
 
+def check_dims(N: int, n: int, d: int, k: int) -> None:
+    """Raise ValueError unless instances of shape (N, n, d, k) exist: an
+    isometry pair of rank n in C^N and an (n*k) x d Stinespring isometry."""
+    if N < 2 * n or min(n, d, k) < 1 or d > n * k:
+        raise ValueError(f"invalid dims N={N}, n={n}, d={d}, k={k}: N must be >= 2n, "
+                         "n, d, k >= 1 and d <= n*k")
+
+
+def _check_pair_dims(N: int, rank: int) -> None:
+    if rank < 1 or N < 2 * rank:
+        raise DimensionMismatch(f"need ambient >= 2*rank >= 2, got {N} < {2 * rank}")
+
+
+def operator_stack(rngs, lanes: int, ambient: int, m: float, M: float) -> np.ndarray:
+    """gen_operator for `lanes` generators of `rngs`: each draws the
+    Gaussians of a Haar U, then eigenvalues uniform in [m, M]."""
+    g = np.empty((lanes, 2, ambient, ambient))
+    lam = np.empty((lanes, ambient))
+    for i in range(lanes):
+        rng = next(rngs)
+        rng.standard_normal(out=g[i])
+        lam[i] = rng.uniform(m, M, size=ambient)
+    u = haar_frames(g)
+    lam.sort(axis=-1)
+    lam[:, 0] = m
+    lam[:, -1] = M
+    return hermitian_part((u * lam[:, np.newaxis, :]) @ adj(u))
+
+
+def draw_instances(
+    rngs, lanes: int, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
+) -> tuple:
+    """(A, X, Y, W) of gen_instance for `lanes` generators of `rngs` per
+    component: every lane's operator generator, then every lane's isometries
+    generator, then every lane's map generator (the order of INSTANCE_TAGS).
+    W is the Stinespring isometry, not yet checked (``maps.flag_isometry``)."""
+    a = operator_stack(rngs, lanes, ambient, m, M)
+    xy = haar_frames(normal_draws(rngs, lanes, (2, ambient, ambient)))
+    w = haar_frames(normal_draws(rngs, lanes, (2, rank * ancilla, out_dim)))
+    return a, xy[..., :rank], xy[..., rank : 2 * rank], w
+
+
 def gen_operator(seed: int, n_dim: int, m: float, M: float) -> np.ndarray:
     """Random Hermitian A = U diag(lam) U* with Haar U and lam uniform in
     [m, M]; the extreme eigenvalues are pinned to m and M exactly so the
@@ -80,20 +129,14 @@ def gen_operator(seed: int, n_dim: int, m: float, M: float) -> np.ndarray:
     m, M = check_bounds(m, M)
     if n_dim < 2:
         raise DimensionMismatch("need dimension >= 2")
-    rng = rng_from(seed)
-    u = haar_unitary(rng, n_dim)
-    lam = np.sort(rng.uniform(m, M, size=n_dim))
-    lam[0] = m
-    lam[-1] = M
-    return hermitian_part((u * lam) @ u.conj().T)
+    return operator_stack(iter([rng_from(seed)]), 1, n_dim, m, M)[0]
 
 
 def gen_isometry_pair(seed: int, n_dim: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) = first and next `rank` columns of a Haar unitary on C^n_dim;
     X*X = Y*Y = I and X*Y = 0 by construction."""
-    if rank < 1 or n_dim < 2 * rank:
-        raise DimensionMismatch(f"need ambient >= 2*rank >= 2, got {n_dim} < {2 * rank}")
-    u = haar_unitary(rng_from(seed), n_dim)
+    _check_pair_dims(n_dim, rank)
+    u = haar_frames(rng_from(seed).standard_normal((2, n_dim, n_dim)))
     return u[:, :rank].copy(), u[:, rank : 2 * rank].copy()
 
 
@@ -122,32 +165,16 @@ def degenerate_instance(m: float) -> Instance:
     return Instance(_extremal_operator(m, m), m, m, x, y, IdentityMap(1), seed=0)
 
 
-def gen_instance(
-    seed: int,
-    N: int,
-    n: int,
-    d: int,
-    k: int,
-    m: float,
-    M: float,
-    identity_phi: bool = False,
-) -> Instance:
-    """Combine the generators with fixed sub-seed mixing so the bundle is
+def gen_instance(seed: int, N: int, n: int, d: int, k: int, m: float, M: float) -> Instance:
+    """draw_instances for one seed: each component draws from its own
+    generator, seeded with mix_seed(seed, tag), so the bundle is
     deterministic in `seed` and component streams stay independent."""
-    from .maps import random_unital_cp  # local import keeps module load light
-
     m, M = check_bounds(m, M)
-    if N < 2 * n:
-        raise DimensionMismatch(f"need N >= 2n, got N={N}, n={n}")
-    a = gen_operator(mix_seed(seed, TAG_OPERATOR), N, m, M)
-    x, y = gen_isometry_pair(mix_seed(seed, TAG_ISOMETRIES), N, n)
-    if identity_phi:
-        if d != n:
-            raise DimensionMismatch("identity map needs d == n")
-        phi: PositiveMap = IdentityMap(n)
-    else:
-        phi = random_unital_cp(mix_seed(seed, TAG_MAP), n, d, k)
-    return Instance(a, m, M, x, y, phi, seed=seed)
+    _check_pair_dims(N, n)
+    check_map_dims(n, d, k)
+    rngs = (rng_from(mix_seed(seed, tag)) for tag in INSTANCE_TAGS)
+    a, x, y, w = draw_instances(rngs, 1, N, n, d, k, m, M)
+    return Instance(a[0], m, M, x[0], y[0], StinespringMap(w[0], k), seed=seed)
 
 
 def validate_instance(inst: Instance, tol: float = 1e-10) -> list[str]:

@@ -13,6 +13,10 @@ positivity is certified through the Choi matrix; a CP certificate is
 sufficient for the 2-positivity assumed by the inequality checks, while
 arbitrary user maps can only be probed by sampling (a necessary condition,
 not a certificate).
+
+The isometry guard is written once, for stacks: ``flag_isometry`` records a
+ValueError for each lane whose frame does not have orthonormal columns, and
+``check_isometry`` runs it on a stack of one.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .matcore import (
     PSD_TOL,
+    LaneErrors,
+    adj,
     as_cmatrix,
     frob,
     herm_eig,
@@ -32,17 +38,27 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
 )
-from .sampling import complex_gaussian, haar_isometry, rng_from
+from .sampling import complex_gaussian, haar_frames, rng_from
 
 ISOMETRY_TOL = 1e-12
 
 
+def flag_isometry(errors: LaneErrors, v: np.ndarray, what: str) -> None:
+    """ValueError on the lanes of a stack of frames V, labelled `what`,
+    unless V*V = I within ISOMETRY_TOL * max(1, ||V*V||_F)."""
+    gram = adj(v) @ v
+    defect = np.linalg.norm(gram - np.eye(v.shape[-1]), axis=(-2, -1))
+    errors.flag(defect > ISOMETRY_TOL * np.maximum(1.0, np.linalg.norm(gram, axis=(-2, -1))),
+                lambda i: ValueError(
+                    f"{what} does not have orthonormal columns (defect {defect[i]:g})"))
+
+
 def check_isometry(v: np.ndarray, what: str) -> None:
-    """Raise ValueError unless V*V = I within ISOMETRY_TOL * max(1, ||V*V||_F)."""
-    gram = v.conj().T @ v
-    err = frob(gram - np.eye(v.shape[1]))
-    if err > ISOMETRY_TOL * max(1.0, frob(gram)):
-        raise ValueError(f"{what} does not have orthonormal columns (defect {err:g})")
+    """flag_isometry on one frame V; raises its ValueError."""
+    errors = LaneErrors(1)
+    flag_isometry(errors, v[np.newaxis], what)
+    if errors:
+        raise errors[0]
 
 
 def tensor_identity(t: np.ndarray, k: int) -> np.ndarray:
@@ -262,15 +278,20 @@ def two_positivity_probe(
     return ProbeReport(False, trials, trials, worst, None, tol)
 
 
-def random_unital_cp(seed: int, n: int, d: int, k: int) -> StinespringMap:
-    """Haar-random Stinespring map C^{n x n} -> C^{d x d} with ancilla k;
-    unital and CP by construction, deterministic in the seed."""
+def check_map_dims(n: int, d: int, k: int) -> None:
+    """Raise ValueError unless n, d, k >= 1 and DimensionMismatch unless
+    n*k >= d, the rows and columns of a Stinespring isometry."""
     if min(n, d, k) < 1:
         raise ValueError("n, d, k must all be >= 1")
     if n * k < d:
         raise DimensionMismatch(f"need n*k >= d for an isometry, got {n*k} < {d}")
-    w = haar_isometry(rng_from(seed), n * k, d)
-    return StinespringMap(w, k)
+
+
+def random_unital_cp(seed: int, n: int, d: int, k: int) -> StinespringMap:
+    """Haar-random Stinespring map C^{n x n} -> C^{d x d} with ancilla k;
+    unital and CP by construction, deterministic in the seed."""
+    check_map_dims(n, d, k)
+    return StinespringMap(haar_frames(rng_from(seed).standard_normal((2, n * k, d))), k)
 
 
 def classify_map(

@@ -6,6 +6,12 @@ are symmetrized ``(H + H*)/2`` on entry so accumulated arithmetic drift cannot
 leak into spectral computations.  The eigensolver is LAPACK's Hermitian
 ``eigh`` (via numpy), with a vectorized closed form for stacks of 2x2
 matrices, the common case in searches and several times cheaper than LAPACK.
+
+Spectral powers and their hypothesis guards are written once, for stacks
+``(B, n, n)``: ``flag_psd`` and ``flag_pd`` record in a ``LaneErrors`` the
+exception of each lane that is not PSD or not positive definite, and
+``stack_pow`` raises each lane's eigenvalues to a power.  ``eig_pow_psd`` and
+``eig_pow_pd`` run them on a stack of one and raise that lane's exception.
 """
 
 from __future__ import annotations
@@ -109,28 +115,83 @@ def herm_eig_stack(h: np.ndarray) -> EigDecomp:
     return EigDecomp(w, v)
 
 
-def _eig_scale(w: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+class LaneErrors(dict):
+    """lane -> the exception the lane's computation raises first.  Flags
+    must be added in the order the checks run: a lane keeps its first."""
+
+    def __init__(self, lanes: int):
+        super().__init__()
+        self.lanes = lanes
+
+    def flag(self, mask: np.ndarray, make) -> None:
+        """Give every lane of `mask` that has no exception yet `make(lane)`."""
+        for lane in np.flatnonzero(mask).tolist():
+            if lane not in self:
+                self[lane] = make(lane)
+
+    @property
+    def bad(self) -> np.ndarray:
+        mask = np.zeros(self.lanes, dtype=bool)
+        mask[list(self)] = True
+        return mask
+
+
+def adj(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def stack_scale(w: np.ndarray) -> np.ndarray:
+    """Per-lane max(1, max |eigenvalue|), the scale of the PSD and PD
+    thresholds."""
+    return np.maximum(1.0, np.abs(w).max(axis=-1))
+
+
+def stack_pow(w: np.ndarray, v: np.ndarray, p: float, bad: np.ndarray) -> np.ndarray:
+    """(v diag(w^p) v*) per lane; lanes in `bad` get eigenvalues 1 first, so
+    nothing divides by zero (their values are discarded)."""
+    w = np.where(bad[:, np.newaxis], 1.0, w)
+    return hermitian_part((v * w[:, np.newaxis, :] ** p) @ adj(v))
+
+
+def clamp_psd(w: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues clamped to zero (convention 0^p = 0)."""
+    return np.where(w < 0.0, 0.0, w)
+
+
+def flag_psd(errors: LaneErrors, w: np.ndarray) -> None:
+    """NotPSD on the lanes whose minimum eigenvalue is below -PSD_TOL * scale."""
+    scale = stack_scale(w)
+    errors.flag(w[:, 0] < -PSD_TOL * scale, lambda i: NotPSD(
+        f"minimum eigenvalue {w[i, 0]:g} below -{PSD_TOL:g}*{scale[i]:g}"))
+
+
+def flag_pd(errors: LaneErrors, w: np.ndarray) -> None:
+    """Singular on the lanes whose minimum eigenvalue is at most PD_TOL * scale."""
+    scale = stack_scale(w)
+    errors.flag(w[:, 0] <= PD_TOL * scale, lambda i: Singular(
+        f"minimum eigenvalue {w[i, 0]:g} below {PD_TOL:g}*{scale[i]:g}"))
 
 
 def eig_pow_psd(d: EigDecomp, p: float) -> np.ndarray:
     """S^p from a decomposition of PSD S; eigenvalues in [-PSD_TOL*scale, 0)
-    are clamped to zero (convention 0^p = 0)."""
-    w, v = d
-    scale = _eig_scale(w)
-    if float(w[0]) < -PSD_TOL * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:g} below -{PSD_TOL:g}*{scale:g}")
-    wc = np.where(w < 0.0, 0.0, w)
-    return hermitian_part((v * wc**p) @ v.conj().T)
+    are clamped to zero: flag_psd and stack_pow on a stack of one."""
+    w, v = (part[np.newaxis] for part in d)
+    errors = LaneErrors(1)
+    flag_psd(errors, w)
+    if errors:
+        raise errors[0]
+    return stack_pow(clamp_psd(w), v, p, errors.bad)[0]
 
 
 def eig_pow_pd(d: EigDecomp, p: float) -> np.ndarray:
-    """T^p (any real p, including negative) from a decomposition of PD T."""
-    w, v = d
-    scale = _eig_scale(w)
-    if float(w[0]) <= PD_TOL * scale:
-        raise Singular(f"minimum eigenvalue {w[0]:g} below {PD_TOL:g}*{scale:g}")
-    return hermitian_part((v * w**p) @ v.conj().T)
+    """T^p (any real p, including negative) from a decomposition of PD T:
+    flag_pd and stack_pow on a stack of one."""
+    w, v = (part[np.newaxis] for part in d)
+    errors = LaneErrors(1)
+    flag_pd(errors, w)
+    if errors:
+        raise errors[0]
+    return stack_pow(w, v, p, errors.bad)[0]
 
 
 def check_exponent(p: float) -> float:

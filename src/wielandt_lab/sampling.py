@@ -1,15 +1,21 @@
-"""Deterministic seed derivation and Haar-measure sampling helpers.
+"""Deterministic seed derivation, generator seeding and Haar-measure draws.
 
 Sub-seeds are derived with a fixed 64-bit mixing function (splitmix64 over an
 FNV-1a tag hash), so component streams are order-independent and batch runs
 parallelize without changing results; ``fan_out`` runs such index ranges on
 worker processes.
 
-Each sampled component draws from ``default_rng(sub_seed)``.  A stacked block
-of ``block_size(ambient)`` trials hashes its sub-seeds with ``mix_seeds``, and
+Each sampled component draws from ``default_rng(sub_seed)``.  A one-seed
+sampler takes its generator from ``rng_from``.  A stacked block of
+``block_size(ambient)`` trials hashes its sub-seeds with ``mix_seeds``, and
 ``rngs_from`` runs numpy's SeedSequence and PCG64 seeding on uint64 arrays and
 sets one reused Generator to each lane's state: the state ``default_rng``
 gives, checked against it on the first lane of every call.
+
+Draws are written once, for stacks: ``normal_draws`` takes one lane's
+standard normals from each generator, ``complex_draws`` turns them into
+complex Gaussians and ``haar_frames`` into Haar-distributed frames.  A
+one-seed draw is a stack of one.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-
-from .errors import DimensionMismatch
 
 MASK64 = (1 << 64) - 1
 
@@ -140,11 +144,25 @@ def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
         yield rng
 
 
+def normal_draws(rngs: Iterator[np.random.Generator], lanes: int, shape: tuple) -> np.ndarray:
+    """(lanes, *shape) standard normals, lane i drawn from the i-th next
+    generator of `rngs`."""
+    g = np.empty((lanes, *shape))
+    for lane in g:
+        next(rngs).standard_normal(out=lane)
+    return g
+
+
+def complex_draws(g: np.ndarray) -> np.ndarray:
+    """(..., 2, r, c) standard normals, real block then imaginary block, as
+    (..., r, c) standard complex Gaussians."""
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+
+
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Matrix with i.i.d. standard complex Gaussian entries."""
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Matrix with i.i.d. standard complex Gaussian entries: complex_draws of
+    one lane."""
+    return complex_draws(rng.standard_normal((2, rows, cols)))
 
 
 def qr_positive(a: np.ndarray) -> np.ndarray:
@@ -158,16 +176,10 @@ def qr_positive(a: np.ndarray) -> np.ndarray:
     return q * phases[..., np.newaxis, :]
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary on C^dim."""
-    return qr_positive(complex_gaussian(rng, dim, dim))
-
-
-def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-random ``rows x cols`` matrix with orthonormal columns."""
-    if rows < cols:
-        raise DimensionMismatch(f"isometry needs rows >= cols, got {rows} < {cols}")
-    return qr_positive(complex_gaussian(rng, rows, cols))
+def haar_frames(g: np.ndarray) -> np.ndarray:
+    """Haar-random (..., rows, cols) frames (orthonormal columns; unitaries
+    when square) from (..., 2, rows, cols) standard normals, rows >= cols."""
+    return qr_positive(complex_draws(g))
 
 
 def block_size(ambient: int) -> int:

@@ -11,9 +11,10 @@ preserved by construction.
 
 Every objective value comes from one stacked kernel (``_objective_stack``).
 The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
-and scores each block on stacked ``(B, n, n)`` arrays drawn from the same
-per-trial generators as ``gen_instance``; trial 0 (the closed-form equality
-template) and the refinement's start are stacks of one (``objective_value``).
+and scores each block on stacked ``(B, n, n)`` arrays drawn by
+``draw_instances``, the sampler ``gen_instance`` runs on a stack of one;
+trial 0 (the closed-form equality template) and the refinement's start are
+stacks of one (``objective_value``).
 Only the best trial of each worker's range is rebuilt as an ``Instance``, for
 the witness.  Refinement scores its proposals as rejection ladders: the
 proposals it would make if it rejected each one in turn, built and scored as
@@ -41,27 +42,31 @@ from .errors import DegenerateBounds, Singular, WielandtLabError
 from .instances import (
     Instance,
     check_bounds,
+    check_dims,
     extremal_instance,
     gen_instance,
     instance_from_json,
     instance_to_json,
 )
-from .maps import StinespringMap
-from .matcore import check_exponent, herm_eig, herm_eig_stack, hermitian_part
-from .sampling import block_size, fan_out, mix_seed, qr_positive, rng_from
-from .stacked import (
+from .maps import StinespringMap, flag_isometry
+from .matcore import (
     LaneErrors,
     adj,
-    complex_draws,
-    compressed_products_stack,
-    flag_isometry,
+    check_exponent,
     flag_pd,
+    herm_eig,
+    herm_eig_stack,
+    hermitian_part,
+    stack_pow,
+)
+from .sampling import block_size, complex_draws, fan_out, mix_seed, qr_positive, rng_from
+from .stacked import (
+    compressed_products_stack,
     gamma_stack,
     instance_products,
     map_stack,
     products_stack,
     sqrt_top,
-    stack_pow,
     stinespring_stack,
     top_abs,
 )
@@ -131,9 +136,7 @@ class SearchConfig:
             raise ValueError("refine_steps must be >= 0")
         check_bounds(self.m, self.M, strict=True)
         check_tol(self.tol)
-        n, d, k = self.rank, self.out_dim, self.ancilla
-        if self.ambient < 2 * n or min(n, d, k) < 1 or d > n * k:  # no Stinespring isometry
-            raise ValueError(f"invalid dims N={self.ambient}, n={n}, d={d}, k={k}")
+        check_dims(self.ambient, self.rank, self.out_dim, self.ancilla)
         if self.objective != "conjecture":
             if self.p is None:
                 raise ValueError(f"objective {self.objective} requires p")
@@ -363,7 +366,7 @@ class _RefineState:
             rows = self.w_iso.shape[0]
             g_w = draws[:, inner + 4 * n * n :].reshape(lanes, 2, rows, rows)
             w_iso = qr_positive(_small_unitaries(g_w, steps) @ self.w_iso)
-            flag_isometry(errors, w_iso)
+            flag_isometry(errors, w_iso, "Stinespring isometry")
         return _Ladder(first, self, lam, basis_a, basis_xy, w_iso, errors)
 
 

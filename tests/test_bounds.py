@@ -9,7 +9,7 @@ import pytest
 from wielandt_lab import bounds, instances, maps, stacked
 from wielandt_lab.errors import InvalidBounds, InvalidExponent, NotPSD, PreconditionViolated
 from wielandt_lab.matcore import EigDecomp, herm_eig, herm_eig_stack, herm_norm, hermitian_part
-from wielandt_lab.sampling import mix_seed
+from wielandt_lab.sampling import haar_frames, mix_seed, rng_from
 
 from conftest import rand_psd
 
@@ -420,11 +420,9 @@ class TestScalarWielandt:
         assert rep.payload["lhs"] == pytest.approx(0.0, abs=1e-14)
 
     def test_random_batch(self):
-        from wielandt_lab.sampling import haar_unitary, rng_from
-
         for seed in range(200):
             a = instances.gen_operator(seed, 4, 1.0, 2.0)
-            u = haar_unitary(rng_from(seed + 10_000), 4)
+            u = haar_frames(rng_from(seed + 10_000).standard_normal((2, 4, 4)))
             rep = bounds.check_scalar_wielandt(u[:, 0], u[:, 1], a, 1.0, 2.0)
             assert rep.passed, seed
 

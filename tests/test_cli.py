@@ -222,6 +222,7 @@ class TestVerify:
     def test_usage_errors(self, capsys):
         assert run_cli(["verify", "--m", "2", "--M", "1"]) == 2
         assert run_cli(["verify", "--trials", "0"]) == 2
+        assert run_cli(["search", "--objective", "conjecture", "--trials", "0"]) == 2
         assert run_cli(["verify", "--p", "0"]) == 2
         assert run_cli(["verify", "--N", "3"]) == 2
 

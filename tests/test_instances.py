@@ -8,6 +8,7 @@ from wielandt_lab import bounds, instances, maps
 from wielandt_lab.errors import DimensionMismatch, InvalidBounds
 from wielandt_lab.maps import IdentityMap
 from wielandt_lab.matcore import herm_eig
+from wielandt_lab.sampling import mix_seeds, rngs_from
 
 from test_bounds import gamma_of
 
@@ -126,15 +127,6 @@ class TestGenInstance:
             instances.instance_to_json(i2)
         )
 
-    def test_identity_override(self):
-        inst = instances.gen_instance(4, 4, 2, 2, 2, 1.0, 2.0, identity_phi=True)
-        assert isinstance(inst.phi, IdentityMap)
-        assert instances.validate_instance(inst) == []
-
-    def test_identity_override_needs_matching_dims(self):
-        with pytest.raises(DimensionMismatch):
-            instances.gen_instance(4, 4, 2, 3, 2, 1.0, 2.0, identity_phi=True)
-
     def test_ambient_guard(self):
         with pytest.raises(DimensionMismatch):
             instances.gen_instance(0, 3, 2, 2, 2, 1.0, 2.0)
@@ -184,6 +176,19 @@ class TestSamplerPin:
                 for a in _sampler_outputs(name, seed, shape):
                     h.update(np.ascontiguousarray(a, dtype=np.complex128).tobytes())
         assert h.hexdigest() == digest
+
+
+class TestDrawInstances:
+    @pytest.mark.parametrize("shape", TestSamplerPin.SHAPES)
+    def test_lanes_equal_gen_instance(self, shape):
+        # a stacked block seeds its generators in one vectorized pass
+        seeds = mix_seeds(5, range(1, 41))
+        rngs = rngs_from(mix_seeds(seeds[:, np.newaxis], instances.INSTANCE_TAGS).T)
+        a, x, y, w = instances.draw_instances(rngs, len(seeds), *shape, 1.0, 3.0)
+        for lane, seed in enumerate(seeds.tolist()):
+            inst = instances.gen_instance(seed, *shape, 1.0, 3.0)
+            for got, want in ((a, inst.a), (x, inst.x), (y, inst.y), (w, inst.phi.w)):
+                assert np.array_equal(got[lane], want), lane
 
 
 class TestSerialization:

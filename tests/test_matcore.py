@@ -203,7 +203,8 @@ class TestMatPow:
 
 
 class TestMatInvPow:
-    """T^{-p} for PD T, through eig_pow_pd as Gamma uses it."""
+    """T^{-p} for PD T through eig_pow_pd: flag_pd and stack_pow, the code
+    Gamma uses, on a stack of one."""
 
     @staticmethod
     def inv_pow(t, p):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from wielandt_lab import instances, maps, search
-from wielandt_lab.matcore import herm_eig_stack, hermitian_part
+from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
-from wielandt_lab.stacked import LaneErrors, gamma_stack
+from wielandt_lab.stacked import gamma_stack
 from wielandt_lab.errors import (
     DegenerateBounds,
     InvalidBounds,
