@@ -83,33 +83,51 @@ _TIMESTAMP_LINE = re.compile(rb'^\s*"(started_at|finished_at)": .*\n', re.MULTIL
 
 
 class TestStreamPin:
-    """sha256 of two timestamp-stripped reports.  Any change to the sampled
-    instance stream (seed mixing, generator seeding or draw order) changes
-    them, so such a change must update these pins on purpose.  The bits also
-    depend on the LAPACK build that solves the eigenproblems."""
+    """sha256 of timestamp-stripped reports, with each run's exit code.  Any
+    change to the sampled instance stream (seed mixing, generator seeding or
+    draw order) or to the exponent arithmetic changes them, so such a change
+    must update these pins on purpose.  The bits also depend on the LAPACK
+    build that solves the eigenproblems."""
 
     @pytest.mark.parametrize(
-        "args,digest",
+        "args,code,digest",
         [
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "100", "--seed", "3"],
-             "78e9441f337dc05604c08c88e16d34536a44e61e22011892f9db46ca96709ae0"),
+             0, "78e9441f337dc05604c08c88e16d34536a44e61e22011892f9db46ca96709ae0"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "300", "--seed", "3"],
-             "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
+             0, "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
             # Runs past one 512-trial block, pinned to digests taken with
             # 64-trial blocks.
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
-             "a5ba7a3b61f3af0715a45abc32c2ab61e6d8edc37f62772d0fc4dee5a9c672c7"),
+             0, "a5ba7a3b61f3af0715a45abc32c2ab61e6d8edc37f62772d0fc4dee5a9c672c7"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
-             "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
+             0, "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
+            # Exponent grids that split into several groups at some block
+            # sizes, and the other caller of gamma_stack.
+            (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
+              "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "50", "--seed", "3"],
+             0, "2c4b37377cb18bda15d85b4ed4830f782990124ca184cfb15f15413ca6fed5be"),
+            (["verify", "--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100",
+              "--p", "0.1:6:0.1", "--trials", "50"],
+             0, "d4d83d41275e27ef47c7f01d5c06870a42b30936e2a95801d66e1a8d764112a0"),
+            (["verify", "--N", "7", "--n", "3", "--d", "2", "--k", "3", "--M", "50",
+              "--p", "0.5,0.75,1.5"],
+             0, "0f487f3e4b8f61eefc9e8c3000ab690b9bdb71c2ba189411e4015439dd4c8928"),
+            (["verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"],
+             1, "d724bb981dfc5ca749bf1464b7079217348293bf60779c3a45cef4b28ed4d53e"),
+            (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
+              "--trials", "1100"],
+             0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
         ],
-        ids=["verify", "search", "verify-two-blocks", "search-three-blocks"],
+        ids=["verify", "search", "verify-two-blocks", "search-three-blocks", "verify-sweep",
+             "verify-long-grid", "verify-rank-three", "verify-trial-errors", "search-thm2"],
     )
-    def test_report_digest(self, args, digest, tmp_chdir, monkeypatch, capsys):
+    def test_report_digest(self, args, code, digest, tmp_chdir, monkeypatch, capsys):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
-        assert cli.main(args + ["--out", "r.json"]) == 0
+        assert cli.main(args + ["--out", "r.json"]) == code
         body = _TIMESTAMP_LINE.sub(b"", (tmp_chdir / "r.json").read_bytes())
         assert hashlib.sha256(body).hexdigest() == digest
