@@ -49,9 +49,18 @@ from .matcore import (
     herm_eig_stack,
     hermitian_part,
     stack_pow,
+    stack_pows,
 )
-from .sampling import MASK64, complex_draws, haar_frames, mix_seeds, normal_draws, rngs_from
-from .stacked import gamma_stack, instance_products, sqrt_top, top_abs
+from .sampling import (
+    MASK64,
+    block_size,
+    complex_draws,
+    haar_frames,
+    mix_seeds,
+    normal_draws,
+    rngs_from,
+)
+from .stacked import flag_gamma, gamma_stack, instance_products, sqrt_top, top_abs
 
 DEFAULT_TOL = 1e-9
 ORDERING_TOL = 1e-12
@@ -298,10 +307,6 @@ class LaneChecks:
 # ---------------------------------------------------------------------------
 
 
-def _bound_fn(which: int):
-    return (bound_thm1, bound_thm2, bound_thm3)[which - 1]
-
-
 def instance_checks_stack(
     s: np.ndarray,
     t: np.ndarray,
@@ -315,11 +320,15 @@ def instance_checks_stack(
 ) -> LaneChecks:
     """Every per-instance check for each exponent on stacks of compressed
     products (see ``stacked.products_stack``); `seeds` are the lanes'
-    instance seeds, which their reports carry.  See the module docstring for
-    margin conventions."""
+    instance seeds, which their reports carry.  The exponents are scored in
+    groups of block_size(d) // B of them (at least one), each group as
+    (P, B) stacks, so a group's arrays stay near those of one full block at
+    one exponent; the checks are appended exponent by exponent.  See the
+    module docstring for margin conventions."""
     t_w, t_v = t_eig
     p_values = [check_exponent(p) for p in p_values]
-    (s_w, s_v), powers = gamma_stack(s, t_eig, errors, m, M, p_values)
+    s_eig = flag_gamma(s, t_eig, errors, m, M)
+    s_w, s_v = s_eig
     bad = errors.bad
     lanes = LaneChecks(errors)
 
@@ -337,47 +346,42 @@ def instance_checks_stack(
 
     s_psd = clamp_psd(s_w)
     s_top = np.maximum(s_w[:, -1], 0.0)
-    t_lo = np.where(bad, 1.0, t_w[:, 0])
+    t_lo_inv = 1.0 / np.where(bad, 1.0, t_w[:, 0])
     t_hi = np.where(bad, 1.0, t_w[:, -1])
-    for p, (sp, g) in zip(p_values, powers):
-        ctx = context(p=p)
+    group = max(1, block_size(s.shape[-1]) // len(s))
+    for first in range(0, len(p_values), group):
+        ps = p_values[first : first + group]
+        sp, g = gamma_stack(s_eig, t_eig, bad, ps)
         h_w, h_v = herm_eig_stack(hermitian_part(g))
         abs_norm = top_abs(h_w)
-        lam_max = h_w[:, -1]
+        lam_max = h_w[..., -1]
         top = np.argmax(np.abs(h_w), axis=-1)
-        implied = np.ones(len(s), dtype=bool)
-        for which in (1, 2, 3):
-            # |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I
-            bound = _bound_fn(which)(m, M, p)
-            thr = tol * _scale(abs_norm, bound)
-            ok = abs_norm <= bound + thr
-            sym_ok = lam_max <= bound + thr
-            lanes.inequality(f"thm{which}_abs", abs_norm, bound, bound - abs_norm, ok, ok, tol,
-                             ctx, (abs_norm, h_v, top))
-            lanes.inequality(f"thm{which}_sym", abs_norm, bound, bound - lam_max, sym_ok, ok, tol,
-                             ctx, (lam_max, h_v, -1))
-            implied &= ~ok | sym_ok
-        lanes.add("abs_implies_sym", implied, None, lambda i, implied=implied, p=p: Report(
-            "abs_implies_sym", bool(implied[i]), None,
-            {"passed": bool(implied[i]), "detail": f"p={p}"}))
+        # each bound family's bounds, as lists and as (P, 1) columns
+        bound = [[fn(m, M, p) for p in ps] for fn in (bound_thm1, bound_thm2, bound_thm3)]
+        col = [np.array(values)[:, np.newaxis] for values in bound]
+        # |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I: per
+        # family, each form's margins and verdicts
+        families = []
+        for values, c in zip(bound, col):
+            thr = tol * _scale(abs_norm, c)
+            families.append((values, c - abs_norm, abs_norm <= c + thr, c - lam_max,
+                             lam_max <= c + thr))
+        implied = np.logical_and.reduce([~ok | sym_ok for _, _, ok, _, sym_ok in families])
 
         # ||(Gamma+Gamma*)/2|| <= ||Gamma|| <= bound_thm2(m, M, p)
         gnorm = sqrt_top(herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues)
-        thr = tol * _scale(abs_norm, gnorm)
-        lanes.inequality("sym_norm_le_gamma", abs_norm, gnorm, gnorm - abs_norm, None,
-                         abs_norm <= gnorm + thr, tol, ctx)
-        bound = bound_thm2(m, M, p)
-        thr = tol * _scale(gnorm, bound)
-        lanes.inequality("gamma_norm_le_thm2", gnorm, bound, bound - gnorm, None,
-                         gnorm <= bound + thr, tol, ctx)
+        below_gamma = abs_norm <= gnorm + tol * _scale(abs_norm, gnorm)
+        below_thm2 = gnorm <= col[1] + tol * _scale(gnorm, col[1])
+        gnorm_gap, thm2_gap = gnorm - abs_norm, col[1] - gnorm
 
         # Link-by-link certification of the norm chain behind the
         # arithmetic-mean bound: ||Gamma+Gamma*||/2 <= ||S^{2p}+T^{-2p}||/2
         # <= (||S||^{2p} + ||T^{-1}||^{2p})/2 <= bound_thm1.
-        mixed = stack_pow(s_psd, s_v, 2.0 * p, bad) + stack_pow(t_w, t_v, -2.0 * p, bad)
-        split = (s_top ** (2.0 * p) + (1.0 / t_lo) ** (2.0 * p)) / 2.0
-        links = (abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split,
-                 bound_thm1(m, M, p))
+        mixed = (stack_pows(s_psd, s_v, [2.0 * p for p in ps], bad)
+                 + stack_pows(t_w, t_v, [-2.0 * p for p in ps], bad))
+        split = (np.stack([s_top ** (2.0 * p) for p in ps])
+                 + np.stack([t_lo_inv ** (2.0 * p) for p in ps])) / 2.0
+        links = (abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split, col[0])
         gaps = [hi - lo for lo, hi in zip(links, links[1:])]
         scales = [_scale(lo, hi) for lo, hi in zip(links, links[1:])]
         chained = np.logical_and.reduce([gap + tol * sc >= 0.0 for gap, sc in zip(gaps, scales)])
@@ -385,26 +389,56 @@ def instance_checks_stack(
         # gaps of links near 1e23 are rounding noise
         relative = np.minimum.reduce([gap / sc for gap, sc in zip(gaps, scales)])
 
-        def chain(i, links=links, gaps=gaps, chained=chained, relative=relative, ctx=ctx):
-            passed = bool(chained[i])
-            payload = {"links": [_at(x, i) for x in links],
-                       "link_margins": [float(gap[i]) for gap in gaps], "passed": passed,
-                       "tol": tol}
-            payload.update((key, ctx(i).get(key)) for key in ("seed", "m", "M", "p"))
-            return Report("thm1_chain", passed, float(relative[i]), payload)
+        # S^p <= ((M-m)/(M+m))^{2p} T^p, valid for 0 < p <= 1 (operator
+        # monotonicity of fractional powers); row k of these arrays is
+        # exponent monotone[k] of the group
+        monotone = [j for j, p in enumerate(ps) if p <= 1.0 + 1e-12]
+        if monotone:
+            low = [ps[j] for j in monotone]
+            factor_p = np.array([factor**p for p in low])
+            mono_w, mono_v = herm_eig_stack(
+                factor_p[:, np.newaxis, np.newaxis, np.newaxis] * stack_pows(t_w, t_v, low, bad)
+                - sp[monotone])
+            mono_margin = mono_w[..., 0]
+            mono_lhs = np.stack([s_top**p for p in low])
+            mono_bound = factor_p[:, np.newaxis] * np.stack([t_hi**p for p in low])
+            mono_thr = tol * _scale(mono_lhs, mono_bound)
+            mono_loewner = mono_margin >= -mono_thr
+            mono_norm = mono_lhs <= mono_bound + mono_thr
 
-        lanes.add("thm1_chain", chained, relative, chain)
+        for j, p in enumerate(ps):
+            ctx = context(p=p)
+            for which, (values, margin, ok, sym_margin, sym_ok) in enumerate(families, 1):
+                lanes.inequality(f"thm{which}_abs", abs_norm[j], values[j], margin[j], ok[j],
+                                 ok[j], tol, ctx, (abs_norm[j], h_v[j], top[j]))
+                lanes.inequality(f"thm{which}_sym", abs_norm[j], values[j], sym_margin[j],
+                                 sym_ok[j], ok[j], tol, ctx, (lam_max[j], h_v[j], -1))
+            lanes.add("abs_implies_sym", implied[j], None,
+                      lambda i, implied=implied[j], p=p: Report(
+                          "abs_implies_sym", bool(implied[i]), None,
+                          {"passed": bool(implied[i]), "detail": f"p={p}"}))
+            lanes.inequality("sym_norm_le_gamma", abs_norm[j], gnorm[j], gnorm_gap[j], None,
+                             below_gamma[j], tol, ctx)
+            lanes.inequality("gamma_norm_le_thm2", gnorm[j], bound[1][j], thm2_gap[j], None,
+                             below_thm2[j], tol, ctx)
 
-        if p <= 1.0 + 1e-12:
-            # S^p <= ((M-m)/(M+m))^{2p} T^p, valid for 0 < p <= 1 (operator
-            # monotonicity of fractional powers)
-            factor_p = factor**p
-            w, v = herm_eig_stack(factor_p * stack_pow(t_w, t_v, p, bad) - sp)
-            lhs_norm = s_top**p
-            bound_norm = factor_p * t_hi**p
-            thr = tol * _scale(lhs_norm, bound_norm)
-            lanes.inequality("power_monotone", lhs_norm, bound_norm, w[:, 0], w[:, 0] >= -thr,
-                             lhs_norm <= bound_norm + thr, tol, ctx, (w[:, 0], v, 0))
+            def chain(i, links=(*(x[j] for x in links[:3]), bound[0][j]),
+                      gaps=[gap[j] for gap in gaps], chained=chained[j], relative=relative[j],
+                      ctx=ctx):
+                passed = bool(chained[i])
+                payload = {"links": [_at(x, i) for x in links],
+                           "link_margins": [float(gap[i]) for gap in gaps], "passed": passed,
+                           "tol": tol}
+                payload.update((key, ctx(i).get(key)) for key in ("seed", "m", "M", "p"))
+                return Report("thm1_chain", passed, float(relative[i]), payload)
+
+            lanes.add("thm1_chain", chained[j], relative[j], chain)
+
+            if j in monotone:
+                k = monotone.index(j)
+                lanes.inequality("power_monotone", mono_lhs[k], mono_bound[k], mono_margin[k],
+                                 mono_loewner[k], mono_norm[k], tol, ctx,
+                                 (mono_margin[k], mono_v[k], 0))
     return lanes
 
 
@@ -600,18 +634,24 @@ def scalar_wielandt_stack(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL)
     return lanes
 
 
-def lemma_checks_stack(
-    seeds, variants, dim: int, ambient: int, m: float, M: float, tol: float = DEFAULT_TOL
-) -> LaneChecks:
-    """run_lemma_trial(seed, dim, ambient, m, M, tol, variant=variant) for
-    every lane's (seed, variant), on stacks drawn from the same generators."""
-    b = len(seeds)
+def lemma_seeds(seeds) -> np.ndarray:
+    """(7, B) sub-seeds of the generators lemma_checks_stack takes for the
+    trial seeds `seeds`, one row per generator in the order it draws them,
+    each row in lane order."""
     seeds = np.asarray(seeds, dtype=np.uint64)[:, np.newaxis]
     tagged = mix_seeds(seeds, (TAG_LEMMA_BLOCK, TAG_SQUARE, TAG_PSD_PAIR))
     square = mix_seeds(tagged[:, 1:2], (TAG_SQUARE_B, TAG_SQUARE_P))
     wielandt = mix_seeds(seeds, (TAG_WIELANDT_A, TAG_WIELANDT_XY))
-    # one vectorized seeding pass, each input's generators in lane order
-    rngs = rngs_from(np.vstack([tagged[:, 0], *square.T, tagged[:, 2], *wielandt.T]))
+    return np.vstack([tagged[:, 0], *square.T, tagged[:, 2], *wielandt.T])
+
+
+def lemma_checks_stack(
+    rngs, variants, dim: int, ambient: int, m: float, M: float, tol: float = DEFAULT_TOL
+) -> LaneChecks:
+    """run_lemma_trial(seed, dim, ambient, m, M, tol, variant=variant) for
+    every lane's variant, on stacks drawn from `rngs`: the trial seeds'
+    generators when `rngs` are seeded with lemma_seeds."""
+    b = len(variants)
     x, t, gram = lemma_block_draws(rngs, b, dim, variants)
     lanes = block_equivalence_stack(x, t, tol, gram)
     sq_a, sq_b, sq_wb = square_order_draws(rngs, b, dim, m, M)
@@ -634,7 +674,8 @@ def run_lemma_trial(
     """One round of the lemma/fact/scalar checks on freshly sampled inputs;
     `variant` picks the side of the block-norm boundary (see lemma_block_case)."""
     m, M = check_bounds(m, M)
-    return lemma_checks_stack(_one(seed), [variant], dim, ambient, m, M, tol).reports(0)
+    rngs = rngs_from(lemma_seeds(_one(seed)))
+    return lemma_checks_stack(rngs, [variant], dim, ambient, m, M, tol).reports(0)
 
 
 def lemma_block_case(seed: int, dim: int, variant: int) -> tuple[np.ndarray, float]:

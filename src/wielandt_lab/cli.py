@@ -12,7 +12,11 @@ count.
 ``verify`` walks each worker's trial range in blocks of ``block_size(N)`` and
 evaluates every check on stacked arrays (``bounds.instance_checks_stack`` and
 ``bounds.lemma_checks_stack``), the only implementation of each check.  A
-failing check of a trial becomes a failure entry holding that trial's report;
+block seeds every trial's 3 instance and 7 lemma generators in one
+``rngs_from`` pass, and scores its exponent grid in groups of
+``block_size(d) // B`` exponents (at least one), each group as one
+``(P, B, d, d)`` stack.  A failing check of a trial becomes a failure entry
+holding that trial's report;
 a trial that fails a hypothesis becomes one ``trial_error`` entry with the
 exception's message.  Each check reports the trial of its worst margin
 (``worst_trial``, lowest index on ties) so near misses can be replayed.
@@ -41,21 +45,29 @@ from .bounds import (
     crossover_threshold,
     instance_checks_stack,
     lemma_checks_stack,
+    lemma_seeds,
     thm2_tail_note,
     wielandt_factor,
 )
 from .errors import InvalidBounds, InvalidExponent, WielandtLabError
-from .instances import check_bounds, check_dims, degenerate_instance, extremal_instance
+from .instances import (
+    check_bounds,
+    check_dims,
+    degenerate_instance,
+    extremal_instance,
+    instance_seeds,
+)
 from .matcore import check_exponent
-from .sampling import block_size, fan_out, mix_seeds
+from .sampling import block_size, fan_out, mix_seeds, rngs_from
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
-from .stacked import compressed_products_stack, gamma_stack, instance_products
+from .stacked import compressed_products_stack, flag_gamma, gamma_stack, instance_products
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
 # Most points a p grid may have.  The count is known before any point is
-# built, so "1:1e9:1" exits 2 instead of allocating a billion floats; a
-# verify run costs a block of stacked work per exponent, and the bound
-# table's 60-point default is far below this.
+# built, so "1:1e9:1" exits 2 instead of allocating a billion floats.  A
+# verify block scores at most block_size(d) // B exponents as one stack, so
+# a long grid costs stacked work per group of exponents, not memory; the
+# bound table's 60-point default is far below this.
 MAX_GRID_POINTS = 10_000
 
 
@@ -192,17 +204,19 @@ def _tally(stats: dict, name: str, run: int, fail: int, margin, trial) -> None:
 
 
 def _stacked_lanes(params: VerifyParams, trials: range) -> LaneChecks:
-    """Every check of trials `trials`, one lane per trial."""
+    """Every check of trials `trials`, one lane per trial.  Every trial's
+    instance and lemma generators are seeded in one pass."""
+    seeds = mix_seeds(params.seed, trials)
+    rngs = rngs_from(np.vstack([instance_seeds(seeds), lemma_seeds(seeds)]))
     s, t, t_eig, errors = compressed_products_stack(
-        params.seed, trials, params.ambient, params.rank, params.out_dim, params.ancilla,
+        rngs, len(trials), params.ambient, params.rank, params.out_dim, params.ancilla,
         params.m, params.M,
     )
-    seeds = mix_seeds(params.seed, trials)
     lanes = instance_checks_stack(
         s, t, t_eig, errors, seeds, params.m, params.M, params.p_values, params.tol
     )
     lanes.extend(lemma_checks_stack(
-        seeds, np.arange(trials.start, trials.stop) % 4, params.lemma_dim, params.ambient,
+        rngs, np.arange(trials.start, trials.stop) % 4, params.lemma_dim, params.ambient,
         params.m, params.M, params.tol,
     ))
     return lanes
@@ -441,7 +455,7 @@ def cmd_extremal(args) -> int:
     degenerate = M == m
     inst = degenerate_instance(m) if degenerate else extremal_instance(m, M)
     s, t, t_eig, errors = instance_products(inst)
-    _, [(_, g)] = gamma_stack(s, t_eig, errors, m, M, [p])
+    _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad, [p])
     lanes = instance_checks_stack(s, t, t_eig, errors, [inst.seed], m, M, [p])
     reports = {r.check: r for r in lanes.reports(0)}
     factor = wielandt_factor(m, M)
@@ -457,7 +471,7 @@ def cmd_extremal(args) -> int:
     print(f"wielandt_lhs = {_fmt(lhs)}")
     print(f"wielandt_rhs = {_fmt(rhs)}")
     print(f"equality_gap = {_fmt(abs(lhs - rhs))}")
-    print(f"gamma = {_fmt(g[0, 0, 0].real)}")
+    print(f"gamma = {_fmt(g[0, 0, 0, 0].real)}")
     print(f"half_abs_norm = {_fmt(reports['thm1_abs'].payload['lhs'])}")
     print(f"gamma_norm = {_fmt(reports['gamma_norm_le_thm2'].payload['lhs'])}")
     if degenerate:

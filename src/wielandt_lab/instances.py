@@ -37,7 +37,7 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
 )
-from .sampling import haar_frames, mix_seed, normal_draws, rng_from
+from .sampling import haar_frames, mix_seed, mix_seeds, normal_draws, rng_from
 
 # gen_instance's sub-seed tags, one generator per component, in draw order.
 TAG_OPERATOR = "operator"
@@ -120,6 +120,12 @@ def draw_instances(
     xy = haar_frames(normal_draws(rngs, lanes, (2, ambient, ambient)))
     w = haar_frames(normal_draws(rngs, lanes, (2, rank * ancilla, out_dim)))
     return a, xy[..., :rank], xy[..., rank : 2 * rank], w
+
+
+def instance_seeds(seeds) -> np.ndarray:
+    """(3, B) sub-seeds of the generators draw_instances takes for the
+    instance seeds `seeds`: row i holds every lane's INSTANCE_TAGS[i] seed."""
+    return mix_seeds(np.asarray(seeds, dtype=np.uint64)[:, np.newaxis], INSTANCE_TAGS).T
 
 
 def gen_operator(seed: int, n_dim: int, m: float, M: float) -> np.ndarray:

@@ -10,8 +10,10 @@ matrices, the common case in searches and several times cheaper than LAPACK.
 Spectral powers and their hypothesis guards are written once, for stacks
 ``(B, n, n)``: ``flag_psd`` and ``flag_pd`` record in a ``LaneErrors`` the
 exception of each lane that is not PSD or not positive definite, and
-``stack_pow`` raises each lane's eigenvalues to a power.  ``eig_pow_psd`` and
-``eig_pow_pd`` run them on a stack of one and raise that lane's exception.
+``stack_pows`` raises each lane's eigenvalues to each power of an exponent
+grid, giving a ``(P, B, n, n)`` stack; ``stack_pow`` is its one-exponent
+case.  ``eig_pow_psd`` and ``eig_pow_pd`` run them on a stack of one and
+raise that lane's exception.
 """
 
 from __future__ import annotations
@@ -146,11 +148,20 @@ def stack_scale(w: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
-def stack_pow(w: np.ndarray, v: np.ndarray, p: float, bad: np.ndarray) -> np.ndarray:
-    """(v diag(w^p) v*) per lane; lanes in `bad` get eigenvalues 1 first, so
-    nothing divides by zero (their values are discarded)."""
+def stack_pows(w: np.ndarray, v: np.ndarray, p_values, bad: np.ndarray) -> np.ndarray:
+    """(v diag(w^p) v*) per lane for each exponent of `p_values`, as a
+    (P, B, n, n) stack; lanes in `bad` get eigenvalues 1 first, so nothing
+    divides by zero (their values are discarded).  Each w^p is one power with
+    a Python float, so numpy's scalar fast paths (p = 0.5, 1, 2, -1) give
+    every exponent the bits of a one-exponent call."""
     w = np.where(bad[:, np.newaxis], 1.0, w)
-    return hermitian_part((v * w[:, np.newaxis, :] ** p) @ adj(v))
+    w_p = np.stack([w**p for p in p_values])
+    return hermitian_part((v * w_p[:, :, np.newaxis, :]) @ adj(v))
+
+
+def stack_pow(w: np.ndarray, v: np.ndarray, p: float, bad: np.ndarray) -> np.ndarray:
+    """stack_pows at the one exponent p: a (B, n, n) stack."""
+    return stack_pows(w, v, (p,), bad)[0]
 
 
 def clamp_psd(w: np.ndarray) -> np.ndarray:

@@ -31,9 +31,13 @@ MASK64 = (1 << 64) - 1
 
 # Trial indices evaluated together as one stack, by ambient dimension N (see
 # block_size).  A stacked block pays a fixed numpy call cost (about 0.5 ms for
-# a search block, 3 ms for a verify block on one x86_64 core) against about 21
-# and 71 us per lane at N = 4, so 512 lanes keep that cost near a tenth of
-# the block or less.  A lane's work grows faster than that fixed cost, so
+# a search block, 2 ms for a six-exponent verify block on one x86_64 core)
+# against about 21 and 71 us per lane at N = 4, so 512 lanes keep that cost
+# near a tenth of the block or less.  A verify block scores its exponents in
+# groups of block_size(d) // lanes (at least one; d is the size of the
+# compressed products), so a small block pays the fixed cost of its exponent
+# checks once per group and a long p grid is never one stack larger than
+# about one full block at one exponent.  A lane's work grows faster than that fixed cost, so
 # larger N gains little from more lanes (128 lanes time as 512 at N = 16, 64
 # lanes are about 5% slower than 512 at N = 32 and 6-12% faster at N = 64),
 # while a lane's arrays grow as N^2: one full six-exponent verify block of

@@ -46,6 +46,7 @@ from .instances import (
     extremal_instance,
     gen_instance,
     instance_from_json,
+    instance_seeds,
     instance_to_json,
 )
 from .maps import StinespringMap, flag_isometry
@@ -59,9 +60,19 @@ from .matcore import (
     hermitian_part,
     stack_pow,
 )
-from .sampling import block_size, complex_draws, fan_out, mix_seed, qr_positive, rng_from
+from .sampling import (
+    block_size,
+    complex_draws,
+    fan_out,
+    mix_seed,
+    mix_seeds,
+    qr_positive,
+    rng_from,
+    rngs_from,
+)
 from .stacked import (
     compressed_products_stack,
+    flag_gamma,
     gamma_stack,
     instance_products,
     map_stack,
@@ -91,8 +102,9 @@ def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) ->
         g = s @ stack_pow(*t_eig, -1.0, errors.bad)
         gram = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues
         return sqrt_top(gram) / wielandt_factor(m, M)
-    _, [(_, g)] = gamma_stack(s, t_eig, errors, m, M, (check_exponent(p),))
-    half_sym = herm_eig_stack(hermitian_part(g)).eigenvalues
+    _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad,
+                       (check_exponent(p),))
+    half_sym = herm_eig_stack(hermitian_part(g[0])).eigenvalues
     return top_abs(half_sym) / _BOUND_FNS[objective](m, M, p)
 
 
@@ -137,10 +149,11 @@ class SearchConfig:
         check_bounds(self.m, self.M, strict=True)
         check_tol(self.tol)
         check_dims(self.ambient, self.rank, self.out_dim, self.ancilla)
+        if self.p is not None:
+            check_exponent(self.p)
         if self.objective != "conjecture":
             if self.p is None:
                 raise ValueError(f"objective {self.objective} requires p")
-            check_exponent(self.p)
             check_in_range(self.m, self.M, [self.p], bounds=(_BOUND_FNS[self.objective],))
 
     def to_json(self) -> dict:
@@ -203,8 +216,9 @@ def _trial_instance(cfg: SearchConfig, index: int) -> Instance:
 def _block_values(cfg: SearchConfig, indices: range) -> tuple:
     """Objective values of random trials `indices` (all > 0) on stacks, and
     the exceptions of the lanes whose one-instance evaluation raises."""
+    rngs = rngs_from(instance_seeds(mix_seeds(cfg.seed, indices)))
     s, _, t_eig, errors = compressed_products_stack(
-        cfg.seed, indices, cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
+        rngs, len(indices), cfg.ambient, cfg.rank, cfg.out_dim, cfg.ancilla, cfg.m, cfg.M
     )
     return _objective_stack(cfg.objective, cfg.p, cfg.m, cfg.M, s, t_eig, errors), errors
 

@@ -3,11 +3,14 @@ at once on ``(B, n, n)`` arrays.  They are the only implementation of the
 compressed products, Gamma and the checks built on them; a single instance is
 a stack of one (``instance_products``).
 
-A block of trials draws its instances with ``instances.draw_instances``: it
-hashes the trials' sub-seeds with ``mix_seeds`` and seeds their generators in
-one vectorized pass (``sampling.rngs_from``), each in the state
-``default_rng`` gives, so the instance stream does not depend on how trials
-are grouped.
+A block of trials draws its instances with ``instances.draw_instances`` from
+the generators its caller seeds in one vectorized pass (``sampling.rngs_from``
+over ``instances.instance_seeds``), each in the state ``default_rng`` gives,
+so the instance stream does not depend on how trials are grouped.
+
+Gamma is built for an exponent grid at once: ``flag_gamma`` guards its
+hypotheses and solves S's eigenproblem once per block, and ``gamma_stack``
+returns S^p and Gamma for a group of P exponents as ``(P, B, n, n)`` stacks.
 
 Nothing here raises for one lane: every hypothesis a lane can fail is tested
 by a stacked guard (``matcore.flag_pd``, ``matcore.flag_psd``,
@@ -22,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionViolated
-from .instances import INSTANCE_TAGS, Instance, draw_instances
+from .instances import Instance, draw_instances
 from .maps import IdentityMap, StinespringMap, flag_isometry, tensor_identity
 from .matcore import (
     EigDecomp,
@@ -35,8 +38,8 @@ from .matcore import (
     herm_eig_stack,
     hermitian_part,
     stack_pow,
+    stack_pows,
 )
-from .sampling import mix_seeds, rngs_from
 
 
 def top_abs(w: np.ndarray) -> np.ndarray:
@@ -72,14 +75,13 @@ def products_stack(a, x, y, phi, errors: LaneErrors) -> tuple:
 
 
 def compressed_products_stack(
-    seed: int, trials, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
+    rngs, lanes: int, ambient: int, rank: int, out_dim: int, ancilla: int, m: float, M: float
 ) -> tuple:
-    """products_stack of gen_instance(mix_seed(seed, trial), ...) for every
-    trial index of `trials`; returns (S, T, T's eigendecomposition, errors)."""
-    seeds = mix_seeds(seed, trials)[:, np.newaxis]
-    rngs = rngs_from(mix_seeds(seeds, INSTANCE_TAGS).T)  # every lane's operator seed first
-    a, x, y, w = draw_instances(rngs, len(trials), ambient, rank, out_dim, ancilla, m, M)
-    errors = LaneErrors(len(trials))
+    """products_stack of the `lanes` instances draw_instances draws from
+    `rngs`: gen_instance(seed, ...) per lane when `rngs` are seeded with
+    instance_seeds.  Returns (S, T, T's eigendecomposition, errors)."""
+    a, x, y, w = draw_instances(rngs, lanes, ambient, rank, out_dim, ancilla, m, M)
+    errors = LaneErrors(lanes)
     flag_isometry(errors, w, "Stinespring isometry")
     return (*products_stack(a, x, y, stinespring_stack(w, ancilla), errors), errors)
 
@@ -103,25 +105,27 @@ def instance_products(inst: Instance) -> tuple:
                             map_stack(inst.phi), errors), errors)
 
 
-def gamma_stack(
-    s: np.ndarray, t_eig: EigDecomp, errors: LaneErrors, m: float, M: float, p_values
-) -> tuple:
-    """Gamma = S^p T^{-p} on stacks.  Flags, in this order, the lanes on which
-    T's spectrum escapes [m, M] by more than 1e-8 max(1, M), S is not PSD or
-    T is singular.  Returns (S's eigendecomposition, [(S^p, Gamma)] for each
-    exponent)."""
+def flag_gamma(s: np.ndarray, t_eig: EigDecomp, errors: LaneErrors, m: float, M: float):
+    """The hypotheses of Gamma = S^p T^{-p} on stacks.  Flags, in this order,
+    the lanes on which T's spectrum escapes [m, M] by more than
+    1e-8 max(1, M), S is not PSD or T is singular.  Returns S's
+    eigendecomposition."""
     s_w, s_v = herm_eig_stack(s)
-    t_w, t_v = t_eig
+    t_w = t_eig.eigenvalues
     spread = 1e-8 * max(1.0, M)
     t_lo, t_hi = t_w[:, 0], t_w[:, -1]
     errors.flag((t_lo < m - spread) | (t_hi > M + spread), lambda i: PreconditionViolated(
         f"compressed operator spectrum [{t_lo[i]:g}, {t_hi[i]:g}] escapes [{m:g}, {M:g}]"))
     flag_psd(errors, s_w)
     flag_pd(errors, t_w)
-    bad = errors.bad
-    s_psd = clamp_psd(s_w)
-    powers = []
-    for p in p_values:
-        sp = stack_pow(s_psd, s_v, p, bad)
-        powers.append((sp, sp @ stack_pow(t_w, t_v, -p, bad)))
-    return EigDecomp(s_w, s_v), powers
+    return EigDecomp(s_w, s_v)
+
+
+def gamma_stack(s_eig: EigDecomp, t_eig: EigDecomp, bad: np.ndarray, p_values) -> tuple:
+    """(S^p, Gamma = S^p T^{-p}) for each exponent of `p_values`, as
+    (P, B, n, n) stacks, from the decompositions of S (see flag_gamma) and
+    T; S's negative eigenvalues are clamped to zero and the lanes in `bad`
+    are meaningless."""
+    s_w, s_v = s_eig
+    sp = stack_pows(clamp_psd(s_w), s_v, p_values, bad)
+    return sp, sp @ stack_pows(*t_eig, [-p for p in p_values], bad)

@@ -32,10 +32,11 @@ def gamma_of(inst, p):
     """S, T and Gamma = S^p T^{-p} of one instance, with the eigen-
     decompositions of S and T, from the stacked kernels on a stack of one."""
     s, t, t_eig, errors = stacked.instance_products(inst)
-    s_eig, [(_, g)] = stacked.gamma_stack(s, t_eig, errors, inst.m, inst.M, [p])
+    s_eig = stacked.flag_gamma(s, t_eig, errors, inst.m, inst.M)
+    _, g = stacked.gamma_stack(s_eig, t_eig, errors.bad, [p])
     assert not errors
     return SimpleNamespace(
-        s=s[0], t=t[0], gamma=g[0],
+        s=s[0], t=t[0], gamma=g[0, 0],
         s_eig=EigDecomp(s_eig.eigenvalues[0], s_eig.vectors[0]),
         t_eig=EigDecomp(t_eig.eigenvalues[0], t_eig.vectors[0]),
     )

@@ -385,6 +385,9 @@ class TestBadInput:
             # A grid whose points would not fit in memory.
             ["bounds", "--p-grid", "1:1e9:1"],
             ["verify", "--p", "1:1e9:1"],
+            # An exponent the objective ignores is still checked.
+            ["search", "--objective", "conjecture", "--p", "-1"],
+            ["search", "--objective", "conjecture", "--p", "nan"],
         ],
     )
     def test_exits_2_without_output(self, args, tmp_chdir, capsys, monkeypatch):
@@ -578,27 +581,49 @@ class TestStackedVerify:
                 assert raised  # singular compressed operators near scale 1e-12
 
     def test_block_size_and_workers_do_not_change_report(self, monkeypatch, pool_ranges):
-        params = _params(SHAPES[0], M=100.0, p_values=(0.5, 1.0, 2.0), trials=90, seed=4)
+        # The exponents are scored in groups of block_size // lanes, so these
+        # blocks give groups of one, several and all six exponents.
+        params = _params(SHAPES[0], M=100.0, p_values=(0.25, 0.5, 1, 1.5, 2, 3), trials=90,
+                         seed=4)
+        groups = set()
+        real_gamma_stack = bounds.gamma_stack
+
+        def recording(s_eig, t_eig, bad, p_values):
+            groups.add(len(p_values))
+            return real_gamma_stack(s_eig, t_eig, bad, p_values)
+
+        monkeypatch.setattr(bounds, "gamma_stack", recording)
         reports = set()
         for block in (1, 7, 64, BLOCK_SIZE):
             monkeypatch.setattr(cli, "block_size", lambda ambient: block)
+            monkeypatch.setattr(bounds, "block_size", lambda ambient: block)
             for workers in (1, 2, 3):
                 reports.add(json.dumps(stripped(cli.run_verify(params, workers=workers))))
         assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 4
         assert len(reports) == 1
+        assert {1, 6} < groups
 
-    @pytest.mark.parametrize("ambient, rank, mib", [(8, 4, 12), (16, 4, 8)])
-    def test_full_block_memory(self, ambient, rank, mib):
+    @pytest.mark.parametrize(
+        "dims, trials, p_grid, mib",
+        [((8, 4, 4, 2), BLOCK_SIZE, "0.25,0.5,1,1.5,2,3", 12),
+         ((16, 4, 4, 2), BLOCK_SIZE, "0.25,0.5,1,1.5,2,3", 8),
+         ((16, 8, 16, 2), 8, "0.1:6:0.1", 8)],
+        ids=["8-4-12", "16-4-8", "16-8-16-2-long-grid"],
+    )
+    def test_full_block_memory(self, dims, trials, p_grid, mib):
         # 512 trials peak near 7.8 MiB of traced allocations at N = 8 (one
         # block of 512 lanes) and 4.7 MiB at N = 16 (four blocks of 128); a
         # kernel that keeps per-lane arrays alive, or a walk that ignores the
-        # lane budget (18.5 MiB at N = 16), passes these limits.
-        shape = dict(ambient=ambient, rank=rank, out_dim=4, ancilla=2)
-        params = _params(shape, p_values=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0), trials=BLOCK_SIZE)
+        # lane budget (18.5 MiB at N = 16), passes these limits.  A long grid
+        # on a small block is scored in groups of block_size(d) // lanes
+        # exponents (16 of the 60 here), which peak near 6.1 MiB; one group of
+        # all 60 exponents peaks near 13.7 MiB.
+        shape = dict(zip(("ambient", "rank", "out_dim", "ancilla"), dims))
+        params = _params(shape, p_values=cli.parse_p_list(p_grid), trials=trials)
         cli._verify_chunk(params, 0, 2)  # first-call caches stay out of the trace
         tracemalloc.start()
         try:
-            cli._verify_chunk(params, 0, BLOCK_SIZE)
+            cli._verify_chunk(params, 0, trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 from wielandt_lab import instances, maps, search
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
-from wielandt_lab.stacked import gamma_stack
+from wielandt_lab.stacked import flag_gamma, gamma_stack
 from wielandt_lab.errors import (
     DegenerateBounds,
     InvalidBounds,
@@ -412,11 +412,15 @@ class TestGammaStack:
         t = np.stack([np.diag([1.5, 1.5]), np.diag([1.5, 1.5]), np.diag([0.5, 1.5])])
         t_eig = herm_eig_stack(t.astype(complex))
         errors = LaneErrors(3)
-        _, [(sp, g)] = gamma_stack(s.astype(complex), t_eig, errors, 1.0, 2.0, (2.0,))
+        s_eig = flag_gamma(s.astype(complex), t_eig, errors, 1.0, 2.0)
+        sp, g = gamma_stack(s_eig, t_eig, errors.bad, (2.0, 0.5))
+        assert sp.shape == g.shape == (2, 3, 2, 2)
         assert sorted(errors) == [1, 2]
         assert isinstance(errors[1], NotPSD)
         assert str(errors[1]) == "minimum eigenvalue -0.001 below -1e-10*1"
         assert isinstance(errors[2], PreconditionViolated)
         assert str(errors[2]) == "compressed operator spectrum [0.5, 1.5] escapes [1, 2]"
-        assert np.allclose(sp[0], np.diag([0.01, 0.04]), atol=1e-15)
-        assert np.allclose(g[0], np.diag([0.01, 0.04]) / 2.25, atol=1e-15)
+        assert np.allclose(sp[0, 0], np.diag([0.01, 0.04]), atol=1e-15)
+        assert np.allclose(g[0, 0], np.diag([0.01, 0.04]) / 2.25, atol=1e-15)
+        assert np.allclose(sp[1, 0], np.diag(np.sqrt([0.1, 0.2])), atol=1e-15)
+        assert np.allclose(g[1, 0], np.diag(np.sqrt([0.1, 0.2] / np.float64(1.5))), atol=1e-15)
