@@ -105,20 +105,22 @@ def instance_products(inst: Instance) -> tuple:
                             map_stack(inst.phi), errors), errors)
 
 
-def flag_gamma(s: np.ndarray, t_eig: EigDecomp, errors: LaneErrors, m: float, M: float):
+def flag_gamma(
+    s: np.ndarray, t_eig: EigDecomp, errors: LaneErrors, m: float, M: float
+) -> EigDecomp:
     """The hypotheses of Gamma = S^p T^{-p} on stacks.  Flags, in this order,
     the lanes on which T's spectrum escapes [m, M] by more than
     1e-8 max(1, M), S is not PSD or T is singular.  Returns S's
     eigendecomposition."""
-    s_w, s_v = herm_eig_stack(s)
-    t_w = t_eig.eigenvalues
+    s_eig = herm_eig_stack(s)
+    s_w, t_w = s_eig.eigenvalues, t_eig.eigenvalues
     spread = 1e-8 * max(1.0, M)
     t_lo, t_hi = t_w[:, 0], t_w[:, -1]
     errors.flag((t_lo < m - spread) | (t_hi > M + spread), lambda i: PreconditionViolated(
         f"compressed operator spectrum [{t_lo[i]:g}, {t_hi[i]:g}] escapes [{m:g}, {M:g}]"))
     flag_psd(errors, s_w)
     flag_pd(errors, t_w)
-    return EigDecomp(s_w, s_v)
+    return s_eig
 
 
 def gamma_stack(s_eig: EigDecomp, t_eig: EigDecomp, bad: np.ndarray, p_values) -> tuple:
