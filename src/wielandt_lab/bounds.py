@@ -356,17 +356,14 @@ def instance_checks_stack(
         abs_norm = top_abs(h_w)
         lam_max = h_w[..., -1]
         top = np.argmax(np.abs(h_w), axis=-1)
-        # each bound family's bounds, as lists and as (P, 1) columns
+        # |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I for the
+        # three bound families at once: (3, P, 1) bounds, (3, P, B) verdicts
         bound = [[fn(m, M, p) for p in ps] for fn in (bound_thm1, bound_thm2, bound_thm3)]
-        col = [np.array(values)[:, np.newaxis] for values in bound]
-        # |Gamma+Gamma*|/2 <= bound*I and (Gamma+Gamma*)/2 <= bound*I: per
-        # family, each form's margins and verdicts
-        families = []
-        for values, c in zip(bound, col):
-            thr = tol * _scale(abs_norm, c)
-            families.append((values, c - abs_norm, abs_norm <= c + thr, c - lam_max,
-                             lam_max <= c + thr))
-        implied = np.logical_and.reduce([~ok | sym_ok for _, _, ok, _, sym_ok in families])
+        col = np.array(bound)[:, :, np.newaxis]
+        thr = tol * _scale(abs_norm, col)
+        margin, ok = col - abs_norm, abs_norm <= col + thr
+        sym_margin, sym_ok = col - lam_max, lam_max <= col + thr
+        implied = np.logical_and.reduce(~ok | sym_ok)
 
         # ||(Gamma+Gamma*)/2|| <= ||Gamma|| <= bound_thm2(m, M, p)
         gnorm = sqrt_top(herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues)
@@ -381,13 +378,14 @@ def instance_checks_stack(
                  + stack_pows(t_w, t_v, [-2.0 * p for p in ps], bad))
         split = (np.stack([s_top ** (2.0 * p) for p in ps])
                  + np.stack([t_lo_inv ** (2.0 * p) for p in ps])) / 2.0
-        links = (abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split, col[0])
-        gaps = [hi - lo for lo, hi in zip(links, links[1:])]
-        scales = [_scale(lo, hi) for lo, hi in zip(links, links[1:])]
-        chained = np.logical_and.reduce([gap + tol * sc >= 0.0 for gap, sc in zip(gaps, scales)])
+        links = np.stack(np.broadcast_arrays(
+            abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split, col[0]))
+        gaps = links[1:] - links[:-1]
+        scales = _scale(links[:-1], links[1:])
+        chained = np.logical_and.reduce(gaps + tol * scales >= 0.0)
         # the margin is the smallest gap relative to its link scale: the raw
         # gaps of links near 1e23 are rounding noise
-        relative = np.minimum.reduce([gap / sc for gap, sc in zip(gaps, scales)])
+        relative = np.minimum.reduce(gaps / scales)
 
         # S^p <= ((M-m)/(M+m))^{2p} T^p, valid for 0 < p <= 1 (operator
         # monotonicity of fractional powers); row k of these arrays is
@@ -408,11 +406,11 @@ def instance_checks_stack(
 
         for j, p in enumerate(ps):
             ctx = context(p=p)
-            for which, (values, margin, ok, sym_margin, sym_ok) in enumerate(families, 1):
-                lanes.inequality(f"thm{which}_abs", abs_norm[j], values[j], margin[j], ok[j],
-                                 ok[j], tol, ctx, (abs_norm[j], h_v[j], top[j]))
-                lanes.inequality(f"thm{which}_sym", abs_norm[j], values[j], sym_margin[j],
-                                 sym_ok[j], ok[j], tol, ctx, (lam_max[j], h_v[j], -1))
+            for f in range(3):
+                lanes.inequality(f"thm{f + 1}_abs", abs_norm[j], bound[f][j], margin[f, j],
+                                 ok[f, j], ok[f, j], tol, ctx, (abs_norm[j], h_v[j], top[j]))
+                lanes.inequality(f"thm{f + 1}_sym", abs_norm[j], bound[f][j], sym_margin[f, j],
+                                 sym_ok[f, j], ok[f, j], tol, ctx, (lam_max[j], h_v[j], -1))
             lanes.add("abs_implies_sym", implied[j], None,
                       lambda i, implied=implied[j], p=p: Report(
                           "abs_implies_sym", bool(implied[i]), None,
@@ -422,11 +420,10 @@ def instance_checks_stack(
             lanes.inequality("gamma_norm_le_thm2", gnorm[j], bound[1][j], thm2_gap[j], None,
                              below_thm2[j], tol, ctx)
 
-            def chain(i, links=(*(x[j] for x in links[:3]), bound[0][j]),
-                      gaps=[gap[j] for gap in gaps], chained=chained[j], relative=relative[j],
-                      ctx=ctx):
+            def chain(i, links=links[:, j], gaps=gaps[:, j], chained=chained[j],
+                      relative=relative[j], ctx=ctx):
                 passed = bool(chained[i])
-                payload = {"links": [_at(x, i) for x in links],
+                payload = {"links": [float(x[i]) for x in links],
                            "link_margins": [float(gap[i]) for gap in gaps], "passed": passed,
                            "tol": tol}
                 payload.update((key, ctx(i).get(key)) for key in ("seed", "m", "M", "p"))

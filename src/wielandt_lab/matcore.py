@@ -155,7 +155,9 @@ def stack_pows(w: np.ndarray, v: np.ndarray, p_values, bad: np.ndarray) -> np.nd
     a Python float, so numpy's scalar fast paths (p = 0.5, 1, 2, -1) give
     every exponent the bits of a one-exponent call."""
     w = np.where(bad[:, np.newaxis], 1.0, w)
-    w_p = np.stack([w**p for p in p_values])
+    w_p = np.empty((len(p_values), *w.shape))
+    for out, p in zip(w_p, p_values):
+        out[...] = w**p
     return hermitian_part((v * w_p[:, :, np.newaxis, :]) @ adj(v))
 
 
