@@ -6,6 +6,7 @@ import pytest
 from wielandt_lab import maps
 from wielandt_lab.errors import DimensionMismatch
 from wielandt_lab.matcore import herm_eig, hermitian_part
+from wielandt_lab.stacked import map_stack
 
 from conftest import rand_complex, rand_herm, rand_psd
 
@@ -245,6 +246,12 @@ class TestSerialization:
         t = rand_complex(8, 2, 2)
         assert np.array_equal(back.apply(t), t.T)
 
+    def test_linear_dims_must_match_matrix(self):
+        obj = maps.map_to_json(maps.transpose_map(2))
+        for key, value in (("in_dim", 3), ("out_dim", 1)):
+            with pytest.raises(DimensionMismatch):
+                maps.map_from_json(dict(obj, **{key: value}))
+
     def test_unknown_tag(self):
         # the compression, Kraus and convex forms are Stinespring maps
         for tag in ("nonsense", "compression", "kraus", "convex"):
@@ -269,3 +276,19 @@ class TestValidation:
     def test_probe_requires_trials(self):
         with pytest.raises(ValueError):
             maps.two_positivity_probe(maps.IdentityMap(2), trials=0, seed=0)
+
+
+class TestStackedAction:
+    @pytest.mark.parametrize("name", ["stinespring", "compression", "kraus", "convex", "linear"])
+    def test_matches_apply_bit_for_bit(self, name):
+        phi = _sample_maps()[name]
+        stack = rand_complex(41, 7 * phi.in_dim, phi.in_dim).reshape(7, phi.in_dim, phi.in_dim)
+        want = np.stack([phi.apply(t) for t in stack])
+        assert map_stack(phi)(stack).tobytes() == want.tobytes()
+
+    def test_rectangular_linear_map(self):
+        phi = maps.LinearActionMap(rand_complex(42, 9, 4))
+        stack = rand_complex(43, 10, 2).reshape(5, 2, 2)
+        got = map_stack(phi)(stack)
+        assert got.shape == (5, 3, 3)
+        assert got.tobytes() == np.stack([phi.apply(t) for t in stack]).tobytes()
