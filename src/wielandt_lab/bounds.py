@@ -46,10 +46,14 @@ from .matcore import (
     check_exponent,
     clamp_psd,
     flag_psd,
+    gram_eig,
     herm_eig_stack,
     hermitian_part,
+    sqrt_top,
     stack_pow,
     stack_pows,
+    stack_scale,
+    top_abs,
 )
 from .sampling import (
     MASK64,
@@ -60,7 +64,7 @@ from .sampling import (
     normal_draws,
     rngs_from,
 )
-from .stacked import flag_gamma, gamma_stack, instance_products, sqrt_top, top_abs
+from .stacked import flag_gamma, gamma_stack, instance_products
 
 DEFAULT_TOL = 1e-9
 ORDERING_TOL = 1e-12
@@ -101,14 +105,16 @@ def wielandt_factor(m: float, M: float) -> float:
     return ((M - m) / (M + m)) ** 2
 
 
-def ceil_exponent(p: float) -> int:
-    """Ceiling of p with exponents within 1e-12 of an integer snapped first,
-    so float parsing cannot flip the discontinuity."""
-    p = check_exponent(p)
+def snap_exponent(p: float) -> float:
+    """p, or the integer >= 1 within 1e-12 of it, so float parsing cannot
+    flip the ceiling in bound_thm3."""
     nearest = round(p)
-    if abs(p - nearest) <= 1e-12 and nearest >= 1:
-        return int(nearest)
-    return int(math.ceil(p))
+    return float(nearest) if nearest >= 1 and abs(p - nearest) <= 1e-12 else p
+
+
+def ceil_exponent(p: float) -> int:
+    """Ceiling of p, snapped first (snap_exponent)."""
+    return int(math.ceil(snap_exponent(check_exponent(p))))
 
 
 def bound_thm1(m: float, M: float, p: float) -> float:
@@ -366,7 +372,7 @@ def instance_checks_stack(
         implied = np.logical_and.reduce(~ok | sym_ok)
 
         # ||(Gamma+Gamma*)/2|| <= ||Gamma|| <= bound_thm2(m, M, p)
-        gnorm = sqrt_top(herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues)
+        gnorm = sqrt_top(gram_eig(g).eigenvalues)
         below_gamma = abs_norm <= gnorm + tol * _scale(abs_norm, gnorm)
         below_thm2 = gnorm <= col[1] + tol * _scale(gnorm, col[1])
         gnorm_gap, thm2_gap = gnorm - abs_norm, col[1] - gnorm
@@ -471,11 +477,6 @@ TAG_WIELANDT_XY = "wielandt_xy"
 
 def _one(seed: int) -> np.ndarray:
     return np.array([seed & MASK64], dtype=np.uint64)
-
-
-def gram_eig(x: np.ndarray) -> EigDecomp:
-    """Eigendecomposition of X*X per lane."""
-    return herm_eig_stack(hermitian_part(adj(x) @ x))
 
 
 def lemma_block_draws(rngs, lanes: int, dim: int, variants: np.ndarray) -> tuple:
@@ -587,7 +588,7 @@ def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
     errors = LaneErrors(len(a))
     for name, mat in (("A", a), ("B", b)):
         w = herm_eig_stack(mat).eigenvalues
-        errors.flag(w[:, 0] < -(tol * _scale(top_abs(w))), lambda i, name=name, w=w: NotPSD(
+        errors.flag(w[:, 0] < -(tol * stack_scale(w)), lambda i, name=name, w=w: NotPSD(
             f"{name} has negative eigenvalue {w[i, 0]:g}"))
     lhs = top_abs(herm_eig_stack(hermitian_part(a @ b + b @ a)).eigenvalues)
     rhs = top_abs(herm_eig_stack(hermitian_part(a @ a + b @ b)).eigenvalues)
@@ -615,7 +616,7 @@ def scalar_wielandt_stack(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL)
     errors.flag(np.abs(np.sum(x.conj() * y, axis=-1)) > tol * _scale(norms),
                 lambda i: PreconditionViolated("x and y are not orthogonal within tolerance"))
     w = herm_eig_stack(a).eigenvalues
-    thr = tol * _scale(top_abs(w))
+    thr = tol * stack_scale(w)
     errors.flag((w[:, 0] < m - thr) | (w[:, -1] > M + thr), lambda i: PreconditionViolated(
         f"spectrum [{w[i, 0]:g}, {w[i, -1]:g}] escapes [{m:g}, {M:g}]"))
 
@@ -632,7 +633,7 @@ def scalar_wielandt_stack(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL)
 
 
 def lemma_seeds(seeds) -> np.ndarray:
-    """(7, B) sub-seeds of the generators lemma_checks_stack takes for the
+    """(6, B) sub-seeds of the generators lemma_checks_stack takes for the
     trial seeds `seeds`, one row per generator in the order it draws them,
     each row in lane order."""
     seeds = np.asarray(seeds, dtype=np.uint64)[:, np.newaxis]

@@ -12,7 +12,7 @@ count.
 ``verify`` walks each worker's trial range in blocks of ``block_size(N)`` and
 evaluates every check on stacked arrays (``bounds.instance_checks_stack`` and
 ``bounds.lemma_checks_stack``), the only implementation of each check.  A
-block seeds every trial's 3 instance and 7 lemma generators in one
+block seeds every trial's 3 instance and 6 lemma generators in one
 ``rngs_from`` pass, and scores its exponent grid in groups of
 ``block_size(d) // B`` exponents (at least one), each group as one
 ``(P, B, d, d)`` stack.  A failing check of a trial becomes a failure entry
@@ -46,6 +46,7 @@ from .bounds import (
     instance_checks_stack,
     lemma_checks_stack,
     lemma_seeds,
+    snap_exponent,
     thm2_tail_note,
     wielandt_factor,
 )
@@ -60,7 +61,7 @@ from .instances import (
 from .matcore import check_exponent
 from .sampling import block_size, fan_out, mix_seeds, rngs_from
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
-from .stacked import compressed_products_stack, flag_gamma, gamma_stack, instance_products
+from .stacked import compressed_products_stack, instance_products
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
 # Most points a p grid may have.  The count is known before any point is
@@ -93,8 +94,7 @@ def worker_count() -> int:
 
 def parse_p_list(text: str) -> list[float]:
     """Comma list ("0.5,1,2") or inclusive grid ("start:stop:step"); values
-    within 1e-12 of an integer are normalized so the ceiling-exponent bound
-    cannot flicker from float parsing."""
+    within 1e-12 of a positive integer are snapped to it (snap_exponent)."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -123,10 +123,7 @@ def parse_p_list(text: str) -> list[float]:
     for v in values:
         if not math.isfinite(v) or v <= 0.0:
             raise UsageError(f"p values must be finite and > 0, got {v!r}")
-        nearest = round(v)
-        if abs(v - nearest) <= 1e-12:
-            v = float(nearest)
-        out.append(v)
+        out.append(snap_exponent(v))
     return out
 
 
@@ -455,7 +452,6 @@ def cmd_extremal(args) -> int:
     degenerate = M == m
     inst = degenerate_instance(m) if degenerate else extremal_instance(m, M)
     s, t, t_eig, errors = instance_products(inst)
-    _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad, [p])
     lanes = instance_checks_stack(s, t, t_eig, errors, [inst.seed], m, M, [p])
     reports = {r.check: r for r in lanes.reports(0)}
     factor = wielandt_factor(m, M)
@@ -471,7 +467,8 @@ def cmd_extremal(args) -> int:
     print(f"wielandt_lhs = {_fmt(lhs)}")
     print(f"wielandt_rhs = {_fmt(rhs)}")
     print(f"equality_gap = {_fmt(abs(lhs - rhs))}")
-    print(f"gamma = {_fmt(g[0, 0, 0, 0].real)}")
+    # Gamma is 1x1 and >= 0 here, so it equals its half-symmetrized norm
+    print(f"gamma = {_fmt(reports['thm1_abs'].payload['lhs'])}")
     print(f"half_abs_norm = {_fmt(reports['thm1_abs'].payload['lhs'])}")
     print(f"gamma_norm = {_fmt(reports['gamma_norm_le_thm2'].payload['lhs'])}")
     if degenerate:

@@ -5,8 +5,9 @@ class WielandtLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(WielandtLabError):
-    """Operands have incompatible shapes."""
+class DimensionMismatch(WielandtLabError, ValueError):
+    """Operands have incompatible shapes; a ValueError as well, like every
+    invalid argument."""
 
 
 class NotPSD(WielandtLabError):

@@ -17,23 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBounds
+from .errors import InvalidBounds
 from .maps import (
     ISOMETRY_TOL,
     IdentityMap,
     PositiveMap,
     StinespringMap,
+    check_dims,
     check_isometry,
-    check_map_dims,
     map_from_json,
     map_to_json,
 )
 from .matcore import (
-    adj,
     as_herm,
     frob,
+    from_eig,
     herm_eig,
-    hermitian_part,
     matrix_from_json,
     matrix_to_json,
 )
@@ -80,19 +79,6 @@ def check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float
     return m, M
 
 
-def check_dims(N: int, n: int, d: int, k: int) -> None:
-    """Raise ValueError unless instances of shape (N, n, d, k) exist: an
-    isometry pair of rank n in C^N and an (n*k) x d Stinespring isometry."""
-    if N < 2 * n or min(n, d, k) < 1 or d > n * k:
-        raise ValueError(f"invalid dims N={N}, n={n}, d={d}, k={k}: N must be >= 2n, "
-                         "n, d, k >= 1 and d <= n*k")
-
-
-def _check_pair_dims(N: int, rank: int) -> None:
-    if rank < 1 or N < 2 * rank:
-        raise DimensionMismatch(f"need ambient >= 2*rank >= 2, got {N} < {2 * rank}")
-
-
 def operator_stack(rngs, lanes: int, ambient: int, m: float, M: float) -> np.ndarray:
     """gen_operator for `lanes` generators of `rngs`: each draws the
     Gaussians of a Haar U, then eigenvalues uniform in [m, M]."""
@@ -106,7 +92,7 @@ def operator_stack(rngs, lanes: int, ambient: int, m: float, M: float) -> np.nda
     lam.sort(axis=-1)
     lam[:, 0] = m
     lam[:, -1] = M
-    return hermitian_part((u * lam[:, np.newaxis, :]) @ adj(u))
+    return from_eig(lam, u)
 
 
 def draw_instances(
@@ -133,15 +119,14 @@ def gen_operator(seed: int, n_dim: int, m: float, M: float) -> np.ndarray:
     [m, M]; the extreme eigenvalues are pinned to m and M exactly so the
     bounds are attained."""
     m, M = check_bounds(m, M)
-    if n_dim < 2:
-        raise DimensionMismatch("need dimension >= 2")
+    check_dims(n_dim, 1, 1, 1)  # n_dim >= 2
     return operator_stack(iter([rng_from(seed)]), 1, n_dim, m, M)[0]
 
 
 def gen_isometry_pair(seed: int, n_dim: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) = first and next `rank` columns of a Haar unitary on C^n_dim;
     X*X = Y*Y = I and X*Y = 0 by construction."""
-    _check_pair_dims(n_dim, rank)
+    check_dims(n_dim, rank, 1, 1)
     u = haar_frames(rng_from(seed).standard_normal((2, n_dim, n_dim)))
     return u[:, :rank].copy(), u[:, rank : 2 * rank].copy()
 
@@ -176,8 +161,7 @@ def gen_instance(seed: int, N: int, n: int, d: int, k: int, m: float, M: float) 
     generator, seeded with mix_seed(seed, tag), so the bundle is
     deterministic in `seed` and component streams stay independent."""
     m, M = check_bounds(m, M)
-    _check_pair_dims(N, n)
-    check_map_dims(n, d, k)
+    check_dims(N, n, d, k)
     rngs = (rng_from(mix_seed(seed, tag)) for tag in INSTANCE_TAGS)
     a, x, y, w = draw_instances(rngs, 1, N, n, d, k, m, M)
     return Instance(a[0], m, M, x[0], y[0], StinespringMap(w[0], k), seed=seed)

@@ -14,14 +14,18 @@ sufficient for the 2-positivity assumed by the inequality checks, while
 arbitrary user maps can only be probed by sampling (a necessary condition,
 not a certificate).
 
-The isometry guard is written once, for stacks: ``flag_isometry`` records a
-ValueError for each lane whose frame does not have orthonormal columns, and
-``check_isometry`` runs it on a stack of one.
+The isometry guard and each map's action are written once, for stacks:
+``flag_isometry`` records a ValueError for each lane whose frame does not have
+orthonormal columns, and ``map_stack`` gives a map's action on stacks
+``(B, n, n)`` of inputs (``stinespring_stack`` for a stack of isometries).
+``check_isometry`` and the maps' ``apply`` run them on one matrix.  The shape
+rule of an instance's dimensions is ``check_dims``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,10 +41,20 @@ from .matcore import (
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
+    stack_scale,
 )
 from .sampling import complex_gaussian, haar_frames, rng_from
 
 ISOMETRY_TOL = 1e-12
+
+
+def check_dims(N: int, n: int, d: int, k: int) -> None:
+    """Raise DimensionMismatch unless instances of shape (N, n, d, k) exist:
+    an isometry pair of rank n in C^N and an (n*k) x d Stinespring
+    isometry."""
+    if N < 2 * n or min(n, d, k) < 1 or d > n * k:
+        raise DimensionMismatch(f"invalid dims N={N}, n={n}, d={d}, k={k}: N must be >= 2n, "
+                                "n, d, k >= 1 and d <= n*k")
 
 
 def flag_isometry(errors: LaneErrors, v: np.ndarray, what: str) -> None:
@@ -69,6 +83,19 @@ def tensor_identity(t: np.ndarray, k: int) -> np.ndarray:
     for a in range(k):
         big[..., :, a, :, a] = t
     return big.reshape(*lead, n * k, n * k)
+
+
+def stinespring_stack(w: np.ndarray, k: int):
+    """The map T -> W*(T (x) I_k)W on stacks of T, for one isometry W or a
+    stack of them."""
+    return lambda t: adj(w) @ tensor_identity(t, k) @ w
+
+
+def linear_stack(matrix: np.ndarray):
+    """The map vec(T) -> matrix vec(T) on stacks of row-major T, as one
+    matmul."""
+    d = math.isqrt(matrix.shape[0])
+    return lambda t: (matrix @ t.reshape(*t.shape[:-2], -1, 1)).reshape(*t.shape[:-2], d, d)
 
 
 class PositiveMap:
@@ -134,8 +161,7 @@ class StinespringMap(PositiveMap):
         return self.w.shape[1]
 
     def apply(self, t) -> np.ndarray:
-        m = self._check_input(t)
-        return self.w.conj().T @ tensor_identity(m, self.ancilla) @ self.w
+        return stinespring_stack(self.w, self.ancilla)(self._check_input(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,31 +170,35 @@ class LinearActionMap(PositiveMap):
     row-major vec(T).  Carries no positivity guarantee; classify before use."""
 
     matrix: np.ndarray
-    in_dim_: int = field(repr=False, default=0)
-    out_dim_: int = field(repr=False, default=0)
 
     def __post_init__(self):
         m = as_cmatrix(self.matrix)
-        n = self.in_dim_ or int(round(m.shape[1] ** 0.5))
-        d = self.out_dim_ or int(round(m.shape[0] ** 0.5))
-        if m.shape != (d * d, n * n):
-            raise DimensionMismatch(f"action matrix shape {m.shape} != ({d*d},{n*n})")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "in_dim_", n)
-        object.__setattr__(self, "out_dim_", d)
+        if m.shape != (self.out_dim**2, self.in_dim**2):
+            raise DimensionMismatch(f"action matrix shape {m.shape} is not (d^2, n^2)")
 
     @property
     def in_dim(self) -> int:
-        return self.in_dim_
+        return math.isqrt(self.matrix.shape[1])
 
     @property
     def out_dim(self) -> int:
-        return self.out_dim_
+        return math.isqrt(self.matrix.shape[0])
 
     def apply(self, t) -> np.ndarray:
-        m = self._check_input(t)
-        vec = m.reshape(-1)
-        return (self.matrix @ vec).reshape(self.out_dim, self.out_dim)
+        return linear_stack(self.matrix)(self._check_input(t))
+
+
+def map_stack(phi: PositiveMap):
+    """`phi` acting on stacks of inputs, unchecked: the identity through the
+    isometry I_n."""
+    if isinstance(phi, IdentityMap):
+        return stinespring_stack(np.eye(phi.dim, dtype=np.complex128), 1)
+    if isinstance(phi, StinespringMap):
+        return stinespring_stack(phi.w, phi.ancilla)
+    if isinstance(phi, LinearActionMap):
+        return linear_stack(phi.matrix)
+    raise TypeError(f"unknown map type {type(phi)!r}")
 
 
 def is_unital(phi: PositiveMap, tol: float = 1e-12) -> bool:
@@ -182,7 +212,7 @@ def transpose_map(n: int) -> LinearActionMap:
     for i in range(n):
         for j in range(n):
             mat[i * n + j, j * n + i] = 1.0
-    return LinearActionMap(mat, n, n)
+    return LinearActionMap(mat)
 
 
 def choi(phi: PositiveMap) -> np.ndarray:
@@ -198,14 +228,19 @@ def choi(phi: PositiveMap) -> np.ndarray:
     return c
 
 
+def _psd_verdict(c: np.ndarray, tol: float) -> tuple[float, bool]:
+    """(minimum eigenvalue, PSD verdict) of C: C must be Hermitian within
+    2 tol max(1, ||C||_F), else (-inf, False), and its minimum eigenvalue
+    >= -tol max(1, max |eigenvalue|)."""
+    if frob(c - adj(c)) > 2.0 * tol * max(1.0, frob(c)):
+        return -np.inf, False
+    w, _ = herm_eig(hermitian_part(c))
+    return float(w[0]), bool(w[0] >= -tol * stack_scale(w))
+
+
 def is_cp(phi: PositiveMap, tol: float = PSD_TOL) -> bool:
     """True iff the Choi matrix is Hermitian and PSD within tolerance."""
-    c = choi(phi)
-    scale = max(1.0, frob(c))
-    if frob(c - c.conj().T) > 2.0 * tol * scale:
-        return False
-    w, _ = herm_eig(hermitian_part(c))
-    return float(w[0]) >= -tol * max(1.0, float(np.max(np.abs(w))))
+    return _psd_verdict(choi(phi), tol)[1]
 
 
 @dataclass
@@ -267,30 +302,17 @@ def two_positivity_probe(
                 [phi.apply(b.conj().T), phi.apply(c)],
             ]
         )
-        scale = max(1.0, frob(image))
-        if frob(image - image.conj().T) > 2.0 * tol * scale:
-            return ProbeReport(True, trials, trial + 1, -np.inf, block, tol)
-        w, _ = herm_eig(hermitian_part(image))
-        lam = float(w[0])
-        worst = min(worst, lam)
-        if lam < -tol * max(1.0, float(np.max(np.abs(w)))):
+        lam, psd = _psd_verdict(image, tol)
+        if not psd:
             return ProbeReport(True, trials, trial + 1, lam, block, tol)
+        worst = min(worst, lam)
     return ProbeReport(False, trials, trials, worst, None, tol)
-
-
-def check_map_dims(n: int, d: int, k: int) -> None:
-    """Raise ValueError unless n, d, k >= 1 and DimensionMismatch unless
-    n*k >= d, the rows and columns of a Stinespring isometry."""
-    if min(n, d, k) < 1:
-        raise ValueError("n, d, k must all be >= 1")
-    if n * k < d:
-        raise DimensionMismatch(f"need n*k >= d for an isometry, got {n*k} < {d}")
 
 
 def random_unital_cp(seed: int, n: int, d: int, k: int) -> StinespringMap:
     """Haar-random Stinespring map C^{n x n} -> C^{d x d} with ancilla k;
     unital and CP by construction, deterministic in the seed."""
-    check_map_dims(n, d, k)
+    check_dims(2 * n, n, d, k)  # no isometry pair: any N >= 2n
     return StinespringMap(haar_frames(rng_from(seed).standard_normal((2, n * k, d))), k)
 
 
@@ -331,7 +353,9 @@ def map_from_json(obj: dict) -> PositiveMap:
     if kind == "stinespring":
         return StinespringMap(matrix_from_json(obj["w"]), int(obj["ancilla"]))
     if kind == "linear":
-        return LinearActionMap(
-            matrix_from_json(obj["matrix"]), int(obj["in_dim"]), int(obj["out_dim"])
-        )
+        phi = LinearActionMap(matrix_from_json(obj["matrix"]))
+        if (phi.in_dim, phi.out_dim) != (int(obj["in_dim"]), int(obj["out_dim"])):
+            raise DimensionMismatch(f"action matrix shape {phi.matrix.shape} does not match "
+                                    f"in_dim {obj['in_dim']}, out_dim {obj['out_dim']}")
+        return phi
     raise ValueError(f"unknown map tag {kind!r}")

@@ -7,12 +7,15 @@ leak into spectral computations.  The eigensolver is LAPACK's Hermitian
 ``eigh`` (via numpy), with a vectorized closed form for stacks of 2x2
 matrices, the common case in searches and several times cheaper than LAPACK.
 
-Spectral powers and their hypothesis guards are written once, for stacks
-``(B, n, n)``: ``flag_psd`` and ``flag_pd`` record in a ``LaneErrors`` the
-exception of each lane that is not PSD or not positive definite, and
-``stack_pows`` raises each lane's eigenvalues to each power of an exponent
-grid, giving a ``(P, B, n, n)`` stack; ``stack_pow`` is its one-exponent
-case.  ``eig_pow_psd`` and ``eig_pow_pd`` run them on a stack of one and
+Spectral powers, norms and their hypothesis guards are written once, for
+stacks ``(B, n, n)``: ``flag_psd`` and ``flag_pd`` record in a ``LaneErrors``
+the exception of each lane that is not PSD or not positive definite,
+``from_eig`` builds V diag(w) V* per lane, and ``stack_pows`` raises each
+lane's eigenvalues to each power of an exponent grid, giving a
+``(P, B, n, n)`` stack; ``stack_pow`` is its one-exponent case.  The
+Hermitian norm is ``top_abs`` of a lane's eigenvalues and the operator norm
+``sqrt_top`` of those of its Gram matrix (``gram_eig``).  ``eig_pow_psd``,
+``eig_pow_pd``, ``herm_norm`` and ``op_norm`` run them on a stack of one and
 raise that lane's exception.
 """
 
@@ -142,10 +145,33 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(w) V*, symmetrized; stacks (..., n) of w and (..., n, n) of V
+    broadcast per matrix."""
+    return hermitian_part((v * w[..., np.newaxis, :]) @ adj(v))
+
+
+def gram_eig(x: np.ndarray) -> EigDecomp:
+    """Eigendecomposition of X*X per lane."""
+    return herm_eig_stack(hermitian_part(adj(x) @ x))
+
+
+def top_abs(w: np.ndarray) -> np.ndarray:
+    """Per-lane max |eigenvalue|: the Hermitian norm from the eigenvalues."""
+    return np.abs(w).max(axis=-1)
+
+
+def sqrt_top(w: np.ndarray) -> np.ndarray:
+    """The operator norm from the eigenvalues of X*X: sqrt of the top one, 0
+    unless it is > 0."""
+    top = w[..., -1]
+    return np.sqrt(np.where(top > 0.0, top, 0.0))
+
+
 def stack_scale(w: np.ndarray) -> np.ndarray:
     """Per-lane max(1, max |eigenvalue|), the scale of the PSD and PD
     thresholds."""
-    return np.maximum(1.0, np.abs(w).max(axis=-1))
+    return np.maximum(1.0, top_abs(w))
 
 
 def stack_pows(w: np.ndarray, v: np.ndarray, p_values, bad: np.ndarray) -> np.ndarray:
@@ -158,7 +184,7 @@ def stack_pows(w: np.ndarray, v: np.ndarray, p_values, bad: np.ndarray) -> np.nd
     w_p = np.empty((len(p_values), *w.shape))
     for out, p in zip(w_p, p_values):
         out[...] = w**p
-    return hermitian_part((v * w_p[:, :, np.newaxis, :]) @ adj(v))
+    return from_eig(w_p, v)
 
 
 def stack_pow(w: np.ndarray, v: np.ndarray, p: float, bad: np.ndarray) -> np.ndarray:
@@ -221,21 +247,22 @@ def mat_pow(s, p: float) -> np.ndarray:
 
 
 def op_norm(x) -> float:
-    """Operator (spectral) norm: largest singular value, computed from the
-    Hermitian eigenproblem of X*X."""
+    """Operator (spectral) norm: largest singular value, sqrt_top of one
+    lane's gram_eig."""
     m = as_cmatrix(x)
     if m.size == 0:
         return 0.0
-    gram = hermitian_part(m.conj().T @ m)
-    w, _ = herm_eig(gram)
-    top = float(w[-1])
-    return math.sqrt(top) if top > 0.0 else 0.0
+    w = gram_eig(m[np.newaxis]).eigenvalues
+    if not np.isfinite(w).all():  # X*X overflowed (LAPACK raises LinAlgError, a ValueError)
+        raise ValueError("matrix has non-finite entries")
+    return float(sqrt_top(w)[0])
 
 
 def herm_norm(h) -> float:
-    """Operator norm of a Hermitian matrix (max |eigenvalue|)."""
+    """Operator norm of a Hermitian matrix (max |eigenvalue|): top_abs of
+    herm_eig's eigenvalues."""
     w, _ = herm_eig(h)
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return float(top_abs(w)) if w.size else 0.0
 
 
 def matrix_to_json(a) -> dict:

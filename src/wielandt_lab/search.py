@@ -49,16 +49,20 @@ from .instances import (
     instance_seeds,
     instance_to_json,
 )
-from .maps import StinespringMap, flag_isometry
+from .maps import StinespringMap, flag_isometry, map_stack, stinespring_stack
 from .matcore import (
     LaneErrors,
     adj,
     check_exponent,
     flag_pd,
+    from_eig,
+    gram_eig,
     herm_eig,
     herm_eig_stack,
     hermitian_part,
+    sqrt_top,
     stack_pow,
+    top_abs,
 )
 from .sampling import (
     block_size,
@@ -75,11 +79,7 @@ from .stacked import (
     flag_gamma,
     gamma_stack,
     instance_products,
-    map_stack,
     products_stack,
-    sqrt_top,
-    stinespring_stack,
-    top_abs,
 )
 
 OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3")
@@ -100,8 +100,7 @@ def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) ->
     if objective == "conjecture":
         flag_pd(errors, t_eig.eigenvalues)
         g = s @ stack_pow(*t_eig, -1.0, errors.bad)
-        gram = herm_eig_stack(hermitian_part(adj(g) @ g)).eigenvalues
-        return sqrt_top(gram) / wielandt_factor(m, M)
+        return sqrt_top(gram_eig(g).eigenvalues) / wielandt_factor(m, M)
     _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad,
                        (check_exponent(p),))
     half_sym = herm_eig_stack(hermitian_part(g[0])).eigenvalues
@@ -267,20 +266,8 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     trials = cfg.trials
     chunks = fan_out(_eval_range, (cfg,), trials, workers, block_size(cfg.ambient))
 
-    # Merge chunk bests in index order; ties go to the lowest trial index.
-    best_value = -math.inf
-    best_index = -1
-    best_json = None
-    for value, index, inst_json, _, _ in chunks:
-        if inst_json is None:
-            continue
-        if value > best_value or (value == best_value and index < best_index):
-            best_value = value
-            best_index = index
-            best_json = inst_json
-    if best_json is None:
-        raise WielandtLabError("no trial produced an evaluable instance")
-    # Rebuild a monotone trace from the concatenated chunk improvements.
+    # Rebuild a monotone trace from the concatenated chunk improvements; its
+    # last entry is the best trial, the lowest index on ties.
     merged = []
     running = -math.inf
     for _, _, _, improvements, _ in chunks:
@@ -288,6 +275,10 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
             if val > running:
                 running = val
                 merged.append(("sample", idx, val))
+    if not merged:
+        raise WielandtLabError("no trial produced an evaluable instance")
+    _, best_index, best_value = merged[-1]
+    best_json = next(chunk[2] for chunk in chunks if chunk[1] == best_index)
     return SearchRecord(
         objective=cfg.objective,
         best_value=best_value,
@@ -322,7 +313,6 @@ class _RefineState:
         lam = w.copy()
         lam[0] = inst.m
         lam[-1] = inst.M
-        n_amb = inst.ambient
         rank = inst.rank
         stacked = np.hstack([inst.x, inst.y])
         q_full, _ = np.linalg.qr(stacked, mode="complete")
@@ -337,7 +327,7 @@ class _RefineState:
         return cls(lam, v, q_full, rank, w_iso, phi_static, inst.m, inst.M, inst.seed)
 
     def instance(self) -> Instance:
-        a = hermitian_part((self.basis_a * self.lam) @ self.basis_a.conj().T)
+        a = from_eig(self.lam, self.basis_a)
         x = self.basis_xy[:, : self.rank].copy()
         y = self.basis_xy[:, self.rank : 2 * self.rank].copy()
         if self.w_iso is not None:
@@ -424,7 +414,7 @@ def _ladder_values(cfg: SearchConfig, ladder: _Ladder) -> np.ndarray:
     """The objective on every lane of `ladder`, flagging in `ladder.errors`
     the lanes whose one-instance evaluation raises."""
     o, rank = ladder.origin, ladder.origin.rank
-    a = hermitian_part((ladder.basis_a * ladder.lam[:, np.newaxis, :]) @ adj(ladder.basis_a))
+    a = from_eig(ladder.lam, ladder.basis_a)
     x = np.ascontiguousarray(ladder.basis_xy[..., :rank])
     y = np.ascontiguousarray(ladder.basis_xy[..., rank : 2 * rank])
     if ladder.w_iso is not None:

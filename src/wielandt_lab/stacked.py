@@ -1,7 +1,7 @@
 """Stacked kernels shared by ``search`` and ``verify``: many trials evaluated
 at once on ``(B, n, n)`` arrays.  They are the only implementation of the
-compressed products, Gamma and the checks built on them; a single instance is
-a stack of one (``instance_products``).
+compressed products S and T and of Gamma; a single instance is a stack of one
+(``instance_products``).  The map acts on stacks through ``maps.map_stack``.
 
 A block of trials draws its instances with ``instances.draw_instances`` from
 the generators its caller seeds in one vectorized pass (``sampling.rngs_from``
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .instances import Instance, draw_instances
-from .maps import IdentityMap, StinespringMap, flag_isometry, tensor_identity
+from .maps import flag_isometry, map_stack, stinespring_stack
 from .matcore import (
     EigDecomp,
     LaneErrors,
@@ -40,22 +40,6 @@ from .matcore import (
     stack_pow,
     stack_pows,
 )
-
-
-def top_abs(w: np.ndarray) -> np.ndarray:
-    """Per-lane max |eigenvalue|, i.e. herm_norm of each matrix."""
-    return np.abs(w).max(axis=-1)
-
-
-def sqrt_top(w: np.ndarray) -> np.ndarray:
-    """op_norm from the eigenvalues of X*X: sqrt of the top one, 0 unless > 0."""
-    top = w[..., -1]
-    return np.sqrt(np.where(top > 0.0, top, 0.0))
-
-
-def stinespring_stack(w: np.ndarray, k: int):
-    """The map T -> W*(T (x) I_k)W on stacks of T."""
-    return lambda t: adj(w) @ tensor_identity(t, k) @ w
 
 
 def products_stack(a, x, y, phi, errors: LaneErrors) -> tuple:
@@ -84,16 +68,6 @@ def compressed_products_stack(
     errors = LaneErrors(lanes)
     flag_isometry(errors, w, "Stinespring isometry")
     return (*products_stack(a, x, y, stinespring_stack(w, ancilla), errors), errors)
-
-
-def map_stack(phi):
-    """`phi` acting on stacks: identity and Stinespring maps through their
-    isometry, any other map through its own ``apply``, lane by lane."""
-    if isinstance(phi, IdentityMap):
-        return stinespring_stack(np.eye(phi.dim, dtype=np.complex128), 1)
-    if isinstance(phi, StinespringMap):
-        return stinespring_stack(phi.w, phi.ancilla)
-    return lambda t: np.stack([phi.apply(lane) for lane in t])
 
 
 def instance_products(inst: Instance) -> tuple:

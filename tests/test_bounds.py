@@ -8,7 +8,9 @@ import pytest
 
 from wielandt_lab import bounds, instances, maps, stacked
 from wielandt_lab.errors import InvalidBounds, InvalidExponent, NotPSD, PreconditionViolated
-from wielandt_lab.matcore import EigDecomp, herm_eig, herm_eig_stack, herm_norm, hermitian_part
+from wielandt_lab.matcore import (
+    EigDecomp, herm_eig, herm_eig_stack, herm_norm, hermitian_part, top_abs,
+)
 from wielandt_lab.sampling import haar_frames, mix_seed, rng_from
 
 from conftest import rand_psd
@@ -49,7 +51,7 @@ def lhs_values(gamma):
     w, v = herm_eig_stack(half_sym[np.newaxis])
     half_abs = (v[0] * np.abs(w[0])) @ v[0].conj().T
     return SimpleNamespace(
-        half_abs=half_abs, half_sym=half_sym, half_abs_norm=float(stacked.top_abs(w)[0])
+        half_abs=half_abs, half_sym=half_sym, half_abs_norm=float(top_abs(w)[0])
     )
 
 

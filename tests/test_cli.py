@@ -52,6 +52,20 @@ class TestParsePList:
 
     def test_integer_snapping(self):
         assert cli.parse_p_list("0.5:2:0.5") == [0.5, 1.0, 1.5, 2.0]
+        assert cli.parse_p_list("0.9999999999999,2.0000000000001") == [1.0, 2.0]
+
+    def test_tiny_exponents_are_not_snapped_to_zero(self):
+        assert cli.parse_p_list("1e-13") == [1e-13]
+        assert cli.parse_p_list("1e-12") == [1e-12]
+        assert cli.parse_p_list("1e-13,0.5,2") == [1e-13, 0.5, 2.0]
+        assert cli.parse_p_list("5e-13:1e-12:5e-13") == [5e-13, 1e-12]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", "3", "--p", "1e-13,0.5,2"],
+        ["bounds", "--p-grid", "1e-13,0.5"],
+    ])
+    def test_tiny_exponent_runs(self, argv, tmp_chdir):
+        assert run_cli(argv + (["--out", "r.json"] if argv[0] == "verify" else [])) == 0
 
     @pytest.mark.parametrize("text", ["0", "-1", "a,b", "1:2", "2:1:1", "1:2:-1", ""])
     def test_rejects_bad_input(self, text):

@@ -1,0 +1,36 @@
+"""Every name a module under src/ imports is used in that module.  No linter
+runs on this repository, so this stdlib check stands in for the unused-import
+rule."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wielandt_lab"
+
+
+def unused_imports(source: str) -> list:
+    """The names bound by import statements that nothing else in `source`
+    reads, ``from __future__`` imports excepted."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detects_an_unused_import():
+    source = "import math\nimport os\nfrom numpy import array, zeros\nprint(os.sep, zeros)\n"
+    assert unused_imports(source) == ["array", "math"]

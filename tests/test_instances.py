@@ -65,6 +65,35 @@ class TestGenIsometryPair:
             instances.gen_isometry_pair(0, 3, 2)
 
 
+class TestShapeRule:
+    """One shape rule for (N, n, d, k): every sampler that takes a shape
+    raises DimensionMismatch for a bad one, which is a ValueError as well."""
+
+    @staticmethod
+    def assert_rejected(call):
+        with pytest.raises(DimensionMismatch) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("N,n,d,k", [(3, 2, 2, 2), (1, 1, 1, 1), (4, 0, 1, 1), (4, 2, 0, 2),
+                                         (4, 2, 2, 0), (4, 2, 5, 2), (8, 1, 2, 1)])
+    def test_instance_shapes(self, N, n, d, k):
+        self.assert_rejected(lambda: instances.check_dims(N, n, d, k))
+        self.assert_rejected(lambda: instances.gen_instance(0, N, n, d, k, 1.0, 2.0))
+
+    @pytest.mark.parametrize("N,n", [(3, 2), (1, 1), (0, 0), (4, 0)])
+    def test_isometry_pair_shapes(self, N, n):
+        self.assert_rejected(lambda: instances.gen_isometry_pair(0, N, n))
+
+    @pytest.mark.parametrize("n_dim", [1, 0])
+    def test_operator_shapes(self, n_dim):
+        self.assert_rejected(lambda: instances.gen_operator(0, n_dim, 1.0, 2.0))
+
+    @pytest.mark.parametrize("n,d,k", [(0, 1, 1), (2, 0, 2), (2, 2, 0), (1, 5, 2), (2, 3, 1)])
+    def test_map_shapes(self, n, d, k):
+        self.assert_rejected(lambda: maps.random_unital_cp(0, n, d, k))
+
+
 class TestExtremalInstance:
     def test_structure(self):
         inst = instances.extremal_instance(1.0, 2.0)

@@ -5,8 +5,8 @@ import pytest
 
 from wielandt_lab import maps
 from wielandt_lab.errors import DimensionMismatch
+from wielandt_lab.maps import map_stack
 from wielandt_lab.matcore import herm_eig, hermitian_part
-from wielandt_lab.stacked import map_stack
 
 from conftest import rand_complex, rand_herm, rand_psd
 
