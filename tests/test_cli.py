@@ -431,6 +431,24 @@ class TestBadInput:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not (tmp_chdir / "o").exists()
 
+    @pytest.mark.parametrize("bad", [["verify", "--trials", "x"], ["verify", "--p", "nan"],
+                                     ["search", "--objective", "nope"]])
+    def test_usage_error_leaves_later_runs_unchanged(self, bad, tmp_chdir, capsys, monkeypatch):
+        # main is called many times in one process; an argparse or a
+        # command-level usage error between two runs must not change the next
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        args = ["verify", "--trials", "20", "--p", "0.5,2", "--seed", "4"]
+        timestamp = re.compile(rb'^\s*"(started_at|finished_at)": .*\n', re.MULTILINE)
+        reports = []
+        for argv in (args + ["--out", "a.json"], bad, args + ["--out", "b.json"]):
+            code = run_cli(argv)
+            if argv is bad:
+                assert code == 2
+            else:
+                assert code == 0
+                reports.append(timestamp.sub(b"", (tmp_chdir / argv[-1]).read_bytes()))
+        assert reports[0] == reports[1]
+
 
 class TestManifest:
     def test_counters_consistent(self, tmp_chdir, capsys, monkeypatch):

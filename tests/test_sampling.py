@@ -48,6 +48,13 @@ class TestRngsFrom:
             assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
             assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
+    @pytest.mark.parametrize("m,M", [(1e-13, 1e-11), (1.0, 2.0), (1.0, 100.0), (1.0, 1e6)])
+    def test_scaled_random_is_uniform(self, m, M):
+        # operator_stack maps Generator.random draws onto [m, M] itself
+        seed = mix_seed(5, "operator")
+        got = m + (M - m) * np.random.default_rng(seed).random(1000)
+        assert np.array_equal(got, np.random.default_rng(seed).uniform(m, M, 1000))
+
     def test_self_check_raises_when_numpy_seeding_differs(self, monkeypatch):
         real = np.random.default_rng
         monkeypatch.setattr(sampling.np.random, "default_rng", lambda seed: real(seed ^ 1))
@@ -122,9 +129,14 @@ class TestStreamPin:
             (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
               "--trials", "1100"],
              0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
+            # Draws at N = 8 and M/m = 100, then refines.
+            (["search", "--objective", "conjecture", "--dims", "8,4,4,2", "--m", "1",
+              "--M", "100", "--refine-steps", "400", "--trials", "100", "--seed", "3"],
+             0, "9a842d49c3ccd356d36902d6a9b6bbc3154ab2f6bc58722034d35f69cd3d3c68"),
         ],
         ids=["verify", "search", "verify-two-blocks", "search-three-blocks", "verify-sweep",
-             "verify-long-grid", "verify-rank-three", "verify-trial-errors", "search-thm2"],
+             "verify-long-grid", "verify-rank-three", "verify-trial-errors", "search-thm2",
+             "frontier-wide"],
     )
     def test_report_digest(self, args, code, digest, tmp_chdir, monkeypatch, capsys):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
