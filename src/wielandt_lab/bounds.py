@@ -48,6 +48,7 @@ from .matcore import (
     flag_psd,
     gram_eig,
     herm_eig_stack,
+    herm_norm_stack,
     hermitian_part,
     sqrt_top,
     stack_pow,
@@ -385,7 +386,7 @@ def instance_checks_stack(
         split = (np.stack([s_top ** (2.0 * p) for p in ps])
                  + np.stack([t_lo_inv ** (2.0 * p) for p in ps])) / 2.0
         links = np.stack(np.broadcast_arrays(
-            abs_norm, top_abs(herm_eig_stack(mixed).eigenvalues) / 2.0, split, col[0]))
+            abs_norm, herm_norm_stack(mixed) / 2.0, split, col[0]))
         gaps = links[1:] - links[:-1]
         scales = _scale(links[:-1], links[1:])
         chained = np.logical_and.reduce(gaps + tol * scales >= 0.0)
@@ -537,7 +538,7 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     for i in range(lanes):
         rng = next(rngs)
         rng.standard_normal(out=g_p[i])
-        frac[i] = rng.uniform(0.0, 1.0)
+        frac[i] = rng.random()
     g = complex_draws(g_p)
     psd = hermitian_part(g @ adj(g))
     top = herm_eig_stack(psd).eigenvalues[:, -1]
@@ -566,8 +567,8 @@ def square_order_stack(
     lhs_sq = hermitian_part(a @ a)
     rhs_sq = factor * hermitian_part(b @ b)
     w, v = herm_eig_stack(rhs_sq - lhs_sq)
-    lhs_norm = top_abs(herm_eig_stack(lhs_sq).eigenvalues)
-    rhs_norm = top_abs(herm_eig_stack(rhs_sq).eigenvalues)
+    lhs_norm = herm_norm_stack(lhs_sq)
+    rhs_norm = herm_norm_stack(rhs_sq)
     thr = tol * _scale(lhs_norm, rhs_norm)
     lanes = LaneChecks(errors)
     lanes.inequality("square_order", lhs_norm, rhs_norm, w[:, 0], w[:, 0] >= -thr,
@@ -590,8 +591,8 @@ def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
         w = herm_eig_stack(mat).eigenvalues
         errors.flag(w[:, 0] < -(tol * stack_scale(w)), lambda i, name=name, w=w: NotPSD(
             f"{name} has negative eigenvalue {w[i, 0]:g}"))
-    lhs = top_abs(herm_eig_stack(hermitian_part(a @ b + b @ a)).eigenvalues)
-    rhs = top_abs(herm_eig_stack(hermitian_part(a @ a + b @ b)).eigenvalues)
+    lhs = herm_norm_stack(hermitian_part(a @ b + b @ a))
+    rhs = herm_norm_stack(hermitian_part(a @ a + b @ b))
     thr = tol * _scale(lhs, rhs)
     lanes = LaneChecks(errors)
     lanes.inequality("anticommutator_norm", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol,

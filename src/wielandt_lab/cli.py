@@ -25,6 +25,7 @@ exception's message.  Each check reports the trial of its worst margin
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -486,7 +487,10 @@ def cmd_extremal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and main may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="wielandt-lab",
         description=(

@@ -81,14 +81,18 @@ def check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float
 
 def operator_stack(rngs, lanes: int, ambient: int, m: float, M: float) -> np.ndarray:
     """gen_operator for `lanes` generators of `rngs`: each draws the
-    Gaussians of a Haar U, then eigenvalues uniform in [m, M]."""
+    Gaussians of a Haar U, then eigenvalues uniform in [m, M].  The uniforms
+    are drawn as ``random`` values in [0, 1) and mapped to m + (M - m) u
+    for the whole block at once, the arithmetic of ``Generator.uniform``, so
+    they have its bits."""
     g = np.empty((lanes, 2, ambient, ambient))
     lam = np.empty((lanes, ambient))
     for i in range(lanes):
         rng = next(rngs)
         rng.standard_normal(out=g[i])
-        lam[i] = rng.uniform(m, M, size=ambient)
+        rng.random(out=lam[i])
     u = haar_frames(g)
+    lam = m + (M - m) * lam
     lam.sort(axis=-1)
     lam[:, 0] = m
     lam[:, -1] = M

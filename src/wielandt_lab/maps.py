@@ -88,7 +88,8 @@ def tensor_identity(t: np.ndarray, k: int) -> np.ndarray:
 def stinespring_stack(w: np.ndarray, k: int):
     """The map T -> W*(T (x) I_k)W on stacks of T, for one isometry W or a
     stack of them."""
-    return lambda t: adj(w) @ tensor_identity(t, k) @ w
+    wh = adj(w)
+    return lambda t: wh @ tensor_identity(t, k) @ w
 
 
 def linear_stack(matrix: np.ndarray):

@@ -13,10 +13,10 @@ the exception of each lane that is not PSD or not positive definite,
 ``from_eig`` builds V diag(w) V* per lane, and ``stack_pows`` raises each
 lane's eigenvalues to each power of an exponent grid, giving a
 ``(P, B, n, n)`` stack; ``stack_pow`` is its one-exponent case.  The
-Hermitian norm is ``top_abs`` of a lane's eigenvalues and the operator norm
-``sqrt_top`` of those of its Gram matrix (``gram_eig``).  ``eig_pow_psd``,
-``eig_pow_pd``, ``herm_norm`` and ``op_norm`` run them on a stack of one and
-raise that lane's exception.
+Hermitian norm is ``herm_norm_stack`` (``top_abs`` of a lane's eigenvalues)
+and the operator norm ``sqrt_top`` of those of its Gram matrix
+(``gram_eig``).  ``eig_pow_psd``, ``eig_pow_pd``, ``herm_norm`` and
+``op_norm`` run them on a stack of one and raise that lane's exception.
 """
 
 from __future__ import annotations
@@ -92,10 +92,16 @@ def herm_eig_stack(h: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a stack (..., n, n) of Hermitian matrices, with
     no validation: for 2x2 matrices one complex Jacobi rotation, which
     diagonalizes exactly, in vectorized closed form; LAPACK ``eigh`` for
-    every other shape.  Each matrix gets the same bits at any stack length."""
-    if h.shape[-2:] != (2, 2):
-        w, v = np.linalg.eigh(h)
-        return EigDecomp(w, v)
+    every other shape.  Each matrix gets the same bits at any stack length.
+    Raises LinAlgError, as LAPACK does on NaN input, at any size, if an
+    eigenvalue is not finite."""
+    w, v = np.linalg.eigh(h) if h.shape[-2:] != (2, 2) else _herm_eig2_stack(h)
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("non-finite eigenvalues")
+    return EigDecomp(w, v)
+
+
+def _herm_eig2_stack(h: np.ndarray) -> tuple:
     a = h[..., 0, 0].real
     c = h[..., 1, 1].real
     b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2.0
@@ -117,7 +123,7 @@ def herm_eig_stack(h: np.ndarray) -> EigDecomp:
     v[..., 1, 0] = pc * np.where(swap, ct, st)
     v[..., 0, 1] = np.where(swap, ct, neg)
     v[..., 1, 1] = pc * np.where(swap, st, ct)
-    return EigDecomp(w, v)
+    return w, v
 
 
 class LaneErrors(dict):
@@ -159,6 +165,12 @@ def gram_eig(x: np.ndarray) -> EigDecomp:
 def top_abs(w: np.ndarray) -> np.ndarray:
     """Per-lane max |eigenvalue|: the Hermitian norm from the eigenvalues."""
     return np.abs(w).max(axis=-1)
+
+
+def herm_norm_stack(h: np.ndarray) -> np.ndarray:
+    """Per-lane operator norm of a stack of Hermitian matrices, with no
+    validation: top_abs of herm_eig_stack's eigenvalues."""
+    return top_abs(herm_eig_stack(h).eigenvalues)
 
 
 def sqrt_top(w: np.ndarray) -> np.ndarray:
@@ -252,17 +264,14 @@ def op_norm(x) -> float:
     m = as_cmatrix(x)
     if m.size == 0:
         return 0.0
-    w = gram_eig(m[np.newaxis]).eigenvalues
-    if not np.isfinite(w).all():  # X*X overflowed (LAPACK raises LinAlgError, a ValueError)
-        raise ValueError("matrix has non-finite entries")
-    return float(sqrt_top(w)[0])
+    return float(sqrt_top(gram_eig(m[np.newaxis]).eigenvalues)[0])
 
 
 def herm_norm(h) -> float:
-    """Operator norm of a Hermitian matrix (max |eigenvalue|): top_abs of
-    herm_eig's eigenvalues."""
-    w, _ = herm_eig(h)
-    return float(top_abs(w)) if w.size else 0.0
+    """Operator norm of a Hermitian matrix (max |eigenvalue|), checked by
+    ``as_herm``: herm_norm_stack on a stack of one."""
+    m = as_herm(h)
+    return float(herm_norm_stack(m[np.newaxis])[0]) if m.size else 0.0
 
 
 def matrix_to_json(a) -> dict:

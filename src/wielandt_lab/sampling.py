@@ -23,17 +23,17 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 MASK64 = (1 << 64) - 1
 
 # Trial indices evaluated together as one stack, by ambient dimension N (see
-# block_size).  A stacked block pays a fixed numpy call cost (about 0.5 ms for
-# a search block, 2 ms for a six-exponent verify block on one x86_64 core)
-# against about 21 and 71 us per lane at N = 4, so 512 lanes keep that cost
-# near a tenth of the block or less.  A verify block scores its exponents in
+# block_size).  A stacked block pays a fixed numpy call cost (about 1.2 ms for
+# a search block, 4.5 ms for a six-exponent verify block, in CPU time on a
+# shared 2 vCPU x86_64 host with BLAS on one thread) against about 38 and
+# 136 us per lane at N = 4, so 512 lanes keep that cost under a tenth of the
+# block.  A verify block scores its exponents in
 # groups of block_size(d) // lanes (at least one; d is the size of the
 # compressed products), so a small block pays the fixed cost of its exponent
 # checks once per group and a long p grid is never one stack larger than
@@ -105,6 +105,8 @@ def mix_seeds(seeds, tags) -> np.ndarray:
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+_1, _32 = np.uint64(1), np.uint64(32)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
 def _hashmix(value: np.ndarray, const: list, mult: int) -> np.ndarray:
@@ -114,11 +116,22 @@ def _hashmix(value: np.ndarray, const: list, mult: int) -> np.ndarray:
     return value ^ (value >> np.uint64(16))
 
 
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(high, low) uint64 words of the 128-bit products a * b, from 32-bit
+    halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _MASK32, a >> _32, b & _MASK32, b >> _32
+    lh, hl, ll = a_lo * b_hi, a_hi * b_lo, a_lo * b_lo
+    mid = (ll >> _32) + (lh & _MASK32) + (hl & _MASK32)
+    return a_hi * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), a * b
+
+
 def _pcg64_states(seeds: np.ndarray) -> tuple:
     """(state, inc) of PCG64(SeedSequence(seed)) for each uint64 seed, as
-    object arrays of Python ints, computed step for step as numpy does."""
+    lists of Python ints, computed step for step as numpy does: the seeding
+    runs as arithmetic on uint64 high and low words, and each 128-bit value
+    is joined once per lane at the end."""
     const, zero = [0x43B0D7E5], np.zeros_like(seeds)
-    words = (seeds & _MASK32, seeds >> np.uint64(32), zero, zero)
+    words = (seeds & _MASK32, seeds >> _32, zero, zero)
     pool = [_hashmix(word, const, 0x931E8875) for word in words]
     for src, dst in itertools.permutations(range(4), 2):  # src-major, src != dst
         hashed = _hashmix(pool[src], const, 0x931E8875)
@@ -126,23 +139,35 @@ def _pcg64_states(seeds: np.ndarray) -> tuple:
         pool[dst] = mixed ^ (mixed >> np.uint64(16))
     const = [0x8B51F9DD]
     out = [_hashmix(pool[i % 4], const, 0x58F38DED) for i in range(8)]
-    s0, s1, s2, s3 = ((out[j] | out[j + 1] << np.uint64(32)).astype(object) for j in (0, 2, 4, 6))
-    inc = ((s2 << 64 | s3) << 1 | 1) % (1 << 128)
-    state = ((inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % (1 << 128)
-    return state, inc
+    s0, s1, s2, s3 = (out[j] | out[j + 1] << _32 for j in (0, 2, 4, 6))
+    # inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * PCG_MULT + inc, mod 2^128
+    inc_hi, inc_lo = s2 << _1 | s3 >> np.uint64(63), s3 << _1 | _1
+    sum_lo = inc_lo + s1
+    sum_hi = inc_hi + s0 + (sum_lo < inc_lo)
+    prod_hi, prod_lo = _mul64(sum_lo, _PCG_MULT_LO)
+    prod_hi += sum_lo * _PCG_MULT_HI + sum_hi * _PCG_MULT_LO
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
+    return _join(state_hi, state_lo), _join(inc_hi, inc_lo)
+
+
+def _join(hi: np.ndarray, lo: np.ndarray) -> list:
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
 def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """rng_from(seed) for each seed of a uint64 array, in C order: one reused
     Generator set to each seed's state in turn, so draw before advancing.
-    Raises RuntimeError if the first seed's state is not default_rng's."""
+    The states come from _pcg64_states' uint64 words, and setting one is
+    most of a generator's cost.  Raises RuntimeError if the first seed's
+    state is not default_rng's."""
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     states, incs = _pcg64_states(seeds)
     rng = np.random.default_rng(int(seeds[0]))
     pcg = rng.bit_generator.state
     if pcg["state"] != {"state": states[0], "inc": incs[0]}:
         raise RuntimeError("vectorized seeding no longer matches numpy's default_rng")
-    for state, inc in zip(states.tolist(), incs.tolist()):
+    for state, inc in zip(states, incs):
         pcg["state"] = {"state": state, "inc": inc}
         rng.bit_generator.state = pcg
         yield rng
@@ -198,10 +223,13 @@ def fan_out(fn, head: tuple, trials: int, workers: int, block: int) -> list:
     the calling process and the rest on a pool of ``workers - 1`` processes,
     or a single in-process call unless every worker gets at least one full
     block of ``block`` trials: a pool's start-up costs more than a block of
-    stacked work."""
+    stacked work.  The pool module is imported only here, as most runs never
+    reach it and its import is a large share of a short run's start-up."""
     workers = max(1, int(workers))
     if workers == 1 or trials < block * workers:
         return [fn(*head, 0, trials)]
+    from concurrent.futures import ProcessPoolExecutor
+
     edges = np.linspace(0, trials, workers + 1, dtype=int).tolist()
     (first, *rest) = zip(edges[:-1], edges[1:])
     with ProcessPoolExecutor(max_workers=len(rest)) as pool:

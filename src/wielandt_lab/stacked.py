@@ -47,11 +47,11 @@ def products_stack(a, x, y, phi, errors: LaneErrors) -> tuple:
     and T = Phi(X*AX), both symmetrized, with `phi` acting on stacks.
     Returns (S, T, T's eigendecomposition); flags lanes whose Phi(Y*AY) is
     singular."""
-    xh, yh = adj(x), adj(y)
-    bxy = phi(xh @ a @ y)
-    byx = phi(yh @ a @ x)
-    c_w, c_v = herm_eig_stack(hermitian_part(phi(yh @ a @ y)))
-    t = hermitian_part(phi(xh @ a @ x))
+    xa, ya = adj(x) @ a, adj(y) @ a
+    bxy = phi(xa @ y)
+    byx = phi(ya @ x)
+    c_w, c_v = herm_eig_stack(hermitian_part(phi(ya @ y)))
+    t = hermitian_part(phi(xa @ x))
     t_eig = herm_eig_stack(t)
     flag_pd(errors, c_w)
     s = hermitian_part(bxy @ stack_pow(c_w, c_v, -1.0, errors.bad) @ byx)

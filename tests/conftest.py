@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -34,12 +36,12 @@ def pool_ranges(monkeypatch):
     process."""
     ranges = []
 
-    class RecordingPool(sampling.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
             ranges.append(args[-2:])
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
 
     def fan_out_in_blocks_of_4(fn, head, trials, workers, block):
         return sampling.fan_out(fn, head, trials, workers, 4)

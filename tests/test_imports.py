@@ -3,6 +3,9 @@ runs on this repository, so this stdlib check stands in for the unused-import
 rule."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,13 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nimport os\nfrom numpy import array, zeros\nprint(os.sep, zeros)\n"
     assert unused_imports(source) == ["array", "math"]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Runs below one full block per worker never start a pool, so a CLI
+    # start-up should not pay for importing one.
+    code = "import sys, wielandt_lab.cli; print('concurrent.futures.process' in sys.modules)"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -93,6 +93,21 @@ class TestStacks:
         w0, v0 = mc.herm_eig(stack[-1])
         assert np.array_equal(w0, w[-1]) and np.array_equal(v0, v[-1])
 
+    @pytest.mark.parametrize("dim", [2, 3])  # closed form, LAPACK
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lane_raises(self, dim, bad):
+        stack = np.stack([rand_herm(dim * 10 + i, dim) for i in range(3)])
+        stack[1, 0, 0] = bad
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            mc.herm_eig_stack(stack)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_herm_norm_stack(self, dim):
+        stack = np.stack([rand_herm(dim * 50 + i, dim) for i in range(9)])
+        norms = mc.herm_norm_stack(stack)
+        assert np.array_equal(norms, mc.top_abs(mc.herm_eig_stack(stack).eigenvalues))
+        assert [mc.herm_norm(h) for h in stack] == norms.tolist()
+
     def test_hermitian_part_stack_bits(self):
         a = rand_complex(3, 4, 4)
         assert np.array_equal(mc.hermitian_part(a), (a + a.conj().T) / 2.0)
@@ -272,6 +287,12 @@ class TestOpNorm:
         for seed in range(20):
             x = rand_complex(seed, 4, 4)
             assert mc.op_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-11)
+
+    @pytest.mark.parametrize("dim", [2, 3])  # closed form, LAPACK
+    def test_overflowing_gram_matrix_raises(self, dim):
+        for x in (np.full((dim, dim), 1e200), 1e200 * np.eye(dim)):
+            with np.errstate(all="ignore"), pytest.raises(ValueError):
+                mc.op_norm(x)
 
     def test_submultiplicative(self):
         for seed in range(50):
