@@ -48,6 +48,31 @@ class TestRngsFrom:
             assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
             assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
+    @pytest.mark.parametrize("count", [1, 3, 512])
+    def test_block_lanes_match_default_rng(self, count):
+        # Each lane draws as operator_stack does: normals, then uniforms.
+        seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_seeds(count)])[:count]
+        g, u = np.empty((count, 2, 3, 3)), np.empty((count, 3))
+        for i, (seed, rng) in enumerate(zip(seeds.tolist(), rngs_from(seeds))):
+            ref = np.random.default_rng(seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            rng.standard_normal(out=g[i])
+            rng.random(out=u[i])
+            assert np.array_equal(g[i], ref.standard_normal((2, 3, 3)))
+            assert np.array_equal(u[i], ref.random(3))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_interleaved_iterators_keep_their_lanes(self):
+        # Each iterator owns its generator, so advancing one leaves the
+        # other's lanes as default_rng gives them.
+        seeds = _random_seeds(40).reshape(2, 20)
+        iters = [rngs_from(row) for row in seeds]
+        for lane in range(20):
+            for row, rngs in zip(seeds, iters):
+                rng, ref = next(rngs), np.random.default_rng(int(row[lane]))
+                assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+                assert np.array_equal(rng.random(2), ref.random(2))
+
     @pytest.mark.parametrize("m,M", [(1e-13, 1e-11), (1.0, 2.0), (1.0, 100.0), (1.0, 1e6)])
     def test_scaled_random_is_uniform(self, m, M):
         # operator_stack maps Generator.random draws onto [m, M] itself
