@@ -9,8 +9,9 @@ Each sampled component draws from ``default_rng(sub_seed)``.  A one-seed
 sampler takes its generator from ``rng_from``.  A stacked block of
 ``block_size(ambient)`` trials hashes its sub-seeds with ``mix_seeds``, and
 ``rngs_from`` runs numpy's SeedSequence and PCG64 seeding on uint64 arrays and
-sets one reused Generator to each lane's state: the state ``default_rng``
-gives, checked against it on the first lane of every call.
+writes each lane's four state words into one reused Generator's PCG64 struct:
+the state ``default_rng`` gives, checked in full against it on the first lane
+of every call.
 
 Draws are written once, for stacks: ``normal_draws`` takes one lane's
 standard normals from each generator, ``complex_draws`` turns them into
@@ -20,6 +21,7 @@ one-seed draw is a stack of one.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 from collections.abc import Iterator
@@ -29,10 +31,10 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 # Trial indices evaluated together as one stack, by ambient dimension N (see
-# block_size).  A stacked block pays a fixed numpy call cost (about 1.2 ms for
-# a search block, 4.5 ms for a six-exponent verify block, in CPU time on a
-# shared 2 vCPU x86_64 host with BLAS on one thread) against about 38 and
-# 136 us per lane at N = 4, so 512 lanes keep that cost under a tenth of the
+# block_size).  A stacked block pays a fixed numpy call cost (about 1.3 ms for
+# a search block, 3.5 ms for a six-exponent verify block, in CPU time on a
+# shared 2 vCPU x86_64 host with BLAS on one thread) against about 27 and
+# 104 us per lane at N = 4, so 512 lanes keep that cost under a tenth of the
 # block.  A verify block scores its exponents in
 # groups of block_size(d) // lanes (at least one; d is the size of the
 # compressed products), so a small block pays the fixed cost of its exponent
@@ -125,11 +127,10 @@ def _mul64(a: np.ndarray, b: np.ndarray) -> tuple:
     return a_hi * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), a * b
 
 
-def _pcg64_states(seeds: np.ndarray) -> tuple:
-    """(state, inc) of PCG64(SeedSequence(seed)) for each uint64 seed, as
-    lists of Python ints, computed step for step as numpy does: the seeding
-    runs as arithmetic on uint64 high and low words, and each 128-bit value
-    is joined once per lane at the end."""
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """PCG64(SeedSequence(seed)) for each uint64 seed, as a (lanes, 4)
+    uint64 array of (state high, state low, inc high, inc low) words,
+    computed step for step as numpy does, as arithmetic on uint64 arrays."""
     const, zero = [0x43B0D7E5], np.zeros_like(seeds)
     words = (seeds & _MASK32, seeds >> _32, zero, zero)
     pool = [_hashmix(word, const, 0x931E8875) for word in words]
@@ -148,28 +149,51 @@ def _pcg64_states(seeds: np.ndarray) -> tuple:
     prod_hi += sum_lo * _PCG_MULT_HI + sum_hi * _PCG_MULT_LO
     state_lo = prod_lo + inc_lo
     state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
-    return _join(state_hi, state_lo), _join(inc_hi, inc_lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
 
 
-def _join(hi: np.ndarray, lo: np.ndarray) -> list:
-    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+# Distinct (state high, state low, inc high, inc low) words set through
+# numpy's state setter to learn where its PCG64 struct keeps each word.
+_PROBE_WORDS = (0x11, 0x22, 0x33, 0x45)
+
+
+def _state_words(bit_generator) -> tuple:
+    """A writable uint64 view of a PCG64's four state words, and the column
+    order that maps _pcg64_states' rows onto it.  numpy's pcg64_state starts
+    with a pointer to pcg64_random_t: state then inc, each low word first
+    where the compiler has a 128-bit integer and high word first where it
+    has not; the order is read back from a probe state, not assumed."""
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    hi, lo, inc_hi, inc_lo = _PROBE_WORDS
+    bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                           "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
+    read = view.tolist()
+    if sorted(read) != sorted(_PROBE_WORDS):
+        raise RuntimeError("numpy's PCG64 state no longer holds four uint64 words")
+    return view, [_PROBE_WORDS.index(word) for word in read]
 
 
 def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """rng_from(seed) for each seed of a uint64 array, in C order: one reused
     Generator set to each seed's state in turn, so draw before advancing.
-    The states come from _pcg64_states' uint64 words, and setting one is
-    most of a generator's cost.  Raises RuntimeError if the first seed's
-    state is not default_rng's."""
+    Each lane's state is written as _pcg64_states' four words straight into
+    the generator's PCG64 struct, leaving its buffered 32-bit half-word as
+    it is, so lanes draw only with 64-bit methods (``standard_normal``,
+    ``random``); the generator is private to the iterator.  Raises RuntimeError unless the first seed's whole state,
+    written so, is default_rng's."""
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    states, incs = _pcg64_states(seeds)
+    if not seeds.size:
+        return
     rng = np.random.default_rng(int(seeds[0]))
-    pcg = rng.bit_generator.state
-    if pcg["state"] != {"state": states[0], "inc": incs[0]}:
+    expected = rng.bit_generator.state
+    view, order = _state_words(rng.bit_generator)
+    words = _pcg64_states(seeds)[:, order]
+    view[:] = words[0]
+    if rng.bit_generator.state != expected:
         raise RuntimeError("vectorized seeding no longer matches numpy's default_rng")
-    for state, inc in zip(states, incs):
-        pcg["state"] = {"state": state, "inc": inc}
-        rng.bit_generator.state = pcg
+    for row in words:
+        view[:] = row
         yield rng
 
 

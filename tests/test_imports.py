@@ -47,3 +47,13 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_ctypeslib_unloaded():
+    # Seeding writes generator states through the stdlib ctypes that numpy
+    # already loads; numpy.ctypeslib would add to every CLI start-up.
+    code = "import sys, wielandt_lab.cli; print('numpy.ctypeslib' in sys.modules)"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

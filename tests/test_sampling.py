@@ -86,6 +86,20 @@ class TestRngsFrom:
         with pytest.raises(RuntimeError):
             next(rngs_from(np.array([5, 6], dtype=np.uint64)))
 
+    def test_self_check_raises_on_swapped_words(self, monkeypatch):
+        # High and low words swapped in state and increment: the first lane's
+        # state is wrong, so no generator may be handed out.
+        real = sampling._pcg64_states
+        monkeypatch.setattr(sampling, "_pcg64_states", lambda seeds: real(seeds)[:, [1, 0, 3, 2]])
+        rngs = rngs_from(np.array([5, 6], dtype=np.uint64))
+        with pytest.raises(RuntimeError):
+            next(rngs)
+        assert next(rngs, None) is None
+
+    def test_empty_block_yields_nothing(self):
+        assert list(rngs_from(np.array([], dtype=np.uint64))) == []
+        assert list(rngs_from(np.empty((0, 3), dtype=np.uint64))) == []
+
 
 class TestMixSeeds:
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1, 2**70 + 5])
