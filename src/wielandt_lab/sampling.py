@@ -180,8 +180,9 @@ def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     Each lane's state is written as _pcg64_states' four words straight into
     the generator's PCG64 struct, leaving its buffered 32-bit half-word as
     it is, so lanes draw only with 64-bit methods (``standard_normal``,
-    ``random``); the generator is private to the iterator.  Raises RuntimeError unless the first seed's whole state,
-    written so, is default_rng's."""
+    ``random``); the generator is private to the iterator.  Raises
+    RuntimeError unless the first seed's whole state, written so, is
+    default_rng's."""
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     if not seeds.size:
         return
