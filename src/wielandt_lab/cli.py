@@ -2,7 +2,8 @@
 search, and the closed-form equality demo.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage
-error, 3 the conjecture probe crossed its discovery threshold (a witness dump
+error (an output path that cannot be written included, found before any
+trial runs), 3 the conjecture probe crossed its discovery threshold (a witness dump
 is written for replay).  Reports are deterministic given the seed; wall-clock
 fields live only in the manifest so diffing reports stays meaningful.  The
 environment variable WIELANDT_LAB_THREADS caps worker processes (default:
@@ -126,6 +127,22 @@ def parse_p_list(text: str) -> list[float]:
             raise UsageError(f"p values must be finite and > 0, got {v!r}")
         out.append(snap_exponent(v))
     return out
+
+
+def check_writable(path: str) -> None:
+    """UsageError unless a file can be written at `path`; commands call it
+    after their flags are checked and before any trial runs.  Creates
+    nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent!r}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write {path!r}: {reason}")
 
 
 def _now() -> str:
@@ -319,6 +336,7 @@ def cmd_verify(args) -> int:
         params.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    check_writable(args.out)
     report = run_verify(params, workers=worker_count())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -360,6 +378,8 @@ def cmd_bounds(args) -> int:
     m, M = check_bounds(args.m, args.M)
     p_values = parse_p_list(args.p_grid)
     check_in_range(m, M, p_values)
+    if args.csv != "-":
+        check_writable(args.csv)
     table = bounds_table(m, M, p_values)
     if args.csv == "-":
         sys.stdout.write(table)
@@ -400,6 +420,7 @@ def cmd_search(args) -> int:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    check_writable(args.out)
     started = _now()
     record = run_search(cfg, workers=worker_count())
     discovery = (

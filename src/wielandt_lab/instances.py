@@ -18,24 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds
-from .maps import (
-    ISOMETRY_TOL,
-    IdentityMap,
-    PositiveMap,
-    StinespringMap,
-    check_dims,
-    check_isometry,
-    map_from_json,
-    map_to_json,
-)
-from .matcore import (
-    as_herm,
-    frob,
-    from_eig,
-    herm_eig,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .maps import IdentityMap, PositiveMap, StinespringMap, check_dims, map_from_json, map_to_json
+from .matcore import from_eig, matrix_from_json, matrix_to_json
 from .sampling import haar_frames, mix_seed, mix_seeds, normal_draws, rng_from
 
 # gen_instance's sub-seed tags, one generator per component, in draw order.
@@ -169,44 +153,6 @@ def gen_instance(seed: int, N: int, n: int, d: int, k: int, m: float, M: float) 
     rngs = (rng_from(mix_seed(seed, tag)) for tag in INSTANCE_TAGS)
     a, x, y, w = draw_instances(rngs, 1, N, n, d, k, m, M)
     return Instance(a[0], m, M, x[0], y[0], StinespringMap(w[0], k), seed=seed)
-
-
-def validate_instance(inst: Instance, tol: float = 1e-10) -> list[str]:
-    """Return a list of invariant violations (empty when the bundle is sound):
-    shapes, orthonormal and mutually orthogonal frames, the spectrum of A
-    inside [m, M] with its endpoints pinned to m and M, and the map's input
-    dimension."""
-    problems: list[str] = []
-    a = as_herm(inst.a)
-    n_amb = inst.ambient
-    rank = inst.rank
-    if inst.x.shape != (n_amb, rank) or inst.y.shape != (n_amb, rank):
-        problems.append("isometry shapes do not match the ambient space")
-        return problems
-    if n_amb < 2 * rank:
-        problems.append(f"ambient {n_amb} smaller than 2*rank {2 * rank}")
-    try:
-        check_isometry(inst.x, "X")
-        check_isometry(inst.y, "Y")
-    except ValueError as exc:
-        problems.append(str(exc))
-    cross = frob(inst.x.conj().T @ inst.y)
-    if cross > ISOMETRY_TOL * max(1.0, frob(inst.x)):
-        problems.append(f"ranges are not orthogonal (|X*Y| = {cross:g})")
-    w, _ = herm_eig(a)
-    lo, hi = float(w[0]), float(w[-1])
-    scale = max(1.0, abs(inst.m), abs(inst.M))
-    if lo < inst.m - tol * scale or hi > inst.M + tol * scale:
-        problems.append(f"spectrum [{lo:g}, {hi:g}] escapes [{inst.m:g}, {inst.M:g}]")
-    if abs(lo - inst.m) > 1e-12 * scale or abs(hi - inst.M) > 1e-12 * scale:
-        problems.append(
-            f"spectral endpoints [{lo:g}, {hi:g}] not pinned to [{inst.m:g}, {inst.M:g}]"
-        )
-    if inst.phi.in_dim != rank:
-        problems.append(
-            f"map input dimension {inst.phi.in_dim} differs from rank {rank}"
-        )
-    return problems
 
 
 def instance_to_json(inst: Instance) -> dict:

@@ -1,5 +1,4 @@
-"""Unital positive linear maps: representations, application, Choi matrices,
-complete-positivity certificates, and a sampling probe for 2-positivity.
+"""Linear maps on matrices: representations and their actions on stacks.
 
 Maps act in the "compression" convention: a map with input dimension n and
 output dimension d sends an n x n matrix T to a d x d matrix.  Three
@@ -8,11 +7,9 @@ Stinespring isometry W with T -> W*(T (x) I_k)W, and an arbitrary linear
 action on vec(T).  A compression V*TV is a Stinespring map with k = 1; Kraus
 operators K_1..K_k stack on the ancilla (row i*k + a of W is row i of K_a);
 a convex mix of CP maps scales each part's Kraus operators by the square root
-of its weight; a mix with non-CP parts is a linear action.  Complete
-positivity is certified through the Choi matrix; a CP certificate is
-sufficient for the 2-positivity assumed by the inequality checks, while
-arbitrary user maps can only be probed by sampling (a necessary condition,
-not a certificate).
+of its weight; a mix with non-CP parts is a linear action.  The lab samples
+only unital CP Stinespring maps (``random_unital_cp``), which are 2-positive
+by construction; no command reads a user-supplied map yet.
 
 The isometry guard and each map's action are written once, for stacks:
 ``flag_isometry`` records a ValueError for each lane whose frame does not have
@@ -26,24 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import (
-    PSD_TOL,
-    LaneErrors,
-    adj,
-    as_cmatrix,
-    frob,
-    herm_eig,
-    hermitian_part,
-    matrix_from_json,
-    matrix_to_json,
-    stack_scale,
-)
-from .sampling import complex_gaussian, haar_frames, rng_from
+from .matcore import LaneErrors, adj, as_cmatrix, matrix_from_json, matrix_to_json
+from .sampling import haar_frames, rng_from
 
 ISOMETRY_TOL = 1e-12
 
@@ -167,8 +152,8 @@ class StinespringMap(PositiveMap):
 
 @dataclass(frozen=True, eq=False)
 class LinearActionMap(PositiveMap):
-    """Arbitrary user-supplied linear map given by its d^2 x n^2 action on
-    row-major vec(T).  Carries no positivity guarantee; classify before use."""
+    """Arbitrary linear map given by its d^2 x n^2 action on row-major
+    vec(T).  Carries no positivity guarantee."""
 
     matrix: np.ndarray
 
@@ -202,129 +187,11 @@ def map_stack(phi: PositiveMap):
     raise TypeError(f"unknown map type {type(phi)!r}")
 
 
-def is_unital(phi: PositiveMap, tol: float = 1e-12) -> bool:
-    image = phi.apply(np.eye(phi.in_dim, dtype=np.complex128))
-    return frob(image - np.eye(phi.out_dim)) <= tol * max(1.0, frob(image))
-
-
-def transpose_map(n: int) -> LinearActionMap:
-    """The transpose on n x n matrices: positive but not 2-positive for n >= 2."""
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            mat[i * n + j, j * n + i] = 1.0
-    return LinearActionMap(mat)
-
-
-def choi(phi: PositiveMap) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) Phi(E_ij), an (n*d) x (n*d) matrix."""
-    n, d = phi.in_dim, phi.out_dim
-    c = np.zeros((n * d, n * d), dtype=np.complex128)
-    basis = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            basis[i, j] = 1.0
-            c[i * d : (i + 1) * d, j * d : (j + 1) * d] = phi.apply(basis)
-            basis[i, j] = 0.0
-    return c
-
-
-def _psd_verdict(c: np.ndarray, tol: float) -> tuple[float, bool]:
-    """(minimum eigenvalue, PSD verdict) of C: C must be Hermitian within
-    2 tol max(1, ||C||_F), else (-inf, False), and its minimum eigenvalue
-    >= -tol max(1, max |eigenvalue|)."""
-    if frob(c - adj(c)) > 2.0 * tol * max(1.0, frob(c)):
-        return -np.inf, False
-    w, _ = herm_eig(hermitian_part(c))
-    return float(w[0]), bool(w[0] >= -tol * stack_scale(w))
-
-
-def is_cp(phi: PositiveMap, tol: float = PSD_TOL) -> bool:
-    """True iff the Choi matrix is Hermitian and PSD within tolerance."""
-    return _psd_verdict(choi(phi), tol)[1]
-
-
-@dataclass
-class ProbeReport:
-    violated: bool
-    trials_requested: int
-    trials_done: int
-    min_eigenvalue: float  # most negative eigenvalue seen across samples
-    witness: Optional[np.ndarray]  # 2n x 2n PSD input block matrix, if violated
-    tol: float
-
-    @property
-    def message(self) -> str:
-        if self.violated:
-            return (
-                f"violation found at trial {self.trials_done} "
-                f"(min eigenvalue {self.min_eigenvalue:.6g})"
-            )
-        return f"no violation found in {self.trials_done} trials"
-
-
-def _entangled_block_witness(n: int) -> np.ndarray:
-    """Rank-one PSD 2x2 block matrix with matrix-unit blocks; its blockwise
-    image under the transpose has eigenvalue -1."""
-    u = np.zeros(2 * n, dtype=np.complex128)
-    u[0] = 1.0  # e_1 in the first block
-    u[n + 1] = 1.0  # e_2 in the second block
-    return np.outer(u, u.conj())
-
-
-def two_positivity_probe(
-    phi: PositiveMap, trials: int, seed: int, tol: float = PSD_TOL
-) -> ProbeReport:
-    """Sample PSD 2x2 block matrices, apply the map blockwise, and test that
-    the image stays PSD.  A clean run is necessary, not sufficient, for
-    2-positivity; the first sample is the deterministic entangled-block
-    witness that catches the transpose map.
-
-    Returns at the first violation with the offending input as witness.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = phi.in_dim
-    rng = rng_from(seed)
-    worst = np.inf
-    for trial in range(trials):
-        if trial == 0 and n >= 2:
-            block = _entangled_block_witness(n)
-        else:
-            g = complex_gaussian(rng, 2 * n, 2 * n)
-            block = g @ g.conj().T
-        block = hermitian_part(block)
-        a = block[:n, :n]
-        b = block[:n, n:]
-        c = block[n:, n:]
-        image = np.block(
-            [
-                [phi.apply(a), phi.apply(b)],
-                [phi.apply(b.conj().T), phi.apply(c)],
-            ]
-        )
-        lam, psd = _psd_verdict(image, tol)
-        if not psd:
-            return ProbeReport(True, trials, trial + 1, lam, block, tol)
-        worst = min(worst, lam)
-    return ProbeReport(False, trials, trials, worst, None, tol)
-
-
 def random_unital_cp(seed: int, n: int, d: int, k: int) -> StinespringMap:
     """Haar-random Stinespring map C^{n x n} -> C^{d x d} with ancilla k;
     unital and CP by construction, deterministic in the seed."""
     check_dims(2 * n, n, d, k)  # no isometry pair: any N >= 2n
     return StinespringMap(haar_frames(rng_from(seed).standard_normal((2, n * k, d))), k)
-
-
-def classify_map(
-    phi: PositiveMap, tol: float = PSD_TOL, trials: int = 200, seed: int = 0
-) -> str:
-    """Label a user map: 'certified CP', 'probe-passed', or 'violated'."""
-    if is_cp(phi, tol=tol):
-        return "certified CP"
-    report = two_positivity_probe(phi, trials=trials, seed=seed, tol=tol)
-    return "violated" if report.violated else "probe-passed"
 
 
 def map_to_json(phi: PositiveMap) -> dict:

@@ -3,7 +3,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from wielandt_lab import cli, sampling, search
+from wielandt_lab import cli, maps, sampling, search
 
 
 def rand_complex(seed: int, rows: int, cols: int) -> np.ndarray:
@@ -20,6 +20,28 @@ def rand_psd(seed: int, dim: int) -> np.ndarray:
     g = rand_complex(seed, dim, dim)
     h = g @ g.conj().T
     return (h + h.conj().T) / 2
+
+
+def transpose_map(n: int) -> maps.LinearActionMap:
+    """The transpose on n x n matrices: the permutation of row-major vec(T)
+    that swaps entries (i, j) and (j, i).  Positive, not 2-positive."""
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    return maps.LinearActionMap(np.eye(n * n, dtype=np.complex128)[swap])
+
+
+def assert_instance_invariants(inst) -> None:
+    """X and Y orthonormal with X*Y = 0, A's spectrum pinned to [m, M] (both
+    ends attained within 1e-12 relative) and a map whose input dimension is
+    the frames' rank."""
+    n = inst.rank
+    assert inst.x.shape == inst.y.shape == (inst.ambient, n)
+    for frame in (inst.x, inst.y):
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(n)) <= 1e-12 * np.sqrt(n)
+    assert np.linalg.norm(inst.x.conj().T @ inst.y) <= 1e-12 * np.sqrt(n)
+    w = np.linalg.eigvalsh((inst.a + inst.a.conj().T) / 2)
+    scale = max(1.0, abs(inst.m), abs(inst.M))
+    assert abs(w[0] - inst.m) <= 1e-12 * scale and abs(w[-1] - inst.M) <= 1e-12 * scale
+    assert inst.phi.in_dim == n
 
 
 @pytest.fixture

@@ -450,6 +450,34 @@ class TestBadInput:
         assert reports[0] == reports[1]
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv, runner", [
+        (["verify", "--trials", "3", "--out"], "run_verify"),
+        (["search", "--objective", "conjecture", "--trials", "3", "--out"], "run_search"),
+        (["bounds", "--csv"], "bounds_table"),
+    ], ids=["verify", "search", "bounds"])
+    @pytest.mark.parametrize("target", ["missing/o.json", "."], ids=["no-directory", "directory"])
+    def test_exits_2_before_any_trial(self, argv, runner, target, tmp_chdir, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr(cli, runner, never)
+        assert run_cli(argv + [target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+        assert list(tmp_chdir.iterdir()) == []
+
+    def test_flag_errors_come_first(self, tmp_chdir, capsys):
+        assert run_cli(["verify", "--M", "inf", "--out", "missing/o.json"]) == 2
+        assert "cannot write" not in capsys.readouterr().err
+
+    def test_existing_file_is_overwritten(self, tmp_chdir, capsys):
+        (tmp_chdir / "t.csv").write_text("old\n")
+        assert run_cli(["bounds", "--p-grid", "1", "--csv", "t.csv"]) == 0
+        assert (tmp_chdir / "t.csv").read_text().startswith("# p_star=")
+
+
 class TestManifest:
     def test_counters_consistent(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")

@@ -10,6 +10,7 @@ from wielandt_lab.maps import IdentityMap
 from wielandt_lab.matcore import herm_eig
 from wielandt_lab.sampling import mix_seeds, rngs_from
 
+from conftest import assert_instance_invariants
 from test_bounds import gamma_of
 
 
@@ -132,7 +133,7 @@ class TestGenInstance:
     def test_invariants(self):
         for seed in range(10):
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
-            assert instances.validate_instance(inst) == []
+            assert_instance_invariants(inst)
 
     def test_compressed_bounds_hold(self):
         # the implicit step: m <= Phi(X*AX) <= M and Phi(Y*AY) invertible
@@ -163,7 +164,7 @@ class TestGenInstance:
     def test_wider_ambient_supported(self):
         inst = instances.gen_instance(5, 6, 2, 2, 2, 1.0, 2.0)
         assert inst.ambient == 6
-        assert instances.validate_instance(inst) == []
+        assert_instance_invariants(inst)
 
 
 def _sampler_outputs(name, seed, shape):
@@ -240,26 +241,3 @@ class TestSerialization:
         )
         assert np.array_equal(back.a, inst.a)
         assert back.phi.in_dim == 1
-
-    def test_validate_catches_bad_bundle(self):
-        inst = instances.gen_instance(1, 4, 2, 2, 2, 1.0, 2.0)
-        bad = instances.Instance(
-            a=inst.a * 3.0,  # spectrum escapes [m, M]
-            m=inst.m,
-            M=inst.M,
-            x=inst.x,
-            y=inst.y,
-            phi=inst.phi,
-            seed=inst.seed,
-        )
-        assert instances.validate_instance(bad) != []
-
-    def test_validate_flags_unpinned_endpoints(self):
-        inst = instances.gen_instance(1, 4, 2, 2, 2, 1.0, 2.0)
-        loose = instances.Instance(inst.a, 0.9, 2.1, inst.x, inst.y, inst.phi, seed=inst.seed)
-        assert any("not pinned" in p for p in instances.validate_instance(loose))
-
-    def test_validate_flags_non_orthonormal_frame(self):
-        inst = instances.gen_instance(2, 4, 2, 2, 2, 1.0, 2.0)
-        bad = instances.Instance(inst.a, 1.0, 2.0, 2.0 * inst.x, inst.y, inst.phi)
-        assert any("orthonormal" in p for p in instances.validate_instance(bad))

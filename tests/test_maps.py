@@ -8,7 +8,7 @@ from wielandt_lab.errors import DimensionMismatch
 from wielandt_lab.maps import map_stack
 from wielandt_lab.matcore import herm_eig, hermitian_part
 
-from conftest import rand_complex, rand_herm, rand_psd
+from conftest import rand_complex, rand_herm, rand_psd, transpose_map
 
 
 def kraus_ops(phi):
@@ -37,7 +37,7 @@ def _sample_maps():
     convex = convex_cp((0.25, 0.75), (maps.StinespringMap(np.eye(2), 1),
                                      maps.random_unital_cp(6, 2, 2, 1)))
     return {"identity": ident, "stinespring": stine, "compression": comp,
-            "kraus": kraus, "convex": convex, "linear": maps.transpose_map(2)}
+            "kraus": kraus, "convex": convex, "linear": transpose_map(2)}
 
 
 class TestApply:
@@ -103,7 +103,9 @@ class TestApply:
     @pytest.mark.parametrize("name", ["identity", "stinespring", "compression", "kraus", "convex"])
     def test_unitality_and_psd_preservation(self, name):
         phi = _sample_maps()[name]
-        assert maps.is_unital(phi)
+        image = phi.apply(np.eye(phi.in_dim))
+        unital_defect = np.linalg.norm(image - np.eye(phi.out_dim))
+        assert unital_defect <= 1e-12 * max(1.0, np.linalg.norm(image))
         for seed in range(5):
             t = rand_psd(seed, phi.in_dim)
             w, _ = herm_eig(hermitian_part(phi.apply(t)))
@@ -118,83 +120,6 @@ class TestApply:
             wo = herm_eig(hermitian_part(phi.apply(t))).eigenvalues
             assert wo[0] >= wt[0] - 1e-11
             assert wo[-1] <= wt[-1] + 1e-11
-
-
-class TestChoi:
-    def test_identity_choi_is_entangled_projector(self):
-        c = maps.choi(maps.IdentityMap(2))
-        w = np.linalg.eigvalsh(c)
-        assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
-
-    def test_compression_choi_psd(self):
-        v = np.array([[1.0], [0.0]], dtype=complex)
-        w = np.linalg.eigvalsh(maps.choi(maps.StinespringMap(v, 1)))
-        assert w[0] >= -1e-12
-
-    def test_transpose_choi_is_swap(self):
-        c = maps.choi(maps.transpose_map(2))
-        w = np.linalg.eigvalsh(c)
-        assert np.allclose(w, [-1, 1, 1, 1], atol=1e-12)
-
-    def test_choi_convexity(self):
-        p1 = maps.random_unital_cp(1, 2, 2, 2)
-        p2 = maps.random_unital_cp(2, 2, 2, 1)
-        direct = maps.choi(convex_cp((0.3, 0.7), (p1, p2)))
-        combo = 0.3 * maps.choi(p1) + 0.7 * maps.choi(p2)
-        assert np.linalg.norm(direct - combo) <= 1e-12
-        # a mix with a non-CP part is a linear action
-        mix = maps.LinearActionMap(0.3 * maps.transpose_map(2).matrix + 0.7 * np.eye(4))
-        combo = 0.3 * maps.choi(maps.transpose_map(2)) + 0.7 * maps.choi(maps.IdentityMap(2))
-        assert np.linalg.norm(maps.choi(mix) - combo) <= 1e-12
-
-
-class TestIsCp:
-    def test_stinespring_cp(self):
-        assert maps.is_cp(maps.random_unital_cp(0, 2, 3, 2))
-
-    def test_transpose_not_cp(self):
-        assert not maps.is_cp(maps.transpose_map(2))
-
-    def test_convex_of_cp_is_cp(self):
-        mix = convex_cp(
-            (0.5, 0.5),
-            (maps.random_unital_cp(1, 2, 2, 2), maps.random_unital_cp(2, 2, 2, 2)),
-        )
-        assert maps.is_unital(mix) and maps.is_cp(mix)
-
-
-class TestTwoPositivityProbe:
-    def test_identity_clean(self):
-        report = maps.two_positivity_probe(maps.IdentityMap(2), trials=25, seed=0)
-        assert not report.violated
-        assert report.trials_done == 25
-        assert "no violation found in 25 trials" == report.message
-
-    def test_transpose_caught_by_first_deterministic_sample(self):
-        report = maps.two_positivity_probe(maps.transpose_map(2), trials=10, seed=0)
-        assert report.violated
-        assert report.trials_done == 1
-        assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
-        # the witness is the rank-one matrix-unit block structure
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 1.0
-        assert np.allclose(report.witness, expected, atol=1e-12)
-
-    def test_compression_clean(self):
-        v = np.array([[1.0], [0.0]], dtype=complex)
-        report = maps.two_positivity_probe(maps.StinespringMap(v, 1), trials=25, seed=3)
-        assert not report.violated
-
-    def test_cp_maps_never_flagged(self):
-        for seed in range(6):
-            phi = maps.random_unital_cp(seed, 2, 2, 2)
-            assert maps.is_cp(phi)
-            assert not maps.two_positivity_probe(phi, trials=15, seed=seed).violated
-
-    def test_determinism(self):
-        r1 = maps.two_positivity_probe(maps.IdentityMap(2), trials=10, seed=7)
-        r2 = maps.two_positivity_probe(maps.IdentityMap(2), trials=10, seed=7)
-        assert r1.min_eigenvalue == r2.min_eigenvalue
 
 
 class TestRandomUnitalCp:
@@ -220,14 +145,6 @@ class TestRandomUnitalCp:
             maps.random_unital_cp(0, 1, 5, 2)  # n*k = 2 < d = 5
 
 
-class TestClassify:
-    def test_cp_map_certified(self):
-        assert maps.classify_map(maps.random_unital_cp(3, 2, 2, 2)) == "certified CP"
-
-    def test_transpose_violated(self):
-        assert maps.classify_map(maps.transpose_map(2)) == "violated"
-
-
 class TestSerialization:
     @pytest.mark.parametrize(
         "name", ["identity", "stinespring", "compression", "kraus", "convex", "linear"]
@@ -241,13 +158,13 @@ class TestSerialization:
         assert np.array_equal(back.apply(t), phi.apply(t))
 
     def test_linear_action_roundtrip(self):
-        phi = maps.transpose_map(2)
+        phi = transpose_map(2)
         back = maps.map_from_json(json.loads(json.dumps(maps.map_to_json(phi))))
         t = rand_complex(8, 2, 2)
         assert np.array_equal(back.apply(t), t.T)
 
     def test_linear_dims_must_match_matrix(self):
-        obj = maps.map_to_json(maps.transpose_map(2))
+        obj = maps.map_to_json(transpose_map(2))
         for key, value in (("in_dim", 3), ("out_dim", 1)):
             with pytest.raises(DimensionMismatch):
                 maps.map_from_json(dict(obj, **{key: value}))
@@ -272,11 +189,6 @@ class TestValidation:
         ident = maps.StinespringMap(np.eye(2), 1)
         with pytest.raises(ValueError):
             convex_cp((0.5, 0.2), (ident, ident))
-
-    def test_probe_requires_trials(self):
-        with pytest.raises(ValueError):
-            maps.two_positivity_probe(maps.IdentityMap(2), trials=0, seed=0)
-
 
 class TestStackedAction:
     @pytest.mark.parametrize("name", ["stinespring", "compression", "kraus", "convex", "linear"])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wielandt_lab import instances, maps, search
+from wielandt_lab import instances, search
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
 from wielandt_lab.stacked import flag_gamma, gamma_stack
@@ -20,6 +20,7 @@ from wielandt_lab.errors import (
     WielandtLabError,
 )
 
+from conftest import assert_instance_invariants, transpose_map
 from test_bounds import loose_scalar_instance
 
 
@@ -146,7 +147,7 @@ class TestRefine:
             objective="tightness_thm2", p=1.0, trials=1, refine_steps=50, seed=3
         )
         rec = search.refine(start, cfg)
-        assert instances.validate_instance(rec.best_instance) == []
+        assert_instance_invariants(rec.best_instance)
 
 
 class TestReplayability:
@@ -367,7 +368,7 @@ def sequential_refine(start, cfg):
 def _transpose_start():
     a = instances.gen_operator(3, 4, 1.0, 100.0)
     x, y = instances.gen_isometry_pair(4, 4, 2)
-    return instances.Instance(a, 1.0, 100.0, x, y, maps.transpose_map(2), seed=0)
+    return instances.Instance(a, 1.0, 100.0, x, y, transpose_map(2), seed=0)
 
 
 class TestRefineLadder:
