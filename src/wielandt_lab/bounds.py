@@ -68,6 +68,10 @@ from .sampling import (
 from .stacked import flag_gamma, gamma_stack, instance_products
 
 DEFAULT_TOL = 1e-9
+# Smallest tol a command accepts: below it, rounding turns into verdicts
+# (trial errors from tol 1e-16 at M/m = 2 and 1e-15 at M/m = 100, and the
+# template's 1 + 2^-52 into a discovery at tol 0).
+MIN_TOL = 1e-14
 ORDERING_TOL = 1e-12
 
 # Deterministic emission order for aggregated reports.
@@ -93,10 +97,10 @@ ALL_CHECK_NAMES = (
 
 
 def check_tol(tol: float) -> float:
-    """tol as a float; raises ValueError unless it is finite and >= 0."""
+    """tol as a float; raises ValueError unless it is finite and >= MIN_TOL."""
     tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"need a finite tol >= {MIN_TOL:g} (the rounding floor), got {tol!r}")
     return tol
 
 

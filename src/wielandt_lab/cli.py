@@ -447,7 +447,10 @@ def cmd_search(args) -> int:
         f"search: objective={cfg.objective}, trials={cfg.trials}, "
         f"refine_steps={cfg.refine_steps}, seed={cfg.seed}"
     )
-    print(f"best_value: {record.best_value!r} (trial {record.best_index})")
+    # best_index is the sampled start; the trace's last entry found the value
+    phase, step, _ = record.trace[-1]
+    origin = f"refine step {step}, from " if phase == "refine" else ""
+    print(f"best_value: {record.best_value!r} ({origin}trial {record.best_index})")
     print(f"result: {args.out}")
     if discovery:
         print(

@@ -15,8 +15,9 @@ and scores each block on stacked ``(B, n, n)`` arrays drawn by
 ``draw_instances``, the sampler ``gen_instance`` runs on a stack of one;
 trial 0 (the closed-form equality template) and the refinement's start are
 stacks of one (``objective_value``).
-Only the best trial of each worker's range is rebuilt as an ``Instance``, for
-the witness.  Refinement scores its proposals as rejection ladders: the
+Each worker returns only the values of its trials; ``random_search`` builds
+the trace from them and rebuilds the one best trial as an ``Instance``, the
+witness.  Refinement scores its proposals as rejection ladders: the
 proposals it would make if it rejected each one in turn, built and scored as
 one stack, then walked in order as the sequential ascent would.
 """
@@ -222,72 +223,54 @@ def _block_values(cfg: SearchConfig, indices: range) -> tuple:
     return _objective_stack(cfg.objective, cfg.p, cfg.m, cfg.M, s, t_eig, errors), errors
 
 
-def _eval_range(cfg: SearchConfig, start: int, stop: int) -> tuple:
-    """Evaluate trials [start, stop); returns the chunk best, its witness
-    JSON, the chunk's running-max improvements for trace merging, and the
-    number of trials skipped as singular.  Any other failing trial raises its
-    exception, the first in index order."""
-    best_value = -math.inf
-    best_index = -1
-    improvements = []
-    skipped = 0
-
-    def score(index, value):
-        nonlocal best_value, best_index
-        if value > best_value:  # strictly: the lowest index wins ties
-            best_value, best_index = value, index
-            improvements.append((index, value))
-
-    if start == 0:
-        try:
-            score(0, objective_value(cfg, _trial_instance(cfg, 0)))
-        except Singular:
-            skipped += 1
+def _eval_range(cfg: SearchConfig, start: int, stop: int) -> np.ndarray:
+    """Objective values of the random trials in [start, stop) (trial 0, the
+    template, is not one), in index order, NaN where a trial is skipped as
+    singular; an objective value is never NaN.  Any other failing trial
+    raises its exception, the first in index order."""
     block = block_size(cfg.ambient)
+    values = [np.empty(0)]
     for lo in range(max(start, 1), stop, block):
         indices = range(lo, min(lo + block, stop))
-        values, errors = _block_values(cfg, indices)
+        block_values, errors = _block_values(cfg, indices)
         for lane in sorted(errors):
             if not isinstance(errors[lane], Singular):
                 raise errors[lane]
-        skipped += len(errors)
-        values[errors.bad] = np.nan  # never scores
-        for index, value in zip(indices, values.tolist()):
-            score(index, value)
-    best_json = instance_to_json(_trial_instance(cfg, best_index)) if best_index >= 0 else None
-    return best_value, best_index, best_json, improvements, skipped
+        block_values[errors.bad] = np.nan
+        values.append(block_values)
+    return np.concatenate(values)
 
 
 def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     """Evaluate the objective on `trials` seeded instances (trial 0 is the
-    extremal template) and keep the maximum.  Results are independent of the
-    worker count: chunks merge in index order, ties prefer the lowest index."""
+    extremal template) and keep the maximum.  The workers return the values
+    of their trial ranges; the trace is their strict running maxima in index
+    order, so ties keep the lowest index and the result does not depend on
+    the worker count.  The witness is the best trial rebuilt as the report
+    stores it."""
     cfg.validate()
-    trials = cfg.trials
-    chunks = fan_out(_eval_range, (cfg,), trials, workers, block_size(cfg.ambient))
-
-    # Rebuild a monotone trace from the concatenated chunk improvements; its
-    # last entry is the best trial, the lowest index on ties.
-    merged = []
-    running = -math.inf
-    for _, _, _, improvements, _ in chunks:
-        for idx, val in improvements:
-            if val > running:
-                running = val
-                merged.append(("sample", idx, val))
-    if not merged:
+    try:
+        template = objective_value(cfg, _trial_instance(cfg, 0))
+    except Singular:
+        template = math.nan
+    values = np.concatenate(
+        [[template], *fan_out(_eval_range, (cfg,), cfg.trials, workers, block_size(cfg.ambient))]
+    )
+    before = np.fmax.accumulate(np.concatenate([[-math.inf], values[:-1]]))  # skips NaNs
+    floats = values.tolist()
+    trace = [("sample", i, floats[i]) for i in np.flatnonzero(values > before).tolist()]
+    if not trace:
         raise WielandtLabError("no trial produced an evaluable instance")
-    _, best_index, best_value = merged[-1]
-    best_json = next(chunk[2] for chunk in chunks if chunk[1] == best_index)
+    _, best_index, best_value = trace[-1]
     return SearchRecord(
         objective=cfg.objective,
         best_value=best_value,
-        best_instance=instance_from_json(best_json),
+        best_instance=instance_from_json(instance_to_json(_trial_instance(cfg, best_index))),
         best_index=best_index,
-        trials_done=trials,
-        trace=merged,
+        trials_done=cfg.trials,
+        trace=trace,
         config=cfg,
-        skipped=sum(chunk[4] for chunk in chunks),
+        skipped=int(np.count_nonzero(np.isnan(values))),
     )
 
 

@@ -305,6 +305,21 @@ class TestSearchCommand:
         y = json.loads((tmp_chdir / "y.json").read_text())
         assert json.dumps(stripped(x)) == json.dumps(stripped(y))
 
+    @pytest.mark.parametrize("refine, last, origin", [
+        (["--refine-steps", "40"], ["refine", 36], "(refine step 36, from trial 17)"),
+        ([], ["sample", 17], "(trial 17)"),
+    ])
+    def test_best_line_names_the_step_that_found_it(self, refine, last, origin, tmp_chdir,
+                                                     capsys, monkeypatch):
+        # best_index stays the sampled start; the line names the trace's last entry
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        code = run_cli(["search", "--objective", "tightness_thm3", "--p", "3", "--dims",
+                        "5,2,3,2", "--M", "100", "--trials", "50", *refine, "--out", "b.json"])
+        assert code == 0
+        result = json.loads((tmp_chdir / "b.json").read_text())
+        assert result["trace"][-1][:2] == last and result["best_index"] == 17
+        assert f"best_value: {result['best_value']!r} {origin}\n" in capsys.readouterr().out
+
     def test_discovery_exit_code(self, tmp_chdir, capsys, monkeypatch):
         def fake_run_search(cfg, workers=1):
             return SearchRecord(
@@ -393,6 +408,9 @@ class TestBadInput:
             ["verify", "--p", "nan"],
             ["verify", "--tol", "nan"],
             ["verify", "--tol", "-1"],
+            # Below the 1e-14 floor rounding alone would fail checks.
+            ["verify", "--tol", "0"],
+            ["verify", "--tol", "1e-15"],
             ["verify", "--M", "inf"],
             ["verify", "--k", "0"],
             ["verify", "--d", "5"],
@@ -400,6 +418,8 @@ class TestBadInput:
             ["bounds", "--M", "inf"],
             ["search", "--objective", "conjecture", "--M", "inf"],
             ["search", "--objective", "conjecture", "--tol", "nan"],
+            ["search", "--objective", "conjecture", "--tol", "0"],
+            ["search", "--objective", "conjecture", "--tol", "1e-15"],
             ["search", "--objective", "conjecture", "--dims", "4,2,5,2"],
             ["extremal", "--p", "inf"],
             # Bounds and factors that overflow a double or underflow to 0.
@@ -430,6 +450,16 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not (tmp_chdir / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--trials", "40"],
+        ["search", "--objective", "conjecture", "--M", "100", "--trials", "300"],
+    ])
+    def test_tol_floor_runs_and_is_named(self, args, tmp_chdir, capsys, monkeypatch):
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        assert run_cli(args + ["--tol", "1e-14", "--out", "o"]) == 0
+        assert run_cli(args + ["--tol", "9e-15", "--out", "p"]) == 2
+        assert "tol >= 1e-14" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [["verify", "--trials", "x"], ["verify", "--p", "nan"],
                                      ["search", "--objective", "nope"]])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wielandt_lab import instances, search
+from wielandt_lab import bounds, instances, search
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
 from wielandt_lab.stacked import flag_gamma, gamma_stack
@@ -72,7 +72,7 @@ class TestSearchConfig:
             search.SearchConfig(m=1.0, M=math.inf).validate()
         with pytest.raises(InvalidExponent):
             search.SearchConfig(objective="tightness_thm1", p=math.inf).validate()
-        for tol in (math.nan, -1.0, math.inf):
+        for tol in (math.nan, -1.0, math.inf, 0.0, 1e-15):
             with pytest.raises(ValueError):
                 search.SearchConfig(tol=tol).validate()
         with pytest.raises(ValueError):
@@ -114,6 +114,73 @@ class TestRandomSearch:
         parallel = search.random_search(cfg, workers=2)
         assert pool_ranges == [(32, 64)]
         assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
+
+    def test_trace_and_witness_follow_one_trial_values(self):
+        cfg = search.SearchConfig(objective="tightness_thm3", p=3.0, M=100.0, trials=120, seed=3)
+        rec = search.random_search(cfg)
+        want, running = [], -math.inf
+        for index in range(cfg.trials):
+            value = search.objective_value(cfg, search._trial_instance(cfg, index))
+            if value > running:
+                running = value
+                want.append(("sample", index, value))
+        assert len(want) > 2
+        assert [entry[:2] for entry in rec.trace] == [entry[:2] for entry in want]
+        for (_, _, got), (_, _, value) in zip(rec.trace, want):
+            assert abs(got - value) <= DRIFT * max(1.0, abs(value))
+        assert (rec.best_index, rec.best_value) == rec.trace[-1][1:] and rec.best_index > 0
+        rebuilt = instances.instance_to_json(search._trial_instance(cfg, rec.best_index))
+        assert json.dumps(instances.instance_to_json(rec.best_instance)) == json.dumps(rebuilt)
+
+    def test_skipped_counts_the_singular_trials(self):
+        cfg = search.SearchConfig(m=1e-13, M=1e-11, trials=150, seed=2)
+        singular = 0
+        for index in range(cfg.trials):
+            try:
+                search.objective_value(cfg, search._trial_instance(cfg, index))
+            except Singular:
+                singular += 1
+        assert singular > 0
+        assert search.random_search(cfg).skipped == singular
+
+
+def _embedded(inst):
+    """The instance C (+) m I_{N-2n} with X = [I; 0] and Y = [0; I; 0], C the
+    compression [X Y]* A [X Y] of `inst`, and the same map."""
+    n, size = inst.rank, inst.ambient
+    frames = np.hstack([inst.x, inst.y])
+    a = inst.m * np.eye(size, dtype=np.complex128)
+    a[: 2 * n, : 2 * n] = frames.conj().T @ inst.a @ frames
+    unit = np.eye(size, 2 * n, dtype=np.complex128)
+    return instances.Instance(a, inst.m, inst.M, unit[:, :n], unit[:, n:], inst.phi, inst.seed)
+
+
+class TestCompressionIdentity:
+    """Every objective and check sees (A, X, Y) only through the compression."""
+
+    @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2), (5, 2, 3, 2),
+                                      (4, 1, 1, 1)])
+    @pytest.mark.parametrize("M", [2.0, 10.0, 100.0])
+    def test_embedded_compression_gives_the_same_values(self, dims, M):
+        for seed in range(10):
+            inst = instances.gen_instance(seed, *dims, 1.0, M)
+            twin = _embedded(inst)
+            ratio = search.conjecture_ratio(inst)
+            assert abs(search.conjecture_ratio(twin) - ratio) <= 1e-13 * abs(ratio)
+            p_values = [0.25, 0.5, 1.0, 2.0, 3.0]
+            reports = bounds.run_instance_checks(inst, p_values)
+            twins = bounds.run_instance_checks(twin, p_values)
+            assert [r.check for r in twins] == [r.check for r in reports]
+            for got, want in zip(twins, reports):
+                assert got.passed == want.passed
+                pairs = [(got.margin, want.margin)] + [
+                    (got.payload[key], want.payload[key])
+                    for key in ("lhs", "bound") if key in want.payload
+                ]
+                for x, y in pairs:
+                    assert (x is None) == (y is None)
+                    if y is not None:
+                        assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (want.check, x, y)
 
 
 class TestRefine:
