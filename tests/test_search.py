@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, instances, search
+from wielandt_lab import bounds, cli, instances, search
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
 from wielandt_lab.stacked import flag_gamma, gamma_stack
@@ -438,23 +439,27 @@ def _transpose_start():
     return instances.Instance(a, 1.0, 100.0, x, y, transpose_map(2), seed=0)
 
 
+_LADDER_CASES = [
+    (instances.gen_instance(8, 8, 4, 4, 2, 1.0, 100.0),
+     search.SearchConfig(ambient=8, rank=4, out_dim=4, M=100.0, trials=1, refine_steps=400,
+                         seed=2), 5),
+    (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
+     search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=4), 5),
+    (instances.extremal_instance(1.0, 100.0),
+     search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=1), 0),
+    (instances.gen_instance(21, 4, 2, 2, 2, 1.0, 2.0),
+     search.SearchConfig(objective="tightness_thm2", p=1.0, trials=1, refine_steps=400,
+                         seed=3), 5),
+    (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
+     search.SearchConfig(M=100.0, trials=1, refine_steps=5, seed=4), 1),
+    (_transpose_start(), search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=6), 1),
+]
+_LADDER_IDS = ["stinespring-8442", "accept-heavy-4222", "extremal", "thm2-p1", "budget-5",
+               "transpose-map"]
+
+
 class TestRefineLadder:
-    @pytest.mark.parametrize("start, cfg, min_accepts", [
-        (instances.gen_instance(8, 8, 4, 4, 2, 1.0, 100.0),
-         search.SearchConfig(ambient=8, rank=4, out_dim=4, M=100.0, trials=1, refine_steps=400,
-                             seed=2), 5),
-        (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
-         search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=4), 5),
-        (instances.extremal_instance(1.0, 100.0),
-         search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=1), 0),
-        (instances.gen_instance(21, 4, 2, 2, 2, 1.0, 2.0),
-         search.SearchConfig(objective="tightness_thm2", p=1.0, trials=1, refine_steps=400,
-                             seed=3), 5),
-        (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
-         search.SearchConfig(M=100.0, trials=1, refine_steps=5, seed=4), 1),
-        (_transpose_start(), search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=6), 1),
-    ], ids=["stinespring-8442", "accept-heavy-4222", "extremal", "thm2-p1", "budget-5",
-            "transpose-map"])
+    @pytest.mark.parametrize("start, cfg, min_accepts", _LADDER_CASES, ids=_LADDER_IDS)
     def test_matches_sequential_ascent(self, start, cfg, min_accepts):
         rec, ref = search.refine(start, cfg), sequential_refine(start, cfg)
         assert json.dumps(rec.to_json()) == json.dumps(ref.to_json())
@@ -470,6 +475,37 @@ class TestRefineLadder:
         rng = rng_from(9)
         for lane, step in enumerate(steps.tolist()):
             assert stacked[lane].tobytes() == _small_unitary(rng, dim, step).tobytes()
+
+
+class TestRefinePin:
+    """sha256 of refine records and of the DISCOVERY report.  The sequential
+    ascent above shares the state helpers with refine, so only these pins
+    catch a change in how a state becomes an instance."""
+
+    @pytest.mark.parametrize("case, digest", zip(_LADDER_CASES, [
+        "8b100583eb4f15fdedb98de3d91f26390f6270fec557d83c1ded6d37438f18ff",
+        "b05d97868ae86129823b8645648729f65e1fa0a980e75dcce63c3a51dd97dc48",
+        "0abca5b96df4f349c384261607a904d23447c72bf3dbc16e51a7de5bc9e09e43",
+        "3b3cf57fc757734cdd2f28fc24f8293e5fb3fac32e4f828f437dda8d077ba20c",
+        "467703912df4b7f1fb74a1b0b91e2f2d4b9a790b850bc7a94cf3aaad46d988de",
+        "2c71eb33d09511642779f1d3f48800b37544b455e09d35cae028d6a101dee927",
+    ]), ids=_LADDER_IDS)
+    def test_record_digest(self, case, digest):
+        start, cfg, _ = case
+        record = json.dumps(search.refine(start, cfg).to_json())
+        assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+    def test_discovery_report_digest(self, tmp_chdir, monkeypatch, capsys):
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        args = ["search", "--objective", "conjecture", "--trials", "4000", "--refine-steps",
+                "400", "--dims", "4,2,2,2", "--m", "1", "--M", "100", "--seed", "0"]
+        assert cli.main(args + ["--out", "d.json"]) == 3
+        raw = (tmp_chdir / "d.json").read_bytes()
+        report = json.loads(raw)
+        assert (report["best_value"], report["best_index"]) == (1.2447343470082863, 1179)
+        body = re.sub(rb'^\s*"(started_at|finished_at)": .*\n', b"", raw, flags=re.MULTILINE)
+        assert hashlib.sha256(body).hexdigest() == (
+            "2f9b2ca205c33d12f117687b9f06c479ce3a68789ffa8553e708ba4354a24357")
 
 
 class TestGammaStack:
