@@ -134,7 +134,9 @@ def check_writable(path: str) -> None:
     after their flags are checked and before any trial runs.  Creates
     nothing."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        reason = "empty path"
+    elif os.path.isdir(path):
         reason = "it is a directory"
     elif not os.path.isdir(parent):
         reason = f"no directory {parent!r}"

@@ -17,8 +17,10 @@ trial 0 (the closed-form equality template) and the refinement's start are
 stacks of one (``objective_value``).
 Each worker returns only the values of its trials; ``random_search`` builds
 the trace from them and rebuilds the one best trial as an ``Instance``, the
-witness.  Refinement scores its proposals as rejection ladders: the
-proposals it would make if it rejected each one in turn, built and scored as
+witness.  Refinement keeps one state type, ``_RefineState``: stacked arrays
+with the lane axis first.  The start and an accepted proposal are states of
+one lane; a rejection ladder, the proposals refinement would make if it
+rejected each one in turn, is one state of many lanes, built and scored as
 one stack, then walked in order as the sequential ascent would.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -88,6 +90,10 @@ OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3"
 _INITIAL_STEP = 0.1
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-6
+# Smallest contrast (M-m)/(M+m) times tol a conjecture search accepts: near
+# m = M rounding alone lifts the template's value, capped at exactly 1, by up
+# to 8.4e-16 / contrast, under 0.84 tol here against the threshold 1 + 10 tol.
+CONTRAST_FLOOR = 1e-15
 # Lanes scored together after an accept, doubled while every one is
 # rejected: an ascent often accepts again at once, and each lane scored past
 # an accept costs its share of the stack (about 0.1 ms at N = 8).
@@ -151,6 +157,10 @@ class SearchConfig:
         check_dims(self.ambient, self.rank, self.out_dim, self.ancilla)
         if self.p is not None:
             check_exponent(self.p)
+        contrast = (self.M - self.m) / (self.M + self.m)
+        if self.objective == "conjecture" and contrast < CONTRAST_FLOOR / self.tol:
+            raise ValueError(f"need contrast (M-m)/(M+m) >= {CONTRAST_FLOOR:g}/tol = "
+                             f"{CONTRAST_FLOOR / self.tol:g} (rounding floor), got {contrast:g}")
         if self.objective != "conjecture":
             if self.p is None:
                 raise ValueError(f"objective {self.objective} requires p")
@@ -274,87 +284,70 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     )
 
 
-class _RefineState:
-    """Smooth parameterization of an instance: pinned-endpoint eigenvalues of
-    A, its eigenbasis, a joint unitary carrying X and Y, and the Stinespring
-    isometry when the map has one."""
+class _RefineState(NamedTuple):
+    """Smooth parameterizations of instances, lane axis first: A's
+    eigenvalues with the endpoints pinned to m and M (L, N), its eigenbasis
+    and a joint unitary carrying X and Y (L, N, N), and the Stinespring
+    isometry (L, rows, n) when the map has one.  The start, a ladder of
+    proposals and an accepted lane are all states; the rest of an instance
+    (rank, a map without W, m, M and seed) stays refine's start's."""
 
-    def __init__(self, lam, basis_a, basis_xy, rank, w_iso, phi_static, m, M, seed):
-        self.lam = lam
-        self.basis_a = basis_a
-        self.basis_xy = basis_xy
-        self.rank = rank
-        self.w_iso = w_iso
-        self.phi_static = phi_static
-        self.m = m
-        self.M = M
-        self.seed = seed
+    lam: np.ndarray
+    basis_a: np.ndarray
+    basis_xy: np.ndarray
+    w_iso: Optional[np.ndarray]
 
-    @classmethod
-    def from_instance(cls, inst: Instance) -> "_RefineState":
-        w, v = herm_eig(inst.a)
-        lam = w.copy()
-        lam[0] = inst.m
-        lam[-1] = inst.M
-        rank = inst.rank
-        stacked = np.hstack([inst.x, inst.y])
-        q_full, _ = np.linalg.qr(stacked, mode="complete")
-        q_full = np.array(q_full, dtype=np.complex128)
-        q_full[:, : 2 * rank] = stacked
-        if isinstance(inst.phi, StinespringMap):
-            w_iso = inst.phi.w.copy()
-            phi_static = None
-        else:
-            w_iso = None
-            phi_static = inst.phi
-        return cls(lam, v, q_full, rank, w_iso, phi_static, inst.m, inst.M, inst.seed)
+    def lane(self, i: int) -> "_RefineState":
+        return _RefineState(*(None if a is None else a[i : i + 1] for a in self))
 
-    def instance(self) -> Instance:
-        a = from_eig(self.lam, self.basis_a)
-        x = self.basis_xy[:, : self.rank].copy()
-        y = self.basis_xy[:, self.rank : 2 * self.rank].copy()
-        if self.w_iso is not None:
-            k = self.w_iso.shape[0] // self.rank
-            phi = StinespringMap(self.w_iso, k)
-        else:
-            phi = self.phi_static
-        return Instance(a, self.m, self.M, x, y, phi, seed=self.seed)
 
-    def draws(self, rng: np.random.Generator, lanes: int) -> np.ndarray:
-        """The standard normals of `lanes` proposals, one row per proposal, in
-        the order a proposal consumes them: interior eigenvalues (N > 2), then
-        the real and imaginary Gaussians of A's generator, the X/Y generator
-        and, for a Stinespring map, W's generator.  None depends on the state
-        or the step, so one call draws what `lanes` proposals in a row draw."""
-        n = self.lam.size
-        rows = self.w_iso.shape[0] if self.w_iso is not None else 0
-        return rng.standard_normal((lanes, max(n - 2, 0) + 4 * n * n + 2 * rows * rows))
+def _start_state(inst: Instance) -> _RefineState:
+    """`inst` as a one-lane state."""
+    w, v = herm_eig(inst.a)
+    lam = np.concatenate([[inst.m], w[1:-1], [inst.M]])
+    stacked = np.hstack([inst.x, inst.y])
+    q_full, _ = np.linalg.qr(stacked, mode="complete")
+    q_full = np.array(q_full, dtype=np.complex128)
+    q_full[:, : 2 * inst.rank] = stacked
+    w_iso = inst.phi.w[np.newaxis] if isinstance(inst.phi, StinespringMap) else None
+    return _RefineState(lam[np.newaxis], v[np.newaxis], q_full[np.newaxis], w_iso)
 
-    def ladder(self, first: int, draws: np.ndarray, steps: np.ndarray) -> "_Ladder":
-        """Proposals `first`, `first` + 1, ... from this state, one per row
-        of `draws`, lane i perturbed with steps[i]: interior eigenvalues move
-        by step (M - m) times a normal, clipped to [m, M]; A's eigenbasis and
-        the X/Y basis turn by a small unitary on the right, W by one on the
-        left."""
-        lanes, n = len(steps), self.lam.size
-        inner = max(n - 2, 0)
-        lam = np.repeat(self.lam[np.newaxis], lanes, axis=0)
-        if inner:
-            move = (steps * (self.M - self.m))[:, np.newaxis] * draws[:, :inner]
-            lam[:, 1:-1] = np.clip(self.lam[1:-1] + move, self.m, self.M)
-        # A's and the X/Y generators as one stack: every A lane, then every X/Y lane
-        g = draws[:, inner : inner + 4 * n * n].reshape(lanes, 2, 2, n, n).swapaxes(0, 1)
-        turns = _small_unitaries(g.reshape(2 * lanes, 2, n, n), np.tile(steps, 2))
-        bases = np.stack([self.basis_a, self.basis_xy])[:, np.newaxis]
-        basis_a, basis_xy = qr_positive(bases @ turns.reshape(2, lanes, n, n))
-        errors = LaneErrors(lanes)
-        w_iso = None
-        if self.w_iso is not None:
-            rows = self.w_iso.shape[0]
-            g_w = draws[:, inner + 4 * n * n :].reshape(lanes, 2, rows, rows)
-            w_iso = qr_positive(_small_unitaries(g_w, steps) @ self.w_iso)
-            flag_isometry(errors, w_iso, "Stinespring isometry")
-        return _Ladder(first, self, lam, basis_a, basis_xy, w_iso, errors)
+
+def _lane_instance(start: Instance, state: _RefineState) -> Instance:
+    """The instance of one-lane `state` refined from `start`."""
+    rank, basis_xy = start.rank, state.basis_xy[0]
+    phi = start.phi if state.w_iso is None else StinespringMap(state.w_iso[0], start.phi.ancilla)
+    return Instance(from_eig(state.lam[0], state.basis_a[0]), start.m, start.M,
+                    basis_xy[:, :rank].copy(), basis_xy[:, rank : 2 * rank].copy(), phi,
+                    seed=start.seed)
+
+
+def _ladder(start: Instance, state: _RefineState, draws: np.ndarray, steps: np.ndarray) -> tuple:
+    """Proposals from one-lane `state`, one per row of `draws` (see refine),
+    lane i perturbed with steps[i]: interior eigenvalues move by step (M - m)
+    times a normal, clipped to [m, M]; A's eigenbasis and the X/Y basis turn
+    by a small unitary on the right, W by one on the left.  Returns the
+    stacked state and its LaneErrors, which flag the lanes whose W fails the
+    isometry check."""
+    lanes, n = len(steps), state.lam.shape[1]
+    inner = max(n - 2, 0)
+    lam = np.repeat(state.lam, lanes, axis=0)
+    if inner:
+        move = (steps * (start.M - start.m))[:, np.newaxis] * draws[:, :inner]
+        lam[:, 1:-1] = np.clip(state.lam[:, 1:-1] + move, start.m, start.M)
+    # A's and the X/Y generators as one stack: every A lane, then every X/Y lane
+    g = draws[:, inner : inner + 4 * n * n].reshape(lanes, 2, 2, n, n).swapaxes(0, 1)
+    turns = _small_unitaries(g.reshape(2 * lanes, 2, n, n), np.tile(steps, 2))
+    bases = np.stack([state.basis_a, state.basis_xy])
+    basis_a, basis_xy = qr_positive(bases @ turns.reshape(2, lanes, n, n))
+    errors = LaneErrors(lanes)
+    w_iso = None
+    if state.w_iso is not None:
+        rows = state.w_iso.shape[1]
+        g_w = draws[:, inner + 4 * n * n :].reshape(lanes, 2, rows, rows)
+        w_iso = qr_positive(_small_unitaries(g_w, steps) @ state.w_iso)
+        flag_isometry(errors, w_iso, "Stinespring isometry")
+    return _RefineState(lam, basis_a, basis_xy, w_iso), errors
 
 
 def _small_unitaries(draws: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -372,40 +365,20 @@ def _small_unitaries(draws: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * steps[:, np.newaxis] * w)[:, np.newaxis, :]) @ adj(v)
 
 
-@dataclass
-class _Ladder:
-    """Stacked proposals from one state, lane 0 being proposal `first` of
-    the refinement; `errors` holds per lane the W isometry check's
-    ValueError, then the objective's exceptions."""
-
-    first: int
-    origin: _RefineState
-    lam: np.ndarray
-    basis_a: np.ndarray
-    basis_xy: np.ndarray
-    w_iso: Optional[np.ndarray]
-    errors: LaneErrors
-
-    def state(self, lane: int) -> _RefineState:
-        o = self.origin
-        w_iso = self.w_iso[lane] if self.w_iso is not None else None
-        return _RefineState(self.lam[lane], self.basis_a[lane], self.basis_xy[lane], o.rank,
-                            w_iso, o.phi_static, o.m, o.M, o.seed)
-
-
-def _ladder_values(cfg: SearchConfig, ladder: _Ladder) -> np.ndarray:
-    """The objective on every lane of `ladder`, flagging in `ladder.errors`
-    the lanes whose one-instance evaluation raises."""
-    o, rank = ladder.origin, ladder.origin.rank
-    a = from_eig(ladder.lam, ladder.basis_a)
-    x = np.ascontiguousarray(ladder.basis_xy[..., :rank])
-    y = np.ascontiguousarray(ladder.basis_xy[..., rank : 2 * rank])
-    if ladder.w_iso is not None:
-        phi = stinespring_stack(ladder.w_iso, ladder.w_iso.shape[-2] // rank)
+def _ladder_values(cfg: SearchConfig, start: Instance, states: _RefineState,
+                   errors: LaneErrors) -> np.ndarray:
+    """The objective on every lane of `states` refined from `start`, flagging
+    in `errors` the lanes whose one-instance evaluation raises."""
+    rank = start.rank
+    a = from_eig(states.lam, states.basis_a)
+    x = np.ascontiguousarray(states.basis_xy[..., :rank])
+    y = np.ascontiguousarray(states.basis_xy[..., rank : 2 * rank])
+    if states.w_iso is None:
+        phi = map_stack(start.phi)
     else:
-        phi = map_stack(o.phi_static)
-    s, _, t_eig = products_stack(a, x, y, phi, ladder.errors)
-    return _objective_stack(cfg.objective, cfg.p, o.m, o.M, s, t_eig, ladder.errors)
+        phi = stinespring_stack(states.w_iso, start.phi.ancilla)
+    s, _, t_eig = products_stack(a, x, y, phi, errors)
+    return _objective_stack(cfg.objective, cfg.p, start.m, start.M, s, t_eig, errors)
 
 
 def _ladder_steps(step: float, budget: int) -> np.ndarray:
@@ -425,32 +398,36 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     whose evaluation raises a WielandtLabError scores -inf and counts in
     refine_errors.
 
-    Proposals are scored as rejection ladders: a proposal's draws depend on
-    neither the state nor the step, so the proposals that follow if each is
-    rejected are built and scored as one stack (`_RefineState.ladder`), then
-    walked in order; the lanes after an accepted one keep their draws for
+    Each proposal draws one row of standard normals: interior eigenvalues
+    (N > 2), then the real and imaginary Gaussians of A's generator, the X/Y
+    generator and, for a Stinespring map, W's generator.  No row depends on
+    the state or the step, so proposals are scored as rejection ladders: the
+    proposals that follow if each is rejected are built and scored as one
+    stacked state (`_ladder`), then walked in order; an accept keeps its
+    lane (`_RefineState.lane`), and the rows after it wait in the queue for
     the next ladder.  The record is the proposal-by-proposal ascent's, bit
     for bit.  A start's first ladder is scored whole; after an accept,
     _AFTER_ACCEPT lanes, doubling while all are rejected."""
     cfg.validate()
     rng = rng_from(mix_seed(cfg.seed, "refine"))
-    state = _RefineState.from_instance(start)
+    state = _start_state(start)
+    n, rows = start.ambient, 0 if state.w_iso is None else state.w_iso.shape[1]
+    queue = np.empty((0, max(n - 2, 0) + 4 * n * n + 2 * rows * rows))  # drawn, not yet proposed
     best_value = objective_value(cfg, start)
-    best_instance = start
     trace = [("refine", 0, best_value)]
     step = _INITIAL_STEP
     done = 0
     errors = 0
-    queue = state.draws(rng, 0)  # drawn, not yet proposed
     width = cfg.refine_steps  # a start is often stationary: score its whole ladder
     while done < cfg.refine_steps and step >= _MIN_STEP:
         steps = _ladder_steps(step, min(width, cfg.refine_steps - done))
-        queue = np.concatenate([queue, state.draws(rng, max(len(steps) - len(queue), 0))])
-        ladder = state.ladder(done + 1, queue[: len(steps)], steps)
-        values = _ladder_values(cfg, ladder)
+        fresh = rng.standard_normal((max(len(steps) - len(queue), 0), queue.shape[1]))
+        queue = np.concatenate([queue, fresh])
+        proposals, lane_errors = _ladder(start, state, queue[: len(steps)], steps)
+        values = _ladder_values(cfg, start, proposals, lane_errors)
         for lane, value in enumerate(values.tolist()):
             done += 1
-            error = ladder.errors.get(lane)
+            error = lane_errors.get(lane)
             if error is not None:
                 if not isinstance(error, WielandtLabError):
                     raise error
@@ -458,8 +435,7 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
                 errors += 1
             if value > best_value:
                 best_value = value
-                state = ladder.state(lane)
-                best_instance = state.instance()
+                state = proposals.lane(lane)
                 trace.append(("refine", done, value))
                 width = _AFTER_ACCEPT
                 break
@@ -470,7 +446,7 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     return SearchRecord(
         objective=cfg.objective,
         best_value=best_value,
-        best_instance=best_instance,
+        best_instance=_lane_instance(start, state) if len(trace) > 1 else start,
         best_index=-1,
         trials_done=done,
         trace=trace,

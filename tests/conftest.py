@@ -44,6 +44,25 @@ def assert_instance_invariants(inst) -> None:
     assert inst.phi.in_dim == n
 
 
+def fail_refine_proposals(monkeypatch, seed: int, error: Exception) -> None:
+    """Make proposals 2, 4 and 5 (counted from 1) of a refinement seeded
+    `seed` fail with `error`.  A ladder lane is told by its row of draws:
+    proposal i draws row i - 1 of the refinement's generator."""
+    real = search._ladder
+
+    def flagged(start, state, draws, steps):
+        proposals, errors = real(start, state, draws, steps)
+        rng = sampling.rng_from(sampling.mix_seed(seed, "refine"))
+        rows = rng.standard_normal((5, draws.shape[1]))
+        for lane, row in enumerate(draws):
+            match = np.flatnonzero((rows == row).all(axis=1))
+            if match.size and match[0] + 1 in (2, 4, 5):
+                errors[lane] = error
+        return proposals, errors
+
+    monkeypatch.setattr(search, "_ladder", flagged)
+
+
 @pytest.fixture
 def tmp_chdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -13,6 +13,8 @@ from wielandt_lab.errors import NotPSD, Singular
 from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
+from conftest import fail_refine_proposals
+
 
 def run_cli(args):
     return cli.main(args)
@@ -367,16 +369,7 @@ class TestSearchCommand:
 
     def test_refine_errors_counted_in_manifest(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
-        real_values = search._ladder_values
-
-        def flaky(cfg_, ladder):
-            values = real_values(cfg_, ladder)
-            for lane in range(len(values)):
-                if ladder.first + lane in (2, 4, 5):  # proposals count from 1
-                    ladder.errors[lane] = NotPSD("forced")
-            return values
-
-        monkeypatch.setattr(search, "_ladder_values", flaky)
+        fail_refine_proposals(monkeypatch, 0, NotPSD("forced"))
         code = run_cli([
             "search", "--objective", "conjecture", "--trials", "20",
             "--refine-steps", "10", "--seed", "0", "--out", "e.json",
@@ -454,12 +447,29 @@ class TestBadInput:
     @pytest.mark.parametrize("args", [
         ["verify", "--trials", "40"],
         ["search", "--objective", "conjecture", "--M", "100", "--trials", "300"],
+        ["search", "--objective", "conjecture", "--M", "2", "--trials", "300"],
     ])
     def test_tol_floor_runs_and_is_named(self, args, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
         assert run_cli(args + ["--tol", "1e-14", "--out", "o"]) == 0
         assert run_cli(args + ["--tol", "9e-15", "--out", "p"]) == 2
         assert "tol >= 1e-14" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_contrast_floor_exits_2_before_any_trial(self, seed, tmp_chdir, capsys, monkeypatch):
+        # At M/m = 1 + 1e-7 refinement lifted the template's value, which the
+        # classical Wielandt inequality caps at 1, to a discovery by rounding.
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the contrast was checked")
+
+        monkeypatch.setattr(cli, "run_search", never)
+        assert run_cli(["search", "--objective", "conjecture", "--m", "1", "--M", "1.0000001",
+                        "--trials", "200", "--refine-steps", "400", "--seed", seed,
+                        "--out", "o.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need contrast (M-m)/(M+m) >= 1e-15/tol = 1e-06")
+        assert list(tmp_chdir.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [["verify", "--trials", "x"], ["verify", "--p", "nan"],
                                      ["search", "--objective", "nope"]])
@@ -486,7 +496,8 @@ class TestUnwritableOutput:
         (["search", "--objective", "conjecture", "--trials", "3", "--out"], "run_search"),
         (["bounds", "--csv"], "bounds_table"),
     ], ids=["verify", "search", "bounds"])
-    @pytest.mark.parametrize("target", ["missing/o.json", "."], ids=["no-directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing/o.json", ".", ""],
+                             ids=["no-directory", "directory", "empty"])
     def test_exits_2_before_any_trial(self, argv, runner, target, tmp_chdir, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("ran before the output path was checked")

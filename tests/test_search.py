@@ -21,7 +21,7 @@ from wielandt_lab.errors import (
     WielandtLabError,
 )
 
-from conftest import assert_instance_invariants, transpose_map
+from conftest import assert_instance_invariants, fail_refine_proposals, transpose_map
 from test_bounds import loose_scalar_instance
 
 
@@ -361,16 +361,7 @@ class TestRefineErrors:
         cfg = search.SearchConfig(objective="conjecture", trials=1, refine_steps=10, seed=1)
         clean = search.refine(start, cfg)
         assert clean.refine_errors == 0
-        real = search._ladder_values
-
-        def flaky(cfg_, ladder):
-            values = real(cfg_, ladder)
-            for lane in range(len(values)):
-                if ladder.first + lane in (2, 4, 5):  # proposals count from 1
-                    ladder.errors[lane] = PreconditionViolated("forced")
-            return values
-
-        monkeypatch.setattr(search, "_ladder_values", flaky)
+        fail_refine_proposals(monkeypatch, cfg.seed, PreconditionViolated("forced"))
         rec = search.refine(start, cfg)
         assert rec.refine_errors == 3
         assert rec.trials_done == 10
@@ -388,27 +379,27 @@ def _small_unitary(rng, dim, step):
     return (v * np.exp(1j * step * w)) @ v.conj().T
 
 
-def _perturbed(state, rng, step):
+def _perturbed(start, state, rng, step):
     lam = state.lam.copy()
-    if lam.size > 2:
-        lam[1:-1] = np.clip(
-            lam[1:-1] + step * (state.M - state.m) * rng.standard_normal(lam.size - 2),
-            state.m,
-            state.M,
+    n = lam.shape[1]
+    if n > 2:
+        lam[:, 1:-1] = np.clip(
+            lam[:, 1:-1] + step * (start.M - start.m) * rng.standard_normal(n - 2),
+            start.m,
+            start.M,
         )
-    basis_a = qr_positive(state.basis_a @ _small_unitary(rng, state.lam.size, step))
-    basis_xy = qr_positive(state.basis_xy @ _small_unitary(rng, state.lam.size, step))
+    basis_a = qr_positive(state.basis_a @ _small_unitary(rng, n, step))
+    basis_xy = qr_positive(state.basis_xy @ _small_unitary(rng, n, step))
     w_iso = None
     if state.w_iso is not None:
-        w_iso = qr_positive(_small_unitary(rng, state.w_iso.shape[0], step) @ state.w_iso)
-    return search._RefineState(lam, basis_a, basis_xy, state.rank, w_iso, state.phi_static,
-                               state.m, state.M, state.seed)
+        w_iso = qr_positive(_small_unitary(rng, state.w_iso.shape[1], step) @ state.w_iso)
+    return search._RefineState(lam, basis_a, basis_xy, w_iso)
 
 
 def sequential_refine(start, cfg):
     """Reference: the step-halving ascent scored one proposal at a time."""
     rng = rng_from(mix_seed(cfg.seed, "refine"))
-    state = search._RefineState.from_instance(start)
+    state = search._start_state(start)
     best_value = search.objective_value(cfg, start)
     best_instance = start
     trace = [("refine", 0, best_value)]
@@ -416,8 +407,8 @@ def sequential_refine(start, cfg):
     for i in range(cfg.refine_steps):
         if step < 1e-6:
             break
-        candidate_state = _perturbed(state, rng, step)
-        candidate = candidate_state.instance()
+        candidate_state = _perturbed(start, state, rng, step)
+        candidate = search._lane_instance(start, candidate_state)
         try:
             value = search.objective_value(cfg, candidate)
         except WielandtLabError:
