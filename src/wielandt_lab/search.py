@@ -290,7 +290,7 @@ class _RefineState(NamedTuple):
     and a joint unitary carrying X and Y (L, N, N), and the Stinespring
     isometry (L, rows, n) when the map has one.  The start, a ladder of
     proposals and an accepted lane are all states; the rest of an instance
-    (rank, a map without W, m, M and seed) stays refine's start's."""
+    (rank, a map without W, m, M and seed) is read from refine's start."""
 
     lam: np.ndarray
     basis_a: np.ndarray
