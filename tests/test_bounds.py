@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -541,6 +542,27 @@ REPORT_KEYS = {
                         "seed", "dims", "m", "M", "p"],
 }
 VERDICT_KEYS = ("loewner_pass", "norm_pass", "passed", "abs_ok", "norm_ok", "block_ok", "agree")
+# The acceptance suite's exponents: power_monotone runs at those <= 1.
+P_SUITE = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+PLAIN_LEAVES = (bool, int, float, str, type(None))
+
+
+def json_leaves(blob):
+    """Every scalar inside nested dicts and lists."""
+    if isinstance(blob, dict):
+        blob = list(blob.values())
+    if isinstance(blob, list):
+        for item in blob:
+            yield from json_leaves(item)
+    else:
+        yield blob
+
+
+def assert_plain_leaves(blob) -> None:
+    """Every leaf is a plain Python bool, int, float, str or None (no numpy
+    scalar, which json writes but a reader of the Report would not expect)."""
+    odd = [leaf for leaf in json_leaves(blob) if type(leaf) not in PLAIN_LEAVES]
+    assert not odd, odd
 
 
 class TestReportRecord:
@@ -563,3 +585,25 @@ class TestReportRecord:
             if math.isnan(tol) and name not in ("abs_implies_sym", "block_norm_equivalence"):
                 assert not rep.passed, name
         assert by_name["abs_implies_sym"].margin is None
+
+    # sha256 of every report value of one trial that emits all 16 check
+    # names, lemma variants 0-3 included
+    @pytest.mark.parametrize("tol, digest", [
+        (1e-9, "fe15725559c445aa3612de0cabcc537335f506fb02bd86b460a09fc2c2f01424"),
+        (math.nan, "c7569a5da34bd42193aa82b9422f2a993183051b3276f48d40a1b34005f366e3"),
+    ])
+    def test_values_of_every_check(self, tol, digest):
+        seed = mix_seed(3, 1)
+        inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
+        reports = bounds.run_instance_checks(inst, P_SUITE, tol)
+        for variant in range(4):
+            reports += bounds.run_lemma_trial(seed, 2, 4, 1.0, 2.0, tol, variant=variant)
+        assert {r.check for r in reports} == set(bounds.ALL_CHECK_NAMES) - {"trial_error"}
+        values = [[r.check, r.passed, r.margin, r.to_json()] for r in reports]
+        assert_plain_leaves(values)
+        assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == digest
+
+    def test_numpy_leaf_is_not_plain(self):
+        assert_plain_leaves({"a": [1, 2.0, "x", None, True]})
+        with pytest.raises(AssertionError):
+            assert_plain_leaves({"a": [1.0, {"b": np.float64(1.0)}]})

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -391,6 +393,39 @@ class TestSearchCommand:
 
     def test_unknown_objective_exits_2(self, capsys):
         assert run_cli(["search", "--objective", "nonsense"]) == 2
+
+
+class TestEntryPoint:
+    """`python -m wielandt_lab.cli` turns main's return code into the
+    process exit code."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run(self, tmp_path, *args):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC), "WIELANDT_LAB_THREADS": "1"}
+        return subprocess.run([sys.executable, "-m", "wielandt_lab.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_version(self, tmp_path):
+        out = self.run(tmp_path, "--version")
+        assert (out.returncode, out.stdout.strip()) == (0, "wielandt-lab 0.1.0")
+
+    def test_usage_error(self, tmp_path):
+        out = self.run(tmp_path, "verify", "--trials", "0")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+
+    def test_failing_check(self, tmp_path):
+        out = self.run(tmp_path, "verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2",
+                       "--trials", "50")
+        assert out.returncode == 1, out.stderr
+
+    def test_discovery(self, tmp_path):
+        out = self.run(tmp_path, "search", "--objective", "conjecture", "--trials", "4000",
+                       "--refine-steps", "400", "--dims", "4,2,2,2", "--m", "1", "--M", "100",
+                       "--seed", "0")
+        assert out.returncode == 3, out.stderr
+        assert "DISCOVERY" in out.stdout
 
 
 class TestBadInput:
