@@ -8,22 +8,24 @@ built strictly by spectral calculus on its two Hermitian factors S and T.
 Three scalar bound families (``bound_thm1/2/3``) dominate both (Gamma+Gamma*)/2
 and its spectral absolute value.
 
-Every check yields one ``Report`` record: the check's name, its verdict, a
-signed margin (None for the boolean meta-check ``abs_implies_sym``) and the
-rest of its JSON form.  Margin conventions: Loewner-style checks report the
-minimum eigenvalue of (bound side - lhs side); scalar checks report
-(bound - lhs).  A check passes when its margin is >= -tol * max(1, |lhs|,
-|bound|).  ``thm1_chain`` passes when every link gap (hi - lo) is >= -tol *
-max(1, |lo|, |hi|); its margin is the smallest gap divided by that scale.
+Every check yields one ``Report`` record per trial: the check's name, its
+verdict, a signed margin (None for the boolean meta-check
+``abs_implies_sym``) and its report fields, laid out per kind as README's
+"Report and exchange formats" lists them.  Margin conventions: Loewner-style
+checks report the minimum eigenvalue of (bound side - lhs side); scalar
+checks report (bound - lhs).  A check passes when its margin is >= -tol *
+max(1, |lhs|, |bound|).  ``thm1_chain`` passes when every link gap (hi - lo)
+is >= -tol * max(1, |lo|, |hi|); its margin is the smallest gap divided by
+that scale.
 
 Every check is implemented once, as a stacked kernel over a block of trials
 (``instance_checks_stack``, ``lemma_checks_stack`` and the four lemma
-kernels).  A kernel returns ``LaneChecks``: every lane's verdicts and
-margins, and the lane's Reports on demand; a lane that fails a hypothesis
-carries the exception its one-trial computation raises first.  The one-trial
-entry points (``run_instance_checks``, ``run_lemma_trial``, ``check_*``) run
-the kernel on a stack of one and return that lane's Reports or raise its
-exception.
+kernels).  A kernel hands ``LaneChecks`` each check's per-lane verdicts,
+margins and report fields, and ``LaneChecks.reports`` alone builds Reports
+from them; a lane that fails a hypothesis carries the exception its
+one-trial computation raises first.  The one-trial entry points
+(``run_instance_checks``, ``run_lemma_trial``, ``check_*``) run the kernel
+on a stack of one and return that lane's Reports or raise its exception.
 """
 
 from __future__ import annotations
@@ -215,42 +217,6 @@ class Report:
         return {"check": self.check, **self.payload}
 
 
-def _inequality(
-    check: str,
-    lhs: float,
-    bound: float,
-    margin: float,
-    loewner_pass: Optional[bool],
-    norm_pass: bool,
-    tol: float,
-    context: dict,
-    witness: Optional[tuple] = None,
-) -> Report:
-    """Report of an inequality check in Loewner and/or norm form; `witness`
-    is (eigenvalue, eigenvector) at the margin."""
-    loewner_pass = None if loewner_pass is None else bool(loewner_pass)
-    norm_pass = bool(norm_pass)
-    payload = {
-        "lhs": lhs,
-        "bound": bound,
-        "margin": margin,
-        "loewner_pass": loewner_pass,
-        "norm_pass": norm_pass,
-        "tol": tol,
-    }
-    for key in ("seed", "dims", "m", "M", "p"):
-        payload[key] = context.get(key)
-    if witness is not None:
-        value, vector = witness
-        payload["witness"] = {
-            "eigenvalue": value,
-            "re": vector.real.tolist(),
-            "im": vector.imag.tolist(),
-        }
-    # passes when every verdict the check has (the Loewner one is optional) passes
-    return Report(check, norm_pass and loewner_pass is not False, margin, payload)
-
-
 def _threshold(tol: float, *magnitudes: float) -> float:
     return tol * max(1.0, *(abs(v) for v in magnitudes))
 
@@ -263,48 +229,60 @@ def _scale(*magnitudes) -> np.ndarray:
     return out
 
 
-def _at(x, i: int) -> float:
-    """Lane i of a per-lane array, or a value every lane shares."""
-    return float(x[i]) if np.ndim(x) else float(x)
+def _field(value, lane: int):
+    """A report field at one lane: a callable's value at the lane, a per-lane
+    array's entry, or the value every lane shares; numpy values become
+    Python ones."""
+    if callable(value):
+        value = value(lane)
+    elif isinstance(value, np.ndarray):
+        value = value[lane]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 class LaneChecks:
     """Every check's results on each lane of a stack, in emission order, as
-    (name, verdicts, margins or None, lane -> Report), and each flagged
-    lane's exception.  A lane's reports are those of the one-trial checks."""
+    (name, verdicts, margins or None, report fields), and each flagged lane's
+    exception.  A field is a per-lane array, a value every lane shares or a
+    callable of the lane; ``reports`` builds a lane's Reports from them, the
+    same Reports the one-trial checks return."""
 
     def __init__(self, errors: LaneErrors):
         self.errors = errors
         self.checks: list = []
 
-    def add(self, name: str, passed: np.ndarray, margin, report) -> None:
-        self.checks.append((name, passed, margin, report))
+    def add(self, name: str, passed: np.ndarray, margin, /, **fields) -> None:
+        self.checks.append((name, passed, margin, fields))
 
     def inequality(
-        self, name, lhs, bound, margin, loewner, norm, tol, context, witness=None
+        self, name, lhs, bound, margin, loewner, norm, tol, witness=None, *,
+        seed=None, m=None, M=None, p=None,
     ) -> None:
-        """An _inequality check on every lane; `context(i)` is lane i's
-        context and `witness` is (values, vectors, column): lane i's witness
-        pairs values[i] with that column (one per lane, or shared) of
-        vectors[i].  Vectors are taken only when a report is built."""
-        passed = norm if loewner is None else norm & loewner
+        """An inequality check in Loewner and/or norm form (`loewner` is None
+        for a norm-only check); it passes when every verdict it has passes.
+        `witness` is (values, vectors, column): lane i's witness pairs
+        values[i] with that column (one per lane, or shared) of vectors[i],
+        taken only when a report is built."""
+        fields = dict(lhs=lhs, bound=bound, margin=margin, loewner_pass=loewner,
+                      norm_pass=norm, tol=tol, seed=seed, dims=None, m=m, M=M, p=p)
+        if witness is not None:
+            values, vectors, column = witness
 
-        def report(i):
-            pair = None
-            if witness is not None:
-                values, vectors, column = witness
-                pair = (float(values[i]), vectors[i][:, column[i] if np.ndim(column) else column])
-            verdict = None if loewner is None else loewner[i]
-            return _inequality(name, _at(lhs, i), _at(bound, i), float(margin[i]), verdict,
-                               norm[i], tol, context(i), pair)
+            def witness_at(i):
+                vector = vectors[i][:, column[i] if np.ndim(column) else column]
+                return {"eigenvalue": float(values[i]), "re": vector.real.tolist(),
+                        "im": vector.imag.tolist()}
 
-        self.add(name, passed, margin, report)
+            fields["witness"] = witness_at
+        self.add(name, norm if loewner is None else norm & loewner, margin, **fields)
 
     def reports(self, lane: int) -> list:
         """Every Report of one lane; raises the lane's exception instead."""
         if lane in self.errors:
             raise self.errors[lane]
-        return [report(lane) for *_, report in self.checks]
+        return [Report(name, bool(passed[lane]), None if margin is None else float(margin[lane]),
+                       {key: _field(value, lane) for key, value in fields.items()})
+                for name, passed, margin, fields in self.checks]
 
     def extend(self, other: "LaneChecks") -> None:
         """Append the checks of `other`, which run after these."""
@@ -342,10 +320,7 @@ def instance_checks_stack(
     s_w, s_v = s_eig
     bad = errors.bad
     lanes = LaneChecks(errors)
-
-    def context(**extra):
-        return lambda i: {"seed": int(seeds[i]), "m": m, "M": M, **extra}
-
+    seeds = np.asarray(seeds)
     # the operator Wielandt inequality S <= ((M-m)/(M+m))^2 T
     factor = wielandt_factor(m, M)
     w, v = herm_eig_stack(factor * t - s)
@@ -353,7 +328,7 @@ def instance_checks_stack(
     rhs_norm = factor * top_abs(t_w)
     thr = tol * _scale(s_norm, rhs_norm)
     lanes.inequality("bhatia_davis", s_norm, rhs_norm, w[:, 0], w[:, 0] >= -thr,
-                     s_norm <= rhs_norm + thr, tol, context(), (w[:, 0], v, 0))
+                     s_norm <= rhs_norm + thr, tol, (w[:, 0], v, 0), seed=seeds, m=m, M=M)
 
     s_psd = clamp_psd(s_w)
     s_top = np.maximum(s_w[:, -1], 0.0)
@@ -416,37 +391,25 @@ def instance_checks_stack(
             mono_norm = mono_lhs <= mono_bound + mono_thr
 
         for j, p in enumerate(ps):
-            ctx = context(p=p)
+            at = dict(seed=seeds, m=m, M=M, p=p)
             for f in range(3):
                 lanes.inequality(f"thm{f + 1}_abs", abs_norm[j], bound[f][j], margin[f, j],
-                                 ok[f, j], ok[f, j], tol, ctx, (abs_norm[j], h_v[j], top[j]))
+                                 ok[f, j], ok[f, j], tol, (abs_norm[j], h_v[j], top[j]), **at)
                 lanes.inequality(f"thm{f + 1}_sym", abs_norm[j], bound[f][j], sym_margin[f, j],
-                                 sym_ok[f, j], ok[f, j], tol, ctx, (lam_max[j], h_v[j], -1))
-            lanes.add("abs_implies_sym", implied[j], None,
-                      lambda i, implied=implied[j], p=p: Report(
-                          "abs_implies_sym", bool(implied[i]), None,
-                          {"passed": bool(implied[i]), "detail": f"p={p}"}))
+                                 sym_ok[f, j], ok[f, j], tol, (lam_max[j], h_v[j], -1), **at)
+            lanes.add("abs_implies_sym", implied[j], None, passed=implied[j], detail=f"p={p}")
             lanes.inequality("sym_norm_le_gamma", abs_norm[j], gnorm[j], gnorm_gap[j], None,
-                             below_gamma[j], tol, ctx)
+                             below_gamma[j], tol, **at)
             lanes.inequality("gamma_norm_le_thm2", gnorm[j], bound[1][j], thm2_gap[j], None,
-                             below_thm2[j], tol, ctx)
-
-            def chain(i, links=links[:, j], gaps=gaps[:, j], chained=chained[j],
-                      relative=relative[j], ctx=ctx):
-                passed = bool(chained[i])
-                payload = {"links": [float(x[i]) for x in links],
-                           "link_margins": [float(gap[i]) for gap in gaps], "passed": passed,
-                           "tol": tol}
-                payload.update((key, ctx(i).get(key)) for key in ("seed", "m", "M", "p"))
-                return Report("thm1_chain", passed, float(relative[i]), payload)
-
-            lanes.add("thm1_chain", chained[j], relative[j], chain)
-
+                             below_thm2[j], tol, **at)
+            # (lane, link) views of this exponent's links and gaps
+            lanes.add("thm1_chain", chained[j], relative[j], links=links[:, j].T,
+                      link_margins=gaps[:, j].T, passed=chained[j], tol=tol, **at)
             if j in monotone:
                 k = monotone.index(j)
                 lanes.inequality("power_monotone", mono_lhs[k], mono_bound[k], mono_margin[k],
-                                 mono_loewner[k], mono_norm[k], tol, ctx,
-                                 (mono_margin[k], mono_v[k], 0))
+                                 mono_loewner[k], mono_norm[k], tol,
+                                 (mono_margin[k], mono_v[k], 0), **at)
     return lanes
 
 
@@ -518,16 +481,9 @@ def block_equivalence_stack(
     thr = tol * _scale(t, x_norm)
     abs_ok, norm_ok, block_ok = abs_top[:, -1] <= t + thr, x_norm <= t + thr, block_min >= -thr
     agree = (abs_ok == norm_ok) & (norm_ok == block_ok)
-
-    def report(i):
-        payload = {"t": float(t[i]), "x_norm": float(x_norm[i]), "abs_ok": bool(abs_ok[i]),
-                   "norm_ok": bool(norm_ok[i]), "block_ok": bool(block_ok[i]),
-                   "agree": bool(agree[i]), "tol": tol}
-        return Report("block_norm_equivalence", bool(agree[i]), abs(payload["t"] - payload["x_norm"]),
-                      payload)
-
     lanes = LaneChecks(errors)
-    lanes.add("block_norm_equivalence", agree, np.abs(t - x_norm), report)
+    lanes.add("block_norm_equivalence", agree, np.abs(t - x_norm), t=t, x_norm=x_norm,
+              abs_ok=abs_ok, norm_ok=norm_ok, block_ok=block_ok, agree=agree, tol=tol)
     return lanes
 
 
@@ -576,7 +532,7 @@ def square_order_stack(
     thr = tol * _scale(lhs_norm, rhs_norm)
     lanes = LaneChecks(errors)
     lanes.inequality("square_order", lhs_norm, rhs_norm, w[:, 0], w[:, 0] >= -thr,
-                     lhs_norm <= rhs_norm + thr, tol, lambda i: {"m": m, "M": M}, (w[:, 0], v, 0))
+                     lhs_norm <= rhs_norm + thr, tol, (w[:, 0], v, 0), m=m, M=M)
     return lanes
 
 
@@ -599,8 +555,7 @@ def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
     rhs = herm_norm_stack(hermitian_part(a @ a + b @ b))
     thr = tol * _scale(lhs, rhs)
     lanes = LaneChecks(errors)
-    lanes.inequality("anticommutator_norm", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol,
-                     lambda i: {})
+    lanes.inequality("anticommutator_norm", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol)
     return lanes
 
 
@@ -633,7 +588,7 @@ def scalar_wielandt_stack(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL)
     thr = tol * _scale(lhs, rhs)
     lanes = LaneChecks(errors)
     lanes.inequality("scalar_wielandt", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol,
-                     lambda i: {"m": m, "M": M})
+                     m=m, M=M)
     return lanes
 
 
