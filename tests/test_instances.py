@@ -208,6 +208,48 @@ class TestSamplerPin:
         assert h.hexdigest() == digest
 
 
+def _lemma_sampler_outputs(name, seed, dim):
+    if name.startswith("lemma_block_case"):
+        x, t = bounds.lemma_block_case(seed, dim, int(name[-1]))
+        return [x, np.array([t])]
+    if name == "gen_square_order_pair":
+        return list(bounds.gen_square_order_pair(seed, dim, 1.0, 3.0))
+    return list(bounds.gen_psd_pair(seed, dim))
+
+
+class TestLemmaSamplerPin:
+    """sha256 of the criterion-4 one-seed samplers' outputs over
+    TestSamplerPin's seeds and dims 2, 3 and 4; lemma_block_case's
+    threshold t is hashed after X."""
+
+    DIMS = (2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("lemma_block_case_0",
+             "82352124ad346b632db7046305ac48c6ddf7fb6cc5329fa06be09031a6926c47"),
+            ("lemma_block_case_1",
+             "2d362097b1c949aebb22ffc9c23a19a27824f75fa48adbdf6c5adbccb1d71ed1"),
+            ("lemma_block_case_2",
+             "400ed310ef0e3ba3126035a4abd804c0a5088bbcdad254778384ded52a1be1d8"),
+            ("lemma_block_case_3",
+             "29b9cb1471460dc1f68586521c0e6b76f2fde3a99e5f27a9dd6ae2f38947b4a8"),
+            ("gen_square_order_pair",
+             "920b3eba6ba989e50f355b4f0895902ccb97d5e6f96502d27e1b53bf8d9e2e09"),
+            ("gen_psd_pair",
+             "06d642970929277c929d135cb2cd928ecbf88efa27da0f548fe83a50dba7fed7"),
+        ],
+    )
+    def test_output_digest(self, name, digest):
+        h = hashlib.sha256()
+        for dim in self.DIMS:
+            for seed in TestSamplerPin.SEEDS:
+                for a in _lemma_sampler_outputs(name, seed, dim):
+                    h.update(np.ascontiguousarray(a, dtype=np.complex128).tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestDrawInstances:
     @pytest.mark.parametrize("shape", TestSamplerPin.SHAPES)
     def test_lanes_equal_gen_instance(self, shape):
