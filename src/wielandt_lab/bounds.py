@@ -63,8 +63,8 @@ from .sampling import (
     block_size,
     complex_draws,
     haar_frames,
+    lane_draws,
     mix_seeds,
-    normal_draws,
     rngs_from,
 )
 from .stacked import flag_gamma, gamma_stack, instance_products
@@ -451,7 +451,7 @@ def lemma_block_draws(rngs, lanes: int, dim: int, variants: np.ndarray) -> tuple
     """lemma_block_case for `lanes` generators of `rngs`: a random matrix
     X per lane plus a threshold chosen to exercise both sides of the
     boundary, including t = ||X|| +/- 1e-6.  Returns (X, t, gram_eig(X))."""
-    x = complex_draws(normal_draws(rngs, lanes, (2, dim, dim))) / math.sqrt(dim)
+    x = complex_draws(lane_draws(rngs, lanes, (2, dim, dim))[0]) / math.sqrt(dim)
     gram = gram_eig(x)
     x_norm = sqrt_top(gram.eigenvalues)
     t = np.choose(np.asarray(variants) % 4, [x_norm + 1e-6, np.maximum(x_norm - 1e-6, 0.0),
@@ -494,16 +494,12 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     operator and A = B - sP for a random PSD P scaled to keep A PSD.
     Returns (A, B, B's eigenvalues)."""
     b = operator_stack(rngs, lanes, dim, m, M)
-    g_p, frac = np.empty((lanes, 2, dim, dim)), np.empty(lanes)
-    for i in range(lanes):
-        rng = next(rngs)
-        rng.standard_normal(out=g_p[i])
-        frac[i] = rng.random()
+    g_p, frac = lane_draws(rngs, lanes, (2, dim, dim), 1)
     g = complex_draws(g_p)
     psd = hermitian_part(g @ adj(g))
     top = herm_eig_stack(psd).eigenvalues[:, -1]
     wb = herm_eig_stack(b).eigenvalues
-    shrink = np.where(top > 0.0, frac * wb[:, 0] / np.where(top > 0.0, top, 1.0), 0.0)
+    shrink = np.where(top > 0.0, frac[:, 0] * wb[:, 0] / np.where(top > 0.0, top, 1.0), 0.0)
     return hermitian_part(b - shrink[:, np.newaxis, np.newaxis] * psd), b, wb
 
 
@@ -539,7 +535,7 @@ def square_order_stack(
 def psd_pair_draws(rngs, lanes: int, dim: int) -> tuple:
     """gen_psd_pair for `lanes` generators of `rngs`: two Gram matrices of
     complex Gaussians per lane."""
-    g = complex_draws(normal_draws(rngs, lanes, (2, 2, dim, dim)))
+    g = complex_draws(lane_draws(rngs, lanes, (2, 2, dim, dim))[0])
     psd = hermitian_part(g @ adj(g))
     return psd[:, 0], psd[:, 1]
 
@@ -564,7 +560,7 @@ def wielandt_draws(rngs, lanes: int, ambient: int, m: float, M: float) -> tuple:
     then every lane's unitary generator): the first two columns x, y of a
     Haar unitary and gen_operator's A."""
     a = operator_stack(rngs, lanes, ambient, m, M)
-    uni = haar_frames(normal_draws(rngs, lanes, (2, ambient, ambient)))
+    uni = haar_frames(lane_draws(rngs, lanes, (2, ambient, ambient))[0])
     return uni[:, :, 0], uni[:, :, 1], a
 
 

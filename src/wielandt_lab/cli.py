@@ -147,6 +147,12 @@ def check_writable(path: str) -> None:
     raise UsageError(f"cannot write {path!r}: {reason}")
 
 
+def write_report(path: str, report: dict) -> None:
+    """`report` as indented JSON and a newline, in one write."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
@@ -340,9 +346,7 @@ def cmd_verify(args) -> int:
         raise UsageError(str(exc)) from exc
     check_writable(args.out)
     report = run_verify(params, workers=worker_count())
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_report(args.out, report)
     counters = report["manifest"]["counters"]
     print(
         f"verify: {params.trials} trials, p={list(params.p_values)}, "
@@ -442,9 +446,7 @@ def cmd_search(args) -> int:
         "discovery": discovery,
         **payload,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload_out, fh, indent=2)
-        fh.write("\n")
+    write_report(args.out, payload_out)
     print(
         f"search: objective={cfg.objective}, trials={cfg.trials}, "
         f"refine_steps={cfg.refine_steps}, seed={cfg.seed}"

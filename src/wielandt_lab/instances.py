@@ -5,9 +5,10 @@ combined bundle used by every inequality check.
 Sampled instances are drawn once, for stacks: ``operator_stack`` draws
 operators and ``draw_instances`` whole bundles, one generator per lane and
 component, the form the stacked trial blocks of ``verify`` and ``search``
-use.  The one-seed samplers (``gen_operator``, ``gen_isometry_pair``,
-``gen_instance``) are stacks of one fed by ``rng_from`` generators, so a
-lane of a block and the one-seed sampler at its seed give the same bits.
+use, each lane drawn by ``lane_draws``.  The one-seed samplers
+(``gen_operator``, ``gen_isometry_pair``, ``gen_instance``) are stacks of one,
+one ``rng_from`` generator per component seeded as a block seeds that lane,
+so a lane of a block and the one-seed sampler at its seed give the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import InvalidBounds
 from .maps import IdentityMap, PositiveMap, StinespringMap, check_dims, map_from_json, map_to_json
 from .matcore import from_eig, matrix_from_json, matrix_to_json
-from .sampling import haar_frames, mix_seed, mix_seeds, normal_draws, rng_from
+from .sampling import MASK64, haar_frames, lane_draws, mix_seeds, rng_from
 
 # gen_instance's sub-seed tags, one generator per component, in draw order.
 TAG_OPERATOR = "operator"
@@ -69,12 +70,7 @@ def operator_stack(rngs, lanes: int, ambient: int, m: float, M: float) -> np.nda
     are drawn as ``random`` values in [0, 1) and mapped to m + (M - m) u
     for the whole block at once, the arithmetic of ``Generator.uniform``, so
     they have its bits."""
-    g = np.empty((lanes, 2, ambient, ambient))
-    lam = np.empty((lanes, ambient))
-    for i in range(lanes):
-        rng = next(rngs)
-        rng.standard_normal(out=g[i])
-        rng.random(out=lam[i])
+    g, lam = lane_draws(rngs, lanes, (2, ambient, ambient), ambient)
     u = haar_frames(g)
     lam = m + (M - m) * lam
     lam.sort(axis=-1)
@@ -91,8 +87,8 @@ def draw_instances(
     generator, then every lane's map generator (the order of INSTANCE_TAGS).
     W is the Stinespring isometry, not yet checked (``maps.flag_isometry``)."""
     a = operator_stack(rngs, lanes, ambient, m, M)
-    xy = haar_frames(normal_draws(rngs, lanes, (2, ambient, ambient)))
-    w = haar_frames(normal_draws(rngs, lanes, (2, rank * ancilla, out_dim)))
+    xy = haar_frames(lane_draws(rngs, lanes, (2, ambient, ambient))[0])
+    w = haar_frames(lane_draws(rngs, lanes, (2, rank * ancilla, out_dim))[0])
     return a, xy[..., :rank], xy[..., rank : 2 * rank], w
 
 
@@ -146,11 +142,11 @@ def degenerate_instance(m: float) -> Instance:
 
 def gen_instance(seed: int, N: int, n: int, d: int, k: int, m: float, M: float) -> Instance:
     """draw_instances for one seed: each component draws from its own
-    generator, seeded with mix_seed(seed, tag), so the bundle is
+    generator, seeded with the block's instance_seeds, so the bundle is
     deterministic in `seed` and component streams stay independent."""
     m, M = check_bounds(m, M)
     check_dims(N, n, d, k)
-    rngs = (rng_from(mix_seed(seed, tag)) for tag in INSTANCE_TAGS)
+    rngs = map(rng_from, instance_seeds([seed & MASK64]).ravel().tolist())
     a, x, y, w = draw_instances(rngs, 1, N, n, d, k, m, M)
     return Instance(a[0], m, M, x[0], y[0], StinespringMap(w[0], k), seed=seed)
 

@@ -13,10 +13,10 @@ writes each lane's four state words into one reused Generator's PCG64 struct:
 the state ``default_rng`` gives, checked in full against it on the first lane
 of every call.
 
-Draws are written once, for stacks: ``normal_draws`` takes one lane's
-standard normals from each generator, ``complex_draws`` turns them into
-complex Gaussians and ``haar_frames`` into Haar-distributed frames.  A
-one-seed draw is a stack of one.
+Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop,
+lane i drawing its standard normals, then its uniforms, from the i-th next
+generator; ``complex_draws`` turns normals into complex Gaussians and
+``haar_frames`` into Haar-distributed frames.  A one-seed draw is a stack of one.
 """
 
 from __future__ import annotations
@@ -198,13 +198,17 @@ def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def normal_draws(rngs: Iterator[np.random.Generator], lanes: int, shape: tuple) -> np.ndarray:
-    """(lanes, *shape) standard normals, lane i drawn from the i-th next
-    generator of `rngs`."""
-    g = np.empty((lanes, *shape))
-    for lane in g:
-        next(rngs).standard_normal(out=lane)
-    return g
+def lane_draws(rngs, lanes: int, shape: tuple, uniforms: int = 0) -> tuple:
+    """(lanes, *shape) standard normals and (lanes, `uniforms`) values in
+    [0, 1), lane i drawn from the i-th next generator of `rngs`: its normals,
+    then its uniforms (no ``random`` call when `uniforms` is 0)."""
+    g, u = np.empty((lanes, *shape)), np.empty((lanes, uniforms))
+    for normals, row in zip(g, u):
+        rng = next(rngs)
+        rng.standard_normal(out=normals)
+        if uniforms:
+            rng.random(out=row)
+    return g, u
 
 
 def complex_draws(g: np.ndarray) -> np.ndarray:

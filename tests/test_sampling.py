@@ -101,6 +101,26 @@ class TestRngsFrom:
         assert list(rngs_from(np.empty((0, 3), dtype=np.uint64))) == []
 
 
+class TestLaneDraws:
+    SEEDS = (0, 7, 12345, 2**63, 2**64 - 1)
+
+    @pytest.mark.parametrize("uniforms", [0, 3])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_lanes_match_numpy(self, uniforms, block):
+        # Lane i: default_rng(seed_i).standard_normal(shape), then .random(u).
+        shape, lanes = (2, 3, 4), len(self.SEEDS)
+        gens = [np.random.default_rng(s) for s in self.SEEDS]
+        rngs = rngs_from(np.array(self.SEEDS, dtype=np.uint64)) if block else iter(gens)
+        g, u = sampling.lane_draws(rngs, lanes, shape, uniforms)
+        assert g.shape == (lanes, *shape) and u.shape == (lanes, uniforms)
+        for lane, seed in enumerate(self.SEEDS):
+            ref = np.random.default_rng(seed)
+            assert np.array_equal(g[lane], ref.standard_normal(shape))
+            assert np.array_equal(u[lane], ref.random(uniforms))
+            if not block:  # no draw beyond the lane's own
+                assert gens[lane].bit_generator.state == ref.bit_generator.state
+
+
 class TestMixSeeds:
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1, 2**70 + 5])
     def test_string_tags(self, seed):
