@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, cli, instances, search
+from wielandt_lab import bounds, cli, instances, maps, search
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
 from wielandt_lab.stacked import flag_gamma, gamma_stack
@@ -156,8 +156,48 @@ def _embedded(inst):
     return instances.Instance(a, inst.m, inst.M, unit[:, :n], unit[:, n:], inst.phi, inst.seed)
 
 
+def _mapped_compression(inst):
+    """C' = (I_2 (x) W)* (C (x) I_k) (I_2 (x) W) for C = [X Y]* A [X Y] and
+    `inst`'s Stinespring isometry W with ancilla k: the 2d x 2d matrix whose
+    four d x d blocks are Phi(X*AX), Phi(X*AY), Phi(Y*AX) and Phi(Y*AY)."""
+    frames = np.hstack([inst.x, inst.y])
+    c = frames.conj().T @ inst.a @ frames
+    lift = np.kron(np.eye(2), inst.phi.w)
+    return lift.conj().T @ np.kron(c, np.eye(inst.phi.ancilla)) @ lift
+
+
+def _identity_twin(inst):
+    """The identity-map instance (C', [I;0], [0;I]) of `inst` (see
+    _mapped_compression), of shape (2d, d, d)."""
+    c = _mapped_compression(inst)
+    d = c.shape[0] // 2
+    unit = np.eye(2 * d, dtype=np.complex128)
+    return instances.Instance(c, inst.m, inst.M, unit[:, :d], unit[:, d:],
+                              maps.IdentityMap(d), inst.seed)
+
+
+def _assert_same_checks(twin, inst):
+    """run_instance_checks gives `twin` the verdicts of `inst`, and margins,
+    lhs and bounds within 1e-13 relative to max(1, |value|)."""
+    p_values = [0.25, 0.5, 1.0, 2.0, 3.0]
+    reports = bounds.run_instance_checks(inst, p_values)
+    twins = bounds.run_instance_checks(twin, p_values)
+    assert [r.check for r in twins] == [r.check for r in reports]
+    for got, want in zip(twins, reports):
+        assert got.passed == want.passed
+        pairs = [(got.margin, want.margin)] + [
+            (got.payload[key], want.payload[key])
+            for key in ("lhs", "bound") if key in want.payload
+        ]
+        for x, y in pairs:
+            assert (x is None) == (y is None)
+            if y is not None:
+                assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (want.check, x, y)
+
+
 class TestCompressionIdentity:
-    """Every objective and check sees (A, X, Y) only through the compression."""
+    """Every objective and check sees (A, X, Y, Phi) only through the four
+    mapped blocks of the compression."""
 
     @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2), (5, 2, 3, 2),
                                       (4, 1, 1, 1)])
@@ -168,20 +208,25 @@ class TestCompressionIdentity:
             twin = _embedded(inst)
             ratio = search.conjecture_ratio(inst)
             assert abs(search.conjecture_ratio(twin) - ratio) <= 1e-13 * abs(ratio)
-            p_values = [0.25, 0.5, 1.0, 2.0, 3.0]
-            reports = bounds.run_instance_checks(inst, p_values)
-            twins = bounds.run_instance_checks(twin, p_values)
-            assert [r.check for r in twins] == [r.check for r in reports]
-            for got, want in zip(twins, reports):
-                assert got.passed == want.passed
-                pairs = [(got.margin, want.margin)] + [
-                    (got.payload[key], want.payload[key])
-                    for key in ("lhs", "bound") if key in want.payload
-                ]
-                for x, y in pairs:
-                    assert (x is None) == (y is None)
-                    if y is not None:
-                        assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (want.check, x, y)
+            _assert_same_checks(twin, inst)
+
+    @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2), (5, 2, 3, 2)])
+    @pytest.mark.parametrize("M", [2.0, 10.0, 100.0])
+    def test_mapped_compression_gives_the_same_values(self, dims, M):
+        # By Cauchy interlacing C' has its spectrum in [m, M]; its end
+        # eigenvalues are not attained, so the twin is not a sampled shape.
+        for seed in range(5):
+            inst = instances.gen_instance(seed, *dims, 1.0, M)
+            twin = _identity_twin(inst)
+            assert twin.a.shape == (2 * dims[2],) * 2
+            w = np.linalg.eigvalsh(twin.a)
+            assert 1.0 - 1e-12 * M <= w[0] and w[-1] <= M * (1 + 1e-12)
+            for objective, p in ALL_OBJECTIVES:
+                cfg = _cfg(objective, dims, p, m=1.0, M=M)
+                want = search.objective_value(cfg, inst)
+                got = search.objective_value(cfg, twin)
+                assert abs(got - want) <= 1e-13 * abs(want), (objective, p, got, want)
+            _assert_same_checks(twin, inst)
 
 
 class TestRefine:
