@@ -6,8 +6,7 @@ counterexample candidates and are reported, never asserted away), while the
 ``tightness_thm*`` objectives track the checked left-hand side against the
 respective bound.  Sampling is deterministic in the seed and partitions over
 workers by trial index; refinement is a sequential step-shrinking local ascent
-that perturbs unitary factors multiplicatively so instance invariants are
-preserved by construction.
+on the 2d x 2d compression C' of the best sample (see refine).
 
 Every objective value comes from one stacked kernel (``_objective_stack``).
 The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
@@ -17,11 +16,11 @@ trial 0 (the closed-form equality template) and the refinement's start are
 stacks of one (``objective_value``).
 Each worker returns only the values of its trials; ``random_search`` builds
 the trace from them and rebuilds the one best trial as an ``Instance``, the
-witness.  Refinement keeps one state type, ``_RefineState``: stacked arrays
-with the lane axis first.  The start and an accepted proposal are states of
-one lane; a rejection ladder, the proposals refinement would make if it
-rejected each one in turn, is one state of many lanes, built and scored as
-one stack, then walked in order as the sequential ascent would.
+witness.  Refinement keeps one state type, ``_RefineState``, lane axis first:
+the start and an accepted proposal are states of one lane; a rejection
+ladder, the proposals refinement would make if it rejected each one in turn,
+is one state of many lanes, built and scored as one stack, then walked in
+order as the sequential ascent would.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .instances import (
     instance_seeds,
     instance_to_json,
 )
-from .maps import StinespringMap, flag_isometry, map_stack, stinespring_stack
+from .maps import IdentityMap, map_stack
 from .matcore import (
     LaneErrors,
     adj,
@@ -80,6 +79,7 @@ from .sampling import (
 from .stacked import (
     compressed_products_stack,
     flag_gamma,
+    flag_spectrum,
     gamma_stack,
     instance_products,
     products_stack,
@@ -285,69 +285,63 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
 
 
 class _RefineState(NamedTuple):
-    """Smooth parameterizations of instances, lane axis first: A's
-    eigenvalues with the endpoints pinned to m and M (L, N), its eigenbasis
-    and a joint unitary carrying X and Y (L, N, N), and the Stinespring
-    isometry (L, rows, n) when the map has one.  The start, a ladder of
-    proposals and an accepted lane are all states; the rest of an instance
-    (rank, a map without W, m, M and seed) is read from refine's start."""
+    """Matrices C = V diag(lam) V*, lane axis first: eigenvalues (L, 2d) with
+    the ends pinned to m and M, and eigenbases V (L, 2d, 2d).  A lane is the
+    identity-map instance ``_lane_instance`` builds."""
 
     lam: np.ndarray
-    basis_a: np.ndarray
-    basis_xy: np.ndarray
-    w_iso: Optional[np.ndarray]
+    basis: np.ndarray
 
     def lane(self, i: int) -> "_RefineState":
-        return _RefineState(*(None if a is None else a[i : i + 1] for a in self))
+        return _RefineState(self.lam[i : i + 1], self.basis[i : i + 1])
 
 
 def _start_state(inst: Instance) -> _RefineState:
-    """`inst` as a one-lane state."""
-    w, v = herm_eig(inst.a)
+    """The compression C' of `inst` (see refine) as a one-lane state; raises
+    PreconditionViolated when its spectrum escapes [m, M]."""
+    n, d = inst.rank, inst.phi.out_dim
+    frames = np.hstack([inst.x, inst.y])
+    blocks = (adj(frames) @ inst.a @ frames).reshape(2, n, 2, n).swapaxes(1, 2)
+    w, v = herm_eig(map_stack(inst.phi)(blocks).swapaxes(1, 2).reshape(2 * d, 2 * d))
+    errors = LaneErrors(1)
+    flag_spectrum(errors, w[np.newaxis], inst.m, inst.M)
+    if errors:
+        raise errors[0]
     lam = np.concatenate([[inst.m], w[1:-1], [inst.M]])
-    stacked = np.hstack([inst.x, inst.y])
-    q_full, _ = np.linalg.qr(stacked, mode="complete")
-    q_full = np.array(q_full, dtype=np.complex128)
-    q_full[:, : 2 * inst.rank] = stacked
-    w_iso = inst.phi.w[np.newaxis] if isinstance(inst.phi, StinespringMap) else None
-    return _RefineState(lam[np.newaxis], v[np.newaxis], q_full[np.newaxis], w_iso)
+    return _RefineState(lam[np.newaxis], v[np.newaxis])
+
+
+def _witness_frames(size: int) -> tuple:
+    """X = [I; 0], Y = [0; I] and the identity map of a size x size C."""
+    unit = np.eye(size, dtype=np.complex128)
+    return unit[:, : size // 2].copy(), unit[:, size // 2 :].copy(), IdentityMap(size // 2)
 
 
 def _lane_instance(start: Instance, state: _RefineState) -> Instance:
     """The instance of one-lane `state` refined from `start`."""
-    rank, basis_xy = start.rank, state.basis_xy[0]
-    phi = start.phi if state.w_iso is None else StinespringMap(state.w_iso[0], start.phi.ancilla)
-    return Instance(from_eig(state.lam[0], state.basis_a[0]), start.m, start.M,
-                    basis_xy[:, :rank].copy(), basis_xy[:, rank : 2 * rank].copy(), phi,
-                    seed=start.seed)
+    return Instance(from_eig(state.lam[0], state.basis[0]), start.m, start.M,
+                    *_witness_frames(state.lam.shape[1]), seed=start.seed)
 
 
-def _ladder(start: Instance, state: _RefineState, draws: np.ndarray, steps: np.ndarray) -> tuple:
+def _ladder(cfg: SearchConfig, start: Instance, state: _RefineState, draws: np.ndarray,
+            steps: np.ndarray) -> tuple:
     """Proposals from one-lane `state`, one per row of `draws` (see refine),
     lane i perturbed with steps[i]: interior eigenvalues move by step (M - m)
-    times a normal, clipped to [m, M]; A's eigenbasis and the X/Y basis turn
-    by a small unitary on the right, W by one on the left.  Returns the
-    stacked state and its LaneErrors, which flag the lanes whose W fails the
-    isometry check."""
-    lanes, n = len(steps), state.lam.shape[1]
-    inner = max(n - 2, 0)
+    times a normal, clipped to [m, M], and the eigenbasis turns by a small
+    unitary on the right.  Returns the stacked state, the objective on each
+    lane and the LaneErrors of the lanes whose one-instance evaluation
+    raises."""
+    lanes, size = len(steps), state.lam.shape[1]
     lam = np.repeat(state.lam, lanes, axis=0)
-    if inner:
-        move = (steps * (start.M - start.m))[:, np.newaxis] * draws[:, :inner]
-        lam[:, 1:-1] = np.clip(state.lam[:, 1:-1] + move, start.m, start.M)
-    # A's and the X/Y generators as one stack: every A lane, then every X/Y lane
-    g = draws[:, inner : inner + 4 * n * n].reshape(lanes, 2, 2, n, n).swapaxes(0, 1)
-    turns = _small_unitaries(g.reshape(2 * lanes, 2, n, n), np.tile(steps, 2))
-    bases = np.stack([state.basis_a, state.basis_xy])
-    basis_a, basis_xy = qr_positive(bases @ turns.reshape(2, lanes, n, n))
+    move = (steps * (start.M - start.m))[:, np.newaxis] * draws[:, : size - 2]
+    lam[:, 1:-1] = np.clip(state.lam[:, 1:-1] + move, start.m, start.M)
+    turns = _small_unitaries(draws[:, size - 2 :].reshape(lanes, 2, size, size), steps)
+    basis = qr_positive(state.basis @ turns)
+    x, y, phi = _witness_frames(size)
     errors = LaneErrors(lanes)
-    w_iso = None
-    if state.w_iso is not None:
-        rows = state.w_iso.shape[1]
-        g_w = draws[:, inner + 4 * n * n :].reshape(lanes, 2, rows, rows)
-        w_iso = qr_positive(_small_unitaries(g_w, steps) @ state.w_iso)
-        flag_isometry(errors, w_iso, "Stinespring isometry")
-    return _RefineState(lam, basis_a, basis_xy, w_iso), errors
+    s, _, t_eig = products_stack(from_eig(lam, basis), x, y, map_stack(phi), errors)
+    values = _objective_stack(cfg.objective, cfg.p, start.m, start.M, s, t_eig, errors)
+    return _RefineState(lam, basis), values, errors
 
 
 def _small_unitaries(draws: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -365,22 +359,6 @@ def _small_unitaries(draws: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * steps[:, np.newaxis] * w)[:, np.newaxis, :]) @ adj(v)
 
 
-def _ladder_values(cfg: SearchConfig, start: Instance, states: _RefineState,
-                   errors: LaneErrors) -> np.ndarray:
-    """The objective on every lane of `states` refined from `start`, flagging
-    in `errors` the lanes whose one-instance evaluation raises."""
-    rank = start.rank
-    a = from_eig(states.lam, states.basis_a)
-    x = np.ascontiguousarray(states.basis_xy[..., :rank])
-    y = np.ascontiguousarray(states.basis_xy[..., rank : 2 * rank])
-    if states.w_iso is None:
-        phi = map_stack(start.phi)
-    else:
-        phi = stinespring_stack(states.w_iso, start.phi.ancilla)
-    s, _, t_eig = products_stack(a, x, y, phi, errors)
-    return _objective_stack(cfg.objective, cfg.p, start.m, start.M, s, t_eig, errors)
-
-
 def _ladder_steps(step: float, budget: int) -> np.ndarray:
     """The steps of the proposals refine makes from `step` if it rejects
     every one: halving until below _MIN_STEP, at most `budget` of them."""
@@ -392,27 +370,36 @@ def _ladder_steps(step: float, budget: int) -> np.ndarray:
 
 
 def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
-    """Step-shrinking local ascent from `start`: propose a multiplicative
-    perturbation, accept if it improves the objective, otherwise halve the
-    step; stops below step 1e-6 or when the budget runs out.  A proposal
-    whose evaluation raises a WielandtLabError scores -inf and counts in
-    refine_errors.
+    """Step-shrinking local ascent from `start` on its compression C'
+    (``_start_state``): propose a move of C's interior eigenvalues and a small
+    unitary turn of its eigenbasis, accept if it improves the objective,
+    otherwise halve the step; stops below step 1e-6 or when the budget runs
+    out.  A proposal whose evaluation raises a WielandtLabError scores -inf
+    and counts in refine_errors.
 
-    Each proposal draws one row of standard normals: interior eigenvalues
-    (N > 2), then the real and imaginary Gaussians of A's generator, the X/Y
-    generator and, for a Stinespring map, W's generator.  No row depends on
-    the state or the step, so proposals are scored as rejection ladders: the
-    proposals that follow if each is rejected are built and scored as one
-    stacked state (`_ladder`), then walked in order; an accept keeps its
-    lane (`_RefineState.lane`), and the rows after it wait in the queue for
-    the next ladder.  The record is the proposal-by-proposal ascent's, bit
-    for bit.  A start's first ladder is scored whole; after an accept,
-    _AFTER_ACCEPT lanes, doubling while all are rejected."""
+    Every objective sees (A, X, Y, Phi) only through the d x d blocks
+    Phi(X*AX), Phi(X*AY), Phi(Y*AX) and Phi(Y*AY) of C', so each state is
+    scored, and the improved witness returned, as the identity-map instance
+    (C, [I;0], [0;I]) of shape (2d, d, d).  For a unital 2-positive Phi,
+    id_2 (x) Phi keeps [X Y]*(A - m)[X Y] and [X Y]*(M - A)[X Y] PSD, so
+    m <= C' <= M; a start whose C' escapes [m, M] by more than flag_gamma's
+    spread raises PreconditionViolated.
+
+    Each proposal draws one row of standard normals: the 2d - 2 interior
+    eigenvalues, then the real and imaginary Gaussians of the turn's
+    generator.  No row depends on the state or the step, so proposals are
+    scored as rejection ladders: the proposals that follow if each is
+    rejected are built and scored as one stacked state (`_ladder`), then
+    walked in order; an accept keeps its lane (`_RefineState.lane`), and the
+    rows after it wait in the queue for the next ladder.  The record is the
+    proposal-by-proposal ascent's, bit for bit.  A start's first ladder is
+    scored whole; after an accept, _AFTER_ACCEPT lanes, doubling while all
+    are rejected."""
     cfg.validate()
     rng = rng_from(mix_seed(cfg.seed, "refine"))
     state = _start_state(start)
-    n, rows = start.ambient, 0 if state.w_iso is None else state.w_iso.shape[1]
-    queue = np.empty((0, max(n - 2, 0) + 4 * n * n + 2 * rows * rows))  # drawn, not yet proposed
+    size = state.lam.shape[1]
+    queue = np.empty((0, size - 2 + 2 * size * size))  # drawn, not yet proposed
     best_value = objective_value(cfg, start)
     trace = [("refine", 0, best_value)]
     step = _INITIAL_STEP
@@ -423,8 +410,7 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
         steps = _ladder_steps(step, min(width, cfg.refine_steps - done))
         fresh = rng.standard_normal((max(len(steps) - len(queue), 0), queue.shape[1]))
         queue = np.concatenate([queue, fresh])
-        proposals, lane_errors = _ladder(start, state, queue[: len(steps)], steps)
-        values = _ladder_values(cfg, start, proposals, lane_errors)
+        proposals, values, lane_errors = _ladder(cfg, start, state, queue[: len(steps)], steps)
         for lane, value in enumerate(values.tolist()):
             done += 1
             error = lane_errors.get(lane)

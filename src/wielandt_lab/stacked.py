@@ -14,10 +14,10 @@ returns S^p and Gamma for a group of P exponents as ``(P, B, n, n)`` stacks.
 
 Nothing here raises for one lane: every hypothesis a lane can fail is tested
 by a stacked guard (``matcore.flag_pd``, ``matcore.flag_psd``,
-``maps.flag_isometry``), and the lane's exception (the class and message the
-first failing guard gives) is recorded in a ``LaneErrors``.  The values of a
-flagged lane are meaningless; its eigenvalues are replaced by 1 before any
-power, so nothing divides by zero.
+``maps.flag_isometry``, ``flag_spectrum``), and the lane's exception (the
+class and message the first failing guard gives) is recorded in a
+``LaneErrors``.  The values of a flagged lane are meaningless; its
+eigenvalues are replaced by 1 before any power, so nothing divides by zero.
 """
 
 from __future__ import annotations
@@ -83,18 +83,22 @@ def flag_gamma(
     s: np.ndarray, t_eig: EigDecomp, errors: LaneErrors, m: float, M: float
 ) -> EigDecomp:
     """The hypotheses of Gamma = S^p T^{-p} on stacks.  Flags, in this order,
-    the lanes on which T's spectrum escapes [m, M] by more than
-    1e-8 max(1, M), S is not PSD or T is singular.  Returns S's
-    eigendecomposition."""
+    the lanes on which T's spectrum escapes [m, M] (``flag_spectrum``), S is
+    not PSD or T is singular.  Returns S's eigendecomposition."""
     s_eig = herm_eig_stack(s)
-    s_w, t_w = s_eig.eigenvalues, t_eig.eigenvalues
-    spread = 1e-8 * max(1.0, M)
-    t_lo, t_hi = t_w[:, 0], t_w[:, -1]
-    errors.flag((t_lo < m - spread) | (t_hi > M + spread), lambda i: PreconditionViolated(
-        f"compressed operator spectrum [{t_lo[i]:g}, {t_hi[i]:g}] escapes [{m:g}, {M:g}]"))
-    flag_psd(errors, s_w)
-    flag_pd(errors, t_w)
+    flag_spectrum(errors, t_eig.eigenvalues, m, M)
+    flag_psd(errors, s_eig.eigenvalues)
+    flag_pd(errors, t_eig.eigenvalues)
     return s_eig
+
+
+def flag_spectrum(errors: LaneErrors, w: np.ndarray, m: float, M: float) -> None:
+    """PreconditionViolated on the lanes whose ascending eigenvalues `w`
+    escape [m, M] by more than 1e-8 max(1, M)."""
+    spread = 1e-8 * max(1.0, M)
+    lo, hi = w[:, 0], w[:, -1]
+    errors.flag((lo < m - spread) | (hi > M + spread), lambda i: PreconditionViolated(
+        f"compressed operator spectrum [{lo[i]:g}, {hi[i]:g}] escapes [{m:g}, {M:g}]"))
 
 
 def gamma_stack(s_eig: EigDecomp, t_eig: EigDecomp, bad: np.ndarray, p_values) -> tuple:

@@ -50,15 +50,15 @@ def fail_refine_proposals(monkeypatch, seed: int, error: Exception) -> None:
     proposal i draws row i - 1 of the refinement's generator."""
     real = search._ladder
 
-    def flagged(start, state, draws, steps):
-        proposals, errors = real(start, state, draws, steps)
+    def flagged(cfg, start, state, draws, steps):
+        proposals, values, errors = real(cfg, start, state, draws, steps)
         rng = sampling.rng_from(sampling.mix_seed(seed, "refine"))
         rows = rng.standard_normal((5, draws.shape[1]))
         for lane, row in enumerate(draws):
             match = np.flatnonzero((rows == row).all(axis=1))
             if match.size and match[0] + 1 in (2, 4, 5):
                 errors[lane] = error
-        return proposals, errors
+        return proposals, values, errors
 
     monkeypatch.setattr(search, "_ladder", flagged)
 

@@ -310,7 +310,7 @@ class TestSearchCommand:
         assert json.dumps(stripped(x)) == json.dumps(stripped(y))
 
     @pytest.mark.parametrize("refine, last, origin", [
-        (["--refine-steps", "40"], ["refine", 36], "(refine step 36, from trial 17)"),
+        (["--refine-steps", "40"], ["refine", 32], "(refine step 32, from trial 17)"),
         ([], ["sample", 17], "(trial 17)"),
     ])
     def test_best_line_names_the_step_that_found_it(self, refine, last, origin, tmp_chdir,

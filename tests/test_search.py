@@ -213,8 +213,8 @@ class TestCompressionIdentity:
     @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2), (5, 2, 3, 2)])
     @pytest.mark.parametrize("M", [2.0, 10.0, 100.0])
     def test_mapped_compression_gives_the_same_values(self, dims, M):
-        # By Cauchy interlacing C' has its spectrum in [m, M]; its end
-        # eigenvalues are not attained, so the twin is not a sampled shape.
+        # By Cauchy interlacing C' has its spectrum in [m, M], though its
+        # ends need not reach m and M.
         for seed in range(5):
             inst = instances.gen_instance(seed, *dims, 1.0, M)
             twin = _identity_twin(inst)
@@ -261,6 +261,33 @@ class TestRefine:
         )
         rec = search.refine(start, cfg)
         assert_instance_invariants(rec.best_instance)
+
+    @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (8, 4, 4, 2), (5, 2, 3, 2), (6, 3, 1, 3)])
+    @pytest.mark.parametrize("objective,p", [("conjecture", None), ("tightness_thm2", 2.0)])
+    def test_witness_is_the_identity_map_compression(self, dims, objective, p):
+        # (5, 2, 3, 2) has d > n: the witness, 6 x 6, is larger than A
+        d = dims[2]
+        start = instances.gen_instance(3, *dims, 1.0, 100.0)
+        cfg = _cfg(objective, dims, p, m=1.0, M=100.0, trials=1, refine_steps=60, seed=5)
+        rec = search.refine(start, cfg)
+        assert len(rec.trace) > 1
+        witness = rec.best_instance
+        assert (witness.ambient, witness.rank) == (2 * d, d)
+        assert isinstance(witness.phi, maps.IdentityMap) and witness.phi.dim == d
+        assert_instance_invariants(witness)
+        replayed = instances.instance_from_json(instances.instance_to_json(witness))
+        value = search.objective_value(cfg, replayed)
+        assert abs(value - rec.best_value) <= 1e-12 * max(1.0, abs(rec.best_value))
+
+    def test_start_outside_the_hypotheses_is_refused(self):
+        # The transpose is positive, not 2-positive: the compression C' of
+        # this start has an eigenvalue near -0.772, outside [m, M] = [1, 100].
+        a = instances.gen_operator(3, 4, 1.0, 100.0)
+        x, y = instances.gen_isometry_pair(4, 4, 2)
+        start = instances.Instance(a, 1.0, 100.0, x, y, transpose_map(2), seed=0)
+        cfg = search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=6)
+        with pytest.raises(PreconditionViolated, match=r"spectrum \[-0\.77\d*, \S+\] escapes"):
+            search.refine(start, cfg)
 
 
 class TestReplayability:
@@ -426,19 +453,13 @@ def _small_unitary(rng, dim, step):
 
 def _perturbed(start, state, rng, step):
     lam = state.lam.copy()
-    n = lam.shape[1]
-    if n > 2:
-        lam[:, 1:-1] = np.clip(
-            lam[:, 1:-1] + step * (start.M - start.m) * rng.standard_normal(n - 2),
-            start.m,
-            start.M,
-        )
-    basis_a = qr_positive(state.basis_a @ _small_unitary(rng, n, step))
-    basis_xy = qr_positive(state.basis_xy @ _small_unitary(rng, n, step))
-    w_iso = None
-    if state.w_iso is not None:
-        w_iso = qr_positive(_small_unitary(rng, state.w_iso.shape[1], step) @ state.w_iso)
-    return search._RefineState(lam, basis_a, basis_xy, w_iso)
+    size = lam.shape[1]
+    lam[:, 1:-1] = np.clip(
+        lam[:, 1:-1] + step * (start.M - start.m) * rng.standard_normal(size - 2),
+        start.m,
+        start.M,
+    )
+    return search._RefineState(lam, qr_positive(state.basis @ _small_unitary(rng, size, step)))
 
 
 def sequential_refine(start, cfg):
@@ -469,12 +490,6 @@ def sequential_refine(start, cfg):
                                refine_errors=errors)
 
 
-def _transpose_start():
-    a = instances.gen_operator(3, 4, 1.0, 100.0)
-    x, y = instances.gen_isometry_pair(4, 4, 2)
-    return instances.Instance(a, 1.0, 100.0, x, y, transpose_map(2), seed=0)
-
-
 _LADDER_CASES = [
     (instances.gen_instance(8, 8, 4, 4, 2, 1.0, 100.0),
      search.SearchConfig(ambient=8, rank=4, out_dim=4, M=100.0, trials=1, refine_steps=400,
@@ -488,10 +503,8 @@ _LADDER_CASES = [
                          seed=3), 5),
     (instances.gen_instance(5, 4, 2, 2, 2, 1.0, 100.0),
      search.SearchConfig(M=100.0, trials=1, refine_steps=5, seed=4), 1),
-    (_transpose_start(), search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=6), 1),
 ]
-_LADDER_IDS = ["stinespring-8442", "accept-heavy-4222", "extremal", "thm2-p1", "budget-5",
-               "transpose-map"]
+_LADDER_IDS = ["stinespring-8442", "accept-heavy-4222", "extremal", "thm2-p1", "budget-5"]
 
 
 class TestRefineLadder:
@@ -519,12 +532,11 @@ class TestRefinePin:
     catch a change in how a state becomes an instance."""
 
     @pytest.mark.parametrize("case, digest", zip(_LADDER_CASES, [
-        "8b100583eb4f15fdedb98de3d91f26390f6270fec557d83c1ded6d37438f18ff",
-        "b05d97868ae86129823b8645648729f65e1fa0a980e75dcce63c3a51dd97dc48",
+        "79eb28ad87ab7c4d14ba3ed27845ccd43aed685966ac3832e34ea77c47ad7c32",
+        "ef1ad9c1882fda017aa3463237891b7a396b26e5aabeae91c1aa1bb3165dfcf9",
         "0abca5b96df4f349c384261607a904d23447c72bf3dbc16e51a7de5bc9e09e43",
-        "3b3cf57fc757734cdd2f28fc24f8293e5fb3fac32e4f828f437dda8d077ba20c",
-        "467703912df4b7f1fb74a1b0b91e2f2d4b9a790b850bc7a94cf3aaad46d988de",
-        "2c71eb33d09511642779f1d3f48800b37544b455e09d35cae028d6a101dee927",
+        "d4c7885652fd1c81d9dfe272752f5a47b1d45f1ce2a8fff85fe1a272d3292132",
+        "4cec5a972e0b1d45f8d0b5bcb6b10170059d4694a76b98a9de7b94afcf8f20f5",
     ]), ids=_LADDER_IDS)
     def test_record_digest(self, case, digest):
         start, cfg, _ = case
@@ -538,10 +550,11 @@ class TestRefinePin:
         assert cli.main(args + ["--out", "d.json"]) == 3
         raw = (tmp_chdir / "d.json").read_bytes()
         report = json.loads(raw)
-        assert (report["best_value"], report["best_index"]) == (1.2447343470082863, 1179)
+        assert (report["best_value"], report["best_index"]) == (1.5354057569352624, 1179)
+        assert report["trace"][-1][:2] == ["refine", 43]
         body = re.sub(rb'^\s*"(started_at|finished_at)": .*\n', b"", raw, flags=re.MULTILINE)
         assert hashlib.sha256(body).hexdigest() == (
-            "2f9b2ca205c33d12f117687b9f06c479ce3a68789ffa8553e708ba4354a24357")
+            "680415a01ac3cdac2caaa81a121a6659fb46f99ff7acfc565c2890109acb6a36")
 
 
 class TestGammaStack:
