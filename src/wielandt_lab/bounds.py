@@ -558,7 +558,7 @@ def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
 def wielandt_draws(rngs, lanes: int, ambient: int, m: float, M: float) -> tuple:
     """For 2 * `lanes` generators of `rngs` (every lane's operator generator,
     then every lane's unitary generator): the first two columns x, y of a
-    Haar unitary and gen_operator's A."""
+    Haar unitary and operator_stack's A."""
     a = operator_stack(rngs, lanes, ambient, m, M)
     uni = haar_frames(lane_draws(rngs, lanes, (2, ambient, ambient))[0])
     return uni[:, :, 0], uni[:, :, 1], a
@@ -671,18 +671,6 @@ def check_lemma_square_order(a, b, m: float, M: float, tol: float = DEFAULT_TOL)
 def check_fact_norm_anticommutator(a, b, tol: float = DEFAULT_TOL) -> Report:
     """anticommutator_stack on one (A, B)."""
     return anticommutator_stack(as_herm(a)[np.newaxis], as_herm(b)[np.newaxis], tol).reports(0)[0]
-
-
-def check_scalar_wielandt(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL) -> Report:
-    """scalar_wielandt_stack on one (x, y, A)."""
-    m, M = check_bounds(m, M)
-    xv = np.asarray(x, dtype=np.complex128).reshape(-1)
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
-    am = as_herm(a)
-    if xv.shape != yv.shape or am.shape[0] != xv.shape[0]:
-        raise PreconditionViolated("vector/matrix dimensions do not match")
-    lanes = scalar_wielandt_stack(xv[np.newaxis], yv[np.newaxis], am[np.newaxis], m, M, tol)
-    return lanes.reports(0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ combined bundle used by every inequality check.
 Sampled instances are drawn once, for stacks: ``operator_stack`` draws
 operators and ``draw_instances`` whole bundles, one generator per lane and
 component, the form the stacked trial blocks of ``verify`` and ``search``
-use, each lane drawn by ``lane_draws``.  The one-seed samplers
-(``gen_operator``, ``gen_isometry_pair``, ``gen_instance``) are stacks of one,
-one ``rng_from`` generator per component seeded as a block seeds that lane,
-so a lane of a block and the one-seed sampler at its seed give the same bits.
+use, each lane drawn by ``lane_draws``.  The one-seed sampler
+``gen_instance`` is a stack of one, one ``rng_from`` generator per component
+seeded as a block seeds that lane, so a lane of a block and ``gen_instance``
+at its seed give the same bits.
 """
 
 from __future__ import annotations
@@ -65,11 +65,12 @@ def check_bounds(m: float, M: float, strict: bool = False) -> tuple[float, float
 
 
 def operator_stack(rngs, lanes: int, ambient: int, m: float, M: float) -> np.ndarray:
-    """gen_operator for `lanes` generators of `rngs`: each draws the
-    Gaussians of a Haar U, then eigenvalues uniform in [m, M].  The uniforms
-    are drawn as ``random`` values in [0, 1) and mapped to m + (M - m) u
-    for the whole block at once, the arithmetic of ``Generator.uniform``, so
-    they have its bits."""
+    """Random Hermitian A = U diag(lam) U* for `lanes` generators of `rngs`:
+    each draws the Gaussians of a Haar U, then eigenvalues lam uniform in
+    [m, M], the extreme ones pinned to m and M exactly so the bounds are
+    attained.  The uniforms are drawn as ``random`` values in [0, 1) and
+    mapped to m + (M - m) u for the whole block at once, the arithmetic of
+    ``Generator.uniform``, so they have its bits."""
     g, lam = lane_draws(rngs, lanes, (2, ambient, ambient), ambient)
     u = haar_frames(g)
     lam = m + (M - m) * lam
@@ -96,23 +97,6 @@ def instance_seeds(seeds) -> np.ndarray:
     """(3, B) sub-seeds of the generators draw_instances takes for the
     instance seeds `seeds`: row i holds every lane's INSTANCE_TAGS[i] seed."""
     return mix_seeds(np.asarray(seeds, dtype=np.uint64)[:, np.newaxis], INSTANCE_TAGS).T
-
-
-def gen_operator(seed: int, n_dim: int, m: float, M: float) -> np.ndarray:
-    """Random Hermitian A = U diag(lam) U* with Haar U and lam uniform in
-    [m, M]; the extreme eigenvalues are pinned to m and M exactly so the
-    bounds are attained."""
-    m, M = check_bounds(m, M)
-    check_dims(n_dim, 1, 1, 1)  # n_dim >= 2
-    return operator_stack(iter([rng_from(seed)]), 1, n_dim, m, M)[0]
-
-
-def gen_isometry_pair(seed: int, n_dim: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) = first and next `rank` columns of a Haar unitary on C^n_dim;
-    X*X = Y*Y = I and X*Y = 0 by construction."""
-    check_dims(n_dim, rank, 1, 1)
-    u = haar_frames(rng_from(seed).standard_normal((2, n_dim, n_dim)))
-    return u[:, :rank].copy(), u[:, rank : 2 * rank].copy()
 
 
 def _extremal_operator(m: float, M: float) -> np.ndarray:

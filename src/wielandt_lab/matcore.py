@@ -15,8 +15,8 @@ lane's eigenvalues to each power of an exponent grid, giving a
 ``(P, B, n, n)`` stack; ``stack_pow`` is its one-exponent case.  The
 Hermitian norm is ``herm_norm_stack`` (``top_abs`` of a lane's eigenvalues)
 and the operator norm ``sqrt_top`` of those of its Gram matrix
-(``gram_eig``).  ``eig_pow_psd``, ``eig_pow_pd``, ``herm_norm`` and
-``op_norm`` run them on a stack of one and raise that lane's exception.
+(``gram_eig``).  ``eig_pow_psd``, ``eig_pow_pd`` and ``op_norm`` run them
+on a stack of one and raise that lane's exception.
 """
 
 from __future__ import annotations
@@ -265,13 +265,6 @@ def op_norm(x) -> float:
     if m.size == 0:
         return 0.0
     return float(sqrt_top(gram_eig(m[np.newaxis]).eigenvalues)[0])
-
-
-def herm_norm(h) -> float:
-    """Operator norm of a Hermitian matrix (max |eigenvalue|), checked by
-    ``as_herm``: herm_norm_stack on a stack of one."""
-    m = as_herm(h)
-    return float(herm_norm_stack(m[np.newaxis])[0]) if m.size else 0.0
 
 
 def matrix_to_json(a) -> dict:

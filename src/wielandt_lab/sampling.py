@@ -31,22 +31,22 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 # Trial indices evaluated together as one stack, by ambient dimension N (see
-# block_size).  A stacked block pays a fixed numpy call cost (about 1.3 ms for
-# a search block, 3.5 ms for a six-exponent verify block, in CPU time on a
-# shared 2 vCPU x86_64 host with BLAS on one thread) against about 27 and
-# 104 us per lane at N = 4, so 512 lanes keep that cost under a tenth of the
-# block.  A verify block scores its exponents in
-# groups of block_size(d) // lanes (at least one; d is the size of the
-# compressed products), so a small block pays the fixed cost of its exponent
-# checks once per group and a long p grid is never one stack larger than
-# about one full block at one exponent.  A lane's work grows faster than that fixed cost, so
-# larger N gains little from more lanes (128 lanes time as 512 at N = 16, 64
-# lanes are about 5% slower than 512 at N = 32 and 6-12% faster at N = 64),
-# while a lane's arrays grow as N^2: one full six-exponent verify block of
-# 512 lanes peaks at 18.5 MiB of arrays at (N, n) = (16, 4) and 238 MiB at
-# (64, 8), per worker.  So a block holds at most LANE_BUDGET / N^2 lanes,
-# between MIN_BLOCK and BLOCK_SIZE, which keeps that peak under about 8 MiB
-# up to N = 22 and at 64 lanes beyond.
+# block_size).  A stacked block pays a fixed numpy call cost (about 1 ms for a
+# search block, 4 ms for a six-exponent verify block, in CPU time on a shared
+# 2 vCPU x86_64 host with BLAS on one thread; medians of three fits, single
+# fits spread by a third) against about 23 and 81 us per lane at N = 4, so 512
+# lanes keep that cost under a tenth of the block.  A verify block scores its
+# exponents in groups of block_size(d) // lanes (at least one; d is the size
+# of the compressed products), so a small block pays the fixed cost of its
+# exponent checks once per group and a long p grid is never one stack larger
+# than about one full block at one exponent.  A lane's work grows faster than
+# that fixed cost, so larger N gains little from more lanes (128 lanes time as
+# 512 at N = 16, 64 lanes are about 5% slower than 512 at N = 32 and 6-12%
+# faster at N = 64), while a lane's arrays grow as N^2: one full six-exponent
+# verify block of 512 lanes peaks at 18.5 MiB of arrays at (N, n) = (16, 4)
+# and 238 MiB at (64, 8), per worker.  So a block holds at most
+# LANE_BUDGET / N^2 lanes, between MIN_BLOCK and BLOCK_SIZE, which keeps that
+# peak under about 8 MiB up to N = 22 and at 64 lanes beyond.
 BLOCK_SIZE = 512
 MIN_BLOCK = 64
 LANE_BUDGET = BLOCK_SIZE * 8**2

@@ -158,6 +158,8 @@ class SearchConfig:
         if self.p is not None:
             check_exponent(self.p)
         contrast = (self.M - self.m) / (self.M + self.m)
+        if self.objective == "conjecture" and self.p is not None:
+            raise ValueError("p applies only to the tightness objectives")
         if self.objective == "conjecture" and contrast < CONTRAST_FLOOR / self.tol:
             raise ValueError(f"need contrast (M-m)/(M+m) >= {CONTRAST_FLOOR:g}/tol = "
                              f"{CONTRAST_FLOOR / self.tol:g} (rounding floor), got {contrast:g}")

@@ -10,7 +10,7 @@ import pytest
 from wielandt_lab import bounds, instances, maps, stacked
 from wielandt_lab.errors import InvalidBounds, InvalidExponent, NotPSD, PreconditionViolated
 from wielandt_lab.matcore import (
-    EigDecomp, herm_eig, herm_eig_stack, herm_norm, hermitian_part, top_abs,
+    EigDecomp, herm_eig, herm_eig_stack, hermitian_part, top_abs,
 )
 from wielandt_lab.sampling import haar_frames, mix_seed, rng_from
 
@@ -58,13 +58,13 @@ def lhs_values(gamma):
 
 def loose_scalar_instance():
     """A = 2I with loose bounds [1, 4]: the cross-compression vanishes."""
-    x, y = instances.gen_isometry_pair(3, 4, 2)
+    frames = instances.gen_instance(3, 4, 2, 1, 1, 1.0, 4.0)
     return instances.Instance(
         a=2.0 * np.eye(4, dtype=complex),
         m=1.0,
         M=4.0,
-        x=x,
-        y=y,
+        x=frames.x,
+        y=frames.y,
         phi=maps.IdentityMap(2),
         seed=0,
     )
@@ -166,7 +166,7 @@ class TestGamma:
     def test_rank_one_reduction(self):
         # with the identity map and rank-1 frames, Gamma at p=1 is the scalar
         # |a01|^2 / (a00 * a11)
-        a = instances.gen_operator(5, 2, 1.0, 3.0)
+        a = instances.gen_instance(5, 2, 1, 1, 1, 1.0, 3.0).a
         x = np.array([[1.0], [0.0]], dtype=complex)
         y = np.array([[0.0], [1.0]], dtype=complex)
         inst = instances.Instance(a, 1.0, 3.0, x, y, maps.IdentityMap(1), seed=0)
@@ -209,7 +209,7 @@ class TestLhsValues:
             inst = instances.gen_instance(seed, 4, 2, 2, 2, 1.0, 2.0)
             vals = lhs_values(gamma_of(inst, 1.5).gamma)
             gap = herm_eig(vals.half_abs - vals.half_sym).eigenvalues[0]
-            scale = max(1.0, herm_norm(vals.half_abs), herm_norm(vals.half_sym))
+            scale = max(1.0, np.linalg.norm(vals.half_abs, 2), np.linalg.norm(vals.half_sym, 2))
             assert gap >= -1e-11 * scale
 
 
@@ -357,12 +357,12 @@ class TestLemmaBlockEquivalence:
 
 class TestLemmaSquareOrder:
     def test_equal_operands(self):
-        b = instances.gen_operator(2, 3, 1.0, 2.0)
+        b = instances.gen_instance(2, 3, 1, 1, 1, 1.0, 2.0).a
         rep = bounds.check_lemma_square_order(b, b, 1.0, 2.0)
         assert rep.passed
 
     def test_zero_lower_operand(self):
-        b = instances.gen_operator(3, 3, 1.0, 2.0)
+        b = instances.gen_instance(3, 3, 1, 1, 1, 1.0, 2.0).a
         rep = bounds.check_lemma_square_order(np.zeros((3, 3)), b, 1.0, 2.0)
         assert rep.passed
 
@@ -381,7 +381,7 @@ class TestLemmaSquareOrder:
             assert rep.passed, seed
 
     def test_precondition_violations(self):
-        b = instances.gen_operator(4, 3, 1.0, 2.0)
+        b = instances.gen_instance(4, 3, 1, 1, 1, 1.0, 2.0).a
         with pytest.raises(PreconditionViolated):
             bounds.check_lemma_square_order(2.0 * b, b, 1.0, 2.0)  # A > B
         with pytest.raises(PreconditionViolated):
@@ -412,28 +412,38 @@ class TestFactAnticommutator:
 
 
 class TestScalarWielandt:
+    """scalar_wielandt_stack, the kernel lemma_checks_stack runs, on (x, y)
+    = (e1, e2) unless a case draws its own."""
+
+    E1 = np.array([[1.0, 0.0]], dtype=complex)
+    E2 = np.array([[0.0, 1.0]], dtype=complex)
+
     def test_extremal_vectors_equality(self):
         a = instances.extremal_instance(1.0, 2.0).a
-        rep = bounds.check_scalar_wielandt([1, 0], [0, 1], a, 1.0, 2.0)
+        rep = bounds.scalar_wielandt_stack(self.E1, self.E2, a[np.newaxis], 1.0, 2.0).reports(0)[0]
         assert rep.passed
         assert abs(rep.margin) <= 1e-12
 
     def test_scalar_matrix(self):
-        rep = bounds.check_scalar_wielandt([1, 0], [0, 1], 1.5 * np.eye(2), 1.0, 2.0)
+        a = 1.5 * np.eye(2, dtype=complex)
+        rep = bounds.scalar_wielandt_stack(self.E1, self.E2, a[np.newaxis], 1.0, 2.0).reports(0)[0]
         assert rep.passed
         assert rep.payload["lhs"] == pytest.approx(0.0, abs=1e-14)
 
     def test_random_batch(self):
-        for seed in range(200):
-            a = instances.gen_operator(seed, 4, 1.0, 2.0)
-            u = haar_frames(rng_from(seed + 10_000).standard_normal((2, 4, 4)))
-            rep = bounds.check_scalar_wielandt(u[:, 0], u[:, 1], a, 1.0, 2.0)
-            assert rep.passed, seed
+        seeds = range(200)
+        a = instances.operator_stack(map(rng_from, seeds), len(seeds), 4, 1.0, 2.0)
+        u = haar_frames(np.stack([rng_from(seed + 10_000).standard_normal((2, 4, 4))
+                                  for seed in seeds]))
+        lanes = bounds.scalar_wielandt_stack(u[:, :, 0], u[:, :, 1], a, 1.0, 2.0)
+        for lane in seeds:
+            assert lanes.reports(lane)[0].passed, lane
 
     def test_rejects_non_orthogonal(self):
-        a = instances.gen_operator(0, 2, 1.0, 2.0)
+        a = instances.gen_instance(0, 2, 1, 1, 1, 1.0, 2.0).a
+        lanes = bounds.scalar_wielandt_stack(self.E1, self.E1 + self.E2, a[np.newaxis], 1.0, 2.0)
         with pytest.raises(PreconditionViolated):
-            bounds.check_scalar_wielandt([1, 0], [1, 1], a, 1.0, 2.0)
+            lanes.reports(0)
 
 
 class TestCompareBounds:

@@ -299,6 +299,16 @@ class TestSearchCommand:
             result["best_value"], abs=1e-12
         )
 
+    def test_p_only_for_tightness_objectives(self, tmp_chdir, capsys, monkeypatch):
+        # the conjecture objective never reads p: refused before any trial
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        args = ["search", "--p", "2", "--trials", "5"]
+        assert run_cli(args + ["--objective", "conjecture", "--out", "c.json"]) == 2
+        assert "p applies only to the tightness objectives" in capsys.readouterr().err
+        assert not (tmp_chdir / "c.json").exists()
+        assert run_cli(args + ["--objective", "tightness_thm2", "--out", "t.json"]) == 0
+        assert json.loads((tmp_chdir / "t.json").read_text())["config"]["p"] == 2.0
+
     def test_deterministic_modulo_timestamps(self, tmp_chdir, capsys, monkeypatch):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
         args = ["search", "--objective", "tightness_thm1", "--p", "1",

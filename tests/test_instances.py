@@ -15,25 +15,27 @@ from test_bounds import gamma_of
 
 
 class TestGenOperator:
+    """The operator A of a one-seed gen_instance draw."""
+
     def test_collapsed_spectrum_gives_scalar_matrix(self):
         for seed in (0, 1, 99):
-            a = instances.gen_operator(seed, 3, 2.5, 2.5)
+            a = instances.gen_instance(seed, 3, 1, 1, 1, 2.5, 2.5).a
             assert np.linalg.norm(a - 2.5 * np.eye(3)) <= 1e-12
 
     def test_forced_endpoints_exact(self):
-        a = instances.gen_operator(7, 2, 1.0, 2.0)
+        a = instances.gen_instance(7, 2, 1, 1, 1, 1.0, 2.0).a
         w = herm_eig(a).eigenvalues
         assert w[0] == pytest.approx(1.0, abs=1e-13)
         assert w[-1] == pytest.approx(2.0, abs=1e-13)
 
     def test_determinism(self):
-        a1 = instances.gen_operator(12, 4, 1.0, 3.0)
-        a2 = instances.gen_operator(12, 4, 1.0, 3.0)
+        a1 = instances.gen_instance(12, 4, 1, 1, 1, 1.0, 3.0).a
+        a2 = instances.gen_instance(12, 4, 1, 1, 1, 1.0, 3.0).a
         assert np.array_equal(a1, a2)
 
     def test_spectrum_within_bounds(self):
         for seed in range(20):
-            a = instances.gen_operator(seed, 5, 0.5, 4.0)
+            a = instances.gen_instance(seed, 5, 1, 1, 1, 0.5, 4.0).a
             w = herm_eig(a).eigenvalues
             assert w[0] >= 0.5 - 1e-12 and w[-1] <= 4.0 + 1e-12
 
@@ -42,28 +44,30 @@ class TestGenOperator:
     )
     def test_invalid_bounds(self, m, M):
         with pytest.raises(InvalidBounds):
-            instances.gen_operator(0, 3, m, M)
+            instances.gen_instance(0, 3, 1, 1, 1, m, M)
 
 
 class TestGenIsometryPair:
+    """The frames X, Y of a one-seed gen_instance draw."""
+
     def test_minimal_pair(self):
-        x, y = instances.gen_isometry_pair(5, 2, 1)
-        assert abs(np.vdot(x[:, 0], y[:, 0])) <= 1e-12
-        assert np.linalg.norm(x[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        inst = instances.gen_instance(5, 2, 1, 1, 1, 1.0, 2.0)
+        assert abs(np.vdot(inst.x[:, 0], inst.y[:, 0])) <= 1e-12
+        assert np.linalg.norm(inst.x[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonality_over_many_seeds(self):
         for seed in range(100):
-            x, y = instances.gen_isometry_pair(seed, 4, 2)
-            assert np.linalg.norm(x.conj().T @ y) <= 1e-12
+            inst = instances.gen_instance(seed, 4, 2, 1, 1, 1.0, 2.0)
+            assert np.linalg.norm(inst.x.conj().T @ inst.y) <= 1e-12
 
     def test_gram_identities(self):
-        x, y = instances.gen_isometry_pair(8, 4, 2)
-        assert np.linalg.norm(x.conj().T @ x - np.eye(2)) <= 1e-12
-        assert np.linalg.norm(y.conj().T @ y - np.eye(2)) <= 1e-12
+        inst = instances.gen_instance(8, 4, 2, 1, 1, 1.0, 2.0)
+        assert np.linalg.norm(inst.x.conj().T @ inst.x - np.eye(2)) <= 1e-12
+        assert np.linalg.norm(inst.y.conj().T @ inst.y - np.eye(2)) <= 1e-12
 
     def test_ambient_too_small(self):
         with pytest.raises(DimensionMismatch):
-            instances.gen_isometry_pair(0, 3, 2)
+            instances.gen_instance(0, 3, 2, 1, 1, 1.0, 2.0)
 
 
 class TestShapeRule:
@@ -84,11 +88,11 @@ class TestShapeRule:
 
     @pytest.mark.parametrize("N,n", [(3, 2), (1, 1), (0, 0), (4, 0)])
     def test_isometry_pair_shapes(self, N, n):
-        self.assert_rejected(lambda: instances.gen_isometry_pair(0, N, n))
+        self.assert_rejected(lambda: instances.gen_instance(0, N, n, 1, 1, 1.0, 2.0))
 
     @pytest.mark.parametrize("n_dim", [1, 0])
     def test_operator_shapes(self, n_dim):
-        self.assert_rejected(lambda: instances.gen_operator(0, n_dim, 1.0, 2.0))
+        self.assert_rejected(lambda: instances.gen_instance(0, n_dim, 1, 1, 1, 1.0, 2.0))
 
     @pytest.mark.parametrize("n,d,k", [(0, 1, 1), (2, 0, 2), (2, 2, 0), (1, 5, 2), (2, 3, 1)])
     def test_map_shapes(self, n, d, k):
@@ -169,10 +173,6 @@ class TestGenInstance:
 
 def _sampler_outputs(name, seed, shape):
     N, n, d, k = shape
-    if name == "gen_operator":
-        return [instances.gen_operator(seed, N, 1.0, 3.0)]
-    if name == "gen_isometry_pair":
-        return list(instances.gen_isometry_pair(seed, N, n))
     if name == "random_unital_cp":
         return [maps.random_unital_cp(seed, n, d, k).w]
     inst = instances.gen_instance(seed, N, n, d, k, 1.0, 3.0)
@@ -191,9 +191,6 @@ class TestSamplerPin:
     @pytest.mark.parametrize(
         "name,digest",
         [
-            ("gen_operator", "2629f0ba9efeb532da0c5c1b328364e7cc6983528383ae02b2fe329f8673e375"),
-            ("gen_isometry_pair",
-             "5ae818a7a371d0f2dc1d9f5b539e223692e4c1ecf443c703af8d21c7e7fbaf86"),
             ("random_unital_cp",
              "978d180c67e11b829769e69eb73dfe94e0db27f1730a4144ec9c3ed18a2b15b6"),
             ("gen_instance", "339cb6bb2f6d6d106b9b4011e24656f06bb0e0b2730a0522dd194489b8fd9ab8"),

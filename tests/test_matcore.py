@@ -103,10 +103,14 @@ class TestStacks:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_herm_norm_stack(self, dim):
-        stack = np.stack([rand_herm(dim * 50 + i, dim) for i in range(9)])
+        half = np.stack([rand_herm(dim * 50 + i, dim) for i in range(9)])
+        stack = np.concatenate([half, -half])  # each spectrum and its negative
+        w = mc.herm_eig_stack(stack).eigenvalues
+        assert np.any(-w[:, 0] > w[:, -1])  # some lane's largest |eigenvalue| is negative
         norms = mc.herm_norm_stack(stack)
-        assert np.array_equal(norms, mc.top_abs(mc.herm_eig_stack(stack).eigenvalues))
-        assert [mc.herm_norm(h) for h in stack] == norms.tolist()
+        assert np.array_equal(norms, mc.top_abs(w))
+        # an SVD reference, independent of the eigensolver
+        assert np.allclose(norms, [np.linalg.norm(h, 2) for h in stack], rtol=1e-13, atol=0.0)
 
     def test_hermitian_part_stack_bits(self):
         a = rand_complex(3, 4, 4)

@@ -1,11 +1,12 @@
 """Every top-level function and class under src/ is reachable from the
-command line, or is on an explicit list with the reason it stays.
+command line or the benchmark, or is on the acceptance list with the reason
+it stays.
 
 The walk starts at ``cli.main`` and at the module bodies that importing the
 CLI runs, and follows every name a reached definition reads, through the
 package's ``from .module import name`` imports.  A class counts as a whole:
 reaching it reaches all of its methods.  New code that no command reaches
-fails here; the lists below may only shrink."""
+fails here; the list below may only shrink."""
 
 import ast
 from pathlib import Path
@@ -25,15 +26,6 @@ ACCEPTANCE_API = {
     "bounds.check_fact_norm_anticommutator": "criterion 4's one-trial anticommutator check",
     "bounds._one": "the one-seed block behind criterion 4's samplers",
     "matcore.mat_pow": "criterion 9's power round-trips",
-}
-
-# Called only by tests; candidates for deletion once the directions that
-# might use them have landed (ROADMAP item 6).
-TEST_ONLY = {
-    "bounds.check_scalar_wielandt": "the scalar Wielandt inequality, tested one case at a time",
-    "instances.gen_operator": "one-seed operator draw, pinned by TestSamplerPin",
-    "instances.gen_isometry_pair": "one-seed isometry-pair draw, pinned by TestSamplerPin",
-    "matcore.herm_norm": "one-matrix Hermitian norm, the tests' oracle",
 }
 
 
@@ -103,8 +95,7 @@ def unreachable(src: Path = SRC) -> set:
 
 
 def test_only_listed_definitions_are_unreachable():
-    allowed = set(ACCEPTANCE_API) | set(TEST_ONLY)
-    assert unreachable() - _benchmark_names() == allowed
+    assert unreachable() - _benchmark_names() == set(ACCEPTANCE_API)
 
 
 def test_walk_follows_imports_and_flags_dead_code(tmp_path):

@@ -9,7 +9,9 @@ import pytest
 
 from wielandt_lab import bounds, cli, instances, maps, search
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
-from wielandt_lab.sampling import BLOCK_SIZE, complex_gaussian, mix_seed, qr_positive, rng_from
+from wielandt_lab.sampling import (
+    BLOCK_SIZE, complex_gaussian, haar_frames, mix_seed, qr_positive, rng_from,
+)
 from wielandt_lab.stacked import flag_gamma, gamma_stack
 from wielandt_lab.errors import (
     DegenerateBounds,
@@ -282,8 +284,9 @@ class TestRefine:
     def test_start_outside_the_hypotheses_is_refused(self):
         # The transpose is positive, not 2-positive: the compression C' of
         # this start has an eigenvalue near -0.772, outside [m, M] = [1, 100].
-        a = instances.gen_operator(3, 4, 1.0, 100.0)
-        x, y = instances.gen_isometry_pair(4, 4, 2)
+        a = instances.operator_stack(iter([rng_from(3)]), 1, 4, 1.0, 100.0)[0]
+        u = haar_frames(rng_from(4).standard_normal((2, 4, 4)))
+        x, y = u[:, :2], u[:, 2:4]
         start = instances.Instance(a, 1.0, 100.0, x, y, transpose_map(2), seed=0)
         cfg = search.SearchConfig(M=100.0, trials=1, refine_steps=400, seed=6)
         with pytest.raises(PreconditionViolated, match=r"spectrum \[-0\.77\d*, \S+\] escapes"):
