@@ -415,7 +415,8 @@ def instance_checks_stack(
 
 def compressed_products(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """(S, T) with S = Phi(X*AY) Phi(Y*AY)^{-1} Phi(Y*AX) and T = Phi(X*AX),
-    both symmetrized.  S is PSD because the map preserves adjoints."""
+    both symmetrized, read off the compression C' (``stacked.compression_stack``).
+    S is PSD because the map preserves adjoints."""
     s, t, _, errors = instance_products(inst)
     if errors:
         raise errors[0]
@@ -450,25 +451,21 @@ def _one(seed: int) -> np.ndarray:
 def lemma_block_draws(rngs, lanes: int, dim: int, variants: np.ndarray) -> tuple:
     """lemma_block_case for `lanes` generators of `rngs`: a random matrix
     X per lane plus a threshold chosen to exercise both sides of the
-    boundary, including t = ||X|| +/- 1e-6.  Returns (X, t, gram_eig(X))."""
+    boundary, including t = ||X|| +/- 1e-6.  Returns (X, t)."""
     x = complex_draws(lane_draws(rngs, lanes, (2, dim, dim))[0]) / math.sqrt(dim)
-    gram = gram_eig(x)
-    x_norm = sqrt_top(gram.eigenvalues)
+    x_norm = sqrt_top(gram_eig(x).eigenvalues)
     t = np.choose(np.asarray(variants) % 4, [x_norm + 1e-6, np.maximum(x_norm - 1e-6, 0.0),
                                              0.5 * x_norm, 1.5 * x_norm])
-    return x, t, gram
+    return x, t
 
 
-def block_equivalence_stack(
-    x: np.ndarray, t: np.ndarray, tol: float = DEFAULT_TOL, gram: Optional[EigDecomp] = None
-) -> LaneChecks:
+def block_equivalence_stack(x: np.ndarray, t: np.ndarray, tol: float = DEFAULT_TOL) -> LaneChecks:
     """Evaluate |X| <= tI, ||X|| <= t, and [[tI, X], [X*, tI]] >= 0 by three
     separate routes; passes when all three verdicts agree.  The margin is the
-    distance |t - ||X||| from the boundary where they could split.  `gram`
-    is gram_eig(X) when the caller has it."""
+    distance |t - ||X||| from the boundary where they could split."""
     b, dim = x.shape[0], x.shape[-1]
     errors = LaneErrors(b)
-    gram_w, gram_v = gram_eig(x) if gram is None else gram
+    gram_w, gram_v = gram_eig(x)
     x_norm = sqrt_top(gram_w)
     flag_psd(errors, gram_w)
     abs_top = herm_eig_stack(stack_pow(clamp_psd(gram_w), gram_v, 0.5, errors.bad)).eigenvalues
@@ -491,8 +488,7 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     """gen_square_order_pair for 2 * `lanes` generators of `rngs` (every
     lane's B generator, then every lane's P generator): (A, B) with
     0 <= A <= B and spectrum(B) in [m, M], where B is a random bounded
-    operator and A = B - sP for a random PSD P scaled to keep A PSD.
-    Returns (A, B, B's eigenvalues)."""
+    operator and A = B - sP for a random PSD P scaled to keep A PSD."""
     b = operator_stack(rngs, lanes, dim, m, M)
     g_p, frac = lane_draws(rngs, lanes, (2, dim, dim), 1)
     g = complex_draws(g_p)
@@ -500,18 +496,15 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     top = herm_eig_stack(psd).eigenvalues[:, -1]
     wb = herm_eig_stack(b).eigenvalues
     shrink = np.where(top > 0.0, frac[:, 0] * wb[:, 0] / np.where(top > 0.0, top, 1.0), 0.0)
-    return hermitian_part(b - shrink[:, np.newaxis, np.newaxis] * psd), b, wb
+    return hermitian_part(b - shrink[:, np.newaxis, np.newaxis] * psd), b
 
 
-def square_order_stack(
-    a, b, m: float, M: float, tol: float = DEFAULT_TOL, wb: Optional[np.ndarray] = None
-) -> LaneChecks:
+def square_order_stack(a, b, m: float, M: float, tol: float = DEFAULT_TOL) -> LaneChecks:
     """Given 0 <= A <= B with spectrum(B) inside [m, M], certify the
-    Kantorovich-type squared comparison A^2 <= ((M+m)^2 / 4Mm) B^2.  `wb`
-    is B's eigenvalues when the caller has them."""
+    Kantorovich-type squared comparison A^2 <= ((M+m)^2 / 4Mm) B^2."""
     errors = LaneErrors(len(a))
     wa = herm_eig_stack(a).eigenvalues
-    wb = herm_eig_stack(b).eigenvalues if wb is None else wb
+    wb = herm_eig_stack(b).eigenvalues
     thr = tol * _scale(top_abs(wa), top_abs(wb))
     errors.flag(wa[:, 0] < -thr,
                 lambda i: PreconditionViolated(f"A has negative eigenvalue {wa[i, 0]:g}"))
@@ -606,10 +599,8 @@ def lemma_checks_stack(
     every lane's variant, on stacks drawn from `rngs`: the trial seeds'
     generators when `rngs` are seeded with lemma_seeds."""
     b = len(variants)
-    x, t, gram = lemma_block_draws(rngs, b, dim, variants)
-    lanes = block_equivalence_stack(x, t, tol, gram)
-    sq_a, sq_b, sq_wb = square_order_draws(rngs, b, dim, m, M)
-    lanes.extend(square_order_stack(sq_a, sq_b, m, M, tol, sq_wb))
+    lanes = block_equivalence_stack(*lemma_block_draws(rngs, b, dim, variants), tol)
+    lanes.extend(square_order_stack(*square_order_draws(rngs, b, dim, m, M), m, M, tol))
     lanes.extend(anticommutator_stack(*psd_pair_draws(rngs, b, dim), tol))
     lanes.extend(scalar_wielandt_stack(*wielandt_draws(rngs, b, ambient, m, M), m, M, tol))
     return lanes
@@ -634,15 +625,15 @@ def run_lemma_trial(
 
 def lemma_block_case(seed: int, dim: int, variant: int) -> tuple[np.ndarray, float]:
     """lemma_block_draws for one seed."""
-    x, t, _ = lemma_block_draws(rngs_from(_one(seed)), 1, dim, [variant])
+    x, t = lemma_block_draws(rngs_from(_one(seed)), 1, dim, [variant])
     return x[0], float(t[0])
 
 
 def gen_square_order_pair(seed: int, dim: int, m: float, M: float) -> tuple[np.ndarray, np.ndarray]:
     """square_order_draws for one seed."""
     m, M = check_bounds(m, M)
-    a, b, _ = square_order_draws(rngs_from(mix_seeds(seed, (TAG_SQUARE_B, TAG_SQUARE_P))),
-                                 1, dim, m, M)
+    a, b = square_order_draws(rngs_from(mix_seeds(seed, (TAG_SQUARE_B, TAG_SQUARE_P))),
+                              1, dim, m, M)
     return a[0], b[0]
 
 

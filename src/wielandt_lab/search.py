@@ -8,7 +8,8 @@ respective bound.  Sampling is deterministic in the seed and partitions over
 workers by trial index; refinement is a sequential step-shrinking local ascent
 on the 2d x 2d compression C' of the best sample (see refine).
 
-Every objective value comes from one stacked kernel (``_objective_stack``).
+Every objective value comes from one stacked kernel (``_objective_stack``)
+on the S and T that ``stacked.products_stack`` reads off a compression C'.
 The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
 and scores each block on stacked ``(B, n, n)`` arrays drawn by
 ``draw_instances``, the sampler ``gen_instance`` runs on a stack of one;
@@ -51,7 +52,7 @@ from .instances import (
     instance_seeds,
     instance_to_json,
 )
-from .maps import IdentityMap, map_stack
+from .maps import IdentityMap
 from .matcore import (
     LaneErrors,
     adj,
@@ -81,6 +82,7 @@ from .stacked import (
     flag_gamma,
     flag_spectrum,
     gamma_stack,
+    instance_compression,
     instance_products,
     products_stack,
 )
@@ -301,10 +303,7 @@ class _RefineState(NamedTuple):
 def _start_state(inst: Instance) -> _RefineState:
     """The compression C' of `inst` (see refine) as a one-lane state; raises
     PreconditionViolated when its spectrum escapes [m, M]."""
-    n, d = inst.rank, inst.phi.out_dim
-    frames = np.hstack([inst.x, inst.y])
-    blocks = (adj(frames) @ inst.a @ frames).reshape(2, n, 2, n).swapaxes(1, 2)
-    w, v = herm_eig(map_stack(inst.phi)(blocks).swapaxes(1, 2).reshape(2 * d, 2 * d))
+    w, v = herm_eig(instance_compression(inst)[0])
     errors = LaneErrors(1)
     flag_spectrum(errors, w[np.newaxis], inst.m, inst.M)
     if errors:
@@ -313,16 +312,13 @@ def _start_state(inst: Instance) -> _RefineState:
     return _RefineState(lam[np.newaxis], v[np.newaxis])
 
 
-def _witness_frames(size: int) -> tuple:
-    """X = [I; 0], Y = [0; I] and the identity map of a size x size C."""
-    unit = np.eye(size, dtype=np.complex128)
-    return unit[:, : size // 2].copy(), unit[:, size // 2 :].copy(), IdentityMap(size // 2)
-
-
 def _lane_instance(start: Instance, state: _RefineState) -> Instance:
-    """The instance of one-lane `state` refined from `start`."""
+    """The identity-map instance (C, [I;0], [0;I]) of one-lane `state`
+    refined from `start`."""
+    d = state.lam.shape[1] // 2
     return Instance(from_eig(state.lam[0], state.basis[0]), start.m, start.M,
-                    *_witness_frames(state.lam.shape[1]), seed=start.seed)
+                    np.eye(2 * d, d, dtype=np.complex128),
+                    np.eye(2 * d, d, -d, dtype=np.complex128), IdentityMap(d), seed=start.seed)
 
 
 def _ladder(cfg: SearchConfig, start: Instance, state: _RefineState, draws: np.ndarray,
@@ -339,9 +335,8 @@ def _ladder(cfg: SearchConfig, start: Instance, state: _RefineState, draws: np.n
     lam[:, 1:-1] = np.clip(state.lam[:, 1:-1] + move, start.m, start.M)
     turns = _small_unitaries(draws[:, size - 2 :].reshape(lanes, 2, size, size), steps)
     basis = qr_positive(state.basis @ turns)
-    x, y, phi = _witness_frames(size)
     errors = LaneErrors(lanes)
-    s, _, t_eig = products_stack(from_eig(lam, basis), x, y, map_stack(phi), errors)
+    s, _, t_eig = products_stack(from_eig(lam, basis), errors)
     values = _objective_stack(cfg.objective, cfg.p, start.m, start.M, s, t_eig, errors)
     return _RefineState(lam, basis), values, errors
 
@@ -351,13 +346,9 @@ def _small_unitaries(draws: np.ndarray, steps: np.ndarray) -> np.ndarray:
     lane's complex Gaussian from `draws` (L, 2, d, d): real then imaginary
     block, as complex_gaussian draws them."""
     g = hermitian_part(complex_draws(draws))
-    # ||G||_F as np.linalg.norm takes it on one matrix: BLAS dot products of
-    # the strided real and imaginary parts (a norm over axes sums otherwise)
-    flat = g.reshape(len(g), 1, -1)
-    sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
-    norms = np.sqrt(sq[:, 0, 0])
+    norms = np.linalg.norm(g, axis=(-2, -1))
     g = g / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
-    w, v = np.linalg.eigh(g)  # LAPACK at every size: the 2x2 closed form has other bits
+    w, v = herm_eig_stack(g)
     return (v * np.exp(1j * steps[:, np.newaxis] * w)[:, np.newaxis, :]) @ adj(v)
 
 
@@ -380,12 +371,13 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     and counts in refine_errors.
 
     Every objective sees (A, X, Y, Phi) only through the d x d blocks
-    Phi(X*AX), Phi(X*AY), Phi(Y*AX) and Phi(Y*AY) of C', so each state is
-    scored, and the improved witness returned, as the identity-map instance
-    (C, [I;0], [0;I]) of shape (2d, d, d).  For a unital 2-positive Phi,
-    id_2 (x) Phi keeps [X Y]*(A - m)[X Y] and [X Y]*(M - A)[X Y] PSD, so
-    m <= C' <= M; a start whose C' escapes [m, M] by more than flag_gamma's
-    spread raises PreconditionViolated.
+    Phi(X*AX), Phi(X*AY), Phi(Y*AX) and Phi(Y*AY) of C'
+    (``stacked.compression_stack``), so ``products_stack`` scores each state
+    C as a C', and the improved witness is the identity-map instance
+    (C, [I;0], [0;I]) of shape (2d, d, d), whose C' is C.  For a unital
+    2-positive Phi, id_2 (x) Phi keeps [X Y]*(A - m)[X Y] and
+    [X Y]*(M - A)[X Y] PSD, so m <= C' <= M; a start whose C' escapes
+    [m, M] by more than flag_gamma's spread raises PreconditionViolated.
 
     Each proposal draws one row of standard normals: the 2d - 2 interior
     eigenvalues, then the real and imaginary Gaussians of the turn's

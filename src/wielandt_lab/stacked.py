@@ -1,6 +1,8 @@
 """Stacked kernels shared by ``search`` and ``verify``: many trials evaluated
 at once on ``(B, n, n)`` arrays.  They are the only implementation of the
-compressed products S and T and of Gamma; a single instance is a stack of one
+compression ``C' = (id_2 (x) Phi)([X Y]* A [X Y])`` (``compression_stack``),
+the one way an instance reaches the kernels, of the compressed products S
+and T read off it, and of Gamma; a single instance is a stack of one
 (``instance_products``).  The map acts on stacks through ``maps.map_stack``.
 
 A block of trials draws its instances with ``instances.draw_instances`` from
@@ -42,19 +44,29 @@ from .matcore import (
 )
 
 
-def products_stack(a, x, y, phi, errors: LaneErrors) -> tuple:
-    """compressed_products per lane: S = Phi(X*AY) Phi(Y*AY)^{-1} Phi(Y*AX)
-    and T = Phi(X*AX), both symmetrized, with `phi` acting on stacks.
-    Returns (S, T, T's eigendecomposition); flags lanes whose Phi(Y*AY) is
-    singular."""
+def compression_stack(a, x, y, phi) -> np.ndarray:
+    """C' = (id_2 (x) Phi)([X Y]* A [X Y]) per lane, as a (B, 2d, 2d) stack:
+    X*A and Y*A are formed once each, and `phi`, acting on (B, n, n) stacks,
+    maps the blocks X*AX, X*AY, Y*AX and Y*AY that fill C' densely."""
     xa, ya = adj(x) @ a, adj(y) @ a
-    bxy = phi(xa @ y)
-    byx = phi(ya @ x)
-    c_w, c_v = herm_eig_stack(hermitian_part(phi(ya @ y)))
-    t = hermitian_part(phi(xa @ x))
+    blocks = phi(xa @ x), phi(xa @ y), phi(ya @ x), phi(ya @ y)
+    lanes, d, _ = blocks[0].shape
+    c = np.empty((lanes, 2 * d, 2 * d), dtype=np.complex128)
+    c[:, :d, :d], c[:, :d, d:], c[:, d:, :d], c[:, d:, d:] = blocks
+    return c
+
+
+def products_stack(c: np.ndarray, errors: LaneErrors) -> tuple:
+    """compressed_products per lane of C' (see compression_stack):
+    S = C'_xy C'_yy^{-1} C'_yx and T = C'_xx, both symmetrized.  Returns
+    (S, T, T's eigendecomposition); flags lanes whose C'_yy = Phi(Y*AY) is
+    singular."""
+    d = c.shape[-1] // 2
+    c_w, c_v = herm_eig_stack(hermitian_part(c[:, d:, d:]))
+    t = hermitian_part(c[:, :d, :d])
     t_eig = herm_eig_stack(t)
     flag_pd(errors, c_w)
-    s = hermitian_part(bxy @ stack_pow(c_w, c_v, -1.0, errors.bad) @ byx)
+    s = hermitian_part(c[:, :d, d:] @ stack_pow(c_w, c_v, -1.0, errors.bad) @ c[:, d:, :d])
     return s, t, t_eig
 
 
@@ -67,16 +79,22 @@ def compressed_products_stack(
     a, x, y, w = draw_instances(rngs, lanes, ambient, rank, out_dim, ancilla, m, M)
     errors = LaneErrors(lanes)
     flag_isometry(errors, w, "Stinespring isometry")
-    return (*products_stack(a, x, y, stinespring_stack(w, ancilla), errors), errors)
+    c = compression_stack(a, x, y, stinespring_stack(w, ancilla))
+    return (*products_stack(c, errors), errors)
+
+
+def instance_compression(inst: Instance) -> np.ndarray:
+    """compression_stack of one instance, as a stack of one."""
+    a = hermitian_part(as_cmatrix(inst.a, square=True))
+    return compression_stack(a[np.newaxis], inst.x[np.newaxis], inst.y[np.newaxis],
+                             map_stack(inst.phi))
 
 
 def instance_products(inst: Instance) -> tuple:
     """products_stack of one instance, as a stack of one.  Returns (S, T,
     T's eigendecomposition, errors)."""
-    a = hermitian_part(as_cmatrix(inst.a, square=True))
     errors = LaneErrors(1)
-    return (*products_stack(a[np.newaxis], inst.x[np.newaxis], inst.y[np.newaxis],
-                            map_stack(inst.phi), errors), errors)
+    return (*products_stack(instance_compression(inst), errors), errors)
 
 
 def flag_gamma(

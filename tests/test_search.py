@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, cli, instances, maps, search
+from wielandt_lab import bounds, cli, instances, maps, search, stacked
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import (
     BLOCK_SIZE, complex_gaussian, haar_frames, mix_seed, qr_positive, rng_from,
@@ -221,6 +221,10 @@ class TestCompressionIdentity:
             inst = instances.gen_instance(seed, *dims, 1.0, M)
             twin = _identity_twin(inst)
             assert twin.a.shape == (2 * dims[2],) * 2
+            phi = maps.stinespring_stack(inst.phi.w[np.newaxis], inst.phi.ancilla)
+            c = stacked.compression_stack(inst.a[np.newaxis], inst.x[np.newaxis],
+                                          inst.y[np.newaxis], phi)[0]
+            assert np.abs(c - twin.a).max() <= 1e-13 * np.abs(twin.a).max()
             w = np.linalg.eigvalsh(twin.a)
             assert 1.0 - 1e-12 * M <= w[0] and w[-1] <= M * (1 + 1e-12)
             for objective, p in ALL_OBJECTIVES:
@@ -447,11 +451,11 @@ def _small_unitary(rng, dim, step):
     """exp(i * step * G) for a random Hermitian generator G with unit scale,
     one matrix at a time."""
     g = hermitian_part(complex_gaussian(rng, dim, dim))
-    norm = float(np.linalg.norm(g))
+    norm = float(np.linalg.norm(g, axis=(-2, -1)))
     if norm > 0.0:
         g = g / norm
-    w, v = np.linalg.eigh(g)
-    return (v * np.exp(1j * step * w)) @ v.conj().T
+    w, v = herm_eig_stack(g[np.newaxis])
+    return (v[0] * np.exp(1j * step * w[0])) @ v[0].conj().T
 
 
 def _perturbed(start, state, rng, step):
@@ -535,11 +539,11 @@ class TestRefinePin:
     catch a change in how a state becomes an instance."""
 
     @pytest.mark.parametrize("case, digest", zip(_LADDER_CASES, [
-        "79eb28ad87ab7c4d14ba3ed27845ccd43aed685966ac3832e34ea77c47ad7c32",
-        "ef1ad9c1882fda017aa3463237891b7a396b26e5aabeae91c1aa1bb3165dfcf9",
+        "e4f7a603da61c985d0cf7cec8d7ec84b4b62444c422328ac6d65b13cbe91152e",
+        "7da2432e7f203f54ad4c861ad61fc557addae6850faab9118c681f1fd9dbdf0e",
         "0abca5b96df4f349c384261607a904d23447c72bf3dbc16e51a7de5bc9e09e43",
-        "d4c7885652fd1c81d9dfe272752f5a47b1d45f1ce2a8fff85fe1a272d3292132",
-        "4cec5a972e0b1d45f8d0b5bcb6b10170059d4694a76b98a9de7b94afcf8f20f5",
+        "459478c7c72ee97c30ced3b040e1545059a6812b7a88b382916a72f46c8489b7",
+        "0a535544198308fc6ca1dc5c8370211bb460b46693a0384ceba9d8d0377d75cd",
     ]), ids=_LADDER_IDS)
     def test_record_digest(self, case, digest):
         start, cfg, _ = case
@@ -557,7 +561,7 @@ class TestRefinePin:
         assert report["trace"][-1][:2] == ["refine", 43]
         body = re.sub(rb'^\s*"(started_at|finished_at)": .*\n', b"", raw, flags=re.MULTILINE)
         assert hashlib.sha256(body).hexdigest() == (
-            "680415a01ac3cdac2caaa81a121a6659fb46f99ff7acfc565c2890109acb6a36")
+            "57f54c4e35427b7dddca24dac51e51f7f09259e1c56165cb842ce239c74c89d6")
 
 
 class TestGammaStack:
