@@ -307,6 +307,24 @@ class TestReplayability:
         again = search.conjecture_ratio(inst)
         assert again == pytest.approx(rec.best_value, abs=1e-12)
 
+    @pytest.mark.parametrize("objective,p,dims", [
+        ("conjecture", None, (4, 2, 2, 2)),
+        ("conjecture", None, (8, 4, 4, 2)),
+        ("tightness_thm2", 2.0, (5, 2, 3, 2)),
+    ])
+    def test_block_values_replay_bit_for_bit(self, objective, p, dims):
+        # A witness is the trial rebuilt through its JSON; its value must be
+        # the one the sampled block scored, to the last bit.
+        cfg = _cfg(objective, dims, p, m=1.0, M=100.0, seed=11)
+        cfg.validate()
+        indices = range(1, 44)
+        values, errors = search._block_values(cfg, indices)
+        assert not errors
+        for lane, index in enumerate(indices):
+            inst = instances.instance_from_json(
+                instances.instance_to_json(search._trial_instance(cfg, index)))
+            assert values[lane] == search.objective_value(cfg, inst), index
+
     def test_worker_count_independent_with_general_eigensolves(self, pool_ranges):
         # Rank 4 at M/m = 100: every sampled eigensolve is a LAPACK call,
         # run inside forked pool workers at workers=2, then refined.
