@@ -415,8 +415,10 @@ def instance_checks_stack(
 
 def compressed_products(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """(S, T) with S = Phi(X*AY) Phi(Y*AY)^{-1} Phi(Y*AX) and T = Phi(X*AX),
-    both symmetrized, read off the compression C' (``stacked.compression_stack``).
-    S is PSD because the map preserves adjoints."""
+    both symmetrized, read off the compression C' (``stacked.compression_stack``,
+    one product Z*AZ mapped whole by id_2 (x) Phi).  S is PSD because the map
+    preserves adjoints: ``stacked.products_stack`` reads it as B* diag(1/w) B,
+    B = V* Phi(Y*AX) and Phi(Y*AY) = V diag(w) V*."""
     s, t, _, errors = instance_products(inst)
     if errors:
         raise errors[0]

@@ -14,9 +14,17 @@ by construction; no command reads a user-supplied map yet.
 The isometry guard and each map's action are written once, for stacks:
 ``flag_isometry`` records a ValueError for each lane whose frame does not have
 orthonormal columns, and ``map_stack`` gives a map's action on stacks
-``(B, n, n)`` of inputs (``stinespring_stack`` for a stack of isometries).
-``check_isometry`` and the maps' ``apply`` run them on one matrix.  The shape
-rule of an instance's dimensions is ``check_dims``.
+``(B, n, n)`` of inputs.  A Stinespring action is evaluated in Kraus form
+(``stinespring_stack``, which also takes a stack of isometries): T times the
+Kraus operators side by side, contracted with W*, so T (x) I_k is never
+built.  ``check_isometry`` and the maps' ``apply`` run them on one matrix.
+
+The compression reads a map through id_2 (x) Phi, which acts on 2n x 2n
+matrices block by block (``lift_stack``).  For a Stinespring map W it is the
+Stinespring map of I_2 (x) W with the same ancilla (``stinespring_lift``), so
+a whole 2n x 2n stack is mapped in one Kraus-form pass; the identity lifts to
+the identity, and a linear action is applied to the four n x n blocks.  The
+shape rule of an instance's dimensions is ``check_dims``.
 """
 
 from __future__ import annotations
@@ -60,21 +68,20 @@ def check_isometry(v: np.ndarray, what: str) -> None:
         raise errors[0]
 
 
-def tensor_identity(t: np.ndarray, k: int) -> np.ndarray:
-    """T (x) I_k, filled block-diagonally; stacks (..., n, n) act per matrix.
-    Entry (i*k + a, j*k + a) is T[i, j]; every other entry is zero."""
-    *lead, n, _ = t.shape
-    big = np.zeros((*lead, n, k, n, k), dtype=np.complex128)
-    for a in range(k):
-        big[..., :, a, :, a] = t
-    return big.reshape(*lead, n * k, n * k)
-
-
 def stinespring_stack(w: np.ndarray, k: int):
     """The map T -> W*(T (x) I_k)W on stacks of T, for one isometry W or a
-    stack of them."""
-    wh = adj(w)
-    return lambda t: wh @ tensor_identity(t, k) @ w
+    stack of them, in Kraus form: K_a is rows a::k of W and the map is
+    sum_a K_a* T K_a.  T times every K_a at once is T times W's rows regrouped
+    as n x kd; regrouped back as nk x d, W* contracts it, so T (x) I_k is
+    never built."""
+    *lead, nk, d = w.shape
+    wh, kraus = adj(w), w.reshape(*lead, nk // k, k * d)
+
+    def act(t):
+        tk = t @ kraus
+        return wh @ tk.reshape(*tk.shape[:-2], nk, d)
+
+    return act
 
 
 def linear_stack(matrix: np.ndarray):
@@ -176,15 +183,42 @@ class LinearActionMap(PositiveMap):
 
 
 def map_stack(phi: PositiveMap):
-    """`phi` acting on stacks of inputs, unchecked: the identity through the
-    isometry I_n."""
+    """`phi` acting on stacks of inputs, unchecked."""
     if isinstance(phi, IdentityMap):
-        return stinespring_stack(np.eye(phi.dim, dtype=np.complex128), 1)
+        return lambda t: t
     if isinstance(phi, StinespringMap):
         return stinespring_stack(phi.w, phi.ancilla)
     if isinstance(phi, LinearActionMap):
         return linear_stack(phi.matrix)
     raise TypeError(f"unknown map type {type(phi)!r}")
+
+
+def stinespring_lift(w: np.ndarray, k: int):
+    """id_2 (x) (T -> W*(T (x) I_k)W) on stacks of 2n x 2n matrices, for one
+    isometry W or a (B, nk, d) stack: the Stinespring map of I_2 (x) W (W in
+    both diagonal blocks, zeros elsewhere), whose ancilla is still k."""
+    *lead, nk, d = w.shape
+    lifted = np.zeros((*lead, 2 * nk, 2 * d), dtype=np.complex128)
+    lifted[..., :nk, :d] = lifted[..., nk:, d:] = w
+    return stinespring_stack(lifted, k)
+
+
+def lift_stack(phi: PositiveMap):
+    """id_2 (x) `phi` acting on stacks (B, 2n, 2n), unchecked: a Stinespring
+    map through ``stinespring_lift``, any other map as `phi` on each of the
+    four n x n blocks."""
+    if isinstance(phi, StinespringMap):
+        return stinespring_lift(phi.w, phi.ancilla)
+    act = map_stack(phi)
+
+    def lifted(c):
+        *lead, size, _ = c.shape
+        half = size // 2
+        out = act(c.reshape(*lead, 2, half, 2, half).swapaxes(-3, -2))
+        d = out.shape[-1]
+        return out.swapaxes(-3, -2).reshape(*lead, 2 * d, 2 * d)
+
+    return lifted
 
 
 def random_unital_cp(seed: int, n: int, d: int, k: int) -> StinespringMap:

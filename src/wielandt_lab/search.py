@@ -14,7 +14,8 @@ The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
 and scores each block on stacked ``(B, n, n)`` arrays drawn by
 ``draw_instances``, the sampler ``gen_instance`` runs on a stack of one;
 trial 0 (the closed-form equality template) and the refinement's start are
-stacks of one (``objective_value``).
+stacks of one (``_one_value``); the start is scored on the C' its state is
+built from.
 Each worker returns only the values of its trials; ``random_search`` builds
 the trace from them and rebuilds the one best trial as an ``Instance``, the
 witness.  Refinement keeps one state type, ``_RefineState``, lane axis first:
@@ -64,7 +65,6 @@ from .matcore import (
     herm_eig_stack,
     hermitian_part,
     sqrt_top,
-    stack_pow,
     top_abs,
 )
 from .sampling import (
@@ -83,7 +83,6 @@ from .stacked import (
     flag_spectrum,
     gamma_stack,
     instance_compression,
-    instance_products,
     products_stack,
 )
 
@@ -107,8 +106,10 @@ def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) ->
     ``stacked.products_stack``); flags the lanes whose one-instance
     evaluation raises."""
     if objective == "conjecture":
+        # ||S T^-1|| = ||S V diag(1/t) V*|| = ||(S V) diag(1/t)||, T = V diag(t) V*
         flag_pd(errors, t_eig.eigenvalues)
-        g = s @ stack_pow(*t_eig, -1.0, errors.bad)
+        t_w, t_v = t_eig
+        g = (s @ t_v) / np.where(errors.bad[:, np.newaxis], 1.0, t_w)[:, np.newaxis, :]
         return sqrt_top(gram_eig(g).eigenvalues) / wielandt_factor(m, M)
     _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad,
                        (check_exponent(p),))
@@ -116,20 +117,30 @@ def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) ->
     return top_abs(half_sym) / _BOUND_FNS[objective](m, M, p)
 
 
-def _instance_value(objective: str, p, inst: Instance) -> float:
-    s, _, t_eig, errors = instance_products(inst)
-    value = _objective_stack(objective, p, inst.m, inst.M, s, t_eig, errors)[0]
+def _compression_values(objective: str, p, m: float, M: float, c: np.ndarray) -> tuple:
+    """`objective` on every lane of a stack of compressions C' (see
+    ``stacked.compression_stack``), and the LaneErrors of the lanes whose
+    one-instance evaluation raises."""
+    errors = LaneErrors(len(c))
+    s, _, t_eig = products_stack(c, errors)
+    return _objective_stack(objective, p, m, M, s, t_eig, errors), errors
+
+
+def _one_value(objective: str, p, m: float, M: float, c: np.ndarray) -> float:
+    """_compression_values of a stack of one C'; raises its lane's error,
+    or DegenerateBounds for the conjecture at m = M."""
+    if objective == "conjecture" and M == m:
+        raise DegenerateBounds("ratio undefined for m == M")
+    values, errors = _compression_values(objective, p, m, M, c)
     if errors:
         raise errors[0]
-    return float(value)
+    return float(values[0])
 
 
 def conjecture_ratio(inst: Instance) -> float:
     """||S T^{-1}|| divided by ((M-m)/(M+m))^2; 1.0 at the extremal instance,
     values above 1 + tol would contradict the conjectured norm bound."""
-    if inst.M == inst.m:
-        raise DegenerateBounds("ratio undefined for m == M")
-    return _instance_value("conjecture", None, inst)
+    return _one_value("conjecture", None, inst.m, inst.M, instance_compression(inst))
 
 
 @dataclass
@@ -183,9 +194,7 @@ _BOUND_FNS = {
 
 def objective_value(cfg: SearchConfig, inst: Instance) -> float:
     """Evaluate the configured objective on one instance."""
-    if cfg.objective == "conjecture":
-        return conjecture_ratio(inst)
-    return _instance_value(cfg.objective, cfg.p, inst)
+    return _one_value(cfg.objective, cfg.p, inst.m, inst.M, instance_compression(inst))
 
 
 @dataclass
@@ -300,16 +309,18 @@ class _RefineState(NamedTuple):
         return _RefineState(self.lam[i : i + 1], self.basis[i : i + 1])
 
 
-def _start_state(inst: Instance) -> _RefineState:
-    """The compression C' of `inst` (see refine) as a one-lane state; raises
-    PreconditionViolated when its spectrum escapes [m, M]."""
-    w, v = herm_eig(instance_compression(inst)[0])
+def _start_state(inst: Instance) -> tuple:
+    """The compression C' of `inst` (see refine), as a stack of one, and C'
+    as a one-lane state; raises PreconditionViolated when its spectrum
+    escapes [m, M]."""
+    c = instance_compression(inst)
+    w, v = herm_eig(c[0])
     errors = LaneErrors(1)
     flag_spectrum(errors, w[np.newaxis], inst.m, inst.M)
     if errors:
         raise errors[0]
     lam = np.concatenate([[inst.m], w[1:-1], [inst.M]])
-    return _RefineState(lam[np.newaxis], v[np.newaxis])
+    return c, _RefineState(lam[np.newaxis], v[np.newaxis])
 
 
 def _lane_instance(start: Instance, state: _RefineState) -> Instance:
@@ -335,9 +346,8 @@ def _ladder(cfg: SearchConfig, start: Instance, state: _RefineState, draws: np.n
     lam[:, 1:-1] = np.clip(state.lam[:, 1:-1] + move, start.m, start.M)
     turns = _small_unitaries(draws[:, size - 2 :].reshape(lanes, 2, size, size), steps)
     basis = qr_positive(state.basis @ turns)
-    errors = LaneErrors(lanes)
-    s, _, t_eig = products_stack(from_eig(lam, basis), errors)
-    values = _objective_stack(cfg.objective, cfg.p, start.m, start.M, s, t_eig, errors)
+    values, errors = _compression_values(cfg.objective, cfg.p, start.m, start.M,
+                                         from_eig(lam, basis))
     return _RefineState(lam, basis), values, errors
 
 
@@ -391,10 +401,10 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     are rejected."""
     cfg.validate()
     rng = rng_from(mix_seed(cfg.seed, "refine"))
-    state = _start_state(start)
+    c, state = _start_state(start)
     size = state.lam.shape[1]
     queue = np.empty((0, size - 2 + 2 * size * size))  # drawn, not yet proposed
-    best_value = objective_value(cfg, start)
+    best_value = _one_value(cfg.objective, cfg.p, start.m, start.M, c)
     trace = [("refine", 0, best_value)]
     step = _INITIAL_STEP
     done = 0

@@ -3,7 +3,10 @@ at once on ``(B, n, n)`` arrays.  They are the only implementation of the
 compression ``C' = (id_2 (x) Phi)([X Y]* A [X Y])`` (``compression_stack``),
 the one way an instance reaches the kernels, of the compressed products S
 and T read off it, and of Gamma; a single instance is a stack of one
-(``instance_products``).  The map acts on stacks through ``maps.map_stack``.
+(``instance_products``).  C' is one product ``Z* A Z``, Z = [X Y], mapped
+whole by id_2 (x) Phi (``maps.lift_stack``; a sampled block's Stinespring
+maps through ``maps.stinespring_lift``), and S is read off it without
+inverting ``C'_yy``: a sampled conjecture lane takes eight stacked matmuls.
 
 A block of trials draws its instances with ``instances.draw_instances`` from
 the generators its caller seeds in one vectorized pass (``sampling.rngs_from``
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .instances import Instance, draw_instances
-from .maps import flag_isometry, map_stack, stinespring_stack
+from .maps import flag_isometry, lift_stack, stinespring_lift
 from .matcore import (
     EigDecomp,
     LaneErrors,
@@ -39,35 +42,33 @@ from .matcore import (
     flag_psd,
     herm_eig_stack,
     hermitian_part,
-    stack_pow,
     stack_pows,
 )
 
 
-def compression_stack(a, x, y, phi) -> np.ndarray:
-    """C' = (id_2 (x) Phi)([X Y]* A [X Y]) per lane, as a (B, 2d, 2d) stack:
-    X*A and Y*A are formed once each, and `phi`, acting on (B, n, n) stacks,
-    maps the blocks X*AX, X*AY, Y*AX and Y*AY that fill C' densely."""
-    xa, ya = adj(x) @ a, adj(y) @ a
-    blocks = phi(xa @ x), phi(xa @ y), phi(ya @ x), phi(ya @ y)
-    lanes, d, _ = blocks[0].shape
-    c = np.empty((lanes, 2 * d, 2 * d), dtype=np.complex128)
-    c[:, :d, :d], c[:, :d, d:], c[:, d:, :d], c[:, d:, d:] = blocks
-    return c
+def compression_stack(a, x, y, lift) -> np.ndarray:
+    """C' = (id_2 (x) Phi)(Z* A Z), Z = [X Y], per lane, as a (B, 2d, 2d)
+    stack: C0 = Z* A Z is one product, and `lift`, id_2 (x) Phi acting on
+    (B, 2n, 2n) stacks (``maps.lift_stack``), maps it whole."""
+    z = np.concatenate((x, y), axis=-1)
+    return lift(adj(z) @ a @ z)
 
 
 def products_stack(c: np.ndarray, errors: LaneErrors) -> tuple:
     """compressed_products per lane of C' (see compression_stack):
-    S = C'_xy C'_yy^{-1} C'_yx and T = C'_xx, both symmetrized.  Returns
-    (S, T, T's eigendecomposition); flags lanes whose C'_yy = Phi(Y*AY) is
-    singular."""
+    S = C'_xy C'_yy^{-1} C'_yx and T = C'_xx, both symmetrized.  S is read as
+    B* diag(1/w) B with B = V* C'_yx, where C'_yy = V diag(w) V*: C' is
+    Hermitian for a map that preserves adjoints, so C'_xy = C'_yx*, and
+    C'_yy^{-1} is never formed.  Returns (S, T, T's eigendecomposition);
+    flags lanes whose C'_yy = Phi(Y*AY) is singular, whose w count as 1."""
     d = c.shape[-1] // 2
     c_w, c_v = herm_eig_stack(hermitian_part(c[:, d:, d:]))
     t = hermitian_part(c[:, :d, :d])
     t_eig = herm_eig_stack(t)
     flag_pd(errors, c_w)
-    s = hermitian_part(c[:, :d, d:] @ stack_pow(c_w, c_v, -1.0, errors.bad) @ c[:, d:, :d])
-    return s, t, t_eig
+    b = adj(c_v) @ c[:, d:, :d]
+    scaled = b / np.where(errors.bad[:, np.newaxis], 1.0, c_w)[..., np.newaxis]
+    return hermitian_part(adj(b) @ scaled), t, t_eig
 
 
 def compressed_products_stack(
@@ -79,7 +80,7 @@ def compressed_products_stack(
     a, x, y, w = draw_instances(rngs, lanes, ambient, rank, out_dim, ancilla, m, M)
     errors = LaneErrors(lanes)
     flag_isometry(errors, w, "Stinespring isometry")
-    c = compression_stack(a, x, y, stinespring_stack(w, ancilla))
+    c = compression_stack(a, x, y, stinespring_lift(w, ancilla))
     return (*products_stack(c, errors), errors)
 
 
@@ -87,7 +88,7 @@ def instance_compression(inst: Instance) -> np.ndarray:
     """compression_stack of one instance, as a stack of one."""
     a = hermitian_part(as_cmatrix(inst.a, square=True))
     return compression_stack(a[np.newaxis], inst.x[np.newaxis], inst.y[np.newaxis],
-                             map_stack(inst.phi))
+                             lift_stack(inst.phi))
 
 
 def instance_products(inst: Instance) -> tuple:

@@ -599,8 +599,8 @@ class TestReportRecord:
     # sha256 of every report value of one trial that emits all 16 check
     # names, lemma variants 0-3 included
     @pytest.mark.parametrize("tol, digest", [
-        (1e-9, "fe15725559c445aa3612de0cabcc537335f506fb02bd86b460a09fc2c2f01424"),
-        (math.nan, "c7569a5da34bd42193aa82b9422f2a993183051b3276f48d40a1b34005f366e3"),
+        (1e-9, "4758e28ef3a6191f50753e5a5cad887a794bcb880227cffdb05b66823d466a3b"),
+        (math.nan, "a53a9b7d18e6c05a4701e200784efbcfeb7f6d3784e2fec5eda6882c41920320"),
     ])
     def test_values_of_every_check(self, tol, digest):
         seed = mix_seed(3, 1)

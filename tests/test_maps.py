@@ -66,22 +66,13 @@ class TestApply:
         expanded = sum(k.conj().T @ t @ k for k in kraus_ops(phi))
         assert np.allclose(direct, expanded, atol=1e-12)
 
-    @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 3)])
-    def test_tensor_identity_equals_kron(self, n, k):
-        t = rand_complex(n * 10 + k, n, n)
-        assert np.array_equal(maps.tensor_identity(t, k), np.kron(t, np.eye(k)))
-        stack = np.stack([rand_complex(100 + i, n, n) for i in range(5)])
-        big = maps.tensor_identity(stack, k)
-        assert big.shape == (5, n * k, n * k)
-        for i in range(5):
-            assert np.array_equal(big[i], np.kron(stack[i], np.eye(k)))
-
     def test_stinespring_apply_bits_match_kron_form(self):
         for n, d, k in [(2, 2, 2), (3, 2, 3), (4, 4, 2)]:
             phi = maps.random_unital_cp(n + d + k, n, d, k)
             t = rand_complex(n, n, n)
             expected = phi.w.conj().T @ np.kron(t, np.eye(k, dtype=np.complex128)) @ phi.w
-            assert np.array_equal(phi.apply(t), expected)
+            # the Kraus form sums the same products in another order
+            assert np.abs(phi.apply(t) - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -160,7 +160,7 @@ class TestStreamPin:
         [
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "100", "--seed", "3"],
-             0, "78e9441f337dc05604c08c88e16d34536a44e61e22011892f9db46ca96709ae0"),
+             0, "802fd7204e6a23e8195000d3cc513c329c8d7802ca9b1271176c158602758d7c"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "300", "--seed", "3"],
              0, "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
@@ -168,7 +168,7 @@ class TestStreamPin:
             # 64-trial blocks.
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
-             0, "a5ba7a3b61f3af0715a45abc32c2ab61e6d8edc37f62772d0fc4dee5a9c672c7"),
+             0, "972bb955c1ad9c4ca08bb2efaaba037408eb5f3528aacdf55766ea11b4aa5f4a"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
              0, "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
@@ -176,15 +176,15 @@ class TestStreamPin:
             # sizes, and the other caller of gamma_stack.
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "50", "--seed", "3"],
-             0, "2c4b37377cb18bda15d85b4ed4830f782990124ca184cfb15f15413ca6fed5be"),
+             0, "53d9e0d1d3863347838ceb2ad806f1eb600942e4d61e5bd88302c9711746f835"),
             (["verify", "--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100",
               "--p", "0.1:6:0.1", "--trials", "50"],
-             0, "d4d83d41275e27ef47c7f01d5c06870a42b30936e2a95801d66e1a8d764112a0"),
+             0, "646735ea4b0000214e5c7f7b228e1dcba540d833c66a7c21d982b10631de46a1"),
             (["verify", "--N", "7", "--n", "3", "--d", "2", "--k", "3", "--M", "50",
               "--p", "0.5,0.75,1.5"],
-             0, "0f487f3e4b8f61eefc9e8c3000ab690b9bdb71c2ba189411e4015439dd4c8928"),
+             0, "1b60cd24eb2821059b78b074f8ae14866d0342bb826886cb50095f20d161b6ae"),
             (["verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"],
-             1, "d724bb981dfc5ca749bf1464b7079217348293bf60779c3a45cef4b28ed4d53e"),
+             1, "3f0e423d193ae654d45bd0ec633bff2c5f403db8a775a81dcfdc528479b203ae"),
             (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
               "--trials", "1100"],
              0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
