@@ -91,6 +91,10 @@ OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3"
 _INITIAL_STEP = 0.1
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-6
+# Smallest gain over the best value, relative to max(1, |best|), that
+# refinement accepts: a smaller one is rounding (the template's value gains
+# one ulp on some proposals), not an ascent.
+_MIN_GAIN = 1e-14
 # Smallest contrast (M-m)/(M+m) times tol a conjecture search accepts: near
 # m = M rounding alone lifts the template's value, capped at exactly 1, by up
 # to 8.4e-16 / contrast, under 0.84 tol here against the threshold 1 + 10 tol.
@@ -375,8 +379,8 @@ def _ladder_steps(step: float, budget: int) -> np.ndarray:
 def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     """Step-shrinking local ascent from `start` on its compression C'
     (``_start_state``): propose a move of C's interior eigenvalues and a small
-    unitary turn of its eigenbasis, accept if it improves the objective,
-    otherwise halve the step; stops below step 1e-6 or when the budget runs
+    unitary turn of its eigenbasis, accept if it improves the objective by
+    more than _MIN_GAIN max(1, |best value|), otherwise halve the step; stops below step 1e-6 or when the budget runs
     out.  A proposal whose evaluation raises a WielandtLabError scores -inf
     and counts in refine_errors.
 
@@ -423,7 +427,7 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
                     raise error
                 value = -math.inf
                 errors += 1
-            if value > best_value:
+            if value - best_value > _MIN_GAIN * max(1.0, abs(best_value)):
                 best_value = value
                 state = proposals.lane(lane)
                 trace.append(("refine", done, value))

@@ -329,6 +329,16 @@ class TestRefine:
         assert rec.best_value == pytest.approx(1.0, abs=1e-9)
         assert rec.best_value <= 1.0 + 1e-9
 
+    def test_rounding_gains_from_the_template_are_not_accepted(self):
+        # frontier-wide's config refines from the template; at 1e-14 relative
+        # no proposal gains more than rounding over its value
+        start = instances.extremal_instance(1.0, 100.0)
+        for seed in range(300):
+            cfg = _cfg("conjecture", (8, 4, 4, 2), m=1.0, M=100.0, tol=1e-9, trials=100,
+                       refine_steps=400, seed=seed)
+            rec = search.refine(start, cfg)
+            assert len(rec.trace) == 1 and rec.best_instance is start, seed
+
     def test_refined_instance_still_valid(self):
         start = instances.gen_instance(21, 4, 2, 2, 2, 1.0, 2.0)
         cfg = search.SearchConfig(
@@ -575,7 +585,7 @@ def sequential_refine(start, cfg):
             value = -math.inf
             errors += 1
         done += 1
-        if value > best_value:
+        if value - best_value > 1e-14 * max(1.0, abs(best_value)):
             best_value, best_instance, state = value, candidate, candidate_state
             trace.append(("refine", i + 1, value))
         else:
