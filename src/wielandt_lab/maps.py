@@ -14,16 +14,12 @@ by construction; no command reads a user-supplied map yet.
 The isometry guard and each map's action are written once, for stacks:
 ``flag_isometry`` records a ValueError for each lane whose frame does not have
 orthonormal columns, and ``map_stack`` gives a map's action on stacks
-``(B, n, n)`` of inputs.  A Stinespring action is evaluated in Kraus form
-(``stinespring_stack``, which also takes a stack of isometries): T times the
-Kraus operators side by side, contracted with W*, so T (x) I_k is never
-built.  ``check_isometry`` and the maps' ``apply`` run them on one matrix.
-
-The compression reads a map through id_2 (x) Phi, which acts on 2n x 2n
-matrices block by block (``lift_stack``).  For a Stinespring map W it is the
-Stinespring map of I_2 (x) W with the same ancilla (``stinespring_lift``), so
-a whole 2n x 2n stack is mapped in one Kraus-form pass; the identity lifts to
-the identity, and a linear action is applied to the four n x n blocks.  The
+``(B, n, n)`` of inputs; a Stinespring action is evaluated in Kraus form
+(``stinespring_stack``).  ``check_isometry`` and the maps' ``apply`` run them
+on one matrix.  The compression reads a map through id_2 (x) Phi on 2n x 2n
+matrices (``lift_stack``): for a Stinespring map W it is the Stinespring map
+of I_2 (x) W with the same ancilla (``stinespring_lift``), one Kraus-form
+pass; the identity and a linear action act on the four n x n blocks.  The
 shape rule of an instance's dimensions is ``check_dims``.
 """
 
@@ -70,18 +66,13 @@ def check_isometry(v: np.ndarray, what: str) -> None:
 
 def stinespring_stack(w: np.ndarray, k: int):
     """The map T -> W*(T (x) I_k)W on stacks of T, for one isometry W or a
-    stack of them, in Kraus form: K_a is rows a::k of W and the map is
-    sum_a K_a* T K_a.  T times every K_a at once is T times W's rows regrouped
-    as n x kd; regrouped back as nk x d, W* contracts it, so T (x) I_k is
-    never built."""
+    stack of them as long as T's, in Kraus form: K_a is rows a::k of W and
+    the map is sum_a K_a* T K_a.  T times every K_a at once is T times W's
+    rows regrouped as n x kd; regrouped back as nk x d, W* contracts it, so
+    T (x) I_k is never built."""
     *lead, nk, d = w.shape
     wh, kraus = adj(w), w.reshape(*lead, nk // k, k * d)
-
-    def act(t):
-        tk = t @ kraus
-        return wh @ tk.reshape(*tk.shape[:-2], nk, d)
-
-    return act
+    return lambda t: wh @ (t @ kraus).reshape(*t.shape[:-2], nk, d)
 
 
 def linear_stack(matrix: np.ndarray):
