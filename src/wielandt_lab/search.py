@@ -380,9 +380,9 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     """Step-shrinking local ascent from `start` on its compression C'
     (``_start_state``): propose a move of C's interior eigenvalues and a small
     unitary turn of its eigenbasis, accept if it improves the objective by
-    more than _MIN_GAIN max(1, |best value|), otherwise halve the step; stops below step 1e-6 or when the budget runs
-    out.  A proposal whose evaluation raises a WielandtLabError scores -inf
-    and counts in refine_errors.
+    more than _MIN_GAIN max(1, |best value|), otherwise halve the step; stops
+    below step 1e-6 or when the budget runs out.  A proposal whose evaluation
+    raises a WielandtLabError scores -inf and counts in refine_errors.
 
     Every objective sees (A, X, Y, Phi) only through the d x d blocks
     Phi(X*AX), Phi(X*AY), Phi(Y*AX) and Phi(Y*AY) of C'

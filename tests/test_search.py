@@ -279,8 +279,9 @@ def _four_block_values(c, m, M):
 
 
 class TestKrausFormDrift:
-    """C' is Z*AZ mapped in one Kraus-form pass, and S is read as B*B; both
-    sum in another order than the four-block construction, within 1e-13."""
+    """C' is Z*AZ mapped in one Kraus-form pass, and S is read as
+    B* diag(1/w) B; both sum in another order than the four-block
+    construction, within 1e-13."""
 
     @pytest.mark.parametrize("dims", [(4, 2, 2, 2), (8, 4, 4, 2), (5, 2, 3, 2), (6, 3, 1, 3),
                                       (7, 3, 2, 3)])
