@@ -135,15 +135,18 @@ class TestExtremal:
 
     # sha256 of the stdout of extremal at five exponents per (m, M); m = M is
     # the degenerate case.  Any change to a printed digit changes them.
-    @pytest.mark.parametrize("m,M,digest", [
-        ("1", "1", "144ce55512e9eb31deaa3f148689308a02717863a6897ea0840f42f8e10c59c4"),
-        ("1", "2", "6002c81ad336fd6bf78424a5872df2e8a8a29b878a33c104b6d939533253ee7a"),
-        ("0.5", "3", "c1caf582dbfe576c148aa76bea41ef375cdf88497228dda9f2d476627971a2b0"),
-        ("2", "2.5", "c273a59d3848929381a8621035feb3b10a36dd7e5cafafd92df25e5d8f709556"),
-        ("1", "100", "44096deb017a389e25c9bb07bff99520fade4b551c62512643a223d4259369a9"),
-        ("0.001", "1000", "dff93c87c994c903dfbefcb624c9505ab6d5417e987a018af0607b81a47bda67"),
-    ])
-    def test_stdout_digest(self, m, M, digest, capsys):
+    STDOUT_DIGESTS = {
+        ("1", "1"): "144ce55512e9eb31deaa3f148689308a02717863a6897ea0840f42f8e10c59c4",
+        ("1", "2"): "6002c81ad336fd6bf78424a5872df2e8a8a29b878a33c104b6d939533253ee7a",
+        ("0.5", "3"): "c1caf582dbfe576c148aa76bea41ef375cdf88497228dda9f2d476627971a2b0",
+        ("2", "2.5"): "c273a59d3848929381a8621035feb3b10a36dd7e5cafafd92df25e5d8f709556",
+        ("1", "100"): "44096deb017a389e25c9bb07bff99520fade4b551c62512643a223d4259369a9",
+        ("0.001", "1000"): "dff93c87c994c903dfbefcb624c9505ab6d5417e987a018af0607b81a47bda67",
+    }
+
+    @pytest.mark.parametrize("m,M", list(STDOUT_DIGESTS))
+    def test_stdout_digest(self, m, M, capsys):
+        digest = self.STDOUT_DIGESTS[m, M]
         out = []
         for p in ("0.25", "0.5", "1", "1.5", "3"):
             assert run_cli(["extremal", "--m", m, "--M", M, "--p", p]) == 0
