@@ -192,10 +192,15 @@ class TestStreamPin:
             (["search", "--objective", "conjecture", "--dims", "8,4,4,2", "--m", "1",
               "--M", "100", "--refine-steps", "400", "--trials", "100", "--seed", "3"],
              0, "9a842d49c3ccd356d36902d6a9b6bbc3154ab2f6bc58722034d35f69cd3d3c68"),
+            # A sampled trial beats the template: trial 1179 at M/m = 100
+            # exceeds the conjectured bound, so every sampled frame counts.
+            (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
+              "--M", "100", "--trials", "1200", "--seed", "0"],
+             3, "2d70dec3d5efcf11b9e124299926ddb6324a33e9ab096de6f7b95a7af52228dd"),
         ],
         ids=["verify", "search", "verify-two-blocks", "search-three-blocks", "verify-sweep",
              "verify-long-grid", "verify-rank-three", "verify-trial-errors", "search-thm2",
-             "frontier-wide"],
+             "frontier-wide", "search-sampled-win"],
     )
     def test_report_digest(self, args, code, digest, tmp_chdir, monkeypatch, capsys):
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
