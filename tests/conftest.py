@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 
 import numpy as np
 import pytest
@@ -61,6 +62,29 @@ def fail_refine_proposals(monkeypatch, seed: int, error: Exception) -> None:
         return proposals, values, errors
 
     monkeypatch.setattr(search, "_ladder", flagged)
+
+
+def lapack_qr_positive(a: np.ndarray) -> np.ndarray:
+    """Reference Haar QR: LAPACK's thin Q of each matrix, column phases fixed
+    so R has a positive real diagonal (a zero diagonal entry keeps its
+    column)."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d = np.where(np.abs(d) == 0.0, 1.0, d)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
+
+
+@pytest.fixture
+def lapack_frames(monkeypatch):
+    """Run the samplers with lapack_qr_positive as sampling.qr_positive
+    inside a `with lapack_frames():` block."""
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "qr_positive", lapack_qr_positive)
+            yield
+
+    return patched
 
 
 @pytest.fixture

@@ -247,6 +247,46 @@ class TestLemmaSamplerPin:
         assert h.hexdigest() == digest
 
 
+def _wielandt_draws(seed, dim):
+    tags = (bounds.TAG_WIELANDT_A, bounds.TAG_WIELANDT_XY)
+    return [part[0] for part in bounds.wielandt_draws(rngs_from(mix_seeds(seed, tags)), 1, dim,
+                                                      1.0, 3.0)]
+
+
+class TestLapackFrameDrift:
+    """Every sampler that draws a Haar frame gives, per entry, within 1e-13
+    of what it gives with the reference LAPACK QR (conftest
+    lapack_qr_positive) as sampling.qr_positive; so do the operators built
+    on those frames."""
+
+    SEEDS = (*TestSamplerPin.SEEDS, *range(2, 50))
+
+    @pytest.mark.parametrize("name", ["random_unital_cp", "gen_instance"])
+    def test_instance_samplers(self, name, lapack_frames):
+        for shape in (*TestSamplerPin.SHAPES, (5, 2, 3, 2), (7, 3, 2, 3)):
+            for seed in self.SEEDS:
+                got = _sampler_outputs(name, seed, shape)
+                with lapack_frames():
+                    want = _sampler_outputs(name, seed, shape)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-13, (shape, seed)
+
+    @pytest.mark.parametrize("name", ["gen_square_order_pair", "wielandt_draws"])
+    def test_lemma_samplers(self, name, lapack_frames):
+        def outputs(seed, dim):
+            if name == "wielandt_draws":
+                return _wielandt_draws(seed, dim)
+            return _lemma_sampler_outputs(name, seed, dim)
+
+        for dim in (*TestLemmaSamplerPin.DIMS, 8):
+            for seed in self.SEEDS:
+                got = outputs(seed, dim)
+                with lapack_frames():
+                    want = outputs(seed, dim)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-13, (dim, seed)
+
+
 class TestDrawInstances:
     @pytest.mark.parametrize("shape", TestSamplerPin.SHAPES)
     def test_lanes_equal_gen_instance(self, shape):

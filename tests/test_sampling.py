@@ -7,6 +7,8 @@ import pytest
 from wielandt_lab import cli, sampling, search
 from wielandt_lab.sampling import MASK64, mix_seed, mix_seeds, rngs_from
 
+from conftest import lapack_qr_positive
+
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
@@ -143,6 +145,39 @@ class TestMixSeeds:
             assert row == [mix_seed(seed, "square_b"), mix_seed(seed, "square_p")]
         assert mix_seeds(seeds, "map").tolist() == [mix_seed(s, "map") for s in seeds.tolist()]
         assert max(mix_seeds(seeds, 3).tolist()) <= MASK64
+
+
+def _conditioned_stack(rng, lanes, rows, cols):
+    """`lanes` complex (rows, cols) matrices: the first half Gaussian, the
+    rest U diag(s) V* with Haar U and V and singular values log-spaced from
+    1 down to 1/cond, cond up to 1e12 (nearly dependent columns)."""
+    g = sampling.complex_draws(rng.standard_normal((lanes, 2, rows, cols)))
+    half = lanes // 2
+    u = lapack_qr_positive(g[half:])
+    v = lapack_qr_positive(sampling.complex_draws(rng.standard_normal((lanes - half, 2, cols, cols))))
+    cond = 10.0 ** rng.uniform(0.0, 12.0, lanes - half)
+    s = cond[:, np.newaxis] ** -np.linspace(0.0, 1.0, cols)
+    g[half:] = (u * s[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+    return g
+
+
+class TestQrPositive:
+    @pytest.mark.parametrize("rows,cols", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 4), (6, 3), (8, 4),
+                                           (8, 8)])
+    def test_orthonormal_triangular_positive(self, rows, cols):
+        # 20 000 draws: Q*Q = I within 2e-15, and Q*A upper triangular with a
+        # positive real diagonal, within 1e-14 of ||A||.
+        a = _conditioned_stack(np.random.default_rng(rows * 10 + cols), 20_000, rows, cols)
+        q = sampling.qr_positive(a)
+        qa = q.conj().swapaxes(-1, -2)
+        assert np.abs(qa @ q - np.eye(cols)).max() <= 2e-15
+        r = qa @ a
+        scale = np.linalg.norm(a, axis=(-2, -1))[:, np.newaxis, np.newaxis]
+        below = np.tril(np.ones((cols, cols), dtype=bool), -1)
+        assert np.all(np.abs(r[:, below]) <= 1e-14 * scale[:, :, 0])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.all(diag.real > 0.0)
+        assert np.all(np.abs(diag.imag) <= 1e-14 * scale[:, :, 0])
 
 
 _TIMESTAMP_LINE = re.compile(rb'^\s*"(started_at|finished_at)": .*\n', re.MULTILINE)

@@ -305,6 +305,26 @@ class TestKrausFormDrift:
                 assert abs(got - want) <= 1e-13 * abs(want), (objective, p, got, want)
 
 
+class TestLapackFrameDrift:
+    """Sampled blocks score every objective within 1e-13 relative of the
+    values they score with the reference LAPACK QR (conftest
+    lapack_qr_positive) drawing their frames, and flag the same lanes."""
+
+    @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (4, 2, 2, 2), (5, 2, 3, 2), (6, 3, 1, 3),
+                                      (7, 3, 2, 3), (8, 4, 4, 2)])
+    @pytest.mark.parametrize("M", [2.0, 10.0, 100.0])
+    def test_block_values(self, dims, M, lapack_frames):
+        indices = range(1, 201)
+        for objective, p in ALL_OBJECTIVES:
+            cfg = _cfg(objective, dims, p, m=1.0, M=M, seed=9)
+            values, errors = search._block_values(cfg, indices)
+            with lapack_frames():
+                want, want_errors = search._block_values(cfg, indices)
+            assert sorted(errors) == sorted(want_errors)
+            ok = ~errors.bad
+            assert np.all(np.abs(values - want)[ok] <= 1e-13 * np.abs(want)[ok]), (objective, p)
+
+
 class TestRefine:
     def test_zero_steps_returns_start_unchanged(self):
         start = instances.gen_instance(11, 4, 2, 2, 2, 1.0, 2.0)
