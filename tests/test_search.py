@@ -306,9 +306,10 @@ class TestKrausFormDrift:
 
 
 class TestLapackFrameDrift:
-    """Sampled blocks score every objective within 1e-13 relative of the
-    values they score with the reference LAPACK QR (conftest
-    lapack_qr_positive) drawing their frames, and flag the same lanes."""
+    """Sampled blocks score every objective within DRIFT of the values they
+    score with the reference LAPACK QR (conftest lapack_qr_positive) drawing
+    their frames, and flag the same lanes.  At d = 1 values fall to 1e-8, so
+    the drift is relative to max(1, |value|), as for the one-trial values."""
 
     @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (4, 2, 2, 2), (5, 2, 3, 2), (6, 3, 1, 3),
                                       (7, 3, 2, 3), (8, 4, 4, 2)])
@@ -322,7 +323,8 @@ class TestLapackFrameDrift:
                 want, want_errors = search._block_values(cfg, indices)
             assert sorted(errors) == sorted(want_errors)
             ok = ~errors.bad
-            assert np.all(np.abs(values - want)[ok] <= 1e-13 * np.abs(want)[ok]), (objective, p)
+            scale = np.maximum(1.0, np.abs(want[ok]))
+            assert np.all(np.abs(values - want)[ok] <= DRIFT * scale), (objective, p)
 
 
 class TestRefine:
