@@ -52,6 +52,7 @@ from .matcore import (
     herm_eig_stack,
     herm_norm_stack,
     hermitian_part,
+    matprod,
     sqrt_top,
     stack_pow,
     stack_pows,
@@ -494,7 +495,7 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     b = operator_stack(rngs, lanes, dim, m, M)
     g_p, frac = lane_draws(rngs, lanes, (2, dim, dim), 1)
     g = complex_draws(g_p)
-    psd = hermitian_part(g @ adj(g))
+    psd = hermitian_part(matprod(g, adj(g)))
     top = herm_eig_stack(psd).eigenvalues[:, -1]
     wb = herm_eig_stack(b).eigenvalues
     shrink = np.where(top > 0.0, frac[:, 0] * wb[:, 0] / np.where(top > 0.0, top, 1.0), 0.0)
@@ -515,8 +516,8 @@ def square_order_stack(a, b, m: float, M: float, tol: float = DEFAULT_TOL) -> La
     errors.flag((wb[:, 0] < m - thr) | (wb[:, -1] > M + thr), lambda i: PreconditionViolated(
         f"spectrum of B [{wb[i, 0]:g}, {wb[i, -1]:g}] escapes [{m:g}, {M:g}]"))
     factor = square_order_factor(m, M)
-    lhs_sq = hermitian_part(a @ a)
-    rhs_sq = factor * hermitian_part(b @ b)
+    lhs_sq = hermitian_part(matprod(a, a))
+    rhs_sq = factor * hermitian_part(matprod(b, b))
     w, v = herm_eig_stack(rhs_sq - lhs_sq)
     lhs_norm = herm_norm_stack(lhs_sq)
     rhs_norm = herm_norm_stack(rhs_sq)
@@ -531,7 +532,7 @@ def psd_pair_draws(rngs, lanes: int, dim: int) -> tuple:
     """gen_psd_pair for `lanes` generators of `rngs`: two Gram matrices of
     complex Gaussians per lane."""
     g = complex_draws(lane_draws(rngs, lanes, (2, 2, dim, dim))[0])
-    psd = hermitian_part(g @ adj(g))
+    psd = hermitian_part(matprod(g, adj(g)))
     return psd[:, 0], psd[:, 1]
 
 
@@ -542,8 +543,8 @@ def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
         w = herm_eig_stack(mat).eigenvalues
         errors.flag(w[:, 0] < -(tol * stack_scale(w)), lambda i, name=name, w=w: NotPSD(
             f"{name} has negative eigenvalue {w[i, 0]:g}"))
-    lhs = herm_norm_stack(hermitian_part(a @ b + b @ a))
-    rhs = herm_norm_stack(hermitian_part(a @ a + b @ b))
+    lhs = herm_norm_stack(hermitian_part(matprod(a, b) + matprod(b, a)))
+    rhs = herm_norm_stack(hermitian_part(matprod(a, a) + matprod(b, b)))
     thr = tol * _scale(lhs, rhs)
     lanes = LaneChecks(errors)
     lanes.inequality("anticommutator_norm", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol)

@@ -16,7 +16,9 @@ of every call.
 Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop,
 lane i drawing its standard normals, then its uniforms, from the i-th next
 generator; ``complex_draws`` turns normals into complex Gaussians and
-``haar_frames`` into Haar-distributed frames.  A one-seed draw is a stack of one.
+``haar_frames`` into Haar-distributed frames, orthonormalized by
+``qr_positive``'s two-pass Gram-Schmidt over the whole stack at once, not by
+a LAPACK QR per matrix.  A one-seed draw is a stack of one.
 """
 
 from __future__ import annotations
@@ -224,19 +226,30 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 
 def qr_positive(a: np.ndarray) -> np.ndarray:
-    """Q factor of a thin QR with column phases fixed so R has a positive real
-    diagonal.  With a Gaussian input this yields Haar-distributed frames.
-    Stacks ``(..., rows, cols)`` are factored matrix by matrix."""
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d = np.where(np.abs(d) == 0.0, 1.0, d)
-    phases = d / np.abs(d)
-    return q * phases[..., np.newaxis, :]
+    """Q factor of the thin QR of each matrix of a stack (..., rows, cols),
+    rows >= cols, with R's diagonal positive real.  Classical Gram-Schmidt
+    with one reorthogonalization pass, run column by column over the whole
+    stack: column j loses its projection on columns 0..j-1 twice, each pass
+    two stacked matrix-vector products, and is divided by its norm, the
+    diagonal entry of R.  With a Gaussian input this yields Haar-distributed
+    frames."""
+    q = np.empty_like(a)
+    q_adj = np.empty((*a.shape[:-2], a.shape[-1], a.shape[-2]), dtype=a.dtype)  # Q*, rows kept
+    for j in range(a.shape[-1]):
+        v = a[..., j : j + 1]
+        for _ in range(2 if j else 0):
+            v = v - q[..., :j] @ (q_adj[..., :j, :] @ v)
+        v_adj = v.conj().swapaxes(-1, -2)
+        norm = np.sqrt((v_adj @ v).real)
+        q[..., j : j + 1] = v / norm
+        q_adj[..., j : j + 1, :] = v_adj / norm
+    return q
 
 
 def haar_frames(g: np.ndarray) -> np.ndarray:
     """Haar-random (..., rows, cols) frames (orthonormal columns; unitaries
-    when square) from (..., 2, rows, cols) standard normals, rows >= cols."""
+    when square) from (..., 2, rows, cols) standard normals, rows >= cols:
+    qr_positive of their complex Gaussians, the whole stack at once."""
     return qr_positive(complex_draws(g))
 
 

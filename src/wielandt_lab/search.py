@@ -64,6 +64,7 @@ from .matcore import (
     herm_eig,
     herm_eig_stack,
     hermitian_part,
+    matprod,
     sqrt_top,
     top_abs,
 )
@@ -113,7 +114,7 @@ def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) ->
         # ||S T^-1|| = ||S V diag(1/t) V*|| = ||(S V) diag(1/t)||, T = V diag(t) V*
         flag_pd(errors, t_eig.eigenvalues)
         t_w, t_v = t_eig
-        g = (s @ t_v) / np.where(errors.bad[:, np.newaxis], 1.0, t_w)[:, np.newaxis, :]
+        g = matprod(s, t_v) / np.where(errors.bad[:, np.newaxis], 1.0, t_w)[:, np.newaxis, :]
         return sqrt_top(gram_eig(g).eigenvalues) / wielandt_factor(m, M)
     _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad,
                        (check_exponent(p),))

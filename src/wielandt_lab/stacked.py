@@ -42,6 +42,7 @@ from .matcore import (
     flag_psd,
     herm_eig_stack,
     hermitian_part,
+    matprod,
     stack_pows,
 )
 
@@ -66,9 +67,9 @@ def products_stack(c: np.ndarray, errors: LaneErrors) -> tuple:
     t = hermitian_part(c[:, :d, :d])
     t_eig = herm_eig_stack(t)
     flag_pd(errors, c_w)
-    b = adj(c_v) @ c[:, d:, :d]
+    b = matprod(adj(c_v), c[:, d:, :d])
     scaled = b / np.where(errors.bad[:, np.newaxis], 1.0, c_w)[..., np.newaxis]
-    return hermitian_part(adj(b) @ scaled), t, t_eig
+    return hermitian_part(matprod(adj(b), scaled)), t, t_eig
 
 
 def compressed_products_stack(
@@ -127,4 +128,4 @@ def gamma_stack(s_eig: EigDecomp, t_eig: EigDecomp, bad: np.ndarray, p_values) -
     are meaningless."""
     s_w, s_v = s_eig
     sp = stack_pows(clamp_psd(s_w), s_v, p_values, bad)
-    return sp, sp @ stack_pows(*t_eig, [-p for p in p_values], bad)
+    return sp, matprod(sp, stack_pows(*t_eig, [-p for p in p_values], bad))

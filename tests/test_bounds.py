@@ -599,8 +599,8 @@ class TestReportRecord:
     # sha256 of every report value of one trial that emits all 16 check
     # names, lemma variants 0-3 included, by tol
     VALUE_DIGESTS = {
-        "1e-9": "4758e28ef3a6191f50753e5a5cad887a794bcb880227cffdb05b66823d466a3b",
-        "nan": "a53a9b7d18e6c05a4701e200784efbcfeb7f6d3784e2fec5eda6882c41920320",
+        "1e-9": "e721db9f99001f54c56d2e421d72af65098c547305462fcc92a24061e1dde9dc",
+        "nan": "d1e514228909f166bf6b059c7b6aae2a0b0fa3bb8d48a3d83ee1d287e5512840",
     }
 
     @pytest.mark.parametrize("tol", ["1e-9", "nan"])

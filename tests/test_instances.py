@@ -189,8 +189,8 @@ class TestSamplerPin:
     SHAPES = ((2, 1, 1, 1), (4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2))
 
     DIGESTS = {
-        "random_unital_cp": "978d180c67e11b829769e69eb73dfe94e0db27f1730a4144ec9c3ed18a2b15b6",
-        "gen_instance": "339cb6bb2f6d6d106b9b4011e24656f06bb0e0b2730a0522dd194489b8fd9ab8",
+        "random_unital_cp": "eb8f1aa0a072bcf4d54c286ec27c22c4489591eb0c9db7a4c7e89b67006e95fd",
+        "gen_instance": "59b77f634ec7027eed96fcd62d405dda8bdf2c91f54144b0dc85829c0218afeb",
     }
 
     @pytest.mark.parametrize("name", list(DIGESTS))
@@ -232,9 +232,9 @@ class TestLemmaSamplerPin:
             ("lemma_block_case_3",
              "29b9cb1471460dc1f68586521c0e6b76f2fde3a99e5f27a9dd6ae2f38947b4a8"),
             ("gen_square_order_pair",
-             "920b3eba6ba989e50f355b4f0895902ccb97d5e6f96502d27e1b53bf8d9e2e09"),
+             "9346ba74bc34dd08980185c983c7734a01fbb227a15a051e0482322e6c0d731f"),
             ("gen_psd_pair",
-             "06d642970929277c929d135cb2cd928ecbf88efa27da0f548fe83a50dba7fed7"),
+             "7efac58d011fab0801cab7deb4a29d3a63c0cab6833103c0b1fe480e6d1966fb"),
         ],
     )
     def test_output_digest(self, name, digest):

@@ -130,6 +130,38 @@ class TestStacks:
             assert np.all(np.diagonal(r).real > 0.0)
 
 
+def _complex_stack(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestMatprod:
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((64, 2, 2), (64, 2, 2)),
+        ((3, 64, 2, 2), (3, 64, 2, 2)),
+        ((3, 64, 2, 2), (64, 2, 2)),  # stack_pows' (P, B) stack by (B) eigenbases
+        ((2, 2), (2, 2)),
+    ])
+    def test_2x2_stacks_match_matmul(self, a_shape, b_shape):
+        a, b = _complex_stack(1, a_shape), _complex_stack(2, b_shape)
+        want = a @ b
+        got = mc.matprod(a, b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((64, 1, 1), (64, 1, 1)),
+        ((64, 2, 4), (64, 4, 2)),
+        ((64, 4, 2), (64, 2, 4)),
+        ((64, 2, 2), (64, 2, 1)),
+        ((64, 4, 4), (64, 4, 4)),
+        ((3, 64, 4, 4), (64, 4, 4)),
+    ])
+    def test_other_shapes_are_matmul_bits(self, a_shape, b_shape):
+        a, b = _complex_stack(3, a_shape), _complex_stack(4, b_shape)
+        assert mc.matprod(a, b).tobytes() == (a @ b).tobytes()
+
+
 class TestHermEigAccuracy:
     """herm_eig against a 50-digit mpmath eigensolve of the same binary64
     matrix: absolute eigenvalue error and residual stay at the 1e-13 * ||H||

@@ -195,7 +195,7 @@ class TestStreamPin:
         [
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "100", "--seed", "3"],
-             0, "802fd7204e6a23e8195000d3cc513c329c8d7802ca9b1271176c158602758d7c"),
+             0, "307f1ecabebd11bf90b920f63ba703005e084a935d51ac1c8abad2c791497dde"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "300", "--seed", "3"],
              0, "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
@@ -203,7 +203,7 @@ class TestStreamPin:
             # 64-trial blocks.
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
-             0, "972bb955c1ad9c4ca08bb2efaaba037408eb5f3528aacdf55766ea11b4aa5f4a"),
+             0, "c04705b3106fcd973e167192d4cafbf7c7f4795b50288d062587e420953927b6"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
              0, "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
@@ -211,15 +211,15 @@ class TestStreamPin:
             # sizes, and the other caller of gamma_stack.
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "50", "--seed", "3"],
-             0, "53d9e0d1d3863347838ceb2ad806f1eb600942e4d61e5bd88302c9711746f835"),
+             0, "a141b69f2b01318678e2a57360432059982118dc0afcb41d8bbc99d08dad9ce5"),
             (["verify", "--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100",
               "--p", "0.1:6:0.1", "--trials", "50"],
-             0, "646735ea4b0000214e5c7f7b228e1dcba540d833c66a7c21d982b10631de46a1"),
+             0, "60cfbd27a6aabc075fda4522c2466687d384babf803f558c817a6ddbc67eb54d"),
             (["verify", "--N", "7", "--n", "3", "--d", "2", "--k", "3", "--M", "50",
               "--p", "0.5,0.75,1.5"],
-             0, "1b60cd24eb2821059b78b074f8ae14866d0342bb826886cb50095f20d161b6ae"),
+             0, "ffe58a1f521e1c3a2a0a90977e040ab0a307d81c40f1c407084e820ca45950b9"),
             (["verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"],
-             1, "3f0e423d193ae654d45bd0ec633bff2c5f403db8a775a81dcfdc528479b203ae"),
+             1, "73ef80a129bdca2776a0f387c89bf9339f6350036d3907350519c4a92bff2985"),
             (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
               "--trials", "1100"],
              0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
@@ -231,7 +231,7 @@ class TestStreamPin:
             # exceeds the conjectured bound, so every sampled frame counts.
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "100", "--trials", "1200", "--seed", "0"],
-             3, "2d70dec3d5efcf11b9e124299926ddb6324a33e9ab096de6f7b95a7af52228dd"),
+             3, "6983419038b6bb86dd17cd037cf32e05ae6d1dd1d0587b0f3051b641b2ae1c9c"),
         ],
         ids=["verify", "search", "verify-two-blocks", "search-three-blocks", "verify-sweep",
              "verify-long-grid", "verify-rank-three", "verify-trial-errors", "search-thm2",

@@ -659,11 +659,11 @@ class TestRefinePin:
     catch a change in how a state becomes an instance."""
 
     @pytest.mark.parametrize("case, digest", zip(_LADDER_CASES, [
-        "b32d054b77cac45a973d6deedd8962649a1281dc65f656a22157703303cfa3d8",
-        "3bc851bab657776833ab0c1c41df7a18749e934de62beec4d2107b07366176fb",
+        "7a0c73616b8e62ae91d0300d69b129aea613dc8e627c72717b4889e4a3697a8b",
+        "d46dde3244ab67e2c2874a2e64e3b5b7672bc64c9d9271ff7a5e5ada79e57cd5",
         "0abca5b96df4f349c384261607a904d23447c72bf3dbc16e51a7de5bc9e09e43",
-        "e72c5421503cc57a9b86e700694d7572c40eaf6b1579a6acc275d7f30b49f1fd",
-        "b0b82b5ef7052ed51e0786aafd5fe1241137d08de7ea13dc584ec72a7bacfd21",
+        "a3d9377674032ce994b3d6b99034e112db3855b7f214951e7732a9ee4f718576",
+        "c14473e1323ed14f01f2478058e7971abebce69ff1749e0dd9e6eac0de70dcaa",
     ]), ids=_LADDER_IDS)
     def test_record_digest(self, case, digest):
         start, cfg, _ = case
@@ -677,11 +677,11 @@ class TestRefinePin:
         assert cli.main(args + ["--out", "d.json"]) == 3
         raw = (tmp_chdir / "d.json").read_bytes()
         report = json.loads(raw)
-        assert (report["best_value"], report["best_index"]) == (1.5354057569352613, 1179)
+        assert (report["best_value"], report["best_index"]) == (1.5354057569352633, 1179)
         assert report["trace"][-1][:2] == ["refine", 43]
         body = re.sub(rb'^\s*"(started_at|finished_at)": .*\n', b"", raw, flags=re.MULTILINE)
         assert hashlib.sha256(body).hexdigest() == (
-            "cd562922cd1ab936ee31a15b4d801b944bef0a2e6ce1dc88fe625ef53a72464c")
+            "9a24288a97a343c14d7ea52f65d8161bc12bcfe06d1129611770ef0f440fec35")
 
 
 class TestGammaStack:
