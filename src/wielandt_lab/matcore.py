@@ -6,6 +6,8 @@ are symmetrized ``(H + H*)/2`` on entry so accumulated arithmetic drift cannot
 leak into spectral computations.  The eigensolver is LAPACK's Hermitian
 ``eigh`` (via numpy), with a vectorized closed form for stacks of 2x2
 matrices, the common case in searches and several times cheaper than LAPACK.
+Stacked products whose factors can both be 2x2 go through ``matprod``, which
+takes them in closed form too, not as one BLAS call per matrix.
 
 Spectral powers, norms and their hypothesis guards are written once, for
 stacks ``(B, n, n)``: ``flag_psd`` and ``flag_pd`` record in a ``LaneErrors``

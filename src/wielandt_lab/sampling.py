@@ -17,8 +17,8 @@ Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop,
 lane i drawing its standard normals, then its uniforms, from the i-th next
 generator; ``complex_draws`` turns normals into complex Gaussians and
 ``haar_frames`` into Haar-distributed frames, orthonormalized by
-``qr_positive``'s two-pass Gram-Schmidt over the whole stack at once, not by
-a LAPACK QR per matrix.  A one-seed draw is a stack of one.
+``qr_positive``'s two-pass Gram-Schmidt over the whole stack at once.  A
+one-seed draw is a stack of one.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 # Trial indices evaluated together as one stack, by ambient dimension N (see
-# block_size).  A stacked block pays a fixed numpy call cost (about 1 ms for a
-# search block, 4 ms for a six-exponent verify block, in CPU time on a shared
-# 2 vCPU x86_64 host with BLAS on one thread; medians of three fits, single
-# fits spread by a third) against about 23 and 81 us per lane at N = 4, so 512
-# lanes keep that cost under a tenth of the block.  A verify block scores its
+# block_size).  A stacked block pays a fixed numpy call cost (about 0.9 ms for
+# a search block, 3 ms for a six-exponent verify block, in CPU time on a shared
+# 2 vCPU x86_64 host with BLAS on one thread; medians of five fits, single
+# fits spread by half) against about 14 and 51 us per lane at N = 4, so 512
+# lanes keep that cost near a tenth of the block.  A verify block scores its
 # exponents in groups of block_size(d) // lanes (at least one; d is the size
 # of the compressed products), so a small block pays the fixed cost of its
 # exponent checks once per group and a long p grid is never one stack larger
@@ -232,7 +232,7 @@ def qr_positive(a: np.ndarray) -> np.ndarray:
     stack: column j loses its projection on columns 0..j-1 twice, each pass
     two stacked matrix-vector products, and is divided by its norm, the
     diagonal entry of R.  With a Gaussian input this yields Haar-distributed
-    frames."""
+    frames.  Each matrix gets the same bits at any stack length."""
     q = np.empty_like(a)
     q_adj = np.empty((*a.shape[:-2], a.shape[-1], a.shape[-2]), dtype=a.dtype)  # Q*, rows kept
     for j in range(a.shape[-1]):

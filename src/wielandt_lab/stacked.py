@@ -6,7 +6,9 @@ and T read off it, and of Gamma; a single instance is a stack of one
 (``instance_products``).  C' is one product ``Z* A Z``, Z = [X Y], mapped
 whole by id_2 (x) Phi (``maps.lift_stack``; a sampled block's Stinespring
 maps through ``maps.stinespring_lift``), and S is read off it without
-inverting ``C'_yy``: a sampled conjecture lane takes eight stacked matmuls.
+inverting ``C'_yy``: a sampled conjecture lane takes eight stacked products,
+four of them 2x2 by 2x2 at d = 2, which ``matcore.matprod`` takes in closed
+form.
 
 A block of trials draws its instances with ``instances.draw_instances`` from
 the generators its caller seeds in one vectorized pass (``sampling.rngs_from``

@@ -182,8 +182,9 @@ def _sampler_outputs(name, seed, shape):
 class TestSamplerPin:
     """sha256 of the one-seed samplers' outputs over four seeds and four
     (N, n, d, k) shapes.  Any change to seeding, draw order or the Haar
-    construction changes them; like TestStreamPin, the bits also depend on
-    the LAPACK build that factors the Gaussians."""
+    construction (qr_positive's Gram-Schmidt) changes them; like
+    TestStreamPin, the bits also depend on the BLAS build that runs its
+    stacked products."""
 
     SEEDS = (0, 1, 12345, 2**64 - 1)
     SHAPES = ((2, 1, 1, 1), (4, 2, 2, 2), (6, 3, 2, 3), (8, 4, 4, 2))

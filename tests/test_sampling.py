@@ -185,10 +185,12 @@ _TIMESTAMP_LINE = re.compile(rb'^\s*"(started_at|finished_at)": .*\n', re.MULTIL
 
 class TestStreamPin:
     """sha256 of timestamp-stripped reports, with each run's exit code.  Any
-    change to the sampled instance stream (seed mixing, generator seeding or
-    draw order) or to the exponent arithmetic changes them, so such a change
-    must update these pins on purpose.  The bits also depend on the LAPACK
-    build that solves the eigenproblems."""
+    change to the sampled instance stream (seed mixing, generator seeding,
+    draw order or the Gram-Schmidt that turns draws into frames) or to the
+    exponent arithmetic changes them, so such a change must update these pins
+    on purpose.  The bits also depend on the BLAS build that runs the stacked
+    products and the LAPACK build that solves the eigenproblems beyond
+    2x2."""
 
     @pytest.mark.parametrize(
         "args,code,digest",
