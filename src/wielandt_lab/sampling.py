@@ -234,7 +234,8 @@ def qr_positive(a: np.ndarray) -> np.ndarray:
     diagonal entry of R.  With a Gaussian input this yields Haar-distributed
     frames.  Each matrix gets the same bits at any stack length."""
     q = np.empty_like(a)
-    q_adj = np.empty((*a.shape[:-2], a.shape[-1], a.shape[-2]), dtype=a.dtype)  # Q*, rows kept
+    # Q* kept row by row, so each pass takes Q*v without conjugating Q again
+    q_adj = np.empty((*a.shape[:-2], a.shape[-1], a.shape[-2]), dtype=a.dtype)
     for j in range(a.shape[-1]):
         v = a[..., j : j + 1]
         for _ in range(2 if j else 0):
