@@ -74,17 +74,13 @@ def lapack_qr_positive(a: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-@pytest.fixture
-def lapack_frames(monkeypatch):
-    """Run the samplers with lapack_qr_positive as sampling.qr_positive
-    inside a `with lapack_frames():` block."""
-    @contextlib.contextmanager
-    def patched():
-        with monkeypatch.context() as patch:
-            patch.setattr(sampling, "qr_positive", lapack_qr_positive)
-            yield
-
-    return patched
+@contextlib.contextmanager
+def lapack_frames():
+    """Inside the block, sampling.qr_positive is lapack_qr_positive, so the
+    samplers draw their frames with the reference QR."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "qr_positive", lapack_qr_positive)
+        yield
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from wielandt_lab.maps import IdentityMap
 from wielandt_lab.matcore import herm_eig
 from wielandt_lab.sampling import mix_seeds, rngs_from
 
-from conftest import assert_instance_invariants
+from conftest import assert_instance_invariants, lapack_frames
 from test_bounds import gamma_of
 
 
@@ -262,7 +262,7 @@ class TestLapackFrameDrift:
     SEEDS = (*TestSamplerPin.SEEDS, *range(2, 50))
 
     @pytest.mark.parametrize("name", ["random_unital_cp", "gen_instance"])
-    def test_instance_samplers(self, name, lapack_frames):
+    def test_instance_samplers(self, name):
         for shape in (*TestSamplerPin.SHAPES, (5, 2, 3, 2), (7, 3, 2, 3)):
             for seed in self.SEEDS:
                 got = _sampler_outputs(name, seed, shape)
@@ -272,7 +272,7 @@ class TestLapackFrameDrift:
                     assert np.abs(g - w).max() <= 1e-13, (shape, seed)
 
     @pytest.mark.parametrize("name", ["gen_square_order_pair", "wielandt_draws"])
-    def test_lemma_samplers(self, name, lapack_frames):
+    def test_lemma_samplers(self, name):
         def outputs(seed, dim):
             if name == "wielandt_draws":
                 return _wielandt_draws(seed, dim)

@@ -23,7 +23,9 @@ from wielandt_lab.errors import (
     WielandtLabError,
 )
 
-from conftest import assert_instance_invariants, fail_refine_proposals, transpose_map
+from conftest import (
+    assert_instance_invariants, fail_refine_proposals, lapack_frames, transpose_map,
+)
 from test_bounds import loose_scalar_instance
 
 
@@ -314,7 +316,7 @@ class TestLapackFrameDrift:
     @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (4, 2, 2, 2), (5, 2, 3, 2), (6, 3, 1, 3),
                                       (7, 3, 2, 3), (8, 4, 4, 2)])
     @pytest.mark.parametrize("M", [2.0, 10.0, 100.0])
-    def test_block_values(self, dims, M, lapack_frames):
+    def test_block_values(self, dims, M):
         indices = range(1, 201)
         for objective, p in ALL_OBJECTIVES:
             cfg = _cfg(objective, dims, p, m=1.0, M=M, seed=9)
