@@ -221,24 +221,18 @@ class TestLemmaSamplerPin:
 
     DIMS = (2, 3, 4)
 
-    @pytest.mark.parametrize(
-        "name,digest",
-        [
-            ("lemma_block_case_0",
-             "82352124ad346b632db7046305ac48c6ddf7fb6cc5329fa06be09031a6926c47"),
-            ("lemma_block_case_1",
-             "2d362097b1c949aebb22ffc9c23a19a27824f75fa48adbdf6c5adbccb1d71ed1"),
-            ("lemma_block_case_2",
-             "400ed310ef0e3ba3126035a4abd804c0a5088bbcdad254778384ded52a1be1d8"),
-            ("lemma_block_case_3",
-             "29b9cb1471460dc1f68586521c0e6b76f2fde3a99e5f27a9dd6ae2f38947b4a8"),
-            ("gen_square_order_pair",
-             "9346ba74bc34dd08980185c983c7734a01fbb227a15a051e0482322e6c0d731f"),
-            ("gen_psd_pair",
-             "7efac58d011fab0801cab7deb4a29d3a63c0cab6833103c0b1fe480e6d1966fb"),
-        ],
-    )
-    def test_output_digest(self, name, digest):
+    DIGESTS = {
+        "lemma_block_case_0": "82352124ad346b632db7046305ac48c6ddf7fb6cc5329fa06be09031a6926c47",
+        "lemma_block_case_1": "2d362097b1c949aebb22ffc9c23a19a27824f75fa48adbdf6c5adbccb1d71ed1",
+        "lemma_block_case_2": "400ed310ef0e3ba3126035a4abd804c0a5088bbcdad254778384ded52a1be1d8",
+        "lemma_block_case_3": "29b9cb1471460dc1f68586521c0e6b76f2fde3a99e5f27a9dd6ae2f38947b4a8",
+        "gen_square_order_pair": "9346ba74bc34dd08980185c983c7734a01fbb227a15a051e0482322e6c0d731f",
+        "gen_psd_pair": "7efac58d011fab0801cab7deb4a29d3a63c0cab6833103c0b1fe480e6d1966fb",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_output_digest(self, name):
+        digest = self.DIGESTS[name]
         h = hashlib.sha256()
         for dim in self.DIMS:
             for seed in TestSamplerPin.SEEDS:
