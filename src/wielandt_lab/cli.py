@@ -10,13 +10,13 @@ environment variable WIELANDT_LAB_THREADS caps worker processes (default:
 the CPUs in this process's affinity mask); results never depend on the worker
 count.
 
-``verify`` walks each worker's trial range in blocks of ``block_size(N)`` and
-evaluates every check on stacked arrays (``bounds.instance_checks_stack`` and
-``bounds.lemma_checks_stack``), the only implementation of each check.  A
-block seeds every trial's 3 instance and 6 lemma generators in one
-``rngs_from`` pass, and scores its exponent grid in groups of
-``block_size(d) // B`` exponents (at least one), each group as one
-``(P, B, d, d)`` stack.  A failing check of a trial becomes a failure entry
+``sampling.fan_out`` hands ``verify`` its trials one block at a time
+(``_verify_block``), and every check of a block is evaluated on stacked arrays
+(``bounds.instance_checks_stack`` and ``bounds.lemma_checks_stack``), the
+only implementation of each check.  A block seeds every trial's 3 instance
+and 6 lemma generators in one ``rngs_from`` pass, and scores its exponent
+grid in groups of exponents (see ``bounds.instance_checks_stack``), each
+group as one ``(P, B, d, d)`` stack.  A failing check of a trial becomes a failure entry
 holding that trial's report;
 a trial that fails a hypothesis becomes one ``trial_error`` entry with the
 exception's message.  Each check reports the trial of its worst margin
@@ -61,15 +61,16 @@ from .instances import (
     instance_seeds,
 )
 from .matcore import check_exponent
-from .sampling import block_size, fan_out, mix_seeds, rngs_from
+from .sampling import fan_out, mix_seeds, rngs_from
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
 from .stacked import compressed_products_stack, instance_products
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
 # Most points a p grid may have.  The count is known before any point is
 # built, so "1:1e9:1" exits 2 instead of allocating a billion floats.  A
-# verify block scores at most block_size(d) // B exponents as one stack, so
-# a long grid costs stacked work per group of exponents, not memory; the
+# verify block scores its exponents in groups of about one full block of
+# (exponent, trial) lanes (bounds.instance_checks_stack), so a long grid
+# costs stacked work per group of exponents, not memory; the
 # bound table's 60-point default is far below this.
 MAX_GRID_POINTS = 10_000
 
@@ -245,10 +246,13 @@ def _stacked_lanes(params: VerifyParams, trials: range) -> LaneChecks:
     return lanes
 
 
-def _tally_lanes(stats: dict, failures: list, lanes: LaneChecks, trials: range) -> None:
-    """Record the lanes of `trials`: run and fail counts and worst margins
-    of the lanes without a trial error, then the failure entries, in trial
-    order."""
+def _verify_block(params: VerifyParams, trials: range) -> tuple:
+    """Run all checks for the block `trials` on stacks; returns per-check
+    statistics (run and fail counts and worst margins of the lanes without
+    a trial error) and the JSON of every failing report, in trial order."""
+    stats: dict[str, list] = {}
+    failures: list[dict] = []
+    lanes = _stacked_lanes(params, trials)
     bad = lanes.errors.bad
     clean = np.flatnonzero(~bad)
     passed = np.array([verdicts for _, verdicts, _, _ in lanes.checks])  # (check, lane)
@@ -272,28 +276,16 @@ def _tally_lanes(stats: dict, failures: list, lanes: LaneChecks, trials: range) 
             failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
             continue
         failures.extend(dict(r.to_json(), trial=trial) for r in reports if not r.passed)
-
-
-def _verify_chunk(params: VerifyParams, start: int, stop: int) -> tuple:
-    """Run all checks for trials [start, stop); returns per-check statistics
-    and the JSON of every failing report, in trial order.  Trials run in
-    blocks of block_size(N) on stacks."""
-    stats: dict[str, list] = {}
-    failures: list[dict] = []
-    block = block_size(params.ambient)
-    for lo in range(start, stop, block):
-        trials = range(lo, min(lo + block, stop))
-        _tally_lanes(stats, failures, _stacked_lanes(params, trials), trials)
     return stats, failures
 
 
-def _merge_chunks(chunks: list) -> tuple[dict, list]:
+def _merge_blocks(blocks: list) -> tuple[dict, list]:
     stats: dict[str, list] = {}
     failures: list[dict] = []
-    for chunk_stats, chunk_failures in chunks:
-        for name, (run, fail, worst, trial) in chunk_stats.items():
+    for block_stats, block_failures in blocks:
+        for name, (run, fail, worst, trial) in block_stats.items():
             _tally(stats, name, run, fail, worst, trial)
-        failures.extend(chunk_failures)
+        failures.extend(block_failures)
     ordered = {}
     for name in ALL_CHECK_NAMES:
         if name in stats:
@@ -306,10 +298,8 @@ def run_verify(params: VerifyParams, workers: int = 1) -> dict:
     """Full verification sweep; returns the JSON-ready report."""
     params.validate()
     started = _now()
-    chunks = fan_out(
-        _verify_chunk, (params,), params.trials, workers, block_size(params.ambient)
-    )
-    checks, failures = _merge_chunks(chunks)
+    blocks = fan_out(_verify_block, (params,), range(params.trials), workers, params.ambient)
+    checks, failures = _merge_blocks(blocks)
     checks_run = sum(c["run"] for c in checks.values())
     n_failures = sum(c["fail"] for c in checks.values())
     counters = {

@@ -2,8 +2,10 @@
 
 Sub-seeds are derived with a fixed 64-bit mixing function (splitmix64 over an
 FNV-1a tag hash), so component streams are order-independent and batch runs
-parallelize without changing results; ``fan_out`` runs such index ranges on
-worker processes.
+parallelize without changing results.  ``fan_out`` is the one walk over
+trial blocks: it cuts an index range into blocks of ``block_size(N)`` trials,
+each worker process taking a contiguous share, and returns one result per
+block in index order.
 
 Each sampled component draws from ``default_rng(sub_seed)``.  A one-seed
 sampler takes its generator from ``rng_from``.  A stacked block of
@@ -260,21 +262,29 @@ def block_size(ambient: int) -> int:
     return max(MIN_BLOCK, min(BLOCK_SIZE, LANE_BUDGET // ambient**2))
 
 
-def fan_out(fn, head: tuple, trials: int, workers: int, block: int) -> list:
-    """Results of ``fn(*head, start, stop)`` over contiguous trial ranges that
-    cover [0, trials), in range order: one range per worker, the first run in
-    the calling process and the rest on a pool of ``workers - 1`` processes,
-    or a single in-process call unless every worker gets at least one full
-    block of ``block`` trials: a pool's start-up costs more than a block of
-    stacked work.  The pool module is imported only here, as most runs never
-    reach it and its import is a large share of a short run's start-up."""
+def _walk(fn, head: tuple, block: int, indices: range) -> list:
+    """``fn(*head, part)`` for each consecutive part of `block` indices."""
+    return [fn(*head, indices[lo : lo + block]) for lo in range(0, len(indices), block)]
+
+
+def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list:
+    """Results of ``fn(*head, block)`` over consecutive blocks of
+    ``block_size(ambient)`` trial indices that cover `indices`, in index
+    order; the one walk over trial blocks.  `indices` is cut into one
+    contiguous range per worker, the first walked in the calling process and
+    the rest on a pool of ``workers - 1`` processes, or walked whole in the
+    calling process unless every worker gets at least one full block: a
+    pool's start-up costs more than a block of stacked work.  The pool module
+    is imported only here, as most runs never reach it and its import is a
+    large share of a short run's start-up."""
+    block = block_size(ambient)
     workers = max(1, int(workers))
-    if workers == 1 or trials < block * workers:
-        return [fn(*head, 0, trials)]
+    if workers == 1 or len(indices) < block * workers:
+        return _walk(fn, head, block, indices)
     from concurrent.futures import ProcessPoolExecutor
 
-    edges = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    (first, *rest) = zip(edges[:-1], edges[1:])
+    edges = np.linspace(0, len(indices), workers + 1, dtype=int).tolist()
+    first, *rest = (indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
     with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-        futures = [pool.submit(fn, *head, a, b) for a, b in rest]
-        return [fn(*head, *first)] + [f.result() for f in futures]
+        futures = [pool.submit(_walk, fn, head, block, part) for part in rest]
+        return _walk(fn, head, block, first) + [r for f in futures for r in f.result()]

@@ -10,13 +10,14 @@ on the 2d x 2d compression C' of the best sample (see refine).
 
 Every objective value comes from one stacked kernel (``_objective_stack``)
 on the S and T that ``stacked.products_stack`` reads off a compression C'.
-The sampled phase walks its trial range in blocks of ``block_size(N)`` indices
-and scores each block on stacked ``(B, n, n)`` arrays drawn by
-``draw_instances``, the sampler ``gen_instance`` runs on a stack of one;
+The sampled phase is handed its random trials one block at a time by
+``sampling.fan_out`` and scores each block (``_eval_block``) on stacked
+``(B, n, n)`` arrays drawn by ``draw_instances``, the sampler
+``gen_instance`` runs on a stack of one;
 trial 0 (the closed-form equality template) and the refinement's start are
 stacks of one (``_one_value``); the start is scored on the C' its state is
 built from.
-Each worker returns only the values of its trials; ``random_search`` builds
+Each block returns only the values of its trials; ``random_search`` builds
 the trace from them and rebuilds the one best trial as an ``Instance``, the
 witness.  Refinement keeps one state type, ``_RefineState``, lane axis first:
 the start and an accepted proposal are states of one lane; a rejection
@@ -69,7 +70,6 @@ from .matcore import (
     top_abs,
 )
 from .sampling import (
-    block_size,
     complex_draws,
     fan_out,
     mix_seed,
@@ -251,29 +251,23 @@ def _block_values(cfg: SearchConfig, indices: range) -> tuple:
     return _objective_stack(cfg.objective, cfg.p, cfg.m, cfg.M, s, t_eig, errors), errors
 
 
-def _eval_range(cfg: SearchConfig, start: int, stop: int) -> np.ndarray:
-    """Objective values of the random trials in [start, stop) (trial 0, the
-    template, is not one), in index order, NaN where a trial is skipped as
-    singular; an objective value is never NaN.  Any other failing trial
-    raises its exception, the first in index order."""
-    block = block_size(cfg.ambient)
-    values = [np.empty(0)]
-    for lo in range(max(start, 1), stop, block):
-        indices = range(lo, min(lo + block, stop))
-        block_values, errors = _block_values(cfg, indices)
-        for lane in sorted(errors):
-            if not isinstance(errors[lane], Singular):
-                raise errors[lane]
-        block_values[errors.bad] = np.nan
-        values.append(block_values)
-    return np.concatenate(values)
+def _eval_block(cfg: SearchConfig, indices: range) -> np.ndarray:
+    """_block_values of random trials `indices`, NaN where a trial is
+    skipped as singular; an objective value is never NaN.  Any other failing
+    trial raises its exception, the first in index order."""
+    values, errors = _block_values(cfg, indices)
+    for lane in sorted(errors):
+        if not isinstance(errors[lane], Singular):
+            raise errors[lane]
+    values[errors.bad] = np.nan
+    return values
 
 
 def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     """Evaluate the objective on `trials` seeded instances (trial 0 is the
-    extremal template) and keep the maximum.  The workers return the values
-    of their trial ranges; the trace is their strict running maxima in index
-    order, so ties keep the lowest index and the result does not depend on
+    extremal template) and keep the maximum.  The trace is the strict
+    running maxima of the template's value and the random trials' block
+    values in index order, so ties keep the lowest index and the result does not depend on
     the worker count.  The witness is the best trial rebuilt as the report
     stores it."""
     cfg.validate()
@@ -282,7 +276,7 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     except Singular:
         template = math.nan
     values = np.concatenate(
-        [[template], *fan_out(_eval_range, (cfg,), cfg.trials, workers, block_size(cfg.ambient))]
+        [[template], *fan_out(_eval_block, (cfg,), range(1, cfg.trials), workers, cfg.ambient)]
     )
     before = np.fmax.accumulate(np.concatenate([[-math.inf], values[:-1]]))  # skips NaNs
     floats = values.tolist()

@@ -4,7 +4,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from wielandt_lab import cli, maps, sampling, search
+from wielandt_lab import maps, sampling, search
 
 
 def rand_complex(seed: int, rows: int, cols: int) -> np.ndarray:
@@ -91,22 +91,16 @@ def tmp_chdir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def pool_ranges(monkeypatch):
-    """Lower the serial threshold of verify's and search's fan_out to 4
-    trials per worker, so small runs still fan out (the block walks keep
-    their own block size), and record every trial range handed to a pool
+    """Walk trial blocks of 4 (sampling.block_size), so small runs still
+    fan out, and record as (start, stop) every trial range handed to a pool
     process."""
     ranges = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
-            ranges.append(args[-2:])
+            ranges.append((args[-1].start, args[-1].stop))
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-
-    def fan_out_in_blocks_of_4(fn, head, trials, workers, block):
-        return sampling.fan_out(fn, head, trials, workers, 4)
-
-    monkeypatch.setattr(cli, "fan_out", fan_out_in_blocks_of_4)
-    monkeypatch.setattr(search, "fan_out", fan_out_in_blocks_of_4)
+    monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
     return ranges

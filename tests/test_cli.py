@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wielandt_lab import bounds, cli, instances, search
+from wielandt_lab import bounds, cli, instances, sampling, search
 from wielandt_lab.errors import NotPSD, Singular
 from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
@@ -587,29 +587,45 @@ class TestManifest:
         assert counters == {"checks_run": 10, "passes": 10, "skipped": 0, "refine_errors": 0}
 
 
-def _range_pid(start, stop):
-    return os.getpid(), start, stop
+def _block_pid(block):
+    return os.getpid(), block.start, block.stop
 
 
 class TestFanOut:
+    # At ambient dimension 4 a block holds BLOCK_SIZE trials.
+    def test_blocks_come_back_in_index_order(self, monkeypatch):
+        monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
+        results = fan_out(_block_pid, (), range(1, 30), 3, 4)
+        # worker ranges [1, 10), [10, 20) and [20, 30), each in blocks of 4
+        assert [(a, b) for _, a, b in results] == [
+            (1, 5), (5, 9), (9, 10), (10, 14), (14, 18), (18, 20), (20, 24), (24, 28), (28, 30)
+        ]
+
     def test_first_range_runs_in_the_caller(self):
-        results = fan_out(_range_pid, (), 3 * BLOCK_SIZE, 3, BLOCK_SIZE)
-        edges = [0, BLOCK_SIZE, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE]
+        results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE + 5), 3, 4)
+        edges = [0, BLOCK_SIZE, 513, 513 + BLOCK_SIZE, 1027, 1027 + BLOCK_SIZE, 1541]
         assert [(a, b) for _, a, b in results] == list(zip(edges[:-1], edges[1:]))
         pids = [pid for pid, _, _ in results]
-        assert pids[0] == os.getpid()
-        assert os.getpid() not in pids[1:]
+        assert pids[:2] == [os.getpid()] * 2
+        assert os.getpid() not in pids[2:]
 
     def test_small_runs_stay_serial(self):
-        assert fan_out(_range_pid, (), 11, 3, BLOCK_SIZE) == [(os.getpid(), 0, 11)]
+        assert fan_out(_block_pid, (), range(11), 3, 4) == [(os.getpid(), 0, 11)]
+        results = fan_out(_block_pid, (), range(2 * BLOCK_SIZE + 3), 3, 4)
+        assert results == [(os.getpid(), 0, BLOCK_SIZE), (os.getpid(), BLOCK_SIZE, 2 * BLOCK_SIZE),
+                           (os.getpid(), 2 * BLOCK_SIZE, 2 * BLOCK_SIZE + 3)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_needs_a_full_block_per_worker(self, workers):
         trials = BLOCK_SIZE * workers
-        serial = fan_out(_range_pid, (), trials - 1, workers, BLOCK_SIZE)
-        assert serial == [(os.getpid(), 0, trials - 1)]
-        pids = [pid for pid, _, _ in fan_out(_range_pid, (), trials, workers, BLOCK_SIZE)]
+        serial = fan_out(_block_pid, (), range(trials - 1), workers, 4)
+        assert {pid for pid, _, _ in serial} == {os.getpid()}
+        pids = [pid for pid, _, _ in fan_out(_block_pid, (), range(trials), workers, 4)]
         assert len(pids) == workers and os.getpid() not in pids[1:]
+
+    def test_empty_range_returns_nothing(self):
+        assert fan_out(_block_pid, (), range(0), 3, 4) == []
+        assert fan_out(_block_pid, (), range(5, 5), 1, 4) == []
 
 
 # Reports may drift from those of the one-trial implementation by this much,
@@ -748,8 +764,10 @@ class TestStackedVerify:
                 assert raised  # singular compressed operators near scale 1e-12
 
     def test_block_size_and_workers_do_not_change_report(self, monkeypatch, pool_ranges):
-        # The exponents are scored in groups of block_size // lanes, so these
-        # blocks give groups of one, several and all six exponents.
+        # fan_out walks blocks of sampling.block_size trials, and the
+        # exponents are scored in groups of bounds.block_size // lanes, so
+        # these (walk, group) blocks give groups of one, several and all six
+        # exponents; every 2- and 3-worker run reaches the pool.
         params = _params(SHAPES[0], M=100.0, p_values=(0.25, 0.5, 1, 1.5, 2, 3), trials=90,
                          seed=4)
         groups = set()
@@ -761,9 +779,9 @@ class TestStackedVerify:
 
         monkeypatch.setattr(bounds, "gamma_stack", recording)
         reports = set()
-        for block in (1, 7, 64, BLOCK_SIZE):
-            monkeypatch.setattr(cli, "block_size", lambda ambient: block)
-            monkeypatch.setattr(bounds, "block_size", lambda ambient: block)
+        for walk, group in ((1, 1), (7, 7), (30, 64), (30, BLOCK_SIZE)):
+            monkeypatch.setattr(sampling, "block_size", lambda ambient: walk)
+            monkeypatch.setattr(bounds, "block_size", lambda ambient: group)
             for workers in (1, 2, 3):
                 reports.add(json.dumps(stripped(cli.run_verify(params, workers=workers))))
         assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 4
@@ -787,10 +805,10 @@ class TestStackedVerify:
         # all 60 exponents peaks near 13.7 MiB.
         shape = dict(zip(("ambient", "rank", "out_dim", "ancilla"), dims))
         params = _params(shape, p_values=cli.parse_p_list(p_grid), trials=trials)
-        cli._verify_chunk(params, 0, 2)  # first-call caches stay out of the trace
+        cli._verify_block(params, range(2))  # first-call caches stay out of the trace
         tracemalloc.start()
         try:
-            cli._verify_chunk(params, 0, trials)
+            fan_out(cli._verify_block, (params,), range(trials), 1, params.ambient)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

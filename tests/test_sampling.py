@@ -24,13 +24,13 @@ class TestBlockSize:
     def test_fan_out_uses_the_shape_block(self, monkeypatch):
         # A heavier shape has smaller blocks, so its runs reach a pool sooner.
         blocks = []
+        real = sampling.block_size
 
-        def recording(fn, head, trials, workers, block):
-            blocks.append(block)
-            return sampling.fan_out(fn, head, trials, workers, block)
+        def recording(ambient):
+            blocks.append(real(ambient))
+            return blocks[-1]
 
-        monkeypatch.setattr(cli, "fan_out", recording)
-        monkeypatch.setattr(search, "fan_out", recording)
+        monkeypatch.setattr(sampling, "block_size", recording)
         shape = dict(rank=2, out_dim=2, ancilla=2, m=1.0, M=2.0, seed=0)
         cli.run_verify(cli.VerifyParams(trials=2, ambient=32, p_values=(1.0,), tol=1e-9, **shape))
         search.random_search(search.SearchConfig(trials=2, ambient=16, **shape))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, cli, instances, maps, search, stacked
+from wielandt_lab import bounds, cli, instances, maps, sampling, search, stacked
 from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import (
     BLOCK_SIZE, complex_gaussian, haar_frames, mix_seed, qr_positive, rng_from,
@@ -546,12 +546,13 @@ class TestStackedScreen:
     def test_block_size_and_workers_do_not_change_result(self, monkeypatch, pool_ranges):
         cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
         reports = set()
-        for block in (1, 7, 64, BLOCK_SIZE):
-            monkeypatch.setattr(search, "block_size", lambda ambient: block)
+        # runs of 2 and 3 workers reach the pool at the blocks below 30
+        for block in (1, 7, 29, BLOCK_SIZE):
+            monkeypatch.setattr(sampling, "block_size", lambda ambient: block)
             for workers in (1, 2, 3):
                 rec = search.random_search(cfg, workers=workers)
                 reports.add(json.dumps(rec.to_json()))
-        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 4
+        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3
         assert len(reports) == 1
         assert len(json.loads(reports.pop())["trace"]) > 1
 
