@@ -16,7 +16,7 @@ checks report the minimum eigenvalue of (bound side - lhs side); scalar
 checks report (bound - lhs).  A check passes when its margin is >= -tol *
 max(1, |lhs|, |bound|).  ``thm1_chain`` passes when every link gap (hi - lo)
 is >= -tol * max(1, |lo|, |hi|); its margin is the smallest gap divided by
-that scale.
+that scale, or 0 when that is within MIN_TOL of 0 (rounding).
 
 Every check is implemented once, as a stacked kernel over a block of trials
 (``instance_checks_stack``, ``lemma_checks_stack`` and the four lemma
@@ -371,8 +371,10 @@ def instance_checks_stack(
         scales = _scale(links[:-1], links[1:])
         chained = np.logical_and.reduce(gaps + tol * scales >= 0.0)
         # the margin is the smallest gap relative to its link scale: the raw
-        # gaps of links near 1e23 are rounding noise
+        # gaps of links near 1e23 are rounding noise.  So is a relative gap
+        # within MIN_TOL of 0; it reads 0, and ties go to the lowest trial.
         relative = np.minimum.reduce(gaps / scales)
+        relative[np.abs(relative) <= MIN_TOL] = 0.0
 
         # S^p <= ((M-m)/(M+m))^{2p} T^p, valid for 0 < p <= 1 (operator
         # monotonicity of fractional powers); row k of these arrays is

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import json
@@ -15,7 +16,7 @@ from wielandt_lab.errors import NotPSD, Singular
 from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
-from conftest import fail_refine_proposals
+from conftest import fail_refine_proposals, lapack_frames
 
 
 def run_cli(args):
@@ -257,6 +258,27 @@ class TestVerify:
         report = cli.run_verify(params)
         assert report["pass"]
         assert report["checks"]["thm1_chain"]["worst_margin"] >= -1e-13
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100", "--p", "0.1:6:0.1",
+          "--trials", "50"],
+         ["--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"]],
+        ids=["long-grid", "trial-errors"],
+    )
+    def test_chain_worst_trial_is_not_picked_by_rounding(self, args, tmp_chdir, monkeypatch,
+                                                         capsys):
+        # thm1_chain's smallest relative gaps lie within rounding of 0 on
+        # these runs, so the reference QR's frames must give the same worst
+        # margin and trial.
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "1")
+        worst = []
+        for frames in (contextlib.nullcontext, lapack_frames):
+            with frames():
+                run_cli(["verify", *args, "--out", "r.json"])
+            chain = json.loads((tmp_chdir / "r.json").read_text())["checks"]["thm1_chain"]
+            worst.append((chain["worst_margin"], chain["worst_trial"]))
+        assert worst[0] == worst[1]
 
     def test_usage_errors(self, capsys):
         assert run_cli(["verify", "--m", "2", "--M", "1"]) == 2

@@ -206,7 +206,7 @@ class TestStreamPin:
             # 64-trial blocks.
             (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
               "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
-             0, "c04705b3106fcd973e167192d4cafbf7c7f4795b50288d062587e420953927b6"),
+             0, "53fd2a73e14060eeee40acb25158d200f1e2ec4c5a5461e9e585a0a6b80ba55d"),
             (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
               "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
              0, "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
@@ -217,12 +217,12 @@ class TestStreamPin:
              0, "a141b69f2b01318678e2a57360432059982118dc0afcb41d8bbc99d08dad9ce5"),
             (["verify", "--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100",
               "--p", "0.1:6:0.1", "--trials", "50"],
-             0, "60cfbd27a6aabc075fda4522c2466687d384babf803f558c817a6ddbc67eb54d"),
+             0, "8b3fcc7d11bf80a99bf1308476485695c7d37e0b534d713ba764bc67ae4ee1c5"),
             (["verify", "--N", "7", "--n", "3", "--d", "2", "--k", "3", "--M", "50",
               "--p", "0.5,0.75,1.5"],
              0, "ffe58a1f521e1c3a2a0a90977e040ab0a307d81c40f1c407084e820ca45950b9"),
             (["verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"],
-             1, "73ef80a129bdca2776a0f387c89bf9339f6350036d3907350519c4a92bff2985"),
+             1, "f92229a1a3e24087b525afac72834e82d9d0f576884c2163990df7c2388ee433"),
             (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
               "--trials", "1100"],
              0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
