@@ -16,11 +16,11 @@ count.
 only implementation of each check.  A block seeds every trial's 3 instance
 and 6 lemma generators in one ``rngs_from`` pass, and scores its exponent
 grid in groups of exponents (see ``bounds.instance_checks_stack``), each
-group as one ``(P, B, d, d)`` stack.  A failing check of a trial becomes a failure entry
-holding that trial's report;
-a trial that fails a hypothesis becomes one ``trial_error`` entry with the
-exception's message.  Each check reports the trial of its worst margin
-(``worst_trial``, lowest index on ties) so near misses can be replayed.
+group as one ``(P, B, d, d)`` stack.  A failing check of a trial becomes a
+failure entry holding that trial's report; a trial that fails a hypothesis
+becomes one ``trial_error`` entry with the exception's message.  Each
+check reports the trial of its worst margin (``worst_trial``, lowest index
+on ties) so near misses can be replayed.
 """
 
 from __future__ import annotations

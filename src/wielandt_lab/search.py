@@ -267,9 +267,9 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     """Evaluate the objective on `trials` seeded instances (trial 0 is the
     extremal template) and keep the maximum.  The trace is the strict
     running maxima of the template's value and the random trials' block
-    values in index order, so ties keep the lowest index and the result does not depend on
-    the worker count.  The witness is the best trial rebuilt as the report
-    stores it."""
+    values in index order, so ties keep the lowest index and the result
+    does not depend on the worker count.  The witness is the best trial
+    rebuilt as the report stores it."""
     cfg.validate()
     try:
         template = objective_value(cfg, _trial_instance(cfg, 0))

@@ -625,6 +625,7 @@ class TestFanOut:
 
     def test_first_range_runs_in_the_caller(self):
         results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE + 5), 3, 4)
+        # worker ranges start at 0, 513 and 1027; each is a full block and a rest
         edges = [0, BLOCK_SIZE, 513, 513 + BLOCK_SIZE, 1027, 1027 + BLOCK_SIZE, 1541]
         assert [(a, b) for _, a, b in results] == list(zip(edges[:-1], edges[1:]))
         pids = [pid for pid, _, _ in results]
