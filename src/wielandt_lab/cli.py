@@ -48,9 +48,9 @@ from .bounds import (
     instance_checks_stack,
     lemma_checks_stack,
     lemma_seeds,
+    run_instance_checks,
     snap_exponent,
     thm2_tail_note,
-    wielandt_factor,
 )
 from .errors import InvalidBounds, InvalidExponent, WielandtLabError
 from .instances import (
@@ -63,7 +63,7 @@ from .instances import (
 from .matcore import check_exponent
 from .sampling import fan_out, mix_seeds, rngs_from
 from .search import OBJECTIVES, SearchConfig, conjecture_ratio, run_search
-from .stacked import compressed_products_stack, instance_products
+from .stacked import compressed_products_stack
 
 DISCOVERY_FACTOR = 10.0  # discovery threshold: best_value > 1 + 10 * tol
 # Most points a p grid may have.  The count is known before any point is
@@ -470,12 +470,8 @@ def cmd_extremal(args) -> int:
     check_in_range(m, M, [p])
     degenerate = M == m
     inst = degenerate_instance(m) if degenerate else extremal_instance(m, M)
-    s, t, t_eig, errors = instance_products(inst)
-    lanes = instance_checks_stack(s, t, t_eig, errors, [inst.seed], m, M, [p])
-    reports = {r.check: r for r in lanes.reports(0)}
-    factor = wielandt_factor(m, M)
-    lhs = float(s[0, 0, 0].real)
-    rhs = factor * float(t[0, 0, 0].real)
+    reports = {r.check: r for r in run_instance_checks(inst, [p])}
+    lhs, rhs = (reports["bhatia_davis"].payload[key] for key in ("lhs", "bound"))
     print(f"equality-case instance (m={m:g}, M={M:g}, p={p:g})")
     if degenerate:
         print("degenerate bounds: m == M, the off-diagonal compression vanishes")

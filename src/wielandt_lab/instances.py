@@ -2,6 +2,9 @@
 isometry pairs with orthogonal ranges, the closed-form equality case, and the
 combined bundle used by every inequality check.
 
+Every witness the lab reports is the identity-map instance (C, [I;0], [0;I])
+of a 2d x 2d matrix C, laid out by ``compression_instance`` alone.
+
 Sampled instances are drawn once, for stacks: ``operator_stack`` draws
 operators and ``draw_instances`` whole bundles, one generator per lane and
 component, the form the stacked trial blocks of ``verify`` and ``search``
@@ -99,10 +102,12 @@ def instance_seeds(seeds) -> np.ndarray:
     return mix_seeds(np.asarray(seeds, dtype=np.uint64)[:, np.newaxis], INSTANCE_TAGS).T
 
 
-def _extremal_operator(m: float, M: float) -> np.ndarray:
-    avg = (M + m) / 2.0
-    off = (M - m) / 2.0
-    return np.array([[avg, off], [off, avg]], dtype=np.complex128)
+def compression_instance(c: np.ndarray, m: float, M: float, seed: int = 0) -> Instance:
+    """The identity-map instance (C, [I;0], [0;I]) of a Hermitian 2d x 2d
+    matrix C: its compression C' (``stacked.compression_stack``) is C."""
+    d = c.shape[-1] // 2
+    return Instance(c, m, M, np.eye(2 * d, d, dtype=np.complex128),
+                    np.eye(2 * d, d, -d, dtype=np.complex128), IdentityMap(d), seed=seed)
 
 
 def extremal_instance(m: float, M: float) -> Instance:
@@ -110,18 +115,15 @@ def extremal_instance(m: float, M: float) -> Instance:
     degrees to X = e1, Y = e2, identity map.  It attains equality in the
     operator Wielandt inequality, with both sides ((M-m)/(M+m))^2 (M+m)/2."""
     m, M = check_bounds(m, M, strict=True)
-    x = np.array([[1.0], [0.0]], dtype=np.complex128)
-    y = np.array([[0.0], [1.0]], dtype=np.complex128)
-    return Instance(_extremal_operator(m, M), m, M, x, y, IdentityMap(1), seed=0)
+    avg, off = (M + m) / 2.0, (M - m) / 2.0
+    return compression_instance(np.array([[avg, off], [off, avg]], dtype=np.complex128), m, M)
 
 
 def degenerate_instance(m: float) -> Instance:
     """Collapsed-spectrum companion of the extremal case (A = m I, so the
     off-diagonal compression vanishes identically)."""
     m, _ = check_bounds(m, m)
-    x = np.array([[1.0], [0.0]], dtype=np.complex128)
-    y = np.array([[0.0], [1.0]], dtype=np.complex128)
-    return Instance(_extremal_operator(m, m), m, m, x, y, IdentityMap(1), seed=0)
+    return compression_instance(m * np.eye(2, dtype=np.complex128), m, m)
 
 
 def gen_instance(seed: int, N: int, n: int, d: int, k: int, m: float, M: float) -> Instance:

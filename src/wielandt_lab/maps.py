@@ -9,7 +9,8 @@ operators K_1..K_k stack on the ancilla (row i*k + a of W is row i of K_a);
 a convex mix of CP maps scales each part's Kraus operators by the square root
 of its weight; a mix with non-CP parts is a linear action.  The lab samples
 only unital CP Stinespring maps (``random_unital_cp``), which are 2-positive
-by construction; no command reads a user-supplied map yet.
+by construction; no command reads a user-supplied map yet, and
+``map_from_json`` refuses a linear action that does not preserve adjoints.
 
 The isometry guard and each map's action are written once, for stacks:
 ``flag_isometry`` records a ValueError for each lane whose frame does not have
@@ -250,5 +251,12 @@ def map_from_json(obj: dict) -> PositiveMap:
         if (phi.in_dim, phi.out_dim) != (int(obj["in_dim"]), int(obj["out_dim"])):
             raise DimensionMismatch(f"action matrix shape {phi.matrix.shape} does not match "
                                     f"in_dim {obj['in_dim']}, out_dim {obj['out_dim']}")
+        # Phi(T*) = Phi(T)*, as products_stack assumes: on row-major vec,
+        # L P_n = conj(P_d L), where P_k transposes a k x k matrix
+        act, n, d = phi.matrix, phi.in_dim, phi.out_dim
+        defect = np.linalg.norm(act[:, np.arange(n * n).reshape(n, n).T.ravel()]
+                                - act[np.arange(d * d).reshape(d, d).T.ravel()].conj())
+        if defect > ISOMETRY_TOL * max(1.0, np.linalg.norm(act)):
+            raise ValueError(f"linear action does not preserve adjoints (defect {defect:g})")
         return phi
     raise ValueError(f"unknown map tag {kind!r}")

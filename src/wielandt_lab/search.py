@@ -23,7 +23,8 @@ witness.  Refinement keeps one state type, ``_RefineState``, lane axis first:
 the start and an accepted proposal are states of one lane; a rejection
 ladder, the proposals refinement would make if it rejected each one in turn,
 is one state of many lanes, built and scored as one stack, then walked in
-order as the sequential ascent would.
+order as the sequential ascent would.  The refined witness is the
+identity-map instance of the best C (``instances.compression_instance``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .bounds import (
     DEFAULT_TOL,
+    MIN_TOL,
     bound_thm1,
     bound_thm2,
     bound_thm3,
@@ -48,13 +50,13 @@ from .instances import (
     Instance,
     check_bounds,
     check_dims,
+    compression_instance,
     extremal_instance,
     gen_instance,
     instance_from_json,
     instance_seeds,
     instance_to_json,
 )
-from .maps import IdentityMap
 from .matcore import (
     LaneErrors,
     adj,
@@ -92,10 +94,6 @@ OBJECTIVES = ("conjecture", "tightness_thm1", "tightness_thm2", "tightness_thm3"
 _INITIAL_STEP = 0.1
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-6
-# Smallest gain over the best value, relative to max(1, |best|), that
-# refinement accepts: a smaller one is rounding (the template's value gains
-# one ulp on some proposals), not an ascent.
-_MIN_GAIN = 1e-14
 # Smallest contrast (M-m)/(M+m) times tol a conjecture search accepts: near
 # m = M rounding alone lifts the template's value, capped at exactly 1, by up
 # to 8.4e-16 / contrast, under 0.84 tol here against the threshold 1 + 10 tol.
@@ -299,7 +297,7 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
 class _RefineState(NamedTuple):
     """Matrices C = V diag(lam) V*, lane axis first: eigenvalues (L, 2d) with
     the ends pinned to m and M, and eigenbases V (L, 2d, 2d).  A lane is the
-    identity-map instance ``_lane_instance`` builds."""
+    identity-map instance ``compression_instance`` builds from its C."""
 
     lam: np.ndarray
     basis: np.ndarray
@@ -320,15 +318,6 @@ def _start_state(inst: Instance) -> tuple:
         raise errors[0]
     lam = np.concatenate([[inst.m], w[1:-1], [inst.M]])
     return c, _RefineState(lam[np.newaxis], v[np.newaxis])
-
-
-def _lane_instance(start: Instance, state: _RefineState) -> Instance:
-    """The identity-map instance (C, [I;0], [0;I]) of one-lane `state`
-    refined from `start`."""
-    d = state.lam.shape[1] // 2
-    return Instance(from_eig(state.lam[0], state.basis[0]), start.m, start.M,
-                    np.eye(2 * d, d, dtype=np.complex128),
-                    np.eye(2 * d, d, -d, dtype=np.complex128), IdentityMap(d), seed=start.seed)
 
 
 def _ladder(cfg: SearchConfig, start: Instance, state: _RefineState, draws: np.ndarray,
@@ -375,9 +364,10 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     """Step-shrinking local ascent from `start` on its compression C'
     (``_start_state``): propose a move of C's interior eigenvalues and a small
     unitary turn of its eigenbasis, accept if it improves the objective by
-    more than _MIN_GAIN max(1, |best value|), otherwise halve the step; stops
-    below step 1e-6 or when the budget runs out.  A proposal whose evaluation
-    raises a WielandtLabError scores -inf and counts in refine_errors.
+    more than the rounding floor MIN_TOL max(1, |best value|), otherwise halve
+    the step; stops below step 1e-6 or when the budget runs out.  A proposal
+    whose evaluation raises a WielandtLabError scores -inf and counts in
+    refine_errors.
 
     Every objective sees (A, X, Y, Phi) only through the d x d blocks
     Phi(X*AX), Phi(X*AY), Phi(Y*AX) and Phi(Y*AY) of C'
@@ -422,7 +412,7 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
                     raise error
                 value = -math.inf
                 errors += 1
-            if value - best_value > _MIN_GAIN * max(1.0, abs(best_value)):
+            if value - best_value > MIN_TOL * max(1.0, abs(best_value)):
                 best_value = value
                 state = proposals.lane(lane)
                 trace.append(("refine", done, value))
@@ -435,7 +425,8 @@ def refine(start: Instance, cfg: SearchConfig) -> SearchRecord:
     return SearchRecord(
         objective=cfg.objective,
         best_value=best_value,
-        best_instance=_lane_instance(start, state) if len(trace) > 1 else start,
+        best_instance=start if len(trace) == 1 else compression_instance(
+            from_eig(state.lam[0], state.basis[0]), start.m, start.M, start.seed),
         best_index=-1,
         trials_done=done,
         trace=trace,

@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from wielandt_lab import bounds, instances, maps
+from wielandt_lab import bounds, instances, maps, stacked
 from wielandt_lab.errors import DimensionMismatch, InvalidBounds
 from wielandt_lab.maps import IdentityMap
 from wielandt_lab.matcore import herm_eig
 from wielandt_lab.sampling import mix_seeds, rngs_from
 
-from conftest import assert_instance_invariants, lapack_frames
+from conftest import assert_instance_invariants, lapack_frames, rand_herm
 from test_bounds import gamma_of
 
 
@@ -131,6 +131,24 @@ class TestExtremalInstance:
         for m in (0.0, np.inf, np.nan):
             with pytest.raises(InvalidBounds):
                 instances.degenerate_instance(m)
+
+
+class TestCompressionInstance:
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_compression_is_c(self, d):
+        for seed in range(5):
+            c = rand_herm(seed, 2 * d)
+            inst = instances.compression_instance(c, 1.0, 3.0, seed=seed)
+            assert (inst.ambient, inst.rank, inst.phi.out_dim) == (2 * d, d, d)
+            assert stacked.instance_compression(inst)[0].tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_json_replays(self, d):
+        inst = instances.compression_instance(rand_herm(7, 2 * d), 1.0, 3.0, seed=11)
+        blob = json.dumps(instances.instance_to_json(inst))
+        back = instances.instance_from_json(json.loads(blob))
+        assert json.dumps(instances.instance_to_json(back)) == blob
+        assert stacked.instance_compression(back)[0].tobytes() == inst.a.tobytes()
 
 
 class TestGenInstance:

@@ -160,6 +160,20 @@ class TestSerialization:
             with pytest.raises(DimensionMismatch):
                 maps.map_from_json(dict(obj, **{key: value}))
 
+    def test_linear_action_must_preserve_adjoints(self):
+        # I + 0.3 G sends a Hermitian T to a non-Hermitian image, so C' would
+        # not be Hermitian and S would be read off half of it; transposes and
+        # a complex compression V*TV (3 x 3 to 2 x 2, vec(V*TV) = (V* (x) V^T)
+        # vec(T)) written as linear actions keep Phi(T*) = Phi(T)*
+        bent = maps.LinearActionMap(np.eye(4) + 0.3 * rand_complex(1, 4, 4))
+        with pytest.raises(ValueError, match="does not preserve adjoints"):
+            maps.map_from_json(json.loads(json.dumps(maps.map_to_json(bent))))
+        v = np.linalg.qr(rand_complex(2, 3, 2))[0]
+        for phi in (transpose_map(2), transpose_map(3),
+                    maps.LinearActionMap(np.kron(v.conj().T, v.T))):
+            back = maps.map_from_json(json.loads(json.dumps(maps.map_to_json(phi))))
+            assert np.array_equal(back.matrix, phi.matrix)
+
     def test_unknown_tag(self):
         # the compression, Kraus and convex forms are Stinespring maps
         for tag in ("nonsense", "compression", "kraus", "convex"):

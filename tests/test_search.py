@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wielandt_lab import bounds, cli, instances, maps, sampling, search, stacked
-from wielandt_lab.matcore import LaneErrors, herm_eig_stack, hermitian_part
+from wielandt_lab.matcore import LaneErrors, from_eig, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import (
     BLOCK_SIZE, complex_gaussian, haar_frames, mix_seed, qr_positive, rng_from,
 )
@@ -173,11 +173,7 @@ def _mapped_compression(inst):
 def _identity_twin(inst):
     """The identity-map instance (C', [I;0], [0;I]) of `inst` (see
     _mapped_compression), of shape (2d, d, d)."""
-    c = _mapped_compression(inst)
-    d = c.shape[0] // 2
-    unit = np.eye(2 * d, dtype=np.complex128)
-    return instances.Instance(c, inst.m, inst.M, unit[:, :d], unit[:, d:],
-                              maps.IdentityMap(d), inst.seed)
+    return instances.compression_instance(_mapped_compression(inst), inst.m, inst.M, inst.seed)
 
 
 def _assert_same_checks(twin, inst):
@@ -604,7 +600,9 @@ def sequential_refine(start, cfg):
         if step < 1e-6:
             break
         candidate_state = _perturbed(start, state, rng, step)
-        candidate = search._lane_instance(start, candidate_state)
+        candidate = instances.compression_instance(
+            from_eig(candidate_state.lam[0], candidate_state.basis[0]), start.m, start.M,
+            start.seed)
         try:
             value = search.objective_value(cfg, candidate)
         except WielandtLabError:
