@@ -6,12 +6,12 @@ Every witness the lab reports is the identity-map instance (C, [I;0], [0;I])
 of a 2d x 2d matrix C, laid out by ``compression_instance`` alone.
 
 Sampled instances are drawn once, for stacks: ``operator_stack`` draws
-operators and ``draw_instances`` whole bundles, one generator per lane and
-component, the form the stacked trial blocks of ``verify`` and ``search``
-use, each lane drawn by ``lane_draws``.  The one-seed sampler
-``gen_instance`` is a stack of one, one ``rng_from`` generator per component
-seeded as a block seeds that lane, so a lane of a block and ``gen_instance``
-at its seed give the same bits.
+operators and ``draw_instances`` whole bundles from a lane stream
+(``sampling.rngs_from``), one lane per trial and component, the form the
+stacked trial blocks of ``verify`` and ``search`` use, each lane drawn by
+``lane_draws``.  The one-seed sampler ``gen_instance`` is a stack of one: a
+stream of one lane per component, seeded as a block seeds that trial, so a
+lane of a block and ``gen_instance`` at its seed give the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidBounds
 from .maps import IdentityMap, PositiveMap, StinespringMap, check_dims, map_from_json, map_to_json
 from .matcore import from_eig, matrix_from_json, matrix_to_json
-from .sampling import MASK64, haar_frames, lane_draws, mix_seeds, rng_from
+from .sampling import MASK64, haar_frames, lane_draws, mix_seeds, rngs_from
 
 # gen_instance's sub-seed tags, one generator per component, in draw order.
 TAG_OPERATOR = "operator"
@@ -127,12 +127,12 @@ def degenerate_instance(m: float) -> Instance:
 
 
 def gen_instance(seed: int, N: int, n: int, d: int, k: int, m: float, M: float) -> Instance:
-    """draw_instances for one seed: each component draws from its own
-    generator, seeded with the block's instance_seeds, so the bundle is
-    deterministic in `seed` and component streams stay independent."""
+    """draw_instances for one seed: each component draws from its own lane,
+    seeded with the block's instance_seeds, so the bundle is deterministic
+    in `seed` and component streams stay independent."""
     m, M = check_bounds(m, M)
     check_dims(N, n, d, k)
-    rngs = map(rng_from, instance_seeds([seed & MASK64]).ravel().tolist())
+    rngs = rngs_from(instance_seeds([seed & MASK64]))
     a, x, y, w = draw_instances(rngs, 1, N, n, d, k, m, M)
     return Instance(a[0], m, M, x[0], y[0], StinespringMap(w[0], k), seed=seed)
 

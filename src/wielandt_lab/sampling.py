@@ -7,50 +7,51 @@ trial blocks: it cuts an index range into blocks of ``block_size(N)`` trials,
 each worker process taking a contiguous share, and returns one result per
 block in index order.
 
-Each sampled component draws from ``default_rng(sub_seed)``.  A one-seed
-sampler takes its generator from ``rng_from``.  A stacked block of
-``block_size(ambient)`` trials hashes its sub-seeds with ``mix_seeds``, and
-``rngs_from`` runs numpy's SeedSequence and PCG64 seeding on uint64 arrays and
-writes each lane's four state words into one reused Generator's PCG64 struct:
-the state ``default_rng`` gives, checked in full against it on the first lane
-of every call.
+Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
+blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
+seed array a ``LaneStream``: numpy's SeedSequence and PCG64 seeding run on
+arrays and give each lane's four PCG64 state words, and the stream's one
+reused Generator is checked in full against ``default_rng`` on its first
+lane.  A one-seed sampler is a stream of one lane per component.
+``rng_from`` is a whole generator, for draws not laid out in lanes.
 
-Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop,
-lane i drawing its standard normals, then its uniforms, from the i-th next
-generator; ``complex_draws`` turns normals into complex Gaussians and
-``haar_frames`` into Haar-distributed frames, orthonormalized by
-``qr_positive``'s two-pass Gram-Schmidt over the whole stack at once.  A
-one-seed draw is a stack of one.
+Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop.
+It copies each lane's state words into the stream's generator and fills the
+lane's standard normals, then its uniforms, straight into the block's arrays
+with numpy's C distribution routines, which are checked once per process to
+give ``Generator.standard_normal``'s and ``Generator.random``'s bits.
+``complex_draws`` turns normals into complex Gaussians and ``haar_frames``
+into Haar-distributed frames, orthonormalized by ``qr_positive``'s two-pass
+Gram-Schmidt over the whole stack at once.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
-from collections.abc import Iterator
+import math
 
 import numpy as np
 
 MASK64 = (1 << 64) - 1
 
 # Trial indices evaluated together as one stack, by ambient dimension N (see
-# block_size).  A stacked block pays a fixed numpy call cost (about 0.9 ms for
-# a search block, 3 ms for a six-exponent verify block, in CPU time on a shared
-# 2 vCPU x86_64 host with BLAS on one thread; medians of five fits, single
-# fits spread by half) against about 14 and 51 us per lane at N = 4, so 512
-# lanes keep that cost near a tenth of the block.  A verify block scores its
-# exponents in groups of block_size(d) // lanes (at least one; d is the size
-# of the compressed products), so a small block pays the fixed cost of its
-# exponent checks once per group and a long p grid is never one stack larger
-# than about one full block at one exponent.  A lane's work grows faster than
-# that fixed cost, so larger N gains little from more lanes (128 lanes time as
-# 512 at N = 16, 64 lanes are about 5% slower than 512 at N = 32 and 6-12%
-# faster at N = 64), while a lane's arrays grow as N^2: one full six-exponent
-# verify block of 512 lanes peaks at 18.5 MiB of arrays at (N, n) = (16, 4)
-# and 238 MiB at (64, 8), per worker.  So a block holds at most
-# LANE_BUDGET / N^2 lanes, between MIN_BLOCK and BLOCK_SIZE, which keeps that
-# peak under about 8 MiB up to N = 22 and at 64 lanes beyond.
+# block_size).  A stacked block pays a fixed numpy call cost (about 0.8-1.1 ms
+# for a search block, 5 ms for a six-exponent verify block, in CPU time on a
+# shared 2 vCPU x86_64 host with BLAS on one thread; medians of five fits in
+# each of two runs, single fits spread by half) against about 14-19 and 76-78
+# us per lane at N = 4, so 512 lanes keep that cost near a tenth of the block.
+# A verify block scores its exponents in groups of block_size(d) // lanes (at
+# least one; d is the size of the compressed products), so a small block pays
+# the fixed cost of its exponent checks once per group and a long p grid is
+# never one stack larger than about one full block at one exponent.  A lane's
+# work grows faster than that fixed cost, so larger N gains little from more
+# lanes (128 lanes time as 512 at N = 16, 64 lanes are about 5% slower than
+# 512 at N = 32 and 6-12% faster at N = 64), while a lane's arrays grow as
+# N^2: one full six-exponent verify block of 512 lanes peaks at 18.5 MiB of
+# arrays at (N, n) = (16, 4) and 238 MiB at (64, 8), per worker.  So a block
+# holds at most LANE_BUDGET / N^2 lanes, between MIN_BLOCK and BLOCK_SIZE,
+# which keeps that peak under about 8 MiB up to N = 22 and at 64 lanes beyond.
 BLOCK_SIZE = 512
 MIN_BLOCK = 64
 LANE_BUDGET = BLOCK_SIZE * 8**2
@@ -115,11 +116,35 @@ _1, _32 = np.uint64(1), np.uint64(32)
 _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
-def _hashmix(value: np.ndarray, const: list, mult: int) -> np.ndarray:
-    """SeedSequence's hashmix; advances its running constant const[0]."""
-    before, const[0] = const[0], const[0] * mult & 0xFFFFFFFF
-    value = (value ^ np.uint64(before)) * np.uint64(const[0]) & _MASK32
-    return value ^ (value >> np.uint64(16))
+def _hash_constants(const: int, mult: int, steps: int) -> tuple:
+    """SeedSequence's running hash constant before and after each of `steps`
+    hashmix steps from `const`, as (steps, 1) uint32 columns: they do not
+    depend on the data, so they are computed once."""
+    consts = [const]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, dtype=np.uint32)[:, np.newaxis]
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, before, after) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words at the running constants
+    `before`, `after`; uint32 arithmetic wraps as SeedSequence's does."""
+    value = (value ^ before) * after
+    return value ^ (value >> np.uint32(16))
+
+
+# SeedSequence hashes its four pool words, then mixes hashmix(pool[src])
+# into every other word dst, src-major and dst ascending: 12 steps on one
+# running constant.  One src's three steps write three distinct words and
+# read only pool[src], so they run as one round on a (3, lanes) array.  The
+# eight output words are hashed on a second running constant.
+_POOL_BEFORE, _POOL_AFTER = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12)
+_MIX_ROUNDS = [
+    ([dst for dst in range(4) if dst != src], slice(4 + 3 * src, 7 + 3 * src)) for src in range(4)
+]
+_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_DST, _MIX_SRC = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -134,17 +159,18 @@ def _mul64(a: np.ndarray, b: np.ndarray) -> tuple:
 def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
     """PCG64(SeedSequence(seed)) for each uint64 seed, as a (lanes, 4)
     uint64 array of (state high, state low, inc high, inc low) words,
-    computed step for step as numpy does, as arithmetic on uint64 arrays."""
-    const, zero = [0x43B0D7E5], np.zeros_like(seeds)
-    words = (seeds & _MASK32, seeds >> _32, zero, zero)
-    pool = [_hashmix(word, const, 0x931E8875) for word in words]
-    for src, dst in itertools.permutations(range(4), 2):  # src-major, src != dst
-        hashed = _hashmix(pool[src], const, 0x931E8875)
-        mixed = np.uint64(0xCA01F9DD) * pool[dst] - np.uint64(0x4973F715) * hashed & _MASK32
-        pool[dst] = mixed ^ (mixed >> np.uint64(16))
-    const = [0x8B51F9DD]
-    out = [_hashmix(pool[i % 4], const, 0x58F38DED) for i in range(8)]
-    s0, s1, s2, s3 = (out[j] | out[j + 1] << _32 for j in (0, 2, 4, 6))
+    computed step for step as numpy does, as arithmetic on arrays: the
+    SeedSequence pool in uint32, then PCG64's 128-bit seeding on pairs of
+    uint64 words."""
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    words = np.stack([seeds.astype(np.uint32), (seeds >> _32).astype(np.uint32), zero, zero])
+    pool = _hashmix(words, _POOL_BEFORE[:4], _POOL_AFTER[:4])
+    for src, (dsts, steps) in enumerate(_MIX_ROUNDS):
+        hashed = _hashmix(pool[src], _POOL_BEFORE[steps], _POOL_AFTER[steps])
+        mixed = _MIX_DST * pool[dsts] - _MIX_SRC * hashed
+        pool[dsts] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashmix(np.tile(pool, (2, 1)), *_OUT_HASH).astype(np.uint64)
+    s0, s1, s2, s3 = out[0::2] | out[1::2] << _32
     # inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) * PCG_MULT + inc, mod 2^128
     inc_hi, inc_lo = s2 << _1 | s3 >> np.uint64(63), s3 << _1 | _1
     sum_lo = inc_lo + s1
@@ -178,40 +204,114 @@ def _state_words(bit_generator) -> tuple:
     return view, [_PROBE_WORDS.index(word) for word in read]
 
 
-def rngs_from(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    """rng_from(seed) for each seed of a uint64 array, in C order: one reused
-    Generator set to each seed's state in turn, so draw before advancing.
-    Each lane's state is written as _pcg64_states' four words straight into
-    the generator's PCG64 struct, leaving its buffered 32-bit half-word as
-    it is, so lanes draw only with 64-bit methods (``standard_normal``,
-    ``random``); the generator is private to the iterator.  Raises
-    RuntimeError unless the first seed's whole state, written so, is
-    default_rng's."""
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    if not seeds.size:
-        return
-    rng = np.random.default_rng(int(seeds[0]))
-    expected = rng.bit_generator.state
-    view, order = _state_words(rng.bit_generator)
-    words = _pcg64_states(seeds)[:, order]
-    view[:] = words[0]
-    if rng.bit_generator.state != expected:
-        raise RuntimeError("vectorized seeding no longer matches numpy's default_rng")
-    for row in words:
-        view[:] = row
-        yield rng
+# numpy's documented C distribution routines (numpy/random/c_distributions.pxd),
+# exported by its numpy.random._generator extension, each
+#   void fill(bitgen_t *bitgen_state, npy_intp cnt, double *out)
+_FILL_NAMES = ("random_standard_normal_fill", "random_standard_uniform_fill")
+# The seed and draw count on which _fills checks them against Generator.
+_PROBE_SEED, _PROBE_DRAWS = 0x5EED, 1000
 
 
-def lane_draws(rngs, lanes: int, shape: tuple, uniforms: int = 0) -> tuple:
+@functools.cache
+def _fills() -> tuple:
+    """numpy's normal and uniform fill routines as ctypes functions of a
+    bitgen_t address, a count and an output address, checked once per
+    process: from a probe seed they must give ``Generator.standard_normal``'s,
+    then ``Generator.random``'s bits, or RuntimeError.  They call no Python
+    and run for about a microsecond, so they keep the GIL (``PyDLL``)."""
+    lib = ctypes.PyDLL(np.random._generator.__file__)
+    fills = tuple(getattr(lib, name) for name in _FILL_NAMES)
+    rng, ref = np.random.default_rng(_PROBE_SEED), np.random.default_rng(_PROBE_SEED)
+    got = np.empty((len(fills), _PROBE_DRAWS))
+    for fill, row in zip(fills, got):
+        fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+        fill.restype = None
+        fill(rng.bit_generator.ctypes.bit_generator, _PROBE_DRAWS, row.ctypes.data)
+    want = np.stack([ref.standard_normal(_PROBE_DRAWS), ref.random(_PROBE_DRAWS)])
+    if got.tobytes() != want.tobytes():
+        raise RuntimeError("numpy's C fill routines no longer draw as its Generator does")
+    return fills
+
+
+class LaneStream:
+    """Lanes drawn in turn from one reused Generator, private to the
+    stream, lane i as ``default_rng(seeds[i])`` draws.  `words` holds every
+    lane's four PCG64 state words in the order of the generator's struct
+    (`state`), and `pos` is the next lane.  The first draw builds `words`
+    and checks the first lane's whole state, written so, against
+    default_rng's; if it differs it raises RuntimeError and no lane is left.
+    A lane's state is its four words alone, the buffered 32-bit half-word
+    left as it is, so lanes draw only with 64-bit routines.  ``lane_draws``
+    takes lanes by the block; iterating yields the generator set to each
+    next lane's state, so draw before advancing."""
+
+    def __init__(self, seeds: np.ndarray):
+        self.seeds = seeds
+        self.pos = 0
+        self.rng = self.state = self.words = self.bitgen = None
+
+    def take(self, lanes: int) -> int:
+        """The index of the first of the next `lanes` lanes, which the caller
+        then draws; IndexError if fewer are left."""
+        start = self.pos
+        if start + lanes > self.seeds.size:
+            left = self.seeds.size - start
+            raise IndexError(f"{lanes} lanes asked of a lane stream with {left} left")
+        if lanes and self.rng is None:
+            self._open()
+        self.pos = start + lanes
+        return start
+
+    def _open(self) -> None:
+        rng = np.random.default_rng(int(self.seeds[0]))
+        expected = rng.bit_generator.state
+        view, order = _state_words(rng.bit_generator)
+        words = _pcg64_states(self.seeds)[:, order]
+        view[:] = words[0]
+        if rng.bit_generator.state != expected:
+            self.pos = self.seeds.size
+            raise RuntimeError("vectorized seeding no longer matches numpy's default_rng")
+        self.rng, self.state, self.words = rng, memoryview(view), memoryview(words.ravel())
+        self.bitgen = rng.bit_generator.ctypes.bit_generator.value
+
+    def __iter__(self) -> LaneStream:
+        return self
+
+    def __next__(self) -> np.random.Generator:
+        if self.pos == self.seeds.size:
+            raise StopIteration
+        word = 4 * self.take(1)
+        self.state[:] = self.words[word : word + 4]
+        return self.rng
+
+
+def rngs_from(seeds: np.ndarray) -> LaneStream:
+    """The lane stream of a uint64 seed array, read in C order: lane i draws
+    as ``default_rng(seed)`` of the i-th seed does."""
+    return LaneStream(np.asarray(seeds, dtype=np.uint64).ravel())
+
+
+def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) -> tuple:
     """(lanes, *shape) standard normals and (lanes, `uniforms`) values in
-    [0, 1), lane i drawn from the i-th next generator of `rngs`: its normals,
-    then its uniforms (no ``random`` call when `uniforms` is 0)."""
+    [0, 1) from the next `lanes` lanes of `stream`, the one per-lane draw
+    loop: each lane's four state words are copied into the stream's
+    generator, which fills the lane's normals, then its uniforms (none when
+    `uniforms` is 0), straight into the block's arrays through numpy's C
+    fill routines: the bits of ``standard_normal(out=)``, then
+    ``random(out=)``, without their per-call cost."""
+    normal_fill, uniform_fill = _fills()
     g, u = np.empty((lanes, *shape)), np.empty((lanes, uniforms))
-    for normals, row in zip(g, u):
-        rng = next(rngs)
-        rng.standard_normal(out=normals)
+    start = stream.take(lanes)
+    state, words, bitgen = stream.state, stream.words, stream.bitgen
+    count, g_at, u_at = math.prod(shape), g.ctypes.data, u.ctypes.data
+    g_step, u_step = g.strides[0], u.strides[0]
+    for word in range(4 * start, 4 * (start + lanes), 4):
+        state[:] = words[word : word + 4]
+        normal_fill(bitgen, count, g_at)
+        g_at += g_step
         if uniforms:
-            rng.random(out=row)
+            uniform_fill(bitgen, uniforms, u_at)
+            u_at += u_step
     return g, u
 
 

@@ -12,7 +12,7 @@ from wielandt_lab.errors import InvalidBounds, InvalidExponent, NotPSD, Precondi
 from wielandt_lab.matcore import (
     EigDecomp, herm_eig, herm_eig_stack, hermitian_part, top_abs,
 )
-from wielandt_lab.sampling import haar_frames, mix_seed, rng_from
+from wielandt_lab.sampling import haar_frames, mix_seed, rng_from, rngs_from
 
 from conftest import rand_psd
 
@@ -432,7 +432,7 @@ class TestScalarWielandt:
 
     def test_random_batch(self):
         seeds = range(200)
-        a = instances.operator_stack(map(rng_from, seeds), len(seeds), 4, 1.0, 2.0)
+        a = instances.operator_stack(rngs_from(list(seeds)), len(seeds), 4, 1.0, 2.0)
         u = haar_frames(np.stack([rng_from(seed + 10_000).standard_normal((2, 4, 4))
                                   for seed in seeds]))
         lanes = bounds.scalar_wielandt_stack(u[:, :, 0], u[:, :, 1], a, 1.0, 2.0)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -299,17 +300,31 @@ class TestLapackFrameDrift:
                     assert np.abs(g - w).max() <= 1e-13, (dim, seed)
 
 
+def _default_rng_draws(seeds, lanes, shape, uniforms=0):
+    """lane_draws' reference: lane i draws from default_rng of the i-th next
+    sub-seed of `seeds`, its normals, then its uniforms."""
+    rngs = [np.random.default_rng(seed) for seed in itertools.islice(seeds, lanes)]
+    return (np.stack([rng.standard_normal(shape) for rng in rngs]),
+            np.stack([rng.random(uniforms) for rng in rngs]))
+
+
 class TestDrawInstances:
     @pytest.mark.parametrize("shape", TestSamplerPin.SHAPES)
-    def test_lanes_equal_gen_instance(self, shape):
-        # a stacked block seeds its generators in one vectorized pass
+    def test_lanes_equal_gen_instance(self, shape, monkeypatch):
+        # a stacked block seeds its lanes in one vectorized pass, and
+        # each lane's components are those of default_rng at its sub-seeds
         seeds = mix_seeds(5, range(1, 41))
-        rngs = rngs_from(mix_seeds(seeds[:, np.newaxis], instances.INSTANCE_TAGS).T)
-        a, x, y, w = instances.draw_instances(rngs, len(seeds), *shape, 1.0, 3.0)
+        sub_seeds = instances.instance_seeds(seeds)
+        got = instances.draw_instances(rngs_from(sub_seeds), len(seeds), *shape, 1.0, 3.0)
+        monkeypatch.setattr(instances, "lane_draws", _default_rng_draws)
+        want = instances.draw_instances(iter(sub_seeds.ravel().tolist()), len(seeds), *shape,
+                                        1.0, 3.0)
+        monkeypatch.undo()
         for lane, seed in enumerate(seeds.tolist()):
             inst = instances.gen_instance(seed, *shape, 1.0, 3.0)
-            for got, want in ((a, inst.a), (x, inst.x), (y, inst.y), (w, inst.phi.w)):
-                assert np.array_equal(got[lane], want), lane
+            for got_part, want_part, one in zip(got, want, (inst.a, inst.x, inst.y, inst.phi.w)):
+                assert np.array_equal(got_part[lane], want_part[lane]), lane
+                assert np.array_equal(got_part[lane], one), lane
 
 
 class TestSerialization:

@@ -105,22 +105,66 @@ class TestRngsFrom:
 
 class TestLaneDraws:
     SEEDS = (0, 7, 12345, 2**63, 2**64 - 1)
+    SHAPE = (2, 3, 4)
 
-    @pytest.mark.parametrize("uniforms", [0, 3])
-    @pytest.mark.parametrize("block", [False, True])
-    def test_lanes_match_numpy(self, uniforms, block):
+    def _seeds(self, count):
+        return np.concatenate([np.array(self.SEEDS, dtype=np.uint64), _random_seeds(count)])[:count]
+
+    @pytest.mark.parametrize("uniforms", [0, 1, 3])
+    @pytest.mark.parametrize("lanes", [0, 1, 512])
+    def test_lanes_match_numpy(self, lanes, uniforms):
         # Lane i: default_rng(seed_i).standard_normal(shape), then .random(u).
-        shape, lanes = (2, 3, 4), len(self.SEEDS)
-        gens = [np.random.default_rng(s) for s in self.SEEDS]
-        rngs = rngs_from(np.array(self.SEEDS, dtype=np.uint64)) if block else iter(gens)
-        g, u = sampling.lane_draws(rngs, lanes, shape, uniforms)
-        assert g.shape == (lanes, *shape) and u.shape == (lanes, uniforms)
-        for lane, seed in enumerate(self.SEEDS):
+        seeds = self._seeds(lanes)
+        g, u = sampling.lane_draws(rngs_from(seeds), lanes, self.SHAPE, uniforms)
+        assert g.shape == (lanes, *self.SHAPE) and u.shape == (lanes, uniforms)
+        for lane, seed in enumerate(seeds.tolist()):
             ref = np.random.default_rng(seed)
-            assert np.array_equal(g[lane], ref.standard_normal(shape))
+            assert np.array_equal(g[lane], ref.standard_normal(self.SHAPE))
             assert np.array_equal(u[lane], ref.random(uniforms))
-            if not block:  # no draw beyond the lane's own
-                assert gens[lane].bit_generator.state == ref.bit_generator.state
+
+    def test_split_draws_equal_one_draw(self):
+        seeds = self._seeds(5)
+        whole = sampling.lane_draws(rngs_from(seeds), 5, self.SHAPE, 2)
+        stream = rngs_from(seeds)
+        parts = [sampling.lane_draws(stream, lanes, self.SHAPE, 2) for lanes in (3, 2)]
+        for i, want in enumerate(whole):
+            assert np.array_equal(np.concatenate([part[i] for part in parts]), want)
+
+    def test_interleaved_streams_keep_their_lanes(self):
+        # Each stream owns its generator, so drawing from one leaves the
+        # other's lanes as default_rng gives them.
+        seeds = _random_seeds(40).reshape(2, 20)
+        streams = [rngs_from(row) for row in seeds]
+        for lane in range(20):
+            for row, stream in zip(seeds, streams):
+                g, u = sampling.lane_draws(stream, 1, (5,), 2)
+                ref = np.random.default_rng(int(row[lane]))
+                assert np.array_equal(g[0], ref.standard_normal(5))
+                assert np.array_equal(u[0], ref.random(2))
+
+    def test_drawing_past_the_last_lane_raises(self):
+        seeds = self._seeds(3)
+        stream = rngs_from(seeds)
+        sampling.lane_draws(stream, 2, self.SHAPE)
+        with pytest.raises(IndexError):
+            sampling.lane_draws(stream, 2, self.SHAPE)
+        # the refused draw took no lane: the last one is still there
+        g, _ = sampling.lane_draws(stream, 1, self.SHAPE)
+        ref = np.random.default_rng(int(seeds[2]))
+        assert np.array_equal(g[0], ref.standard_normal(self.SHAPE))
+        with pytest.raises(IndexError):
+            sampling.lane_draws(stream, 1, self.SHAPE)
+        with pytest.raises(IndexError):
+            sampling.lane_draws(rngs_from(np.array([], dtype=np.uint64)), 1, self.SHAPE)
+
+    def test_self_check_raises_when_a_fill_draws_other_bits(self, monkeypatch, request):
+        # normals where the uniforms should be
+        monkeypatch.setattr(sampling, "_FILL_NAMES", ("random_standard_normal_fill",) * 2)
+        # the check runs once per process: run it afresh, and again after
+        sampling._fills.cache_clear()
+        request.addfinalizer(sampling._fills.cache_clear)
+        with pytest.raises(RuntimeError):
+            sampling.lane_draws(rngs_from(self._seeds(2)), 2, self.SHAPE, 1)
 
 
 class TestMixSeeds:

@@ -10,7 +10,7 @@ import pytest
 from wielandt_lab import bounds, cli, instances, maps, sampling, search, stacked
 from wielandt_lab.matcore import LaneErrors, from_eig, herm_eig_stack, hermitian_part
 from wielandt_lab.sampling import (
-    BLOCK_SIZE, complex_gaussian, haar_frames, mix_seed, qr_positive, rng_from,
+    BLOCK_SIZE, complex_gaussian, haar_frames, mix_seed, qr_positive, rng_from, rngs_from,
 )
 from wielandt_lab.stacked import flag_gamma, gamma_stack
 from wielandt_lab.errors import (
@@ -388,7 +388,7 @@ class TestRefine:
     def test_start_outside_the_hypotheses_is_refused(self):
         # The transpose is positive, not 2-positive: the compression C' of
         # this start has an eigenvalue near -0.772, outside [m, M] = [1, 100].
-        a = instances.operator_stack(iter([rng_from(3)]), 1, 4, 1.0, 100.0)[0]
+        a = instances.operator_stack(rngs_from([3]), 1, 4, 1.0, 100.0)[0]
         u = haar_frames(rng_from(4).standard_normal((2, 4, 4)))
         x, y = u[:, :2], u[:, 2:4]
         start = instances.Instance(a, 1.0, 100.0, x, y, transpose_map(2), seed=0)
