@@ -50,9 +50,11 @@ from .matcore import (
     flag_psd,
     gram_eig,
     herm_eig_stack,
+    herm_eigvals_stack,
     herm_norm_stack,
     hermitian_part,
     matprod,
+    op_norm_stack,
     sqrt_top,
     stack_pow,
     stack_pows,
@@ -353,7 +355,7 @@ def instance_checks_stack(
         implied = np.logical_and.reduce(~ok | sym_ok)
 
         # ||(Gamma+Gamma*)/2|| <= ||Gamma|| <= bound_thm2(m, M, p)
-        gnorm = sqrt_top(gram_eig(g).eigenvalues)
+        gnorm = op_norm_stack(g)
         below_gamma = abs_norm <= gnorm + tol * _scale(abs_norm, gnorm)
         below_thm2 = gnorm <= col[1] + tol * _scale(gnorm, col[1])
         gnorm_gap, thm2_gap = gnorm - abs_norm, col[1] - gnorm
@@ -458,7 +460,7 @@ def lemma_block_draws(rngs, lanes: int, dim: int, variants: np.ndarray) -> tuple
     X per lane plus a threshold chosen to exercise both sides of the
     boundary, including t = ||X|| +/- 1e-6.  Returns (X, t)."""
     x = complex_draws(lane_draws(rngs, lanes, (2, dim, dim))[0]) / math.sqrt(dim)
-    x_norm = sqrt_top(gram_eig(x).eigenvalues)
+    x_norm = op_norm_stack(x)
     t = np.choose(np.asarray(variants) % 4, [x_norm + 1e-6, np.maximum(x_norm - 1e-6, 0.0),
                                              0.5 * x_norm, 1.5 * x_norm])
     return x, t
@@ -473,13 +475,13 @@ def block_equivalence_stack(x: np.ndarray, t: np.ndarray, tol: float = DEFAULT_T
     gram_w, gram_v = gram_eig(x)
     x_norm = sqrt_top(gram_w)
     flag_psd(errors, gram_w)
-    abs_top = herm_eig_stack(stack_pow(clamp_psd(gram_w), gram_v, 0.5, errors.bad)).eigenvalues
+    abs_top = herm_eigvals_stack(stack_pow(clamp_psd(gram_w), gram_v, 0.5, errors.bad))
     block = np.zeros((b, 2 * dim, 2 * dim), dtype=np.complex128)
     block[:, :dim, dim:] = x
     block[:, dim:, :dim] = adj(x)
     diag = np.arange(2 * dim)
     block[:, diag, diag] = t[:, np.newaxis]
-    block_min = herm_eig_stack(block).eigenvalues[:, 0]
+    block_min = herm_eigvals_stack(block)[:, 0]
     thr = tol * _scale(t, x_norm)
     abs_ok, norm_ok, block_ok = abs_top[:, -1] <= t + thr, x_norm <= t + thr, block_min >= -thr
     agree = (abs_ok == norm_ok) & (norm_ok == block_ok)
@@ -498,8 +500,8 @@ def square_order_draws(rngs, lanes: int, dim: int, m: float, M: float) -> tuple:
     g_p, frac = lane_draws(rngs, lanes, (2, dim, dim), 1)
     g = complex_draws(g_p)
     psd = hermitian_part(matprod(g, adj(g)))
-    top = herm_eig_stack(psd).eigenvalues[:, -1]
-    wb = herm_eig_stack(b).eigenvalues
+    top, wb = herm_eigvals_stack(np.stack([psd, b]))
+    top = top[:, -1]
     shrink = np.where(top > 0.0, frac[:, 0] * wb[:, 0] / np.where(top > 0.0, top, 1.0), 0.0)
     return hermitian_part(b - shrink[:, np.newaxis, np.newaxis] * psd), b
 
@@ -508,21 +510,19 @@ def square_order_stack(a, b, m: float, M: float, tol: float = DEFAULT_TOL) -> La
     """Given 0 <= A <= B with spectrum(B) inside [m, M], certify the
     Kantorovich-type squared comparison A^2 <= ((M+m)^2 / 4Mm) B^2."""
     errors = LaneErrors(len(a))
-    wa = herm_eig_stack(a).eigenvalues
-    wb = herm_eig_stack(b).eigenvalues
-    thr = tol * _scale(top_abs(wa), top_abs(wb))
-    errors.flag(wa[:, 0] < -thr,
-                lambda i: PreconditionViolated(f"A has negative eigenvalue {wa[i, 0]:g}"))
-    gap = herm_eig_stack(b - a).eigenvalues[:, 0]
-    errors.flag(gap < -thr, lambda i: PreconditionViolated(f"A <= B fails by {gap[i]:g}"))
-    errors.flag((wb[:, 0] < m - thr) | (wb[:, -1] > M + thr), lambda i: PreconditionViolated(
-        f"spectrum of B [{wb[i, 0]:g}, {wb[i, -1]:g}] escapes [{m:g}, {M:g}]"))
     factor = square_order_factor(m, M)
     lhs_sq = hermitian_part(matprod(a, a))
     rhs_sq = factor * hermitian_part(matprod(b, b))
+    wa, wb, gap, lhs_w, rhs_w = herm_eigvals_stack(np.stack([a, b, b - a, lhs_sq, rhs_sq]))
+    thr = tol * _scale(top_abs(wa), top_abs(wb))
+    errors.flag(wa[:, 0] < -thr,
+                lambda i: PreconditionViolated(f"A has negative eigenvalue {wa[i, 0]:g}"))
+    gap = gap[:, 0]
+    errors.flag(gap < -thr, lambda i: PreconditionViolated(f"A <= B fails by {gap[i]:g}"))
+    errors.flag((wb[:, 0] < m - thr) | (wb[:, -1] > M + thr), lambda i: PreconditionViolated(
+        f"spectrum of B [{wb[i, 0]:g}, {wb[i, -1]:g}] escapes [{m:g}, {M:g}]"))
     w, v = herm_eig_stack(rhs_sq - lhs_sq)
-    lhs_norm = herm_norm_stack(lhs_sq)
-    rhs_norm = herm_norm_stack(rhs_sq)
+    lhs_norm, rhs_norm = top_abs(lhs_w), top_abs(rhs_w)
     thr = tol * _scale(lhs_norm, rhs_norm)
     lanes = LaneChecks(errors)
     lanes.inequality("square_order", lhs_norm, rhs_norm, w[:, 0], w[:, 0] >= -thr,
@@ -541,12 +541,13 @@ def psd_pair_draws(rngs, lanes: int, dim: int) -> tuple:
 def anticommutator_stack(a, b, tol: float = DEFAULT_TOL) -> LaneChecks:
     """||AB + BA|| <= ||A^2 + B^2|| for PSD A, B."""
     errors = LaneErrors(len(a))
-    for name, mat in (("A", a), ("B", b)):
-        w = herm_eig_stack(mat).eigenvalues
+    anti = hermitian_part(matprod(a, b) + matprod(b, a))
+    squares = hermitian_part(matprod(a, a) + matprod(b, b))
+    wa, wb, anti_w, squares_w = herm_eigvals_stack(np.stack([a, b, anti, squares]))
+    for name, w in (("A", wa), ("B", wb)):
         errors.flag(w[:, 0] < -(tol * stack_scale(w)), lambda i, name=name, w=w: NotPSD(
             f"{name} has negative eigenvalue {w[i, 0]:g}"))
-    lhs = herm_norm_stack(hermitian_part(matprod(a, b) + matprod(b, a)))
-    rhs = herm_norm_stack(hermitian_part(matprod(a, a) + matprod(b, b)))
+    lhs, rhs = top_abs(anti_w), top_abs(squares_w)
     thr = tol * _scale(lhs, rhs)
     lanes = LaneChecks(errors)
     lanes.inequality("anticommutator_norm", lhs, rhs, rhs - lhs, None, lhs <= rhs + thr, tol)
@@ -569,7 +570,7 @@ def scalar_wielandt_stack(x, y, a, m: float, M: float, tol: float = DEFAULT_TOL)
     norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
     errors.flag(np.abs(np.sum(x.conj() * y, axis=-1)) > tol * _scale(norms),
                 lambda i: PreconditionViolated("x and y are not orthogonal within tolerance"))
-    w = herm_eig_stack(a).eigenvalues
+    w = herm_eigvals_stack(a)
     thr = tol * stack_scale(w)
     errors.flag((w[:, 0] < m - thr) | (w[:, -1] > M + thr), lambda i: PreconditionViolated(
         f"spectrum [{w[i, 0]:g}, {w[i, -1]:g}] escapes [{m:g}, {M:g}]"))

@@ -16,9 +16,11 @@ the exception of each lane that is not PSD or not positive definite,
 lane's eigenvalues to each power of an exponent grid, giving a
 ``(P, B, n, n)`` stack; ``stack_pow`` is its one-exponent case.  The
 Hermitian norm is ``herm_norm_stack`` (``top_abs`` of a lane's eigenvalues)
-and the operator norm ``sqrt_top`` of those of its Gram matrix
-(``gram_eig``).  ``eig_pow_psd``, ``eig_pow_pd`` and ``op_norm`` run them
-on a stack of one and raise that lane's exception.
+and the operator norm ``op_norm_stack`` (``sqrt_top`` of those of its Gram
+matrix).  Callers that read only eigenvalues take ``herm_eigvals_stack``,
+the eigenvalue half of ``herm_eig_stack`` with the same bits.
+``eig_pow_psd``, ``eig_pow_pd`` and ``op_norm`` run them on a stack of one
+and raise that lane's exception.
 """
 
 from __future__ import annotations
@@ -97,18 +99,44 @@ def herm_eig_stack(h: np.ndarray) -> EigDecomp:
     every other shape.  Each matrix gets the same bits at any stack length.
     Raises LinAlgError, as LAPACK does on NaN input, at any size, if an
     eigenvalue is not finite."""
-    w, v = np.linalg.eigh(h) if h.shape[-2:] != (2, 2) else _herm_eig2_stack(h)
-    if not np.isfinite(w).all():
+    if h.shape[-2:] != (2, 2):
+        return EigDecomp(*_finite(np.linalg.eigh(h)))
+    w, (swap, ct, st, b, r) = _herm_eigvals2_stack(h)
+    pc = np.divide(b, r, out=np.ones_like(b), where=r != 0.0).conj()
+    neg = -st
+    v = np.empty(h.shape, dtype=np.complex128)
+    v[..., 0, 0] = np.where(swap, neg, ct)
+    v[..., 1, 0] = pc * np.where(swap, ct, st)
+    v[..., 0, 1] = np.where(swap, ct, neg)
+    v[..., 1, 1] = pc * np.where(swap, st, ct)
+    return EigDecomp(*_finite((w, v)))
+
+
+def herm_eigvals_stack(h: np.ndarray) -> np.ndarray:
+    """herm_eig_stack's eigenvalues alone, bit for bit: at 2x2 the closed
+    form's eigenvalue half, at every other shape eigh's eigenvalues (those
+    of ``eigvalsh`` differ in the last bits)."""
+    if h.shape[-2:] != (2, 2):
+        return _finite(np.linalg.eigh(h))[0]
+    return _finite(_herm_eigvals2_stack(h))[0]
+
+
+def _finite(decomp: tuple) -> tuple:
+    """`decomp`, (eigenvalues, ...), once every eigenvalue is finite, or
+    LinAlgError."""
+    if not np.isfinite(decomp[0]).all():
         raise np.linalg.LinAlgError("non-finite eigenvalues")
-    return EigDecomp(w, v)
+    return decomp
 
 
-def _herm_eig2_stack(h: np.ndarray) -> tuple:
+def _herm_eigvals2_stack(h: np.ndarray) -> tuple:
+    """The 2x2 closed form's ascending eigenvalues, and the rotation's
+    (swap, cos, sin, off-diagonal, |off-diagonal|) its vectors are built
+    from."""
     a = h[..., 0, 0].real
     c = h[..., 1, 1].real
     b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2.0
     r = np.abs(b)
-    pc = np.divide(b, r, out=np.ones_like(b), where=r != 0.0).conj()
     theta = 0.5 * np.arctan2(2.0 * r, a - c)
     ct = np.cos(theta)
     st = np.sin(theta)
@@ -119,13 +147,7 @@ def _herm_eig2_stack(h: np.ndarray) -> tuple:
     w = np.empty(h.shape[:-1])
     w[..., 0] = np.where(swap, lam_q, lam_p)
     w[..., 1] = np.where(swap, lam_p, lam_q)
-    neg = -st
-    v = np.empty(h.shape, dtype=np.complex128)
-    v[..., 0, 0] = np.where(swap, neg, ct)
-    v[..., 1, 0] = pc * np.where(swap, ct, st)
-    v[..., 0, 1] = np.where(swap, ct, neg)
-    v[..., 1, 1] = pc * np.where(swap, st, ct)
-    return w, v
+    return w, (swap, ct, st, b, r)
 
 
 class LaneErrors(dict):
@@ -167,9 +189,14 @@ def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part(matprod(v * w[..., np.newaxis, :], adj(v)))
 
 
+def gram(x: np.ndarray) -> np.ndarray:
+    """X*X per lane, symmetrized."""
+    return hermitian_part(matprod(adj(x), x))
+
+
 def gram_eig(x: np.ndarray) -> EigDecomp:
     """Eigendecomposition of X*X per lane."""
-    return herm_eig_stack(hermitian_part(matprod(adj(x), x)))
+    return herm_eig_stack(gram(x))
 
 
 def top_abs(w: np.ndarray) -> np.ndarray:
@@ -179,8 +206,8 @@ def top_abs(w: np.ndarray) -> np.ndarray:
 
 def herm_norm_stack(h: np.ndarray) -> np.ndarray:
     """Per-lane operator norm of a stack of Hermitian matrices, with no
-    validation: top_abs of herm_eig_stack's eigenvalues."""
-    return top_abs(herm_eig_stack(h).eigenvalues)
+    validation: top_abs of their eigenvalues."""
+    return top_abs(herm_eigvals_stack(h))
 
 
 def sqrt_top(w: np.ndarray) -> np.ndarray:
@@ -188,6 +215,11 @@ def sqrt_top(w: np.ndarray) -> np.ndarray:
     unless it is > 0."""
     top = w[..., -1]
     return np.sqrt(np.where(top > 0.0, top, 0.0))
+
+
+def op_norm_stack(x: np.ndarray) -> np.ndarray:
+    """Per-lane operator norm: sqrt_top of the eigenvalues of X*X."""
+    return sqrt_top(herm_eigvals_stack(gram(x)))
 
 
 def stack_scale(w: np.ndarray) -> np.ndarray:
@@ -269,12 +301,12 @@ def mat_pow(s, p: float) -> np.ndarray:
 
 
 def op_norm(x) -> float:
-    """Operator (spectral) norm: largest singular value, sqrt_top of one
-    lane's gram_eig."""
+    """Operator (spectral) norm: largest singular value, op_norm_stack of
+    one lane."""
     m = as_cmatrix(x)
     if m.size == 0:
         return 0.0
-    return float(sqrt_top(gram_eig(m[np.newaxis]).eigenvalues)[0])
+    return float(op_norm_stack(m[np.newaxis])[0])
 
 
 def matrix_to_json(a) -> dict:

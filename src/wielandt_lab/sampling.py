@@ -4,8 +4,10 @@ Sub-seeds are derived with a fixed 64-bit mixing function (splitmix64 over an
 FNV-1a tag hash), so component streams are order-independent and batch runs
 parallelize without changing results.  ``fan_out`` is the one walk over
 trial blocks: it cuts an index range into blocks of ``block_size(N)`` trials,
-each worker process taking a contiguous share, and returns one result per
-block in index order.
+each worker taking a contiguous share, and returns one result per block in
+index order.  The worker processes form one pool per process, started on
+the first range that pays for it and reused by every later range that gives
+each worker MIN_SHARE trials; ``close_pool`` ends it, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
@@ -27,9 +29,11 @@ Gram-Schmidt over the whole stack at once.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
 import math
+import time
 
 import numpy as np
 
@@ -55,6 +59,18 @@ MASK64 = (1 << 64) - 1
 BLOCK_SIZE = 512
 MIN_BLOCK = 64
 LANE_BUDGET = BLOCK_SIZE * 8**2
+
+# fan_out splits a range over the shared pool only if every worker gets at
+# least MIN_SHARE trials (or a full block, where a block is smaller): each
+# worker pays a block's fixed cost, so a 50-trial verify-sweep run split
+# over a live pool of two workers took 9.9-15.1 ms of wall time against
+# 9.0-9.3 ms serial (medians of 110 runs, two rounds).
+MIN_SHARE = 128
+# Wall seconds a pool costs to start in a fresh process: importing the pool
+# module (14-22 ms), the first fork (6-20 ms) and shutdown (2-6 ms), 21-46
+# ms in all on a shared 2 vCPU x86_64 host.  The upper end is used, so that
+# the serial walks a process gives up before its pool starts pay for it.
+POOL_START_S = 0.045
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -367,24 +383,82 @@ def _walk(fn, head: tuple, block: int, indices: range) -> list:
     return [fn(*head, indices[lo : lo + block]) for lo in range(0, len(indices), block)]
 
 
+# The shared pool as (workers, executor of workers - 1 processes), or None
+# before fan_out first starts one and after close_pool; and the wall seconds
+# that serial walks of ranges that could have split have given up so far.
+_pool = None
+_given_up = 0.0
+
+
+def close_pool() -> None:
+    """Shut the shared pool down, wait for its processes to exit and drop
+    it, so the next fan_out decides as a fresh process does.  It runs at
+    exit, before module teardown, where a pool dropped later would fail in
+    its collection callback."""
+    global _pool, _given_up
+    pool, _pool, _given_up = _pool, None, 0.0
+    if pool is not None:
+        pool[1].shutdown()
+
+
+atexit.register(close_pool)
+
+
+def _submit(workers: int, calls: list) -> list:
+    """Futures of `calls`, each ``(fn, *args)``, on the shared pool of
+    ``workers - 1`` processes, (re)started first when there is none, it has
+    another size or a process of it has died.  The fork start method creates
+    every process at a pool's first submit, before its manager thread starts,
+    so no fork runs beside that thread."""
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    def start():
+        global _pool
+        close_pool()
+        _pool = workers, ProcessPoolExecutor(max_workers=workers - 1)
+
+    if _pool is None or _pool[0] != workers:
+        start()
+    try:
+        return [_pool[1].submit(*call) for call in calls]
+    except BrokenExecutor:
+        start()
+        return [_pool[1].submit(*call) for call in calls]
+
+
 def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list:
     """Results of ``fn(*head, block)`` over consecutive blocks of
     ``block_size(ambient)`` trial indices that cover `indices`, in index
     order; the one walk over trial blocks.  `indices` is cut into one
     contiguous range per worker, the first walked in the calling process and
-    the rest on a pool of ``workers - 1`` processes, or walked whole in the
-    calling process unless every worker gets at least one full block: a
-    pool's start-up costs more than a block of stacked work.  The pool module
-    is imported only here, as most runs never reach it and its import is a
-    large share of a short run's start-up."""
+    the rest on the shared pool of ``workers - 1`` processes, which lives as
+    long as the process.  The pool takes a range once every worker gets
+    MIN_SHARE trials or a full block.  It starts when every worker gets a
+    full block, or once serial walks of ranges that could have split have
+    given up more than POOL_START_S, counted as (workers - 1) / workers of
+    their wall time; until then such ranges are walked whole in the calling
+    process, so a one-shot run below a full block per worker starts no pool
+    and does not import the pool module."""
+    global _given_up
     block = block_size(ambient)
     workers = max(1, int(workers))
-    if workers == 1 or len(indices) < block * workers:
+    share = len(indices) // workers
+    if workers == 1 or share < min(block, MIN_SHARE):
         return _walk(fn, head, block, indices)
-    from concurrent.futures import ProcessPoolExecutor
+    if _pool is None and share < block and _given_up <= POOL_START_S:
+        start = time.perf_counter()
+        results = _walk(fn, head, block, indices)
+        _given_up += (time.perf_counter() - start) * (workers - 1) / workers
+        return results
+    from concurrent.futures import wait
 
     edges = np.linspace(0, len(indices), workers + 1, dtype=int).tolist()
     first, *rest = (indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
-    with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-        futures = [pool.submit(_walk, fn, head, block, part) for part in rest]
+    futures = _submit(workers, [(_walk, fn, head, block, part) for part in rest])
+    try:
         return _walk(fn, head, block, first) + [r for f in futures for r in f.result()]
+    finally:
+        # on an error, no share may still run into the next call
+        for future in futures:
+            future.cancel()
+        wait(futures)

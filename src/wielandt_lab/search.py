@@ -63,13 +63,12 @@ from .matcore import (
     check_exponent,
     flag_pd,
     from_eig,
-    gram_eig,
     herm_eig,
     herm_eig_stack,
+    herm_norm_stack,
     hermitian_part,
     matprod,
-    sqrt_top,
-    top_abs,
+    op_norm_stack,
 )
 from .sampling import (
     complex_draws,
@@ -113,11 +112,10 @@ def _objective_stack(objective: str, p, m: float, M: float, s, t_eig, errors) ->
         flag_pd(errors, t_eig.eigenvalues)
         t_w, t_v = t_eig
         g = matprod(s, t_v) / np.where(errors.bad[:, np.newaxis], 1.0, t_w)[:, np.newaxis, :]
-        return sqrt_top(gram_eig(g).eigenvalues) / wielandt_factor(m, M)
+        return op_norm_stack(g) / wielandt_factor(m, M)
     _, g = gamma_stack(flag_gamma(s, t_eig, errors, m, M), t_eig, errors.bad,
                        (check_exponent(p),))
-    half_sym = herm_eig_stack(hermitian_part(g[0])).eigenvalues
-    return top_abs(half_sym) / _BOUND_FNS[objective](m, M, p)
+    return herm_norm_stack(hermitian_part(g[0])) / _BOUND_FNS[objective](m, M, p)
 
 
 def _compression_values(objective: str, p, m: float, M: float, c: np.ndarray) -> tuple:

@@ -65,9 +65,9 @@ def products_stack(c: np.ndarray, errors: LaneErrors) -> tuple:
     C'_yy^{-1} is never formed.  Returns (S, T, T's eigendecomposition);
     flags lanes whose C'_yy = Phi(Y*AY) is singular, whose w count as 1."""
     d = c.shape[-1] // 2
-    c_w, c_v = herm_eig_stack(hermitian_part(c[:, d:, d:]))
     t = hermitian_part(c[:, :d, :d])
-    t_eig = herm_eig_stack(t)
+    (c_w, t_w), (c_v, t_v) = herm_eig_stack(np.stack([hermitian_part(c[:, d:, d:]), t]))
+    t_eig = EigDecomp(t_w, t_v)
     flag_pd(errors, c_w)
     b = matprod(adj(c_v), c[:, d:, :d])
     scaled = b / np.where(errors.bad[:, np.newaxis], 1.0, c_w)[..., np.newaxis]

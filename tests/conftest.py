@@ -89,11 +89,20 @@ def tmp_chdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Close sampling's shared worker pool before and after every test.  Its
+    workers keep the code they were forked with, so a pool left by another
+    test would run code this test has monkeypatched since, or outlive a
+    patched pool class; a closed pool also resets the start rule."""
+    sampling.close_pool()
+    yield
+    sampling.close_pool()
+
+
 @pytest.fixture
-def pool_ranges(monkeypatch):
-    """Walk trial blocks of 4 (sampling.block_size), so small runs still
-    fan out, and record as (start, stop) every trial range handed to a pool
-    process."""
+def pool_submits(monkeypatch):
+    """Record as (start, stop) every trial range handed to a pool process."""
     ranges = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -102,5 +111,13 @@ def pool_ranges(monkeypatch):
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
     return ranges
+
+
+@pytest.fixture
+def pool_ranges(monkeypatch, pool_submits):
+    """pool_submits with trial blocks of 4 (sampling.block_size), so every
+    worker of a small run gets a full block, which starts the pool at once,
+    and ranges far below MIN_SHARE still fan out."""
+    monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
+    return pool_submits

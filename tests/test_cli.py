@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 from wielandt_lab import bounds, cli, instances, sampling, search
 from wielandt_lab.errors import NotPSD, Singular
-from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
+from wielandt_lab.sampling import BLOCK_SIZE, MIN_SHARE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
 from conftest import fail_refine_proposals, lapack_frames
@@ -649,6 +651,150 @@ class TestFanOut:
     def test_empty_range_returns_nothing(self):
         assert fan_out(_block_pid, (), range(0), 3, 4) == []
         assert fan_out(_block_pid, (), range(5, 5), 1, 4) == []
+
+
+def _sleep_block_pid(seconds, block):
+    time.sleep(seconds)
+    return _block_pid(block)
+
+
+def _fail_in_caller(caller, marker, block):
+    """Raise in the calling process; in a pool process, write `marker` after
+    a pause."""
+    if os.getpid() == caller:
+        raise ValueError("the caller's share failed")
+    time.sleep(0.2)
+    Path(marker).write_text("ran")
+    return _block_pid(block)
+
+
+def _pool_pids(results) -> set:
+    return {pid for pid, _, _ in results} - {os.getpid()}
+
+
+def _gone(pid: int, seconds: float = 10.0) -> bool:
+    """Whether process `pid` has exited and been reaped within `seconds`."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+class TestSharedPool:
+    # A full block per worker starts the pool; a range that gives each
+    # worker MIN_SHARE trials then reuses it.
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def test_fan_outs_reuse_the_pool_processes(self):
+        started = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
+        reused = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
+        assert [(a, b) for _, a, b in reused] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+        assert len(started) == 1 and _pool_pids(reused) == started
+        below = fan_out(_block_pid, (), range(2 * MIN_SHARE - 1), 2, 4)
+        assert below == [(os.getpid(), 0, 2 * MIN_SHARE - 1)]
+
+    def test_serial_walks_that_could_split_start_the_pool(self):
+        # Each walk of 2 workers' range below a full block per worker gives
+        # up half its wall time, at least 50 ms here, more than POOL_START_S;
+        # walks on one worker or below MIN_SHARE per worker give up nothing.
+        assert sampling.POOL_START_S < 0.05
+        for indices, workers in ((range(2 * MIN_SHARE), 1), (range(2 * MIN_SHARE - 1), 2),
+                                 (range(2 * MIN_SHARE), 2)):
+            assert _pool_pids(fan_out(_sleep_block_pid, (0.1,), indices, workers, 4)) == set()
+        results = fan_out(_sleep_block_pid, (0.1,), range(2 * MIN_SHARE), 2, 4)
+        assert len(_pool_pids(results)) == 1
+
+    def test_worker_count_change_rebuilds_the_pool(self):
+        two = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
+        results = fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)
+        thirds = [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE), (2 * MIN_SHARE, 3 * MIN_SHARE)]
+        assert [(a, b) for _, a, b in results] == thirds
+        three = _pool_pids(results)
+        assert three and not three & two
+        assert all(_gone(pid) for pid in two)
+
+    def test_dead_worker_is_replaced(self):
+        (pid,) = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
+        os.kill(pid, signal.SIGKILL)
+        assert _gone(pid)
+        results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+        assert len(_pool_pids(results)) == 1 and pid not in _pool_pids(results)
+
+    def test_caller_error_leaves_no_pool_work_running(self, tmp_path):
+        # The pool's share either finished or was cancelled before the
+        # error propagated: it does not finish later.
+        marker = tmp_path / "ran"
+        with pytest.raises(ValueError, match="caller's share"):
+            fan_out(_fail_in_caller, (os.getpid(), str(marker)), range(2 * BLOCK_SIZE), 2, 4)
+        ran = marker.exists()
+        time.sleep(0.5)
+        assert marker.exists() == ran
+        results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+
+    def _python(self, *lines):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        return subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_exit_ends_the_pool(self):
+        out = self._python(
+            "import os",
+            "from wielandt_lab.sampling import BLOCK_SIZE, fan_out",
+            "def pid(block):",
+            "    return os.getpid()",
+            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, 4)) - {os.getpid()})",
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 1 and _gone(pids[0], 0.0)
+
+    def test_one_shot_search_below_a_full_block_starts_no_pool(self):
+        out = self._python(
+            "import sys",
+            "from wielandt_lab import search",
+            "search.run_search(search.SearchConfig(trials=400, seed=1), workers=2)",
+            "print('concurrent.futures.process' in sys.modules)",
+        )
+        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "False", "")
+
+    def test_reports_do_not_depend_on_workers_at_real_thresholds(self, pool_submits):
+        # Real block sizes: 3 * MIN_SHARE trials give 2 and 3 workers the
+        # smallest share the pool takes, once a full block per worker has
+        # started it; one pool serves all four configs at each worker count.
+        trials = 3 * MIN_SHARE
+        rank3 = dict(ambient=6, rank=3, out_dim=3, ancilla=2)
+        runs = {
+            "verify-N4": lambda w: stripped(cli.run_verify(
+                _params(SHAPES[0], trials=trials, seed=5), workers=w)),
+            "verify-rank3": lambda w: stripped(cli.run_verify(
+                _params(rank3, M=10.0, trials=trials, seed=5), workers=w)),
+            "conjecture": lambda w: search.random_search(
+                search.SearchConfig(trials=trials + 1, seed=5), workers=w).to_json(),
+            "tightness_thm2": lambda w: search.random_search(search.SearchConfig(
+                objective="tightness_thm2", p=2.0, trials=trials + 1, seed=5), workers=w).to_json(),
+        }
+        serial = {name: json.dumps(run(1)) for name, run in runs.items()}
+        fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4)
+        for workers in (2, 3):
+            pools = []
+            for name, run in runs.items():
+                assert json.dumps(run(workers)) == serial[name], (name, workers)
+                pools.append(sampling._pool)
+            assert all(pool is pools[0] for pool in pools)
+        half, third = trials // 2, trials // 3
+        assert pool_submits == [
+            (BLOCK_SIZE, 2 * BLOCK_SIZE),
+            *[(half, trials)] * 2, *[(half + 1, trials + 1)] * 2,
+            *[(third, 2 * third), (2 * third, trials)] * 2,
+            *[(third + 1, 2 * third + 1), (2 * third + 1, trials + 1)] * 2,
+        ]
 
 
 # Reports may drift from those of the one-trial implementation by this much,

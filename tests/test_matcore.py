@@ -101,6 +101,29 @@ class TestStacks:
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
             mc.herm_eig_stack(stack)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])  # closed form, LAPACK
+    def test_eigvals_stack_is_the_eigenvalue_half(self, dim):
+        # herm_eigvals_stack gives herm_eig_stack's eigenvalues bit for bit,
+        # signed zeros included, and a stack of stacks keeps each lane's bits.
+        stack = np.stack([rand_herm(dim * 70 + i, dim) for i in range(12)])
+        stack[0] = 0.0
+        stack[1] = np.diag(np.full(dim, -0.0))
+        stack[2] = np.diag(np.arange(dim, 0, -1.0))
+        stack[3, 0, 0] = -0.0
+        want = mc.herm_eig_stack(stack).eigenvalues
+        assert mc.herm_eigvals_stack(stack).tobytes() == want.tobytes()
+        pair = mc.herm_eigvals_stack(np.stack([stack, stack[::-1]]))
+        assert pair.tobytes() == np.stack([want, want[::-1]]).tobytes()
+        gram_w = mc.gram_eig(stack).eigenvalues
+        assert mc.op_norm_stack(stack).tobytes() == mc.sqrt_top(gram_w).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])  # closed form, LAPACK
+    def test_eigvals_stack_rejects_non_finite_lanes(self, dim):
+        stack = np.stack([rand_herm(dim * 10 + i, dim) for i in range(3)])
+        stack[1, 0, 0] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            mc.herm_eigvals_stack(stack)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_herm_norm_stack(self, dim):
         half = np.stack([rand_herm(dim * 50 + i, dim) for i in range(9)])
