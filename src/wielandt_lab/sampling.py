@@ -5,8 +5,9 @@ FNV-1a tag hash), so component streams are order-independent and batch runs
 parallelize without changing results.  ``fan_out`` is the one walk over
 trial blocks: it cuts an index range into blocks of ``block_size(N)`` trials,
 each worker taking a contiguous share, and returns one result per block in
-index order.  The worker processes form one pool per process, started on
-the first range that pays for it and reused by every later range that gives
+index order.  The worker processes form one pool per process, started by
+a range that gives every worker a full block or by the second range that
+could split over as many workers, and reused by every later range that gives
 each worker MIN_SHARE trials; ``close_pool`` ends it, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
@@ -33,7 +34,6 @@ import atexit
 import ctypes
 import functools
 import math
-import time
 
 import numpy as np
 
@@ -66,11 +66,6 @@ LANE_BUDGET = BLOCK_SIZE * 8**2
 # over a live pool of two workers took 9.9-15.1 ms of wall time against
 # 9.0-9.3 ms serial (medians of 110 runs, two rounds).
 MIN_SHARE = 128
-# Wall seconds a pool costs to start in a fresh process: importing the pool
-# module (14-22 ms), the first fork (6-20 ms) and shutdown (2-6 ms), 21-46
-# ms in all on a shared 2 vCPU x86_64 host.  The upper end is used, so that
-# the serial walks a process gives up before its pool starts pay for it.
-POOL_START_S = 0.045
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -384,10 +379,10 @@ def _walk(fn, head: tuple, block: int, indices: range) -> list:
 
 
 # The shared pool as (workers, executor of workers - 1 processes), or None
-# before fan_out first starts one and after close_pool; and the wall seconds
-# that serial walks of ranges that could have split have given up so far.
+# before fan_out first starts one and after close_pool; and the worker count
+# of the last range walked serially though it could have split over a pool.
 _pool = None
-_given_up = 0.0
+_waiting = None
 
 
 def close_pool() -> None:
@@ -395,8 +390,8 @@ def close_pool() -> None:
     it, so the next fan_out decides as a fresh process does.  It runs at
     exit, before module teardown, where a pool dropped later would fail in
     its collection callback."""
-    global _pool, _given_up
-    pool, _pool, _given_up = _pool, None, 0.0
+    global _pool, _waiting
+    pool, _pool, _waiting = _pool, None, None
     if pool is not None:
         pool[1].shutdown()
 
@@ -433,23 +428,21 @@ def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list
     contiguous range per worker, the first walked in the calling process and
     the rest on the shared pool of ``workers - 1`` processes, which lives as
     long as the process.  The pool takes a range once every worker gets
-    MIN_SHARE trials or a full block.  It starts when every worker gets a
-    full block, or once serial walks of ranges that could have split have
-    given up more than POOL_START_S, counted as (workers - 1) / workers of
-    their wall time; until then such ranges are walked whole in the calling
-    process, so a one-shot run below a full block per worker starts no pool
-    and does not import the pool module."""
-    global _given_up
+    MIN_SHARE trials or a full block.  A pool of `workers` starts (or
+    replaces one of another size) when every worker gets a full block, or on
+    the second range that could split over `workers`: the first is walked
+    whole in the calling process.  So a run that fans out once starts a pool
+    only when every worker gets a full block, and otherwise does not import
+    the pool module."""
+    global _waiting
     block = block_size(ambient)
     workers = max(1, int(workers))
     share = len(indices) // workers
     if workers == 1 or share < min(block, MIN_SHARE):
         return _walk(fn, head, block, indices)
-    if _pool is None and share < block and _given_up <= POOL_START_S:
-        start = time.perf_counter()
-        results = _walk(fn, head, block, indices)
-        _given_up += (time.perf_counter() - start) * (workers - 1) / workers
-        return results
+    if share < block and (_pool is None or _pool[0] != workers) and _waiting != workers:
+        _waiting = workers
+        return _walk(fn, head, block, indices)
     from concurrent.futures import wait
 
     edges = np.linspace(0, len(indices), workers + 1, dtype=int).tolist()

@@ -653,11 +653,6 @@ class TestFanOut:
         assert fan_out(_block_pid, (), range(5, 5), 1, 4) == []
 
 
-def _sleep_block_pid(seconds, block):
-    time.sleep(seconds)
-    return _block_pid(block)
-
-
 def _fail_in_caller(caller, marker, block):
     """Raise in the calling process; in a pool process, write `marker` after
     a pause."""
@@ -699,23 +694,26 @@ class TestSharedPool:
         assert below == [(os.getpid(), 0, 2 * MIN_SHARE - 1)]
 
     def test_serial_walks_that_could_split_start_the_pool(self):
-        # Each walk of 2 workers' range below a full block per worker gives
-        # up half its wall time, at least 50 ms here, more than POOL_START_S;
-        # walks on one worker or below MIN_SHARE per worker give up nothing.
-        assert sampling.POOL_START_S < 0.05
+        # The first range that could split over 2 workers is walked serially
+        # and the second starts the pool; ranges on one worker or below
+        # MIN_SHARE per worker could not split and do not count.
         for indices, workers in ((range(2 * MIN_SHARE), 1), (range(2 * MIN_SHARE - 1), 2),
-                                 (range(2 * MIN_SHARE), 2)):
-            assert _pool_pids(fan_out(_sleep_block_pid, (0.1,), indices, workers, 4)) == set()
-        results = fan_out(_sleep_block_pid, (0.1,), range(2 * MIN_SHARE), 2, 4)
+                                 (range(2 * MIN_SHARE), 2), (range(2 * MIN_SHARE), 1)):
+            assert _pool_pids(fan_out(_block_pid, (), indices, workers, 4)) == set()
+        results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
         assert len(_pool_pids(results)) == 1
 
     def test_worker_count_change_rebuilds_the_pool(self):
+        # Below a full block per worker, a new worker count waits for its
+        # second range, as a first pool does; the old pool serves meanwhile.
         two = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
+        assert _pool_pids(fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)) == set()
+        assert _pool_pids(fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)) == two
         results = fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)
         thirds = [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE), (2 * MIN_SHARE, 3 * MIN_SHARE)]
         assert [(a, b) for _, a, b in results] == thirds
         three = _pool_pids(results)
-        assert three and not three & two
+        assert len(three) == 2 and not three & two
         assert all(_gone(pid) for pid in two)
 
     def test_dead_worker_is_replaced(self):
@@ -781,8 +779,8 @@ class TestSharedPool:
                 objective="tightness_thm2", p=2.0, trials=trials + 1, seed=5), workers=w).to_json(),
         }
         serial = {name: json.dumps(run(1)) for name, run in runs.items()}
-        fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4)
         for workers in (2, 3):
+            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 4)
             pools = []
             for name, run in runs.items():
                 assert json.dumps(run(workers)) == serial[name], (name, workers)
@@ -792,6 +790,7 @@ class TestSharedPool:
         assert pool_submits == [
             (BLOCK_SIZE, 2 * BLOCK_SIZE),
             *[(half, trials)] * 2, *[(half + 1, trials + 1)] * 2,
+            (BLOCK_SIZE, 2 * BLOCK_SIZE), (2 * BLOCK_SIZE, 3 * BLOCK_SIZE),
             *[(third, 2 * third), (2 * third, trials)] * 2,
             *[(third + 1, 2 * third + 1), (2 * third + 1, trials + 1)] * 2,
         ]
