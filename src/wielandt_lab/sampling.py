@@ -8,14 +8,17 @@ each worker taking a contiguous share, and returns one result per block in
 index order.  The worker processes form one pool per process, started by
 a range that gives every worker a full block or by the second range that
 could split over as many workers, and reused by every later range that gives
-each worker MIN_SHARE trials; ``close_pool`` ends it, at exit at the latest.
+each worker MIN_SHARE trials; each pool process takes its ranges through a
+pipe of its own, and ``close_pool`` ends them, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
 seed array a ``LaneStream``: numpy's SeedSequence and PCG64 seeding run on
 arrays and give each lane's four PCG64 state words, and the stream's one
 reused Generator is checked in full against ``default_rng`` on its first
-lane.  A one-seed sampler is a stream of one lane per component.
+lane; where it or a probe of numpy's internals fails, each lane draws from
+its own ``default_rng``.  A one-seed sampler is a stream of one lane per
+component.
 ``rng_from`` is a whole generator, for draws not laid out in lanes.
 
 Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop.
@@ -62,9 +65,10 @@ LANE_BUDGET = BLOCK_SIZE * 8**2
 
 # fan_out splits a range over the shared pool only if every worker gets at
 # least MIN_SHARE trials (or a full block, where a block is smaller): each
-# worker pays a block's fixed cost, so a 50-trial verify-sweep run split
-# over a live pool of two workers took 9.9-15.1 ms of wall time against
-# 9.0-9.3 ms serial (medians of 110 runs, two rounds).
+# worker pays a block's fixed cost.  A 50-trial verify-sweep run split over
+# a live pool of two workers took 6.0-10.1 ms of wall time against 6.7-7.7
+# ms serial (medians of 110 interleaved runs, four rounds on a shared 2 vCPU
+# host); the split was faster in three rounds, so a smaller share may pay.
 MIN_SHARE = 128
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -198,12 +202,13 @@ def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
 _PROBE_WORDS = (0x11, 0x22, 0x33, 0x45)
 
 
-def _state_words(bit_generator) -> tuple:
+def _state_words(bit_generator) -> tuple | None:
     """A writable uint64 view of a PCG64's four state words, and the column
-    order that maps _pcg64_states' rows onto it.  numpy's pcg64_state starts
-    with a pointer to pcg64_random_t: state then inc, each low word first
-    where the compiler has a 128-bit integer and high word first where it
-    has not; the order is read back from a probe state, not assumed."""
+    order that maps _pcg64_states' rows onto it, or None where the state
+    does not hold them.  numpy's pcg64_state starts with a pointer to
+    pcg64_random_t: state then inc, each low word first where the compiler
+    has a 128-bit integer and high word first where it has not; the order is
+    read back from a probe state, not assumed."""
     address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
     view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
     hi, lo, inc_hi, inc_lo = _PROBE_WORDS
@@ -211,7 +216,7 @@ def _state_words(bit_generator) -> tuple:
                            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
     read = view.tolist()
     if sorted(read) != sorted(_PROBE_WORDS):
-        raise RuntimeError("numpy's PCG64 state no longer holds four uint64 words")
+        return None
     return view, [_PROBE_WORDS.index(word) for word in read]
 
 
@@ -224,14 +229,18 @@ _PROBE_SEED, _PROBE_DRAWS = 0x5EED, 1000
 
 
 @functools.cache
-def _fills() -> tuple:
+def _fills() -> tuple | None:
     """numpy's normal and uniform fill routines as ctypes functions of a
     bitgen_t address, a count and an output address, checked once per
     process: from a probe seed they must give ``Generator.standard_normal``'s,
-    then ``Generator.random``'s bits, or RuntimeError.  They call no Python
-    and run for about a microsecond, so they keep the GIL (``PyDLL``)."""
-    lib = ctypes.PyDLL(np.random._generator.__file__)
-    fills = tuple(getattr(lib, name) for name in _FILL_NAMES)
+    then ``Generator.random``'s bits, or this is None, as it is where they
+    cannot be loaded.  They call no Python and run for about a microsecond,
+    so they keep the GIL (``PyDLL``)."""
+    try:
+        lib = ctypes.PyDLL(np.random._generator.__file__)
+        fills = tuple(getattr(lib, name) for name in _FILL_NAMES)
+    except (OSError, AttributeError):
+        return None
     rng, ref = np.random.default_rng(_PROBE_SEED), np.random.default_rng(_PROBE_SEED)
     got = np.empty((len(fills), _PROBE_DRAWS))
     for fill, row in zip(fills, got):
@@ -239,9 +248,7 @@ def _fills() -> tuple:
         fill.restype = None
         fill(rng.bit_generator.ctypes.bit_generator, _PROBE_DRAWS, row.ctypes.data)
     want = np.stack([ref.standard_normal(_PROBE_DRAWS), ref.random(_PROBE_DRAWS)])
-    if got.tobytes() != want.tobytes():
-        raise RuntimeError("numpy's C fill routines no longer draw as its Generator does")
-    return fills
+    return fills if got.tobytes() == want.tobytes() else None
 
 
 class LaneStream:
@@ -250,11 +257,13 @@ class LaneStream:
     lane's four PCG64 state words in the order of the generator's struct
     (`state`), and `pos` is the next lane.  The first draw builds `words`
     and checks the first lane's whole state, written so, against
-    default_rng's; if it differs it raises RuntimeError and no lane is left.
-    A lane's state is its four words alone, the buffered 32-bit half-word
-    left as it is, so lanes draw only with 64-bit routines.  ``lane_draws``
-    takes lanes by the block; iterating yields the generator set to each
-    next lane's state, so draw before advancing."""
+    default_rng's.  If it differs, or numpy's fill routines or state words
+    fail their probes, `words` stays None and each lane draws from its own
+    ``default_rng``, with the same bits.  A lane's state is its four words
+    alone, the buffered 32-bit half-word left as it is, so lanes draw only
+    with 64-bit routines.  ``lane_draws`` takes lanes by the block;
+    iterating yields a generator at each next lane's state, so draw before
+    advancing."""
 
     def __init__(self, seeds: np.ndarray):
         self.seeds = seeds
@@ -274,16 +283,17 @@ class LaneStream:
         return start
 
     def _open(self) -> None:
-        rng = np.random.default_rng(int(self.seeds[0]))
+        rng = self.rng = np.random.default_rng(int(self.seeds[0]))
         expected = rng.bit_generator.state
-        view, order = _state_words(rng.bit_generator)
+        probed = _fills() and _state_words(rng.bit_generator)
+        if not probed:
+            return
+        view, order = probed
         words = _pcg64_states(self.seeds)[:, order]
         view[:] = words[0]
-        if rng.bit_generator.state != expected:
-            self.pos = self.seeds.size
-            raise RuntimeError("vectorized seeding no longer matches numpy's default_rng")
-        self.rng, self.state, self.words = rng, memoryview(view), memoryview(words.ravel())
-        self.bitgen = rng.bit_generator.ctypes.bit_generator.value
+        if rng.bit_generator.state == expected:
+            self.state, self.words = memoryview(view), memoryview(words.ravel())
+            self.bitgen = rng.bit_generator.ctypes.bit_generator.value
 
     def __iter__(self) -> LaneStream:
         return self
@@ -291,8 +301,10 @@ class LaneStream:
     def __next__(self) -> np.random.Generator:
         if self.pos == self.seeds.size:
             raise StopIteration
-        word = 4 * self.take(1)
-        self.state[:] = self.words[word : word + 4]
+        lane = self.take(1)
+        if self.words is None:
+            return np.random.default_rng(int(self.seeds[lane]))
+        self.state[:] = self.words[4 * lane : 4 * lane + 4]
         return self.rng
 
 
@@ -309,10 +321,16 @@ def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) 
     generator, which fills the lane's normals, then its uniforms (none when
     `uniforms` is 0), straight into the block's arrays through numpy's C
     fill routines: the bits of ``standard_normal(out=)``, then
-    ``random(out=)``, without their per-call cost."""
-    normal_fill, uniform_fill = _fills()
+    ``random(out=)``, without their per-call cost; or, where the stream
+    has no `words`, through each lane's own ``default_rng``."""
     g, u = np.empty((lanes, *shape)), np.empty((lanes, uniforms))
     start = stream.take(lanes)
+    if stream.words is None:
+        for lane, seed in enumerate(stream.seeds[start : start + lanes].tolist()):
+            rng = np.random.default_rng(seed)
+            g[lane], u[lane] = rng.standard_normal(shape), rng.random(uniforms)
+        return g, u
+    normal_fill, uniform_fill = _fills()
     state, words, bitgen = stream.state, stream.words, stream.bitgen
     count, g_at, u_at = math.prod(shape), g.ctypes.data, u.ctypes.data
     g_step, u_step = g.strides[0], u.strides[0]
@@ -378,62 +396,85 @@ def _walk(fn, head: tuple, block: int, indices: range) -> list:
     return [fn(*head, indices[lo : lo + block]) for lo in range(0, len(indices), block)]
 
 
-# The shared pool as (workers, executor of workers - 1 processes), or None
-# before fan_out first starts one and after close_pool; and the worker count
-# of the last range walked serially though it could have split over a pool.
+# The shared pool as (workers, its workers - 1 processes, the calling end of
+# each one's pipe), or None before fan_out first starts one and after
+# close_pool; and the worker count of the last range walked serially though
+# it could have split over a pool.
 _pool = None
 _waiting = None
 
 
 def close_pool() -> None:
-    """Shut the shared pool down, wait for its processes to exit and drop
-    it, so the next fan_out decides as a fresh process does.  It runs at
-    exit, before module teardown, where a pool dropped later would fail in
-    its collection callback."""
+    """Close the shared pool's pipes, which ends its processes, wait for
+    them to exit and drop the pool, so the next fan_out decides as a fresh
+    process does.  It also runs at exit, after multiprocessing's exit hook
+    has ended the (daemonic) processes."""
     global _pool, _waiting
     pool, _pool, _waiting = _pool, None, None
-    if pool is not None:
-        pool[1].shutdown()
+    for end in pool[2] if pool else ():
+        end.close()
+    for process in pool[1] if pool else ():
+        process.join()
 
 
 atexit.register(close_pool)
 
 
-def _submit(workers: int, calls: list) -> list:
-    """Futures of `calls`, each ``(fn, *args)``, on the shared pool of
-    ``workers - 1`` processes, (re)started first when there is none, it has
-    another size or a process of it has died.  The fork start method creates
-    every process at a pool's first submit, before its manager thread starts,
-    so no fork runs beside that thread."""
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    def start():
-        global _pool
-        close_pool()
-        _pool = workers, ProcessPoolExecutor(max_workers=workers - 1)
-
-    if _pool is None or _pool[0] != workers:
-        start()
+def _serve(end, inherited: list) -> None:
+    """A pool process: run each ``(fn, args)`` received on pipe end `end`
+    and send back ``(True, result)`` or ``(False, exception)``, until the
+    calling end closes.  It first closes the calling ends the fork left it
+    (`inherited`), or closing them in the caller would not reach it."""
+    for other in inherited:
+        other.close()
     try:
-        return [_pool[1].submit(*call) for call in calls]
-    except BrokenExecutor:
-        start()
-        return [_pool[1].submit(*call) for call in calls]
+        while True:
+            fn, args = end.recv()
+            try:
+                reply = True, fn(*args)
+            except Exception as exc:
+                reply = False, exc
+            end.send(reply)
+    except (EOFError, OSError):  # the calling end is closed
+        return
+
+
+def _pipes(workers: int) -> list:
+    """The calling ends of the pipes of the shared pool of ``workers - 1``
+    processes, (re)started first when there is none, it has another size or
+    a process of it has died (polling reaps a dead one)."""
+    global _pool
+    if _pool is None or _pool[0] != workers or not all(p.is_alive() for p in _pool[1]):
+        import multiprocessing
+
+        close_pool()
+        fork, processes, ends = multiprocessing.get_context("fork"), [], []
+        for _ in range(workers - 1):
+            end, theirs = fork.Pipe()
+            ends.append(end)
+            # the process gets `ends` as they are at its fork
+            processes.append(fork.Process(target=_serve, args=(theirs, ends), daemon=True))
+            processes[-1].start()
+            theirs.close()
+        _pool = workers, processes, ends
+    return _pool[2]
 
 
 def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list:
     """Results of ``fn(*head, block)`` over consecutive blocks of
     ``block_size(ambient)`` trial indices that cover `indices`, in index
     order; the one walk over trial blocks.  `indices` is cut into one
-    contiguous range per worker, the first walked in the calling process and
-    the rest on the shared pool of ``workers - 1`` processes, which lives as
-    long as the process.  The pool takes a range once every worker gets
-    MIN_SHARE trials or a full block.  A pool of `workers` starts (or
+    contiguous range per worker.  Each range but the first goes down the
+    pipe of one process of the shared pool of ``workers - 1`` processes,
+    which lives as long as the process; the caller walks the first, then
+    receives every process's reply in index order before it re-raises an
+    error, its own or a process's.  The pool takes a range once every worker
+    gets MIN_SHARE trials or a full block.  A pool of `workers` starts (or
     replaces one of another size) when every worker gets a full block, or on
     the second range that could split over `workers`: the first is walked
     whole in the calling process.  So a run that fans out once starts a pool
     only when every worker gets a full block, and otherwise does not import
-    the pool module."""
+    multiprocessing."""
     global _waiting
     block = block_size(ambient)
     workers = max(1, int(workers))
@@ -443,15 +484,18 @@ def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list
     if share < block and (_pool is None or _pool[0] != workers) and _waiting != workers:
         _waiting = workers
         return _walk(fn, head, block, indices)
-    from concurrent.futures import wait
-
     edges = np.linspace(0, len(indices), workers + 1, dtype=int).tolist()
     first, *rest = (indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
-    futures = _submit(workers, [(_walk, fn, head, block, part) for part in rest])
+    ends = _pipes(workers)
+    for end, part in zip(ends, rest):
+        end.send((_walk, (fn, head, block, part)))
     try:
-        return _walk(fn, head, block, first) + [r for f in futures for r in f.result()]
+        results = _walk(fn, head, block, first)
     finally:
-        # on an error, no share may still run into the next call
-        for future in futures:
-            future.cancel()
-        wait(futures)
+        # on an error too, so no share runs into the next call
+        replies = [end.recv() for end in ends]
+    for ok, value in replies:
+        if not ok:
+            raise value
+        results += value
+    return results

@@ -1,5 +1,5 @@
-import concurrent.futures
 import contextlib
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -93,8 +93,8 @@ def tmp_chdir(tmp_path, monkeypatch):
 def fresh_pool():
     """Close sampling's shared worker pool before and after every test.  Its
     workers keep the code they were forked with, so a pool left by another
-    test would run code this test has monkeypatched since, or outlive a
-    patched pool class; a closed pool also resets the start rule."""
+    test would run code this test has monkeypatched since; a closed pool
+    also resets the start rule."""
     sampling.close_pool()
     yield
     sampling.close_pool()
@@ -102,15 +102,17 @@ def fresh_pool():
 
 @pytest.fixture
 def pool_submits(monkeypatch):
-    """Record as (start, stop) every trial range handed to a pool process."""
+    """Record as (start, stop) every trial range fan_out sends down a pool
+    process's pipe."""
     ranges = []
+    send = Connection.send
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            ranges.append((args[-1].start, args[-1].stop))
-            return super().submit(fn, *args)
+    def recording(self, obj):
+        if obj[0] is sampling._walk:
+            ranges.append((obj[1][-1].start, obj[1][-1].stop))
+        send(self, obj)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(Connection, "send", recording)
     return ranges
 
 

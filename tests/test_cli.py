@@ -663,6 +663,17 @@ def _fail_in_caller(caller, marker, block):
     return _block_pid(block)
 
 
+def _fail_in_pool(marker, block):
+    """Raise in the process walking the range from BLOCK_SIZE; in the one
+    walking the range from 2 * BLOCK_SIZE, write `marker` after a pause."""
+    if block.start == BLOCK_SIZE:
+        raise KeyError(f"pool share {block.start} failed")
+    if block.start == 2 * BLOCK_SIZE:
+        time.sleep(0.3)
+        Path(marker).write_text("ran")
+    return _block_pid(block)
+
+
 def _pool_pids(results) -> set:
     return {pid for pid, _, _ in results} - {os.getpid()}
 
@@ -719,27 +730,41 @@ class TestSharedPool:
     def test_dead_worker_is_replaced(self):
         (pid,) = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
         os.kill(pid, signal.SIGKILL)
-        assert _gone(pid)
+        # wait for the exit without reaping: the killed process stays a
+        # zombie until the next fan_out polls the pool
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        assert not _gone(pid, 0.0)
         results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
         assert [(a, b) for _, a, b in results] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
         assert len(_pool_pids(results)) == 1 and pid not in _pool_pids(results)
+        assert _gone(pid, 0.0)
 
     def test_caller_error_leaves_no_pool_work_running(self, tmp_path):
-        # The pool's share either finished or was cancelled before the
-        # error propagated: it does not finish later.
+        # The pool's share finished before the error propagated, so it does
+        # not run into the next call.
         marker = tmp_path / "ran"
         with pytest.raises(ValueError, match="caller's share"):
             fan_out(_fail_in_caller, (os.getpid(), str(marker)), range(2 * BLOCK_SIZE), 2, 4)
-        ran = marker.exists()
-        time.sleep(0.5)
-        assert marker.exists() == ran
+        assert marker.exists()
         results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
         assert [(a, b) for _, a, b in results] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
 
-    def _python(self, *lines):
+    def test_pool_error_reaches_the_caller_after_every_share(self, tmp_path):
+        # The second range's process raises; the third's, which replies
+        # later, has finished by then, and the pool serves the next call.
+        marker = tmp_path / "ran"
+        with pytest.raises(KeyError, match="pool share 512 failed"):
+            fan_out(_fail_in_pool, (str(marker),), range(3 * BLOCK_SIZE), 3, 4)
+        assert marker.exists()
+        results = fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)
+        thirds = [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE), (2 * MIN_SHARE, 3 * MIN_SHARE)]
+        assert [(a, b) for _, a, b in results] == thirds
+        assert len(_pool_pids(results)) == 2
+
+    def _python(self, *lines, timeout=120):
         env = {**os.environ, "PYTHONPATH": str(self.SRC)}
         return subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=timeout)
 
     def test_exit_ends_the_pool(self):
         out = self._python(
@@ -753,14 +778,30 @@ class TestSharedPool:
         pids = [int(pid) for pid in out.stdout.split()]
         assert len(pids) == 1 and _gone(pids[0], 0.0)
 
+    def test_close_ends_every_process(self):
+        # Each process closes the calling ends it inherited, so closing them
+        # in the caller ends every process; otherwise close_pool hangs.
+        out = self._python(
+            "import os",
+            "from wielandt_lab.sampling import BLOCK_SIZE, close_pool, fan_out",
+            "def pid(block):",
+            "    return os.getpid()",
+            "print(*set(fan_out(pid, (), range(3 * BLOCK_SIZE), 3, 4)) - {os.getpid()})",
+            "close_pool()",
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2 and all(_gone(pid, 0.0) for pid in pids)
+
     def test_one_shot_search_below_a_full_block_starts_no_pool(self):
         out = self._python(
             "import sys",
             "from wielandt_lab import search",
             "search.run_search(search.SearchConfig(trials=400, seed=1), workers=2)",
-            "print('concurrent.futures.process' in sys.modules)",
+            "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)",
         )
-        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "False", "")
+        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "False False", "")
 
     def test_reports_do_not_depend_on_workers_at_real_thresholds(self, pool_submits):
         # Real block sizes: 3 * MIN_SHARE trials give 2 and 3 workers the

@@ -42,11 +42,12 @@ def test_detects_an_unused_import():
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Runs below one full block per worker never start a pool, so a CLI
     # start-up should not pay for importing one.
-    code = "import sys, wielandt_lab.cli; print('concurrent.futures.process' in sys.modules)"
+    code = ("import sys, wielandt_lab.cli; "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)")
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_cli_import_leaves_ctypeslib_unloaded():

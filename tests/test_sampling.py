@@ -82,20 +82,25 @@ class TestRngsFrom:
         got = m + (M - m) * np.random.default_rng(seed).random(1000)
         assert np.array_equal(got, np.random.default_rng(seed).uniform(m, M, 1000))
 
-    def test_self_check_raises_when_numpy_seeding_differs(self, monkeypatch):
+    def test_lanes_follow_default_rng_when_numpy_seeding_differs(self, monkeypatch):
+        # The vectorized seeding no longer matches default_rng, so each lane
+        # draws from default_rng itself.
         real = np.random.default_rng
         monkeypatch.setattr(sampling.np.random, "default_rng", lambda seed: real(seed ^ 1))
-        with pytest.raises(RuntimeError):
-            next(rngs_from(np.array([5, 6], dtype=np.uint64)))
+        rngs = rngs_from(np.array([5, 6], dtype=np.uint64))
+        for seed in (5, 6):
+            assert next(rngs).bit_generator.state == real(seed ^ 1).bit_generator.state
+        assert next(rngs, None) is None
 
-    def test_self_check_raises_on_swapped_words(self, monkeypatch):
+    def test_swapped_words_fall_back_to_default_rng(self, monkeypatch):
         # High and low words swapped in state and increment: the first lane's
-        # state is wrong, so no generator may be handed out.
+        # state is wrong, so every lane draws from its own default_rng.
         real = sampling._pcg64_states
         monkeypatch.setattr(sampling, "_pcg64_states", lambda seeds: real(seeds)[:, [1, 0, 3, 2]])
         rngs = rngs_from(np.array([5, 6], dtype=np.uint64))
-        with pytest.raises(RuntimeError):
-            next(rngs)
+        for seed, rng in zip((5, 6), rngs):
+            assert rngs.words is None
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
         assert next(rngs, None) is None
 
     def test_empty_block_yields_nothing(self):
@@ -157,14 +162,22 @@ class TestLaneDraws:
         with pytest.raises(IndexError):
             sampling.lane_draws(rngs_from(np.array([], dtype=np.uint64)), 1, self.SHAPE)
 
-    def test_self_check_raises_when_a_fill_draws_other_bits(self, monkeypatch, request):
-        # normals where the uniforms should be
-        monkeypatch.setattr(sampling, "_FILL_NAMES", ("random_standard_normal_fill",) * 2)
+    @pytest.mark.parametrize("names", [("random_standard_normal_fill",) * 2,
+                                       ("random_standard_normal_fill", "no_such_fill")],
+                             ids=["draws-other-bits", "missing"])
+    def test_failed_fill_probe_falls_back_to_default_rng(self, names, monkeypatch, request):
+        # normals where the uniforms should be, or a routine numpy lacks
+        monkeypatch.setattr(sampling, "_FILL_NAMES", names)
         # the check runs once per process: run it afresh, and again after
         sampling._fills.cache_clear()
         request.addfinalizer(sampling._fills.cache_clear)
-        with pytest.raises(RuntimeError):
-            sampling.lane_draws(rngs_from(self._seeds(2)), 2, self.SHAPE, 1)
+        assert sampling._fills() is None
+        seeds = self._seeds(3)
+        g, u = sampling.lane_draws(rngs_from(seeds), 3, self.SHAPE, 2)
+        for lane, seed in enumerate(seeds.tolist()):
+            ref = np.random.default_rng(seed)
+            assert np.array_equal(g[lane], ref.standard_normal(self.SHAPE))
+            assert np.array_equal(u[lane], ref.random(2))
 
 
 class TestMixSeeds:
@@ -228,6 +241,49 @@ class TestQrPositive:
 _TIMESTAMP_LINE = re.compile(rb'^\s*"(started_at|finished_at)": .*\n', re.MULTILINE)
 
 
+_PINS = [
+    (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
+      "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "100", "--seed", "3"],
+     0, "307f1ecabebd11bf90b920f63ba703005e084a935d51ac1c8abad2c791497dde"),
+    (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
+      "--M", "2", "--tol", "1e-9", "--trials", "300", "--seed", "3"],
+     0, "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
+    # Runs past one 512-trial block, pinned to digests taken with
+    # 64-trial blocks.
+    (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
+      "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
+     0, "53fd2a73e14060eeee40acb25158d200f1e2ec4c5a5461e9e585a0a6b80ba55d"),
+    (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
+      "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
+     0, "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
+    # Exponent grids that split into several groups at some block
+    # sizes, and the other caller of gamma_stack.
+    (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
+      "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "50", "--seed", "3"],
+     0, "a141b69f2b01318678e2a57360432059982118dc0afcb41d8bbc99d08dad9ce5"),
+    (["verify", "--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100",
+      "--p", "0.1:6:0.1", "--trials", "50"],
+     0, "8b3fcc7d11bf80a99bf1308476485695c7d37e0b534d713ba764bc67ae4ee1c5"),
+    (["verify", "--N", "7", "--n", "3", "--d", "2", "--k", "3", "--M", "50",
+      "--p", "0.5,0.75,1.5"],
+     0, "ffe58a1f521e1c3a2a0a90977e040ab0a307d81c40f1c407084e820ca45950b9"),
+    (["verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"],
+     1, "f92229a1a3e24087b525afac72834e82d9d0f576884c2163990df7c2388ee433"),
+    (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
+      "--trials", "1100"],
+     0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
+    # Draws at N = 8 and M/m = 100, then refines.
+    (["search", "--objective", "conjecture", "--dims", "8,4,4,2", "--m", "1",
+      "--M", "100", "--refine-steps", "400", "--trials", "100", "--seed", "3"],
+     0, "9a842d49c3ccd356d36902d6a9b6bbc3154ab2f6bc58722034d35f69cd3d3c68"),
+    # A sampled trial beats the template: trial 1179 at M/m = 100
+    # exceeds the conjectured bound, so every sampled frame counts.
+    (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
+      "--M", "100", "--trials", "1200", "--seed", "0"],
+     3, "6983419038b6bb86dd17cd037cf32e05ae6d1dd1d0587b0f3051b641b2ae1c9c"),
+]
+
+
 class TestStreamPin:
     """sha256 of timestamp-stripped reports, with each run's exit code.  Any
     change to the sampled instance stream (seed mixing, generator seeding,
@@ -239,47 +295,7 @@ class TestStreamPin:
 
     @pytest.mark.parametrize(
         "args,code,digest",
-        [
-            (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
-              "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "100", "--seed", "3"],
-             0, "307f1ecabebd11bf90b920f63ba703005e084a935d51ac1c8abad2c791497dde"),
-            (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
-              "--M", "2", "--tol", "1e-9", "--trials", "300", "--seed", "3"],
-             0, "d52f805da869ab7b27fa834b030810b0381c602c24d16b70992aa9bd167a2dba"),
-            # Runs past one 512-trial block, pinned to digests taken with
-            # 64-trial blocks.
-            (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
-              "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "600", "--seed", "3"],
-             0, "53fd2a73e14060eeee40acb25158d200f1e2ec4c5a5461e9e585a0a6b80ba55d"),
-            (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
-              "--M", "2", "--tol", "1e-9", "--trials", "1100", "--seed", "3"],
-             0, "b73603a4cfe37ba4f1a5505a0869a00f61fd27a30045698ff70723ef6b09e949"),
-            # Exponent grids that split into several groups at some block
-            # sizes, and the other caller of gamma_stack.
-            (["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
-              "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9", "--trials", "50", "--seed", "3"],
-             0, "a141b69f2b01318678e2a57360432059982118dc0afcb41d8bbc99d08dad9ce5"),
-            (["verify", "--N", "4", "--n", "2", "--d", "3", "--k", "2", "--M", "100",
-              "--p", "0.1:6:0.1", "--trials", "50"],
-             0, "8b3fcc7d11bf80a99bf1308476485695c7d37e0b534d713ba764bc67ae4ee1c5"),
-            (["verify", "--N", "7", "--n", "3", "--d", "2", "--k", "3", "--M", "50",
-              "--p", "0.5,0.75,1.5"],
-             0, "ffe58a1f521e1c3a2a0a90977e040ab0a307d81c40f1c407084e820ca45950b9"),
-            (["verify", "--m", "1e-13", "--M", "1e-11", "--p", "0.5,2"],
-             1, "f92229a1a3e24087b525afac72834e82d9d0f576884c2163990df7c2388ee433"),
-            (["search", "--objective", "tightness_thm2", "--p", "2", "--dims", "5,2,3,2",
-              "--trials", "1100"],
-             0, "02c441c355f1262bd6edc3b871b7e71ab8f00cd6343acac29aea84bfe9ce20a8"),
-            # Draws at N = 8 and M/m = 100, then refines.
-            (["search", "--objective", "conjecture", "--dims", "8,4,4,2", "--m", "1",
-              "--M", "100", "--refine-steps", "400", "--trials", "100", "--seed", "3"],
-             0, "9a842d49c3ccd356d36902d6a9b6bbc3154ab2f6bc58722034d35f69cd3d3c68"),
-            # A sampled trial beats the template: trial 1179 at M/m = 100
-            # exceeds the conjectured bound, so every sampled frame counts.
-            (["search", "--objective", "conjecture", "--dims", "4,2,2,2", "--m", "1",
-              "--M", "100", "--trials", "1200", "--seed", "0"],
-             3, "6983419038b6bb86dd17cd037cf32e05ae6d1dd1d0587b0f3051b641b2ae1c9c"),
-        ],
+        _PINS,
         ids=["verify", "search", "verify-two-blocks", "search-three-blocks", "verify-sweep",
              "verify-long-grid", "verify-rank-three", "verify-trial-errors", "search-thm2",
              "frontier-wide", "search-sampled-win"],
@@ -289,3 +305,16 @@ class TestStreamPin:
         assert cli.main(args + ["--out", "r.json"]) == code
         body = _TIMESTAMP_LINE.sub(b"", (tmp_chdir / "r.json").read_bytes())
         assert hashlib.sha256(body).hexdigest() == digest
+
+    @pytest.mark.parametrize("probe", ["fills", "state-words"])
+    def test_failed_probe_keeps_the_digest(self, probe, tmp_chdir, monkeypatch, request):
+        # Lanes drawn through default_rng, after a probe of numpy's fill
+        # routines or state words fails, give the same reports.
+        if probe == "fills":
+            monkeypatch.setattr(sampling, "_FILL_NAMES", ("no_such_fill",) * 2)
+            sampling._fills.cache_clear()
+            request.addfinalizer(sampling._fills.cache_clear)
+        else:
+            monkeypatch.setattr(sampling, "_state_words", lambda bit_generator: None)
+        for args, code, digest in _PINS[:2]:
+            self.test_report_digest(args, code, digest, tmp_chdir, monkeypatch, None)
