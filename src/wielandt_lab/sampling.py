@@ -8,8 +8,9 @@ each worker taking a contiguous share, and returns one result per block in
 index order.  The worker processes form one pool per process, started by
 a range that gives every worker a full block or by the second range that
 could split over as many workers, and reused by every later range that gives
-each worker MIN_SHARE trials; each pool process takes its ranges through a
-pipe of its own, and ``close_pool`` ends them, at exit at the latest.
+each worker SHARE_BUDGET / N^2 trials, or a full block where that is less;
+each pool process takes its ranges through a pipe of its own, and
+``close_pool`` ends them, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
@@ -64,12 +65,14 @@ MIN_BLOCK = 64
 LANE_BUDGET = BLOCK_SIZE * 8**2
 
 # fan_out splits a range over the shared pool only if every worker gets at
-# least MIN_SHARE trials (or a full block, where a block is smaller): each
-# worker pays a block's fixed cost.  A 50-trial verify-sweep run split over
-# a live pool of two workers took 6.0-10.1 ms of wall time against 6.7-7.7
-# ms serial (medians of 110 interleaved runs, four rounds on a shared 2 vCPU
-# host); the split was faster in three rounds, so a smaller share may pay.
-MIN_SHARE = 128
+# least SHARE_BUDGET / N^2 trials (or a full block, where a block is smaller):
+# 128 at N = 4, 32 at N = 8, 227 at N = 3 and a full block at N = 2.  Handing
+# a share to a pool process and taking its reply costs about 0.12 ms beyond
+# the share's own time (a 50-trial search share at N = 8), while a search lane
+# costs about 10.5 us at N = 4 and 42 us at N = 8: a lane's cost grows as N^2,
+# as block_size assumes, so the share that pays for a hand-off shrinks as N^2.
+# Medians of 300 on a shared 2 vCPU x86_64 host with BLAS on one thread.
+SHARE_BUDGET = 128 * 4**2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -460,6 +463,29 @@ def _pipes(workers: int) -> list:
     return _pool[2]
 
 
+def _replies(workers: int) -> list:
+    """Each pool process's reply to the range sent down its pipe, in index
+    order.  Where a process has ended instead, the pool is closed at once,
+    so no other reply outlives the call, and the next range that could split
+    over `workers` starts a new one; the RuntimeError raised names the
+    process and how it ended."""
+    global _waiting
+    _, processes, ends = _pool
+    replies = []
+    for process, end in zip(processes, ends):
+        try:
+            replies.append(end.recv())
+        except (EOFError, OSError) as exc:
+            import signal
+
+            close_pool()
+            _waiting, code = workers, process.exitcode
+            how = (f"exited with code {code}" if code >= 0
+                   else f"was killed by signal {-code} ({signal.strsignal(-code)})")
+            raise RuntimeError(f"pool process {process.pid} {how} before it replied") from exc
+    return replies
+
+
 def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list:
     """Results of ``fn(*head, block)`` over consecutive blocks of
     ``block_size(ambient)`` trial indices that cover `indices`, in index
@@ -468,8 +494,9 @@ def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list
     pipe of one process of the shared pool of ``workers - 1`` processes,
     which lives as long as the process; the caller walks the first, then
     receives every process's reply in index order before it re-raises an
-    error, its own or a process's.  The pool takes a range once every worker
-    gets MIN_SHARE trials or a full block.  A pool of `workers` starts (or
+    error, its own or a process's (see _replies for a process that ends).
+    The pool takes a range once every worker gets SHARE_BUDGET // ambient^2
+    trials (at least one) or a full block.  A pool of `workers` starts (or
     replaces one of another size) when every worker gets a full block, or on
     the second range that could split over `workers`: the first is walked
     whole in the calling process.  So a run that fans out once starts a pool
@@ -479,7 +506,7 @@ def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list
     block = block_size(ambient)
     workers = max(1, int(workers))
     share = len(indices) // workers
-    if workers == 1 or share < min(block, MIN_SHARE):
+    if workers == 1 or share < min(block, max(1, SHARE_BUDGET // ambient**2)):
         return _walk(fn, head, block, indices)
     if share < block and (_pool is None or _pool[0] != workers) and _waiting != workers:
         _waiting = workers
@@ -487,13 +514,13 @@ def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list
     edges = np.linspace(0, len(indices), workers + 1, dtype=int).tolist()
     first, *rest = (indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
     ends = _pipes(workers)
-    for end, part in zip(ends, rest):
-        end.send((_walk, (fn, head, block, part)))
     try:
+        for end, part in zip(ends, rest):
+            end.send((_walk, (fn, head, block, part)))
         results = _walk(fn, head, block, first)
     finally:
         # on an error too, so no share runs into the next call
-        replies = [end.recv() for end in ends]
+        replies = _replies(workers)
     for ok, value in replies:
         if not ok:
             raise value

@@ -10,13 +10,13 @@ on the 2d x 2d compression C' of the best sample (see refine).
 
 Every objective value comes from one stacked kernel (``_objective_stack``)
 on the S and T that ``stacked.products_stack`` reads off a compression C'.
-The sampled phase is handed its random trials one block at a time by
+The sampled phase is handed its trials one block at a time by
 ``sampling.fan_out`` and scores each block (``_eval_block``) on stacked
 ``(B, n, n)`` arrays drawn by ``draw_instances``, the sampler
 ``gen_instance`` runs on a stack of one;
-trial 0 (the closed-form equality template) and the refinement's start are
-stacks of one (``_one_value``); the start is scored on the C' its state is
-built from.
+trial 0 (the closed-form equality template), which heads the first block,
+and the refinement's start are stacks of one (``_one_value``); the start is
+scored on the C' its state is built from.
 Each block returns only the values of its trials; ``random_search`` builds
 the trace from them and rebuilds the one best trial as an ``Instance``, the
 witness.  Refinement keeps one state type, ``_RefineState``, lane axis first:
@@ -248,32 +248,38 @@ def _block_values(cfg: SearchConfig, indices: range) -> tuple:
 
 
 def _eval_block(cfg: SearchConfig, indices: range) -> np.ndarray:
-    """_block_values of random trials `indices`, NaN where a trial is
-    skipped as singular; an objective value is never NaN.  Any other failing
-    trial raises its exception, the first in index order."""
+    """Objective values of trials `indices`, NaN where a trial is skipped as
+    singular; an objective value is never NaN.  A block from 0 scores the
+    template first, on a stack of one, and its random trials with
+    _block_values.  Any other failing trial raises its exception, the first
+    in index order."""
+    head = []
+    if indices.start == 0:
+        try:
+            head = [objective_value(cfg, _trial_instance(cfg, 0))]
+        except Singular:
+            head = [math.nan]
+        indices = indices[1:]
+    if not indices:
+        return np.array(head)
     values, errors = _block_values(cfg, indices)
     for lane in sorted(errors):
         if not isinstance(errors[lane], Singular):
             raise errors[lane]
     values[errors.bad] = np.nan
-    return values
+    return np.concatenate([head, values])
 
 
 def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     """Evaluate the objective on `trials` seeded instances (trial 0 is the
-    extremal template) and keep the maximum.  The trace is the strict
-    running maxima of the template's value and the random trials' block
-    values in index order, so ties keep the lowest index and the result
-    does not depend on the worker count.  The witness is the best trial
-    rebuilt as the report stores it."""
+    extremal template) and keep the maximum.  Trial 0 heads the first
+    share of the fan-out, so the calling process scores the template while
+    the pool walks the other shares.  The trace is the strict running maxima
+    of the block values in index order, so ties keep the lowest index and
+    the result does not depend on the worker count.  The witness is the best
+    trial rebuilt as the report stores it."""
     cfg.validate()
-    try:
-        template = objective_value(cfg, _trial_instance(cfg, 0))
-    except Singular:
-        template = math.nan
-    values = np.concatenate(
-        [[template], *fan_out(_eval_block, (cfg,), range(1, cfg.trials), workers, cfg.ambient)]
-    )
+    values = np.concatenate(fan_out(_eval_block, (cfg,), range(cfg.trials), workers, cfg.ambient))
     before = np.fmax.accumulate(np.concatenate([[-math.inf], values[:-1]]))  # skips NaNs
     floats = values.tolist()
     trace = [("sample", i, floats[i]) for i in np.flatnonzero(values > before).tolist()]

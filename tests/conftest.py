@@ -1,4 +1,5 @@
 import contextlib
+import multiprocessing
 from multiprocessing.connection import Connection
 
 import numpy as np
@@ -100,6 +101,16 @@ def fresh_pool():
     sampling.close_pool()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_process_left():
+    """At the end of the session, once the shared pool is closed, no child
+    process started through multiprocessing is left: a pool that a test or
+    fan_out dropped without closing shows here."""
+    yield
+    sampling.close_pool()
+    assert multiprocessing.active_children() == []
+
+
 @pytest.fixture
 def pool_submits(monkeypatch):
     """Record as (start, stop) every trial range fan_out sends down a pool
@@ -120,6 +131,6 @@ def pool_submits(monkeypatch):
 def pool_ranges(monkeypatch, pool_submits):
     """pool_submits with trial blocks of 4 (sampling.block_size), so every
     worker of a small run gets a full block, which starts the pool at once,
-    and ranges far below MIN_SHARE still fan out."""
+    and ranges far below the least share (sampling.SHARE_BUDGET) still fan out."""
     monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
     return pool_submits

@@ -15,10 +15,13 @@ import pytest
 
 from wielandt_lab import bounds, cli, instances, sampling, search
 from wielandt_lab.errors import NotPSD, Singular
-from wielandt_lab.sampling import BLOCK_SIZE, MIN_SHARE, fan_out, mix_seed
+from wielandt_lab.sampling import BLOCK_SIZE, SHARE_BUDGET, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
 from conftest import fail_refine_proposals, lapack_frames
+
+# The least share per worker the pool takes at ambient dimension 4.
+SHARE = SHARE_BUDGET // 4**2
 
 
 def run_cli(args):
@@ -674,6 +677,13 @@ def _fail_in_pool(marker, block):
     return _block_pid(block)
 
 
+def _kill_own_process(block):
+    """SIGKILL the process walking the range from BLOCK_SIZE."""
+    if block.start == BLOCK_SIZE:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _block_pid(block)
+
+
 def _pool_pids(results) -> set:
     return {pid for pid, _, _ in results} - {os.getpid()}
 
@@ -693,35 +703,35 @@ def _gone(pid: int, seconds: float = 10.0) -> bool:
 
 class TestSharedPool:
     # A full block per worker starts the pool; a range that gives each
-    # worker MIN_SHARE trials then reuses it.
+    # worker SHARE trials then reuses it.
     SRC = Path(__file__).resolve().parent.parent / "src"
 
     def test_fan_outs_reuse_the_pool_processes(self):
         started = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
-        reused = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
-        assert [(a, b) for _, a, b in reused] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+        reused = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
+        assert [(a, b) for _, a, b in reused] == [(0, SHARE), (SHARE, 2 * SHARE)]
         assert len(started) == 1 and _pool_pids(reused) == started
-        below = fan_out(_block_pid, (), range(2 * MIN_SHARE - 1), 2, 4)
-        assert below == [(os.getpid(), 0, 2 * MIN_SHARE - 1)]
+        below = fan_out(_block_pid, (), range(2 * SHARE - 1), 2, 4)
+        assert below == [(os.getpid(), 0, 2 * SHARE - 1)]
 
     def test_serial_walks_that_could_split_start_the_pool(self):
         # The first range that could split over 2 workers is walked serially
         # and the second starts the pool; ranges on one worker or below
-        # MIN_SHARE per worker could not split and do not count.
-        for indices, workers in ((range(2 * MIN_SHARE), 1), (range(2 * MIN_SHARE - 1), 2),
-                                 (range(2 * MIN_SHARE), 2), (range(2 * MIN_SHARE), 1)):
+        # SHARE per worker could not split and do not count.
+        for indices, workers in ((range(2 * SHARE), 1), (range(2 * SHARE - 1), 2),
+                                 (range(2 * SHARE), 2), (range(2 * SHARE), 1)):
             assert _pool_pids(fan_out(_block_pid, (), indices, workers, 4)) == set()
-        results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
+        results = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
         assert len(_pool_pids(results)) == 1
 
     def test_worker_count_change_rebuilds_the_pool(self):
         # Below a full block per worker, a new worker count waits for its
         # second range, as a first pool does; the old pool serves meanwhile.
         two = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
-        assert _pool_pids(fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)) == set()
-        assert _pool_pids(fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)) == two
-        results = fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)
-        thirds = [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE), (2 * MIN_SHARE, 3 * MIN_SHARE)]
+        assert _pool_pids(fan_out(_block_pid, (), range(3 * SHARE), 3, 4)) == set()
+        assert _pool_pids(fan_out(_block_pid, (), range(2 * SHARE), 2, 4)) == two
+        results = fan_out(_block_pid, (), range(3 * SHARE), 3, 4)
+        thirds = [(0, SHARE), (SHARE, 2 * SHARE), (2 * SHARE, 3 * SHARE)]
         assert [(a, b) for _, a, b in results] == thirds
         three = _pool_pids(results)
         assert len(three) == 2 and not three & two
@@ -734,10 +744,64 @@ class TestSharedPool:
         # zombie until the next fan_out polls the pool
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         assert not _gone(pid, 0.0)
-        results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
-        assert [(a, b) for _, a, b in results] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+        results = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, SHARE), (SHARE, 2 * SHARE)]
         assert len(_pool_pids(results)) == 1 and pid not in _pool_pids(results)
         assert _gone(pid, 0.0)
+
+    def test_process_killed_mid_share_is_named_and_replaced(self):
+        # The error names the process and its signal; the pool is closed at
+        # once, the third range's process too, and the next range that could
+        # split starts a new pool.
+        started = fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, 4)
+        killed, other = (pid for pid, _, _ in started[1:])
+        message = rf"^pool process {killed} was killed by signal {int(signal.SIGKILL)} \("
+        with pytest.raises(RuntimeError, match=message) as raised:
+            fan_out(_kill_own_process, (), range(3 * BLOCK_SIZE), 3, 4)
+        assert isinstance(raised.value.__cause__, EOFError)
+        assert sampling._pool is None and _gone(killed, 0.0) and _gone(other, 0.0)
+        results = fan_out(_block_pid, (), range(3 * SHARE), 3, 4)
+        thirds = [(0, SHARE), (SHARE, 2 * SHARE), (2 * SHARE, 3 * SHARE)]
+        assert [(a, b) for _, a, b in results] == thirds
+        assert len(_pool_pids(results)) == 2 and not _pool_pids(results) & {killed, other}
+
+    def test_share_scales_with_the_ambient_dimension(self, pool_submits):
+        # At N = 8 a warm pool takes SHARE_BUDGET // 8**2 trials per worker.
+        share = SHARE_BUDGET // 8**2
+        fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 8)
+        below = fan_out(_block_pid, (), range(2 * share - 1), 2, 8)
+        assert below == [(os.getpid(), 0, 2 * share - 1)]
+        results = fan_out(_block_pid, (), range(2 * share), 2, 8)
+        assert [(a, b) for _, a, b in results] == [(0, share), (share, 2 * share)]
+        assert pool_submits == [(BLOCK_SIZE, 2 * BLOCK_SIZE), (share, 2 * share)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_share_at_ambient_4_is_unchanged(self, workers):
+        # Before the share scaled with N, a warm pool took a range when every
+        # worker got min(block, 128) trials; at N = 4 that rule still holds.
+        fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 4)
+        for trials in range(1, 601):
+            split = bool(_pool_pids(fan_out(_block_pid, (), range(trials), workers, 4)))
+            assert split == (not trials // workers < min(BLOCK_SIZE, 128)), trials
+
+    def test_frontier_wide_search_splits_over_a_warm_pool(self, tmp_chdir, monkeypatch,
+                                                          pool_submits):
+        # frontier-wide's flags: 100 trials at N = 8, where 2 and 3 workers
+        # get the least share of 32 or more; trial 0 heads the caller's share.
+        args = ["search", "--objective", "conjecture", "--dims", "8,4,4,2", "--m", "1",
+                "--M", "100", "--refine-steps", "400", "--tol", "1e-9", "--trials", "100",
+                "--seed", "11", "--out", "s.json"]
+        timestamp = re.compile(rb'^\s*"(started_at|finished_at)": .*\n', re.MULTILINE)
+        reports = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("WIELANDT_LAB_THREADS", str(workers))
+            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 8)
+            code = run_cli(args)
+            reports.add((code, timestamp.sub(b"", (tmp_chdir / "s.json").read_bytes())))
+        assert len(reports) == 1
+        assert pool_submits == [(BLOCK_SIZE, 2 * BLOCK_SIZE), (50, 100),
+                                (BLOCK_SIZE, 2 * BLOCK_SIZE), (2 * BLOCK_SIZE, 3 * BLOCK_SIZE),
+                                (33, 66), (66, 100)]
 
     def test_caller_error_leaves_no_pool_work_running(self, tmp_path):
         # The pool's share finished before the error propagated, so it does
@@ -746,8 +810,8 @@ class TestSharedPool:
         with pytest.raises(ValueError, match="caller's share"):
             fan_out(_fail_in_caller, (os.getpid(), str(marker)), range(2 * BLOCK_SIZE), 2, 4)
         assert marker.exists()
-        results = fan_out(_block_pid, (), range(2 * MIN_SHARE), 2, 4)
-        assert [(a, b) for _, a, b in results] == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+        results = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, SHARE), (SHARE, 2 * SHARE)]
 
     def test_pool_error_reaches_the_caller_after_every_share(self, tmp_path):
         # The second range's process raises; the third's, which replies
@@ -756,8 +820,8 @@ class TestSharedPool:
         with pytest.raises(KeyError, match="pool share 512 failed"):
             fan_out(_fail_in_pool, (str(marker),), range(3 * BLOCK_SIZE), 3, 4)
         assert marker.exists()
-        results = fan_out(_block_pid, (), range(3 * MIN_SHARE), 3, 4)
-        thirds = [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE), (2 * MIN_SHARE, 3 * MIN_SHARE)]
+        results = fan_out(_block_pid, (), range(3 * SHARE), 3, 4)
+        thirds = [(0, SHARE), (SHARE, 2 * SHARE), (2 * SHARE, 3 * SHARE)]
         assert [(a, b) for _, a, b in results] == thirds
         assert len(_pool_pids(results)) == 2
 
@@ -804,10 +868,12 @@ class TestSharedPool:
         assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "False False", "")
 
     def test_reports_do_not_depend_on_workers_at_real_thresholds(self, pool_submits):
-        # Real block sizes: 3 * MIN_SHARE trials give 2 and 3 workers the
-        # smallest share the pool takes, once a full block per worker has
-        # started it; one pool serves all four configs at each worker count.
-        trials = 3 * MIN_SHARE
+        # Real block sizes: 3 * SHARE trials give 3 workers the smallest
+        # share the pool takes at ambient 4, once a full block per worker has
+        # started it; a search's range starts at trial 0, so its one trial
+        # more goes to the last share.  One pool serves all four configs at
+        # each worker count.
+        trials = 3 * SHARE
         rank3 = dict(ambient=6, rank=3, out_dim=3, ancilla=2)
         runs = {
             "verify-N4": lambda w: stripped(cli.run_verify(
@@ -830,10 +896,10 @@ class TestSharedPool:
         half, third = trials // 2, trials // 3
         assert pool_submits == [
             (BLOCK_SIZE, 2 * BLOCK_SIZE),
-            *[(half, trials)] * 2, *[(half + 1, trials + 1)] * 2,
+            *[(half, trials)] * 2, *[(half, trials + 1)] * 2,
             (BLOCK_SIZE, 2 * BLOCK_SIZE), (2 * BLOCK_SIZE, 3 * BLOCK_SIZE),
             *[(third, 2 * third), (2 * third, trials)] * 2,
-            *[(third + 1, 2 * third + 1), (2 * third + 1, trials + 1)] * 2,
+            *[(third, 2 * third), (2 * third, trials + 1)] * 2,
         ]
 
 

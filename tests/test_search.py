@@ -120,6 +120,34 @@ class TestRandomSearch:
         assert pool_ranges == [(32, 64)]
         assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
 
+    # sha256 of the reports of trials = 1, 2 and 3 on the configs below, as
+    # random_search gave them when it scored the template before its fan-out.
+    FIRST_TRIALS_DIGEST = "b2127001cd6ca1252e35213b8bf1255fed5556677fad1cfa8286c767a915740e"
+
+    def test_first_trials_keep_their_reports_when_trial_0_is_a_share(self, monkeypatch,
+                                                                      pool_submits):
+        # Blocks of one trial start the pool at one trial per worker, so at
+        # 3 trials over 3 workers the caller's share is trial 0 alone, which
+        # draws no random lanes.
+        monkeypatch.setattr(sampling, "block_size", lambda ambient: 1)
+        real, caller_lanes = search._block_values, []
+
+        def counted(cfg, indices):
+            caller_lanes.append(len(indices))
+            return real(cfg, indices)
+
+        monkeypatch.setattr(search, "_block_values", counted)
+        cfgs = [dict(seed=7), dict(ambient=8, rank=4, out_dim=4, ancilla=2, M=100.0, seed=7),
+                dict(objective="tightness_thm2", p=2.0, seed=7)]
+        for workers in (1, 2, 3):
+            reports = [search.random_search(search.SearchConfig(trials=trials, **kw),
+                                            workers=workers).to_json()
+                       for trials in (1, 2, 3) for kw in cfgs]
+            digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+            assert digest == self.FIRST_TRIALS_DIGEST, workers
+        assert pool_submits == [(1, 2)] * 3 + [(1, 3)] * 3 + [(1, 2), (2, 3)] * 3
+        assert 0 not in caller_lanes
+
     def test_trace_and_witness_follow_one_trial_values(self):
         cfg = search.SearchConfig(objective="tightness_thm3", p=3.0, M=100.0, trials=120, seed=3)
         rec = search.random_search(cfg)
