@@ -8,9 +8,8 @@ each worker taking a contiguous share, and returns one result per block in
 index order.  The worker processes form one pool per process, started by
 a range that gives every worker a full block or by the second range that
 could split over as many workers, and reused by every later range that gives
-each worker SHARE_BUDGET / N^2 trials, or a full block where that is less;
-each pool process takes its ranges through a pipe of its own, and
-``close_pool`` ends them, at exit at the latest.
+each worker a trial; each pool process takes its ranges through a pipe of
+its own, and ``close_pool`` ends them, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
@@ -38,6 +37,7 @@ import atexit
 import ctypes
 import functools
 import math
+import pickle
 
 import numpy as np
 
@@ -63,16 +63,6 @@ MASK64 = (1 << 64) - 1
 BLOCK_SIZE = 512
 MIN_BLOCK = 64
 LANE_BUDGET = BLOCK_SIZE * 8**2
-
-# fan_out splits a range over the shared pool only if every worker gets at
-# least SHARE_BUDGET / N^2 trials (or a full block, where a block is smaller):
-# 128 at N = 4, 32 at N = 8, 227 at N = 3 and a full block at N = 2.  Handing
-# a share to a pool process and taking its reply costs about 0.12 ms beyond
-# the share's own time (a 50-trial search share at N = 8), while a search lane
-# costs about 10.5 us at N = 4 and 42 us at N = 8: a lane's cost grows as N^2,
-# as block_size assumes, so the share that pays for a hand-off shrinks as N^2.
-# Medians of 300 on a shared 2 vCPU x86_64 host with BLAS on one thread.
-SHARE_BUDGET = 128 * 4**2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -264,9 +254,7 @@ class LaneStream:
     fail their probes, `words` stays None and each lane draws from its own
     ``default_rng``, with the same bits.  A lane's state is its four words
     alone, the buffered 32-bit half-word left as it is, so lanes draw only
-    with 64-bit routines.  ``lane_draws`` takes lanes by the block;
-    iterating yields a generator at each next lane's state, so draw before
-    advancing."""
+    with 64-bit routines.  ``lane_draws`` draws the lanes, by the block."""
 
     def __init__(self, seeds: np.ndarray):
         self.seeds = seeds
@@ -297,18 +285,6 @@ class LaneStream:
         if rng.bit_generator.state == expected:
             self.state, self.words = memoryview(view), memoryview(words.ravel())
             self.bitgen = rng.bit_generator.ctypes.bit_generator.value
-
-    def __iter__(self) -> LaneStream:
-        return self
-
-    def __next__(self) -> np.random.Generator:
-        if self.pos == self.seeds.size:
-            raise StopIteration
-        lane = self.take(1)
-        if self.words is None:
-            return np.random.default_rng(int(self.seeds[lane]))
-        self.state[:] = self.words[4 * lane : 4 * lane + 4]
-        return self.rng
 
 
 def rngs_from(seeds: np.ndarray) -> LaneStream:
@@ -425,15 +401,17 @@ atexit.register(close_pool)
 
 def _serve(end, inherited: list) -> None:
     """A pool process: run each ``(fn, args)`` received on pipe end `end`
-    and send back ``(True, result)`` or ``(False, exception)``, until the
-    calling end closes.  It first closes the calling ends the fork left it
-    (`inherited`), or closing them in the caller would not reach it."""
+    and send back ``(True, result)`` or ``(False, exception)``, an error in
+    unpickling the request included, until the calling end closes.  It
+    first closes the calling ends the fork left it (`inherited`), or
+    closing them in the caller would not reach it."""
     for other in inherited:
         other.close()
     try:
         while True:
-            fn, args = end.recv()
+            request = end.recv_bytes()
             try:
+                fn, args = pickle.loads(request)
                 reply = True, fn(*args)
             except Exception as exc:
                 reply = False, exc
@@ -495,18 +473,20 @@ def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list
     which lives as long as the process; the caller walks the first, then
     receives every process's reply in index order before it re-raises an
     error, its own or a process's (see _replies for a process that ends).
-    The pool takes a range once every worker gets SHARE_BUDGET // ambient^2
-    trials (at least one) or a full block.  A pool of `workers` starts (or
-    replaces one of another size) when every worker gets a full block, or on
-    the second range that could split over `workers`: the first is walked
-    whole in the calling process.  So a run that fans out once starts a pool
-    only when every worker gets a full block, and otherwise does not import
-    multiprocessing."""
+    A range splits whenever every worker gets a trial and the pool runs or
+    starts: a pool of `workers` starts (or replaces one of another size)
+    when every worker gets a full block, or on the second range that could
+    split over `workers`; the first is walked whole in the calling process.
+    So a run that fans out once starts a pool only when every worker gets a
+    full block, and otherwise does not import multiprocessing."""
     global _waiting
     block = block_size(ambient)
     workers = max(1, int(workers))
     share = len(indices) // workers
-    if workers == 1 or share < min(block, max(1, SHARE_BUDGET // ambient**2)):
+    # A hand-off costs about 0.12-0.17 ms on a 2 vCPU x86_64 host, the time
+    # of about 15 search lanes at N = 4, so a smaller share can lose that
+    # much; no benchmark workload runs one.
+    if workers == 1 or share == 0:
         return _walk(fn, head, block, indices)
     if share < block and (_pool is None or _pool[0] != workers) and _waiting != workers:
         _waiting = workers

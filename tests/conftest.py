@@ -95,10 +95,12 @@ def fresh_pool():
     """Close sampling's shared worker pool before and after every test.  Its
     workers keep the code they were forked with, so a pool left by another
     test would run code this test has monkeypatched since; a closed pool
-    also resets the start rule."""
+    also resets the start rule.  After the test no child process started
+    through multiprocessing is left, so a leak names its test."""
     sampling.close_pool()
     yield
     sampling.close_pool()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -130,7 +132,6 @@ def pool_submits(monkeypatch):
 @pytest.fixture
 def pool_ranges(monkeypatch, pool_submits):
     """pool_submits with trial blocks of 4 (sampling.block_size), so every
-    worker of a small run gets a full block, which starts the pool at once,
-    and ranges far below the least share (sampling.SHARE_BUDGET) still fan out."""
+    worker of a small run gets a full block, which starts the pool at once."""
     monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
     return pool_submits

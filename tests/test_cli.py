@@ -15,13 +15,10 @@ import pytest
 
 from wielandt_lab import bounds, cli, instances, sampling, search
 from wielandt_lab.errors import NotPSD, Singular
-from wielandt_lab.sampling import BLOCK_SIZE, SHARE_BUDGET, fan_out, mix_seed
+from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
 from wielandt_lab.search import SearchRecord
 
 from conftest import fail_refine_proposals, lapack_frames
-
-# The least share per worker the pool takes at ambient dimension 4.
-SHARE = SHARE_BUDGET // 4**2
 
 
 def run_cli(args):
@@ -638,10 +635,15 @@ class TestFanOut:
         assert os.getpid() not in pids[2:]
 
     def test_small_runs_stay_serial(self):
-        assert fan_out(_block_pid, (), range(11), 3, 4) == [(os.getpid(), 0, 11)]
-        results = fan_out(_block_pid, (), range(2 * BLOCK_SIZE + 3), 3, 4)
+        # A fresh process walks a first range below a full block per worker
+        # in the caller; once the pool runs, a range of fewer trials than
+        # workers still stays there.
+        results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE - 1), 3, 4)
         assert results == [(os.getpid(), 0, BLOCK_SIZE), (os.getpid(), BLOCK_SIZE, 2 * BLOCK_SIZE),
-                           (os.getpid(), 2 * BLOCK_SIZE, 2 * BLOCK_SIZE + 3)]
+                           (os.getpid(), 2 * BLOCK_SIZE, 3 * BLOCK_SIZE - 1)]
+        assert len(_pool_pids(fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, 4))) == 2
+        assert fan_out(_block_pid, (), range(2), 3, 4) == [(os.getpid(), 0, 2)]
+        assert fan_out(_block_pid, (), range(1), 3, 4) == [(os.getpid(), 0, 1)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_needs_a_full_block_per_worker(self, workers):
@@ -703,36 +705,34 @@ def _gone(pid: int, seconds: float = 10.0) -> bool:
 
 class TestSharedPool:
     # A full block per worker starts the pool; a range that gives each
-    # worker SHARE trials then reuses it.
+    # worker a trial then reuses it.
     SRC = Path(__file__).resolve().parent.parent / "src"
 
     def test_fan_outs_reuse_the_pool_processes(self):
         started = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
-        reused = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
-        assert [(a, b) for _, a, b in reused] == [(0, SHARE), (SHARE, 2 * SHARE)]
+        reused = fan_out(_block_pid, (), range(2), 2, 4)
+        assert [(a, b) for _, a, b in reused] == [(0, 1), (1, 2)]
         assert len(started) == 1 and _pool_pids(reused) == started
-        below = fan_out(_block_pid, (), range(2 * SHARE - 1), 2, 4)
-        assert below == [(os.getpid(), 0, 2 * SHARE - 1)]
+        assert fan_out(_block_pid, (), range(1), 2, 4) == [(os.getpid(), 0, 1)]
 
     def test_serial_walks_that_could_split_start_the_pool(self):
         # The first range that could split over 2 workers is walked serially
-        # and the second starts the pool; ranges on one worker or below
-        # SHARE per worker could not split and do not count.
-        for indices, workers in ((range(2 * SHARE), 1), (range(2 * SHARE - 1), 2),
-                                 (range(2 * SHARE), 2), (range(2 * SHARE), 1)):
+        # and the second starts the pool; ranges on one worker or of fewer
+        # trials than workers could not split and do not count.
+        for indices, workers in ((range(2), 1), (range(1), 2), (range(2), 2), (range(2), 1)):
             assert _pool_pids(fan_out(_block_pid, (), indices, workers, 4)) == set()
-        results = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
+        results = fan_out(_block_pid, (), range(2), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2)]
         assert len(_pool_pids(results)) == 1
 
     def test_worker_count_change_rebuilds_the_pool(self):
         # Below a full block per worker, a new worker count waits for its
         # second range, as a first pool does; the old pool serves meanwhile.
         two = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
-        assert _pool_pids(fan_out(_block_pid, (), range(3 * SHARE), 3, 4)) == set()
-        assert _pool_pids(fan_out(_block_pid, (), range(2 * SHARE), 2, 4)) == two
-        results = fan_out(_block_pid, (), range(3 * SHARE), 3, 4)
-        thirds = [(0, SHARE), (SHARE, 2 * SHARE), (2 * SHARE, 3 * SHARE)]
-        assert [(a, b) for _, a, b in results] == thirds
+        assert _pool_pids(fan_out(_block_pid, (), range(3), 3, 4)) == set()
+        assert _pool_pids(fan_out(_block_pid, (), range(2), 2, 4)) == two
+        results = fan_out(_block_pid, (), range(3), 3, 4)
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
         three = _pool_pids(results)
         assert len(three) == 2 and not three & two
         assert all(_gone(pid) for pid in two)
@@ -744,8 +744,8 @@ class TestSharedPool:
         # zombie until the next fan_out polls the pool
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         assert not _gone(pid, 0.0)
-        results = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
-        assert [(a, b) for _, a, b in results] == [(0, SHARE), (SHARE, 2 * SHARE)]
+        results = fan_out(_block_pid, (), range(2), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2)]
         assert len(_pool_pids(results)) == 1 and pid not in _pool_pids(results)
         assert _gone(pid, 0.0)
 
@@ -760,34 +760,29 @@ class TestSharedPool:
             fan_out(_kill_own_process, (), range(3 * BLOCK_SIZE), 3, 4)
         assert isinstance(raised.value.__cause__, EOFError)
         assert sampling._pool is None and _gone(killed, 0.0) and _gone(other, 0.0)
-        results = fan_out(_block_pid, (), range(3 * SHARE), 3, 4)
-        thirds = [(0, SHARE), (SHARE, 2 * SHARE), (2 * SHARE, 3 * SHARE)]
-        assert [(a, b) for _, a, b in results] == thirds
+        results = fan_out(_block_pid, (), range(3), 3, 4)
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
         assert len(_pool_pids(results)) == 2 and not _pool_pids(results) & {killed, other}
 
-    def test_share_scales_with_the_ambient_dimension(self, pool_submits):
-        # At N = 8 a warm pool takes SHARE_BUDGET // 8**2 trials per worker.
-        share = SHARE_BUDGET // 8**2
-        fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 8)
-        below = fan_out(_block_pid, (), range(2 * share - 1), 2, 8)
-        assert below == [(os.getpid(), 0, 2 * share - 1)]
-        results = fan_out(_block_pid, (), range(2 * share), 2, 8)
-        assert [(a, b) for _, a, b in results] == [(0, share), (share, 2 * share)]
-        assert pool_submits == [(BLOCK_SIZE, 2 * BLOCK_SIZE), (share, 2 * share)]
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_share_at_ambient_4_is_unchanged(self, workers):
-        # Before the share scaled with N, a warm pool took a range when every
-        # worker got min(block, 128) trials; at N = 4 that rule still holds.
-        fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 4)
+    @pytest.mark.parametrize("ambient,workers", [(4, 2), (4, 3), (8, 2), (8, 3)])
+    def test_warm_pool_splits_from_one_trial_per_worker(self, ambient, workers, pool_submits):
+        # Once a full block per worker has started the pool, a range splits
+        # exactly when every worker gets a trial, at any N.
+        fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, ambient)
+        below = fan_out(_block_pid, (), range(workers - 1), workers, ambient)
+        assert below == [(os.getpid(), 0, workers - 1)]
+        ones = fan_out(_block_pid, (), range(workers), workers, ambient)
+        assert [(a, b) for _, a, b in ones] == [(i, i + 1) for i in range(workers)]
+        assert pool_submits == [(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE) for i in range(1, workers)
+                                ] + [(i, i + 1) for i in range(1, workers)]
         for trials in range(1, 601):
-            split = bool(_pool_pids(fan_out(_block_pid, (), range(trials), workers, 4)))
-            assert split == (not trials // workers < min(BLOCK_SIZE, 128)), trials
+            split = bool(_pool_pids(fan_out(_block_pid, (), range(trials), workers, ambient)))
+            assert split == (trials >= workers), trials
 
     def test_frontier_wide_search_splits_over_a_warm_pool(self, tmp_chdir, monkeypatch,
                                                           pool_submits):
-        # frontier-wide's flags: 100 trials at N = 8, where 2 and 3 workers
-        # get the least share of 32 or more; trial 0 heads the caller's share.
+        # frontier-wide's flags: 100 trials at N = 8, split over a warm pool
+        # of 2 and 3 workers; trial 0 heads the caller's share.
         args = ["search", "--objective", "conjecture", "--dims", "8,4,4,2", "--m", "1",
                 "--M", "100", "--refine-steps", "400", "--tol", "1e-9", "--trials", "100",
                 "--seed", "11", "--out", "s.json"]
@@ -810,8 +805,8 @@ class TestSharedPool:
         with pytest.raises(ValueError, match="caller's share"):
             fan_out(_fail_in_caller, (os.getpid(), str(marker)), range(2 * BLOCK_SIZE), 2, 4)
         assert marker.exists()
-        results = fan_out(_block_pid, (), range(2 * SHARE), 2, 4)
-        assert [(a, b) for _, a, b in results] == [(0, SHARE), (SHARE, 2 * SHARE)]
+        results = fan_out(_block_pid, (), range(2), 2, 4)
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2)]
 
     def test_pool_error_reaches_the_caller_after_every_share(self, tmp_path):
         # The second range's process raises; the third's, which replies
@@ -820,9 +815,8 @@ class TestSharedPool:
         with pytest.raises(KeyError, match="pool share 512 failed"):
             fan_out(_fail_in_pool, (str(marker),), range(3 * BLOCK_SIZE), 3, 4)
         assert marker.exists()
-        results = fan_out(_block_pid, (), range(3 * SHARE), 3, 4)
-        thirds = [(0, SHARE), (SHARE, 2 * SHARE), (2 * SHARE, 3 * SHARE)]
-        assert [(a, b) for _, a, b in results] == thirds
+        results = fan_out(_block_pid, (), range(3), 3, 4)
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
         assert len(_pool_pids(results)) == 2
 
     def _python(self, *lines, timeout=120):
@@ -858,6 +852,28 @@ class TestSharedPool:
         pids = [int(pid) for pid in out.stdout.split()]
         assert len(pids) == 2 and all(_gone(pid, 0.0) for pid in pids)
 
+    def test_request_that_fails_to_unpickle_is_an_error_reply(self):
+        # A function defined after the fork is not in a pool process's
+        # __main__: the caller re-raises the process's AttributeError, and
+        # the same process serves the next range.
+        out = self._python(
+            "import os",
+            "from wielandt_lab.sampling import BLOCK_SIZE, fan_out",
+            "def pid(block):",
+            "    return os.getpid()",
+            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, 4)) - {os.getpid()})",
+            "def late(block):",
+            "    return os.getpid()",
+            "try:",
+            "    fan_out(late, (), range(2), 2, 4)",
+            "except AttributeError as exc:",
+            "    print(type(exc).__name__, 'late' in str(exc))",
+            "print(*set(fan_out(pid, (), range(2), 2, 4)) - {os.getpid()})",
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        before, raised, after = out.stdout.splitlines()
+        assert raised == "AttributeError True" and before == after
+
     def test_one_shot_search_below_a_full_block_starts_no_pool(self):
         out = self._python(
             "import sys",
@@ -868,12 +884,12 @@ class TestSharedPool:
         assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "False False", "")
 
     def test_reports_do_not_depend_on_workers_at_real_thresholds(self, pool_submits):
-        # Real block sizes: 3 * SHARE trials give 3 workers the smallest
-        # share the pool takes at ambient 4, once a full block per worker has
-        # started it; a search's range starts at trial 0, so its one trial
-        # more goes to the last share.  One pool serves all four configs at
-        # each worker count.
-        trials = 3 * SHARE
+        # Real block sizes: 384 trials give 2 and 3 workers less than a full
+        # block each, once a full block per worker has started the pool; a
+        # search's range starts at trial 0, so its one trial more goes to
+        # the last share.  One pool serves all four configs at each worker
+        # count.
+        trials = 384
         rank3 = dict(ambient=6, rank=3, out_dim=3, ancilla=2)
         runs = {
             "verify-N4": lambda w: stripped(cli.run_verify(
@@ -901,6 +917,33 @@ class TestSharedPool:
             *[(third, 2 * third), (2 * third, trials)] * 2,
             *[(third, 2 * third), (2 * third, trials + 1)] * 2,
         ]
+
+    def test_reports_of_a_few_trials_do_not_depend_on_workers(self, pool_submits):
+        # A warm pool takes every run that gives each worker a trial; from 2
+        # to 9 trials at N = 4 and N = 8 its reports equal the 1-worker ones.
+        shapes = {4: SHAPES[0], 8: dict(ambient=8, rank=4, out_dim=4, ancilla=2)}
+        runs = {
+            "verify": lambda shape, trials, w: stripped(cli.run_verify(
+                _params(shape, trials=trials, seed=7), workers=w)),
+            "search": lambda shape, trials, w: search.random_search(
+                search.SearchConfig(trials=trials, seed=7, **shape), workers=w).to_json(),
+        }
+        cases = [(name, ambient, trials) for name in runs for ambient in shapes
+                 for trials in range(2, 10)]
+        serial = {case: json.dumps(runs[case[0]](shapes[case[1]], case[2], 1)) for case in cases}
+        want = []
+        for workers in (2, 3):
+            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 4)
+            want += [(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE) for i in range(1, workers)]
+            pool = sampling._pool
+            for name, ambient, trials in cases:
+                report = json.dumps(runs[name](shapes[ambient], trials, workers))
+                assert report == serial[name, ambient, trials], (name, ambient, trials, workers)
+                if trials >= workers:
+                    want += [(trials * i // workers, trials * (i + 1) // workers)
+                             for i in range(1, workers)]
+            assert sampling._pool is pool
+        assert pool_submits == want
 
 
 # Reports may drift from those of the one-trial implementation by this much,

@@ -40,40 +40,44 @@ class TestBlockSize:
 class TestRngsFrom:
     def test_states_match_default_rng(self):
         seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_seeds(10_000)])
-        for seed, rng in zip(seeds.tolist(), rngs_from(seeds)):
-            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        words = sampling._pcg64_states(seeds).tolist()
+        for seed, (hi, lo, inc_hi, inc_lo) in zip(seeds.tolist(), words):
+            state = np.random.default_rng(seed).bit_generator.state["state"]
+            assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (state["state"], state["inc"])
 
     def test_draws_match_default_rng(self):
         seeds = np.array(EDGE_SEEDS, dtype=np.uint64).reshape(2, 3)  # C order
-        for seed, rng in zip(seeds.ravel().tolist(), rngs_from(seeds)):
+        g, u = sampling.lane_draws(rngs_from(seeds), seeds.size, (7,), 1)
+        for lane, seed in enumerate(seeds.ravel().tolist()):
             ref = np.random.default_rng(seed)
-            assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
-            assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+            assert np.array_equal(g[lane], ref.standard_normal(7))
+            assert u[lane, 0] == ref.uniform(0.0, 1.0)
 
     @pytest.mark.parametrize("count", [1, 3, 512])
     def test_block_lanes_match_default_rng(self, count):
         # Each lane draws as operator_stack does: normals, then uniforms.
         seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_seeds(count)])[:count]
-        g, u = np.empty((count, 2, 3, 3)), np.empty((count, 3))
-        for i, (seed, rng) in enumerate(zip(seeds.tolist(), rngs_from(seeds))):
+        stream = rngs_from(seeds)
+        g, u = sampling.lane_draws(stream, count, (2, 3, 3), 3)
+        for lane, seed in enumerate(seeds.tolist()):
             ref = np.random.default_rng(seed)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            rng.standard_normal(out=g[i])
-            rng.random(out=u[i])
-            assert np.array_equal(g[i], ref.standard_normal((2, 3, 3)))
-            assert np.array_equal(u[i], ref.random(3))
-            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(g[lane], ref.standard_normal((2, 3, 3)))
+            assert np.array_equal(u[lane], ref.random(3))
+        # the stream's generator is left where the last lane's draws leave it
+        assert stream.rng.bit_generator.state == ref.bit_generator.state
 
     def test_interleaved_iterators_keep_their_lanes(self):
-        # Each iterator owns its generator, so advancing one leaves the
-        # other's lanes as default_rng gives them.
+        # Each stream owns its generator, so drawing a block from one leaves
+        # the other's lanes as default_rng gives them.
         seeds = _random_seeds(40).reshape(2, 20)
-        iters = [rngs_from(row) for row in seeds]
-        for lane in range(20):
-            for row, rngs in zip(seeds, iters):
-                rng, ref = next(rngs), np.random.default_rng(int(row[lane]))
-                assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
-                assert np.array_equal(rng.random(2), ref.random(2))
+        streams = [rngs_from(row) for row in seeds]
+        for start, lanes in ((0, 1), (1, 3), (4, 7), (11, 9)):
+            for row, stream in zip(seeds, streams):
+                g, u = sampling.lane_draws(stream, lanes, (5,), 2)
+                for lane, seed in enumerate(row[start : start + lanes].tolist()):
+                    ref = np.random.default_rng(seed)
+                    assert np.array_equal(g[lane], ref.standard_normal(5))
+                    assert np.array_equal(u[lane], ref.random(2))
 
     @pytest.mark.parametrize("m,M", [(1e-13, 1e-11), (1.0, 2.0), (1.0, 100.0), (1.0, 1e6)])
     def test_scaled_random_is_uniform(self, m, M):
@@ -82,30 +86,41 @@ class TestRngsFrom:
         got = m + (M - m) * np.random.default_rng(seed).random(1000)
         assert np.array_equal(got, np.random.default_rng(seed).uniform(m, M, 1000))
 
+    def _assert_own_default_rng(self, stream, seeds, default_rng):
+        """Every lane of `stream` draws from its own ``default_rng(seed)``,
+        with `default_rng`'s bits, and then no lane is left."""
+        g, u = sampling.lane_draws(stream, len(seeds), (3,), 1)
+        assert stream.words is None
+        for lane, seed in enumerate(seeds):
+            ref = default_rng(seed)
+            assert np.array_equal(g[lane], ref.standard_normal(3))
+            assert np.array_equal(u[lane], ref.random(1))
+        with pytest.raises(IndexError):
+            sampling.lane_draws(stream, 1, (3,))
+
     def test_lanes_follow_default_rng_when_numpy_seeding_differs(self, monkeypatch):
         # The vectorized seeding no longer matches default_rng, so each lane
         # draws from default_rng itself.
         real = np.random.default_rng
         monkeypatch.setattr(sampling.np.random, "default_rng", lambda seed: real(seed ^ 1))
-        rngs = rngs_from(np.array([5, 6], dtype=np.uint64))
-        for seed in (5, 6):
-            assert next(rngs).bit_generator.state == real(seed ^ 1).bit_generator.state
-        assert next(rngs, None) is None
+        stream = rngs_from(np.array([5, 6], dtype=np.uint64))
+        self._assert_own_default_rng(stream, (5, 6), lambda seed: real(seed ^ 1))
 
     def test_swapped_words_fall_back_to_default_rng(self, monkeypatch):
         # High and low words swapped in state and increment: the first lane's
         # state is wrong, so every lane draws from its own default_rng.
         real = sampling._pcg64_states
         monkeypatch.setattr(sampling, "_pcg64_states", lambda seeds: real(seeds)[:, [1, 0, 3, 2]])
-        rngs = rngs_from(np.array([5, 6], dtype=np.uint64))
-        for seed, rng in zip((5, 6), rngs):
-            assert rngs.words is None
-            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-        assert next(rngs, None) is None
+        stream = rngs_from(np.array([5, 6], dtype=np.uint64))
+        self._assert_own_default_rng(stream, (5, 6), np.random.default_rng)
 
     def test_empty_block_yields_nothing(self):
-        assert list(rngs_from(np.array([], dtype=np.uint64))) == []
-        assert list(rngs_from(np.empty((0, 3), dtype=np.uint64))) == []
+        for seeds in (np.array([], dtype=np.uint64), np.empty((0, 3), dtype=np.uint64)):
+            stream = rngs_from(seeds)
+            g, u = sampling.lane_draws(stream, 0, (2, 3), 1)
+            assert g.shape == (0, 2, 3) and u.shape == (0, 1)
+            with pytest.raises(IndexError):
+                sampling.lane_draws(stream, 1, (2, 3))
 
 
 class TestLaneDraws:

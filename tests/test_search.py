@@ -570,13 +570,16 @@ class TestStackedScreen:
     def test_block_size_and_workers_do_not_change_result(self, monkeypatch, pool_ranges):
         cfg = _cfg("tightness_thm3", (4, 2, 2, 2), 2.0, m=1.0, M=100.0, trials=90, seed=4)
         reports = set()
-        # runs of 2 and 3 workers reach the pool at the blocks below 30
+        # Below a block of 30, every run of 2 and 3 workers gets a full block
+        # per worker and starts its pool.  At a full block the 2-worker run
+        # is the first that could split over 2, so the caller walks it, and
+        # the 3-worker run takes the warm pool.
         for block in (1, 7, 29, BLOCK_SIZE):
             monkeypatch.setattr(sampling, "block_size", lambda ambient: block)
             for workers in (1, 2, 3):
                 rec = search.random_search(cfg, workers=workers)
                 reports.add(json.dumps(rec.to_json()))
-        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3
+        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 3 + [(30, 60), (60, 90)]
         assert len(reports) == 1
         assert len(json.loads(reports.pop())["trace"]) > 1
 
