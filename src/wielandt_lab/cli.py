@@ -11,16 +11,21 @@ the CPUs in this process's affinity mask); results never depend on the worker
 count.
 
 ``sampling.fan_out`` hands ``verify`` its trials one block at a time
-(``_verify_block``), and every check of a block is evaluated on stacked arrays
+(``_verify_part``), and every check of a block is evaluated on stacked arrays
 (``bounds.instance_checks_stack`` and ``bounds.lemma_checks_stack``), the
-only implementation of each check.  A block seeds every trial's 3 instance
-and 6 lemma generators in one ``rngs_from`` pass, and scores its exponent
-grid in groups of exponents (see ``bounds.instance_checks_stack``), each
-group as one ``(P, B, d, d)`` stack.  A failing check of a trial becomes a
-failure entry holding that trial's report; a trial that fails a hypothesis
-becomes one ``trial_error`` entry with the exception's message.  Each
-check reports the trial of its worst margin (``worst_trial``, lowest index
-on ties) so near misses can be replayed.
+only implementation of each check.  A trial is two units, its instance
+checks and its lemma checks (see ``run_verify``).  A whole block seeds every
+trial's 3 instance and 6 lemma generators in one ``rngs_from`` pass and is
+tallied where it runs; a block that a worker's share cuts is checked family
+by family, and its parts' per-lane tables (``LaneTable``) are joined before
+the tally, so the report does not depend on where the cut falls.  A block
+scores its exponent grid in groups of exponents (see
+``bounds.instance_checks_stack``), each group as one ``(P, B, d, d)`` stack.
+A failing check of a trial becomes a failure entry holding that trial's
+report; a trial that fails a hypothesis in either family becomes one
+``trial_error`` entry with the exception's message.  Each check reports the
+trial of its worst margin (``worst_trial``, lowest index on ties) so near
+misses can be replayed.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sampling
 from .bounds import (
     ALL_CHECK_NAMES,
     DEFAULT_TOL,
@@ -227,38 +233,88 @@ def _tally(stats: dict, name: str, run: int, fail: int, margin, trial) -> None:
         entry[2], entry[3] = margin, trial
 
 
-def _stacked_lanes(params: VerifyParams, trials: range) -> LaneChecks:
-    """Every check of trials `trials`, one lane per trial.  Every trial's
-    instance and lemma generators are seeded in one pass."""
-    seeds = mix_seeds(params.seed, trials)
-    rngs = rngs_from(np.vstack([instance_seeds(seeds), lemma_seeds(seeds)]))
+def _instance_lanes(params: VerifyParams, trials: range, seeds, rngs) -> LaneChecks:
+    """The instance family's checks of trials `trials` (trial seeds `seeds`),
+    one lane per trial, drawn from `rngs`."""
     s, t, t_eig, errors = compressed_products_stack(
         rngs, len(trials), params.ambient, params.rank, params.out_dim, params.ancilla,
         params.m, params.M,
     )
-    lanes = instance_checks_stack(
+    return instance_checks_stack(
         s, t, t_eig, errors, seeds, params.m, params.M, params.p_values, params.tol
     )
-    lanes.extend(lemma_checks_stack(
+
+
+def _lemma_lanes(params: VerifyParams, trials: range, seeds, rngs) -> LaneChecks:
+    """The lemma family's checks of trials `trials`, one lane per trial,
+    drawn from `rngs`."""
+    return lemma_checks_stack(
         rngs, np.arange(trials.start, trials.stop) % 4, params.lemma_dim, params.ambient,
         params.m, params.M, params.tol,
-    ))
-    return lanes
+    )
 
 
-def _verify_block(params: VerifyParams, trials: range) -> tuple:
-    """Run all checks for the block `trials` on stacks; returns per-check
-    statistics (run and fail counts and worst margins of the lanes without
-    a trial error) and the JSON of every failing report, in trial order."""
+# The check families of a trial, in report order: the seed rows of their
+# generators for trial seeds, and their checks.
+_FAMILIES = ((instance_seeds, _instance_lanes), (lemma_seeds, _lemma_lanes))
+
+
+class LaneTable(NamedTuple):
+    """Check results on consecutive trials, one lane per trial, as plain
+    data that can be pickled: each check's (name, verdicts, margins or
+    None), the exception of each lane that raised one, and the report JSON
+    of each other lane's failing checks."""
+
+    checks: list
+    errors: dict
+    failures: dict
+
+
+def _table(lanes: LaneChecks) -> LaneTable:
+    """The LaneTable of `lanes`; reports are built for failing lanes only."""
+    checks = [(name, passed, margin) for name, passed, margin, _ in lanes.checks]
+    failing = ~np.logical_and.reduce([passed for _, passed, _ in checks]) & ~lanes.errors.bad
+    failures = {lane: [r.to_json() for r in lanes.reports(lane) if not r.passed]
+                for lane in np.flatnonzero(failing).tolist()}
+    return LaneTable(checks, dict(lanes.errors), failures)
+
+
+def _join(first: LaneTable, then: LaneTable) -> LaneTable:
+    """The checks of `first`, then those of `then`, on the same lanes; a
+    lane keeps the exception of `first` when both raised."""
+    failures = {lane: first.failures.get(lane, []) + then.failures.get(lane, [])
+                for lane in first.failures.keys() | then.failures.keys()}
+    return LaneTable(first.checks + then.checks, {**then.errors, **first.errors}, failures)
+
+
+def _stack(tables: list) -> LaneTable:
+    """One family's tables of consecutive trials as one table."""
+    if len(tables) == 1:
+        return tables[0]
+    offsets = np.cumsum([0] + [len(table.checks[0][1]) for table in tables]).tolist()
+    checks = [(column[0][0], np.concatenate([passed for _, passed, _ in column]),
+               None if column[0][2] is None else np.concatenate([m for _, _, m in column]))
+              for column in zip(*(table.checks for table in tables))]
+    errors, failures = {}, {}
+    for table, offset in zip(tables, offsets):
+        errors.update((lane + offset, exc) for lane, exc in table.errors.items())
+        failures.update((lane + offset, json) for lane, json in table.failures.items())
+    return LaneTable(checks, errors, failures)
+
+
+def _tally_block(trials: range, table: LaneTable) -> tuple:
+    """Per-check statistics of the block `trials` (run and fail counts and
+    worst margins of the lanes without a trial error) and the JSON of every
+    failing report, in trial order, from the block's joined table."""
     stats: dict[str, list] = {}
     failures: list[dict] = []
-    lanes = _stacked_lanes(params, trials)
-    bad = lanes.errors.bad
+    bad = np.zeros(len(trials), dtype=bool)
+    bad[list(table.errors)] = True
     clean = np.flatnonzero(~bad)
-    passed = np.array([verdicts for _, verdicts, _, _ in lanes.checks])  # (check, lane)
+    passed = np.array([verdicts for _, verdicts, _ in table.checks])  # (check, lane)
     fails = np.count_nonzero(~passed[:, clean], axis=1).tolist()
     by_name: dict[str, list] = {}
-    for (name, _, margin, _), fail in zip(lanes.checks, fails):
+    for (name, _, margin), fail in zip(table.checks, fails):
         by_name.setdefault(name, []).append((fail, margin))
     for name, entries in by_name.items() if clean.size else ():  # no empty entries
         worst = trial = None
@@ -267,16 +323,61 @@ def _verify_block(params: VerifyParams, trials: range) -> tuple:
             j = int(np.argmin(lane_worst))  # the lowest trial on ties
             worst, trial = float(lane_worst[j]), trials[clean[j]]
         _tally(stats, name, len(entries) * clean.size, sum(f for f, _ in entries), worst, trial)
-    for lane in np.flatnonzero(bad | ~passed.all(axis=0)).tolist():
+    for lane in sorted(table.errors.keys() | table.failures.keys()):
         trial = trials[lane]
-        try:
-            reports = lanes.reports(lane)
-        except WielandtLabError as exc:
+        if lane in table.errors:
             _tally(stats, "trial_error", 1, 1, None, None)
-            failures.append({"check": "trial_error", "trial": trial, "error": str(exc)})
-            continue
-        failures.extend(dict(r.to_json(), trial=trial) for r in reports if not r.passed)
+            failures.append({"check": "trial_error", "trial": trial,
+                             "error": str(table.errors[lane])})
+        else:
+            failures.extend(dict(report, trial=trial) for report in table.failures[lane])
     return stats, failures
+
+
+def _verify_part(params: VerifyParams, block: int, units: range):
+    """Check the units `units` of one block of `block` trials (see
+    run_verify).  A whole block is checked on one lane stream over all its
+    generators and tallied here, as (stats, failures).  A part of a cut
+    block draws each family it holds from that family's generators alone
+    and returns a list of (family, trials, LaneTable), which run_verify
+    joins with the block's other parts before it tallies them."""
+    first = units.start // (2 * block) * block
+    size = min(block, params.trials - first)
+    lo, hi = units.start - 2 * first, units.stop - 2 * first
+    if (lo, hi) == (0, 2 * size):
+        trials = range(first, first + size)
+        seeds = mix_seeds(params.seed, trials)
+        rngs = rngs_from(np.vstack([rows(seeds) for rows, _ in _FAMILIES]))
+        return _tally_block(trials, _join(*(
+            _table(lanes(params, trials, seeds, rngs)) for _, lanes in _FAMILIES)))
+    tables = []
+    spans = ((lo, min(hi, size)), (max(lo, size) - size, hi - size))
+    for family, ((rows, lanes), (a, b)) in enumerate(zip(_FAMILIES, spans)):
+        if a < b:
+            trials = range(first + a, first + b)
+            seeds = mix_seeds(params.seed, trials)
+            tables.append((family, trials, _table(lanes(params, trials, seeds,
+                                                        rngs_from(rows(seeds))))))
+    return tables
+
+
+def _block_tallies(parts: list, block: int, total: int) -> list:
+    """Each block's (stats, failures) in trial order, from the results of
+    _verify_part: a cut block's tables are stacked family by family, joined
+    and tallied once its last lemma lane is in."""
+    tallies, halves = [], ([], [])
+    for part in parts:
+        if isinstance(part, tuple):
+            tallies.append(part)
+            continue
+        for family, trials, table in part:
+            halves[family].append(table)
+            first = trials.start - trials.start % block
+            if family and trials.stop == min(first + block, total):
+                joined = _join(*map(_stack, halves))
+                tallies.append(_tally_block(range(first, trials.stop), joined))
+                halves = ([], [])
+    return tallies
 
 
 def _merge_blocks(blocks: list) -> tuple[dict, list]:
@@ -295,11 +396,16 @@ def _merge_blocks(blocks: list) -> tuple[dict, list]:
 
 
 def run_verify(params: VerifyParams, workers: int = 1) -> dict:
-    """Full verification sweep; returns the JSON-ready report."""
+    """Full verification sweep; returns the JSON-ready report.  Each trial
+    is two units, its instance checks and its lemma checks: the units of a
+    block of block_size(N) trials are its instance units in trial order,
+    then its lemma units, so fan_out's walk length is twice the block and a
+    split that falls inside a block cuts it between or within families."""
     params.validate()
     started = _now()
-    blocks = fan_out(_verify_block, (params,), range(params.trials), workers, params.ambient)
-    checks, failures = _merge_blocks(blocks)
+    block = sampling.block_size(params.ambient)
+    parts = fan_out(_verify_part, (params, block), range(2 * params.trials), workers, 2 * block)
+    checks, failures = _merge_blocks(_block_tallies(parts, block, params.trials))
     checks_run = sum(c["run"] for c in checks.values())
     n_failures = sum(c["fail"] for c in checks.values())
     counters = {

@@ -3,13 +3,15 @@
 Sub-seeds are derived with a fixed 64-bit mixing function (splitmix64 over an
 FNV-1a tag hash), so component streams are order-independent and batch runs
 parallelize without changing results.  ``fan_out`` is the one walk over
-trial blocks: it cuts an index range into blocks of ``block_size(N)`` trials,
-each worker taking a contiguous share, and returns one result per block in
-index order.  The worker processes form one pool per process, started by
-a range that gives every worker a full block or by the second range that
-could split over as many workers, and reused by every later range that gives
-each worker a trial; each pool process takes its ranges through a pipe of
-its own, and ``close_pool`` ends them, at exit at the latest.
+blocks of indices: each worker takes a contiguous share of an index range
+and walks it in parts cut at the multiples of the caller's walk length
+(``block_size(N)`` trials for a search, twice that for verify's units), and
+the results come back one per part in index order.  The worker processes
+form one pool per process, started by a range that gives every worker a
+full block or by the second range that could split over as many workers,
+and reused by every later range that gives each worker an index; each pool
+process takes its ranges through a pipe of its own, and ``close_pool`` ends
+them, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
@@ -371,8 +373,12 @@ def block_size(ambient: int) -> int:
 
 
 def _walk(fn, head: tuple, block: int, indices: range) -> list:
-    """``fn(*head, part)`` for each consecutive part of `block` indices."""
-    return [fn(*head, indices[lo : lo + block]) for lo in range(0, len(indices), block)]
+    """``fn(*head, part)`` for each part of `indices` between consecutive
+    multiples of `block`, so a range that starts inside a block walks the
+    rest of that block first."""
+    start, stop = indices.start, indices.stop
+    firsts = range(start - start % block, stop, block) if indices else ()
+    return [fn(*head, range(max(lo, start), min(lo + block, stop))) for lo in firsts]
 
 
 # The shared pool as (workers, its workers - 1 processes, the calling end of
@@ -402,9 +408,9 @@ atexit.register(close_pool)
 def _serve(end, inherited: list) -> None:
     """A pool process: run each ``(fn, args)`` received on pipe end `end`
     and send back ``(True, result)`` or ``(False, exception)``, an error in
-    unpickling the request included, until the calling end closes.  It
-    first closes the calling ends the fork left it (`inherited`), or
-    closing them in the caller would not reach it."""
+    unpickling the request or pickling the result included, until the
+    calling end closes.  It first closes the calling ends the fork left it
+    (`inherited`), or closing them in the caller would not reach it."""
     for other in inherited:
         other.close()
     try:
@@ -412,10 +418,10 @@ def _serve(end, inherited: list) -> None:
             request = end.recv_bytes()
             try:
                 fn, args = pickle.loads(request)
-                reply = True, fn(*args)
+                reply = pickle.dumps((True, fn(*args)))
             except Exception as exc:
-                reply = False, exc
-            end.send(reply)
+                reply = pickle.dumps((False, exc))
+            end.send_bytes(reply)
     except (EOFError, OSError):  # the calling end is closed
         return
 
@@ -464,28 +470,29 @@ def _replies(workers: int) -> list:
     return replies
 
 
-def fan_out(fn, head: tuple, indices: range, workers: int, ambient: int) -> list:
-    """Results of ``fn(*head, block)`` over consecutive blocks of
-    ``block_size(ambient)`` trial indices that cover `indices`, in index
-    order; the one walk over trial blocks.  `indices` is cut into one
+def fan_out(fn, head: tuple, indices: range, workers: int, block: int) -> list:
+    """Results of ``fn(*head, part)`` over the parts of `indices` cut at
+    the multiples of the walk length `block` (see _walk), in index order;
+    the one walk over blocks of indices.  `indices` is cut into one
     contiguous range per worker.  Each range but the first goes down the
     pipe of one process of the shared pool of ``workers - 1`` processes,
     which lives as long as the process; the caller walks the first, then
     receives every process's reply in index order before it re-raises an
     error, its own or a process's (see _replies for a process that ends).
-    A range splits whenever every worker gets a trial and the pool runs or
+    A range splits whenever every worker gets an index and the pool runs or
     starts: a pool of `workers` starts (or replaces one of another size)
-    when every worker gets a full block, or on the second range that could
-    split over `workers`; the first is walked whole in the calling process.
-    So a run that fans out once starts a pool only when every worker gets a
-    full block, and otherwise does not import multiprocessing."""
+    when every worker gets `block` indices, or on the second range that
+    could split over `workers`; the first is walked whole in the calling
+    process.  So a run that fans out once starts a pool only when every
+    worker gets a full block, and otherwise does not import
+    multiprocessing."""
     global _waiting
-    block = block_size(ambient)
     workers = max(1, int(workers))
     share = len(indices) // workers
     # A hand-off costs about 0.12-0.17 ms on a 2 vCPU x86_64 host, the time
     # of about 15 search lanes at N = 4, so a smaller share can lose that
-    # much; no benchmark workload runs one.
+    # much.  A verify index is one family's checks of a trial, so a share
+    # that cuts a verify block pays only its own families' fixed costs.
     if workers == 1 or share == 0:
         return _walk(fn, head, block, indices)
     if share < block and (_pool is None or _pool[0] != workers) and _waiting != workers:

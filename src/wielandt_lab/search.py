@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import sampling
 from .bounds import (
     DEFAULT_TOL,
     MIN_TOL,
@@ -279,7 +280,8 @@ def random_search(cfg: SearchConfig, workers: int = 1) -> SearchRecord:
     the result does not depend on the worker count.  The witness is the best
     trial rebuilt as the report stores it."""
     cfg.validate()
-    values = np.concatenate(fan_out(_eval_block, (cfg,), range(cfg.trials), workers, cfg.ambient))
+    block = sampling.block_size(cfg.ambient)
+    values = np.concatenate(fan_out(_eval_block, (cfg,), range(cfg.trials), workers, block))
     before = np.fmax.accumulate(np.concatenate([[-math.inf], values[:-1]]))  # skips NaNs
     floats = values.tolist()
     trace = [("sample", i, floats[i]) for i in np.flatnonzero(values > before).tolist()]

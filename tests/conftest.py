@@ -115,8 +115,8 @@ def no_process_left():
 
 @pytest.fixture
 def pool_submits(monkeypatch):
-    """Record as (start, stop) every trial range fan_out sends down a pool
-    process's pipe."""
+    """Record as (start, stop) every index range (trials, or verify's
+    units) fan_out sends down a pool process's pipe."""
     ranges = []
     send = Connection.send
 

@@ -7,15 +7,18 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wielandt_lab import bounds, cli, instances, sampling, search
-from wielandt_lab.errors import NotPSD, Singular
-from wielandt_lab.sampling import BLOCK_SIZE, fan_out, mix_seed
+from wielandt_lab.errors import NotPSD, PreconditionViolated, Singular
+from wielandt_lab.sampling import BLOCK_SIZE, block_size, fan_out, mix_seed, mix_seeds, rngs_from
 from wielandt_lab.search import SearchRecord
 
 from conftest import fail_refine_proposals, lapack_frames
@@ -223,7 +226,7 @@ class TestVerify:
         run_cli(["verify", "--trials", "24", "--seed", "1", "--out", "serial.json"])
         monkeypatch.setenv("WIELANDT_LAB_THREADS", "2")
         run_cli(["verify", "--trials", "24", "--seed", "1", "--out", "par.json"])
-        assert pool_ranges == [(12, 24)]
+        assert pool_ranges == [(24, 48)]
         a = json.loads((tmp_chdir / "serial.json").read_text())
         b = json.loads((tmp_chdir / "par.json").read_text())
         assert json.dumps(stripped(a)) == json.dumps(stripped(b))
@@ -237,7 +240,7 @@ class TestVerify:
         )
         serial = cli.run_verify(params, workers=1)
         parallel = cli.run_verify(params, workers=2)
-        assert pool_ranges == [(8, 16)]
+        assert pool_ranges == [(16, 32)]
         assert json.dumps(stripped(serial)) == json.dumps(stripped(parallel))
 
     def test_rank_one_runs(self, tmp_chdir, monkeypatch, capsys):
@@ -617,18 +620,19 @@ def _block_pid(block):
 
 class TestFanOut:
     # At ambient dimension 4 a block holds BLOCK_SIZE trials.
-    def test_blocks_come_back_in_index_order(self, monkeypatch):
-        monkeypatch.setattr(sampling, "block_size", lambda ambient: 4)
+    def test_blocks_come_back_in_index_order(self):
         results = fan_out(_block_pid, (), range(1, 30), 3, 4)
-        # worker ranges [1, 10), [10, 20) and [20, 30), each in blocks of 4
+        # worker ranges [1, 10), [10, 20) and [20, 30), each cut at the
+        # multiples of 4
         assert [(a, b) for _, a, b in results] == [
-            (1, 5), (5, 9), (9, 10), (10, 14), (14, 18), (18, 20), (20, 24), (24, 28), (28, 30)
+            (1, 4), (4, 8), (8, 10), (10, 12), (12, 16), (16, 20), (20, 24), (24, 28), (28, 30)
         ]
 
     def test_first_range_runs_in_the_caller(self):
-        results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE + 5), 3, 4)
-        # worker ranges start at 0, 513 and 1027; each is a full block and a rest
-        edges = [0, BLOCK_SIZE, 513, 513 + BLOCK_SIZE, 1027, 1027 + BLOCK_SIZE, 1541]
+        results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE + 5), 3, block_size(4))
+        # worker ranges start at 0, 513 and 1027; each walks to the next
+        # multiple of BLOCK_SIZE, then the rest
+        edges = [0, BLOCK_SIZE, 513, 2 * BLOCK_SIZE, 1027, 3 * BLOCK_SIZE, 1541]
         assert [(a, b) for _, a, b in results] == list(zip(edges[:-1], edges[1:]))
         pids = [pid for pid, _, _ in results]
         assert pids[:2] == [os.getpid()] * 2
@@ -638,24 +642,24 @@ class TestFanOut:
         # A fresh process walks a first range below a full block per worker
         # in the caller; once the pool runs, a range of fewer trials than
         # workers still stays there.
-        results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE - 1), 3, 4)
+        results = fan_out(_block_pid, (), range(3 * BLOCK_SIZE - 1), 3, block_size(4))
         assert results == [(os.getpid(), 0, BLOCK_SIZE), (os.getpid(), BLOCK_SIZE, 2 * BLOCK_SIZE),
                            (os.getpid(), 2 * BLOCK_SIZE, 3 * BLOCK_SIZE - 1)]
-        assert len(_pool_pids(fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, 4))) == 2
-        assert fan_out(_block_pid, (), range(2), 3, 4) == [(os.getpid(), 0, 2)]
-        assert fan_out(_block_pid, (), range(1), 3, 4) == [(os.getpid(), 0, 1)]
+        assert len(_pool_pids(fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, block_size(4)))) == 2
+        assert fan_out(_block_pid, (), range(2), 3, block_size(4)) == [(os.getpid(), 0, 2)]
+        assert fan_out(_block_pid, (), range(1), 3, block_size(4)) == [(os.getpid(), 0, 1)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_needs_a_full_block_per_worker(self, workers):
         trials = BLOCK_SIZE * workers
-        serial = fan_out(_block_pid, (), range(trials - 1), workers, 4)
+        serial = fan_out(_block_pid, (), range(trials - 1), workers, block_size(4))
         assert {pid for pid, _, _ in serial} == {os.getpid()}
-        pids = [pid for pid, _, _ in fan_out(_block_pid, (), range(trials), workers, 4)]
+        pids = [pid for pid, _, _ in fan_out(_block_pid, (), range(trials), workers, block_size(4))]
         assert len(pids) == workers and os.getpid() not in pids[1:]
 
     def test_empty_range_returns_nothing(self):
-        assert fan_out(_block_pid, (), range(0), 3, 4) == []
-        assert fan_out(_block_pid, (), range(5, 5), 1, 4) == []
+        assert fan_out(_block_pid, (), range(0), 3, block_size(4)) == []
+        assert fan_out(_block_pid, (), range(5, 5), 1, block_size(4)) == []
 
 
 def _fail_in_caller(caller, marker, block):
@@ -686,6 +690,11 @@ def _kill_own_process(block):
     return _block_pid(block)
 
 
+def _lock(block):
+    """A result that cannot be pickled."""
+    return threading.Lock()
+
+
 def _pool_pids(results) -> set:
     return {pid for pid, _, _ in results} - {os.getpid()}
 
@@ -709,42 +718,42 @@ class TestSharedPool:
     SRC = Path(__file__).resolve().parent.parent / "src"
 
     def test_fan_outs_reuse_the_pool_processes(self):
-        started = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
-        reused = fan_out(_block_pid, (), range(2), 2, 4)
+        started = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, block_size(4)))
+        reused = fan_out(_block_pid, (), range(2), 2, block_size(4))
         assert [(a, b) for _, a, b in reused] == [(0, 1), (1, 2)]
         assert len(started) == 1 and _pool_pids(reused) == started
-        assert fan_out(_block_pid, (), range(1), 2, 4) == [(os.getpid(), 0, 1)]
+        assert fan_out(_block_pid, (), range(1), 2, block_size(4)) == [(os.getpid(), 0, 1)]
 
     def test_serial_walks_that_could_split_start_the_pool(self):
         # The first range that could split over 2 workers is walked serially
         # and the second starts the pool; ranges on one worker or of fewer
         # trials than workers could not split and do not count.
         for indices, workers in ((range(2), 1), (range(1), 2), (range(2), 2), (range(2), 1)):
-            assert _pool_pids(fan_out(_block_pid, (), indices, workers, 4)) == set()
-        results = fan_out(_block_pid, (), range(2), 2, 4)
+            assert _pool_pids(fan_out(_block_pid, (), indices, workers, block_size(4))) == set()
+        results = fan_out(_block_pid, (), range(2), 2, block_size(4))
         assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2)]
         assert len(_pool_pids(results)) == 1
 
     def test_worker_count_change_rebuilds_the_pool(self):
         # Below a full block per worker, a new worker count waits for its
         # second range, as a first pool does; the old pool serves meanwhile.
-        two = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
-        assert _pool_pids(fan_out(_block_pid, (), range(3), 3, 4)) == set()
-        assert _pool_pids(fan_out(_block_pid, (), range(2), 2, 4)) == two
-        results = fan_out(_block_pid, (), range(3), 3, 4)
+        two = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, block_size(4)))
+        assert _pool_pids(fan_out(_block_pid, (), range(3), 3, block_size(4))) == set()
+        assert _pool_pids(fan_out(_block_pid, (), range(2), 2, block_size(4))) == two
+        results = fan_out(_block_pid, (), range(3), 3, block_size(4))
         assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
         three = _pool_pids(results)
         assert len(three) == 2 and not three & two
         assert all(_gone(pid) for pid in two)
 
     def test_dead_worker_is_replaced(self):
-        (pid,) = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, 4))
+        (pid,) = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, block_size(4)))
         os.kill(pid, signal.SIGKILL)
         # wait for the exit without reaping: the killed process stays a
         # zombie until the next fan_out polls the pool
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         assert not _gone(pid, 0.0)
-        results = fan_out(_block_pid, (), range(2), 2, 4)
+        results = fan_out(_block_pid, (), range(2), 2, block_size(4))
         assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2)]
         assert len(_pool_pids(results)) == 1 and pid not in _pool_pids(results)
         assert _gone(pid, 0.0)
@@ -753,14 +762,14 @@ class TestSharedPool:
         # The error names the process and its signal; the pool is closed at
         # once, the third range's process too, and the next range that could
         # split starts a new pool.
-        started = fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, 4)
+        started = fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, block_size(4))
         killed, other = (pid for pid, _, _ in started[1:])
         message = rf"^pool process {killed} was killed by signal {int(signal.SIGKILL)} \("
         with pytest.raises(RuntimeError, match=message) as raised:
-            fan_out(_kill_own_process, (), range(3 * BLOCK_SIZE), 3, 4)
+            fan_out(_kill_own_process, (), range(3 * BLOCK_SIZE), 3, block_size(4))
         assert isinstance(raised.value.__cause__, EOFError)
         assert sampling._pool is None and _gone(killed, 0.0) and _gone(other, 0.0)
-        results = fan_out(_block_pid, (), range(3), 3, 4)
+        results = fan_out(_block_pid, (), range(3), 3, block_size(4))
         assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
         assert len(_pool_pids(results)) == 2 and not _pool_pids(results) & {killed, other}
 
@@ -768,15 +777,15 @@ class TestSharedPool:
     def test_warm_pool_splits_from_one_trial_per_worker(self, ambient, workers, pool_submits):
         # Once a full block per worker has started the pool, a range splits
         # exactly when every worker gets a trial, at any N.
-        fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, ambient)
-        below = fan_out(_block_pid, (), range(workers - 1), workers, ambient)
+        fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, block_size(ambient))
+        below = fan_out(_block_pid, (), range(workers - 1), workers, block_size(ambient))
         assert below == [(os.getpid(), 0, workers - 1)]
-        ones = fan_out(_block_pid, (), range(workers), workers, ambient)
+        ones = fan_out(_block_pid, (), range(workers), workers, block_size(ambient))
         assert [(a, b) for _, a, b in ones] == [(i, i + 1) for i in range(workers)]
         assert pool_submits == [(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE) for i in range(1, workers)
                                 ] + [(i, i + 1) for i in range(1, workers)]
         for trials in range(1, 601):
-            split = bool(_pool_pids(fan_out(_block_pid, (), range(trials), workers, ambient)))
+            split = bool(_pool_pids(fan_out(_block_pid, (), range(trials), workers, block_size(ambient))))
             assert split == (trials >= workers), trials
 
     def test_frontier_wide_search_splits_over_a_warm_pool(self, tmp_chdir, monkeypatch,
@@ -790,7 +799,7 @@ class TestSharedPool:
         reports = set()
         for workers in (1, 2, 3):
             monkeypatch.setenv("WIELANDT_LAB_THREADS", str(workers))
-            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 8)
+            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, block_size(8))
             code = run_cli(args)
             reports.add((code, timestamp.sub(b"", (tmp_chdir / "s.json").read_bytes())))
         assert len(reports) == 1
@@ -803,9 +812,9 @@ class TestSharedPool:
         # not run into the next call.
         marker = tmp_path / "ran"
         with pytest.raises(ValueError, match="caller's share"):
-            fan_out(_fail_in_caller, (os.getpid(), str(marker)), range(2 * BLOCK_SIZE), 2, 4)
+            fan_out(_fail_in_caller, (os.getpid(), str(marker)), range(2 * BLOCK_SIZE), 2, block_size(4))
         assert marker.exists()
-        results = fan_out(_block_pid, (), range(2), 2, 4)
+        results = fan_out(_block_pid, (), range(2), 2, block_size(4))
         assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2)]
 
     def test_pool_error_reaches_the_caller_after_every_share(self, tmp_path):
@@ -813,11 +822,20 @@ class TestSharedPool:
         # later, has finished by then, and the pool serves the next call.
         marker = tmp_path / "ran"
         with pytest.raises(KeyError, match="pool share 512 failed"):
-            fan_out(_fail_in_pool, (str(marker),), range(3 * BLOCK_SIZE), 3, 4)
+            fan_out(_fail_in_pool, (str(marker),), range(3 * BLOCK_SIZE), 3, block_size(4))
         assert marker.exists()
-        results = fan_out(_block_pid, (), range(3), 3, 4)
+        results = fan_out(_block_pid, (), range(3), 3, block_size(4))
         assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
         assert len(_pool_pids(results)) == 2
+
+    def test_result_that_fails_to_pickle_is_an_error_reply(self):
+        # The process pickles its reply before it sends it, so a result it
+        # cannot pickle comes back as the pickling error, and the same
+        # process serves the next range.
+        (pid,) = _pool_pids(fan_out(_block_pid, (), range(2 * BLOCK_SIZE), 2, block_size(4)))
+        with pytest.raises(TypeError, match="pickle"):
+            fan_out(_lock, (), range(2), 2, block_size(4))
+        assert _pool_pids(fan_out(_block_pid, (), range(2), 2, block_size(4))) == {pid}
 
     def _python(self, *lines, timeout=120):
         env = {**os.environ, "PYTHONPATH": str(self.SRC)}
@@ -827,10 +845,10 @@ class TestSharedPool:
     def test_exit_ends_the_pool(self):
         out = self._python(
             "import os",
-            "from wielandt_lab.sampling import BLOCK_SIZE, fan_out",
+            "from wielandt_lab.sampling import BLOCK_SIZE, block_size, fan_out",
             "def pid(block):",
             "    return os.getpid()",
-            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, 4)) - {os.getpid()})",
+            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, block_size(4))) - {os.getpid()})",
         )
         assert (out.returncode, out.stderr) == (0, "")
         pids = [int(pid) for pid in out.stdout.split()]
@@ -841,10 +859,10 @@ class TestSharedPool:
         # in the caller ends every process; otherwise close_pool hangs.
         out = self._python(
             "import os",
-            "from wielandt_lab.sampling import BLOCK_SIZE, close_pool, fan_out",
+            "from wielandt_lab.sampling import BLOCK_SIZE, block_size, close_pool, fan_out",
             "def pid(block):",
             "    return os.getpid()",
-            "print(*set(fan_out(pid, (), range(3 * BLOCK_SIZE), 3, 4)) - {os.getpid()})",
+            "print(*set(fan_out(pid, (), range(3 * BLOCK_SIZE), 3, block_size(4))) - {os.getpid()})",
             "close_pool()",
             timeout=60,
         )
@@ -858,17 +876,17 @@ class TestSharedPool:
         # the same process serves the next range.
         out = self._python(
             "import os",
-            "from wielandt_lab.sampling import BLOCK_SIZE, fan_out",
+            "from wielandt_lab.sampling import BLOCK_SIZE, block_size, fan_out",
             "def pid(block):",
             "    return os.getpid()",
-            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, 4)) - {os.getpid()})",
+            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, block_size(4))) - {os.getpid()})",
             "def late(block):",
             "    return os.getpid()",
             "try:",
-            "    fan_out(late, (), range(2), 2, 4)",
+            "    fan_out(late, (), range(2), 2, block_size(4))",
             "except AttributeError as exc:",
             "    print(type(exc).__name__, 'late' in str(exc))",
-            "print(*set(fan_out(pid, (), range(2), 2, 4)) - {os.getpid()})",
+            "print(*set(fan_out(pid, (), range(2), 2, block_size(4))) - {os.getpid()})",
         )
         assert (out.returncode, out.stderr) == (0, "")
         before, raised, after = out.stdout.splitlines()
@@ -903,7 +921,7 @@ class TestSharedPool:
         }
         serial = {name: json.dumps(run(1)) for name, run in runs.items()}
         for workers in (2, 3):
-            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 4)
+            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, block_size(4))
             pools = []
             for name, run in runs.items():
                 assert json.dumps(run(workers)) == serial[name], (name, workers)
@@ -912,15 +930,16 @@ class TestSharedPool:
         half, third = trials // 2, trials // 3
         assert pool_submits == [
             (BLOCK_SIZE, 2 * BLOCK_SIZE),
-            *[(half, trials)] * 2, *[(half, trials + 1)] * 2,
+            *[(trials, 2 * trials)] * 2, *[(half, trials + 1)] * 2,
             (BLOCK_SIZE, 2 * BLOCK_SIZE), (2 * BLOCK_SIZE, 3 * BLOCK_SIZE),
-            *[(third, 2 * third), (2 * third, trials)] * 2,
+            *[(2 * third, 4 * third), (4 * third, 2 * trials)] * 2,
             *[(third, 2 * third), (2 * third, trials + 1)] * 2,
         ]
 
     def test_reports_of_a_few_trials_do_not_depend_on_workers(self, pool_submits):
-        # A warm pool takes every run that gives each worker a trial; from 2
-        # to 9 trials at N = 4 and N = 8 its reports equal the 1-worker ones.
+        # A warm pool takes every run that gives each worker a unit (a trial
+        # of a search, one family's checks of a trial of verify); from 2 to 9
+        # trials at N = 4 and N = 8 its reports equal the 1-worker ones.
         shapes = {4: SHAPES[0], 8: dict(ambient=8, rank=4, out_dim=4, ancilla=2)}
         runs = {
             "verify": lambda shape, trials, w: stripped(cli.run_verify(
@@ -933,14 +952,15 @@ class TestSharedPool:
         serial = {case: json.dumps(runs[case[0]](shapes[case[1]], case[2], 1)) for case in cases}
         want = []
         for workers in (2, 3):
-            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, 4)
+            fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, block_size(4))
             want += [(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE) for i in range(1, workers)]
             pool = sampling._pool
             for name, ambient, trials in cases:
                 report = json.dumps(runs[name](shapes[ambient], trials, workers))
                 assert report == serial[name, ambient, trials], (name, ambient, trials, workers)
-                if trials >= workers:
-                    want += [(trials * i // workers, trials * (i + 1) // workers)
+                units = 2 * trials if name == "verify" else trials
+                if units >= workers:
+                    want += [(units * i // workers, units * (i + 1) // workers)
                              for i in range(1, workers)]
             assert sampling._pool is pool
         assert pool_submits == want
@@ -1053,10 +1073,19 @@ class TestStackedVerify:
             frozen = FROZEN[f"lanes {_shape_key(shape)} m={m!r} M={M!r}"]
             assert_matches_scalar(cli.run_verify(params), frozen, params)
             raised = {f["trial"] for f in frozen["failures"] if f["check"] == "trial_error"}
-            lanes = cli._stacked_lanes(params, trials)
-            assert set(lanes.errors) == raised
+            # each family on its own lane streams, in two pieces stacked
+            # again, as the parts of a cut block draw it
+            families = []
+            for rows, lanes in cli._FAMILIES:
+                pieces = []
+                for piece in (trials[:29], trials[29:]):
+                    seeds = mix_seeds(params.seed, piece)
+                    pieces.append(cli._table(lanes(params, piece, seeds, rngs_from(rows(seeds)))))
+                families.append(cli._stack(pieces))
+            table = cli._join(*families)
+            assert set(table.errors) == raised
             margins = {}
-            for name, _, margin, _ in lanes.checks:
+            for name, _, margin in table.checks:
                 margins.setdefault(name, []).append(margin)
             for lane, trial in enumerate(trials):
                 if trial in raised:
@@ -1102,7 +1131,7 @@ class TestStackedVerify:
             monkeypatch.setattr(bounds, "block_size", lambda ambient: group)
             for workers in (1, 2, 3):
                 reports.add(json.dumps(stripped(cli.run_verify(params, workers=workers))))
-        assert pool_ranges == [(45, 90), (30, 60), (60, 90)] * 4
+        assert pool_ranges == [(90, 180), (60, 120), (120, 180)] * 4
         assert len(reports) == 1
         assert {1, 6} < groups
 
@@ -1123,10 +1152,11 @@ class TestStackedVerify:
         # all 60 exponents peaks near 13.7 MiB.
         shape = dict(zip(("ambient", "rank", "out_dim", "ancilla"), dims))
         params = _params(shape, p_values=cli.parse_p_list(p_grid), trials=trials)
-        cli._verify_block(params, range(2))  # first-call caches stay out of the trace
+        block = block_size(params.ambient)
+        cli.run_verify(replace(params, trials=2))  # first-call caches stay out of the trace
         tracemalloc.start()
         try:
-            fan_out(cli._verify_block, (params,), range(trials), 1, params.ambient)
+            fan_out(cli._verify_part, (params, block), range(2 * trials), 1, 2 * block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1186,3 +1216,104 @@ class TestStackedVerify:
             margin = min(r.margin for r in reports if r.check == name)
             scale = _check_scale(reports, name)
             assert abs(margin - entry["worst_margin"]) <= DRIFT * max(abs(margin), scale)
+
+
+# verify-sweep's flags (perfbench/workloads.py) but --trials, --seed and --out.
+VERIFY_SWEEP = ["verify", "--n", "2", "--d", "2", "--k", "2", "--m", "1", "--M", "2",
+                "--p", "0.25,0.5,1,1.5,2,3", "--tol", "1e-9"]
+
+
+class TestCutBlocks:
+    # A verify trial is two units, its instance checks then (after the
+    # block's other instance units) its lemma checks, so a worker's share
+    # can cut a block between families or inside one.
+    TRIALS = (1, 2, 3, 49, 50, 51, 511, 512, 513, 1100)
+
+    @staticmethod
+    def _warm(workers):
+        sampling.close_pool()
+        fan_out(_block_pid, (), range(workers * BLOCK_SIZE), workers, block_size(4))
+
+    @pytest.mark.parametrize("walk", [None, 7, 30])
+    def test_reports_do_not_depend_on_workers(self, walk, monkeypatch):
+        # Real blocks and (walk, group) blocks as in
+        # test_block_size_and_workers_do_not_change_report; on warm pools of
+        # 2 and 3 workers the cuts fall between families, inside the
+        # instance units and inside the lemma units.
+        if walk is not None:
+            monkeypatch.setattr(sampling, "block_size", lambda ambient: walk)
+            monkeypatch.setattr(bounds, "block_size", lambda ambient: walk)
+        trials = self.TRIALS if walk is None else self.TRIALS[:6]  # many blocks already
+        params = [_params(SHAPES[0], trials=t, seed=8) for t in trials]
+        serial = [json.dumps(stripped(cli.run_verify(p))) for p in params]
+        for workers in (1, 2, 3):
+            self._warm(workers)
+            for p, want in zip(params, serial):
+                got = json.dumps(stripped(cli.run_verify(p, workers=workers)))
+                assert got == want, (walk, p.trials, workers)
+
+    def test_failures_and_trial_errors_survive_cut_blocks(self, monkeypatch):
+        # The configs of test_forced_failures_match_scalar_walk and
+        # test_trial_errors_match_scalar_walk: at 3 workers the second
+        # share holds instance units of trials 53-79, so failing checks and
+        # trial errors cross the pipe in a table and are joined there.
+        real = bounds.bound_thm2
+        monkeypatch.setattr(bounds, "bound_thm2", lambda m, M, p: 0.6 * real(m, M, p))
+        forced = _params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=80, seed=6)
+        errors = _params(SHAPES[0], m=1e-13, M=1e-11, p_values=(0.5, 2.0), trials=80, seed=2)
+        serial = {p: stripped(cli.run_verify(p)) for p in (forced, errors)}
+        failing = {f["trial"] for f in serial[forced]["failures"]}
+        raised = {f["trial"] for f in serial[errors]["failures"] if f["check"] == "trial_error"}
+        assert min(failing) < 53 < max(failing) and min(raised) < 53 < max(raised)
+        for workers in (2, 3):
+            self._warm(workers)
+            for p, want in serial.items():
+                got = stripped(cli.run_verify(p, workers=workers))
+                assert json.dumps(got) == json.dumps(want), (p.seed, workers)
+
+    def test_a_trial_error_of_both_families_keeps_the_instance_one(self, monkeypatch):
+        # Every lemma lane raises too: the trials whose instance checks
+        # raised keep that message, whichever process checked which family.
+        params = _params(SHAPES[0], m=1e-13, M=1e-11, p_values=(0.5, 2.0), trials=80, seed=2)
+        raised = {f["trial"]: f["error"] for f in cli.run_verify(params)["failures"]
+                  if f["check"] == "trial_error"}
+        instance, (lemma_rows, lemma_lanes) = cli._FAMILIES
+
+        def failing(*args):
+            lanes = lemma_lanes(*args)
+            lanes.errors.flag(np.ones(lanes.errors.lanes, dtype=bool),
+                              lambda lane: PreconditionViolated("lemma family failed"))
+            return lanes
+
+        monkeypatch.setattr(cli, "_FAMILIES", (instance, (lemma_rows, failing)))
+        serial = json.dumps(stripped(cli.run_verify(params)))
+        errors = {f["trial"]: f["error"] for f in json.loads(serial)["failures"]}
+        assert errors == {trial: raised.get(trial, "lemma family failed") for trial in range(80)}
+        for workers in (2, 3):
+            self._warm(workers)
+            assert json.dumps(stripped(cli.run_verify(params, workers=workers))) == serial
+
+    def test_verify_sweep_splits_between_families(self, tmp_chdir, monkeypatch, pool_submits):
+        # On a warm 2-worker pool the caller checks the instance family of
+        # all 50 trials and the pool process their lemma family.
+        monkeypatch.setenv("WIELANDT_LAB_THREADS", "2")
+        self._warm(2)
+        pool_submits.clear()
+        assert run_cli(VERIFY_SWEEP + ["--trials", "50", "--out", "r.json"]) == 0
+        assert pool_submits == [(50, 100)]
+
+    def test_whole_blocks_are_tallied_where_they_run(self, monkeypatch, pool_submits):
+        # Two full blocks over 2 workers: one range goes down the pipe, and
+        # each part comes back tallied, (stats, failures), not as tables.
+        parts = []
+        real = cli.fan_out
+
+        def recording(*args):
+            results = real(*args)
+            parts.extend(results)
+            return results
+
+        monkeypatch.setattr(cli, "fan_out", recording)
+        cli.run_verify(_params(SHAPES[0], trials=2 * BLOCK_SIZE, seed=1), workers=2)
+        assert pool_submits == [(2 * BLOCK_SIZE, 4 * BLOCK_SIZE)]
+        assert len(parts) == 2 and all(isinstance(part, tuple) for part in parts)
