@@ -14,13 +14,15 @@ count.
 (``_verify_part``), and every check of a block is evaluated on stacked arrays
 (``bounds.instance_checks_stack`` and ``bounds.lemma_checks_stack``), the
 only implementation of each check.  A trial is two units, its instance
-checks and its lemma checks (see ``run_verify``).  A whole block seeds every
-trial's 3 instance and 6 lemma generators in one ``rngs_from`` pass and is
-tallied where it runs; a block that a worker's share cuts is checked family
-by family, and its parts' per-lane tables (``LaneTable``) are joined before
-the tally, so the report does not depend on where the cut falls.  A block
-scores its exponent grid in groups of exponents (see
-``bounds.instance_checks_stack``), each group as one ``(P, B, d, d)`` stack.
+checks and its lemma checks (see ``run_verify``).  A block's units are
+drawn on one ``rngs_from`` stream per part, over the generators of the units
+the part holds (3 instance and 6 lemma generators a trial), and each part
+returns (tallies, pieces): a whole block is tallied where it runs, and the
+pieces of a block that a worker's share cuts, per-lane tables
+(``LaneTable``), are joined before the tally, so the report does not depend
+on where the cut falls.  A block scores its exponent grid in groups of
+exponents (see ``bounds.instance_checks_stack``), each group as one
+``(P, B, d, d)`` stack.
 A failing check of a trial becomes a failure entry holding that trial's
 report; a trial that fails a hypothesis in either family becomes one
 ``trial_error`` entry with the exception's message.  Each check reports the
@@ -334,43 +336,37 @@ def _tally_block(trials: range, table: LaneTable) -> tuple:
     return stats, failures
 
 
-def _verify_part(params: VerifyParams, block: int, units: range):
+def _verify_part(params: VerifyParams, block: int, units: range) -> tuple:
     """Check the units `units` of one block of `block` trials (see
-    run_verify).  A whole block is checked on one lane stream over all its
-    generators and tallied here, as (stats, failures).  A part of a cut
-    block draws each family it holds from that family's generators alone
-    and returns a list of (family, trials, LaneTable), which run_verify
-    joins with the block's other parts before it tallies them."""
+    run_verify) on one lane stream over the seed rows of the families they
+    hold, in _FAMILIES order, and return (tallies, pieces).  A whole block
+    is tallied here: one (stats, failures) and no pieces.  A part of a cut
+    block is not: one (family, trials, LaneTable) piece per family it holds,
+    which _block_tallies stacks and joins with the block's other parts."""
     first = units.start // (2 * block) * block
     size = min(block, params.trials - first)
     lo, hi = units.start - 2 * first, units.stop - 2 * first
-    if (lo, hi) == (0, 2 * size):
-        trials = range(first, first + size)
-        seeds = mix_seeds(params.seed, trials)
-        rngs = rngs_from(np.vstack([rows(seeds) for rows, _ in _FAMILIES]))
-        return _tally_block(trials, _join(*(
-            _table(lanes(params, trials, seeds, rngs)) for _, lanes in _FAMILIES)))
-    tables = []
     spans = ((lo, min(hi, size)), (max(lo, size) - size, hi - size))
-    for family, ((rows, lanes), (a, b)) in enumerate(zip(_FAMILIES, spans)):
-        if a < b:
-            trials = range(first + a, first + b)
-            seeds = mix_seeds(params.seed, trials)
-            tables.append((family, trials, _table(lanes(params, trials, seeds,
-                                                        rngs_from(rows(seeds))))))
-    return tables
+    held = [(family, range(first + a, first + b)) for family, (a, b) in enumerate(spans) if a < b]
+    seeds = [mix_seeds(params.seed, trials) for _, trials in held]
+    rows = [_FAMILIES[f][0](s) for (f, _), s in zip(held, seeds)]
+    rngs = rngs_from(np.concatenate(rows, axis=None))
+    pieces = [(f, trials, _table(_FAMILIES[f][1](params, trials, s, rngs)))
+              for (f, trials), s in zip(held, seeds)]
+    if (lo, hi) == (0, 2 * size):
+        return [_tally_block(range(first, first + size), _join(*(t for _, _, t in pieces)))], []
+    return [], pieces
 
 
 def _block_tallies(parts: list, block: int, total: int) -> list:
-    """Each block's (stats, failures) in trial order, from the results of
-    _verify_part: a cut block's tables are stacked family by family, joined
-    and tallied once its last lemma lane is in."""
+    """Each block's (stats, failures) in trial order, from the (tallies,
+    pieces) of _verify_part's parts: a whole block's tally as it came, a cut
+    block's pieces stacked family by family, joined and tallied once its
+    last lemma lane is in."""
     tallies, halves = [], ([], [])
-    for part in parts:
-        if isinstance(part, tuple):
-            tallies.append(part)
-            continue
-        for family, trials, table in part:
+    for part_tallies, pieces in parts:
+        tallies += part_tallies
+        for family, trials, table in pieces:
             halves[family].append(table)
             first = trials.start - trials.start % block
             if family and trials.stop == min(first + block, total):

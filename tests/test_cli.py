@@ -1073,16 +1073,16 @@ class TestStackedVerify:
             frozen = FROZEN[f"lanes {_shape_key(shape)} m={m!r} M={M!r}"]
             assert_matches_scalar(cli.run_verify(params), frozen, params)
             raised = {f["trial"] for f in frozen["failures"] if f["check"] == "trial_error"}
-            # each family on its own lane streams, in two pieces stacked
-            # again, as the parts of a cut block draw it
-            families = []
-            for rows, lanes in cli._FAMILIES:
-                pieces = []
-                for piece in (trials[:29], trials[29:]):
-                    seeds = mix_seeds(params.seed, piece)
-                    pieces.append(cli._table(lanes(params, piece, seeds, rngs_from(rows(seeds)))))
-                families.append(cli._stack(pieces))
-            table = cli._join(*families)
+            # the block cut at trial 29 in both families, so the middle part
+            # holds instance trials 29-63 and lemma trials 0-28; its pieces
+            # are stacked and joined as _block_tallies joins them
+            block, halves = block_size(params.ambient), ([], [])
+            for units in (range(0, 29), range(29, 93), range(93, 128)):
+                tallies, pieces = cli._verify_part(params, block, units)
+                assert tallies == []
+                for family, _, piece in pieces:
+                    halves[family].append(piece)
+            table = cli._join(*map(cli._stack, halves))
             assert set(table.errors) == raised
             margins = {}
             for name, _, margin in table.checks:
@@ -1317,3 +1317,56 @@ class TestCutBlocks:
         cli.run_verify(_params(SHAPES[0], trials=2 * BLOCK_SIZE, seed=1), workers=2)
         assert pool_submits == [(2 * BLOCK_SIZE, 4 * BLOCK_SIZE)]
         assert len(parts) == 2 and all(isinstance(part, tuple) for part in parts)
+
+    def test_serial_whole_blocks_return_tallies_not_tables(self, monkeypatch):
+        # fan_out keeps every part's result until run_verify tallies, so a
+        # whole block returns its (stats, failures), not its tables: these
+        # hold about 650 B a trial at six exponents and about 6 KB a trial
+        # on a 60-point grid (about 650 MB for 10^6 trials), a tally a few
+        # kilobytes whatever the block.
+        monkeypatch.setattr(sampling, "block_size", lambda ambient: 16)
+        params = _params(SHAPES[0], p_values=(0.25, 0.5, 1, 1.5, 2, 3), trials=48)
+        block = sampling.block_size(params.ambient)
+        parts = fan_out(cli._verify_part, (params, block), range(96), 1, 2 * block)
+        assert [len(tallies) for tallies, _ in parts] == [1, 1, 1]
+        assert [pieces for _, pieces in parts] == [[], [], []]
+
+    @pytest.mark.parametrize("m,M", [(1.0, 2.0), (1e-13, 1e-11)], ids=["sweep", "trial-errors"])
+    def test_each_part_draws_on_one_lane_stream(self, monkeypatch, m, M):
+        # verify-sweep's shape at 50 trials (a block of 100 units), with
+        # forced failures: the whole block, one family, and the middle part
+        # of 3 workers (instance trials 33-49, then lemma trials 0-15) each
+        # open one stream, and the middle part's pieces equal its families
+        # drawn on streams of their own.
+        real = bounds.bound_thm2
+        monkeypatch.setattr(bounds, "bound_thm2", lambda m, M, p: 0.6 * real(m, M, p))
+        params = _params(SHAPES[0], m=m, M=M, p_values=(0.25, 0.5, 1, 1.5, 2, 3), trials=50)
+        block = block_size(params.ambient)
+        streams = []
+
+        def counting(seeds):
+            streams.append(seeds)
+            return rngs_from(seeds)
+
+        monkeypatch.setattr(cli, "rngs_from", counting)
+        for units in (range(0, 100), range(0, 50), range(33, 66)):
+            streams.clear()
+            tallies, pieces = cli._verify_part(params, block, units)
+            assert len(streams) == 1, units
+        assert tallies == []
+        assert [(family, trials) for family, trials, _ in pieces] == [
+            (0, range(33, 50)), (1, range(0, 16))]
+
+        def raw(table):
+            checks = [(name, passed.tobytes(), None if margin is None else margin.tobytes())
+                      for name, passed, margin in table.checks]
+            errors = {lane: repr(exc) for lane, exc in table.errors.items()}
+            return checks, errors, json.dumps(table.failures, sort_keys=True)
+
+        for family, trials, table in pieces:
+            rows, lanes = cli._FAMILIES[family]
+            seeds = mix_seeds(params.seed, trials)
+            alone = cli._table(lanes(params, trials, seeds, rngs_from(rows(seeds))))
+            assert raw(table) == raw(alone), family
+        assert any(table.failures for _, _, table in pieces)
+        assert m == 1.0 or any(table.errors for _, _, table in pieces)
