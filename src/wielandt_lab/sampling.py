@@ -16,17 +16,16 @@ them, at exit at the latest.
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
 seed array a ``LaneStream``: numpy's SeedSequence and PCG64 seeding run on
-arrays and give each lane's four PCG64 state words, and the stream's one
-reused Generator is checked in full against ``default_rng`` on its first
-lane; where it or a probe of numpy's internals fails, each lane draws from
-its own ``default_rng``.  A one-seed sampler is a stream of one lane per
-component.
+arrays and give each lane's four PCG64 state words, checked once a stream
+in the two word orders numpy's builds use; where neither holds, each lane
+draws from its own ``default_rng``.  A one-seed sampler is a stream of one
+lane per component.
 ``rng_from`` is a whole generator, for draws not laid out in lanes.
 
 Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop.
-It copies each lane's state words into the stream's generator and fills the
-lane's standard normals, then its uniforms, straight into the block's arrays
-with numpy's C distribution routines, which are checked once per process to
+It points the stream's generator at each lane's state words in turn and
+fills the lane's normals, then its uniforms, straight into the block's
+arrays with numpy's C distribution routines, checked once per process to
 give ``Generator.standard_normal``'s and ``Generator.random``'s bits.
 ``complex_draws`` turns normals into complex Gaussians and ``haar_frames``
 into Haar-distributed frames, orthonormalized by ``qr_positive``'s two-pass
@@ -192,27 +191,9 @@ def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
     return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
 
 
-# Distinct (state high, state low, inc high, inc low) words set through
-# numpy's state setter to learn where its PCG64 struct keeps each word.
-_PROBE_WORDS = (0x11, 0x22, 0x33, 0x45)
-
-
-def _state_words(bit_generator) -> tuple | None:
-    """A writable uint64 view of a PCG64's four state words, and the column
-    order that maps _pcg64_states' rows onto it, or None where the state
-    does not hold them.  numpy's pcg64_state starts with a pointer to
-    pcg64_random_t: state then inc, each low word first where the compiler
-    has a 128-bit integer and high word first where it has not; the order is
-    read back from a probe state, not assumed."""
-    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
-    view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
-    hi, lo, inc_hi, inc_lo = _PROBE_WORDS
-    bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                           "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
-    read = view.tolist()
-    if sorted(read) != sorted(_PROBE_WORDS):
-        return None
-    return view, [_PROBE_WORDS.index(word) for word in read]
+# Column orders of _pcg64_states' rows as numpy's pcg64_random_t holds them:
+# state then inc, each low half first (with a 128-bit integer type) or high.
+_WORD_ORDERS = ((1, 0, 3, 2), (0, 1, 2, 3))
 
 
 # numpy's documented C distribution routines (numpy/random/c_distributions.pxd),
@@ -249,19 +230,19 @@ def _fills() -> tuple | None:
 class LaneStream:
     """Lanes drawn in turn from one reused Generator, private to the
     stream, lane i as ``default_rng(seeds[i])`` draws.  `words` holds every
-    lane's four PCG64 state words in the order of the generator's struct
-    (`state`), and `pos` is the next lane.  The first draw builds `words`
-    and checks the first lane's whole state, written so, against
-    default_rng's.  If it differs, or numpy's fill routines or state words
-    fail their probes, `words` stays None and each lane draws from its own
-    ``default_rng``, with the same bits.  A lane's state is its four words
-    alone, the buffered 32-bit half-word left as it is, so lanes draw only
-    with 64-bit routines.  ``lane_draws`` draws the lanes, by the block."""
+    lane's four PCG64 state words, one 32-byte row a lane, laid out as
+    numpy's pcg64_random_t, and `pos` is the next lane.  The first draw
+    builds `words`: the generator, seeded apart from lane 0, has the state
+    pointer that numpy's pcg64_state starts with (`pointer`, to its own
+    struct at `own`) set to row 0, and must read back default_rng's state
+    for lane 0 in one of _WORD_ORDERS.  If none does, or numpy's fill
+    routines fail their check, `words` stays None and each lane draws from
+    its own ``default_rng``, with the same bits.  A lane's state is its four
+    words alone, the buffered 32-bit half-word left as it is."""
 
     def __init__(self, seeds: np.ndarray):
-        self.seeds = seeds
-        self.pos = 0
-        self.rng = self.state = self.words = self.bitgen = None
+        self.seeds, self.pos = seeds, 0
+        self.rng = self.words = self.pointer = self.own = self.bitgen = None
 
     def take(self, lanes: int) -> int:
         """The index of the first of the next `lanes` lanes, which the caller
@@ -276,17 +257,20 @@ class LaneStream:
         return start
 
     def _open(self) -> None:
-        rng = self.rng = np.random.default_rng(int(self.seeds[0]))
-        expected = rng.bit_generator.state
-        probed = _fills() and _state_words(rng.bit_generator)
-        if not probed:
-            return
-        view, order = probed
-        words = _pcg64_states(self.seeds)[:, order]
-        view[:] = words[0]
-        if rng.bit_generator.state == expected:
-            self.state, self.words = memoryview(view), memoryview(words.ravel())
-            self.bitgen = rng.bit_generator.ctypes.bit_generator.value
+        seed = int(self.seeds[0])
+        self.rng = np.random.default_rng(seed ^ 1)
+        bit_generator = self.rng.bit_generator
+        pointer = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address)
+        own, expected = pointer.value, np.random.default_rng(seed).bit_generator.state
+        states = _pcg64_states(self.seeds)
+        for order in _WORD_ORDERS if _fills() else ():
+            words = np.ascontiguousarray(states[:, order])
+            pointer.value = words.ctypes.data
+            read, pointer.value = bit_generator.state, own
+            if read == expected:
+                self.words, self.pointer, self.own = words, pointer, own
+                self.bitgen = bit_generator.ctypes.bit_generator
+                return
 
 
 def rngs_from(seeds: np.ndarray) -> LaneStream:
@@ -298,12 +282,13 @@ def rngs_from(seeds: np.ndarray) -> LaneStream:
 def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) -> tuple:
     """(lanes, *shape) standard normals and (lanes, `uniforms`) values in
     [0, 1) from the next `lanes` lanes of `stream`, the one per-lane draw
-    loop: each lane's four state words are copied into the stream's
-    generator, which fills the lane's normals, then its uniforms (none when
-    `uniforms` is 0), straight into the block's arrays through numpy's C
-    fill routines: the bits of ``standard_normal(out=)``, then
-    ``random(out=)``, without their per-call cost; or, where the stream
-    has no `words`, through each lane's own ``default_rng``."""
+    loop: the generator is pointed at each lane's row of `words` in turn and
+    fills the lane's normals, then its uniforms (none when `uniforms` is 0),
+    straight into the block's arrays through numpy's C fill routines, the
+    bits of ``standard_normal(out=)`` then ``random(out=)`` without their
+    per-call cost; or, with no `words`, through each lane's own
+    ``default_rng``.  The generator then points at its own struct again,
+    which holds the last lane's state: no pointer into `words` outlives it."""
     g, u = np.empty((lanes, *shape)), np.empty((lanes, uniforms))
     start = stream.take(lanes)
     if stream.words is None:
@@ -312,16 +297,22 @@ def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) 
             g[lane], u[lane] = rng.standard_normal(shape), rng.random(uniforms)
         return g, u
     normal_fill, uniform_fill = _fills()
-    state, words, bitgen = stream.state, stream.words, stream.bitgen
-    count, g_at, u_at = math.prod(shape), g.ctypes.data, u.ctypes.data
-    g_step, u_step = g.strides[0], u.strides[0]
-    for word in range(4 * start, 4 * (start + lanes), 4):
-        state[:] = words[word : word + 4]
-        normal_fill(bitgen, count, g_at)
-        g_at += g_step
-        if uniforms:
-            uniform_fill(bitgen, uniforms, u_at)
-            u_at += u_step
+    pointer, bitgen, g_at, u_at = stream.pointer, stream.bitgen, g.ctypes.data, u.ctypes.data
+    count, u_count = ctypes.c_ssize_t(math.prod(shape)), ctypes.c_ssize_t(uniforms)
+    # rows are 32 bytes apart: the strides of a one-row array need not say so
+    g_step, u_step, base = g.strides[0], u.strides[0], stream.words.ctypes.data
+    try:
+        for row in range(base + 32 * start, base + 32 * stream.pos, 32):
+            pointer.value = row
+            normal_fill(bitgen, count, g_at)
+            g_at += g_step
+            if uniforms:
+                uniform_fill(bitgen, u_count, u_at)
+                u_at += u_step
+    finally:
+        # the last lane drawn, here or before: an open stream has drawn one
+        pointer.value = stream.own
+        ctypes.memmove(stream.own, base + 32 * (stream.pos - 1), 32)
     return g, u
 
 
@@ -409,8 +400,10 @@ def _serve(end, inherited: list) -> None:
     """A pool process: run each ``(fn, args)`` received on pipe end `end`
     and send back ``(True, result)`` or ``(False, exception)``, an error in
     unpickling the request or pickling the result included, until the
-    calling end closes.  It first closes the calling ends the fork left it
-    (`inherited`), or closing them in the caller would not reach it."""
+    calling end closes; an exception that does not survive pickling goes as
+    a RuntimeError naming its type and message.  It first closes the calling
+    ends the fork left it (`inherited`), or closing them in the caller would
+    not reach it."""
     for other in inherited:
         other.close()
     try:
@@ -420,7 +413,11 @@ def _serve(end, inherited: list) -> None:
                 fn, args = pickle.loads(request)
                 reply = pickle.dumps((True, fn(*args)))
             except Exception as exc:
-                reply = pickle.dumps((False, exc))
+                try:
+                    reply = pickle.dumps((False, exc))
+                    pickle.loads(reply)
+                except Exception:
+                    reply = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
             end.send_bytes(reply)
     except (EOFError, OSError):  # the calling end is closed
         return

@@ -695,6 +695,30 @@ def _lock(block):
     return threading.Lock()
 
 
+class _LockError(Exception):
+    """An exception that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _TwoArgError(Exception):
+    """An exception that pickles but cannot be unpickled: its args hold one
+    of its two required arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+def _raise_in_pool(error, args, block):
+    """Raise ``error(message, *args)``, the message naming the range, in the
+    process walking the range from BLOCK_SIZE."""
+    if block.start == BLOCK_SIZE:
+        raise error(f"pool share {block.start} failed", *args)
+    return _block_pid(block)
+
+
 def _pool_pids(results) -> set:
     return {pid for pid, _, _ in results} - {os.getpid()}
 
@@ -836,6 +860,20 @@ class TestSharedPool:
         with pytest.raises(TypeError, match="pickle"):
             fan_out(_lock, (), range(2), 2, block_size(4))
         assert _pool_pids(fan_out(_block_pid, (), range(2), 2, block_size(4))) == {pid}
+
+    @pytest.mark.parametrize("error,args", [(_LockError, ()), (_TwoArgError, (0,))])
+    def test_error_that_fails_to_pickle_comes_back_named(self, error, args):
+        # An error the process cannot pickle, or the caller could not
+        # unpickle, comes back as a RuntimeError naming its type and
+        # message; every process serves the next range, and no reply of
+        # the failed range is left in a pipe for it.
+        pids = _pool_pids(fan_out(_block_pid, (), range(3 * BLOCK_SIZE), 3, block_size(4)))
+        message = rf"^{error.__name__}: pool share {BLOCK_SIZE} failed$"
+        with pytest.raises(RuntimeError, match=message):
+            fan_out(_raise_in_pool, (error, args), range(3 * BLOCK_SIZE), 3, block_size(4))
+        results = fan_out(_block_pid, (), range(3), 3, block_size(4))
+        assert [(a, b) for _, a, b in results] == [(0, 1), (1, 2), (2, 3)]
+        assert _pool_pids(results) == pids
 
     def _python(self, *lines, timeout=120):
         env = {**os.environ, "PYTHONPATH": str(self.SRC)}

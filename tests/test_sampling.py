@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import re
 
@@ -106,13 +107,36 @@ class TestRngsFrom:
         stream = rngs_from(np.array([5, 6], dtype=np.uint64))
         self._assert_own_default_rng(stream, (5, 6), lambda seed: real(seed ^ 1))
 
-    def test_swapped_words_fall_back_to_default_rng(self, monkeypatch):
-        # High and low words swapped in state and increment: the first lane's
-        # state is wrong, so every lane draws from its own default_rng.
+    def test_mismatched_words_fall_back_to_default_rng(self, monkeypatch):
+        # One bit of the state's low word flipped: lane 0's words match
+        # default_rng's state in neither order, so every lane draws from its
+        # own default_rng.
         real = sampling._pcg64_states
-        monkeypatch.setattr(sampling, "_pcg64_states", lambda seeds: real(seeds)[:, [1, 0, 3, 2]])
+        flip = np.array([0, 1, 0, 0], dtype=np.uint64)
+        monkeypatch.setattr(sampling, "_pcg64_states", lambda seeds: real(seeds) ^ flip)
         stream = rngs_from(np.array([5, 6], dtype=np.uint64))
         self._assert_own_default_rng(stream, (5, 6), np.random.default_rng)
+
+    def test_order_no_build_uses_falls_back_to_default_rng(self, monkeypatch):
+        # inc before state is no pcg64_random_t's layout
+        monkeypatch.setattr(sampling, "_WORD_ORDERS", ((2, 3, 0, 1),))
+        stream = rngs_from(np.array([5, 6, 7], dtype=np.uint64))
+        self._assert_own_default_rng(stream, (5, 6, 7), np.random.default_rng)
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 512])
+    def test_no_pointer_into_the_words_outlives_a_draw(self, count):
+        # After lane 0, then `count` more lanes, the generator points at its
+        # own state again, which holds where the last lane's draws left it.
+        seeds = _random_seeds(count + 1)
+        stream = rngs_from(seeds)
+        for lanes in (1, count):
+            sampling.lane_draws(stream, lanes, (2, 3), 2)
+            pointer = ctypes.c_void_p.from_address(stream.rng.bit_generator.ctypes.state_address)
+            assert stream.words is not None and pointer.value == stream.own
+            assert not 0 <= pointer.value - stream.words.ctypes.data < stream.words.nbytes
+        ref = np.random.default_rng(int(seeds[-1]))
+        ref.standard_normal((2, 3)), ref.random(2)
+        assert stream.rng.bit_generator.state == ref.bit_generator.state
 
     def test_empty_block_yields_nothing(self):
         for seeds in (np.array([], dtype=np.uint64), np.empty((0, 3), dtype=np.uint64)):
@@ -321,15 +345,15 @@ class TestStreamPin:
         body = _TIMESTAMP_LINE.sub(b"", (tmp_chdir / "r.json").read_bytes())
         assert hashlib.sha256(body).hexdigest() == digest
 
-    @pytest.mark.parametrize("probe", ["fills", "state-words"])
+    @pytest.mark.parametrize("probe", ["fills", "word-orders"])
     def test_failed_probe_keeps_the_digest(self, probe, tmp_chdir, monkeypatch, request):
-        # Lanes drawn through default_rng, after a probe of numpy's fill
-        # routines or state words fails, give the same reports.
+        # Lanes drawn through default_rng, after the check of numpy's fill
+        # routines or of every word order fails, give the same reports.
         if probe == "fills":
             monkeypatch.setattr(sampling, "_FILL_NAMES", ("no_such_fill",) * 2)
             sampling._fills.cache_clear()
             request.addfinalizer(sampling._fills.cache_clear)
         else:
-            monkeypatch.setattr(sampling, "_state_words", lambda bit_generator: None)
+            monkeypatch.setattr(sampling, "_WORD_ORDERS", ())
         for args, code, digest in _PINS[:2]:
             self.test_report_digest(args, code, digest, tmp_chdir, monkeypatch, None)
