@@ -17,10 +17,12 @@ only implementation of each check.  A trial is two units, its instance
 checks and its lemma checks (see ``run_verify``).  A block's units are
 drawn on one ``rngs_from`` stream per part, over the generators of the units
 the part holds (3 instance and 6 lemma generators a trial), and each part
-returns (tallies, pieces): a whole block is tallied where it runs, and the
-pieces of a block that a worker's share cuts, per-lane tables
-(``LaneTable``), are joined before the tally, so the report does not depend
-on where the cut falls.  A block scores its exponent grid in groups of
+returns only tallies, made where it runs: one for a whole block, one per
+family for a part of a block that a worker's share cuts.  The families have
+no check name in common and tallies merge in any order, so the report does
+not depend on where the cut falls; only a trial error, which voids both
+families of its trial, has the caller check its cut block again whole.  A
+block scores its exponent grid in groups of
 exponents (see ``bounds.instance_checks_stack``), each group as one
 ``(P, B, d, d)`` stack.
 A failing check of a trial becomes a failure entry holding that trial's
@@ -40,7 +42,6 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import NamedTuple
 
 import numpy as np
 
@@ -261,62 +262,18 @@ def _lemma_lanes(params: VerifyParams, trials: range, seeds, rngs) -> LaneChecks
 _FAMILIES = ((instance_seeds, _instance_lanes), (lemma_seeds, _lemma_lanes))
 
 
-class LaneTable(NamedTuple):
-    """Check results on consecutive trials, one lane per trial, as plain
-    data that can be pickled: each check's (name, verdicts, margins or
-    None), the exception of each lane that raised one, and the report JSON
-    of each other lane's failing checks."""
-
-    checks: list
-    errors: dict
-    failures: dict
-
-
-def _table(lanes: LaneChecks) -> LaneTable:
-    """The LaneTable of `lanes`; reports are built for failing lanes only."""
-    checks = [(name, passed, margin) for name, passed, margin, _ in lanes.checks]
-    failing = ~np.logical_and.reduce([passed for _, passed, _ in checks]) & ~lanes.errors.bad
-    failures = {lane: [r.to_json() for r in lanes.reports(lane) if not r.passed]
-                for lane in np.flatnonzero(failing).tolist()}
-    return LaneTable(checks, dict(lanes.errors), failures)
-
-
-def _join(first: LaneTable, then: LaneTable) -> LaneTable:
-    """The checks of `first`, then those of `then`, on the same lanes; a
-    lane keeps the exception of `first` when both raised."""
-    failures = {lane: first.failures.get(lane, []) + then.failures.get(lane, [])
-                for lane in first.failures.keys() | then.failures.keys()}
-    return LaneTable(first.checks + then.checks, {**then.errors, **first.errors}, failures)
-
-
-def _stack(tables: list) -> LaneTable:
-    """One family's tables of consecutive trials as one table."""
-    if len(tables) == 1:
-        return tables[0]
-    offsets = np.cumsum([0] + [len(table.checks[0][1]) for table in tables]).tolist()
-    checks = [(column[0][0], np.concatenate([passed for _, passed, _ in column]),
-               None if column[0][2] is None else np.concatenate([m for _, _, m in column]))
-              for column in zip(*(table.checks for table in tables))]
-    errors, failures = {}, {}
-    for table, offset in zip(tables, offsets):
-        errors.update((lane + offset, exc) for lane, exc in table.errors.items())
-        failures.update((lane + offset, json) for lane, json in table.failures.items())
-    return LaneTable(checks, errors, failures)
-
-
-def _tally_block(trials: range, table: LaneTable) -> tuple:
-    """Per-check statistics of the block `trials` (run and fail counts and
-    worst margins of the lanes without a trial error) and the JSON of every
-    failing report, in trial order, from the block's joined table."""
+def _tally_block(trials: range, lanes: LaneChecks) -> tuple:
+    """Per-check statistics of trials `trials` (run and fail counts and worst
+    margins of the lanes without a trial error) and the JSON of every
+    failing report, in trial order, from their checks `lanes`."""
     stats: dict[str, list] = {}
     failures: list[dict] = []
-    bad = np.zeros(len(trials), dtype=bool)
-    bad[list(table.errors)] = True
+    bad = lanes.errors.bad
     clean = np.flatnonzero(~bad)
-    passed = np.array([verdicts for _, verdicts, _ in table.checks])  # (check, lane)
+    passed = np.array([verdicts for _, verdicts, _, _ in lanes.checks])  # (check, lane)
     fails = np.count_nonzero(~passed[:, clean], axis=1).tolist()
     by_name: dict[str, list] = {}
-    for (name, _, margin), fail in zip(table.checks, fails):
+    for (name, _, margin, _), fail in zip(lanes.checks, fails):
         by_name.setdefault(name, []).append((fail, margin))
     for name, entries in by_name.items() if clean.size else ():  # no empty entries
         worst = trial = None
@@ -325,24 +282,27 @@ def _tally_block(trials: range, table: LaneTable) -> tuple:
             j = int(np.argmin(lane_worst))  # the lowest trial on ties
             worst, trial = float(lane_worst[j]), trials[clean[j]]
         _tally(stats, name, len(entries) * clean.size, sum(f for f, _ in entries), worst, trial)
-    for lane in sorted(table.errors.keys() | table.failures.keys()):
+    for lane in np.flatnonzero(bad | ~passed.all(axis=0)).tolist():
         trial = trials[lane]
-        if lane in table.errors:
+        if lane in lanes.errors:
             _tally(stats, "trial_error", 1, 1, None, None)
             failures.append({"check": "trial_error", "trial": trial,
-                             "error": str(table.errors[lane])})
+                             "error": str(lanes.errors[lane])})
         else:
-            failures.extend(dict(report, trial=trial) for report in table.failures[lane])
+            failures.extend(dict(r.to_json(), trial=trial) for r in lanes.reports(lane)
+                            if not r.passed)
     return stats, failures
 
 
-def _verify_part(params: VerifyParams, block: int, units: range) -> tuple:
+def _verify_part(params: VerifyParams, block: int, units: range) -> list:
     """Check the units `units` of one block of `block` trials (see
     run_verify) on one lane stream over the seed rows of the families they
-    hold, in _FAMILIES order, and return (tallies, pieces).  A whole block
-    is tallied here: one (stats, failures) and no pieces.  A part of a cut
-    block is not: one (family, trials, LaneTable) piece per family it holds,
-    which _block_tallies stacks and joins with the block's other parts."""
+    hold, in _FAMILIES order, and tally them here.  Each tally is (first,
+    whole, raised, stats, failures): the block's first trial, whether the
+    part is the whole block, whether a trial of the tally raised, and
+    _tally_block's result.  A whole block is one tally, its families joined
+    by LaneChecks.extend (a lane keeps its instance exception); a part of a
+    cut block is one tally per family it holds."""
     first = units.start // (2 * block) * block
     size = min(block, params.trials - first)
     lo, hi = units.start - 2 * first, units.stop - 2 * first
@@ -351,29 +311,13 @@ def _verify_part(params: VerifyParams, block: int, units: range) -> tuple:
     seeds = [mix_seeds(params.seed, trials) for _, trials in held]
     rows = [_FAMILIES[f][0](s) for (f, _), s in zip(held, seeds)]
     rngs = rngs_from(np.concatenate(rows, axis=None))
-    pieces = [(f, trials, _table(_FAMILIES[f][1](params, trials, s, rngs)))
-              for (f, trials), s in zip(held, seeds)]
-    if (lo, hi) == (0, 2 * size):
-        return [_tally_block(range(first, first + size), _join(*(t for _, _, t in pieces)))], []
-    return [], pieces
-
-
-def _block_tallies(parts: list, block: int, total: int) -> list:
-    """Each block's (stats, failures) in trial order, from the (tallies,
-    pieces) of _verify_part's parts: a whole block's tally as it came, a cut
-    block's pieces stacked family by family, joined and tallied once its
-    last lemma lane is in."""
-    tallies, halves = [], ([], [])
-    for part_tallies, pieces in parts:
-        tallies += part_tallies
-        for family, trials, table in pieces:
-            halves[family].append(table)
-            first = trials.start - trials.start % block
-            if family and trials.stop == min(first + block, total):
-                joined = _join(*map(_stack, halves))
-                tallies.append(_tally_block(range(first, trials.stop), joined))
-                halves = ([], [])
-    return tallies
+    checked = [(trials, _FAMILIES[f][1](params, trials, s, rngs))
+               for (f, trials), s in zip(held, seeds)]
+    whole = (lo, hi) == (0, 2 * size)
+    if whole:  # one tally: the lemma checks after the instance checks
+        checked[0][1].extend(checked.pop()[1])
+    return [(first, whole, bool(lanes.errors), *_tally_block(trials, lanes))
+            for trials, lanes in checked]
 
 
 def _merge_blocks(blocks: list) -> tuple[dict, list]:
@@ -396,12 +340,23 @@ def run_verify(params: VerifyParams, workers: int = 1) -> dict:
     is two units, its instance checks and its lemma checks: the units of a
     block of block_size(N) trials are its instance units in trial order,
     then its lemma units, so fan_out's walk length is twice the block and a
-    split that falls inside a block cuts it between or within families."""
+    split that falls inside a block cuts it between or within families.
+    A cut block's tallies stand as they are unless a trial of it raised:
+    then its partial tallies are dropped and the block is checked again as
+    a whole here, so a trial error voids both of its families.  Failures
+    are sorted by trial once, stably, so each trial's instance entries stay
+    before its lemma entries."""
     params.validate()
     started = _now()
     block = sampling.block_size(params.ambient)
     parts = fan_out(_verify_part, (params, block), range(2 * params.trials), workers, 2 * block)
-    checks, failures = _merge_blocks(_block_tallies(parts, block, params.trials))
+    tallies = [tally for part in parts for tally in part]
+    redo = {first for first, whole, raised, _, _ in tallies if raised and not whole}
+    for first in sorted(redo):
+        tallies += _verify_part(params, block, range(2 * first, 2 * min(first + block, params.trials)))
+    checks, failures = _merge_blocks([(stats, fails) for first, whole, _, stats, fails in tallies
+                                      if whole or first not in redo])
+    failures.sort(key=lambda failure: failure["trial"])
     checks_run = sum(c["run"] for c in checks.values())
     n_failures = sum(c["fail"] for c in checks.values())
     counters = {

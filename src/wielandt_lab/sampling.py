@@ -497,10 +497,13 @@ def fan_out(fn, head: tuple, indices: range, workers: int, block: int) -> list:
         return _walk(fn, head, block, indices)
     edges = np.linspace(0, len(indices), workers + 1, dtype=int).tolist()
     first, *rest = (indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
+    # pickled before any is sent: a request that fails to pickle raises here,
+    # not after a process has been left without one to reply to
+    requests = [pickle.dumps((_walk, (fn, head, block, part))) for part in rest]
     ends = _pipes(workers)
     try:
-        for end, part in zip(ends, rest):
-            end.send((_walk, (fn, head, block, part)))
+        for end, request in zip(ends, requests):
+            end.send_bytes(request)
         results = _walk(fn, head, block, first)
     finally:
         # on an error too, so no share runs into the next call

@@ -1,5 +1,7 @@
 import contextlib
 import multiprocessing
+import os
+import pickle
 from multiprocessing.connection import Connection
 
 import numpy as np
@@ -116,16 +118,20 @@ def no_process_left():
 @pytest.fixture
 def pool_submits(monkeypatch):
     """Record as (start, stop) every index range (trials, or verify's
-    units) fan_out sends down a pool process's pipe."""
-    ranges = []
-    send = Connection.send
+    units) fan_out sends down a pool process's pipe, as pickled bytes.  Pool
+    processes forked while it records send their replies through it too;
+    only the calling process records."""
+    caller, ranges = os.getpid(), []
+    send_bytes = Connection.send_bytes
 
-    def recording(self, obj):
-        if obj[0] is sampling._walk:
-            ranges.append((obj[1][-1].start, obj[1][-1].stop))
-        send(self, obj)
+    def recording(self, buf, *args):
+        if os.getpid() == caller:
+            fn, (*_, indices) = pickle.loads(buf)
+            if fn is sampling._walk:
+                ranges.append((indices.start, indices.stop))
+        send_bytes(self, buf, *args)
 
-    monkeypatch.setattr(Connection, "send", recording)
+    monkeypatch.setattr(Connection, "send_bytes", recording)
     return ranges
 
 

@@ -930,6 +930,28 @@ class TestSharedPool:
         before, raised, after = out.stdout.splitlines()
         assert raised == "AttributeError True" and before == after
 
+    def test_request_that_fails_to_pickle_raises_at_once(self):
+        # Every range's request is pickled before any is sent, so one that
+        # cannot be pickled raises in the caller, leaves no process waiting
+        # for a request it never got (which hung the caller's receive), and
+        # the same process serves the next range.
+        out = self._python(
+            "import os, threading",
+            "from wielandt_lab.sampling import BLOCK_SIZE, block_size, fan_out",
+            "def pid(*args):",
+            "    return os.getpid()",
+            "print(*set(fan_out(pid, (), range(2 * BLOCK_SIZE), 2, block_size(4))) - {os.getpid()})",
+            "try:",
+            "    fan_out(pid, (threading.Lock(),), range(8 * BLOCK_SIZE), 2, block_size(4))",
+            "except TypeError as exc:",
+            "    print(type(exc).__name__, 'pickle' in str(exc))",
+            "print(*set(fan_out(pid, (), range(2), 2, block_size(4))) - {os.getpid()})",
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        before, raised, after = out.stdout.splitlines()
+        assert raised == "TypeError True" and before == after
+
     def test_one_shot_search_below_a_full_block_starts_no_pool(self):
         out = self._python(
             "import sys",
@@ -1111,21 +1133,21 @@ class TestStackedVerify:
             frozen = FROZEN[f"lanes {_shape_key(shape)} m={m!r} M={M!r}"]
             assert_matches_scalar(cli.run_verify(params), frozen, params)
             raised = {f["trial"] for f in frozen["failures"] if f["check"] == "trial_error"}
-            # the block cut at trial 29 in both families, so the middle part
-            # holds instance trials 29-63 and lemma trials 0-28; its pieces
-            # are stacked and joined as _block_tallies joins them
-            block, halves = block_size(params.ambient), ([], [])
-            for units in (range(0, 29), range(29, 93), range(93, 128)):
-                tallies, pieces = cli._verify_part(params, block, units)
-                assert tallies == []
-                for family, _, piece in pieces:
-                    halves[family].append(piece)
-            table = cli._join(*map(cli._stack, halves))
-            assert set(table.errors) == raised
-            margins = {}
-            for name, _, margin in table.checks:
-                margins.setdefault(name, []).append(margin)
-            for lane, trial in enumerate(trials):
+            # each family drawn in two pieces, cut at trial 29, on streams of
+            # their own: a lane's margins and exception do not depend on
+            # where its block is cut
+            margins, errors = {trial: {} for trial in trials}, set()
+            for rows, lanes in cli._FAMILIES:
+                for piece in (range(0, 29), range(29, params.trials)):
+                    seeds = mix_seeds(params.seed, piece)
+                    checks = lanes(params, piece, seeds, rngs_from(rows(seeds)))
+                    errors |= {piece[lane] for lane in checks.errors}
+                    for name, _, margin, _ in checks.checks:
+                        for lane, trial in enumerate(piece):
+                            got = None if margin is None else float(margin[lane])
+                            margins[trial].setdefault(name, []).append(got)
+            assert errors == raised
+            for trial in trials:
                 if trial in raised:
                     continue
                 reports = _scalar_reports(params, trial)
@@ -1134,15 +1156,14 @@ class TestStackedVerify:
                 for r in reports:
                     scalar.setdefault(r.check, []).append(r.margin)
                 assert {k: len(v) for k, v in scalar.items()} == {
-                    k: len(v) for k, v in margins.items()
+                    k: len(v) for k, v in margins[trial].items()
                 }
-                for name, entries in margins.items():
-                    if entries[0] is None:
+                for name, got in margins[trial].items():
+                    if got[0] is None:
                         continue
                     want = min(scalar[name])
-                    got = min(float(e[lane]) for e in entries)
                     scale = _check_scale(reports, name)
-                    assert abs(got - want) <= DRIFT * max(abs(want), scale), (trial, name)
+                    assert abs(min(got) - want) <= DRIFT * max(abs(want), scale), (trial, name)
             if m == 1.0:
                 assert not raised
             else:
@@ -1293,8 +1314,9 @@ class TestCutBlocks:
     def test_failures_and_trial_errors_survive_cut_blocks(self, monkeypatch):
         # The configs of test_forced_failures_match_scalar_walk and
         # test_trial_errors_match_scalar_walk: at 3 workers the second
-        # share holds instance units of trials 53-79, so failing checks and
-        # trial errors cross the pipe in a table and are joined there.
+        # share holds instance units of trials 53-79, so failing checks
+        # come back in that part's tallies, and a trial error has the
+        # caller check the cut block again as a whole.
         real = bounds.bound_thm2
         monkeypatch.setattr(bounds, "bound_thm2", lambda m, M, p: 0.6 * real(m, M, p))
         forced = _params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=80, seed=6)
@@ -1342,7 +1364,7 @@ class TestCutBlocks:
 
     def test_whole_blocks_are_tallied_where_they_run(self, monkeypatch, pool_submits):
         # Two full blocks over 2 workers: one range goes down the pipe, and
-        # each part comes back tallied, (stats, failures), not as tables.
+        # each part comes back as one tally of its whole block.
         parts = []
         real = cli.fan_out
 
@@ -1354,28 +1376,31 @@ class TestCutBlocks:
         monkeypatch.setattr(cli, "fan_out", recording)
         cli.run_verify(_params(SHAPES[0], trials=2 * BLOCK_SIZE, seed=1), workers=2)
         assert pool_submits == [(2 * BLOCK_SIZE, 4 * BLOCK_SIZE)]
-        assert len(parts) == 2 and all(isinstance(part, tuple) for part in parts)
+        assert [[(first, whole) for first, whole, *_ in part] for part in parts] == [
+            [(0, True)], [(BLOCK_SIZE, True)]]
+        assert _arrays_in(parts) == 0
 
     def test_serial_whole_blocks_return_tallies_not_tables(self, monkeypatch):
-        # fan_out keeps every part's result until run_verify tallies, so a
-        # whole block returns its (stats, failures), not its tables: these
-        # hold about 650 B a trial at six exponents and about 6 KB a trial
-        # on a 60-point grid (about 650 MB for 10^6 trials), a tally a few
-        # kilobytes whatever the block.
+        # fan_out keeps every part's result until run_verify merges them, so
+        # a part returns (stats, failures) tallies, not per-lane tables:
+        # these would hold about 650 B a trial at six exponents and about
+        # 6 KB a trial on a 60-point grid (about 650 MB for 10^6 trials), a
+        # tally a few kilobytes whatever the block.
         monkeypatch.setattr(sampling, "block_size", lambda ambient: 16)
         params = _params(SHAPES[0], p_values=(0.25, 0.5, 1, 1.5, 2, 3), trials=48)
         block = sampling.block_size(params.ambient)
         parts = fan_out(cli._verify_part, (params, block), range(96), 1, 2 * block)
-        assert [len(tallies) for tallies, _ in parts] == [1, 1, 1]
-        assert [pieces for _, pieces in parts] == [[], [], []]
+        assert [[(first, whole) for first, whole, *_ in part] for part in parts] == [
+            [(0, True)], [(16, True)], [(32, True)]]
+        assert _arrays_in(parts) == 0
 
     @pytest.mark.parametrize("m,M", [(1.0, 2.0), (1e-13, 1e-11)], ids=["sweep", "trial-errors"])
     def test_each_part_draws_on_one_lane_stream(self, monkeypatch, m, M):
         # verify-sweep's shape at 50 trials (a block of 100 units), with
         # forced failures: the whole block, one family, and the middle part
         # of 3 workers (instance trials 33-49, then lemma trials 0-15) each
-        # open one stream, and the middle part's pieces equal its families
-        # drawn on streams of their own.
+        # open one stream, and the middle part's tallies equal those of its
+        # families drawn on streams of their own.
         real = bounds.bound_thm2
         monkeypatch.setattr(bounds, "bound_thm2", lambda m, M, p: 0.6 * real(m, M, p))
         params = _params(SHAPES[0], m=m, M=M, p_values=(0.25, 0.5, 1, 1.5, 2, 3), trials=50)
@@ -1389,22 +1414,73 @@ class TestCutBlocks:
         monkeypatch.setattr(cli, "rngs_from", counting)
         for units in (range(0, 100), range(0, 50), range(33, 66)):
             streams.clear()
-            tallies, pieces = cli._verify_part(params, block, units)
+            tallies = cli._verify_part(params, block, units)
             assert len(streams) == 1, units
-        assert tallies == []
-        assert [(family, trials) for family, trials, _ in pieces] == [
-            (0, range(33, 50)), (1, range(0, 16))]
-
-        def raw(table):
-            checks = [(name, passed.tobytes(), None if margin is None else margin.tobytes())
-                      for name, passed, margin in table.checks]
-            errors = {lane: repr(exc) for lane, exc in table.errors.items()}
-            return checks, errors, json.dumps(table.failures, sort_keys=True)
-
-        for family, trials, table in pieces:
-            rows, lanes = cli._FAMILIES[family]
+        assert [(first, whole) for first, whole, *_ in tallies] == [(0, False), (0, False)]
+        for (rows, lanes), trials, tally in zip(cli._FAMILIES, (range(33, 50), range(0, 16)),
+                                                tallies):
             seeds = mix_seeds(params.seed, trials)
-            alone = cli._table(lanes(params, trials, seeds, rngs_from(rows(seeds))))
-            assert raw(table) == raw(alone), family
-        assert any(table.failures for _, _, table in pieces)
-        assert m == 1.0 or any(table.errors for _, _, table in pieces)
+            alone = lanes(params, trials, seeds, rngs_from(rows(seeds)))
+            want = (bool(alone.errors), *cli._tally_block(trials, alone))
+            assert json.dumps(tally[2:]) == json.dumps(want), trials
+        assert any(failures for *_, failures in tallies)
+        assert m == 1.0 or any(raised for _, _, raised, _, _ in tallies)
+
+    def test_no_pool_reply_holds_an_array(self, monkeypatch):
+        # The configs of test_failures_and_trial_errors_survive_cut_blocks:
+        # at 3 workers every part of their one block is cut, and the pool's
+        # replies carry tallies only, failing reports and trial errors
+        # included.
+        real_thm2 = bounds.bound_thm2
+        monkeypatch.setattr(bounds, "bound_thm2", lambda m, M, p: 0.6 * real_thm2(m, M, p))
+        self._warm(3)  # forked after the patch
+        replies = []
+        real = sampling._replies
+
+        def recording(workers):
+            got = real(workers)
+            replies.extend(got)
+            return got
+
+        monkeypatch.setattr(sampling, "_replies", recording)
+        for p in (_params(SHAPES[0], M=2.0, p_values=(0.5, 2.0), trials=80, seed=6),
+                  _params(SHAPES[0], m=1e-13, M=1e-11, p_values=(0.5, 2.0), trials=80, seed=2)):
+            cli.run_verify(p, workers=3)
+        assert len(replies) == 4 and all(ok for ok, _ in replies)
+        assert _arrays_in(replies) == 0
+        failures = [f for _, parts in replies for part in parts for *_, fails in part
+                    for f in fails]
+        assert {"thm2_abs", "trial_error"} <= {f["check"] for f in failures}
+
+    def test_only_a_cut_block_with_a_trial_error_is_checked_again(self, monkeypatch):
+        # 50 trials over a warm 2-worker pool: the caller checks the
+        # instance family, the pool process the lemma family.  Without a
+        # trial error neither is checked again; with one, the caller checks
+        # the block again as a whole.
+        monkeypatch.setattr(cli, "_verify_part", _recording_part)
+        self._warm(2)
+        for m, M, again in ((1.0, 2.0, []), (1e-13, 1e-11, [range(0, 100)])):
+            params = _params(SHAPES[0], m=m, M=M, trials=50, seed=2)
+            _CALLER_PARTS.clear()
+            report = cli.run_verify(params, workers=2)
+            assert _CALLER_PARTS == [range(0, 50)] + again
+            assert ("trial_error" in report["checks"]) == bool(again)
+
+
+_VERIFY_PART, _CALLER_PARTS = cli._verify_part, []
+
+
+def _recording_part(params, block, units):
+    """cli._verify_part, recording the units of each call in this process."""
+    _CALLER_PARTS.append(units)
+    return _VERIFY_PART(params, block, units)
+
+
+def _arrays_in(value) -> int:
+    """How many numpy arrays `value` holds in its tuples, lists and dict
+    values, at any depth."""
+    if isinstance(value, np.ndarray):
+        return 1
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(_arrays_in, value)) if isinstance(value, (list, tuple)) else 0
