@@ -15,18 +15,18 @@ them, at exit at the latest.
 
 Each sampled component draws as ``default_rng(sub_seed)`` does.  Trial
 blocks hash their sub-seeds with ``mix_seeds``, and ``rngs_from`` makes a
-seed array a ``LaneStream``: numpy's SeedSequence and PCG64 seeding run on
-arrays and give each lane's four PCG64 state words, checked once a stream
-in the two word orders numpy's builds use; where neither holds, each lane
-draws from its own ``default_rng``.  A one-seed sampler is a stream of one
-lane per component.
+seed array a ``LaneStream``, its seeds, position and words: numpy's
+SeedSequence and PCG64 seeding run on arrays and give each lane's four PCG64
+state words; where ``_lane_path``'s probe fails, each lane draws from its
+own ``default_rng``.  A one-seed sampler is a stream of one lane per
+component.
 ``rng_from`` is a whole generator, for draws not laid out in lanes.
 
 Draws are written once, for stacks: ``lane_draws`` is the one per-lane loop.
-It points the stream's generator at each lane's state words in turn and
-fills the lane's normals, then its uniforms, straight into the block's
-arrays with numpy's C distribution routines, checked once per process to
-give ``Generator.standard_normal``'s and ``Generator.random``'s bits.
+It points the process's one generator at each lane's state words in turn
+and fills the lane's normals, then its uniforms, straight into the block's
+arrays with numpy's C distribution routines, checked once per process with
+the seeding and word layout to give ``default_rng``'s bits.
 ``complex_draws`` turns normals into complex Gaussians and ``haar_frames``
 into Haar-distributed frames, orthonormalized by ``qr_positive``'s two-pass
 Gram-Schmidt over the whole stack at once.
@@ -200,49 +200,61 @@ _WORD_ORDERS = ((1, 0, 3, 2), (0, 1, 2, 3))
 # exported by its numpy.random._generator extension, each
 #   void fill(bitgen_t *bitgen_state, npy_intp cnt, double *out)
 _FILL_NAMES = ("random_standard_normal_fill", "random_standard_uniform_fill")
-# The seed and draw count on which _fills checks them against Generator.
+# The seed and draw count of _lane_path's check against Generator.
 _PROBE_SEED, _PROBE_DRAWS = 0x5EED, 1000
 
 
 @functools.cache
-def _fills() -> tuple | None:
-    """numpy's normal and uniform fill routines as ctypes functions of a
-    bitgen_t address, a count and an output address, checked once per
-    process: from a probe seed they must give ``Generator.standard_normal``'s,
-    then ``Generator.random``'s bits, or this is None, as it is where they
-    cannot be loaded.  They call no Python and run for about a microsecond,
-    so they keep the GIL (``PyDLL``)."""
+def _lane_path() -> tuple | None:
+    """The process's one lane generator as (fills, order, generator,
+    pointer, own, bitgen), checked once per process.  A Generator seeded
+    apart from the probe seed has the state pointer numpy's pcg64_state
+    starts with (`pointer`, to its own struct at `own`) set to the probe
+    seed's _pcg64_states words in each of _WORD_ORDERS in turn; the first
+    order in which numpy's normal and uniform fill routines (ctypes
+    functions of a bitgen_t address, a count and an output address) give
+    ``default_rng``'s ``standard_normal``, then ``random`` bits is taken,
+    which checks the fills, the seeding and the layout at once.  None if no
+    order does or the fills cannot be loaded.  The fills call no Python, so
+    they keep the GIL (``PyDLL``).  One generator a process: lane draws run
+    on one thread, as the lab's do."""
     try:
         lib = ctypes.PyDLL(np.random._generator.__file__)
         fills = tuple(getattr(lib, name) for name in _FILL_NAMES)
     except (OSError, AttributeError):
         return None
-    rng, ref = np.random.default_rng(_PROBE_SEED), np.random.default_rng(_PROBE_SEED)
-    got = np.empty((len(fills), _PROBE_DRAWS))
-    for fill, row in zip(fills, got):
+    for fill in fills:
         fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
         fill.restype = None
-        fill(rng.bit_generator.ctypes.bit_generator, _PROBE_DRAWS, row.ctypes.data)
-    want = np.stack([ref.standard_normal(_PROBE_DRAWS), ref.random(_PROBE_DRAWS)])
-    return fills if got.tobytes() == want.tobytes() else None
+    ref = np.random.default_rng(_PROBE_SEED)
+    want = np.stack([ref.standard_normal(_PROBE_DRAWS), ref.random(_PROBE_DRAWS)]).tobytes()
+    rng = np.random.default_rng(_PROBE_SEED ^ 1)
+    bitgen = rng.bit_generator.ctypes.bit_generator
+    pointer = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address)
+    own, states = pointer.value, _pcg64_states(np.array([_PROBE_SEED], dtype=np.uint64))
+    got = np.empty((len(fills), _PROBE_DRAWS))
+    for order in _WORD_ORDERS:
+        words = np.ascontiguousarray(states[:, order])
+        pointer.value = words.ctypes.data
+        for fill, row in zip(fills, got):
+            fill(bitgen, _PROBE_DRAWS, row.ctypes.data)
+        pointer.value = own
+        if got.tobytes() == want:
+            return fills, order, rng, pointer, own, bitgen
+    return None
 
 
 class LaneStream:
-    """Lanes drawn in turn from one reused Generator, private to the
-    stream, lane i as ``default_rng(seeds[i])`` draws.  `words` holds every
-    lane's four PCG64 state words, one 32-byte row a lane, laid out as
-    numpy's pcg64_random_t, and `pos` is the next lane.  The first draw
-    builds `words`: the generator, seeded apart from lane 0, has the state
-    pointer that numpy's pcg64_state starts with (`pointer`, to its own
-    struct at `own`) set to row 0, and must read back default_rng's state
-    for lane 0 in one of _WORD_ORDERS.  If none does, or numpy's fill
-    routines fail their check, `words` stays None and each lane draws from
-    its own ``default_rng``, with the same bits.  A lane's state is its four
-    words alone, the buffered 32-bit half-word left as it is."""
+    """Lanes drawn in turn through the process's one generator (see
+    _lane_path: one thread at a time), lane i as ``default_rng(seeds[i])``
+    draws.  The first draw builds `words`, every lane's four PCG64 state
+    words, a 32-byte row a lane in the probe's order; `pos` is the next
+    lane.  Where the probe failed, `words` stays None and each lane draws
+    from its own ``default_rng``, with the same bits.  A lane's state is its
+    four words alone, the buffered 32-bit half-word left as it is."""
 
     def __init__(self, seeds: np.ndarray):
-        self.seeds, self.pos = seeds, 0
-        self.rng = self.words = self.pointer = self.own = self.bitgen = None
+        self.seeds, self.pos, self.words = seeds, 0, None
 
     def take(self, lanes: int) -> int:
         """The index of the first of the next `lanes` lanes, which the caller
@@ -251,26 +263,10 @@ class LaneStream:
         if start + lanes > self.seeds.size:
             left = self.seeds.size - start
             raise IndexError(f"{lanes} lanes asked of a lane stream with {left} left")
-        if lanes and self.rng is None:
-            self._open()
+        if lanes and self.words is None and (path := _lane_path()):
+            self.words = np.ascontiguousarray(_pcg64_states(self.seeds)[:, path[1]])
         self.pos = start + lanes
         return start
-
-    def _open(self) -> None:
-        seed = int(self.seeds[0])
-        self.rng = np.random.default_rng(seed ^ 1)
-        bit_generator = self.rng.bit_generator
-        pointer = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address)
-        own, expected = pointer.value, np.random.default_rng(seed).bit_generator.state
-        states = _pcg64_states(self.seeds)
-        for order in _WORD_ORDERS if _fills() else ():
-            words = np.ascontiguousarray(states[:, order])
-            pointer.value = words.ctypes.data
-            read, pointer.value = bit_generator.state, own
-            if read == expected:
-                self.words, self.pointer, self.own = words, pointer, own
-                self.bitgen = bit_generator.ctypes.bit_generator
-                return
 
 
 def rngs_from(seeds: np.ndarray) -> LaneStream:
@@ -282,13 +278,13 @@ def rngs_from(seeds: np.ndarray) -> LaneStream:
 def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) -> tuple:
     """(lanes, *shape) standard normals and (lanes, `uniforms`) values in
     [0, 1) from the next `lanes` lanes of `stream`, the one per-lane draw
-    loop: the generator is pointed at each lane's row of `words` in turn and
-    fills the lane's normals, then its uniforms (none when `uniforms` is 0),
-    straight into the block's arrays through numpy's C fill routines, the
-    bits of ``standard_normal(out=)`` then ``random(out=)`` without their
-    per-call cost; or, with no `words`, through each lane's own
-    ``default_rng``.  The generator then points at its own struct again,
-    which holds the last lane's state: no pointer into `words` outlives it."""
+    loop, on one thread: the process's generator is pointed at each lane's
+    row of `words` in turn and fills the lane's normals, then its uniforms
+    (none when `uniforms` is 0), straight into the block's arrays through
+    numpy's C fill routines, the bits of ``standard_normal(out=)`` then
+    ``random(out=)`` without their per-call cost; or, with no `words`,
+    through each lane's own ``default_rng``.  The generator then points at
+    its own struct again: no pointer into `words` outlives the call."""
     g, u = np.empty((lanes, *shape)), np.empty((lanes, uniforms))
     start = stream.take(lanes)
     if stream.words is None:
@@ -296,8 +292,8 @@ def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) 
             rng = np.random.default_rng(seed)
             g[lane], u[lane] = rng.standard_normal(shape), rng.random(uniforms)
         return g, u
-    normal_fill, uniform_fill = _fills()
-    pointer, bitgen, g_at, u_at = stream.pointer, stream.bitgen, g.ctypes.data, u.ctypes.data
+    (normal_fill, uniform_fill), _, _, pointer, own, bitgen = _lane_path()
+    g_at, u_at = g.ctypes.data, u.ctypes.data
     count, u_count = ctypes.c_ssize_t(math.prod(shape)), ctypes.c_ssize_t(uniforms)
     # rows are 32 bytes apart: the strides of a one-row array need not say so
     g_step, u_step, base = g.strides[0], u.strides[0], stream.words.ctypes.data
@@ -310,9 +306,7 @@ def lane_draws(stream: LaneStream, lanes: int, shape: tuple, uniforms: int = 0) 
                 uniform_fill(bitgen, u_count, u_at)
                 u_at += u_step
     finally:
-        # the last lane drawn, here or before: an open stream has drawn one
-        pointer.value = stream.own
-        ctypes.memmove(stream.own, base + 32 * (stream.pos - 1), 32)
+        pointer.value = own
     return g, u
 
 
@@ -446,16 +440,18 @@ def _pipes(workers: int) -> list:
 
 def _replies(workers: int) -> list:
     """Each pool process's reply to the range sent down its pipe, in index
-    order.  Where a process has ended instead, the pool is closed at once,
-    so no other reply outlives the call, and the next range that could split
-    over `workers` starts a new one; the RuntimeError raised names the
-    process and how it ended."""
+    order.  Every reply is read before any is unpickled, so one that fails
+    to unpickle raises with no other left in its pipe for the next range.
+    Where a process has ended instead, the pool is closed at once, so no
+    other reply outlives the call, and the next range that could split over
+    `workers` starts a new one; the RuntimeError raised names the process
+    and how it ended."""
     global _waiting
     _, processes, ends = _pool
     replies = []
     for process, end in zip(processes, ends):
         try:
-            replies.append(end.recv())
+            replies.append(end.recv_bytes())
         except (EOFError, OSError) as exc:
             import signal
 
@@ -464,7 +460,7 @@ def _replies(workers: int) -> list:
             how = (f"exited with code {code}" if code >= 0
                    else f"was killed by signal {-code} ({signal.strsignal(-code)})")
             raise RuntimeError(f"pool process {process.pid} {how} before it replied") from exc
-    return replies
+    return [pickle.loads(reply) for reply in replies]
 
 
 def fan_out(fn, head: tuple, indices: range, workers: int, block: int) -> list:

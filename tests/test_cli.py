@@ -952,6 +952,55 @@ class TestSharedPool:
         before, raised, after = out.stdout.splitlines()
         assert raised == "TypeError True" and before == after
 
+    def test_reply_that_fails_to_unpickle_leaves_no_reply_behind(self):
+        # The second range's result pickles but cannot be unpickled.  Every
+        # reply is read before any is unpickled, so the call raises with the
+        # third range's reply read too, and the next call gets its own
+        # results from the same processes.
+        out = self._python(
+            "import os",
+            "from wielandt_lab.sampling import BLOCK_SIZE, block_size, fan_out",
+            "class TwoArg(Exception):",
+            "    def __init__(self, message, code):",
+            "        super().__init__(message)",
+            "def tagged(tag, block):",
+            "    if tag == 'first' and block.start == BLOCK_SIZE:",
+            "        return TwoArg(tag, 0)",
+            "    return tag, os.getpid()",
+            "print(*[pid for _, pid in fan_out(tagged, ('warm',), range(3 * BLOCK_SIZE), 3, BLOCK_SIZE)])",
+            "try:",
+            "    fan_out(tagged, ('first',), range(3 * BLOCK_SIZE), 3, BLOCK_SIZE)",
+            "except TypeError as exc:",
+            "    print(type(exc).__name__)",
+            "print(*[f'{tag}:{pid}' for tag, pid in fan_out(tagged, ('second',), range(3), 3, 1)])",
+            timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        warm, raised, after = out.stdout.splitlines()
+        assert raised == "TypeError"
+        assert after.split() == [f"second:{pid}" for pid in warm.split()]
+
+    def test_pool_forked_before_any_draw_probes_for_itself(self):
+        # The pool starts on the first range, before the calling process has
+        # probed numpy's lane path, so each pool process probes it itself;
+        # the report equals the serial one.
+        out = self._python(
+            "import json",
+            "from wielandt_lab import cli, sampling",
+            "params = cli.VerifyParams(trials=2 * sampling.block_size(4), ambient=4, rank=2,",
+            "                          out_dim=2, ancilla=2, m=1.0, M=2.0, p_values=(0.5, 2.0),",
+            "                          tol=1e-9, seed=11)",
+            "def report(workers):",
+            "    out = cli.run_verify(params, workers=workers)",
+            "    out['manifest'].pop('started_at'), out['manifest'].pop('finished_at')",
+            "    return json.dumps(out)",
+            "print(sampling._lane_path.cache_info().misses)",
+            "two = report(2)",
+            "print(len(sampling._pool[1]), two == report(1))",
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines() == ["0", "1 True"]
+
     def test_one_shot_search_below_a_full_block_starts_no_pool(self):
         out = self._python(
             "import sys",

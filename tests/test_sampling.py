@@ -1,6 +1,8 @@
 import ctypes
 import hashlib
+import platform
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 def _random_seeds(count):
     return np.random.default_rng(2024).integers(0, 2**64, size=count, dtype=np.uint64)
+
+
+@pytest.fixture
+def fresh_probe():
+    """The lane-path probe runs once per process: run it afresh in the test,
+    under whatever the test patches, and again after it."""
+    sampling._lane_path.cache_clear()
+    yield
+    sampling._lane_path.cache_clear()
 
 
 class TestBlockSize:
@@ -64,12 +75,11 @@ class TestRngsFrom:
             ref = np.random.default_rng(seed)
             assert np.array_equal(g[lane], ref.standard_normal((2, 3, 3)))
             assert np.array_equal(u[lane], ref.random(3))
-        # the stream's generator is left where the last lane's draws leave it
-        assert stream.rng.bit_generator.state == ref.bit_generator.state
 
     def test_interleaved_iterators_keep_their_lanes(self):
-        # Each stream owns its generator, so drawing a block from one leaves
-        # the other's lanes as default_rng gives them.
+        # A lane's state is its words alone, so drawing a block from one
+        # stream through the shared generator leaves the other's lanes as
+        # default_rng gives them.
         seeds = _random_seeds(40).reshape(2, 20)
         streams = [rngs_from(row) for row in seeds]
         for start, lanes in ((0, 1), (1, 3), (4, 7), (11, 9)):
@@ -91,7 +101,7 @@ class TestRngsFrom:
         """Every lane of `stream` draws from its own ``default_rng(seed)``,
         with `default_rng`'s bits, and then no lane is left."""
         g, u = sampling.lane_draws(stream, len(seeds), (3,), 1)
-        assert stream.words is None
+        assert sampling._lane_path() is None and stream.words is None
         for lane, seed in enumerate(seeds):
             ref = default_rng(seed)
             assert np.array_equal(g[lane], ref.standard_normal(3))
@@ -99,7 +109,7 @@ class TestRngsFrom:
         with pytest.raises(IndexError):
             sampling.lane_draws(stream, 1, (3,))
 
-    def test_lanes_follow_default_rng_when_numpy_seeding_differs(self, monkeypatch):
+    def test_lanes_follow_default_rng_when_numpy_seeding_differs(self, fresh_probe, monkeypatch):
         # The vectorized seeding no longer matches default_rng, so each lane
         # draws from default_rng itself.
         real = np.random.default_rng
@@ -107,17 +117,17 @@ class TestRngsFrom:
         stream = rngs_from(np.array([5, 6], dtype=np.uint64))
         self._assert_own_default_rng(stream, (5, 6), lambda seed: real(seed ^ 1))
 
-    def test_mismatched_words_fall_back_to_default_rng(self, monkeypatch):
-        # One bit of the state's low word flipped: lane 0's words match
-        # default_rng's state in neither order, so every lane draws from its
-        # own default_rng.
+    def test_mismatched_words_fall_back_to_default_rng(self, fresh_probe, monkeypatch):
+        # One bit of the state's low word flipped: the probe seed's words
+        # draw default_rng's bits in neither order, so every lane draws from
+        # its own default_rng.
         real = sampling._pcg64_states
         flip = np.array([0, 1, 0, 0], dtype=np.uint64)
         monkeypatch.setattr(sampling, "_pcg64_states", lambda seeds: real(seeds) ^ flip)
         stream = rngs_from(np.array([5, 6], dtype=np.uint64))
         self._assert_own_default_rng(stream, (5, 6), np.random.default_rng)
 
-    def test_order_no_build_uses_falls_back_to_default_rng(self, monkeypatch):
+    def test_order_no_build_uses_falls_back_to_default_rng(self, fresh_probe, monkeypatch):
         # inc before state is no pcg64_random_t's layout
         monkeypatch.setattr(sampling, "_WORD_ORDERS", ((2, 3, 0, 1),))
         stream = rngs_from(np.array([5, 6, 7], dtype=np.uint64))
@@ -125,18 +135,31 @@ class TestRngsFrom:
 
     @pytest.mark.parametrize("count", [0, 1, 3, 512])
     def test_no_pointer_into_the_words_outlives_a_draw(self, count):
-        # After lane 0, then `count` more lanes, the generator points at its
-        # own state again, which holds where the last lane's draws left it.
-        seeds = _random_seeds(count + 1)
-        stream = rngs_from(seeds)
+        # After lane 0, then `count` more lanes, the process's generator
+        # points at its own struct again, outside the stream's words, and
+        # its own state is as the probe left it.
+        _, _, rng, _, own, _ = sampling._lane_path()
+        state = rng.bit_generator.state
+        stream = rngs_from(_random_seeds(count + 1))
         for lanes in (1, count):
             sampling.lane_draws(stream, lanes, (2, 3), 2)
-            pointer = ctypes.c_void_p.from_address(stream.rng.bit_generator.ctypes.state_address)
-            assert stream.words is not None and pointer.value == stream.own
+            pointer = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address)
+            assert stream.words is not None and pointer.value == own
             assert not 0 <= pointer.value - stream.words.ctypes.data < stream.words.nbytes
-        ref = np.random.default_rng(int(seeds[-1]))
-        ref.standard_normal((2, 3)), ref.random(2)
-        assert stream.rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state == state
+
+    def test_one_probe_then_no_default_rng(self, fresh_probe, monkeypatch):
+        # numpy is probed once per process; after that, making and drawing
+        # a stream builds no Generator.
+        seeds = _random_seeds(9).reshape(3, 3)
+        sampling.lane_draws(rngs_from(seeds[0]), 3, (2,), 1)
+        calls, real = [], np.random.default_rng
+        monkeypatch.setattr(sampling.np.random, "default_rng",
+                            lambda *args: calls.append(args) or real(*args))
+        for row in seeds[1:]:
+            sampling.lane_draws(rngs_from(row), 3, (2,), 1)
+        assert sampling._lane_path.cache_info().misses == 1
+        assert calls == []
 
     def test_empty_block_yields_nothing(self):
         for seeds in (np.array([], dtype=np.uint64), np.empty((0, 3), dtype=np.uint64)):
@@ -145,6 +168,18 @@ class TestRngsFrom:
             assert g.shape == (0, 2, 3) and u.shape == (0, 1)
             with pytest.raises(IndexError):
                 sampling.lane_draws(stream, 1, (2, 3))
+
+
+@pytest.mark.skipif((sys.platform, platform.machine()) != ("linux", "x86_64"),
+                    reason="the lane path is required live on Linux x86_64 only")
+def test_lane_path_is_live():
+    # A numpy whose fills, seeding or layout the probe rejects falls back to
+    # per-lane default_rng with the same bits but about 14 us more a lane,
+    # silently: this fails instead.
+    assert sampling._lane_path() is not None
+    stream = rngs_from(_random_seeds(2))
+    sampling.lane_draws(stream, 1, (2,))
+    assert stream.words is not None
 
 
 class TestLaneDraws:
@@ -175,8 +210,8 @@ class TestLaneDraws:
             assert np.array_equal(np.concatenate([part[i] for part in parts]), want)
 
     def test_interleaved_streams_keep_their_lanes(self):
-        # Each stream owns its generator, so drawing from one leaves the
-        # other's lanes as default_rng gives them.
+        # A lane's state is its words alone, so drawing from one stream
+        # leaves the other's lanes as default_rng gives them.
         seeds = _random_seeds(40).reshape(2, 20)
         streams = [rngs_from(row) for row in seeds]
         for lane in range(20):
@@ -204,13 +239,10 @@ class TestLaneDraws:
     @pytest.mark.parametrize("names", [("random_standard_normal_fill",) * 2,
                                        ("random_standard_normal_fill", "no_such_fill")],
                              ids=["draws-other-bits", "missing"])
-    def test_failed_fill_probe_falls_back_to_default_rng(self, names, monkeypatch, request):
+    def test_failed_fill_probe_falls_back_to_default_rng(self, names, fresh_probe, monkeypatch):
         # normals where the uniforms should be, or a routine numpy lacks
         monkeypatch.setattr(sampling, "_FILL_NAMES", names)
-        # the check runs once per process: run it afresh, and again after
-        sampling._fills.cache_clear()
-        request.addfinalizer(sampling._fills.cache_clear)
-        assert sampling._fills() is None
+        assert sampling._lane_path() is None
         seeds = self._seeds(3)
         g, u = sampling.lane_draws(rngs_from(seeds), 3, self.SHAPE, 2)
         for lane, seed in enumerate(seeds.tolist()):
@@ -346,14 +378,13 @@ class TestStreamPin:
         assert hashlib.sha256(body).hexdigest() == digest
 
     @pytest.mark.parametrize("probe", ["fills", "word-orders"])
-    def test_failed_probe_keeps_the_digest(self, probe, tmp_chdir, monkeypatch, request):
+    def test_failed_probe_keeps_the_digest(self, probe, fresh_probe, tmp_chdir, monkeypatch):
         # Lanes drawn through default_rng, after the check of numpy's fill
         # routines or of every word order fails, give the same reports.
         if probe == "fills":
             monkeypatch.setattr(sampling, "_FILL_NAMES", ("no_such_fill",) * 2)
-            sampling._fills.cache_clear()
-            request.addfinalizer(sampling._fills.cache_clear)
         else:
             monkeypatch.setattr(sampling, "_WORD_ORDERS", ())
+        assert sampling._lane_path() is None
         for args, code, digest in _PINS[:2]:
             self.test_report_digest(args, code, digest, tmp_chdir, monkeypatch, None)
